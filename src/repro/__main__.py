@@ -34,6 +34,11 @@ off-line and writes the learned parameters to a JSON file that
 under the static analyzer and prints every diagnostic raised against the
 plans it builds; the exit status is 1 when any error-severity diagnostic
 fires, else 0.
+
+``run``, ``trace`` and ``lint`` report a script-level failure (an unreadable
+script, a RheemLatin syntax error, a path the virtual file system does not
+hold, a plan the optimizer cannot place) as one ``error: <kind>: <message>``
+line on standard error and exit with status 2.
 """
 
 from __future__ import annotations
@@ -45,8 +50,18 @@ import sys
 from typing import Any
 
 from . import RheemContext
-from .latin import Interpreter
+from .core.optimizer import OptimizationError
+from .latin import Interpreter, LatinSyntaxError
+from .simulation.vfs import FileNotFound
 from .workloads import write_abstracts, write_pagelinks
+
+#: The benchmark corpora a script may read, and the flag that seeds each.
+_ABSTRACTS_PATH = "hdfs://data/abstracts.txt"
+_PAGELINKS_PATH = "hdfs://data/pagelinks.txt"
+_SEED_FLAGS = {_ABSTRACTS_PATH: "--abstracts", _PAGELINKS_PATH: "--pagelinks"}
+
+#: Failures of the user's script (as opposed to bugs in this program).
+_SCRIPT_ERRORS = (OSError, LatinSyntaxError, FileNotFound, OptimizationError)
 
 
 def _context_from_options(no_cache: bool, no_reuse: bool,
@@ -62,10 +77,22 @@ def _context_from_options(no_cache: bool, no_reuse: bool,
     if no_reuse:
         ctx.result_store.enabled = False
     if abstracts:
-        write_abstracts(ctx, "hdfs://data/abstracts.txt", abstracts)
+        write_abstracts(ctx, _ABSTRACTS_PATH, abstracts)
     if pagelinks:
-        write_pagelinks(ctx, "hdfs://data/pagelinks.txt", pagelinks)
+        write_pagelinks(ctx, _PAGELINKS_PATH, pagelinks)
     return ctx
+
+
+def _report_script_error(exc: Exception) -> int:
+    """Print one ``error:`` line for a script-level failure; exit status 2."""
+    message = str(exc)
+    if isinstance(exc, FileNotFound):
+        path = exc.args[0]
+        message = f"no such file {path!r} in the virtual file system"
+        if path in _SEED_FLAGS:
+            message += f" (seed it with {_SEED_FLAGS[path]} PERCENT)"
+    print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
+    return 2
 
 
 def _build_context(args: argparse.Namespace) -> RheemContext:
@@ -360,15 +387,15 @@ def main(argv: list[str] | None = None) -> int:
         print("repro: error: a subcommand is required "
               "(run, trace, serve, learn or lint)", file=sys.stderr)
         return 2
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
     if args.command == "learn":
         return _cmd_learn(args)
-    if args.command == "lint":
-        return _cmd_lint(args)
-    return _cmd_serve(args)
+    if args.command == "serve":
+        return _cmd_serve(args)
+    command = {"run": _cmd_run, "trace": _cmd_trace, "lint": _cmd_lint}
+    try:
+        return command[args.command](args)
+    except _SCRIPT_ERRORS as exc:
+        return _report_script_error(exc)
 
 
 if __name__ == "__main__":

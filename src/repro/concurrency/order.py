@@ -71,7 +71,8 @@ LOCK_ORDER: tuple[LockSpec, ...] = (
         rank=10,
         kind="lock",
         owners=("repro.server.server:JobServer._lock",),
-        guards=("JobServer._jobs", "JobServer._queued",
+        guards=("JobServer._jobs", "JobServer._terminal",
+                "JobServer._queued",
                 "JobServer._running", "JobServer._accepting",
                 "JobServer._pending", "JobServer._tenant_running",
                 "JobServer._run_ewma", "JobServer._cancelled"),

@@ -220,6 +220,34 @@ def charge_operator(
     ctx.meter.charge(seconds, exec_op.name, category="cpu")
 
 
+def _cin(inputs: Sequence[Channel]) -> float:
+    """Simulated input cardinality an operator is charged for."""
+    return sum(ch.sim_cardinality for ch in inputs)
+
+
+def _group_factor(logical: Operator, actual_groups: int,
+                  input_factor: float) -> float:
+    """Output sim factor for grouping ops: honour a declared true group
+    count, else carry the input's factor through."""
+    sim_groups = getattr(logical, "sim_groups", None)
+    if sim_groups is not None and actual_groups:
+        return sim_groups / actual_groups
+    return input_factor
+
+
+def _sample_seed(ctx: "ExecutionContext", logical: Operator) -> str:
+    """RNG seed of one ``Sample`` execution.
+
+    A pure function of (context seed, logical seed, operator name,
+    loop-iteration epoch) — never of operator-instance state, which would
+    advance on failed attempts and re-runs: a crash-retried attempt of the
+    same iteration draws the identical sample, while successive loop
+    iterations still get fresh draws.
+    """
+    return (f"{ctx.config.get('seed', 42)}|{logical.seed}"
+            f"|{logical.name}|{ctx.epoch}")
+
+
 def union_bytes_per_record(a: Channel, b: Channel) -> float:
     """Cardinality-weighted record width of a two-input union.
 

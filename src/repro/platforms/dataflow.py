@@ -1,10 +1,14 @@
 """Generic execution operators shared by the distributed dataflow engines.
 
-The Spark analog and the Flink analog execute the same *logic* over
-:class:`~repro.platforms.distributed.PartitionedDataset` payloads; they
-differ in channel types, performance profiles and a few operators (Spark's
-explicit Cache, Flink's pipelined dispatch).  Each engine subclasses these
-generic operators and pins its ``platform`` / channel descriptors.
+The Spark analog, the Flink analog and the Giraph analog execute the same
+*logic* over :class:`~repro.platforms.distributed.PartitionedDataset`
+payloads; they differ in channel types, performance profiles and a few
+operators of their own (Spark's explicit Cache, the Pregel PageRank).  An
+engine is therefore a *value* — a :class:`DataflowEngine` naming the
+platform and its channels — that every operator here receives at
+construction; the engine also binds the one shared mapping table and the
+one set of payload converters, so plugging in another partitioned engine
+takes an engine value plus a conversion (rate/overhead) table.
 
 Wide (shuffling) operators really hash-partition the data — co-location is
 observable — and charge shuffle time per simulated MB on top of CPU time.
@@ -12,45 +16,123 @@ observable — and charge shuffle time per simulated MB on top of CPU time.
 
 from __future__ import annotations
 
+import itertools
 import random
-from typing import Any, Sequence
+from dataclasses import dataclass
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from ..algorithms.iejoin import ie_join
 from ..algorithms.pagerank import pagerank_edges
-from ..core.channels import Channel, ChannelDescriptor
-from .base import ExecutionOperator, charge_operator, union_bytes_per_record
+from ..core import operators as ops
+from ..core.channels import Channel, ChannelDescriptor, HDFS_FILE
+from ..core.mappings import OperatorMapping
+from .base import (ExecutionOperator, _cin, _group_factor, _sample_seed,
+                   charge_operator, union_bytes_per_record)
 from .distributed import PartitionedDataset
+from .pystreams.channels import PY_COLLECTION
+
+_tmp_counter = itertools.count(1)
 
 
-def _cin(inputs: Sequence[Channel]) -> float:
-    """Simulated input cardinality an operator is charged for."""
-    return sum(ch.sim_cardinality for ch in inputs)
+@dataclass(frozen=True)
+class DataflowEngine:
+    """One partitioned dataflow engine: its platform name and channels.
+
+    ``broadcast`` may equal ``dataset`` (no dedicated broadcast channel);
+    ``batch`` is ``None`` for an engine without a record-batch plane.  The
+    converter methods are the payload halves of the engine's conversions:
+    the platform pairs each with its own rate and overhead.
+    """
+
+    platform: str
+    dataset: ChannelDescriptor
+    broadcast: ChannelDescriptor
+    batch: ChannelDescriptor | None = None
+
+    # ------------------------------------------------------------- mappings
+    def mappings(self, own: Mapping[type, type] | None = None,
+                 only: frozenset[type] | None = None) -> list[OperatorMapping]:
+        """The shared scalar mapping table bound to this engine.
+
+        ``own`` names the engine's own operator classes per logical type
+        (they take the shared one's place); ``only`` restricts the table
+        to the logical types the engine supports.
+        """
+        table = {**_SCALAR_OPERATORS, **(own or {})}
+        return self._bind({
+            logical_type: cls for logical_type, cls in table.items()
+            if cls is not None and (only is None or logical_type in only)})
+
+    def batch_mappings(self) -> list[OperatorMapping]:
+        """The shared record-batch mapping table bound to this engine
+        (empty for an engine without a ``batch`` channel)."""
+        return self._bind(_BATCH_OPERATORS) if self.batch is not None else []
+
+    def _bind(self, table: Mapping[type, type]) -> list[OperatorMapping]:
+        return [OperatorMapping(logical_type,
+                                lambda op, cls=cls: [cls(op, self)])
+                for logical_type, cls in table.items()]
+
+    # ----------------------------------------------------- payload converters
+    def from_collection(self, channel: Channel, ctx) -> Channel:
+        n = ctx.profile(self.platform).parallelism
+        dataset = PartitionedDataset.from_records(channel.payload, n)
+        return channel.with_payload(dataset, self.dataset, dataset.count())
+
+    def to_collection(self, channel: Channel, ctx) -> Channel:
+        records = channel.payload.to_list()
+        return channel.with_payload(records, PY_COLLECTION, len(records))
+
+    def to_broadcast(self, channel: Channel, ctx) -> Channel:
+        return channel.with_payload(list(channel.payload), self.broadcast,
+                                    len(channel.payload))
+
+    def batchify(self, channel: Channel, ctx) -> Channel:
+        from ..core.batch import RecordBatch
+
+        batches = [RecordBatch.from_records(p)
+                   for p in channel.payload.partitions]
+        return channel.with_payload(batches, self.batch,
+                                    sum(len(b) for b in batches))
+
+    def debatchify(self, channel: Channel, ctx) -> Channel:
+        dataset = PartitionedDataset([b.to_records() for b in channel.payload])
+        return channel.with_payload(dataset, self.dataset, dataset.count())
+
+    def save_to_hdfs(self, channel: Channel, ctx) -> Channel:
+        path = f"hdfs://tmp/{self.platform}-{next(_tmp_counter)}"
+        records = channel.payload.to_list()
+        ctx.vfs.write(path, records, channel.sim_factor,
+                      channel.bytes_per_record)
+        return channel.with_payload(path, HDFS_FILE, len(records))
+
+    def read_from_hdfs(self, channel: Channel, ctx) -> Channel:
+        vf = ctx.vfs.read(channel.payload)
+        n = ctx.profile(self.platform).parallelism
+        dataset = PartitionedDataset.from_records(vf.records, n)
+        return Channel(self.dataset, dataset, vf.sim_factor,
+                       vf.bytes_per_record, dataset.count())
 
 
 class DataflowOperator(ExecutionOperator):
-    """Base for distributed execution operators.
+    """Base for distributed execution operators, bound to one engine."""
 
-    Subclasses (or the per-engine leaf classes) set:
-
-    * ``platform`` — engine name;
-    * ``DATASET`` — the engine's distributed channel descriptor;
-    * ``BROADCAST`` — the engine's broadcast channel descriptor.
-    """
-
-    DATASET: ChannelDescriptor
-    BROADCAST: ChannelDescriptor
+    def __init__(self, logical, engine: DataflowEngine) -> None:
+        super().__init__(logical)
+        self.engine = engine
+        self.platform = engine.platform
 
     def input_descriptors(self):
         arity = self.logical.num_inputs if self.logical is not None else 1
-        return [self.DATASET] * arity
+        return [self.engine.dataset] * arity
 
     def output_descriptor(self):
-        return self.DATASET
+        return self.engine.dataset
 
     def broadcast_descriptor(self):
-        return self.BROADCAST
+        return self.engine.broadcast
 
     # ------------------------------------------------------------- plumbing
     def execute(self, inputs: Sequence[Channel], broadcasts: Sequence[Channel],
@@ -71,7 +153,7 @@ class DataflowOperator(ExecutionOperator):
         # operator instances re-execute across loop iterations and
         # concurrent scheduler lanes.
         out = Channel(
-            self.DATASET,
+            self.engine.dataset,
             dataset,
             template.sim_factor if sim_factor is None else sim_factor,
             (template.bytes_per_record if bytes_per_record is None
@@ -106,7 +188,7 @@ class DFTextFileSource(DataflowOperator):
                          f"{self.name}.read", category="io")
         dataset = PartitionedDataset.from_records(vf.records,
                                                   self._parallelism(ctx))
-        template = Channel(self.DATASET, None, vf.sim_factor,
+        template = Channel(self.engine.dataset, None, vf.sim_factor,
                            vf.bytes_per_record)
         return self._emit(template, dataset, ctx, 0.0)
 
@@ -123,7 +205,7 @@ class DFCollectionSource(DataflowOperator):
         logical = self.logical
         dataset = PartitionedDataset.from_records(logical.data,
                                                   self._parallelism(ctx))
-        template = Channel(self.DATASET, None, logical.sim_factor,
+        template = Channel(self.engine.dataset, None, logical.sim_factor,
                            logical.bytes_per_record)
         out = self._emit(template, dataset, ctx, 0.0)
         ctx.meter.charge(ctx.profile(self.platform).transfer_seconds(out.sim_mb),
@@ -176,7 +258,6 @@ class DFZipWithId(DataflowOperator):
             [(pid + i * stride, record) for i, record in enumerate(part)]
             for pid, part in enumerate(dataset.partitions)
         ]
-        from .distributed import PartitionedDataset
         return self._emit(inputs[0], PartitionedDataset(parts), ctx,
                           _cin(inputs))
 
@@ -226,12 +307,7 @@ class DFSample(DataflowOperator):
         if logical.method == "first":
             sample = data[:k]
         else:
-            # Retry-deterministic: seeded from the loop-iteration epoch the
-            # executor supplies, never from operator-instance state (which
-            # would advance on failed attempts and re-runs).
-            seed = (f"{ctx.config.get('seed', 42)}|{logical.seed}"
-                    f"|{logical.name}|{ctx.epoch}")
-            rng = random.Random(seed)
+            rng = random.Random(_sample_seed(ctx, logical))
             sample = [data[rng.randrange(len(data))] for __ in range(k)] if data else []
         out = PartitionedDataset([sample])
         return self._emit(inputs[0], out, ctx, _cin(inputs), sim_factor=1.0)
@@ -339,14 +415,6 @@ class DFReduceBy(DataflowOperator):
         return self._emit(inputs[0], out, ctx, _cin(inputs),
                           sim_factor=_group_factor(self.logical, out.count(),
                                                    inputs[0].sim_factor))
-
-
-def _group_factor(logical, actual_groups: int, input_factor: float):
-    """Honour a declared true group count (see the logical operators)."""
-    sim_groups = getattr(logical, "sim_groups", None)
-    if sim_groups is not None and actual_groups:
-        return sim_groups / actual_groups
-    return input_factor
 
 
 def _fold_by_key(part, key, reducer):
@@ -540,6 +608,29 @@ class DFTextFileSink(DataflowOperator):
         return ch.with_payload(copied, actual_count=ch.actual_count)
 
 
+class DFCollectionSink(DataflowOperator):
+    """Fetches results to the driver via the engine's own iterator action.
+
+    Deliberately dearer per record than the collect *conversion* +
+    PyStreams sink (``Rdd.toLocalIterator`` vs ``Rdd.collect`` in the
+    paper's WordCount analysis) — the optimizer can discover the cheaper
+    route.
+    """
+
+    op_kind = "collect_sink"
+
+    def output_descriptor(self):
+        return PY_COLLECTION
+
+    def _run(self, inputs, bvals, ctx):
+        ch = inputs[0]
+        records = ch.payload.to_list()
+        out = Channel(PY_COLLECTION, records, ch.sim_factor,
+                      ch.bytes_per_record, len(records))
+        charge_operator(ctx, self, ch.sim_cardinality, out.sim_cardinality)
+        return out
+
+
 # --------------------------------------------------------------------------
 # Vectorized (record-batch) twins.  Registered only when the context is
 # built with ``vectorize`` on; they REPLACE the per-record mappings of the
@@ -550,23 +641,21 @@ class DFTextFileSink(DataflowOperator):
 # overheads, so it is charged exactly the same simulated time.
 
 class BatchDataflowOperator(DataflowOperator):
-    """Base for the batch twins.  Subclasses also set ``BATCH``."""
-
-    BATCH: ChannelDescriptor
+    """Base for the batch twins: they speak the engine's ``batch`` channel."""
 
     def input_descriptors(self):
         arity = self.logical.num_inputs if self.logical is not None else 1
-        return [self.BATCH] * arity
+        return [self.engine.batch] * arity
 
     def output_descriptor(self):
-        return self.BATCH
+        return self.engine.batch
 
     def _emit_batches(self, template: Channel, batches, ctx, cin: float,
                       sim_factor: float | None = None,
                       bytes_per_record: float | None = None) -> Channel:
         # Mirrors ``_emit`` with a list-of-batches payload.
         out = Channel(
-            self.BATCH,
+            self.engine.batch,
             batches,
             template.sim_factor if sim_factor is None else sim_factor,
             (template.bytes_per_record if bytes_per_record is None
@@ -737,3 +826,48 @@ class DFBatchJoin(BatchDataflowOperator, DFJoin):
         return self._emit_batches(a, out, ctx, _cin(inputs), sim_factor=factor,
                                   bytes_per_record=a.bytes_per_record
                                   + b.bytes_per_record)
+
+
+# --------------------------------------------------------------------------
+# The mapping tables every engine binds (``DataflowEngine.mappings`` /
+# ``batch_mappings``), in registration order.  ``None`` marks a logical type
+# with no shared implementation: an engine maps it with an operator of its
+# own or not at all.
+
+_SCALAR_OPERATORS: dict[type, type | None] = {
+    ops.TextFileSource: DFTextFileSource,
+    ops.CollectionSource: DFCollectionSource,
+    ops.Map: DFMap,
+    ops.FlatMap: DFFlatMap,
+    ops.Filter: DFFilter,
+    ops.MapPartitions: DFMapPartitions,
+    ops.ZipWithId: DFZipWithId,
+    ops.Sample: DFSample,
+    ops.Distinct: DFDistinct,
+    ops.Sort: DFSort,
+    ops.GroupBy: DFGroupBy,
+    ops.ReduceBy: DFReduceBy,
+    ops.GlobalReduce: DFGlobalReduce,
+    ops.Count: DFCount,
+    ops.Cache: None,
+    ops.Union: DFUnion,
+    ops.Intersect: DFIntersect,
+    ops.Join: DFJoin,
+    ops.CartesianProduct: DFCartesian,
+    ops.IEJoin: DFIEJoin,
+    ops.PageRank: DFPageRank,
+    ops.CollectionSink: DFCollectionSink,
+    ops.TextFileSink: DFTextFileSink,
+}
+
+_BATCH_OPERATORS: dict[type, type] = {
+    ops.Map: DFBatchMap,
+    ops.FlatMap: DFBatchFlatMap,
+    ops.Filter: DFBatchFilter,
+    ops.Distinct: DFBatchDistinct,
+    ops.Sort: DFBatchSort,
+    ops.GroupBy: DFBatchGroupBy,
+    ops.ReduceBy: DFBatchReduceBy,
+    ops.Union: DFBatchUnion,
+    ops.Join: DFBatchJoin,
+}

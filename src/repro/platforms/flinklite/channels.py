@@ -1,6 +1,7 @@
 """Channel types of the FlinkLite (Flink-analog) platform."""
 
 from ...core.channels import ChannelDescriptor
+from ..dataflow import DataflowEngine
 
 #: A pipelined distributed dataset.  Modelled as reusable: FlinkLite
 #: materializes eagerly between our execution stages.
@@ -14,3 +15,8 @@ FLINK_BROADCAST = ChannelDescriptor("flinklite.broadcast", "flinklite", True)
 #: only when the context is built with ``vectorize`` on.  Reusable, like
 #: the dataset channel it mirrors.
 FLINK_BATCH = ChannelDescriptor("flinklite.batch", "flinklite", True)
+
+#: The engine value every shared dataflow operator, mapping and payload
+#: converter of this platform is bound to.
+FLINK = DataflowEngine("flinklite", FLINK_DATASET, FLINK_BROADCAST,
+                       FLINK_BATCH)

@@ -1,111 +1,18 @@
-"""FlinkLite execution operators (Flink analog).
+"""FlinkLite's own execution operator (Flink analog).
 
-Same generic dataflow implementations as SparkLite, pinned to the flinklite
-platform: lighter dispatch overheads, slightly different per-record
-constants, and no cache distinction (datasets are reusable here).
+Every other operator is a shared :mod:`~repro.platforms.dataflow`
+implementation bound to the :data:`~.channels.FLINK` engine value: lighter
+dispatch overheads, slightly different per-record constants, and no cache
+distinction (datasets are reusable here).
 """
 
 from __future__ import annotations
 
-from ...core.channels import Channel
-from .. import dataflow as df
-from ..base import charge_operator
+from ..dataflow import DataflowOperator
 from ..distributed import PartitionedDataset
-from ..pystreams.channels import PY_COLLECTION
-from .channels import FLINK_BATCH, FLINK_BROADCAST, FLINK_DATASET
 
 
-class _Flink(df.DataflowOperator):
-    platform = "flinklite"
-    DATASET = FLINK_DATASET
-    BROADCAST = FLINK_BROADCAST
-
-
-class FlinkTextFileSource(_Flink, df.DFTextFileSource):
-    """FlinkLite's binding of :class:`~repro.platforms.dataflow.DFTextFileSource`."""
-
-
-class FlinkCollectionSource(_Flink, df.DFCollectionSource):
-    """FlinkLite's binding of :class:`~repro.platforms.dataflow.DFCollectionSource`."""
-
-
-class FlinkMap(_Flink, df.DFMap):
-    """FlinkLite's binding of :class:`~repro.platforms.dataflow.DFMap`."""
-
-
-class FlinkFlatMap(_Flink, df.DFFlatMap):
-    """FlinkLite's binding of :class:`~repro.platforms.dataflow.DFFlatMap`."""
-
-
-class FlinkFilter(_Flink, df.DFFilter):
-    """FlinkLite's binding of :class:`~repro.platforms.dataflow.DFFilter`."""
-
-
-class FlinkMapPartitions(_Flink, df.DFMapPartitions):
-    """FlinkLite's binding of :class:`~repro.platforms.dataflow.DFMapPartitions`."""
-
-
-class FlinkZipWithId(_Flink, df.DFZipWithId):
-    """FlinkLite's binding of :class:`~repro.platforms.dataflow.DFZipWithId`."""
-
-
-class FlinkSample(_Flink, df.DFSample):
-    """FlinkLite's binding of :class:`~repro.platforms.dataflow.DFSample`."""
-
-
-class FlinkDistinct(_Flink, df.DFDistinct):
-    """FlinkLite's binding of :class:`~repro.platforms.dataflow.DFDistinct`."""
-
-
-class FlinkSort(_Flink, df.DFSort):
-    """FlinkLite's binding of :class:`~repro.platforms.dataflow.DFSort`."""
-
-
-class FlinkGroupBy(_Flink, df.DFGroupBy):
-    """FlinkLite's binding of :class:`~repro.platforms.dataflow.DFGroupBy`."""
-
-
-class FlinkReduceBy(_Flink, df.DFReduceBy):
-    """FlinkLite's binding of :class:`~repro.platforms.dataflow.DFReduceBy`."""
-
-
-class FlinkGlobalReduce(_Flink, df.DFGlobalReduce):
-    """FlinkLite's binding of :class:`~repro.platforms.dataflow.DFGlobalReduce`."""
-
-
-class FlinkCount(_Flink, df.DFCount):
-    """FlinkLite's binding of :class:`~repro.platforms.dataflow.DFCount`."""
-
-
-class FlinkUnion(_Flink, df.DFUnion):
-    """FlinkLite's binding of :class:`~repro.platforms.dataflow.DFUnion`."""
-
-
-class FlinkIntersect(_Flink, df.DFIntersect):
-    """FlinkLite's binding of :class:`~repro.platforms.dataflow.DFIntersect`."""
-
-
-class FlinkJoin(_Flink, df.DFJoin):
-    """FlinkLite's binding of :class:`~repro.platforms.dataflow.DFJoin`."""
-
-
-class FlinkCartesian(_Flink, df.DFCartesian):
-    """FlinkLite's binding of :class:`~repro.platforms.dataflow.DFCartesian`."""
-
-
-class FlinkIEJoin(_Flink, df.DFIEJoin):
-    """FlinkLite's binding of :class:`~repro.platforms.dataflow.DFIEJoin`."""
-
-
-class FlinkPageRank(_Flink, df.DFPageRank):
-    """FlinkLite's binding of :class:`~repro.platforms.dataflow.DFPageRank`."""
-
-
-class FlinkTextFileSink(_Flink, df.DFTextFileSink):
-    """FlinkLite's binding of :class:`~repro.platforms.dataflow.DFTextFileSink`."""
-
-
-class FlinkCache(_Flink):
+class FlinkCache(DataflowOperator):
     """No-op: FlinkLite datasets are already reusable."""
 
     op_kind = "cache"
@@ -116,60 +23,3 @@ class FlinkCache(_Flink):
         ch = inputs[0]
         copied = PartitionedDataset([list(p) for p in ch.payload.partitions])
         return ch.with_payload(copied, actual_count=ch.actual_count)
-
-
-class FlinkCollectionSink(_Flink):
-    """Fetches results to the driver via the engine's own collect action."""
-
-    op_kind = "collect_sink"
-
-    def output_descriptor(self):
-        return PY_COLLECTION
-
-    def _run(self, inputs, bvals, ctx):
-        ch = inputs[0]
-        records = ch.payload.to_list()
-        out = Channel(PY_COLLECTION, records, ch.sim_factor,
-                      ch.bytes_per_record, len(records))
-        charge_operator(ctx, self, ch.sim_cardinality, out.sim_cardinality)
-        return out
-
-
-class _FlinkBatch(_Flink, df.BatchDataflowOperator):
-    BATCH = FLINK_BATCH
-
-
-class FlinkBatchMap(_FlinkBatch, df.DFBatchMap):
-    """FlinkLite's binding of :class:`~repro.platforms.dataflow.DFBatchMap`."""
-
-
-class FlinkBatchFlatMap(_FlinkBatch, df.DFBatchFlatMap):
-    """FlinkLite's binding of :class:`~repro.platforms.dataflow.DFBatchFlatMap`."""
-
-
-class FlinkBatchFilter(_FlinkBatch, df.DFBatchFilter):
-    """FlinkLite's binding of :class:`~repro.platforms.dataflow.DFBatchFilter`."""
-
-
-class FlinkBatchDistinct(_FlinkBatch, df.DFBatchDistinct):
-    """FlinkLite's binding of :class:`~repro.platforms.dataflow.DFBatchDistinct`."""
-
-
-class FlinkBatchSort(_FlinkBatch, df.DFBatchSort):
-    """FlinkLite's binding of :class:`~repro.platforms.dataflow.DFBatchSort`."""
-
-
-class FlinkBatchGroupBy(_FlinkBatch, df.DFBatchGroupBy):
-    """FlinkLite's binding of :class:`~repro.platforms.dataflow.DFBatchGroupBy`."""
-
-
-class FlinkBatchReduceBy(_FlinkBatch, df.DFBatchReduceBy):
-    """FlinkLite's binding of :class:`~repro.platforms.dataflow.DFBatchReduceBy`."""
-
-
-class FlinkBatchUnion(_FlinkBatch, df.DFBatchUnion):
-    """FlinkLite's binding of :class:`~repro.platforms.dataflow.DFBatchUnion`."""
-
-
-class FlinkBatchJoin(_FlinkBatch, df.DFBatchJoin):
-    """FlinkLite's binding of :class:`~repro.platforms.dataflow.DFBatchJoin`."""

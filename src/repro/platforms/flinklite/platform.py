@@ -2,63 +2,12 @@
 
 from __future__ import annotations
 
-import itertools
-
 from ...core import operators as ops
-from ...core.channels import Channel, Conversion, HDFS_FILE
-from ...core.mappings import OperatorMapping
+from ...core.channels import Conversion, HDFS_FILE
 from ..base import Platform
-from ..distributed import PartitionedDataset
 from ..pystreams.channels import PY_COLLECTION
-from . import ops as x
-from .channels import FLINK_BATCH, FLINK_BROADCAST, FLINK_DATASET
-
-_tmp_counter = itertools.count(1)
-
-
-def _to_dataset(channel: Channel, ctx) -> Channel:
-    n = ctx.profile("flinklite").parallelism
-    dataset = PartitionedDataset.from_records(channel.payload, n)
-    return channel.with_payload(dataset, FLINK_DATASET, dataset.count())
-
-
-def _to_collection(channel: Channel, ctx) -> Channel:
-    records = channel.payload.to_list()
-    return channel.with_payload(records, PY_COLLECTION, len(records))
-
-
-def _to_broadcast(channel: Channel, ctx) -> Channel:
-    return channel.with_payload(list(channel.payload), FLINK_BROADCAST,
-                                len(channel.payload))
-
-
-def _batchify(channel: Channel, ctx) -> Channel:
-    from ...core.batch import RecordBatch
-
-    batches = [RecordBatch.from_records(p)
-               for p in channel.payload.partitions]
-    return channel.with_payload(batches, FLINK_BATCH,
-                                sum(len(b) for b in batches))
-
-
-def _debatchify(channel: Channel, ctx) -> Channel:
-    dataset = PartitionedDataset([b.to_records() for b in channel.payload])
-    return channel.with_payload(dataset, FLINK_DATASET, dataset.count())
-
-
-def _save_to_hdfs(channel: Channel, ctx) -> Channel:
-    path = f"hdfs://tmp/flinklite-{next(_tmp_counter)}"
-    records = channel.payload.to_list()
-    ctx.vfs.write(path, records, channel.sim_factor, channel.bytes_per_record)
-    return channel.with_payload(path, HDFS_FILE, len(records))
-
-
-def _read_from_hdfs(channel: Channel, ctx) -> Channel:
-    vf = ctx.vfs.read(channel.payload)
-    n = ctx.profile("flinklite").parallelism
-    dataset = PartitionedDataset.from_records(vf.records, n)
-    return Channel(FLINK_DATASET, dataset, vf.sim_factor, vf.bytes_per_record,
-                   dataset.count())
+from .channels import FLINK, FLINK_BATCH, FLINK_BROADCAST, FLINK_DATASET
+from .ops import FlinkCache
 
 
 class FlinkLitePlatform(Platform):
@@ -72,45 +21,20 @@ class FlinkLitePlatform(Platform):
     def conversions(self):
         net = 120.0
         return [
-            Conversion(PY_COLLECTION, FLINK_DATASET, _to_dataset,
+            Conversion(PY_COLLECTION, FLINK_DATASET, FLINK.from_collection,
                        mb_per_s=net, overhead_s=0.08, name="flink-from-collection"),
-            Conversion(FLINK_DATASET, PY_COLLECTION, _to_collection,
+            Conversion(FLINK_DATASET, PY_COLLECTION, FLINK.to_collection,
                        mb_per_s=net, overhead_s=0.025, name="flink-collect"),
-            Conversion(PY_COLLECTION, FLINK_BROADCAST, _to_broadcast,
+            Conversion(PY_COLLECTION, FLINK_BROADCAST, FLINK.to_broadcast,
                        mb_per_s=net / 4, overhead_s=0.01, name="flink-broadcast"),
-            Conversion(FLINK_DATASET, HDFS_FILE, _save_to_hdfs,
+            Conversion(FLINK_DATASET, HDFS_FILE, FLINK.save_to_hdfs,
                        mb_per_s=1000.0, overhead_s=0.15, name="flink-save-hdfs"),
-            Conversion(HDFS_FILE, FLINK_DATASET, _read_from_hdfs,
+            Conversion(HDFS_FILE, FLINK_DATASET, FLINK.read_from_hdfs,
                        mb_per_s=1000.0, overhead_s=0.15, name="flink-read-hdfs"),
         ]
 
     def mappings(self):
-        m = OperatorMapping
-        return [
-            m(ops.TextFileSource, lambda op: [x.FlinkTextFileSource(op)]),
-            m(ops.CollectionSource, lambda op: [x.FlinkCollectionSource(op)]),
-            m(ops.Map, lambda op: [x.FlinkMap(op)]),
-            m(ops.FlatMap, lambda op: [x.FlinkFlatMap(op)]),
-            m(ops.Filter, lambda op: [x.FlinkFilter(op)]),
-            m(ops.MapPartitions, lambda op: [x.FlinkMapPartitions(op)]),
-            m(ops.ZipWithId, lambda op: [x.FlinkZipWithId(op)]),
-            m(ops.Sample, lambda op: [x.FlinkSample(op)]),
-            m(ops.Distinct, lambda op: [x.FlinkDistinct(op)]),
-            m(ops.Sort, lambda op: [x.FlinkSort(op)]),
-            m(ops.GroupBy, lambda op: [x.FlinkGroupBy(op)]),
-            m(ops.ReduceBy, lambda op: [x.FlinkReduceBy(op)]),
-            m(ops.GlobalReduce, lambda op: [x.FlinkGlobalReduce(op)]),
-            m(ops.Count, lambda op: [x.FlinkCount(op)]),
-            m(ops.Cache, lambda op: [x.FlinkCache(op)]),
-            m(ops.Union, lambda op: [x.FlinkUnion(op)]),
-            m(ops.Intersect, lambda op: [x.FlinkIntersect(op)]),
-            m(ops.Join, lambda op: [x.FlinkJoin(op)]),
-            m(ops.CartesianProduct, lambda op: [x.FlinkCartesian(op)]),
-            m(ops.IEJoin, lambda op: [x.FlinkIEJoin(op)]),
-            m(ops.PageRank, lambda op: [x.FlinkPageRank(op)]),
-            m(ops.CollectionSink, lambda op: [x.FlinkCollectionSink(op)]),
-            m(ops.TextFileSink, lambda op: [x.FlinkTextFileSink(op)]),
-        ]
+        return FLINK.mappings(own={ops.Cache: FlinkCache})
 
     # ------------------------------------------------- vectorized execution
     def batch_channels(self):
@@ -121,22 +45,11 @@ class FlinkLitePlatform(Platform):
         # costs are identical with vectorization on or off.
         free = float("inf")
         return [
-            Conversion(FLINK_DATASET, FLINK_BATCH, _batchify,
+            Conversion(FLINK_DATASET, FLINK_BATCH, FLINK.batchify,
                        mb_per_s=free, overhead_s=0.0, name="flink-batchify"),
-            Conversion(FLINK_BATCH, FLINK_DATASET, _debatchify,
+            Conversion(FLINK_BATCH, FLINK_DATASET, FLINK.debatchify,
                        mb_per_s=free, overhead_s=0.0, name="flink-debatchify"),
         ]
 
     def batch_mappings(self):
-        m = OperatorMapping
-        return [
-            m(ops.Map, lambda op: [x.FlinkBatchMap(op)]),
-            m(ops.FlatMap, lambda op: [x.FlinkBatchFlatMap(op)]),
-            m(ops.Filter, lambda op: [x.FlinkBatchFilter(op)]),
-            m(ops.Distinct, lambda op: [x.FlinkBatchDistinct(op)]),
-            m(ops.Sort, lambda op: [x.FlinkBatchSort(op)]),
-            m(ops.GroupBy, lambda op: [x.FlinkBatchGroupBy(op)]),
-            m(ops.ReduceBy, lambda op: [x.FlinkBatchReduceBy(op)]),
-            m(ops.Union, lambda op: [x.FlinkBatchUnion(op)]),
-            m(ops.Join, lambda op: [x.FlinkBatchJoin(op)]),
-        ]
+        return FLINK.batch_mappings()

@@ -2,17 +2,18 @@
 
 Heavy start-up, per-superstep synchronisation overhead, wide parallelism.
 Only graph-adjacent operators are supported (sources feed the input format,
-Map/Filter/Distinct model input-format parsing, PageRank runs as a real
-Pregel program).
+Map/Filter/Distinct model input-format parsing, Intersect is a
+vertex-centric co-grouping of edge sets, PageRank runs as a real Pregel
+program); all but PageRank are the shared
+:mod:`~repro.platforms.dataflow` operators bound to :data:`GRAPHLITE`.
 """
 
 from __future__ import annotations
 
 from ...core import operators as ops
-from ...core.channels import Channel, ChannelDescriptor, Conversion, HDFS_FILE
-from ...core.mappings import OperatorMapping
-from .. import dataflow as df
-from ..base import Platform
+from ...core.channels import ChannelDescriptor, Conversion, HDFS_FILE
+from ..base import Platform, _cin
+from ..dataflow import DataflowEngine, DataflowOperator
 from ..distributed import PartitionedDataset
 from ..pystreams.channels import PY_COLLECTION
 from .engine import PregelEngine
@@ -20,62 +21,18 @@ from .engine import PregelEngine
 #: The in-memory distributed dataset of the graph platform.
 GRAPHLITE_DATASET = ChannelDescriptor("graphlite.dataset", "graphlite", True)
 
+#: The engine value (no dedicated broadcast channel, no batch plane).
+GRAPHLITE = DataflowEngine("graphlite", GRAPHLITE_DATASET, GRAPHLITE_DATASET)
 
-class _GL(df.DataflowOperator):
-    platform = "graphlite"
-    DATASET = GRAPHLITE_DATASET
-    BROADCAST = GRAPHLITE_DATASET  # no dedicated broadcast channel
-
-
-class GLTextFileSource(_GL, df.DFTextFileSource):
-    """GraphLite's binding of :class:`~repro.platforms.dataflow.DFTextFileSource`."""
-
-
-class GLCollectionSource(_GL, df.DFCollectionSource):
-    """GraphLite's binding of :class:`~repro.platforms.dataflow.DFCollectionSource`."""
+#: The subset of the shared dataflow mapping table this engine supports.
+_SUPPORTED = frozenset({
+    ops.TextFileSource, ops.CollectionSource, ops.Map, ops.Filter,
+    ops.Distinct, ops.Intersect, ops.PageRank, ops.CollectionSink,
+    ops.TextFileSink,
+})
 
 
-class GLMap(_GL, df.DFMap):
-    """GraphLite's binding of :class:`~repro.platforms.dataflow.DFMap`."""
-
-
-class GLFilter(_GL, df.DFFilter):
-    """GraphLite's binding of :class:`~repro.platforms.dataflow.DFFilter`."""
-
-
-class GLDistinct(_GL, df.DFDistinct):
-    """GraphLite's binding of :class:`~repro.platforms.dataflow.DFDistinct`."""
-
-
-class GLIntersect(_GL, df.DFIntersect):
-    """Edge-set intersection as a vertex-centric co-grouping."""
-
-
-class GLTextFileSink(_GL, df.DFTextFileSink):
-    """GraphLite's binding of :class:`~repro.platforms.dataflow.DFTextFileSink`."""
-
-
-class GLCollectionSink(_GL):
-    """Fetches results to the driver (Giraph output format + fetch)."""
-
-    op_kind = "collect_sink"
-
-    def output_descriptor(self):
-        return PY_COLLECTION
-
-    def _run(self, inputs, bvals, ctx):
-        from ..base import charge_operator
-        from ...core.channels import Channel
-
-        ch = inputs[0]
-        records = ch.payload.to_list()
-        out = Channel(PY_COLLECTION, records, ch.sim_factor,
-                      ch.bytes_per_record, len(records))
-        charge_operator(ctx, self, ch.sim_cardinality, out.sim_cardinality)
-        return out
-
-
-class GLPageRank(_GL):
+class GLPageRank(DataflowOperator):
     """PageRank as supersteps on the Pregel engine."""
 
     op_kind = "pagerank"
@@ -95,27 +52,7 @@ class GLPageRank(_GL):
                                 self.logical.iterations, self.logical.damping)
         out = PartitionedDataset.from_records(sorted(ranks.items()),
                                               self._parallelism(ctx))
-        return self._emit(inputs[0], out, ctx,
-                          sum(ch.sim_cardinality for ch in inputs))
-
-
-def _to_dataset(channel: Channel, ctx) -> Channel:
-    n = ctx.profile("graphlite").parallelism
-    dataset = PartitionedDataset.from_records(channel.payload, n)
-    return channel.with_payload(dataset, GRAPHLITE_DATASET, dataset.count())
-
-
-def _to_collection(channel: Channel, ctx) -> Channel:
-    records = channel.payload.to_list()
-    return channel.with_payload(records, PY_COLLECTION, len(records))
-
-
-def _read_from_hdfs(channel: Channel, ctx) -> Channel:
-    vf = ctx.vfs.read(channel.payload)
-    n = ctx.profile("graphlite").parallelism
-    dataset = PartitionedDataset.from_records(vf.records, n)
-    return Channel(GRAPHLITE_DATASET, dataset, vf.sim_factor,
-                   vf.bytes_per_record, dataset.count())
+        return self._emit(inputs[0], out, ctx, _cin(inputs))
 
 
 class GraphLitePlatform(Platform):
@@ -129,25 +66,17 @@ class GraphLitePlatform(Platform):
     def conversions(self):
         net = 120.0
         return [
-            Conversion(PY_COLLECTION, GRAPHLITE_DATASET, _to_dataset,
+            Conversion(PY_COLLECTION, GRAPHLITE_DATASET,
+                       GRAPHLITE.from_collection,
                        mb_per_s=net, overhead_s=0.3, name="graphlite-load"),
-            Conversion(GRAPHLITE_DATASET, PY_COLLECTION, _to_collection,
+            Conversion(GRAPHLITE_DATASET, PY_COLLECTION,
+                       GRAPHLITE.to_collection,
                        mb_per_s=net, overhead_s=0.3, name="graphlite-collect"),
-            Conversion(HDFS_FILE, GRAPHLITE_DATASET, _read_from_hdfs,
+            Conversion(HDFS_FILE, GRAPHLITE_DATASET, GRAPHLITE.read_from_hdfs,
                        mb_per_s=1000.0, overhead_s=0.3,
                        name="graphlite-read-hdfs"),
         ]
 
     def mappings(self):
-        m = OperatorMapping
-        return [
-            m(ops.TextFileSource, lambda op: [GLTextFileSource(op)]),
-            m(ops.CollectionSource, lambda op: [GLCollectionSource(op)]),
-            m(ops.Map, lambda op: [GLMap(op)]),
-            m(ops.Filter, lambda op: [GLFilter(op)]),
-            m(ops.Distinct, lambda op: [GLDistinct(op)]),
-            m(ops.Intersect, lambda op: [GLIntersect(op)]),
-            m(ops.PageRank, lambda op: [GLPageRank(op)]),
-            m(ops.CollectionSink, lambda op: [GLCollectionSink(op)]),
-            m(ops.TextFileSink, lambda op: [GLTextFileSink(op)]),
-        ]
+        return GRAPHLITE.mappings(own={ops.PageRank: GLPageRank},
+                                  only=_SUPPORTED)

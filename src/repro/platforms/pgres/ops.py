@@ -13,14 +13,10 @@ from typing import Any, Sequence
 
 from ...core.channels import Channel
 from ...core.cost import CostEstimate
-from ..base import ExecutionOperator, charge_operator, union_bytes_per_record
+from ..base import (ExecutionOperator, _cin, _group_factor, charge_operator,
+                    union_bytes_per_record)
 from ..pystreams.channels import PY_COLLECTION
 from .channels import PG_RELATION, Relation
-
-
-def _cin(inputs: Sequence[Channel]) -> float:
-    """Simulated input cardinality an operator is charged for."""
-    return sum(ch.sim_cardinality for ch in inputs)
 
 
 class PgExecutionOperator(ExecutionOperator):
@@ -217,14 +213,6 @@ class PgDistinct(PgExecutionOperator):
                 seen.add(k)
                 rows.append(r)
         return self._emit(inputs[0], rows, ctx, _cin(inputs))
-
-
-def _group_factor(logical, actual_groups: int, input_factor: float):
-    """Honour a declared true group count (see the logical operators)."""
-    sim_groups = getattr(logical, "sim_groups", None)
-    if sim_groups is not None and actual_groups:
-        return sim_groups / actual_groups
-    return input_factor
 
 
 def _hashable(row: Any) -> Any:

@@ -26,14 +26,9 @@ from ...core.batch import (
     apply_sort,
 )
 from ...core.channels import Channel
-from ..base import ExecutionOperator, charge_operator, union_bytes_per_record
+from ..base import (ExecutionOperator, _cin, _group_factor, charge_operator,
+                    union_bytes_per_record)
 from .channels import PY_BATCH, PY_COLLECTION
-from .ops import _group_factor
-
-
-def _cin(inputs: Sequence[Channel]) -> float:
-    """Simulated input cardinality an operator is charged for."""
-    return sum(ch.sim_cardinality for ch in inputs)
 
 
 def _columnar(source: Any, records) -> RecordBatch:

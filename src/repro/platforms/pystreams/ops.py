@@ -13,13 +13,9 @@ from typing import Any, Sequence
 from ...algorithms.iejoin import ie_join
 from ...algorithms.pagerank import pagerank_edges
 from ...core.channels import Channel
-from ..base import ExecutionOperator, charge_operator, union_bytes_per_record
+from ..base import (ExecutionOperator, _cin, _group_factor, _sample_seed,
+                    charge_operator, union_bytes_per_record)
 from .channels import PY_COLLECTION
-
-
-def _cin(inputs: Sequence[Channel]) -> float:
-    """Simulated input cardinality an operator is charged for."""
-    return sum(ch.sim_cardinality for ch in inputs)
 
 
 class PyExecutionOperator(ExecutionOperator):
@@ -161,13 +157,7 @@ class PySample(PyExecutionOperator):
         if logical.method == "first":
             out = list(data[:k])
         else:
-            # Seeded purely from (context seed, logical seed, op name,
-            # loop-iteration epoch): a crash-retried attempt of the same
-            # iteration draws the identical sample, while successive loop
-            # iterations still get fresh draws.
-            seed = (f"{ctx.config.get('seed', 42)}|{logical.seed}"
-                    f"|{logical.name}|{ctx.epoch}")
-            rng = random.Random(seed)
+            rng = random.Random(_sample_seed(ctx, logical))
             out = [data[rng.randrange(len(data))] for __ in range(k)] if data else []
         return self._emit(inputs[0], out, ctx, _cin(inputs), sim_factor=1.0)
 
@@ -202,15 +192,6 @@ class PySort(PyExecutionOperator):
                      key=key if key is not None else None,
                      reverse=self.logical.descending)
         return self._emit(inputs[0], out, ctx, _cin(inputs))
-
-
-def _group_factor(logical, actual_groups: int, input_factor: float):
-    """Output sim factor for grouping ops: honour a declared true group
-    count, else carry the input's factor through."""
-    sim_groups = getattr(logical, "sim_groups", None)
-    if sim_groups is not None and actual_groups:
-        return sim_groups / actual_groups
-    return input_factor
 
 
 class PyGroupBy(PyExecutionOperator):

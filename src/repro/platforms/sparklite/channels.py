@@ -1,6 +1,7 @@
 """Channel types of the SparkLite (Spark-analog) platform."""
 
 from ...core.channels import ChannelDescriptor
+from ..dataflow import DataflowEngine
 
 #: A lazy-ish distributed dataset.  NOT reusable: feeding several consumers
 #: requires caching first (the paper's RDD channel).
@@ -17,3 +18,7 @@ SPARK_BROADCAST = ChannelDescriptor("sparklite.broadcast", "sparklite", True)
 #: when the context is built with ``vectorize`` on.  Like the RDD channel
 #: it is NOT reusable without caching.
 SPARK_BATCH = ChannelDescriptor("sparklite.batch", "sparklite", False)
+
+#: The engine value every shared dataflow operator, mapping and payload
+#: converter of this platform is bound to.
+SPARK = DataflowEngine("sparklite", SPARK_RDD, SPARK_BROADCAST, SPARK_BATCH)

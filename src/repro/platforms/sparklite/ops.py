@@ -1,112 +1,20 @@
-"""SparkLite execution operators (Spark analog).
+"""SparkLite's own execution operator (Spark analog).
 
-All operators are the generic dataflow implementations pinned to the
-sparklite platform and its channels, plus Spark-specific extras: ``Cache``
-(RDD -> cached RDD) and a driver-collecting sink.
+Every other operator is a shared :mod:`~repro.platforms.dataflow`
+implementation bound to the :data:`~.channels.SPARK` engine value; only
+``Cache`` (RDD -> cached RDD) is Spark-specific.
 """
 
 from __future__ import annotations
 
 from ...core.channels import Channel
-from .. import dataflow as df
 from ..base import charge_operator
+from ..dataflow import DataflowOperator
 from ..distributed import PartitionedDataset
-from ..pystreams.channels import PY_COLLECTION
-from .channels import (SPARK_BATCH, SPARK_BROADCAST, SPARK_CACHED,
-                       SPARK_RDD)
+from .channels import SPARK_CACHED
 
 
-class _Spark(df.DataflowOperator):
-    platform = "sparklite"
-    DATASET = SPARK_RDD
-    BROADCAST = SPARK_BROADCAST
-
-
-class SparkTextFileSource(_Spark, df.DFTextFileSource):
-    """SparkLite's binding of :class:`~repro.platforms.dataflow.DFTextFileSource`."""
-
-
-class SparkCollectionSource(_Spark, df.DFCollectionSource):
-    """SparkLite's binding of :class:`~repro.platforms.dataflow.DFCollectionSource`."""
-
-
-class SparkMap(_Spark, df.DFMap):
-    """SparkLite's binding of :class:`~repro.platforms.dataflow.DFMap`."""
-
-
-class SparkFlatMap(_Spark, df.DFFlatMap):
-    """SparkLite's binding of :class:`~repro.platforms.dataflow.DFFlatMap`."""
-
-
-class SparkFilter(_Spark, df.DFFilter):
-    """SparkLite's binding of :class:`~repro.platforms.dataflow.DFFilter`."""
-
-
-class SparkMapPartitions(_Spark, df.DFMapPartitions):
-    """SparkLite's binding of :class:`~repro.platforms.dataflow.DFMapPartitions`."""
-
-
-class SparkZipWithId(_Spark, df.DFZipWithId):
-    """SparkLite's binding of :class:`~repro.platforms.dataflow.DFZipWithId`."""
-
-
-class SparkSample(_Spark, df.DFSample):
-    """SparkLite's binding of :class:`~repro.platforms.dataflow.DFSample`."""
-
-
-class SparkDistinct(_Spark, df.DFDistinct):
-    """SparkLite's binding of :class:`~repro.platforms.dataflow.DFDistinct`."""
-
-
-class SparkSort(_Spark, df.DFSort):
-    """SparkLite's binding of :class:`~repro.platforms.dataflow.DFSort`."""
-
-
-class SparkGroupBy(_Spark, df.DFGroupBy):
-    """SparkLite's binding of :class:`~repro.platforms.dataflow.DFGroupBy`."""
-
-
-class SparkReduceBy(_Spark, df.DFReduceBy):
-    """SparkLite's binding of :class:`~repro.platforms.dataflow.DFReduceBy`."""
-
-
-class SparkGlobalReduce(_Spark, df.DFGlobalReduce):
-    """SparkLite's binding of :class:`~repro.platforms.dataflow.DFGlobalReduce`."""
-
-
-class SparkCount(_Spark, df.DFCount):
-    """SparkLite's binding of :class:`~repro.platforms.dataflow.DFCount`."""
-
-
-class SparkUnion(_Spark, df.DFUnion):
-    """SparkLite's binding of :class:`~repro.platforms.dataflow.DFUnion`."""
-
-
-class SparkIntersect(_Spark, df.DFIntersect):
-    """SparkLite's binding of :class:`~repro.platforms.dataflow.DFIntersect`."""
-
-
-class SparkJoin(_Spark, df.DFJoin):
-    """SparkLite's binding of :class:`~repro.platforms.dataflow.DFJoin`."""
-
-
-class SparkCartesian(_Spark, df.DFCartesian):
-    """SparkLite's binding of :class:`~repro.platforms.dataflow.DFCartesian`."""
-
-
-class SparkIEJoin(_Spark, df.DFIEJoin):
-    """SparkLite's binding of :class:`~repro.platforms.dataflow.DFIEJoin`."""
-
-
-class SparkPageRank(_Spark, df.DFPageRank):
-    """SparkLite's binding of :class:`~repro.platforms.dataflow.DFPageRank`."""
-
-
-class SparkTextFileSink(_Spark, df.DFTextFileSink):
-    """SparkLite's binding of :class:`~repro.platforms.dataflow.DFTextFileSink`."""
-
-
-class SparkCache(_Spark):
+class SparkCache(DataflowOperator):
     """Materializes an RDD in cluster memory (``RDD.cache()``)."""
 
     op_kind = "cache"
@@ -123,66 +31,3 @@ class SparkCache(_Spark):
                       ch.bytes_per_record, copied.count())
         charge_operator(ctx, self, ch.sim_cardinality, out.sim_cardinality)
         return out
-
-
-class SparkCollectionSink(_Spark):
-    """Fetches results to the driver via the engine's own iterator action.
-
-    Deliberately dearer per record than the collect *conversion* +
-    PyStreams sink (``Rdd.toLocalIterator`` vs ``Rdd.collect`` in the
-    paper's WordCount analysis) — the optimizer can discover the cheaper
-    route.
-    """
-
-    op_kind = "collect_sink"
-
-    def output_descriptor(self):
-        return PY_COLLECTION
-
-    def _run(self, inputs, bvals, ctx):
-        ch = inputs[0]
-        records = ch.payload.to_list()
-        out = Channel(PY_COLLECTION, records, ch.sim_factor,
-                      ch.bytes_per_record, len(records))
-        charge_operator(ctx, self, ch.sim_cardinality, out.sim_cardinality)
-        return out
-
-
-class _SparkBatch(_Spark, df.BatchDataflowOperator):
-    BATCH = SPARK_BATCH
-
-
-class SparkBatchMap(_SparkBatch, df.DFBatchMap):
-    """SparkLite's binding of :class:`~repro.platforms.dataflow.DFBatchMap`."""
-
-
-class SparkBatchFlatMap(_SparkBatch, df.DFBatchFlatMap):
-    """SparkLite's binding of :class:`~repro.platforms.dataflow.DFBatchFlatMap`."""
-
-
-class SparkBatchFilter(_SparkBatch, df.DFBatchFilter):
-    """SparkLite's binding of :class:`~repro.platforms.dataflow.DFBatchFilter`."""
-
-
-class SparkBatchDistinct(_SparkBatch, df.DFBatchDistinct):
-    """SparkLite's binding of :class:`~repro.platforms.dataflow.DFBatchDistinct`."""
-
-
-class SparkBatchSort(_SparkBatch, df.DFBatchSort):
-    """SparkLite's binding of :class:`~repro.platforms.dataflow.DFBatchSort`."""
-
-
-class SparkBatchGroupBy(_SparkBatch, df.DFBatchGroupBy):
-    """SparkLite's binding of :class:`~repro.platforms.dataflow.DFBatchGroupBy`."""
-
-
-class SparkBatchReduceBy(_SparkBatch, df.DFBatchReduceBy):
-    """SparkLite's binding of :class:`~repro.platforms.dataflow.DFBatchReduceBy`."""
-
-
-class SparkBatchUnion(_SparkBatch, df.DFBatchUnion):
-    """SparkLite's binding of :class:`~repro.platforms.dataflow.DFBatchUnion`."""
-
-
-class SparkBatchJoin(_SparkBatch, df.DFBatchJoin):
-    """SparkLite's binding of :class:`~repro.platforms.dataflow.DFBatchJoin`."""

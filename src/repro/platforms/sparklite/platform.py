@@ -2,30 +2,13 @@
 
 from __future__ import annotations
 
-import itertools
-
 from ...core import operators as ops
 from ...core.channels import Channel, Conversion, HDFS_FILE
-from ...core.mappings import OperatorMapping
 from ..base import Platform
-from ..distributed import PartitionedDataset
 from ..pystreams.channels import PY_COLLECTION
-from . import ops as x
-from .channels import (SPARK_BATCH, SPARK_BROADCAST, SPARK_CACHED,
+from .channels import (SPARK, SPARK_BATCH, SPARK_BROADCAST, SPARK_CACHED,
                        SPARK_RDD)
-
-_tmp_counter = itertools.count(1)
-
-
-def _parallelize(channel: Channel, ctx) -> Channel:
-    n = ctx.profile("sparklite").parallelism
-    dataset = PartitionedDataset.from_records(channel.payload, n)
-    return channel.with_payload(dataset, SPARK_RDD, dataset.count())
-
-
-def _collect(channel: Channel, ctx) -> Channel:
-    records = channel.payload.to_list()
-    return channel.with_payload(records, PY_COLLECTION, len(records))
+from .ops import SparkCache
 
 
 def _cache(channel: Channel, ctx) -> Channel:
@@ -36,40 +19,6 @@ def _cache(channel: Channel, ctx) -> Channel:
 def _uncache(channel: Channel, ctx) -> Channel:
     return channel.with_payload(channel.payload, SPARK_RDD,
                                 channel.payload.count())
-
-
-def _to_broadcast(channel: Channel, ctx) -> Channel:
-    return channel.with_payload(list(channel.payload), SPARK_BROADCAST,
-                                len(channel.payload))
-
-
-def _batchify(channel: Channel, ctx) -> Channel:
-    from ...core.batch import RecordBatch
-
-    batches = [RecordBatch.from_records(p)
-               for p in channel.payload.partitions]
-    return channel.with_payload(batches, SPARK_BATCH,
-                                sum(len(b) for b in batches))
-
-
-def _debatchify(channel: Channel, ctx) -> Channel:
-    dataset = PartitionedDataset([b.to_records() for b in channel.payload])
-    return channel.with_payload(dataset, SPARK_RDD, dataset.count())
-
-
-def _save_to_hdfs(channel: Channel, ctx) -> Channel:
-    path = f"hdfs://tmp/sparklite-{next(_tmp_counter)}"
-    records = channel.payload.to_list()
-    ctx.vfs.write(path, records, channel.sim_factor, channel.bytes_per_record)
-    return channel.with_payload(path, HDFS_FILE, len(records))
-
-
-def _read_from_hdfs(channel: Channel, ctx) -> Channel:
-    vf = ctx.vfs.read(channel.payload)
-    n = ctx.profile("sparklite").parallelism
-    dataset = PartitionedDataset.from_records(vf.records, n)
-    return Channel(SPARK_RDD, dataset, vf.sim_factor, vf.bytes_per_record,
-                   dataset.count())
 
 
 class SparkLitePlatform(Platform):
@@ -83,54 +32,29 @@ class SparkLitePlatform(Platform):
     def conversions(self):
         net = 120.0
         return [
-            Conversion(PY_COLLECTION, SPARK_RDD, _parallelize,
+            Conversion(PY_COLLECTION, SPARK_RDD, SPARK.from_collection,
                        mb_per_s=net, overhead_s=0.1, name="spark-parallelize"),
-            Conversion(SPARK_RDD, PY_COLLECTION, _collect,
+            Conversion(SPARK_RDD, PY_COLLECTION, SPARK.to_collection,
                        mb_per_s=net, overhead_s=0.03, name="spark-collect"),
-            Conversion(SPARK_CACHED, PY_COLLECTION, _collect,
+            Conversion(SPARK_CACHED, PY_COLLECTION, SPARK.to_collection,
                        mb_per_s=net, overhead_s=0.03, name="spark-collect-cached"),
             Conversion(SPARK_RDD, SPARK_CACHED, _cache,
                        mb_per_s=2000.0, overhead_s=0.05, name="spark-cache"),
             Conversion(SPARK_CACHED, SPARK_RDD, _uncache,
                        mb_per_s=1e9, overhead_s=0.0, name="spark-cached-as-rdd"),
-            Conversion(PY_COLLECTION, SPARK_BROADCAST, _to_broadcast,
+            Conversion(PY_COLLECTION, SPARK_BROADCAST, SPARK.to_broadcast,
                        mb_per_s=net / 4, overhead_s=0.01, name="spark-broadcast"),
-            Conversion(SPARK_RDD, HDFS_FILE, _save_to_hdfs,
+            Conversion(SPARK_RDD, HDFS_FILE, SPARK.save_to_hdfs,
                        mb_per_s=1000.0, overhead_s=0.2, name="spark-save-hdfs"),
-            Conversion(SPARK_CACHED, HDFS_FILE, _save_to_hdfs,
+            Conversion(SPARK_CACHED, HDFS_FILE, SPARK.save_to_hdfs,
                        mb_per_s=1000.0, overhead_s=0.2,
                        name="spark-save-hdfs-cached"),
-            Conversion(HDFS_FILE, SPARK_RDD, _read_from_hdfs,
+            Conversion(HDFS_FILE, SPARK_RDD, SPARK.read_from_hdfs,
                        mb_per_s=1000.0, overhead_s=0.2, name="spark-read-hdfs"),
         ]
 
     def mappings(self):
-        m = OperatorMapping
-        return [
-            m(ops.TextFileSource, lambda op: [x.SparkTextFileSource(op)]),
-            m(ops.CollectionSource, lambda op: [x.SparkCollectionSource(op)]),
-            m(ops.Map, lambda op: [x.SparkMap(op)]),
-            m(ops.FlatMap, lambda op: [x.SparkFlatMap(op)]),
-            m(ops.Filter, lambda op: [x.SparkFilter(op)]),
-            m(ops.MapPartitions, lambda op: [x.SparkMapPartitions(op)]),
-            m(ops.ZipWithId, lambda op: [x.SparkZipWithId(op)]),
-            m(ops.Sample, lambda op: [x.SparkSample(op)]),
-            m(ops.Distinct, lambda op: [x.SparkDistinct(op)]),
-            m(ops.Sort, lambda op: [x.SparkSort(op)]),
-            m(ops.GroupBy, lambda op: [x.SparkGroupBy(op)]),
-            m(ops.ReduceBy, lambda op: [x.SparkReduceBy(op)]),
-            m(ops.GlobalReduce, lambda op: [x.SparkGlobalReduce(op)]),
-            m(ops.Count, lambda op: [x.SparkCount(op)]),
-            m(ops.Cache, lambda op: [x.SparkCache(op)]),
-            m(ops.Union, lambda op: [x.SparkUnion(op)]),
-            m(ops.Intersect, lambda op: [x.SparkIntersect(op)]),
-            m(ops.Join, lambda op: [x.SparkJoin(op)]),
-            m(ops.CartesianProduct, lambda op: [x.SparkCartesian(op)]),
-            m(ops.IEJoin, lambda op: [x.SparkIEJoin(op)]),
-            m(ops.PageRank, lambda op: [x.SparkPageRank(op)]),
-            m(ops.CollectionSink, lambda op: [x.SparkCollectionSink(op)]),
-            m(ops.TextFileSink, lambda op: [x.SparkTextFileSink(op)]),
-        ]
+        return SPARK.mappings(own={ops.Cache: SparkCache})
 
     # ------------------------------------------------- vectorized execution
     def batch_channels(self):
@@ -141,22 +65,11 @@ class SparkLitePlatform(Platform):
         # costs are identical with vectorization on or off.
         free = float("inf")
         return [
-            Conversion(SPARK_RDD, SPARK_BATCH, _batchify,
+            Conversion(SPARK_RDD, SPARK_BATCH, SPARK.batchify,
                        mb_per_s=free, overhead_s=0.0, name="spark-batchify"),
-            Conversion(SPARK_BATCH, SPARK_RDD, _debatchify,
+            Conversion(SPARK_BATCH, SPARK_RDD, SPARK.debatchify,
                        mb_per_s=free, overhead_s=0.0, name="spark-debatchify"),
         ]
 
     def batch_mappings(self):
-        m = OperatorMapping
-        return [
-            m(ops.Map, lambda op: [x.SparkBatchMap(op)]),
-            m(ops.FlatMap, lambda op: [x.SparkBatchFlatMap(op)]),
-            m(ops.Filter, lambda op: [x.SparkBatchFilter(op)]),
-            m(ops.Distinct, lambda op: [x.SparkBatchDistinct(op)]),
-            m(ops.Sort, lambda op: [x.SparkBatchSort(op)]),
-            m(ops.GroupBy, lambda op: [x.SparkBatchGroupBy(op)]),
-            m(ops.ReduceBy, lambda op: [x.SparkBatchReduceBy(op)]),
-            m(ops.Union, lambda op: [x.SparkBatchUnion(op)]),
-            m(ops.Join, lambda op: [x.SparkBatchJoin(op)]),
-        ]
+        return SPARK.batch_mappings()

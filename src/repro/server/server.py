@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable
 
@@ -52,6 +53,12 @@ from .shards import ShardDied, ShardPool, document_fingerprint
 #: Weight of the newest sample in the service-time EWMA feeding the
 #: ``Retry-After`` estimate on queue-full rejections.
 _EWMA_ALPHA = 0.2
+
+#: Terminal jobs kept resolvable through ``status`` / ``result`` /
+#: ``GET /jobs/<id>``.  Beyond it the oldest-finished are forgotten (their
+#: ids then answer like unknown ones), so the job table of a long-lived
+#: server is bounded; queued and running jobs are never evicted.
+MAX_TERMINAL_JOBS = 4096
 
 
 class AdmissionError(RuntimeError):
@@ -181,6 +188,7 @@ class JobServer:
         # executes.
         self._lock = OrderedLock("server.jobs", self.metrics)
         self._jobs: dict[str, Job] = {}
+        self._terminal: deque[str] = deque()  # job ids, oldest-finished first
         self._pending: list[Job] = []
         self._tenant_running: dict[str, int] = {}
         self._run_ewma: float | None = None
@@ -331,7 +339,8 @@ class JobServer:
 
     # -------------------------------------------------------------- queries
     def get(self, job_id: str) -> Job | None:
-        """The job handle for ``job_id`` (``None`` if unknown)."""
+        """The job handle for ``job_id`` (``None`` if unknown, or finished
+        so long ago that it was evicted — see :data:`MAX_TERMINAL_JOBS`)."""
         with self._lock:
             return self._jobs.get(job_id)
 
@@ -345,7 +354,7 @@ class JobServer:
         """Block until ``job_id`` finishes; returns its response document.
 
         Raises:
-            KeyError: If the job id is unknown.
+            KeyError: If the job id is unknown (or was evicted).
             TimeoutError: If ``timeout`` elapses first.
         """
         job = self.get(job_id)
@@ -450,6 +459,7 @@ class JobServer:
                         "status": "error", "kind": "ServerShutdown",
                         "error": "server shut down before the job ran",
                         "job_id": job.job_id}
+                    self._retire_locked(job)
                 self._update_gauges_locked()
         if drain:
             self._pool.shutdown(wait=True)
@@ -541,6 +551,7 @@ class JobServer:
                 self._run_ewma = job.run_s if self._run_ewma is None else \
                     ((1 - _EWMA_ALPHA) * self._run_ewma
                      + _EWMA_ALPHA * job.run_s)
+                self._retire_locked(job)
                 self._update_gauges_locked()
             self.metrics.histogram("server.run_s").observe(job.run_s)
             self.metrics.counter(f"server.jobs.{state.value}").inc()
@@ -549,6 +560,13 @@ class JobServer:
                 self._ingest_observations(observations)
             # Loop: this completion may have freed a tenant-quota slot,
             # and this worker is the one that must recheck the queue.
+
+    def _retire_locked(self, job: Job) -> None:
+        """Note a job that just turned terminal; forget the oldest-finished
+        ones beyond :data:`MAX_TERMINAL_JOBS`."""
+        self._terminal.append(job.job_id)
+        while len(self._terminal) > MAX_TERMINAL_JOBS:
+            del self._jobs[self._terminal.popleft()]
 
     def _ingest_observations(self, docs: list[dict[str, Any]]) -> None:
         """Feed one committed job's stage observations to the calibrator.

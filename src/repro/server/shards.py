@@ -1,9 +1,10 @@
 """Process shards: per-process context replicas behind the job server.
 
-CPython's GIL caps the thread backend at the CPU-bound ceiling measured
-in ``BENCH_concurrency.json``; this module scales the serving layer past
-it.  A :class:`ShardPool` keeps ``N`` worker *processes*, each owning a
-full :class:`~repro.core.context.RheemContext` replica (its own plan
+CPython's GIL caps the thread backend at a CPU-bound ceiling (perfbench's
+``serve_thread`` workload measures it as ``jobs_per_s``); this module
+scales the serving layer past it.  A :class:`ShardPool` keeps ``N``
+worker *processes*, each owning a full
+:class:`~repro.core.context.RheemContext` replica (its own plan
 cache, conversion-graph memo tables, intermediate-result store and
 metrics registry) built by a caller-supplied ``context_factory``.
 

@@ -265,6 +265,48 @@ class TestCli:
             main(["run", str(script), "--abstracts", "lots"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("command", ["run", "trace", "lint"])
+    def test_unseeded_corpus_is_one_error_line_not_a_traceback(self, command):
+        # The README's own command without --abstracts, as a user runs it.
+        import os
+        import subprocess
+        import sys
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", command,
+             os.path.join(root, "examples", "wordcount.latin")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: FileNotFound: ")
+        assert "--abstracts" in lines[0]
+
+    def test_script_level_failures_exit_2(self, tmp_path, capsys):
+        from repro.__main__ import main
+        bad = tmp_path / "bad.latin"
+        bad.write_text("x = frobnicate y;")
+        unseeded = tmp_path / "unseeded.latin"
+        unseeded.write_text(
+            "a = load 'hdfs://data/pagelinks.txt';\ndump a;")
+        pinned = tmp_path / "pinned.latin"
+        pinned.write_text(
+            "a = load 'hdfs://data/abstracts.txt';\n"
+            "b = pagerank a with platform 'Postgres';\ndump b;")
+        for argv, kind in [
+            (["run", str(bad)], "LatinSyntaxError"),
+            (["run", str(pinned), "--abstracts", "1"], "PlanAnalysisError"),
+            (["run", str(tmp_path / "missing.latin")], "FileNotFoundError"),
+            (["trace", str(unseeded)], "FileNotFound"),
+        ]:
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {kind}: ")
+            assert err.count("\n") == 1
+        assert "--pagelinks" in err
+
     def test_lint_parses_and_reports(self, tmp_path, capsys):
         from repro.__main__ import main
         script = tmp_path / "clean.py"

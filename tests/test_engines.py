@@ -243,3 +243,201 @@ class TestEngineEquivalence:
             n = (ctx.load_collection(list(range(50))).count()
                  .collect(allowed_platforms={platform, "driver"}))
             assert n == [50]
+
+
+# ---------------------------------------------------------------------------
+# Golden binding table of the three partitioned dataflow engines, captured
+# from the tree before they were bound by engine value: (engine, logical
+# operator name, [(op_kind, execution-operator name)], input channels,
+# output channel, broadcast channel) with ``vectorize`` off.
+# ---------------------------------------------------------------------------
+_GOLDEN_BINDINGS = [
+    ("sparklite", "textfile-source",
+     [("source", "sparklite.source[textfile-source]")],
+     [], "sparklite.rdd", "sparklite.broadcast"),
+    ("sparklite", "collection-source",
+     [("source", "sparklite.source[collection-source]")],
+     [], "sparklite.rdd", "sparklite.broadcast"),
+    ("sparklite", "map", [("map", "sparklite.map[map]")],
+     ["sparklite.rdd"], "sparklite.rdd", "sparklite.broadcast"),
+    ("sparklite", "flatmap", [("flatmap", "sparklite.flatmap[flatmap]")],
+     ["sparklite.rdd"], "sparklite.rdd", "sparklite.broadcast"),
+    ("sparklite", "filter", [("filter", "sparklite.filter[filter]")],
+     ["sparklite.rdd"], "sparklite.rdd", "sparklite.broadcast"),
+    ("sparklite", "map-partitions", [("map", "sparklite.map[map-partitions]")],
+     ["sparklite.rdd"], "sparklite.rdd", "sparklite.broadcast"),
+    ("sparklite", "zipwithid", [("map", "sparklite.map[zipwithid]")],
+     ["sparklite.rdd"], "sparklite.rdd", "sparklite.broadcast"),
+    ("sparklite", "sample", [("sample_scan", "sparklite.sample_scan[sample]")],
+     ["sparklite.rdd"], "sparklite.rdd", "sparklite.broadcast"),
+    ("sparklite", "sample-first",
+     [("sample", "sparklite.sample[sample-first]")],
+     ["sparklite.rdd"], "sparklite.rdd", "sparklite.broadcast"),
+    ("sparklite", "distinct", [("distinct", "sparklite.distinct[distinct]")],
+     ["sparklite.rdd"], "sparklite.rdd", "sparklite.broadcast"),
+    ("sparklite", "sort", [("sort", "sparklite.sort[sort]")],
+     ["sparklite.rdd"], "sparklite.rdd", "sparklite.broadcast"),
+    ("sparklite", "groupby", [("groupby", "sparklite.groupby[groupby]")],
+     ["sparklite.rdd"], "sparklite.rdd", "sparklite.broadcast"),
+    ("sparklite", "reduceby", [("reduceby", "sparklite.reduceby[reduceby]")],
+     ["sparklite.rdd"], "sparklite.rdd", "sparklite.broadcast"),
+    ("sparklite", "reduce", [("reduce", "sparklite.reduce[reduce]")],
+     ["sparklite.rdd"], "sparklite.rdd", "sparklite.broadcast"),
+    ("sparklite", "count", [("count", "sparklite.count[count]")],
+     ["sparklite.rdd"], "sparklite.rdd", "sparklite.broadcast"),
+    ("sparklite", "cache", [("cache", "sparklite.cache[cache]")],
+     ["sparklite.rdd"], "sparklite.cached_rdd", "sparklite.broadcast"),
+    ("sparklite", "union", [("union", "sparklite.union[union]")],
+     ["sparklite.rdd"] * 2, "sparklite.rdd", "sparklite.broadcast"),
+    ("sparklite", "intersect",
+     [("intersect", "sparklite.intersect[intersect]")],
+     ["sparklite.rdd"] * 2, "sparklite.rdd", "sparklite.broadcast"),
+    ("sparklite", "join", [("join", "sparklite.join[join]")],
+     ["sparklite.rdd"] * 2, "sparklite.rdd", "sparklite.broadcast"),
+    ("sparklite", "cartesian",
+     [("cartesian", "sparklite.cartesian[cartesian]")],
+     ["sparklite.rdd"] * 2, "sparklite.rdd", "sparklite.broadcast"),
+    ("sparklite", "iejoin", [("iejoin", "sparklite.iejoin[iejoin]")],
+     ["sparklite.rdd"] * 2, "sparklite.rdd", "sparklite.broadcast"),
+    ("sparklite", "pagerank", [("pagerank", "sparklite.pagerank[pagerank]")],
+     ["sparklite.rdd"], "sparklite.rdd", "sparklite.broadcast"),
+    ("sparklite", "collection-sink",
+     [("collect_sink", "sparklite.collect_sink[collection-sink]")],
+     ["sparklite.rdd"], "pystreams.collection", "sparklite.broadcast"),
+    ("sparklite", "textfile-sink", [("sink", "sparklite.sink[textfile-sink]")],
+     ["sparklite.rdd"], "sparklite.rdd", "sparklite.broadcast"),
+    ("flinklite", "textfile-source",
+     [("source", "flinklite.source[textfile-source]")],
+     [], "flinklite.dataset", "flinklite.broadcast"),
+    ("flinklite", "collection-source",
+     [("source", "flinklite.source[collection-source]")],
+     [], "flinklite.dataset", "flinklite.broadcast"),
+    ("flinklite", "map", [("map", "flinklite.map[map]")],
+     ["flinklite.dataset"], "flinklite.dataset", "flinklite.broadcast"),
+    ("flinklite", "flatmap", [("flatmap", "flinklite.flatmap[flatmap]")],
+     ["flinklite.dataset"], "flinklite.dataset", "flinklite.broadcast"),
+    ("flinklite", "filter", [("filter", "flinklite.filter[filter]")],
+     ["flinklite.dataset"], "flinklite.dataset", "flinklite.broadcast"),
+    ("flinklite", "map-partitions", [("map", "flinklite.map[map-partitions]")],
+     ["flinklite.dataset"], "flinklite.dataset", "flinklite.broadcast"),
+    ("flinklite", "zipwithid", [("map", "flinklite.map[zipwithid]")],
+     ["flinklite.dataset"], "flinklite.dataset", "flinklite.broadcast"),
+    ("flinklite", "sample", [("sample_scan", "flinklite.sample_scan[sample]")],
+     ["flinklite.dataset"], "flinklite.dataset", "flinklite.broadcast"),
+    ("flinklite", "sample-first",
+     [("sample", "flinklite.sample[sample-first]")],
+     ["flinklite.dataset"], "flinklite.dataset", "flinklite.broadcast"),
+    ("flinklite", "distinct", [("distinct", "flinklite.distinct[distinct]")],
+     ["flinklite.dataset"], "flinklite.dataset", "flinklite.broadcast"),
+    ("flinklite", "sort", [("sort", "flinklite.sort[sort]")],
+     ["flinklite.dataset"], "flinklite.dataset", "flinklite.broadcast"),
+    ("flinklite", "groupby", [("groupby", "flinklite.groupby[groupby]")],
+     ["flinklite.dataset"], "flinklite.dataset", "flinklite.broadcast"),
+    ("flinklite", "reduceby", [("reduceby", "flinklite.reduceby[reduceby]")],
+     ["flinklite.dataset"], "flinklite.dataset", "flinklite.broadcast"),
+    ("flinklite", "reduce", [("reduce", "flinklite.reduce[reduce]")],
+     ["flinklite.dataset"], "flinklite.dataset", "flinklite.broadcast"),
+    ("flinklite", "count", [("count", "flinklite.count[count]")],
+     ["flinklite.dataset"], "flinklite.dataset", "flinklite.broadcast"),
+    ("flinklite", "cache", [("cache", "flinklite.cache[cache]")],
+     ["flinklite.dataset"], "flinklite.dataset", "flinklite.broadcast"),
+    ("flinklite", "union", [("union", "flinklite.union[union]")],
+     ["flinklite.dataset"] * 2, "flinklite.dataset", "flinklite.broadcast"),
+    ("flinklite", "intersect",
+     [("intersect", "flinklite.intersect[intersect]")],
+     ["flinklite.dataset"] * 2, "flinklite.dataset", "flinklite.broadcast"),
+    ("flinklite", "join", [("join", "flinklite.join[join]")],
+     ["flinklite.dataset"] * 2, "flinklite.dataset", "flinklite.broadcast"),
+    ("flinklite", "cartesian",
+     [("cartesian", "flinklite.cartesian[cartesian]")],
+     ["flinklite.dataset"] * 2, "flinklite.dataset", "flinklite.broadcast"),
+    ("flinklite", "iejoin", [("iejoin", "flinklite.iejoin[iejoin]")],
+     ["flinklite.dataset"] * 2, "flinklite.dataset", "flinklite.broadcast"),
+    ("flinklite", "pagerank", [("pagerank", "flinklite.pagerank[pagerank]")],
+     ["flinklite.dataset"], "flinklite.dataset", "flinklite.broadcast"),
+    ("flinklite", "collection-sink",
+     [("collect_sink", "flinklite.collect_sink[collection-sink]")],
+     ["flinklite.dataset"], "pystreams.collection", "flinklite.broadcast"),
+    ("flinklite", "textfile-sink", [("sink", "flinklite.sink[textfile-sink]")],
+     ["flinklite.dataset"], "flinklite.dataset", "flinklite.broadcast"),
+    ("graphlite", "textfile-source",
+     [("source", "graphlite.source[textfile-source]")],
+     [], "graphlite.dataset", "graphlite.dataset"),
+    ("graphlite", "collection-source",
+     [("source", "graphlite.source[collection-source]")],
+     [], "graphlite.dataset", "graphlite.dataset"),
+    ("graphlite", "map", [("map", "graphlite.map[map]")],
+     ["graphlite.dataset"], "graphlite.dataset", "graphlite.dataset"),
+    ("graphlite", "filter", [("filter", "graphlite.filter[filter]")],
+     ["graphlite.dataset"], "graphlite.dataset", "graphlite.dataset"),
+    ("graphlite", "distinct", [("distinct", "graphlite.distinct[distinct]")],
+     ["graphlite.dataset"], "graphlite.dataset", "graphlite.dataset"),
+    ("graphlite", "intersect",
+     [("intersect", "graphlite.intersect[intersect]")],
+     ["graphlite.dataset"] * 2, "graphlite.dataset", "graphlite.dataset"),
+    ("graphlite", "pagerank", [("pagerank", "graphlite.pagerank[pagerank]")],
+     ["graphlite.dataset"], "graphlite.dataset", "graphlite.dataset"),
+    ("graphlite", "collection-sink",
+     [("collect_sink", "graphlite.collect_sink[collection-sink]")],
+     ["graphlite.dataset"], "pystreams.collection", "graphlite.dataset"),
+    ("graphlite", "textfile-sink", [("sink", "graphlite.sink[textfile-sink]")],
+     ["graphlite.dataset"], "graphlite.dataset", "graphlite.dataset"),
+]
+
+#: With ``vectorize`` on, these logical operators read and write the
+#: engine's record-batch channel instead; nothing else moves.
+_GOLDEN_BATCH_CHANNEL = {"sparklite": "sparklite.batch",
+                         "flinklite": "flinklite.batch"}
+_GOLDEN_BATCH_LOGICAL = {"map", "flatmap", "filter", "distinct", "sort",
+                         "groupby", "reduceby", "union", "join"}
+
+
+def _logical_samples():
+    """One instance of every logical operator a dataflow engine maps."""
+    from repro.core import operators as ops
+
+    def k(x):
+        return x
+
+    return [
+        ops.TextFileSource("hdfs://in"), ops.CollectionSource([1]),
+        ops.Map(k), ops.FlatMap(k), ops.Filter(k), ops.MapPartitions(k),
+        ops.ZipWithId(), ops.Sample(size=1),
+        ops.Sample(size=1, method="first", name="sample-first"),
+        ops.Distinct(), ops.Sort(), ops.GroupBy(k), ops.ReduceBy(k, k),
+        ops.GlobalReduce(k), ops.Count(), ops.Cache(), ops.Union(),
+        ops.Intersect(), ops.Join(k, k), ops.CartesianProduct(),
+        ops.IEJoin([ops.InequalityCondition(k, "<", k)]), ops.PageRank(),
+        ops.CollectionSink(), ops.TextFileSink("hdfs://out"),
+    ]
+
+
+class TestGoldenBindings:
+    """No binding of sparklite / flinklite / graphlite is lost or renamed."""
+
+    ENGINES = ("sparklite", "flinklite", "graphlite")
+
+    @pytest.mark.parametrize("vectorize", [False, True])
+    def test_every_binding_matches_the_golden_table(self, vectorize):
+        from repro import RheemContext
+
+        ctx = RheemContext(config={"vectorize": vectorize})
+        actual = []
+        for op in _logical_samples():
+            for alt in ctx.registry.alternatives_for(op):
+                if alt.platform not in self.ENGINES:
+                    continue
+                actual.append((
+                    alt.platform, op.name,
+                    [(x.op_kind, x.name) for x in alt.ops],
+                    [d.name for d in alt.input_descriptors()],
+                    alt.output_descriptor().name,
+                    alt.broadcast_descriptor().name))
+
+        expected = []
+        for engine, logical, chain, inputs, output, bcast in _GOLDEN_BINDINGS:
+            batch = _GOLDEN_BATCH_CHANNEL.get(engine)
+            if vectorize and batch and logical in _GOLDEN_BATCH_LOGICAL:
+                inputs, output = [batch] * len(inputs), batch
+            expected.append((engine, logical, chain, inputs, output, bcast))
+        assert sorted(actual) == sorted(expected)

@@ -11,6 +11,7 @@ from repro.core.mappings import OperatorMapping
 from repro.core.operators import Map, Operator
 from repro.core.cardinality import CardinalityEstimate
 from repro.platforms.base import ExecutionOperator, Platform, charge_operator
+from repro.platforms.dataflow import DataflowEngine
 from repro.platforms.pystreams.channels import PY_COLLECTION
 
 
@@ -177,3 +178,68 @@ class TestNewPlatform:
                .with_target_platform("arraydb")
                .collect())
         assert sorted(out) == [v * 3 for v in range(10)]
+
+
+# ---------------------------------------------------------------------------
+# A fourth partitioned dataflow engine: ONE DataflowEngine value plus
+# conversions to/from PY_COLLECTION.  No operator subclass anywhere.
+# ---------------------------------------------------------------------------
+TOY_DATASET = ChannelDescriptor("toyflow.dataset", "toyflow", True)
+TOY = DataflowEngine("toyflow", TOY_DATASET, TOY_DATASET)
+
+
+class ToyFlowPlatform(Platform):
+    name = "toyflow"
+
+    def channels(self):
+        return [TOY_DATASET]
+
+    def conversions(self):
+        return [
+            Conversion(PY_COLLECTION, TOY_DATASET, TOY.from_collection,
+                       mb_per_s=500.0, overhead_s=0.01, name="toyflow-load"),
+            Conversion(TOY_DATASET, PY_COLLECTION, TOY.to_collection,
+                       mb_per_s=500.0, overhead_s=0.01,
+                       name="toyflow-collect"),
+        ]
+
+    def mappings(self):
+        return TOY.mappings()
+
+
+class TestNewDataflowEngine:
+    def _ctx(self):
+        from repro.platforms import builtin_platforms
+        from repro.simulation import PlatformProfile, VirtualCluster
+
+        cluster = VirtualCluster()
+        cluster.set_profile(PlatformProfile(
+            name="toyflow", startup_s=0.1, stage_overhead_s=0.01,
+            parallelism=4, tuple_cost_s=1e-7, io_mb_per_s=400.0,
+            net_mb_per_s=300.0, memory_cap_mb=8192.0))
+        ctx = RheemContext(cluster=cluster,
+                           platforms=builtin_platforms()
+                           + [ToyFlowPlatform()])
+        ctx.vfs.write("hdfs://toy/x.txt", ["a b a", "b c", "a"],
+                      sim_factor=10.0)
+        return ctx
+
+    def test_wordcount_runs_end_to_end_on_the_engine_value(self):
+        from conftest import wordcount
+
+        ctx = self._ctx()
+        result = wordcount(ctx, "hdfs://toy/x.txt").execute(
+            allowed_platforms={"toyflow", "driver"})
+        assert sorted(result.output) == [("a", 3), ("b", 2), ("c", 1)]
+        assert result.platforms == {"toyflow"}
+
+    def test_every_operator_is_a_shared_class_bound_by_value(self):
+        from repro.core.operators import Map
+        from repro.platforms import dataflow
+
+        ctx = self._ctx()
+        [alt] = [a for a in ctx.registry.alternatives_for(Map(lambda x: x))
+                 if a.platform == "toyflow"]
+        assert type(alt.ops[0]) is dataflow.DFMap
+        assert alt.ops[0].name == "toyflow.map[map]"
+        assert alt.output_descriptor().name == "toyflow.dataset"

@@ -163,6 +163,55 @@ class TestJobLifecycle:
         assert server.result(running.job_id, timeout=30)["status"] == "ok"
 
 
+class TestBoundedJobTable:
+    """A long-lived server keeps a bounded number of terminal jobs."""
+
+    TRIVIAL_DOC = {
+        "operators": [
+            {"name": "src", "kind": "collection_source", "data": [1, 2]}],
+        "sink": {"name": "src"},
+    }
+
+    def test_oldest_finished_jobs_are_evicted(self, monkeypatch):
+        from repro.server import server as server_module
+        monkeypatch.setattr(server_module, "MAX_TERMINAL_JOBS", 8)
+        held_doc, gate = _gated_doc()
+        total = 30
+        with JobServer(RheemContext(), env={"gate": gate}, workers=2,
+                       queue_size=4) as server:
+            app = make_wsgi_app(server)
+            # A job that stays running while the table turns over.
+            held = server.submit(held_doc)
+            _wait_until_running(held)
+            ids = []
+            for __ in range(total):
+                job = server.submit(self.TRIVIAL_DOC)
+                assert server.result(job.job_id, timeout=30)["status"] == "ok"
+                ids.append(job.job_id)
+            states = server.snapshot()["states"]
+            assert states == {"running": 1, "done": 8}
+            # Newest finished jobs resolve; evicted ones are unknown ids.
+            for job_id in ids[-8:]:
+                assert server.status(job_id)["state"] == "done"
+                assert server.result(job_id, timeout=1)["status"] == "ok"
+            for job_id in ids[:-8]:
+                assert server.status(job_id) is None
+                with pytest.raises(KeyError):
+                    server.result(job_id)
+            status, __ = TestWsgiFrontend()._call(
+                app, method="GET", path=f"/jobs/{ids[0]}")
+            assert status.startswith("404")
+            # The running job outlived every one of them.
+            assert server.status(held.job_id)["state"] == "running"
+            gate.set()
+            assert server.result(held.job_id, timeout=30)["status"] == "ok"
+        snap = server.metrics.snapshot()
+        assert snap["counters"]["server.jobs.submitted"] == total + 1
+        assert snap["counters"]["server.jobs.done"] == total + 1
+        assert snap["histograms"]["server.run_s"]["count"] == total + 1
+        assert sum(server.snapshot()["states"].values()) == 8
+
+
 class TestTracerIsolation:
     """Regression: a job must never leak its tracer onto the shared
     context — not even when the document fails to parse (the old
