@@ -1,6 +1,6 @@
 """The REST interface: JSON job documents in, JSON results out."""
 
 from .serde import PlanDocumentError, build_quanta
-from .service import RheemService, wsgi_app
+from .service import RheemService
 
-__all__ = ["PlanDocumentError", "build_quanta", "RheemService", "wsgi_app"]
+__all__ = ["PlanDocumentError", "build_quanta", "RheemService"]

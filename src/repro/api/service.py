@@ -1,17 +1,15 @@
-"""The REST interface: submit JSON job documents, get JSON results.
+"""The REST interface's transport-free core: JSON job documents in, JSON
+results out.
 
-Two layers:
-
-* :class:`RheemService` — the transport-free core: ``submit(document)``
-  builds, optimizes and executes the dataflow and returns a JSON-ready
-  response (results, simulated runtime, chosen platforms, dollar price).
-* :func:`wsgi_app` — a standard WSGI wrapper (``POST /jobs``), usable with
-  any WSGI server or called directly in tests; no sockets required.
+:class:`RheemService` ``submit(document)`` builds, optimizes and executes
+the dataflow and returns a JSON-ready response (results, simulated
+runtime, chosen platforms, dollar price).  The HTTP front end is
+:func:`repro.server.make_wsgi_app`, which puts the job server's admission
+control in front of it.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any, Callable
 
 from ..core.context import RheemContext
@@ -131,28 +129,3 @@ def _jsonable(value: Any) -> Any:
         return value
     return repr(value)
 
-
-def wsgi_app(service: RheemService):
-    """A WSGI application exposing ``POST /jobs``."""
-
-    def app(environ, start_response):
-        if environ.get("REQUEST_METHOD") != "POST" or \
-                environ.get("PATH_INFO") != "/jobs":
-            start_response("404 Not Found",
-                           [("Content-Type", "application/json")])
-            return [b'{"status": "error", "error": "POST /jobs only"}']
-        try:
-            length = int(environ.get("CONTENT_LENGTH") or 0)
-            body = environ["wsgi.input"].read(length)
-            document = json.loads(body)
-        except (ValueError, KeyError) as exc:
-            start_response("400 Bad Request",
-                           [("Content-Type", "application/json")])
-            return [json.dumps({"status": "error",
-                                "error": f"bad JSON: {exc}"}).encode()]
-        response = service.submit(document)
-        status = "200 OK" if response["status"] == "ok" else "400 Bad Request"
-        start_response(status, [("Content-Type", "application/json")])
-        return [json.dumps(response).encode()]
-
-    return app

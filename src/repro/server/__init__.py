@@ -2,26 +2,17 @@
 demo paper: many applications submitting plans to ONE shared cross-platform
 layer).
 
-:class:`JobServer` accepts JSON job documents into a bounded queue with
-admission control (structured 429 rejections carrying queue depth and a
-``Retry-After`` estimate), priority scheduling and per-tenant fair-share
-quotas, then dispatches them to one of two backends:
-
-* the **thread** backend (the baseline) shares one
-  :class:`~repro.core.context.RheemContext` across a worker-thread pool —
-  per-job isolation for tracer/channel/executor scratch state, explicit
-  locks (see ``DESIGN.md``) around the shared plan cache, conversion-graph
-  memos, metrics registry and learned cost parameters;
-* the **process** backend (:mod:`repro.server.shards`) scales past the
-  GIL: one context replica per worker process, jobs routed stickily by
-  plan fingerprint so each replica's caches stay hot, cost-parameter
-  publication broadcast to every shard, and ``/metrics`` aggregated
-  across processes back into the single-registry shape.
+:class:`JobServer` admits JSON job documents into a bounded queue
+(structured 429 rejections with a ``Retry-After`` estimate, priorities,
+per-tenant fair-share quotas) and runs each on a *shard*
+(:mod:`repro.server.shards`): the **thread** backend's one in-process
+shard over a shared :class:`~repro.core.context.RheemContext`, or one of
+the **process** backend's worker processes, each with a private replica,
+behind sticky routing, respawn and a hard deadline.
 
 Jobs move through the states ``queued -> running -> done|failed|timeout``
-(or are ``rejected`` at admission) and are queryable by job id; per-job
-deadlines are enforced by cooperative cancellation at executor stage
-boundaries; shutdown drains the queue gracefully.
+(or are ``rejected`` at admission) and are queryable by job id; shutdown
+drains the queue gracefully.
 """
 
 from .http import make_wsgi_app

@@ -30,11 +30,6 @@ class JobState(str, Enum):
         return self not in (JobState.QUEUED, JobState.RUNNING)
 
 
-#: States a job can end in (mirrored as ``server.jobs.<state>`` counters).
-TERMINAL_STATES = (JobState.DONE, JobState.FAILED, JobState.TIMEOUT,
-                   JobState.REJECTED)
-
-
 @dataclass
 class Job:
     """One submission: its document, per-job tracer and lifecycle record.

@@ -1,36 +1,28 @@
-"""The concurrent job server: worker pools, admission control, deadlines.
+"""The concurrent job server: admission, dispatch and accounting.
 
-One :class:`JobServer` schedules jobs onto one of two backends:
+A :class:`JobServer` never runs a job itself.  It holds a pool of shards
+(:mod:`repro.server.shards`) and every job takes the same path —
+``pick`` a shard, ``run_job``, ``release`` — whichever ``backend`` built
+the pool:
 
-* ``backend="thread"`` — the baseline: a shared
-  :class:`~repro.core.context.RheemContext` behind a
-  :class:`~concurrent.futures.ThreadPoolExecutor`.  Jobs share the
-  expensive read-mostly state (plan cache, conversion-graph memo tables,
-  metrics, learned cost parameters) under the documented lock order and
-  isolate everything else per job.
-* ``backend="process"`` — scale-out past the GIL: a
-  :class:`~repro.server.shards.ShardPool` of worker *processes*, each
-  holding a private context replica.  Jobs route stickily by plan
-  fingerprint so a plan's home shard keeps its caches hot;
-  :meth:`publish_cost_params` broadcasts to every shard and
-  :meth:`metrics_snapshot` merges the per-shard registries back into the
-  single-registry shape.
+* ``"thread"`` (the default): one in-process shard over a shared
+  :class:`~repro.core.context.RheemContext`; the worker threads all call
+  it at once and share its caches, metrics and learned cost parameters.
+* ``"process"``: one worker *process* per worker, each holding a private
+  context replica — past the GIL, with sticky routing by plan
+  fingerprint, respawn of dead workers and a hard deadline.
 
-Both backends share one admission and dispatch layer: a bounded queue
-(capacity = ``workers + queue_size``) whose structured 429-style
-rejection carries the queue depth and a ``Retry-After`` estimate derived
-from an EWMA of recent service times; priority scheduling (higher
-``priority`` first); and per-tenant fair-share dispatch — an optional
-hard cap on concurrently *running* jobs per tenant plus a
-fewest-running-first tie-break, so one chatty tenant cannot starve the
-rest of the pool.
+What this module owns: a bounded queue (capacity = ``workers +
+queue_size``) whose structured 429-style rejection carries the queue
+depth and a ``Retry-After`` estimate derived from an EWMA of recent
+service times; priority scheduling (higher ``priority`` first); and
+per-tenant fair-share dispatch — an optional hard cap on concurrently
+*running* jobs per tenant plus a fewest-running-first tie-break, so one
+chatty tenant cannot starve the rest of the pool.
 
 Dispatch is token-based: every admission enqueues one drain token into
 the worker pool, and each token loops *pick → run → account → re-pick*
-until no eligible job remains.  The re-pick after finishing is what
-makes quota-blocked jobs live-lock free — the worker whose completion
-freed a tenant slot is itself the one that immediately rechecks the
-queue.
+until no eligible job remains (:meth:`JobServer._drain`).
 """
 
 from __future__ import annotations
@@ -41,14 +33,12 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable
 
-from ..api.service import RheemService
 from ..concurrency import OrderedLock
 from ..core.context import RheemContext
-from ..core.executor import JobCancelled
 from ..learn.calibration import CostCalibrator, observation_from_json
-from ..trace import NO_TRACER, MetricsRegistry, Tracer, merge_snapshots
+from ..trace import NO_TRACER, MetricsRegistry, Tracer
 from .jobs import Job, JobState
-from .shards import ShardDied, ShardPool, document_fingerprint
+from .shards import InProcessShard, ShardPool, SoloPool, error_response
 
 #: Weight of the newest sample in the service-time EWMA feeding the
 #: ``Retry-After`` estimate on queue-full rejections.
@@ -81,21 +71,22 @@ class JobServer:
             default).  Unused — and never built — under the process
             backend, where every shard owns a private replica.
         env: Extra names exposed to document UDF expressions.
-        workers: Worker count (``>= 1``): pool threads for the thread
-            backend, shard *processes* for the process backend.
+        workers: Worker count (``>= 1``): dispatch threads, and on the
+            process backend as many shard *processes*.
         queue_size: Jobs allowed to *wait* beyond the running ones; the
             admission bound is ``workers + queue_size`` jobs in the system.
         default_deadline_s: Deadline applied to jobs that do not carry one
             (``None``: no deadline).  Deadlines are measured from
-            *admission*, so time spent queued counts against them.
+            *admission*, so time spent queued counts against them, and
+            are enforced between executor stages; only the process
+            backend can also stop a stage that never ends.
         stage_threads: Total intra-job stage-lane budget across every
             worker (default ``2 * workers``).  Each job's executor caps
             its ``stage_parallelism`` at ``stage_threads // workers``, so
             admission control keeps bounding the real thread count even
             when jobs run wide polystore plans concurrently.  (Thread
             backend only; a process shard budgets its own lanes.)
-        backend: ``"thread"`` (default, the bit-for-bit baseline) or
-            ``"process"``.
+        backend: ``"thread"`` (default) or ``"process"``.
         context_factory: Process backend: builds one context replica
             inside each shard process (default: a plain
             :class:`RheemContext`).  Must be picklable under the
@@ -113,10 +104,9 @@ class JobServer:
             (default ``fork`` where available).
         calibrate: Close the trace → cost-model loop: committed jobs'
             stage observations feed a :class:`CostCalibrator`, whose
-            refits publish through :meth:`publish_cost_params` (broadcast
-            to every shard on the process backend).  Refits run on the
-            worker thread *after* the job's response is published, so
-            response latency never pays for the genetic fit.
+            refits publish through :meth:`publish_cost_params`.  Refits
+            run on the worker thread *after* the job's response is
+            published, so response latency never pays for the fit.
         calibration: Extra keyword arguments for the
             :class:`CostCalibrator` (``min_samples``,
             ``drift_threshold``, ``initial_params``, ``cluster``,
@@ -156,36 +146,28 @@ class JobServer:
         self.stage_threads = max(self.workers, int(
             stage_threads if stage_threads is not None else 2 * self.workers))
         self._tracing = bool(tracing)
-        self.ctx: RheemContext | None
-        self.service: RheemService | None
-        self._shards: ShardPool | None
+        self.ctx: RheemContext | None = None
+        self._shards: ShardPool | SoloPool
         if backend == "process":
             # The parent never executes plans: no context here, just its
             # own registry for server/lock instruments.  Shard replicas
             # are built by the factory inside each worker process.
-            self.ctx = None
-            self.service = None
             self.metrics = MetricsRegistry()
             self._shards = ShardPool(
-                context_factory if context_factory is not None
-                else RheemContext,
-                shards=self.workers, env=env, metrics=self.metrics,
-                respawn=respawn_shards, start_method=start_method)
+                context_factory or RheemContext, shards=self.workers,
+                env=env, metrics=self.metrics, respawn=respawn_shards,
+                start_method=start_method)
         else:
             self.ctx = ctx if ctx is not None else RheemContext()
-            self.service = RheemService(self.ctx, env)
             # Executors read the cap from the shared config; an explicit
             # user-configured cap wins.
             self.ctx.config.setdefault(
                 "stage_parallelism_cap",
                 max(1, self.stage_threads // self.workers))
             self.metrics = self.ctx.metrics
-            self._shards = None
-        # Outermost lock of the runtime (rank 10 in the registry —
-        # repro.concurrency.order): guards the job table, the pending
-        # queue, the queued/running/per-tenant counters, the service-time
-        # EWMA and the accepting/cancelled flags.  Never held while a job
-        # executes.
+            self._shards = SoloPool(InProcessShard(self.ctx, env))
+        # Outermost lock of the runtime (what it guards is declared in
+        # repro.concurrency.order).  Never held while a job executes.
         self._lock = OrderedLock("server.jobs", self.metrics)
         self._jobs: dict[str, Job] = {}
         self._terminal: deque[str] = deque()  # job ids, oldest-finished first
@@ -206,28 +188,25 @@ class JobServer:
     def _build_calibrator(self, knobs: dict[str, Any]) -> CostCalibrator:
         """Wire a :class:`CostCalibrator` to this server's publish path.
 
-        The thread backend calibrates against the shared context's
-        cluster and currently published parameters; the process backend
-        (where the parent holds no context) uses a default
-        :class:`~repro.simulation.cluster.VirtualCluster` unless the
-        ``calibration`` dict supplies one — shard replicas are built from
-        a factory the parent cannot introspect.
+        Cluster, published parameters and data plane default to the
+        shared context's; a parent that holds none (shard replicas come
+        from a factory it cannot introspect) falls back to a default
+        :class:`~repro.simulation.cluster.VirtualCluster`.
         """
         from ..simulation.cluster import VirtualCluster
 
         cluster = knobs.pop("cluster", None)
-        if cluster is None:
-            cluster = (self.ctx.cluster if self.ctx is not None
-                       else VirtualCluster())
         initial = knobs.pop("initial_params", None)
-        if initial is None and self.ctx is not None:
-            initial = self.ctx.cost_params_snapshot()
         vectorize = knobs.pop("vectorize", None)
-        if vectorize is None:
-            vectorize = (bool(self.ctx.config.get("vectorize", False))
-                         if self.ctx is not None else False)
+        if self.ctx is not None:
+            cluster = cluster if cluster is not None else self.ctx.cluster
+            if initial is None:
+                initial = self.ctx.cost_params_snapshot()
+            if vectorize is None:
+                vectorize = self.ctx.config.get("vectorize", False)
         return CostCalibrator(
-            cluster, self.publish_cost_params,
+            cluster if cluster is not None else VirtualCluster(),
+            self.publish_cost_params,
             vectorize=bool(vectorize), initial_params=initial,
             metrics=self.metrics, tracer=Tracer(), **knobs)
 
@@ -261,8 +240,7 @@ class JobServer:
             tenant = str(document.get("tenant", "default"))
         if priority is None:
             priority = int(document.get("priority", 0))
-        fingerprint = (document_fingerprint(document)
-                       if self._shards is not None else None)
+        fingerprint = self._shards.fingerprint(document)
         with self._lock:
             job_id = f"job-{next(self._ids)}"
             job = Job(job_id=job_id, document=document, submitted_at=now,
@@ -384,53 +362,33 @@ class JobServer:
                 "tenants_running": dict(self._tenant_running),
                 "states": states,
             }
-        if self._shards is not None:
-            snap["shards"] = self._shards.snapshot()
+        shards = self._shards.snapshot()
+        if shards:
+            snap["shards"] = shards
         if self.calibrator is not None:
             snap["calibration"] = self.calibrator.stats()
         return snap
 
     def metrics_snapshot(self) -> dict[str, Any]:
-        """The ``/metrics`` document, aggregated across every process.
-
-        Thread backend: the shared registry's snapshot, unchanged.
-        Process backend: the parent registry (admission counters, queue
-        gauges, lock histograms) merged with every shard's registry into
-        the same single-registry shape.
-        """
-        if self._shards is None:
-            return self.metrics.snapshot()
-        return merge_snapshots(self.metrics.snapshot(),
-                               self._shards.metrics_snapshot())
+        """The ``/metrics`` document: every registry behind this server
+        (its own and, where shards keep theirs, each shard's) in the
+        single-registry shape."""
+        return self._shards.metrics_snapshot()
 
     # --------------------------------------------------------- coordination
     def publish_cost_params(self, params: dict[str, Any]) -> int:
-        """Install learned cost parameters on every execution context.
-
-        Thread backend: one publication on the shared context.  Process
-        backend: broadcast to every live shard (each replica bumps its
-        cost-model version and flushes its caches); the publication is
-        replayed into respawned shards.  Returns how many contexts
-        acknowledged.
-        """
-        if self._shards is not None:
-            return self._shards.publish(params)
-        assert self.ctx is not None
-        self.ctx.publish_cost_params(params)
-        return 1
+        """Install learned cost parameters on every shard's context (each
+        bumps its cost-model version and flushes its caches; a respawned
+        shard gets the publication replayed).  Returns how many
+        acknowledged."""
+        return self._shards.publish(params)
 
     def warm(self, document: dict[str, Any]) -> list[dict[str, Any]]:
-        """Pre-warm plan caches by running ``document`` out-of-band.
-
-        Process backend: the document runs on *every* live shard, so
-        later spills off its home shard still hit warm caches.  Thread
-        backend: one run against the shared context.  Warm-up runs
-        bypass admission control and publish no job counters.
-        """
-        if self._shards is not None:
-            return self._shards.broadcast_job(document, trace=False)
-        assert self.service is not None
-        return [self.service.submit(document, tracer=NO_TRACER)]
+        """Pre-warm plan caches by running ``document`` out-of-band on
+        *every* shard, so later spills off a plan's home shard still hit
+        warm caches.  Warm-up runs bypass admission control and publish
+        no job counters."""
+        return self._shards.broadcast_job(document)
 
     # ------------------------------------------------------------ lifecycle
     def shutdown(self, drain: bool = True) -> None:
@@ -439,9 +397,9 @@ class JobServer:
         With ``drain=True`` every already-admitted job runs to completion
         before the pool stops.  With ``drain=False`` still-queued jobs are
         cancelled and finish ``failed`` (kind ``ServerShutdown``); running
-        jobs are never interrupted mid-stage.  Process shards are stopped
-        after the dispatch layer: a busy shard finishes its in-flight job
-        before it sees the stop request.
+        jobs are never interrupted mid-stage.  Shards are stopped after
+        the dispatch layer: a busy one finishes its in-flight job before
+        it sees the stop request.
         """
         cancelled: list[Job] = []
         with self._lock:
@@ -455,10 +413,9 @@ class JobServer:
                 for job in cancelled:
                     job.state = JobState.FAILED
                     job.finished_at = now
-                    job.response = {
-                        "status": "error", "kind": "ServerShutdown",
-                        "error": "server shut down before the job ran",
-                        "job_id": job.job_id}
+                    job.response = error_response(
+                        job.job_id, "ServerShutdown",
+                        "server shut down before the job ran")
                     self._retire_locked(job)
                 self._update_gauges_locked()
         if drain:
@@ -468,8 +425,7 @@ class JobServer:
             for job in cancelled:
                 self.metrics.counter("server.jobs.failed").inc()
                 job.finished.set()
-        if self._shards is not None:
-            self._shards.shutdown()
+        self._shards.shutdown()
 
     def __enter__(self) -> "JobServer":
         return self
@@ -478,14 +434,6 @@ class JobServer:
         self.shutdown(drain=True)
 
     # -------------------------------------------------------------- workers
-    def _cancel_check(self, job: Job) -> None:
-        """Stage-boundary hook: raise once the job's deadline has passed."""
-        if job.deadline_s is None:
-            return
-        if time.monotonic() - job.submitted_at > job.deadline_s:
-            raise JobCancelled(
-                f"{job.job_id} exceeded its deadline of {job.deadline_s}s")
-
     def _pick_locked(self) -> Job | None:
         """The next pending job this worker should run (``None``: none).
 
@@ -535,8 +483,7 @@ class JobServer:
             # response is published to the client, ingested after
             # finished.set() so a triggered refit (the genetic fit) never
             # adds to the job's observable latency.
-            observations = (response.pop("calibration_observations", None)
-                            if isinstance(response, dict) else None)
+            observations = response.pop("calibration_observations", None)
             with self._lock:
                 job.state = state
                 job.finished_at = time.monotonic()
@@ -584,53 +531,24 @@ class JobServer:
             self.metrics.counter("calibration.errors").inc()
 
     def _execute(self, job: Job) -> tuple[JobState, dict[str, Any]]:
-        """Run one picked job on the configured backend; never raises."""
-        try:
-            # The deadline may already have passed while the job queued.
-            self._cancel_check(job)
-            if self._shards is not None:
-                return self._execute_on_shard(job)
-            assert self.service is not None
-            response = self.service.submit(
-                job.document, tracer=job.tracer,
-                cancel_check=lambda: self._cancel_check(job),
-                observations=self.calibrator is not None)
-        except JobCancelled as exc:
-            return JobState.TIMEOUT, {
-                "status": "error", "kind": "Timeout", "error": str(exc),
-                "job_id": job.job_id}
-        except Exception as exc:  # noqa: BLE001 — a worker must never die
-            return JobState.FAILED, {
-                "status": "error", "kind": type(exc).__name__,
-                "error": str(exc), "job_id": job.job_id}
-        state = (JobState.DONE if response.get("status") == "ok"
-                 else JobState.FAILED)
-        return state, response
-
-    def _execute_on_shard(self, job: Job) -> tuple[JobState, dict[str, Any]]:
-        """Route one job to its (sticky) shard and map the outcome."""
-        assert self._shards is not None and job.fingerprint is not None
+        """Run one picked job on a shard and map the outcome to a state."""
         remaining: float | None = None
         if job.deadline_s is not None:
             remaining = job.deadline_s - (time.monotonic() - job.submitted_at)
-        shard = self._shards.pick(job.fingerprint)
-        job.shard_slot = shard.slot
         try:
-            response = shard.run_job(job.job_id, job.document, remaining,
-                                     self._tracing,
-                                     observe=self.calibrator is not None)
-        except ShardDied as exc:
-            # The shard's context replica died with it; the job is
-            # terminally failed (no silent retry — the caller decides).
-            # handle_failure retires the slot exactly once, so the
-            # routing ring re-maps this fingerprint for later jobs.
-            self._shards.handle_failure(shard)
-            return JobState.FAILED, {
-                "status": "error", "kind": "ShardFailure",
-                "error": str(exc), "job_id": job.job_id,
-                "shard": shard.slot}
-        finally:
-            self._shards.release(shard)
+            shard = self._shards.pick(job.fingerprint)
+            job.shard_slot = shard.slot
+            try:
+                response = shard.run_job(
+                    job.job_id, job.document, remaining, job.tracer,
+                    observe=self.calibrator is not None)
+            finally:
+                self._shards.release(shard)
+        except Exception as exc:  # noqa: BLE001 — a worker must never die
+            # run_job answers for the job; what lands here is the pool
+            # itself failing (no live shard left, an unpicklable document).
+            return JobState.FAILED, error_response(
+                job.job_id, type(exc).__name__, exc)
         if response.get("kind") == "Timeout":
             return JobState.TIMEOUT, response
         state = (JobState.DONE if response.get("status") == "ok"

@@ -1,40 +1,28 @@
-"""Process shards: per-process context replicas behind the job server.
+"""Shards: where a job document runs, and the pools that route to them.
 
-CPython's GIL caps the thread backend at a CPU-bound ceiling (perfbench's
-``serve_thread`` workload measures it as ``jobs_per_s``); this module
-scales the serving layer past it.  A :class:`ShardPool` keeps ``N``
-worker *processes*, each owning a full
-:class:`~repro.core.context.RheemContext` replica (its own plan
-cache, conversion-graph memo tables, intermediate-result store and
-metrics registry) built by a caller-supplied ``context_factory``.
+A *shard* owns one :class:`~repro.core.context.RheemContext` (plan cache,
+conversion-graph memos, result store, metrics registry) and offers the
+four calls of the :class:`Shard` surface — ``run_job``, ``publish``,
+``metrics``, ``stop``.  The job server knows nothing else about where a
+job runs; what the surface hides is the transport:
 
-Jobs are routed **stickily** by plan fingerprint — a stable digest over
-the document's operator/sink/execution shape — so resubmissions of one
-plan land on the shard whose signature-keyed caches are already hot for
-it.  When the home shard is busy the router *spills* to the least-loaded
-live shard (cache locality is a tie-break, never a reason to idle a
-core); a spilled shard warms its own caches on first contact and serves
-later spills warm.
+* :class:`InProcessShard` (the ``thread`` backend) calls
+  :func:`run_document` on a context shared by every worker thread.  One
+  such shard serves all callers at once, so its pool (:class:`SoloPool`)
+  routes nothing, counts nothing and takes no lock.
+* :class:`ProcessShard` (the ``process`` backend, past the GIL) sends the
+  call down a pipe to a worker process (:func:`_shard_main`) that calls
+  the same :func:`run_document` on a private replica built by a
+  caller-supplied ``context_factory``.  A :class:`ShardPool` keeps ``N``
+  of them and adds what only a process can do: **sticky routing** by
+  plan fingerprint (:meth:`ShardPool.pick`), **respawn** of a worker
+  that exited (:meth:`ShardPool.handle_failure`) and a **hard deadline**
+  (:meth:`ProcessShard.run_job` kills a worker that overruns one).
 
 The IPC protocol is deliberately tiny: one duplex pipe per shard carrying
-``(request_id, kind, payload)`` tuples.  The shard process executes one
-request at a time, which makes the child itself the critical section —
-the parent-side :class:`ProcessShard` lock only serializes access to the
-pipe.  Shard death (a killed or crashed worker) surfaces as
-:class:`ShardDied` on whichever call was in flight; the pool retires the
-slot (optionally respawning a fresh replica into it) and sticky routing
-re-maps the slot's fingerprints onto the surviving shards.
-
-Cross-process coordination:
-
-* :meth:`ShardPool.publish` broadcasts learned cost parameters to every
-  shard (each replica bumps its cost-model version and flushes its plan
-  cache); the last publication is replayed into respawned shards so a
-  replacement never serves plans priced under stale parameters;
-* :meth:`ShardPool.metrics_snapshot` aggregates every shard's registry
-  snapshot (plus last-known snapshots of dead shards, so their counters
-  are not lost — and never double-counted) into the single-registry
-  shape via :func:`repro.trace.metrics.merge_snapshots`.
+``(request_id, kind, payload)`` tuples.  The worker executes one request
+at a time, which makes the child itself the critical section — the
+parent-side :class:`ProcessShard` lock only serializes the pipe.
 """
 
 from __future__ import annotations
@@ -46,13 +34,27 @@ import multiprocessing
 import signal
 import time
 from multiprocessing.connection import Connection
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Protocol
 
+from ..api.service import RheemService
 from ..concurrency import OrderedLock
-from ..trace import MetricsRegistry, merge_snapshots
+from ..core.context import RheemContext
+from ..core.executor import JobCancelled
+from ..trace import (
+    NO_TRACER,
+    MetricsRegistry,
+    NullTracer,
+    Tracer,
+    merge_snapshots,
+)
 
 #: Seconds between liveness checks while waiting on a shard response.
 _POLL_S = 0.05
+
+#: Seconds a process shard may overrun a job's deadline before its worker
+#: is killed.  Cancellation at the next stage boundary goes first; this
+#: bounds a stage that never reaches one.
+HARD_DEADLINE_GRACE_S = 1.0
 
 
 class ShardDied(RuntimeError):
@@ -78,26 +80,149 @@ def document_fingerprint(document: dict[str, Any]) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def error_response(job_id: str, kind: str, error: object) -> dict[str, Any]:
+    """The structured response of a job that did not succeed."""
+    return {"status": "error", "kind": kind, "error": str(error),
+            "job_id": job_id}
+
+
+def run_document(service: RheemService, job_id: str,
+                 document: dict[str, Any], remaining_s: float | None,
+                 tracer: Tracer | NullTracer,
+                 observe: bool = False) -> dict[str, Any]:
+    """THE job path: run one document under its deadline; never raises.
+
+    ``remaining_s`` is what is left of the deadline (``None``: none),
+    re-anchored here to this process's clock.  It is checked before the
+    job starts — it may have been spent queueing — and at every executor
+    stage boundary, so a late job is abandoned *between* stages with
+    nothing half-committed and answers kind ``Timeout``.  Any other
+    failure is a structured error carrying ``job_id``.  ``observe`` asks
+    for calibration observations (see :meth:`RheemService.submit`).
+    """
+    deadline = (None if remaining_s is None
+                else time.monotonic() + remaining_s)
+
+    def cancel_check() -> None:
+        if deadline is not None and time.monotonic() > deadline:
+            raise JobCancelled(f"{job_id} exceeded its deadline")
+
+    try:
+        cancel_check()
+        return service.submit(document, tracer=tracer,
+                              cancel_check=cancel_check,
+                              observations=observe)
+    except JobCancelled as exc:
+        return error_response(job_id, "Timeout", exc)
+    except Exception as exc:  # noqa: BLE001 — a job failure is a response
+        return error_response(job_id, type(exc).__name__, exc)
+
+
+class Shard(Protocol):
+    """What the serving layer needs from the place a job runs.
+
+    ``run_job`` answers like :func:`run_document`: always a response
+    document, whatever happened to the job or to the transport.
+    """
+
+    @property
+    def slot(self) -> int | None:
+        """The routing slot (``None`` where nothing routes)."""
+
+    def run_job(self, job_id: str, document: dict[str, Any],
+                remaining_s: float | None, tracer: Tracer | NullTracer,
+                observe: bool = False) -> dict[str, Any]:
+        """Run one job document; only ``tracer.enabled`` need travel."""
+
+    def publish(self, params: dict[str, Any]) -> None:
+        """Install learned cost parameters on the shard's context."""
+
+    def metrics(self) -> dict[str, Any]:
+        """The shard's metrics-registry snapshot."""
+
+    def stop(self) -> None:
+        """Let go of whatever the shard holds (best effort)."""
+
+
+class InProcessShard:
+    """The shard surface as plain calls on a context in this process.
+
+    Safe for every worker thread at once: jobs share the context's
+    read-mostly state under the documented lock order and isolate the
+    rest per job.  Deadlines are cooperative only — a thread cannot be
+    killed, so a UDF that never reaches a stage boundary keeps its worker.
+    """
+
+    slot = None
+
+    def __init__(self, ctx: RheemContext,
+                 env: dict[str, Any] | None = None) -> None:
+        self.ctx = ctx
+        self.service = RheemService(ctx, env)
+
+    def run_job(self, job_id: str, document: dict[str, Any],
+                remaining_s: float | None, tracer: Tracer | NullTracer,
+                observe: bool = False) -> dict[str, Any]:
+        return run_document(self.service, job_id, document, remaining_s,
+                            tracer, observe)
+
+    def publish(self, params: dict[str, Any]) -> None:
+        self.ctx.publish_cost_params(params)
+
+    def metrics(self) -> dict[str, Any]:
+        return self.ctx.metrics.snapshot()
+
+    def stop(self) -> None:
+        """Nothing to stop: the context belongs to whoever built it."""
+
+
+class SoloPool:
+    """The pool surface over ONE shard that serves every worker at once:
+    nothing to route (jobs carry no fingerprint), no slots to report,
+    nothing that can die — and so no lock on the job path."""
+
+    def __init__(self, shard: Shard) -> None:
+        self.shard = shard
+
+    def fingerprint(self, document: dict[str, Any]) -> str | None:
+        return None
+
+    def pick(self, fingerprint: str | None) -> Shard:
+        return self.shard
+
+    def release(self, shard: Shard) -> None:
+        pass
+
+    def publish(self, params: dict[str, Any]) -> int:
+        self.shard.publish(params)
+        return 1
+
+    def broadcast_job(self, document: dict[str, Any]) -> list[dict[str, Any]]:
+        return [self.shard.run_job("warmup", document, None, NO_TRACER)]
+
+    def metrics_snapshot(self) -> dict[str, Any]:
+        return self.shard.metrics()
+
+    def snapshot(self) -> list[dict[str, Any]]:
+        return []
+
+    def shutdown(self) -> None:
+        self.shard.stop()
+
+
 def _shard_main(conn: Connection, shard_id: int,
                 context_factory: Callable[[], Any],
                 env: dict[str, Any] | None) -> None:
-    """Worker-process entry point: serve requests until told to stop.
-
-    Builds this shard's private context replica and service, then
-    answers ``(request_id, kind, payload)`` requests one at a time.  A
-    job failure is a *response*, never a process exit — the process only
-    leaves the loop on ``stop``, a closed pipe or a signal.
-    """
+    """Worker-process entry point: build this shard's context replica,
+    then answer ``(request_id, kind, payload)`` requests one at a time
+    until ``stop``, a closed pipe or a signal.  A job failure is a
+    *response*, never a process exit."""
     # The parent handles Ctrl-C (drain-then-exit); an interrupted child
     # would look like a crash and trigger a pointless respawn.
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover — non-main thread
         pass
-    from ..api.service import RheemService
-    from ..core.executor import JobCancelled
-    from ..trace import NO_TRACER, Tracer
-
     ctx = context_factory()
     service = RheemService(ctx, env)
     while True:
@@ -111,29 +236,9 @@ def _shard_main(conn: Connection, shard_id: int,
         try:
             if kind == "job":
                 job_id, document, remaining_s, trace, observe = payload
-                deadline = (None if remaining_s is None
-                            else time.monotonic() + remaining_s)
-
-                def cancel_check() -> None:
-                    if deadline is not None and \
-                            time.monotonic() > deadline:
-                        raise JobCancelled(
-                            f"{job_id} exceeded its deadline on "
-                            f"shard {shard_id}")
-
-                tracer = Tracer() if trace else NO_TRACER
-                try:
-                    cancel_check()  # the deadline may already be gone
-                    value = service.submit(document, tracer=tracer,
-                                           cancel_check=cancel_check,
-                                           observations=observe)
-                except JobCancelled as exc:
-                    value = {"status": "error", "kind": "Timeout",
-                             "error": str(exc), "job_id": job_id}
-                except Exception as exc:  # noqa: BLE001 — mirror threads
-                    value = {"status": "error",
-                             "kind": type(exc).__name__,
-                             "error": str(exc), "job_id": job_id}
+                value = run_document(
+                    service, job_id, document, remaining_s,
+                    Tracer() if trace else NO_TRACER, observe)
             elif kind == "publish":
                 ctx.publish_cost_params(payload)
             elif kind == "metrics":
@@ -180,13 +285,11 @@ class ProcessShard:
 
         Raises:
             ShardDied: The worker process is gone (its pipe reported
-                EOF, or liveness polling saw it exit).  The shard is
-                marked dead; the pool retires it on the next failure
-                handling pass.
+                EOF, or liveness polling saw it exit); the shard is
+                marked dead for the pool to retire.
             ShardCallTimeout: The worker is alive but still busy after
-                ``timeout`` seconds.  The response, when it eventually
-                arrives, is drained by the next call on this shard (every
-                response carries its request id).
+                ``timeout`` seconds.  Its late response is drained by the
+                next call (every response carries its request id).
         """
         with self._lock:
             if not self.alive:
@@ -226,18 +329,43 @@ class ProcessShard:
         return value
 
     def run_job(self, job_id: str, document: dict[str, Any],
-                remaining_s: float | None, trace: bool,
+                remaining_s: float | None, tracer: Tracer | NullTracer,
                 observe: bool = False) -> dict[str, Any]:
-        """Execute one job document on this shard; returns its response.
+        """:func:`run_document` in the worker process, across the pipe.
 
-        ``observe`` asks the shard to attach calibration observations to
-        a successful, calibration-eligible response (the parent's cost
-        calibrator strips and ingests them).
+        The transport's failures are responses too: a worker that died
+        fails the job with kind ``ShardFailure`` (its context replica is
+        gone; no silent retry — the caller decides); one still busy
+        :data:`HARD_DEADLINE_GRACE_S` past the deadline is killed and the
+        job answers ``Timeout``.  Both leave the shard not ``alive`` for
+        :meth:`ShardPool.release` to retire.
         """
-        response = self.call("job", (job_id, document, remaining_s, trace,
-                                     observe))
+        timeout = (None if remaining_s is None
+                   else max(remaining_s, 0.0) + HARD_DEADLINE_GRACE_S)
+        try:
+            response: dict[str, Any] = self.call(
+                "job", (job_id, document, remaining_s,
+                        bool(tracer.enabled), observe), timeout=timeout)
+        except ShardCallTimeout:
+            self.alive = False
+            self.process.kill()
+            self.process.join(timeout=2)
+            return error_response(
+                job_id, "Timeout", f"{job_id} overran its deadline mid-stage"
+                f"; the worker of shard {self.slot} was killed")
+        except ShardDied as exc:
+            return {**error_response(job_id, "ShardFailure", exc),
+                    "shard": self.slot}
         self.jobs_run += 1
-        return response  # type: ignore[no-any-return]
+        return response
+
+    def publish(self, params: dict[str, Any],
+                timeout: float | None = 60.0) -> None:
+        self.call("publish", params, timeout=timeout)
+
+    def metrics(self, timeout: float | None = 120.0) -> dict[str, Any]:
+        snapshot: dict[str, Any] = self.call("metrics", timeout=timeout)
+        return snapshot
 
     def stop(self) -> None:
         """Ask the worker to exit its loop (best effort)."""
@@ -258,10 +386,9 @@ class ShardPool:
             ``fork`` start method any callable works (closures
             included); under ``spawn`` it must be picklable.
         shards: Worker-process count (``>= 1``).
-        env: Extra names exposed to document UDF expressions (passed to
-            each shard's :class:`~repro.api.service.RheemService`).
-        metrics: Parent-side registry for the pool's own lock and
-            routing instruments.
+        env: Extra names exposed to document UDF expressions.
+        metrics: Parent-side registry: the pool's own instruments, and
+            the base :meth:`metrics_snapshot` merges the shards' into.
         respawn: Replace a dead shard with a fresh replica (the last
             cost-parameter publication is replayed into it).  With
             ``False`` a dead slot stays retired and its fingerprints
@@ -287,9 +414,9 @@ class ShardPool:
         self._mp = multiprocessing.get_context(start_method)
         self._lock = OrderedLock("server.pool", self.metrics)
         self._published: dict[str, Any] | None = None
-        # Last-known registry snapshot per shard *incarnation* (keyed by
-        # slot and pid so a respawned shard never overwrites — or
-        # double-counts with — its predecessor's committed counters).
+        # Last-known registry snapshot per shard incarnation, so a
+        # respawned shard never overwrites — or double-counts with — its
+        # predecessor's committed counters.
         self._last_metrics: dict[str, dict[str, Any]] = {}
         self._slots: list[ProcessShard | None] = [
             self._spawn(slot) for slot in range(self.size)]
@@ -310,30 +437,27 @@ class ShardPool:
     def handle_failure(self, shard: ProcessShard) -> None:
         """Retire a dead shard's slot; respawn a replacement if enabled.
 
-        Idempotent per shard object: only the first caller swaps the
-        slot, so concurrent jobs failing on the same dead shard can all
-        report it safely (and counters stay single-published).
+        A no-op on a live shard, and only the first caller retires a dead
+        one — concurrent jobs failing on the same shard can all report it
+        (counters stay single-published, one replacement is forked).
         """
-        replacement: ProcessShard | None = None
-        if self.respawn:
-            # Fork OUTSIDE the pool lock: at-fork handlers reset the
-            # global metrics lock in the child, but holding our own lock
-            # across the fork would still copy it locked into the child.
-            replacement = self._spawn(shard.slot)
         with self._lock:
-            if self._slots[shard.slot] is not shard:
-                stale = replacement  # someone else already swapped it
-            else:
-                self.metrics.counter("server.shards.died").inc()
-                self._slots[shard.slot] = replacement
-                stale = None
-        if stale is not None:
-            stale.stop()
-            stale.process.join(timeout=5)
+            if shard.alive or self._slots[shard.slot] is not shard:
+                return
+            self._slots[shard.slot] = None
+            self.metrics.counter("server.shards.died").inc()
+        if not self.respawn:
             return
-        if replacement is not None and self._published is not None:
+        # Fork OUTSIDE the pool lock: at-fork handlers reset the global
+        # metrics lock in the child, but holding our own lock across the
+        # fork would still copy it locked into the child.
+        replacement = self._spawn(shard.slot)
+        with self._lock:
+            self._slots[shard.slot] = replacement
+            published = self._published
+        if published is not None:
             try:
-                replacement.call("publish", self._published, timeout=60)
+                replacement.publish(published)
                 self.metrics.counter("server.shards.respawned").inc()
             except (ShardDied, ShardCallTimeout):
                 pass
@@ -347,7 +471,9 @@ class ShardPool:
         with self._lock:
             return self._live_locked()
 
-    def pick(self, fingerprint: str) -> ProcessShard:
+    fingerprint = staticmethod(document_fingerprint)
+
+    def pick(self, fingerprint: str | None) -> ProcessShard:
         """Route one job: sticky by fingerprint, spilling when busy.
 
         The home slot is ``digest mod size``.  Scanning the slot ring
@@ -360,6 +486,7 @@ class ShardPool:
         Raises:
             ShardDied: When no live shard remains.
         """
+        assert fingerprint is not None
         home = int(fingerprint[:16], 16) % self.size
         with self._lock:
             best: ProcessShard | None = None
@@ -376,76 +503,72 @@ class ShardPool:
             best.inflight += 1
             return best
 
-    def release(self, shard: ProcessShard) -> None:
-        """Return a routed job's slot reservation."""
+    def release(self, shard: Shard) -> None:
+        """Return a routed job's slot reservation; a shard that died (or
+        was killed at its hard deadline) under the job is retired."""
+        assert isinstance(shard, ProcessShard)
         with self._lock:
             shard.inflight -= 1
+        if not shard.alive:  # keeps the job path at one pool-lock round
+            self.handle_failure(shard)
 
     # ------------------------------------------------------------ broadcast
-    def publish(self, params: dict[str, Any],
-                timeout: float | None = 60.0) -> int:
-        """Broadcast cost parameters to every live shard.
-
-        Each replica applies them under its own publish lock (version
-        bump + plan-cache and result-store flush).  The publication is
-        remembered and replayed into respawned shards.  Returns how many
-        shards acknowledged.
-        """
+    def publish(self, params: dict[str, Any]) -> int:
+        """Broadcast cost parameters to every live shard; returns how
+        many acknowledged.  The publication is remembered and replayed
+        into respawned shards, so a replacement never serves plans
+        priced under stale parameters."""
         with self._lock:
             self._published = dict(params)
             shards = self._live_locked()
         acknowledged = 0
         for shard in shards:
             try:
-                shard.call("publish", params, timeout=timeout)
+                shard.publish(params)
                 acknowledged += 1
             except (ShardDied, ShardCallTimeout):
                 continue
         return acknowledged
 
-    def broadcast_job(self, document: dict[str, Any],
-                      trace: bool = False) -> list[dict[str, Any]]:
-        """Run one document on EVERY live shard (replica pre-warming).
+    def broadcast_job(self, document: dict[str, Any]) -> list[dict[str, Any]]:
+        """Run one document, untraced, on EVERY live shard (pre-warming).
 
         Bypasses sticky routing on purpose: after a warm-up broadcast,
         any spill target already holds the plan hot in its caches.
         """
         responses = []
         for shard in self.live_shards():
-            try:
-                responses.append(shard.run_job("warmup", document, None,
-                                               trace))
-            except ShardDied:
-                self.handle_failure(shard)
+            responses.append(shard.run_job("warmup", document, None,
+                                           NO_TRACER))
+            self.handle_failure(shard)
         return responses
 
+    def _refresh_metrics(self, shard: ProcessShard,
+                         timeout: float) -> None:
+        """Fetch one shard's registry snapshot into the last-known table,
+        keyed by shard *incarnation* (slot and pid)."""
+        try:
+            snapshot = shard.metrics(timeout)
+        except (ShardDied, ShardCallTimeout, RuntimeError):
+            return
+        with self._lock:
+            self._last_metrics[f"{shard.slot}:{shard.process.pid}"] = \
+                snapshot
+
     def metrics_snapshot(self) -> dict[str, Any]:
-        """Merge every shard's registry snapshot (single-registry shape).
+        """The parent registry (admission counters, queue gauges, lock
+        histograms) merged with every shard's, single-registry shape.
 
         A busy shard answers after its current job; a dead shard
         contributes its last-known snapshot exactly once, so committed
         counters survive the shard without double-publishing.
         """
-        snapshots: list[dict[str, Any]] = []
+        for shard in self.live_shards():
+            self._refresh_metrics(shard, 120.0)
+            self.handle_failure(shard)
         with self._lock:
-            shards = self._live_locked()
-        for shard in shards:
-            try:
-                snap = shard.call("metrics", timeout=120.0)
-            except (ShardDied, ShardCallTimeout):
-                snap = None
-                if not shard.alive:
-                    self.handle_failure(shard)
-            if snap is not None:
-                with self._lock:
-                    self._last_metrics[self._metrics_key(shard)] = snap
-        with self._lock:
-            snapshots.extend(self._last_metrics.values())
-        return merge_snapshots(*snapshots)
-
-    @staticmethod
-    def _metrics_key(shard: ProcessShard) -> str:
-        return f"{shard.slot}:{shard.process.pid}"
+            last_known = list(self._last_metrics.values())
+        return merge_snapshots(self.metrics.snapshot(), *last_known)
 
     # ------------------------------------------------------------ lifecycle
     def snapshot(self) -> list[dict[str, Any]]:
@@ -461,11 +584,6 @@ class ShardPool:
             for i, s in enumerate(slots)
         ]
 
-    def _drain_slots(self) -> Iterator[ProcessShard]:
-        with self._lock:
-            slots = [s for s in self._slots if s is not None]
-        yield from slots
-
     def shutdown(self, timeout: float = 10.0) -> None:
         """Stop every shard process (ask nicely, then terminate).
 
@@ -473,35 +591,18 @@ class ShardPool:
         :meth:`metrics_snapshot` keeps reporting the full aggregate
         after the processes are gone (``/metrics`` outlives a drain).
         """
-        for shard in self._drain_slots():
+        with self._lock:
+            shards = [s for s in self._slots if s is not None]
+        for shard in shards:
             if shard.alive:
-                try:
-                    snap = shard.call("metrics", timeout=timeout)
-                except (ShardDied, ShardCallTimeout, RuntimeError):
-                    continue
-                with self._lock:
-                    self._last_metrics[self._metrics_key(shard)] = snap
-        for shard in self._drain_slots():
+                self._refresh_metrics(shard, timeout)
+        for shard in shards:
             shard.stop()
         deadline = time.monotonic() + timeout
-        for shard in self._drain_slots():
+        for shard in shards:
             shard.process.join(timeout=max(0.1, deadline - time.monotonic()))
             if shard.process.is_alive():
                 shard.process.terminate()
                 shard.process.join(timeout=2)
             shard.alive = False
 
-    def __enter__(self) -> "ShardPool":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.shutdown()
-
-
-__all__ = [
-    "ProcessShard",
-    "ShardCallTimeout",
-    "ShardDied",
-    "ShardPool",
-    "document_fingerprint",
-]

@@ -7,8 +7,9 @@ import json
 import pytest
 
 from repro import RheemContext
-from repro.api import PlanDocumentError, RheemService, build_quanta, wsgi_app
+from repro.api import PlanDocumentError, RheemService, build_quanta
 from repro.apps.xdb_sql import SqlError, parse_sql, run_sql, sql_query
+from repro.server import JobServer, make_wsgi_app
 from repro.studio import explain, plan_to_dot, render_ascii
 from conftest import wordcount
 
@@ -111,17 +112,18 @@ class TestRestService:
         return captured["status"], json.loads(b"".join(chunks))
 
     def test_wsgi_roundtrip(self):
-        app = wsgi_app(RheemService(_ctx_with_corpus()))
-        body = json.dumps(WORDCOUNT_DOC).encode()
-        status, payload = self._call(app, body=body)
+        with JobServer(_ctx_with_corpus(), workers=1) as server:
+            body = json.dumps(WORDCOUNT_DOC).encode()
+            status, payload = self._call(make_wsgi_app(server), body=body)
         assert status == "200 OK"
         assert payload["status"] == "ok"
 
     def test_wsgi_rejects_bad_requests(self):
-        app = wsgi_app(RheemService(RheemContext()))
-        status, __ = self._call(app, method="GET")
-        assert status.startswith("404")
-        status, payload = self._call(app, body=b"{not json")
+        with JobServer(RheemContext(), workers=1) as server:
+            app = make_wsgi_app(server)
+            status, __ = self._call(app, method="GET")
+            assert status.startswith("404")
+            status, payload = self._call(app, body=b"{not json")
         assert status.startswith("400")
         assert payload["status"] == "error"
 

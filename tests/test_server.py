@@ -1,11 +1,22 @@
 """Tests for the concurrent job server: admission control, job lifecycle,
 deadlines/cancellation, drain, the WSGI front end — and the regression
-test that a failed job never leaks its tracer onto the shared context."""
+test that a failed job never leaks its tracer onto the shared context.
 
+The serving core is tested in isolation too: the one job-run function
+with a fake service (no server), and ``JobServer`` over a fake shard (no
+context, no process).  The classes that never hold a worker on a
+``threading.Event`` — an event does not cross a process boundary — take
+the ``backend`` fixture: ``REPRO_STRESS_BACKEND`` (``thread`` by default;
+the CI ``stress`` job's process leg sets ``process``) picks the backend,
+as it does for ``test_server_stress.py``."""
+
+import functools
 import io
 import json
+import os
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,7 +24,9 @@ from repro import RheemContext
 from repro.api import RheemService
 from repro.core.executor import JobCancelled
 from repro.server import AdmissionError, JobServer, JobState, make_wsgi_app
-from repro.trace import NO_TRACER
+from repro.server import http as http_module
+from repro.server.shards import SoloPool, run_document
+from repro.trace import NO_TRACER, MetricsRegistry
 
 WORDCOUNT_DOC = {
     "operators": [
@@ -36,6 +49,20 @@ def _ctx(**config):
     ctx = RheemContext(config=config or None)
     ctx.vfs.write("hdfs://srv/x.txt", ["a b", "b"], sim_factor=10.0)
     return ctx
+
+
+@pytest.fixture
+def backend():
+    return os.environ.get("REPRO_STRESS_BACKEND", "thread")
+
+
+def _server(backend, config=None, **kwargs):
+    """A job server over the wordcount corpus on either backend."""
+    factory = functools.partial(_ctx, **(config or {}))
+    if backend == "process":
+        return JobServer(backend="process", context_factory=factory,
+                         **kwargs)
+    return JobServer(factory(), **kwargs)
 
 
 def _wait_until_running(job, timeout=10.0):
@@ -114,8 +141,8 @@ class TestAdmissionControl:
 
 
 class TestJobLifecycle:
-    def test_done_job_status_and_result(self):
-        with JobServer(_ctx(), workers=2) as server:
+    def test_done_job_status_and_result(self, backend):
+        with _server(backend, workers=2) as server:
             job = server.submit(WORDCOUNT_DOC)
             response = server.result(job.job_id, timeout=30)
         assert response["status"] == "ok"
@@ -128,21 +155,21 @@ class TestJobLifecycle:
         assert hist["server.wait_s"]["count"] == 1
         assert hist["server.run_s"]["count"] == 1
 
-    def test_failed_job_state(self):
-        with JobServer(_ctx(), workers=1) as server:
+    def test_failed_job_state(self, backend):
+        with _server(backend, workers=1) as server:
             response = server.submit_sync(BAD_DOC)
         assert response["status"] == "error"
         assert server.metrics.snapshot()["counters"]["server.jobs.failed"] == 1
 
-    def test_unknown_job_id(self):
-        server = JobServer(_ctx(), workers=1)
+    def test_unknown_job_id(self, backend):
+        server = _server(backend, workers=1)
         assert server.status("job-999") is None
         with pytest.raises(KeyError):
             server.result("job-999")
         server.shutdown()
 
-    def test_drain_runs_queued_jobs(self):
-        server = JobServer(_ctx(), workers=1, queue_size=8)
+    def test_drain_runs_queued_jobs(self, backend):
+        server = _server(backend, workers=1, queue_size=8)
         jobs = [server.submit(WORDCOUNT_DOC) for __ in range(5)]
         server.shutdown(drain=True)
         assert all(j.state is JobState.DONE for j in jobs)
@@ -320,8 +347,8 @@ class TestWsgiFrontend:
         chunks = app(environ, start_response)
         return captured["status"], json.loads(b"".join(chunks))
 
-    def test_sync_roundtrip_and_status_codes(self):
-        with JobServer(_ctx(), workers=2) as server:
+    def test_sync_roundtrip_and_status_codes(self, backend):
+        with _server(backend, workers=2) as server:
             app = make_wsgi_app(server)
             body = json.dumps(WORDCOUNT_DOC).encode()
             status, payload = self._call(app, body=body)
@@ -333,8 +360,8 @@ class TestWsgiFrontend:
             status, payload = self._call(app, method="GET", path="/metrics")
             assert status == "200 OK" and "counters" in payload
 
-    def test_async_submit_then_poll(self):
-        with JobServer(_ctx(), workers=2) as server:
+    def test_async_submit_then_poll(self, backend):
+        with _server(backend, workers=2) as server:
             app = make_wsgi_app(server)
             body = json.dumps(WORDCOUNT_DOC).encode()
             status, payload = self._call(app, body=body, qs="mode=async")
@@ -362,9 +389,8 @@ class TestWsgiFrontend:
             gate.set()
             server.shutdown(drain=True)
 
-    def test_shutdown_maps_to_503_and_timeout_to_408(self):
-        ctx = _ctx(stage_wall_s=0.05)
-        server = JobServer(ctx, workers=1)
+    def test_shutdown_maps_to_503_and_timeout_to_408(self, backend):
+        server = _server(backend, {"stage_wall_s": 0.05}, workers=1)
         app = make_wsgi_app(server)
         body = json.dumps(WORDCOUNT_DOC).encode()
         status, payload = self._call(app, body=body, qs="deadline_s=0.001")
@@ -373,3 +399,342 @@ class TestWsgiFrontend:
         server.shutdown(drain=True)
         status, payload = self._call(app, body=body)
         assert status.startswith("503")
+
+    # ---- request parsing never leaks a traceback (each failed on the
+    # parent: AttributeError / ValueError / RecursionError out of the app,
+    # an unbounded read, replies without a ``kind``)
+    def _refused(self, app, code, **call):
+        status, payload = self._call(app, **call)
+        assert status.startswith(str(code)), (status, payload)
+        assert payload["status"] == "error"
+        assert isinstance(payload["kind"], str) and payload["error"]
+        return payload
+
+    @pytest.fixture
+    def app(self):
+        with JobServer(_ctx(), workers=1) as server:
+            yield make_wsgi_app(server)
+
+    @pytest.mark.parametrize("body", [
+        b"[1, 2, 3]", b'"text"', b"null", b"7",
+        b"[" * 100_000,                                   # RecursionError
+        b"{broken", b""])
+    def test_body_that_is_not_a_json_object_is_a_400(self, app, body):
+        assert "bad JSON" in self._refused(app, 400, body=body)["error"]
+
+    def test_nesting_the_parser_survives_but_admission_does_not(self):
+        # A few levels short of the parser's limit the body parses, and
+        # the process backend's routing fingerprint (json.dumps, two
+        # frames further down) is what runs out of stack.
+        def too_deep(document):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        with JobServer(_ctx(), workers=1) as server:
+            server._shards.fingerprint = too_deep
+            payload = self._refused(make_wsgi_app(server), 400,
+                                    body=json.dumps(WORDCOUNT_DOC).encode())
+        assert "bad JSON" in payload["error"]
+
+    @pytest.mark.parametrize("envelope", [
+        {"priority": "high"}, {"priority": [1]}, {"priority": None},
+        {"priority": 1.5}, {"tenant": 7}, {"tenant": ["a"]}])
+    def test_envelope_field_of_the_wrong_type_is_a_400(self, app, envelope):
+        body = json.dumps({**WORDCOUNT_DOC, **envelope}).encode()
+        error = self._refused(app, 400, body=body)["error"]
+        assert error == f"bad {next(iter(envelope))}"
+        # The query string wins over the document, so it can repair it.
+        status, __ = self._call(app, body=body, qs="tenant=t&priority=2")
+        assert status == "200 OK"
+
+    def test_bad_query_values_carry_a_kind(self, app):
+        body = json.dumps(WORDCOUNT_DOC).encode()
+        for qs in ("deadline_s=soon", "priority=high"):
+            error = self._refused(app, 400, body=body, qs=qs)["error"]
+            assert error == "bad " + qs.split("=")[0]
+
+    def test_oversized_body_is_a_413_and_is_never_read(self, app):
+        class Unreadable:
+            def read(self, size=-1):
+                raise AssertionError("the body must not be read")
+
+        captured = {}
+        environ = {"REQUEST_METHOD": "POST", "PATH_INFO": "/jobs",
+                   "CONTENT_LENGTH": str(http_module.MAX_BODY_BYTES + 1),
+                   "wsgi.input": Unreadable()}
+        chunks = app(environ, lambda status, headers: captured.update(
+            status=status))
+        payload = json.loads(b"".join(chunks))
+        assert captured["status"].startswith("413")
+        assert payload["status"] == "error"
+        assert payload["kind"] == "PayloadTooLarge"
+
+    def test_content_length_bounds_the_read(self, app):
+        body = json.dumps(WORDCOUNT_DOC).encode()
+        seen = []
+
+        class Counting(io.BytesIO):
+            def read(self, size=-1):
+                seen.append(size)
+                return super().read(size)
+
+        for length, code in ((str(len(body)), "200"), ("-1", "400")):
+            captured = {}
+            environ = {"REQUEST_METHOD": "POST", "PATH_INFO": "/jobs",
+                       "CONTENT_LENGTH": length,
+                       "wsgi.input": Counting(body)}
+            app(environ, lambda status, headers: captured.update(
+                status=status))
+            assert captured["status"].startswith(code)
+        assert seen == [len(body), 0]   # never read(-1): that is unbounded
+
+
+class _FakeService:
+    """Stands in for ``RheemService``: ``submit`` is the given callable."""
+
+    def __init__(self, behaviour):
+        self.behaviour = behaviour
+        self.calls = []
+
+    def submit(self, document, tracer=None, cancel_check=None,
+               observations=False):
+        self.calls.append((document, tracer, observations))
+        return self.behaviour(cancel_check)
+
+
+class TestRunDocument:
+    """The one job path, alone: no server, no context."""
+
+    def test_deadline_already_past_never_reaches_the_service(self):
+        service = _FakeService(lambda check: {"status": "ok"})
+        response = run_document(service, "job-7", {}, -0.5, NO_TRACER)
+        assert response == {"status": "error", "kind": "Timeout",
+                            "error": "job-7 exceeded its deadline",
+                            "job_id": "job-7"}
+        assert service.calls == []
+
+    def test_cancellation_mid_run_is_a_timeout(self):
+        def behaviour(cancel_check):
+            cancel_check()              # still inside the budget
+            time.sleep(0.03)
+            cancel_check()              # the next stage boundary: too late
+            raise AssertionError("the job ran past its deadline")
+
+        response = run_document(_FakeService(behaviour), "job-1", {}, 0.02,
+                                NO_TRACER)
+        assert response["kind"] == "Timeout"
+        assert response["job_id"] == "job-1"
+
+        def cancelled(cancel_check):
+            raise JobCancelled("by someone else's clock")
+
+        response = run_document(_FakeService(cancelled), "job-2", {}, None,
+                                NO_TRACER)
+        assert (response["kind"], response["error"]) == (
+            "Timeout", "by someone else's clock")
+
+    def test_unexpected_exception_is_a_structured_error(self):
+        response = run_document(_FakeService(lambda check: 1 // 0), "job-3",
+                                {}, 60.0, NO_TRACER)
+        assert response == {"status": "error", "kind": "ZeroDivisionError",
+                            "error": "integer division or modulo by zero",
+                            "job_id": "job-3"}
+
+    @pytest.mark.parametrize("observe", [False, True])
+    def test_ok_passes_through(self, observe):
+        reply = {"status": "ok", "output": [1]}
+        if observe:
+            reply["calibration_observations"] = [{"stage": 0}]
+
+        def behaviour(cancel_check):
+            cancel_check()              # no deadline: never raises
+            return reply
+
+        service = _FakeService(behaviour)
+        document, tracer = {"operators": []}, object()
+        assert run_document(service, "job-4", document, None, tracer,
+                            observe) is reply
+        assert service.calls == [(document, tracer, observe)]
+
+
+class _FakeShard:
+    """Records calls; answers each document with its ``reply`` entry.
+
+    A document with ``"hold": True`` blocks in ``run_job`` until
+    ``gate`` is set — the fake's way of keeping a worker busy."""
+
+    slot = None
+
+    def __init__(self):
+        self.calls = []
+        self.published = []
+        self.stopped = False
+        self.gate = threading.Event()
+
+    def run_job(self, job_id, document, remaining_s, tracer, observe=False):
+        self.calls.append(SimpleNamespace(
+            job_id=job_id, document=document, remaining_s=remaining_s,
+            tracer=tracer, observe=observe))
+        if document.get("hold"):
+            assert self.gate.wait(10)
+        if document.get("raise"):
+            raise RuntimeError(document["raise"])
+        return dict(document.get("reply", {"status": "ok"}))
+
+    def publish(self, params):
+        self.published.append(params)
+
+    def metrics(self):
+        return {"counters": {"fake": 1}, "gauges": {}, "histograms": {}}
+
+    def stop(self):
+        self.stopped = True
+
+    def job_ids(self):
+        return [call.job_id for call in self.calls]
+
+
+class TestServerOverFakeShard:
+    """Admission, dispatch and accounting need no context and no process:
+    the server only ever sees the shard surface."""
+
+    @pytest.fixture
+    def shard(self):
+        return _FakeShard()
+
+    @pytest.fixture
+    def make_server(self, shard):
+        servers = []
+
+        def make(**kwargs):
+            stub = SimpleNamespace(config={}, metrics=MetricsRegistry())
+            server = JobServer(stub, **kwargs)
+            server._shards = SoloPool(shard)
+            servers.append(server)
+            return server
+
+        yield make
+        shard.gate.set()
+        for server in servers:
+            server.shutdown()
+
+    def _wait_for_calls(self, shard, count):
+        deadline = time.monotonic() + 10
+        while len(shard.calls) < count:
+            assert time.monotonic() < deadline, shard.job_ids()
+            time.sleep(0.001)
+
+    def test_admission_bound_and_rejection(self, shard, make_server):
+        server = make_server(workers=1, queue_size=1)
+        held = [server.submit({"hold": True}) for __ in range(2)]
+        rejected = server.submit({})
+        assert rejected.state is JobState.REJECTED
+        assert rejected.response["code"] == 429
+        assert rejected.response["queue_depth"] + \
+            rejected.response["in_flight"] == 2
+        assert server.status(rejected.job_id) is None
+        shard.gate.set()
+        assert [server.result(j.job_id, 10)["status"] for j in held] == \
+            ["ok", "ok"]
+        assert shard.job_ids() == [j.job_id for j in held]
+
+    def test_pick_order_is_priority_then_fifo(self, shard, make_server):
+        server = make_server(workers=1, queue_size=8)
+        blocker = server.submit({"hold": True})
+        self._wait_for_calls(shard, 1)
+        low = [server.submit({}, priority=0) for __ in range(3)]
+        high = server.submit({"priority": 5})      # the document's own
+        shard.gate.set()
+        for job in (blocker, high, *low):
+            server.result(job.job_id, 10)
+        assert shard.job_ids() == [
+            j.job_id for j in (blocker, high, *low)]
+
+    def test_tenant_quota_skips_but_never_rejects(self, shard, make_server):
+        server = make_server(workers=2, queue_size=8, tenant_quota=1)
+        a_jobs = [server.submit({"hold": True}, tenant="a")
+                  for __ in range(3)]
+        b_job = server.submit({"hold": True, "tenant": "b"})
+        self._wait_for_calls(shard, 2)
+        # One of a's at a time, although a worker was idle; b overtook.
+        assert sorted(shard.job_ids()) == sorted(
+            [a_jobs[0].job_id, b_job.job_id])
+        assert server.snapshot()["tenants_running"] == {"a": 1, "b": 1}
+        assert a_jobs[1].state is JobState.QUEUED
+        shard.gate.set()
+        for job in (*a_jobs, b_job):
+            assert server.result(job.job_id, 10)["status"] == "ok"
+        assert server.snapshot()["tenants_running"] == {}
+
+    def test_outcomes_map_to_states_and_counters(self, shard, make_server):
+        server = make_server(workers=1)
+        replies = {
+            "done": {"status": "ok", "output": [],
+                     "calibration_observations": [{"stage": 0}]},
+            "failed": {"status": "error", "kind": "PlanDocumentError"},
+            "timeout": {"status": "error", "kind": "Timeout"},
+        }
+        for state, reply in replies.items():
+            job = server.submit({"reply": reply})
+            response = server.result(job.job_id, 10)
+            assert job.state.value == state
+            # Observations are the calibrator's, never the client's.
+            reply.pop("calibration_observations", None)
+            assert response == reply
+        crashed = server.submit({"raise": "the pool itself failed"})
+        assert server.result(crashed.job_id, 10) == {
+            "status": "error", "kind": "RuntimeError",
+            "error": "the pool itself failed", "job_id": crashed.job_id}
+        counters = server.metrics.snapshot()["counters"]
+        assert (counters["server.jobs.done"], counters["server.jobs.failed"],
+                counters["server.jobs.timeout"]) == (1, 2, 1)
+        assert server.snapshot()["in_flight"] == 0   # the worker survived
+
+    def test_what_a_shard_is_told(self, shard, make_server):
+        server = make_server(workers=1, default_deadline_s=30.0,
+                             tracing=False)
+        job = server.submit({"n": 1})
+        server.result(job.job_id, 10)
+        call = shard.calls[0]
+        assert call.job_id == job.job_id and call.document == {"n": 1}
+        assert 29.0 < call.remaining_s <= 30.0
+        assert call.tracer is NO_TRACER and call.observe is False
+        assert (job.fingerprint, job.shard_slot) == (None, None)
+        # The out-of-band calls delegate to the same surface.
+        assert server.warm({"n": 2}) == [{"status": "ok"}]
+        warm = shard.calls[1]
+        assert (warm.job_id, warm.remaining_s, warm.tracer) == (
+            "warmup", None, NO_TRACER)
+        assert server.publish_cost_params({"p": 1}) == 1
+        assert shard.published == [{"p": 1}]
+        assert server.metrics_snapshot()["counters"] == {"fake": 1}
+        assert "shards" not in server.snapshot()
+        server.shutdown()
+        assert shard.stopped
+
+    def test_service_time_ewma_feeds_retry_after(self, shard, make_server):
+        server = make_server(workers=1, queue_size=0)
+        first = server.submit({})
+        server.result(first.job_id, 10)
+        second = server.submit({})
+        server.result(second.job_id, 10)
+        assert server._run_ewma == pytest.approx(
+            0.8 * first.run_s + 0.2 * second.run_s)
+        server.submit({"hold": True})
+        self._wait_for_calls(shard, 3)
+        rejected = server.submit({})
+        assert rejected.response["retry_after_s"] == round(
+            max(0.1, server._run_ewma * 2 / 1), 3)
+
+    def test_terminal_jobs_are_evicted_oldest_first(self, shard, make_server,
+                                                    monkeypatch):
+        from repro.server import server as server_module
+        monkeypatch.setattr(server_module, "MAX_TERMINAL_JOBS", 4)
+        server = make_server(workers=1)
+        ids = []
+        for __ in range(10):
+            job = server.submit({})
+            server.result(job.job_id, 10)
+            ids.append(job.job_id)
+        assert server.snapshot()["states"] == {"done": 4}
+        assert [server.status(i) is None for i in ids] == \
+            [True] * 6 + [False] * 4

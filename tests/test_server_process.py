@@ -227,6 +227,55 @@ class TestShardFailure:
         finally:
             server.shutdown()
 
+    def test_hard_deadline_kills_a_stage_that_never_ends(self):
+        # One stage, 60 s long: no stage boundary for the cooperative
+        # check to fire at, so only the parent process can end it (with
+        # cooperative deadlines alone the job answered ``done`` after
+        # the full sleep and held its shard throughout).
+        server = JobServer(workers=1, backend="process", queue_size=4,
+                           tracing=False)
+        try:
+            assert server.submit_sync(_doc(1), timeout=60)["status"] == "ok"
+            started = time.monotonic()
+            hanging = server.submit(HANG_DOC, deadline_s=0.3)
+            response = server.result(hanging.job_id, timeout=30)
+            assert time.monotonic() - started < 10
+            assert hanging.state is JobState.TIMEOUT
+            assert response["status"] == "error"
+            assert response["kind"] == "Timeout"      # HTTP 408
+            assert response["job_id"] == hanging.job_id
+            occupancy = server.snapshot()
+            assert occupancy["in_flight"] == 0
+            assert occupancy["shards"][0]["inflight"] == 0
+            counters = server.metrics.snapshot()["counters"]
+            assert counters["server.shards.died"] == 1
+            assert counters["server.jobs.timeout"] == 1
+            # The slot was respawned: the next job lands on it and runs.
+            job = server.submit(_doc(2))
+            assert server.result(job.job_id, timeout=60)["status"] == "ok"
+            assert job.shard_slot == hanging.shard_slot == 0
+        finally:
+            server.shutdown()
+
+    def test_cooperative_cancellation_goes_first(self):
+        # Stage boundaries every 50 ms: the worker notices the deadline
+        # itself, well inside the grace period, and keeps its process.
+        server = JobServer(
+            workers=1, backend="process", tracing=False,
+            context_factory=lambda: RheemContext(
+                config={"stage_wall_s": 0.05}))
+        try:
+            job = server.submit(_doc(3), deadline_s=0.001)
+            assert server.result(job.job_id, timeout=30)["kind"] == "Timeout"
+            assert job.state is JobState.TIMEOUT
+            pid = server.snapshot()["shards"][0]["pid"]
+            assert server.submit_sync(_doc(4), timeout=60)["status"] == "ok"
+            assert server.snapshot()["shards"][0]["pid"] == pid
+            assert "server.shards.died" not in \
+                server.metrics.snapshot()["counters"]
+        finally:
+            server.shutdown()
+
     def test_pool_raises_when_no_shards_left(self):
         pool = ShardPool(RheemContext, shards=1, respawn=False)
         try:
