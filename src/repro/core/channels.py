@@ -15,8 +15,8 @@ Adding a platform only requires conversions to/from ONE existing channel;
 the graph supplies the rest.  This is the paper's O(n) vs O(n*m)
 extensibility argument, exercised by an ablation benchmark.
 
-Because the optimizer asks for conversion paths thousands of times per
-enumeration (once per candidate edge wiring), the graph memoizes its
+Because every enumeration, on every thread, asks for conversion paths
+(once per distinct channel pair and producer), the graph memoizes its
 searches: path *structure* is cached per ``(source, target, volume band)``
 — where a band is a quarter-octave of the simulated data volume — while
 costs are always recomputed exactly for the requested volume.  One full

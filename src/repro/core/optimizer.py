@@ -24,8 +24,9 @@ at ``iterations x body cost`` plus per-iteration feedback conversion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from ..platforms.base import ExecutionOperator
 from ..trace import NO_TRACER, MetricsRegistry
@@ -145,6 +146,24 @@ class LoopDecision:
 
 
 Decision = ExecutionAlternative | ChannelSourceDecision | LoopDecision
+
+#: One ``pick_best`` call's conversion table: (have, want, producer id) ->
+#: path, ``None`` when unreachable.  Lives on that call's stack only.
+PathTable = dict[tuple[str, str, int], ConversionPath | None]
+
+
+class _Prepared(NamedTuple):
+    """What :meth:`Optimizer._prepare` derives from an option alone."""
+
+    option: Decision
+    wants: tuple[ChannelDescriptor, ...]  # per data input, then side input
+    out_desc: ChannelDescriptor
+    platforms: frozenset[str]
+    platform: str | None  # the stage's; None for loops and placeholders
+    lower: float  # the option's own cost interval, objective-weighted
+    upper: float
+    confidence: float
+    overhead: float  # stage dispatch, charged when no input is co-located
 
 
 class PartialPlan:
@@ -284,7 +303,7 @@ class Optimizer:
         #: Per-phase counters of the last :meth:`pick_best` run.
         self.stats: dict[str, int] = dict.fromkeys(
             ("plans_enumerated", "plans_pruned", "conversion_paths_solved",
-             "plans_beam_dropped"), 0)
+             "conversion_paths_distinct", "plans_beam_dropped"), 0)
 
     # ----------------------------------------------------------- public API
     def optimize(self, plan: RheemPlan) -> ExecutionPlan:
@@ -310,6 +329,8 @@ class Optimizer:
         happened.
         """
         self.stats = dict.fromkeys(self.stats, 0)
+        self.last_enumeration_size = 0
+        paths: PathTable = {}
         with self.tracer.span("optimizer.analyze"):
             report = self._analyze(plan)
         with self.tracer.span("optimizer.estimate") as estimate_span:
@@ -331,7 +352,7 @@ class Optimizer:
 
         def alternatives(op: Operator):
             if isinstance(op, LoopOperator):
-                return self._loop_decisions(op, cards, bprs)
+                return self._loop_decisions(op, cards, bprs, paths)
             return self._filter_alternatives(op, inflated.alternatives_for(op))
 
         enum_ops: Sequence[Operator] = ops
@@ -349,9 +370,8 @@ class Optimizer:
         with self.tracer.span("optimizer.enumerate") as enumerate_span:
             try:
                 results = self._enumerate_ops(enum_ops, cards, bprs,
-                                              enum_alts,
-                                              phantom_open=set(),
-                                              include_startup=True)
+                                              enum_alts, paths,
+                                              phantom_open=set())
             except OptimizationError:
                 if enum_ops is ops:
                     raise
@@ -364,8 +384,7 @@ class Optimizer:
                 assert reuse is not None
                 reuse.roots.clear()
                 results = self._enumerate_ops(ops, cards, bprs, alternatives,
-                                              phantom_open=set(),
-                                              include_startup=True)
+                                              paths, phantom_open=set())
             for key, value in self.stats.items():
                 enumerate_span.set(key, value)
                 self.metrics.counter(f"optimizer.{key}").inc(value)
@@ -552,8 +571,10 @@ class Optimizer:
                 if "broadcast" not in d.name]
 
     # --------------------------------------------------------------- loops
-    def _loop_decisions(self, loop: LoopOperator, cards,
-                        bprs) -> list[LoopDecision]:
+    def _loop_decisions(self, loop: LoopOperator,
+                        cards: dict[int, CardinalityEstimate],
+                        bprs: dict[int, float],
+                        paths: PathTable) -> list[LoopDecision]:
         body_ops = loop.body.operators()
         output_op = loop.body.outputs[0].op
         phantom = {inp.id for inp in loop.body.inputs}
@@ -570,7 +591,7 @@ class Optimizer:
                     descs = [d for d in descs if d.reusable]
                 return [ChannelSourceDecision(d) for d in descs]
             if isinstance(op, LoopOperator):
-                return self._loop_decisions(op, cards, body_bprs)
+                return self._loop_decisions(op, cards, body_bprs, paths)
             return self._filter_alternatives(
                 op, self.registry.alternatives_for(op))
 
@@ -578,22 +599,19 @@ class Optimizer:
         # cost (which gets multiplied by the iteration count); the outer
         # enumeration charges it when the loop's platform set first appears.
         results = self._enumerate_ops(body_ops, cards, body_bprs,
-                                      body_alternatives,
+                                      body_alternatives, paths,
                                       phantom_open=phantom,
                                       include_startup=False)
 
         iterations = loop.expected_iterations()
-        card_out = cards[output_op.id]
         decisions: list[LoopDecision] = []
         for partial in results:
             input_descs = [
                 partial.open_channels[inp.id] for inp in loop.body.inputs]
             out_desc = partial.open_channels[output_op.id]
-            try:
-                feedback = self.graph.cheapest_path(
-                    out_desc, input_descs[0], card_out.geometric_mean,
-                    body_bprs[output_op.id])
-            except ChannelConversionError:
+            feedback = self._path(paths, out_desc, input_descs[0],
+                                  output_op.id, cards, body_bprs)
+            if feedback is None:
                 continue
             cost = partial.cost.times(iterations).plus(
                 CostEstimate.fixed(feedback.cost * iterations))
@@ -617,6 +635,7 @@ class Optimizer:
         cards: dict[int, CardinalityEstimate],
         bprs: dict[int, float],
         alternatives: Callable[[Operator], list],
+        paths: PathTable,
         phantom_open: set[int],
         include_startup: bool = True,
     ) -> list[PartialPlan]:
@@ -643,7 +662,9 @@ class Optimizer:
         consumer_counts = self._consumer_counts(ops)
         remaining = dict(consumer_counts)
         frontier: list[PartialPlan] = [PartialPlan()]
-        self.last_enumeration_size = 1
+        # A loop body is enumerated from inside the outer loop below, so
+        # the size is summed locally and added once (never reset here).
+        size = 1
         # Signature tuples recur across every operator step; interning them
         # makes the dict probes below mostly pointer comparisons.
         intern: dict[tuple, tuple] = {}
@@ -662,34 +683,17 @@ class Optimizer:
             keep_open = (consumer_counts.get(op.id, 0) > 0
                          or op.id in phantom_open)
 
-            # With pruning on, dominated candidates are dropped before a
-            # PartialPlan is even constructed (_apply_decision consults
-            # best_by_key); only per-signature winners ever materialize.
-            best_by_key: dict[tuple, PartialPlan] | None = \
-                {} if self.prune else None
-            candidates: list[PartialPlan] = []
-            for partial in frontier:
-                for option in options:
-                    extended = self._apply_decision(
-                        op, option, partial, cards, bprs, to_close,
-                        keep_open, include_startup, best_by_key, intern)
-                    if extended is not None and best_by_key is None:
-                        candidates.append(extended)
-            if best_by_key is not None:
-                if not best_by_key:
-                    raise OptimizationError(
-                        f"no executable plan at operator {op}")
-                frontier = list(best_by_key.values())
-                if beam is not None and len(frontier) > beam:
-                    frontier.sort(key=self._beam_rank)
-                    self.stats["plans_beam_dropped"] += len(frontier) - beam
-                    del frontier[beam:]
-            else:
-                if not candidates:
-                    raise OptimizationError(
-                        f"no executable plan at operator {op}")
-                frontier = candidates
-            self.last_enumeration_size += len(frontier)
+            frontier = self._extend(op, options, frontier, cards, bprs,
+                                    to_close, keep_open, include_startup,
+                                    paths, intern)
+            if not frontier:
+                raise OptimizationError(f"no executable plan at operator {op}")
+            if beam is not None and len(frontier) > beam:
+                frontier.sort(key=self._beam_rank)
+                self.stats["plans_beam_dropped"] += len(frontier) - beam
+                del frontier[beam:]
+            size += len(frontier)
+        self.last_enumeration_size += size
         return frontier
 
     @staticmethod
@@ -711,179 +715,222 @@ class Optimizer:
                     counts[ref.op.id] += 1
         return counts
 
-    def _apply_decision(
+    def _extend(
         self,
         op: Operator,
-        option: Decision,
-        partial: PartialPlan,
+        options: list[Decision],
+        frontier: list[PartialPlan],
         cards: dict[int, CardinalityEstimate],
         bprs: dict[int, float],
         to_close: set[int],
         keep_open: bool,
         include_startup: bool,
-        best_by_key: dict[tuple, PartialPlan] | None = None,
-        intern: dict[tuple, tuple] | None = None,
-    ) -> PartialPlan | None:
-        """Extend ``partial`` with ``option`` for ``op``.
+        paths: PathTable,
+        intern: dict[tuple, tuple],
+    ) -> list[PartialPlan]:
+        """One DP step: every frontier plan x every option of ``op``.
 
-        When ``best_by_key`` is given (pruning enabled), the candidate is
-        checked against the per-signature incumbent *before* any
-        ``PartialPlan`` is built; dominated candidates cost only a tuple
-        sort.  Survivors are registered in ``best_by_key`` and returned.
+        Nothing is derived more often than it can change: what depends on
+        the option alone is prepared once (:meth:`_prepare`), a conversion
+        once per (channel pair, producer) of the enumeration (``paths``),
+        the first-touch start-up terms once per (started, option) platform
+        sets, the copy-on-write open channels and their signature half
+        once per (plan, output channel).  A candidate then costs float
+        additions in a fixed operand order (conversions by slot, broadcast
+        conversions, operator, start-ups, stage dispatch — never pre-summed,
+        so totals are bit-for-bit those of chained ``CostEstimate.plus``),
+        one signature probe and the incumbent comparison; only survivors
+        become a validated ``CostEstimate`` and a ``PartialPlan``.  With
+        pruning on, first-seen wins ties: an incumbent is replaced only by
+        a strictly cheaper plan, so cache-on/off runs tie-break alike.
         """
-        cost = partial.cost
-        platforms = partial.platforms
-        open_channels = partial.open_channels
-        conv_delta: list[tuple[tuple[int, int, int], ConversionPath]] = []
+        prepared = [p for p in (self._prepare(op, option, cards, bprs)
+                                for option in options) if p is not None]
+        op_id, prune = op.id, self.prune
+        # Data inputs by slot, then broadcast side inputs (negative slots).
+        edges = [(slot, ref.op.id) for slot, ref in enumerate(op.inputs)]
+        edges += [(-(slot + 1), ref.op.id)
+                  for slot, ref in enumerate(op.side_inputs)]
+        best: dict[tuple, PartialPlan] = {}
+        unpruned: list[PartialPlan] = []
+        # started platforms -> option platforms -> (start-ups, union)
+        touch: dict[frozenset[str], dict[
+            frozenset[str], tuple[tuple[float, ...], frozenset[str]]]] = {}
+        enumerated = pruned = wirings = 0
+        for partial in frontier:
+            base, open_channels = partial.cost, partial.open_channels
+            touched = touch.setdefault(partial.platforms, {})
+            haves = [(slot, producer, open_channels.get(producer))
+                     for slot, producer in edges]
+            outs: dict[str, tuple[dict[int, ChannelDescriptor], tuple]] = {}
+            for (option, wants, out_desc, option_platforms, platform,
+                 cost_lower, cost_upper, confidence, overhead) in prepared:
+                lower, upper = base.lower, base.upper
+                conv_delta = []
+                # Stage dispatch: a new stage starts when no data input
+                # arrives from the same platform (the executor's stage cut).
+                new_stage = platform is not None
+                for (slot, producer, have), want in zip(haves, wants):
+                    if have is None:
+                        break  # producer outside this enumeration scope
+                    if slot >= 0 and have.platform == platform:
+                        new_stage = False
+                    if have.name != want.name:
+                        wirings += 1
+                        try:
+                            path = paths[have.name, want.name, producer]
+                        except KeyError:
+                            path = self._path(paths, have, want, producer,
+                                              cards, bprs)
+                        if path is None:
+                            break  # unreachable channel
+                        conv_delta.append(((producer, op_id, slot), path))
+                        lower += path.cost
+                        upper += path.cost
+                else:  # every input is wired
+                    lower += cost_lower
+                    upper += cost_upper
+                    # Platform start-up: first touch of each platform, in
+                    # name order (a sum must not depend on set order).
+                    started = touched.get(option_platforms)
+                    if started is None:
+                        fresh = sorted(option_platforms - partial.platforms)
+                        started = touched[option_platforms] = (
+                            tuple(CostEstimate.fixed(
+                                self.cost_model.platform_startup(p)
+                                * self.objective.weight(p)).lower
+                                for p in fresh) if include_startup else (),
+                            partial.platforms | option_platforms)
+                    for startup in started[0]:
+                        lower += startup
+                        upper += startup
+                    if new_stage:
+                        lower += overhead
+                        upper += overhead
+                    # Channel bookkeeping — copy-on-write: share the parent's
+                    # dict when ``op`` neither closes nor opens a channel.
+                    opened = outs.get(out_desc.name)
+                    if opened is None:
+                        channels = open_channels
+                        if to_close or keep_open:
+                            channels = dict(open_channels)
+                            for pid in to_close:
+                                channels.pop(pid, None)
+                            if keep_open:
+                                channels[op_id] = out_desc
+                        open_sig = tuple(sorted(
+                            (i, desc.name) for i, desc in channels.items()))
+                        opened = outs[out_desc.name] = (
+                            channels, intern.setdefault(open_sig, open_sig))
+                    enumerated += 1
+                    sig = (opened[1], started[1])
+                    if prune:
+                        # CostEstimate.geometric_mean, on the bare floats.
+                        gm = ((lower + upper) / 2 if lower <= 0
+                              else math.sqrt(lower * upper))
+                        incumbent = best.get(sig)
+                        if incumbent is not None:
+                            pruned += 1  # this candidate or the incumbent
+                            if incumbent.gm <= gm:
+                                continue
+                    extended = PartialPlan(
+                        cost=CostEstimate(lower, upper,
+                                          min(base.confidence, confidence)),
+                        open_channels=opened[0],
+                        platforms=started[1],
+                        parent=partial,
+                        decision_delta=(op_id, option),
+                        conversion_delta=tuple(conv_delta),
+                    )
+                    extended._signature = sig
+                    if prune:
+                        best[sig] = extended
+                    else:
+                        unpruned.append(extended)
+        self.stats["plans_enumerated"] += enumerated
+        self.stats["plans_pruned"] += pruned
+        self.stats["conversion_paths_solved"] += wirings
+        return list(best.values()) if prune else unpruned
 
+    def _prepare(self, op: Operator, option: Decision,
+                 cards: dict[int, CardinalityEstimate],
+                 bprs: dict[int, float]) -> _Prepared | None:
+        """Everything about ``option`` that no partial plan can change.
+
+        ``None`` drops the option for every plan (memory-infeasible, or no
+        broadcast channel for a side input).  Cost operands are validated
+        here, once, as ``CostEstimate``s.
+        """
         if isinstance(option, ChannelSourceDecision):
-            out_desc = option.descriptor
+            return _Prepared(option, (), option.descriptor, frozenset(), None,
+                             0.0, 0.0, 1.0, 0.0)
+        platform: str | None = None
+        bcast_desc: ChannelDescriptor | None = None
+        overhead = 0.0
+        if isinstance(option, LoopDecision):
+            in_descs = option.input_descriptors
+            out_desc = option.output_descriptor
+            option_platforms = option.platforms
+            cost = option.cost
         else:
-            if isinstance(option, LoopDecision):
-                in_descs = option.input_descriptors
-                out_desc = option.output_descriptor
-                option_platforms = option.platforms
-                option_cost = option.cost
-                bcast_desc = None
-            else:
-                in_descs = option.input_descriptors()
-                out_desc = option.output_descriptor()
-                option_platforms = frozenset({option.platform})
-                cins = [cards[ref.op.id] for ref in op.inputs]
-                bytes_in = (bprs.get(op.inputs[0].op.id,
-                                     PLANNING_BYTES_PER_RECORD)
-                            if op.inputs else PLANNING_BYTES_PER_RECORD)
-                bytes_out = bprs.get(op.id, PLANNING_BYTES_PER_RECORD)
-                # Memory feasibility: never plan onto a platform that cannot
-                # hold the operator's estimated footprint (pessimistically,
-                # on the upper cardinality bounds).  An explicit user pin
-                # overrides the check — and may fail at runtime, like the
-                # paper's killed JGraph runs.
-                cap = self.cost_model.cluster.profile(
-                    option.platform).memory_cap_mb
-                demand = max(
-                    o.memory_demand_mb([c.upper for c in cins],
-                                       cards[op.id].upper,
-                                       bytes_in, bytes_out)
-                    for o in option.ops)
-                if demand > cap and op.target_platform is None:
-                    return None
-                option_cost = option.cost(
-                    self.cost_model, cins, cards[op.id], bytes_in,
-                    bytes_out).times(self.objective.weight(option.platform))
-                bcast_desc = option.broadcast_descriptor()
-
-            # Wire data inputs, inserting conversions where channels differ.
-            same_platform_input = False
-            for slot, ref in enumerate(op.inputs):
-                have = open_channels.get(ref.op.id)
-                if have is None:
-                    return None  # producer outside this enumeration scope
-                want = in_descs[slot]
-                if (not isinstance(option, LoopDecision)
-                        and have.platform == option.platform):
-                    same_platform_input = True
-                path = self._conversion(have, want, cards[ref.op.id],
-                                        bprs.get(ref.op.id,
-                                                 PLANNING_BYTES_PER_RECORD))
-                if path is None:
-                    return None
-                if path.steps:
-                    conv_delta.append(((ref.op.id, op.id, slot), path))
-                    cost = cost.plus(CostEstimate.fixed(path.cost))
-
-            # Broadcast side inputs.
-            for slot, ref in enumerate(op.side_inputs):
-                have = open_channels.get(ref.op.id)
-                if have is None or bcast_desc is None:
-                    return None
-                path = self._conversion(have, bcast_desc, cards[ref.op.id],
-                                        bprs.get(ref.op.id,
-                                                 PLANNING_BYTES_PER_RECORD))
-                if path is None:
-                    return None
-                if path.steps:
-                    conv_delta.append(((ref.op.id, op.id, -(slot + 1)), path))
-                    cost = cost.plus(CostEstimate.fixed(path.cost))
-
-            cost = cost.plus(option_cost)
-
-            # Platform start-up: first touch of each platform in the job.
-            if include_startup:
-                for platform in option_platforms - platforms:
-                    cost = cost.plus(CostEstimate.fixed(
-                        self.cost_model.platform_startup(platform)
-                        * self.objective.weight(platform)))
-            platforms = platforms | option_platforms
-
-            # Stage dispatch: a new stage starts when no input arrives from
-            # the same platform (approximates the executor's stage cut).
-            if not isinstance(option, LoopDecision) and not same_platform_input:
-                profile = self.cost_model.cluster.profile(option.platform)
-                fraction = max(o.tasks_fraction(profile) for o in option.ops)
-                cost = cost.plus(CostEstimate.fixed(
-                    profile.stage_overhead_s * fraction
-                    * self.objective.weight(option.platform)))
-
-        # Channel bookkeeping — copy-on-write: share the parent's dict when
-        # this operator neither closes nor opens a boundary channel.
-        if to_close or keep_open:
-            open_channels = dict(open_channels)
-            for pid in to_close:
-                open_channels.pop(pid, None)
-            if keep_open:
-                open_channels[op.id] = out_desc
-
-        self.stats["plans_enumerated"] += 1
-
-        if best_by_key is not None:
-            open_sig = tuple(sorted(
-                (op_id, desc.name)
-                for op_id, desc in open_channels.items()))
-            sig = (open_sig, platforms)
-            if intern is not None:
-                sig = intern.setdefault(sig, sig)
-            incumbent = best_by_key.get(sig)
-            gm = cost.geometric_mean
-            # First-seen wins ties: replace only on a strictly lower cost,
-            # so cache-on/off runs break ties identically (determinism).
-            if incumbent is not None and incumbent.gm <= gm:
-                self.stats["plans_pruned"] += 1
+            platform = option.platform
+            in_descs = option.input_descriptors()
+            out_desc = option.output_descriptor()
+            option_platforms = frozenset({platform})
+            cins = [cards[ref.op.id] for ref in op.inputs]
+            bytes_in = (bprs.get(op.inputs[0].op.id, PLANNING_BYTES_PER_RECORD)
+                        if op.inputs else PLANNING_BYTES_PER_RECORD)
+            bytes_out = bprs.get(op.id, PLANNING_BYTES_PER_RECORD)
+            # Memory feasibility: never plan onto a platform that cannot
+            # hold the operator's estimated footprint (pessimistically, on
+            # the upper cardinality bounds).  An explicit user pin overrides
+            # the check — and may fail at runtime, like the paper's killed
+            # JGraph runs.
+            profile = self.cost_model.cluster.profile(platform)
+            demand = max(
+                o.memory_demand_mb([c.upper for c in cins], cards[op.id].upper,
+                                   bytes_in, bytes_out)
+                for o in option.ops)
+            if demand > profile.memory_cap_mb and op.target_platform is None:
                 return None
-            extended = PartialPlan(
-                cost=cost,
-                open_channels=open_channels,
-                platforms=platforms,
-                parent=partial,
-                decision_delta=(op.id, option),
-                conversion_delta=tuple(conv_delta),
-            )
-            extended._signature = sig
-            if incumbent is not None:
-                self.stats["plans_pruned"] += 1
-            best_by_key[sig] = extended
-            return extended
+            weight = self.objective.weight(platform)
+            cost = option.cost(self.cost_model, cins, cards[op.id], bytes_in,
+                               bytes_out).times(weight)
+            overhead = CostEstimate.fixed(
+                profile.stage_overhead_s
+                * max(o.tasks_fraction(profile) for o in option.ops)
+                * weight).lower
+            bcast_desc = option.broadcast_descriptor()
+        wants = [in_descs[slot] for slot in range(len(op.inputs))]
+        if op.side_inputs:
+            if bcast_desc is None:
+                return None
+            wants += [bcast_desc] * len(op.side_inputs)
+        return _Prepared(option, tuple(wants), out_desc, option_platforms,
+                         platform, cost.lower, cost.upper, cost.confidence,
+                         overhead)
 
-        return PartialPlan(
-            cost=cost,
-            open_channels=open_channels,
-            platforms=platforms,
-            parent=partial,
-            decision_delta=(op.id, option),
-            conversion_delta=tuple(conv_delta),
-        )
+    def _path(self, paths: PathTable, have: ChannelDescriptor,
+              want: ChannelDescriptor, producer: int,
+              cards: dict[int, CardinalityEstimate],
+              bprs: dict[int, float]) -> ConversionPath | None:
+        """Cheapest ``have -> want`` conversion of ``producer``'s output.
 
-    def _conversion(self, have: ChannelDescriptor, want: ChannelDescriptor,
-                    card: CardinalityEstimate,
-                    bytes_per_record: float) -> ConversionPath | None:
-        if have.name == want.name:
-            return ConversionPath([], 0.0)
-        self.stats["conversion_paths_solved"] += 1
-        try:
-            return self.graph.cheapest_path(
-                have, want, card.geometric_mean, bytes_per_record)
-        except ChannelConversionError:
-            return None
+        Volume is a function of the producer within one enumeration, so
+        the graph (lock, counters, volume bands) is asked once per distinct
+        key and the answer — ``None`` when unreachable — lives in ``paths``.
+        """
+        key = (have.name, want.name, producer)
+        if key not in paths:
+            self.stats["conversion_paths_distinct"] += 1
+            try:
+                path = paths[key] = self.graph.cheapest_path(
+                    have, want, cards[producer].geometric_mean,
+                    bprs.get(producer, PLANNING_BYTES_PER_RECORD))
+                CostEstimate.fixed(path.cost)  # validates: non-negative
+            except ChannelConversionError:
+                paths[key] = None
+        return paths[key]
 
     # --------------------------------------------------- plan construction
     def _build_execution_plan(self, plan: RheemPlan,

@@ -187,6 +187,19 @@ class TestLosslessPruning:
 
 
 class TestLoopEnumeration:
+    def test_enumeration_size_sums_outer_and_nested_enumerations(self, ctx):
+        # Two operators precede the loop: their frontiers must stay in the
+        # count after the (nested) body enumeration has run.
+        seed = ctx.load_collection([0]).map(lambda x: x + 1)
+        plan = seed.repeat(3, lambda s: s.map(lambda x: x * 2)).to_plan()
+        optimizer = ctx.optimizer()
+        optimizer.pick_best(plan)
+        # Every enumerated plan is either pruned or retained in a frontier;
+        # each of the two enumerations (outer, body) adds its empty root.
+        assert optimizer.last_enumeration_size == (
+            optimizer.stats["plans_enumerated"]
+            - optimizer.stats["plans_pruned"] + 2)
+
     def test_loop_decision_shapes(self, ctx):
         data = ctx.load_collection(list(range(20)), sim_factor=1000.0).cache()
         seed = ctx.load_collection([0])

@@ -230,6 +230,21 @@ class TestTracedExecution:
         assert counters["optimizer.plans_pruned"] > 0
         assert counters["optimizer.conversion_paths_solved"] > 0
 
+    def test_enumerate_span_counts_wirings_beside_distinct_paths(self):
+        from repro.apps.dataciv import q5_quanta
+        from repro.workloads import TpchLite
+
+        ctx = RheemContext()
+        tracer = ctx.enable_tracing()
+        TpchLite(0.05).place_for_q5(ctx)
+        ctx.optimize(q5_quanta(ctx, 0.05, "polystore").to_plan())
+        (span,) = [s for root in tracer.roots
+                   for s in root.find("optimizer.enumerate")]
+        distinct = span.attributes["conversion_paths_distinct"]
+        assert 0 < distinct <= span.attributes["conversion_paths_solved"]
+        counters = ctx.metrics.snapshot()["counters"]
+        assert counters["optimizer.conversion_paths_distinct"] == distinct
+
     def test_rest_response_carries_trace_block(self):
         from repro.api import RheemService
 
