@@ -23,8 +23,8 @@ else
 fi
 
 if command -v mypy >/dev/null 2>&1; then
-    echo "==> mypy (strict: repro.analysis, repro.trace, repro.core," \
-         "repro.server, repro.concurrency)"
+    echo "==> mypy (strict: repro.analysis, repro.trace, repro.core incl." \
+         "repro.core.kernels, repro.server, repro.concurrency)"
     mypy || failures=$((failures + 1))
 else
     echo "==> mypy not installed; SKIPPED (pip install -e .[lint])"

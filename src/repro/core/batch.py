@@ -32,6 +32,9 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .kernels import (bind, distinct_records, flat_map_records, fold_by_key,
+                      hash_join, identity, map_records)
+
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 
@@ -410,9 +413,8 @@ def apply_map(logical, batch: RecordBatch, bvals: Sequence[Any] = ()
     batch_udf = getattr(logical, "batch_udf", None)
     if batch_udf is not None:
         return RecordBatch.from_records(batch_udf(batch, *bvals))
-    udf = logical.udf
     return RecordBatch.from_records(
-        [udf(x, *bvals) for x in batch.to_records()])
+        map_records(bind(logical.udf, bvals), batch.to_records()))
 
 
 def apply_flatmap(logical, batch: RecordBatch, bvals: Sequence[Any] = ()
@@ -421,9 +423,8 @@ def apply_flatmap(logical, batch: RecordBatch, bvals: Sequence[Any] = ()
     batch_udf = getattr(logical, "batch_udf", None)
     if batch_udf is not None:
         return RecordBatch.from_records(batch_udf(batch, *bvals))
-    udf = logical.udf
     return RecordBatch.from_records(
-        [y for x in batch.to_records() for y in udf(x, *bvals)])
+        flat_map_records(bind(logical.udf, bvals), batch.to_records()))
 
 
 def apply_filter(logical, batch: RecordBatch, bvals: Sequence[Any] = ()
@@ -440,9 +441,9 @@ def apply_filter(logical, batch: RecordBatch, bvals: Sequence[Any] = ()
         keep = range_mask(batch, logical.column, logical.low, logical.high)
         if keep is not None:
             return batch.mask(keep)
-    udf = logical.udf
-    keep = [bool(udf(x, *bvals)) for x in batch.to_records()]
-    return batch.mask(np.array(keep, dtype=bool)) if keep else batch
+    keep = map_records(bind(logical.udf, bvals), batch.to_records())
+    # Truthiness, not the value: a predicate may return any object.
+    return batch.mask([bool(k) for k in keep])
 
 
 def apply_join(logical, left: RecordBatch, right: RecordBatch) -> RecordBatch:
@@ -452,12 +453,9 @@ def apply_join(logical, left: RecordBatch, right: RecordBatch) -> RecordBatch:
     if keys is not None:
         li, ri = join_indices(*keys)
         return RecordBatch.pair(left.take(li), right.take(ri))
-    lk, rk = logical.left_key, logical.right_key
-    table: dict[Any, list[Any]] = {}
-    for r in right.to_records():
-        table.setdefault(rk(r), []).append(r)
-    pairs = [(l, r) for l in left.to_records() for r in table.get(lk(l), ())]
-    return RecordBatch.from_records(pairs)
+    return RecordBatch.from_records(
+        hash_join(bind(logical.left_key), bind(logical.right_key),
+                  left.to_records(), right.to_records()))
 
 
 def apply_reduce(logical, batch: RecordBatch) -> RecordBatch:
@@ -465,12 +463,17 @@ def apply_reduce(logical, batch: RecordBatch) -> RecordBatch:
     batch_impl = getattr(logical, "batch_impl", None)
     if batch_impl is not None:
         return RecordBatch.from_records(batch_impl(batch))
-    key, reducer = logical.key, logical.reducer
-    acc: dict[Any, Any] = {}
-    for x in batch.to_records():
-        k = key(x)
-        acc[k] = x if k not in acc else reducer(acc[k], x)
-    return RecordBatch.from_records(list(acc.values()))
+    return RecordBatch.from_records(
+        fold_by_key(bind(logical.key), bind(logical.reducer),
+                    batch.to_records()))
+
+
+def apply_distinct(logical, batch: RecordBatch) -> RecordBatch:
+    """The first row of each key (default: each record identity)."""
+    keys = map_records(bind(logical.key) or identity, batch.to_records())
+    # Row numbers deduplicated by their row's key: the indices ``take`` needs.
+    keep = distinct_records(range(len(keys)), keys.__getitem__)
+    return batch.take(np.array(keep, dtype=np.int64))
 
 
 def apply_sort(logical, batch: RecordBatch) -> RecordBatch:
@@ -480,9 +483,7 @@ def apply_sort(logical, batch: RecordBatch) -> RecordBatch:
         order = sort_order(np.asarray(batch_key(batch)), logical.descending)
         if order is not None:
             return batch.take(order)
-    key = logical.key
-    records = sorted(batch.to_records(),
-                     key=key if key is not None else None,
+    records = sorted(batch.to_records(), key=bind(logical.key),
                      reverse=logical.descending)
     return RecordBatch.from_records(records)
 
@@ -499,4 +500,4 @@ def batch_keys(batch: RecordBatch, key_col, key_fn) -> list[Any]:
             return column_values(batch.col(key_col))
         except (KeyError, IndexError):
             pass
-    return [key_fn(r) for r in batch.to_records()]
+    return map_records(bind(key_fn), batch.to_records())

@@ -27,6 +27,10 @@ from ..algorithms.iejoin import ie_join
 from ..algorithms.pagerank import pagerank_edges
 from ..core import operators as ops
 from ..core.channels import Channel, ChannelDescriptor, HDFS_FILE
+from ..core.kernels import (bind, distinct_records, filter_records,
+                            flat_map_records, fold_by_key, fold_records,
+                            group_by_key, hash_join, identity,
+                            intersect_records, map_records)
 from ..core.mappings import OperatorMapping
 from .base import (ExecutionOperator, _cin, _group_factor, _sample_seed,
                    charge_operator, union_bytes_per_record)
@@ -217,9 +221,9 @@ class DFMap(DataflowOperator):
     op_kind = "map"
 
     def _run(self, inputs, bvals, ctx):
-        udf = self.logical.udf
+        fn = bind(self.logical.udf, bvals)
         out = inputs[0].payload.map_partitions(
-            lambda part: [udf(x, *bvals) for x in part])
+            lambda part: map_records(fn, part))
         return self._emit(inputs[0], out, ctx, _cin(inputs),
                           bytes_per_record=self.logical.bytes_per_record)
 
@@ -228,9 +232,9 @@ class DFFlatMap(DataflowOperator):
     op_kind = "flatmap"
 
     def _run(self, inputs, bvals, ctx):
-        udf = self.logical.udf
+        fn = bind(self.logical.udf, bvals)
         out = inputs[0].payload.map_partitions(
-            lambda part: [y for x in part for y in udf(x, *bvals)])
+            lambda part: flat_map_records(fn, part))
         return self._emit(inputs[0], out, ctx, _cin(inputs),
                           bytes_per_record=self.logical.bytes_per_record)
 
@@ -266,9 +270,9 @@ class DFFilter(DataflowOperator):
     op_kind = "filter"
 
     def _run(self, inputs, bvals, ctx):
-        udf = self.logical.udf
+        fn = bind(self.logical.udf, bvals)
         out = inputs[0].payload.map_partitions(
-            lambda part: [x for x in part if udf(x, *bvals)])
+            lambda part: filter_records(fn, part))
         return self._emit(inputs[0], out, ctx, _cin(inputs))
 
 
@@ -320,22 +324,13 @@ class DFDistinct(DataflowOperator):
         return cins[0] * bytes_in / 1e6
 
     def _run(self, inputs, bvals, ctx):
-        key = self.logical.key
-
-        def dedupe(part: list[Any]) -> list[Any]:
-            seen, out = set(), []
-            for x in part:
-                k = key(x) if key is not None else x
-                if k not in seen:
-                    seen.add(k)
-                    out.append(x)
-            return out
-
+        key = bind(self.logical.key)
         self._charge_shuffle(ctx, inputs[0])
-        shuffled = inputs[0].payload.shuffle_by_key(
-            key if key is not None else lambda x: x, self._parallelism(ctx))
-        return self._emit(inputs[0], shuffled.map_partitions(dedupe), ctx,
-                          _cin(inputs))
+        shuffled = inputs[0].payload.shuffle_by_key(key or identity,
+                                                    self._parallelism(ctx))
+        out = shuffled.map_partitions(
+            lambda part: distinct_records(part, key))
+        return self._emit(inputs[0], out, ctx, _cin(inputs))
 
 
 class DFSort(DataflowOperator):
@@ -347,9 +342,8 @@ class DFSort(DataflowOperator):
         return cins[0] * bytes_in / 1e6
 
     def _run(self, inputs, bvals, ctx):
-        key = self.logical.key
         records = sorted(inputs[0].payload.records(),
-                         key=key if key is not None else None,
+                         key=bind(self.logical.key),
                          reverse=self.logical.descending)
         self._charge_shuffle(ctx, inputs[0])
         n = self._parallelism(ctx)
@@ -366,17 +360,10 @@ class DFGroupBy(DataflowOperator):
         return cins[0] * bytes_in / 1e6
 
     def _run(self, inputs, bvals, ctx):
-        key = self.logical.key
+        key = bind(self.logical.key)
         self._charge_shuffle(ctx, inputs[0])
         shuffled = inputs[0].payload.shuffle_by_key(key, self._parallelism(ctx))
-
-        def group(part: list[Any]) -> list[Any]:
-            groups: dict[Any, list[Any]] = {}
-            for x in part:
-                groups.setdefault(key(x), []).append(x)
-            return list(groups.items())
-
-        out = shuffled.map_partitions(group)
+        out = shuffled.map_partitions(lambda part: group_by_key(key, part))
         return self._emit(inputs[0], out, ctx, _cin(inputs),
                           sim_factor=_group_factor(self.logical, out.count(),
                                                    inputs[0].sim_factor))
@@ -392,17 +379,13 @@ class DFReduceBy(DataflowOperator):
         return partial * bytes_in / 1e6
 
     def _run(self, inputs, bvals, ctx):
-        key = self.logical.key
-        reducer = self.logical.reducer
+        key = bind(self.logical.key)
+        reducer = bind(self.logical.reducer)
 
-        def combine(part: list[Any]) -> list[Any]:
-            acc: dict[Any, Any] = {}
-            for x in part:
-                k = key(x)
-                acc[k] = x if k not in acc else reducer(acc[k], x)
-            return list(acc.values())
+        def fold(part: list[Any]) -> list[Any]:
+            return fold_by_key(key, reducer, part)
 
-        combined = inputs[0].payload.map_partitions(combine)
+        combined = inputs[0].payload.map_partitions(fold)
         # Only the locally combined partial aggregates cross the network.
         partial_mb = (combined.count() * inputs[0].sim_factor
                       * inputs[0].bytes_per_record / 1e6)
@@ -410,33 +393,18 @@ class DFReduceBy(DataflowOperator):
         ctx.meter.charge(partial_mb * profile.shuffle_cost_s_per_mb,
                          f"{self.name}.shuffle", category="net")
         shuffled = combined.shuffle_by_key(key, self._parallelism(ctx))
-        out = shuffled.map_partitions(
-            lambda part: [v for __, v in _fold_by_key(part, key, reducer)])
+        out = shuffled.map_partitions(fold)
         return self._emit(inputs[0], out, ctx, _cin(inputs),
                           sim_factor=_group_factor(self.logical, out.count(),
                                                    inputs[0].sim_factor))
-
-
-def _fold_by_key(part, key, reducer):
-    acc: dict[Any, Any] = {}
-    for x in part:
-        k = key(x)
-        acc[k] = x if k not in acc else reducer(acc[k], x)
-    return acc.items()
 
 
 class DFGlobalReduce(DataflowOperator):
     op_kind = "reduce"
 
     def _run(self, inputs, bvals, ctx):
-        reducer = self.logical.reducer
-        records = list(inputs[0].payload.records())
-        out: list[Any] = []
-        if records:
-            acc = records[0]
-            for x in records[1:]:
-                acc = reducer(acc, x)
-            out = [acc]
+        out = fold_records(bind(self.logical.reducer),
+                           inputs[0].payload.records())
         return self._emit(inputs[0], PartitionedDataset([out]), ctx,
                           _cin(inputs), sim_factor=1.0)
 
@@ -475,20 +443,9 @@ class DFIntersect(DataflowOperator):
         n = self._parallelism(ctx)
         self._charge_shuffle(ctx, a)
         self._charge_shuffle(ctx, b)
-        sa = a.payload.shuffle_by_key(lambda x: x, n)
-        sb = b.payload.shuffle_by_key(lambda x: x, n)
-
-        def intersect(pa: list[Any], pb: list[Any]) -> list[Any]:
-            right = set(pb)
-            seen: set[Any] = set()
-            out = []
-            for x in pa:
-                if x in right and x not in seen:
-                    seen.add(x)
-                    out.append(x)
-            return out
-
-        return self._emit(a, sa.zip_partitions(sb, intersect), ctx,
+        sa = a.payload.shuffle_by_key(identity, n)
+        sb = b.payload.shuffle_by_key(identity, n)
+        return self._emit(a, sa.zip_partitions(sb, intersect_records), ctx,
                           _cin(inputs))
 
 
@@ -502,20 +459,14 @@ class DFJoin(DataflowOperator):
 
     def _run(self, inputs, bvals, ctx):
         a, b = inputs
-        lk, rk = self.logical.left_key, self.logical.right_key
+        lk, rk = bind(self.logical.left_key), bind(self.logical.right_key)
         n = self._parallelism(ctx)
         self._charge_shuffle(ctx, a)
         self._charge_shuffle(ctx, b)
         sa = a.payload.shuffle_by_key(lk, n)
         sb = b.payload.shuffle_by_key(rk, n)
-
-        def join(pa: list[Any], pb: list[Any]) -> list[Any]:
-            table: dict[Any, list[Any]] = {}
-            for r in pb:
-                table.setdefault(rk(r), []).append(r)
-            return [(l, r) for l in pa for r in table.get(lk(l), ())]
-
-        out = sa.zip_partitions(sb, join)
+        out = sa.zip_partitions(
+            sb, lambda pa, pb: hash_join(lk, rk, pa, pb))
         factor = self.logical.output_sim_factor(a.sim_factor, b.sim_factor)
         return self._emit(a, out, ctx, _cin(inputs), sim_factor=factor,
                           bytes_per_record=a.bytes_per_record + b.bytes_per_record)
@@ -720,22 +671,13 @@ class DFBatchFilter(BatchDataflowOperator, DFFilter):
 
 class DFBatchDistinct(BatchDataflowOperator, DFDistinct):
     def _run(self, inputs, bvals, ctx):
-        key = self.logical.key
-
-        def dedupe(batch):
-            seen, keep = set(), []
-            for i, x in enumerate(batch.to_records()):
-                k = key(x) if key is not None else x
-                if k not in seen:
-                    seen.add(k)
-                    keep.append(i)
-            return batch.take(np.array(keep, dtype=np.int64))
-
+        from ..core.batch import apply_distinct
+        logical = self.logical
         self._charge_shuffle(ctx, inputs[0])
         shuffled = self._shuffle(inputs[0].payload, self._parallelism(ctx),
-                                 key if key is not None else lambda x: x)
-        return self._emit_batches(inputs[0], [dedupe(b) for b in shuffled],
-                                  ctx, _cin(inputs))
+                                 logical.key or identity)
+        out = [apply_distinct(logical, b) for b in shuffled]
+        return self._emit_batches(inputs[0], out, ctx, _cin(inputs))
 
 
 class DFBatchSort(BatchDataflowOperator, DFSort):
@@ -756,18 +698,12 @@ class DFBatchSort(BatchDataflowOperator, DFSort):
 class DFBatchGroupBy(BatchDataflowOperator, DFGroupBy):
     def _run(self, inputs, bvals, ctx):
         from ..core.batch import RecordBatch
-        key = self.logical.key
+        key = bind(self.logical.key)
         self._charge_shuffle(ctx, inputs[0])
         shuffled = self._shuffle(inputs[0].payload, self._parallelism(ctx),
                                  key)
-
-        def group(batch):
-            groups: dict[Any, list[Any]] = {}
-            for x in batch.to_records():
-                groups.setdefault(key(x), []).append(x)
-            return RecordBatch.from_records(list(groups.items()))
-
-        out = [group(b) for b in shuffled]
+        out = [RecordBatch.from_records(group_by_key(key, b.to_records()))
+               for b in shuffled]
         count = sum(len(b) for b in out)
         return self._emit_batches(inputs[0], out, ctx, _cin(inputs),
                                   sim_factor=_group_factor(self.logical, count,

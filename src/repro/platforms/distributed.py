@@ -10,6 +10,7 @@ charge network time for).
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Callable, Iterable, Iterator
 
 
@@ -27,10 +28,10 @@ class PartitionedDataset:
         """Distribute records round-robin over ``num_partitions``."""
         if num_partitions < 1:
             raise ValueError("num_partitions must be >= 1")
-        parts: list[list[Any]] = [[] for __ in range(num_partitions)]
-        for i, rec in enumerate(records):
-            parts[i % num_partitions].append(rec)
-        return cls(parts)
+        if not isinstance(records, list):
+            records = list(records)
+        return cls([records[j::num_partitions]
+                    for j in range(num_partitions)])
 
     @property
     def partitions(self) -> list[list[Any]]:
@@ -44,8 +45,7 @@ class PartitionedDataset:
 
     def records(self) -> Iterator[Any]:
         """Iterate all records, partition by partition."""
-        for part in self._partitions:
-            yield from part
+        return chain.from_iterable(self._partitions)
 
     def to_list(self) -> list[Any]:
         """Materialize all records as one list."""

@@ -13,6 +13,9 @@ from typing import Any, Sequence
 
 from ...core.channels import Channel
 from ...core.cost import CostEstimate
+from ...core.kernels import (bind, distinct_records, filter_records,
+                             fold_by_key, fold_records, group_by_key,
+                             hash_join, intersect_records, map_records)
 from ..base import (ExecutionOperator, _cin, _group_factor, charge_operator,
                     union_bytes_per_record)
 from ..pystreams.channels import PY_COLLECTION
@@ -125,7 +128,7 @@ class PgFilter(PgExecutionOperator):
             rows = [table.rows[i] for i in row_ids]
             kind = "filter_index"
         else:
-            rows = [r for r in relation.rows if logical.udf(r)]
+            rows = filter_records(bind(logical.udf), relation.rows)
             kind = "filter"
         return self._emit(inputs[0], rows, ctx, _cin(inputs), op_kind=kind)
 
@@ -136,8 +139,7 @@ class PgProjection(PgExecutionOperator):
     op_kind = "map"
 
     def _run(self, inputs, ctx):
-        udf = self.logical.udf
-        rows = [udf(r) for r in inputs[0].payload.rows]
+        rows = map_records(bind(self.logical.udf), inputs[0].payload.rows)
         return self._emit(inputs[0], rows, ctx, _cin(inputs))
 
 
@@ -148,11 +150,9 @@ class PgJoin(PgExecutionOperator):
 
     def _run(self, inputs, ctx):
         a, b = inputs
-        lk, rk = self.logical.left_key, self.logical.right_key
-        table: dict[Any, list[Any]] = {}
-        for r in b.payload.rows:
-            table.setdefault(rk(r), []).append(r)
-        rows = [(l, r) for l in a.payload.rows for r in table.get(lk(l), ())]
+        rows = hash_join(bind(self.logical.left_key),
+                         bind(self.logical.right_key),
+                         a.payload.rows, b.payload.rows)
         factor = self.logical.output_sim_factor(a.sim_factor, b.sim_factor)
         return self._emit(a, rows, ctx, _cin(inputs), sim_factor=factor,
                           bytes_per_record=a.bytes_per_record + b.bytes_per_record)
@@ -193,9 +193,7 @@ class PgSort(PgExecutionOperator):
     op_kind = "sort"
 
     def _run(self, inputs, ctx):
-        key = self.logical.key
-        rows = sorted(inputs[0].payload.rows,
-                      key=key if key is not None else None,
+        rows = sorted(inputs[0].payload.rows, key=bind(self.logical.key),
                       reverse=self.logical.descending)
         return self._emit(inputs[0], rows, ctx, _cin(inputs))
 
@@ -204,32 +202,17 @@ class PgDistinct(PgExecutionOperator):
     op_kind = "distinct"
 
     def _run(self, inputs, ctx):
-        key = self.logical.key
-        seen: set[Any] = set()
-        rows = []
-        for r in inputs[0].payload.rows:
-            k = key(r) if key is not None else _hashable(r)
-            if k not in seen:
-                seen.add(k)
-                rows.append(r)
+        rows = distinct_records(inputs[0].payload.rows,
+                                bind(self.logical.key))
         return self._emit(inputs[0], rows, ctx, _cin(inputs))
-
-
-def _hashable(row: Any) -> Any:
-    if isinstance(row, dict):
-        return tuple(sorted(row.items()))
-    return row
 
 
 class PgGroupBy(PgExecutionOperator):
     op_kind = "groupby"
 
     def _run(self, inputs, ctx):
-        key = self.logical.key
-        groups: dict[Any, list[Any]] = {}
-        for r in inputs[0].payload.rows:
-            groups.setdefault(key(r), []).append(r)
-        return self._emit(inputs[0], list(groups.items()), ctx, _cin(inputs),
+        groups = group_by_key(bind(self.logical.key), inputs[0].payload.rows)
+        return self._emit(inputs[0], groups, ctx, _cin(inputs),
                           sim_factor=_group_factor(self.logical, len(groups),
                                                    inputs[0].sim_factor))
 
@@ -240,14 +223,10 @@ class PgReduceBy(PgExecutionOperator):
     op_kind = "reduceby"
 
     def _run(self, inputs, ctx):
-        key = self.logical.key
-        reducer = self.logical.reducer
-        acc: dict[Any, Any] = {}
-        for r in inputs[0].payload.rows:
-            k = key(r)
-            acc[k] = r if k not in acc else reducer(acc[k], r)
-        return self._emit(inputs[0], list(acc.values()), ctx, _cin(inputs),
-                          sim_factor=_group_factor(self.logical, len(acc),
+        rows = fold_by_key(bind(self.logical.key),
+                           bind(self.logical.reducer), inputs[0].payload.rows)
+        return self._emit(inputs[0], rows, ctx, _cin(inputs),
+                          sim_factor=_group_factor(self.logical, len(rows),
                                                    inputs[0].sim_factor))
 
 
@@ -255,14 +234,8 @@ class PgGlobalReduce(PgExecutionOperator):
     op_kind = "reduce"
 
     def _run(self, inputs, ctx):
-        rows = inputs[0].payload.rows
-        out: list[Any] = []
-        if rows:
-            acc = rows[0]
-            reducer = self.logical.reducer
-            for r in rows[1:]:
-                acc = reducer(acc, r)
-            out = [acc]
+        out = fold_records(bind(self.logical.reducer),
+                           inputs[0].payload.rows)
         return self._emit(inputs[0], out, ctx, _cin(inputs), sim_factor=1.0)
 
 
@@ -295,14 +268,7 @@ class PgIntersect(PgExecutionOperator):
 
     def _run(self, inputs, ctx):
         a, b = inputs
-        right = {_hashable(r) for r in b.payload.rows}
-        seen: set[Any] = set()
-        rows = []
-        for r in a.payload.rows:
-            k = _hashable(r)
-            if k in right and k not in seen:
-                seen.add(k)
-                rows.append(r)
+        rows = intersect_records(a.payload.rows, b.payload.rows)
         return self._emit(a, rows, ctx, _cin(inputs))
 
 

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-import numpy as np
-
 from ...core.batch import (
     RecordBatch,
+    apply_distinct,
     apply_filter,
     apply_flatmap,
     apply_join,
@@ -26,6 +25,7 @@ from ...core.batch import (
     apply_sort,
 )
 from ...core.channels import Channel
+from ...core.kernels import bind, fold_groups, group_by_key
 from ..base import (ExecutionOperator, _cin, _group_factor, charge_operator,
                     union_bytes_per_record)
 from .channels import PY_BATCH, PY_COLLECTION
@@ -161,14 +161,7 @@ class PyBatchDistinct(PyBatchOperator):
     op_kind = "distinct"
 
     def _run(self, inputs, bvals, ctx):
-        key = self.logical.key
-        seen, keep = set(), []
-        for i, x in enumerate(inputs[0].payload.to_records()):
-            k = x if key is None else key(x)
-            if k not in seen:
-                seen.add(k)
-                keep.append(i)
-        out = inputs[0].payload.take(np.array(keep, dtype=np.int64))
+        out = apply_distinct(self.logical, inputs[0].payload)
         return self._emit(inputs[0], out, ctx, _cin(inputs))
 
 
@@ -187,13 +180,10 @@ class PyBatchGroupBy(PyBatchOperator):
     op_kind = "groupby"
 
     def _run(self, inputs, bvals, ctx):
-        key = self.logical.key
-        groups: dict[Any, list[Any]] = {}
-        for x in inputs[0].payload.to_records():
-            groups.setdefault(key(x), []).append(x)
-        out = RecordBatch.from_records(list(groups.items()))
+        out = RecordBatch.from_records(group_by_key(
+            bind(self.logical.key), inputs[0].payload.to_records()))
         return self._emit(inputs[0], out, ctx, _cin(inputs),
-                          sim_factor=_group_factor(self.logical, len(groups),
+                          sim_factor=_group_factor(self.logical, len(out),
                                                    inputs[0].sim_factor))
 
 
@@ -204,13 +194,8 @@ class PyBatchReduceGroups(PyBatchOperator):
     op_kind = "map"
 
     def _run(self, inputs, bvals, ctx):
-        reducer = self.logical.reducer
-        out = []
-        for __, members in inputs[0].payload.to_records():
-            acc = members[0]
-            for m in members[1:]:
-                acc = reducer(acc, m)
-            out.append(acc)
+        out = fold_groups(bind(self.logical.reducer),
+                          inputs[0].payload.to_records())
         return self._emit(inputs[0], RecordBatch.from_records(out), ctx,
                           _cin(inputs))
 

@@ -13,6 +13,10 @@ from typing import Any, Sequence
 from ...algorithms.iejoin import ie_join
 from ...algorithms.pagerank import pagerank_edges
 from ...core.channels import Channel
+from ...core.kernels import (bind, distinct_records, filter_records,
+                             flat_map_records, fold_by_key, fold_groups,
+                             fold_records, group_by_key, hash_join,
+                             intersect_records, map_records)
 from ..base import (ExecutionOperator, _cin, _group_factor, _sample_seed,
                     charge_operator, union_bytes_per_record)
 from .channels import PY_COLLECTION
@@ -98,8 +102,7 @@ class PyMap(PyExecutionOperator):
     op_kind = "map"
 
     def _run(self, inputs, bvals, ctx):
-        udf = self.logical.udf
-        out = [udf(x, *bvals) for x in inputs[0].payload]
+        out = map_records(bind(self.logical.udf, bvals), inputs[0].payload)
         return self._emit(inputs[0], out, ctx, _cin(inputs),
                           bytes_per_record=self.logical.bytes_per_record)
 
@@ -108,8 +111,8 @@ class PyFlatMap(PyExecutionOperator):
     op_kind = "flatmap"
 
     def _run(self, inputs, bvals, ctx):
-        udf = self.logical.udf
-        out = [y for x in inputs[0].payload for y in udf(x, *bvals)]
+        out = flat_map_records(bind(self.logical.udf, bvals),
+                               inputs[0].payload)
         return self._emit(inputs[0], out, ctx, _cin(inputs),
                           bytes_per_record=self.logical.bytes_per_record)
 
@@ -137,8 +140,8 @@ class PyFilter(PyExecutionOperator):
     op_kind = "filter"
 
     def _run(self, inputs, bvals, ctx):
-        udf = self.logical.udf
-        out = [x for x in inputs[0].payload if udf(x, *bvals)]
+        out = filter_records(bind(self.logical.udf, bvals),
+                             inputs[0].payload)
         return self._emit(inputs[0], out, ctx, _cin(inputs))
 
 
@@ -166,20 +169,7 @@ class PyDistinct(PyExecutionOperator):
     op_kind = "distinct"
 
     def _run(self, inputs, bvals, ctx):
-        key = self.logical.key
-        if key is None:
-            seen, out = set(), []
-            for x in inputs[0].payload:
-                if x not in seen:
-                    seen.add(x)
-                    out.append(x)
-        else:
-            seen, out = set(), []
-            for x in inputs[0].payload:
-                k = key(x)
-                if k not in seen:
-                    seen.add(k)
-                    out.append(x)
+        out = distinct_records(inputs[0].payload, bind(self.logical.key))
         return self._emit(inputs[0], out, ctx, _cin(inputs))
 
 
@@ -187,9 +177,7 @@ class PySort(PyExecutionOperator):
     op_kind = "sort"
 
     def _run(self, inputs, bvals, ctx):
-        key = self.logical.key
-        out = sorted(inputs[0].payload,
-                     key=key if key is not None else None,
+        out = sorted(inputs[0].payload, key=bind(self.logical.key),
                      reverse=self.logical.descending)
         return self._emit(inputs[0], out, ctx, _cin(inputs))
 
@@ -204,11 +192,8 @@ class PyGroupBy(PyExecutionOperator):
     op_kind = "groupby"
 
     def _run(self, inputs, bvals, ctx):
-        key = self.logical.key
-        groups: dict[Any, list[Any]] = {}
-        for x in inputs[0].payload:
-            groups.setdefault(key(x), []).append(x)
-        return self._emit(inputs[0], list(groups.items()), ctx, _cin(inputs),
+        groups = group_by_key(bind(self.logical.key), inputs[0].payload)
+        return self._emit(inputs[0], groups, ctx, _cin(inputs),
                           sim_factor=_group_factor(self.logical, len(groups),
                                                    inputs[0].sim_factor))
 
@@ -222,13 +207,7 @@ class PyReduceGroups(PyExecutionOperator):
     op_kind = "map"
 
     def _run(self, inputs, bvals, ctx):
-        reducer = self.logical.reducer
-        out = []
-        for __, members in inputs[0].payload:
-            acc = members[0]
-            for m in members[1:]:
-                acc = reducer(acc, m)
-            out.append(acc)
+        out = fold_groups(bind(self.logical.reducer), inputs[0].payload)
         return self._emit(inputs[0], out, ctx, _cin(inputs))
 
 
@@ -236,14 +215,10 @@ class PyReduceBy(PyExecutionOperator):
     op_kind = "reduceby"
 
     def _run(self, inputs, bvals, ctx):
-        key = self.logical.key
-        reducer = self.logical.reducer
-        acc: dict[Any, Any] = {}
-        for x in inputs[0].payload:
-            k = key(x)
-            acc[k] = x if k not in acc else reducer(acc[k], x)
-        return self._emit(inputs[0], list(acc.values()), ctx, _cin(inputs),
-                          sim_factor=_group_factor(self.logical, len(acc),
+        out = fold_by_key(bind(self.logical.key), bind(self.logical.reducer),
+                          inputs[0].payload)
+        return self._emit(inputs[0], out, ctx, _cin(inputs),
+                          sim_factor=_group_factor(self.logical, len(out),
                                                    inputs[0].sim_factor))
 
 
@@ -251,14 +226,7 @@ class PyGlobalReduce(PyExecutionOperator):
     op_kind = "reduce"
 
     def _run(self, inputs, bvals, ctx):
-        data = inputs[0].payload
-        out = []
-        if data:
-            acc = data[0]
-            reducer = self.logical.reducer
-            for x in data[1:]:
-                acc = reducer(acc, x)
-            out = [acc]
+        out = fold_records(bind(self.logical.reducer), inputs[0].payload)
         return self._emit(inputs[0], out, ctx, _cin(inputs), sim_factor=1.0)
 
 
@@ -299,13 +267,7 @@ class PyIntersect(PyExecutionOperator):
 
     def _run(self, inputs, bvals, ctx):
         a, b = inputs
-        right = set(b.payload)
-        seen = set()
-        out = []
-        for x in a.payload:
-            if x in right and x not in seen:
-                seen.add(x)
-                out.append(x)
+        out = intersect_records(a.payload, b.payload)
         return self._emit(a, out, ctx, _cin(inputs))
 
 
@@ -316,11 +278,8 @@ class PyJoin(PyExecutionOperator):
 
     def _run(self, inputs, bvals, ctx):
         a, b = inputs
-        lk, rk = self.logical.left_key, self.logical.right_key
-        table: dict[Any, list[Any]] = {}
-        for r in b.payload:
-            table.setdefault(rk(r), []).append(r)
-        out = [(l, r) for l in a.payload for r in table.get(lk(l), ())]
+        out = hash_join(bind(self.logical.left_key),
+                        bind(self.logical.right_key), a.payload, b.payload)
         factor = self.logical.output_sim_factor(a.sim_factor, b.sim_factor)
         bpr = a.bytes_per_record + b.bytes_per_record
         return self._emit(a, out, ctx, _cin(inputs), sim_factor=factor,

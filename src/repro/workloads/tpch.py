@@ -159,6 +159,17 @@ _CSV_COLUMNS = {
     "lineitem": ("orderkey", "suppkey", "extendedprice", "discount"),
 }
 
+#: Columns that are not integers.
+_COLUMN_TYPES = {"name": str, "extendedprice": float, "discount": float}
+
+#: Per table, each CSV column with its converter — resolved once here, not
+#: per field of every parsed row.
+_CSV_FIELDS = {
+    table: tuple((column, _COLUMN_TYPES.get(column, int))
+                 for column in columns)
+    for table, columns in _CSV_COLUMNS.items()
+}
+
 
 def _to_csv(table: str, row: dict) -> str:
     return "|".join(str(row[c]) for c in _CSV_COLUMNS[table])
@@ -166,16 +177,8 @@ def _to_csv(table: str, row: dict) -> str:
 
 def parse_row(table: str, line: str) -> dict:
     """Parse a generated ``|``-separated line back into a row dict."""
-    parts = line.split("|")
-    out: dict = {}
-    for column, value in zip(_CSV_COLUMNS[table], parts):
-        if column in ("name",):
-            out[column] = value
-        elif column in ("extendedprice", "discount"):
-            out[column] = float(value)
-        else:
-            out[column] = int(value)
-    return out
+    return {column: convert(value) for (column, convert), value
+            in zip(_CSV_FIELDS[table], line.split("|"))}
 
 
 def _gather_field(view, start, end):
@@ -275,14 +278,14 @@ def parse_batch(table: str, batch):
         return [parse_row(table, line) for line in batch]
     sep_pos = np.nonzero(seps)[1].reshape(n, len(columns) - 1)
     out = []
-    for i, column in enumerate(columns):
+    for i, (__, convert) in enumerate(_CSV_FIELDS[table]):
         start = (sep_pos[:, i - 1] + 1 if i
                  else np.zeros(n, dtype=np.int64))
         end = sep_pos[:, i] if i < len(columns) - 1 else lens
         field, flen = _gather_field(view, start, end)
-        if column in ("name",):
+        if convert is str:
             out.append(_str_field(field))
-        elif column in ("extendedprice", "discount"):
+        elif convert is float:
             out.append(_field_bytes(field).astype(np.float64))
         else:
             out.append(_int_field(field, flen))

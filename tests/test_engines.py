@@ -25,6 +25,24 @@ class TestPartitionedDataset:
         with pytest.raises(ValueError):
             PartitionedDataset.from_records([1], 0)
 
+    @given(st.lists(st.integers(), max_size=40), st.integers(1, 9),
+           st.sampled_from([list, tuple, iter]))
+    def test_from_records_is_round_robin(self, records, n, shape):
+        """Slicing places what the record-by-record loop placed — also
+        with fewer records than partitions, and from a one-shot iterator."""
+        expected = [[] for __ in range(n)]
+        for i, rec in enumerate(records):
+            expected[i % n].append(rec)
+        ds = PartitionedDataset.from_records(shape(records), n)
+        assert ds.partitions == expected
+        assert ds.to_list() == list(ds.records()) == sum(expected, [])
+        assert ds.count() == len(records)
+
+    @given(st.integers(-3, 0))
+    def test_from_records_needs_a_partition(self, n):
+        with pytest.raises(ValueError):
+            PartitionedDataset.from_records([1, 2], n)
+
     def test_map_partitions(self):
         ds = PartitionedDataset.from_records(range(6), 2)
         out = ds.map_partitions(lambda p: [x * 2 for x in p])

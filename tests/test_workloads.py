@@ -153,6 +153,26 @@ class TestTpch:
         from repro.workloads.tpch import _to_csv
         assert parse_row("lineitem", _to_csv("lineitem", row)) == row
 
+    @pytest.mark.parametrize("table", sorted(ACTUAL_ROWS))
+    def test_csv_roundtrip_every_table(self, table):
+        from repro.workloads.tpch import _to_csv
+        rows = TpchLite().table(table)
+        parsed = [parse_row(table, _to_csv(table, r)) for r in rows]
+        assert parsed == rows
+        # Same column order and exact types, not just equal values.
+        assert [list(r) for r in parsed] == [list(r) for r in rows]
+        assert all(type(a[c]) is type(b[c])
+                   for a, b in zip(parsed, rows) for c in a)
+
+    def test_parse_row_short_and_malformed_lines(self):
+        assert parse_row("orders", "7|3") == {"orderkey": 7, "custkey": 3}
+        assert parse_row("region", "1|ASIA|extra") == {
+            "regionkey": 1, "name": "ASIA"}
+        with pytest.raises(ValueError):
+            parse_row("lineitem", "1|2|not-a-price|0.05")
+        with pytest.raises(ValueError):
+            parse_row("orders", "1|x|1994")
+
     def test_placements(self):
         ctx = RheemContext()
         TpchLite().place_for_q5(ctx)
