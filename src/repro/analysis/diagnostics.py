@@ -82,10 +82,14 @@ class LintReport:
             the analyzer derived from UDF introspection (nondeterministic
             or state-capturing UDFs make cardinality hints less
             trustworthy); consumed by the optimizer's estimation step.
+        cardinalities: The analyzer's estimate per operator id, before
+            those penalties; the optimizer's estimation step starts from
+            it.  ``None`` without an estimation context, or if it raised.
     """
 
     diagnostics: list[Diagnostic] = field(default_factory=list)
     confidence_penalties: dict[int, float] = field(default_factory=dict)
+    cardinalities: dict | None = None
 
     def add(self, diagnostic: Diagnostic) -> None:
         self.diagnostics.append(diagnostic)

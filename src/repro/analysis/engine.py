@@ -22,9 +22,10 @@ the same report.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from ..core import operators as ops
+from ..core.fingerprint import PlanFingerprints
 from ..core.operators import EstimationContext, Operator
 from .diagnostics import Diagnostic, LintReport, Severity
 from .rules import AnalysisContext, Rule, run_rules
@@ -107,6 +108,8 @@ class PlanAnalyzer:
         estimation_ctx: Source metadata; enables cardinality-based rules
             (oversized broadcasts).
         rules: Restrict to a subset of the registry (default: all rules).
+        fingerprints: Supplies the tokenization pass RP014 reads (the
+            optimizer's own, so that a submission is tokenized once).
     """
 
     def __init__(
@@ -115,11 +118,14 @@ class PlanAnalyzer:
         conversion_graph: Optional["ChannelConversionGraph"] = None,
         estimation_ctx: EstimationContext | None = None,
         rules: Optional[list[Rule]] = None,
+        fingerprints: Callable[[RheemPlan],
+                               PlanFingerprints] = PlanFingerprints,
     ) -> None:
         self.registry = registry
         self.graph = conversion_graph
         self.estimation_ctx = estimation_ctx
         self.rules = rules
+        self.fingerprints = fingerprints
 
     def analyze(self, plan: "RheemPlan") -> LintReport:
         """Run all passes; the report is also attached to ``plan``."""
@@ -150,13 +156,14 @@ class PlanAnalyzer:
             if any(not r.clean for __, r in reports):
                 report.confidence_penalties[op_id] = IMPURE_UDF_CONFIDENCE
 
-        # Cardinalities for estimate-based rules (best effort).
-        cards: dict = {}
+        # Cardinalities for estimate-based rules and, when estimation
+        # succeeds, for the optimizer (best effort).
         if self.estimation_ctx is not None:
             try:
-                cards = plan.estimate_cardinalities(self.estimation_ctx)
+                report.cardinalities = plan.estimate_cardinalities(
+                    self.estimation_ctx)
             except Exception:  # estimation must never break linting
-                cards = {}
+                pass
 
         # Pass 3: the rule registry.
         ctx = AnalysisContext(
@@ -167,8 +174,9 @@ class PlanAnalyzer:
             udf_reports=udf_reports,
             registry=self.registry,
             graph=self.graph,
-            cards=cards,
+            cards=report.cardinalities or {},
             body_op_ids=body_op_ids,
+            fingerprints=self.fingerprints(plan),
         )
         report.extend(run_rules(ctx, self.rules))
         report.sort()

@@ -40,6 +40,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from ..core import operators as ops
 from ..core.channels import ChannelConversionError, ChannelConversionGraph
+from ..core.fingerprint import PlanFingerprints
 from ..core.mappings import MappingRegistry, NoMappingError
 from .diagnostics import Diagnostic, Severity
 from .typeflow import QType, compatible
@@ -73,6 +74,8 @@ class AnalysisContext:
     cards: dict = field(default_factory=dict)
     #: Operators that belong to a loop body (their id).
     body_op_ids: set[int] = field(default_factory=set)
+    #: The tokenization pass over the analyzed plan (RP014).
+    fingerprints: Optional[PlanFingerprints] = None
 
 
 @dataclass(frozen=True)
@@ -414,12 +417,12 @@ def _unused_loop_input(ctx: AnalysisContext) -> Iterator[Diagnostic]:
 @register_rule("RP014", "unstable-fingerprint", Severity.INFO,
                "an operator attribute defeats plan fingerprinting")
 def _unstable_fingerprint(ctx: AnalysisContext) -> Iterator[Diagnostic]:
-    from ..core.fingerprint import unstable_attribute
-
+    if ctx.fingerprints is None:
+        return
     for op in ctx.ordered:
         if isinstance(op, ops.ChannelSource):
             continue  # residual-plan plumbing, never user-addressable
-        attr = unstable_attribute(op)
+        attr = ctx.fingerprints.unstable.get(op.id)
         if attr is not None:
             yield _diag(
                 "RP014", op,

@@ -38,6 +38,9 @@ NONDETERMINISTIC_NAMES = {
 
 _MUTABLE_TYPES = (list, dict, set, bytearray)
 
+_STORE_GLOBAL = dis.opmap["STORE_GLOBAL"]
+_DELETE_GLOBAL = dis.opmap["DELETE_GLOBAL"]
+
 
 @dataclass
 class UdfReport:
@@ -71,16 +74,26 @@ def _resolves_nondeterministic(name: str, globals_ns: dict) -> bool:
 
 def _scan_code(code: CodeType, globals_ns: dict, report: UdfReport,
                depth: int = 3) -> None:
-    """Walk one code object (and nested lambdas/comprehensions)."""
-    for instr in dis.get_instructions(code):
-        if instr.opname in ("LOAD_GLOBAL", "LOAD_NAME"):
-            name = instr.argval
-            if _resolves_nondeterministic(name, globals_ns):
-                if name not in report.nondeterministic_calls:
-                    report.nondeterministic_calls.append(name)
-        elif instr.opname in ("STORE_GLOBAL", "DELETE_GLOBAL"):
-            if instr.argval not in report.global_writes:
-                report.global_writes.append(instr.argval)
+    """Walk one code object (and nested lambdas/comprehensions).
+
+    ``dis`` is opened only where a finding is possible: a nondeterministic
+    load needs its name in ``co_names`` (which holds attribute names too:
+    the filter errs towards the walk), a global write its opcode at an even
+    offset of the wordcode.  The verdict follows ``globals_ns``: none is kept.
+    """
+    opcodes = code.co_code[::2]
+    if (_STORE_GLOBAL in opcodes or _DELETE_GLOBAL in opcodes
+            or any(_resolves_nondeterministic(name, globals_ns)
+                   for name in code.co_names)):
+        for instr in dis.get_instructions(code):
+            if instr.opname in ("LOAD_GLOBAL", "LOAD_NAME"):
+                name = instr.argval
+                if _resolves_nondeterministic(name, globals_ns):
+                    if name not in report.nondeterministic_calls:
+                        report.nondeterministic_calls.append(name)
+            elif instr.opname in ("STORE_GLOBAL", "DELETE_GLOBAL"):
+                if instr.argval not in report.global_writes:
+                    report.global_writes.append(instr.argval)
     if depth > 0:
         for const in code.co_consts:
             if isinstance(const, CodeType):

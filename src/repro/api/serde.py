@@ -28,21 +28,20 @@ paper's platform names (``Spark``, ``JavaStreams``, ...).
 
 from __future__ import annotations
 
-from typing import Any
+import ast
+import functools
+from types import CodeType
+from typing import Any, Callable
 
 from ..core.context import DataQuanta, RheemContext
 from ..latin.translator import resolve_platform
 
+#: Distinct UDF sources whose compiled code is kept, most recent first.
+MAX_COMPILED_UDFS = 4096
+
 
 class PlanDocumentError(ValueError):
     """Raised when a JSON job document is malformed."""
-
-
-def _compile(expr: str, params: str, env: dict[str, Any]):
-    try:
-        return eval(f"lambda {params}: ({expr})", dict(env))
-    except SyntaxError as exc:
-        raise PlanDocumentError(f"bad expression {expr!r}: {exc}") from exc
 
 
 def _field(spec: dict, key: str) -> Any:
@@ -54,6 +53,40 @@ def _field(spec: dict, key: str) -> Any:
         ) from None
 
 
+def typed(value: Any, expected: type, what: str) -> Any:
+    """``value``, or a :class:`PlanDocumentError` naming the field."""
+    if not isinstance(value, expected):
+        raise PlanDocumentError(f"{what} must be a {expected.__name__}, "
+                                f"not {type(value).__name__}")
+    return value
+
+
+@functools.lru_cache(maxsize=MAX_COMPILED_UDFS)
+def _lambda_code(params: str, expr: str) -> CodeType:
+    """Code of ``lambda <params>: <expr>``, compiled once per source.
+
+    ``expr`` is parsed on its own, so it has to be ONE expression (pasted
+    into the lambda's text, ``x)+(1`` closes a wrapping parenthesis).  Only
+    code is shared: a function of it closes over one request's ``env``.
+    """
+    tree = ast.parse(f"lambda {params}: 0", mode="eval")
+    tree.body.body = ast.parse(expr.strip(), mode="eval").body
+    return compile(tree, "<string>", "eval")
+
+
+def _compile(spec: dict, key: str, params: str,
+             env: dict[str, Any]) -> Callable:
+    """The UDF ``spec[key]`` denotes, over its own copy of ``env``."""
+    expr = _field(spec, key)
+    try:
+        code = _lambda_code(params, typed(expr, str, "a UDF source"))
+    except (SyntaxError, ValueError) as exc:  # not a str; a NUL byte in it
+        raise PlanDocumentError(
+            f"operator {spec.get('name', '?')!r} field {key!r}: bad "
+            f"expression {expr!r}: {exc}") from exc
+    return eval(code, dict(env))
+
+
 def build_quanta(
     ctx: RheemContext,
     document: dict,
@@ -62,20 +95,21 @@ def build_quanta(
     """Materialize the document's dataflow; returns the sink's DataQuanta.
 
     Raises:
-        PlanDocumentError: On unknown kinds, missing fields or dangling
-            dataset references.
+        PlanDocumentError: On unknown kinds, missing or mis-typed fields,
+            malformed UDF expressions or dangling dataset references.
     """
     env = dict(env or {})
     datasets: dict[str, DataQuanta] = {}
 
     def dataset(name: str) -> DataQuanta:
         try:
-            return datasets[name]
+            return datasets[typed(name, str, "a dataset reference")]
         except KeyError:
             raise PlanDocumentError(f"unknown dataset {name!r}") from None
 
-    for spec in document.get("operators", []):
-        name = _field(spec, "name")
+    for spec in typed(document.get("operators", []), list, "'operators'"):
+        typed(spec, dict, "an 'operators' entry")
+        name = typed(_field(spec, "name"), str, "operator 'name'")
         kind = _field(spec, "kind")
         broadcasts = [dataset(b) for b in spec.get("broadcasts", [])]
         if kind == "textfile_source":
@@ -91,7 +125,7 @@ def build_quanta(
             dq = ctx.read_table(_field(spec, "table"),
                                 spec.get("projection"))
         elif kind in ("map", "flatmap", "filter"):
-            fn = _compile(_field(spec, "expr"), "x, *bc", env)
+            fn = _compile(spec, "expr", "x, *bc", env)
             src = dataset(_field(spec, "input"))
             if kind == "filter":
                 dq = src.filter(fn, broadcasts=broadcasts)
@@ -106,22 +140,22 @@ def build_quanta(
         elif kind == "distinct":
             dq = dataset(_field(spec, "input")).distinct()
         elif kind == "sort":
-            key = spec.get("key")
             dq = dataset(_field(spec, "input")).sort(
-                key=_compile(key, "x", env) if key else None,
+                key=(_compile(spec, "key", "x", env)
+                     if spec.get("key") is not None else None),
                 descending=spec.get("descending", False))
         elif kind == "groupby":
             dq = dataset(_field(spec, "input")).group_by(
-                _compile(_field(spec, "key"), "x", env),
+                _compile(spec, "key", "x", env),
                 sim_groups=spec.get("sim_groups"))
         elif kind == "reduceby":
             dq = dataset(_field(spec, "input")).reduce_by_key(
-                _compile(_field(spec, "key"), "x", env),
-                _compile(_field(spec, "reducer"), "a, b", env),
+                _compile(spec, "key", "x", env),
+                _compile(spec, "reducer", "a, b", env),
                 sim_groups=spec.get("sim_groups"))
         elif kind == "reduce":
             dq = dataset(_field(spec, "input")).reduce(
-                _compile(_field(spec, "reducer"), "a, b", env))
+                _compile(spec, "reducer", "a, b", env))
         elif kind == "count":
             dq = dataset(_field(spec, "input")).count()
         elif kind == "cache":
@@ -134,8 +168,8 @@ def build_quanta(
         elif kind == "join":
             dq = dataset(_field(spec, "left")).join(
                 dataset(_field(spec, "right")),
-                _compile(_field(spec, "left_key"), "x", env),
-                _compile(_field(spec, "right_key"), "x", env),
+                _compile(spec, "left_key", "x", env),
+                _compile(spec, "right_key", "x", env),
                 selectivity=spec.get("selectivity"),
                 sim_mode=spec.get("sim_mode", "linear"))
         elif kind == "pagerank":
@@ -151,4 +185,4 @@ def build_quanta(
     sink = document.get("sink")
     if not sink:
         raise PlanDocumentError("document needs a 'sink' entry")
-    return dataset(_field(sink, "name"))
+    return dataset(_field(typed(sink, dict, "'sink'"), "name"))

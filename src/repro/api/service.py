@@ -19,7 +19,7 @@ from ..core.plan import PlanValidationError
 from ..latin.translator import resolve_platform
 from ..simulation.cluster import SimulatedOutOfMemory
 from ..trace import NullTracer, Tracer, trace_block
-from .serde import PlanDocumentError, build_quanta
+from .serde import PlanDocumentError, build_quanta, typed
 
 
 class RheemService:
@@ -66,7 +66,8 @@ class RheemService:
         tracer = tracer if tracer is not None else Tracer()
         try:
             quanta = build_quanta(self.ctx, document, self.env)
-            execution = document.get("execution", {})
+            execution = typed(document.get("execution", {}), dict,
+                              "'execution'")
             kwargs: dict[str, Any] = {}
             platforms = execution.get("platforms")
             if platforms:

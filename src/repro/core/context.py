@@ -262,7 +262,8 @@ class RheemContext:
             return exec_plan, cards
         key = self.plan_cache.key_for(
             plan, optimizer.estimation_ctx, self.cost_model.version,
-            allowed_platforms, optimizer.objective) if cacheable else None
+            allowed_platforms, optimizer.objective,
+            fingerprints=optimizer.fingerprints(plan)) if cacheable else None
         cached = self.plan_cache.get(key) if key is not None else None
         if cached is not None:
             optimizer._analyze(plan)

@@ -24,10 +24,13 @@ import functools
 import hashlib
 import inspect
 from types import CodeType
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .operators import LoopOperator, Operator
 from .udf import Udf
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .plan import RheemPlan
 
 #: Operator attributes that do not affect what a plan computes: identity
 #: counters, wiring (captured structurally), back-references, and the
@@ -38,9 +41,6 @@ _SKIP_ATTRS = frozenset(
 
 #: Recursion guard for pathological self-referential values.
 _MAX_DEPTH = 24
-
-#: Collections longer than this are still tokenized in full (tokens are
-#: hashed, not stored), but the guard keeps adversarial nesting bounded.
 
 
 class _Fingerprinter:
@@ -119,156 +119,130 @@ class _Fingerprinter:
                 code.co_varnames, code.co_freevars, code.co_argcount)
 
 
-def _op_attr_token(op: Operator, fp: _Fingerprinter) -> tuple:
-    """Canonical token of one operator's semantic attributes (no wiring)."""
-    return tuple(
-        (key, fp.token(op.__dict__[key]))
-        for key in sorted(op.__dict__)
-        if key not in _SKIP_ATTRS)
+def _wiring(op: Operator, address: dict[int, Any]) -> tuple:
+    """``op``'s data edges by slot, then its broadcast edges, each producer
+    named by what ``address`` holds for it (``KeyError`` if nothing)."""
+    return (tuple((address[ref.op.id], ref.output_index)
+                  if ref is not None else None for ref in op.inputs),
+            tuple((address[ref.op.id], ref.output_index)
+                  for ref in op.side_inputs))
 
 
-def plan_fingerprint(plan) -> str | None:
+def _sha(tree: tuple) -> str:
+    return hashlib.sha256(repr(tree).encode()).hexdigest()
+
+
+class PlanFingerprints:
+    """One tokenization pass over ``plan``: every fingerprint fact at once.
+
+    Each operator's attributes (loop bodies included) are tokenized exactly
+    once; a subplan digest hashes them with the producers' digests, and the
+    whole-plan digest only combines subplan digests with the wiring.
+
+    Attributes:
+        plan: The plan the pass was computed from.  Operators are mutable
+            between submissions, so a pass is only reused for this very
+            object (``is``) and nothing is stored on it or its operators.
+        digest: Whole-plan digest, ``None`` when any attribute is unstable
+            (combined on first use: a reuse-served submission never asks).
+        unstable_op: First top-level operator (topological order) that is,
+            or whose loop body is, unstable; ``None`` for a stable plan.
+        subplans: Top-level operator id -> Merkle digest of the computation
+            rooted there; an unstable upstream cone leaves the id out.
+        unstable: Operator id (body operators too) -> its first attribute,
+            in sorted order, that did not tokenize stably.
+    """
+
+    def __init__(self, plan: "RheemPlan") -> None:
+        self.plan = plan
+        self.unstable: dict[int, str] = {}
+        self.subplans: dict[int, str] = {}
+        self.unstable_op: Operator | None = None
+        for op in plan.operators():
+            own = self._own(op)
+            if own is None:
+                if self.unstable_op is None:
+                    self.unstable_op = op
+                continue
+            try:
+                self.subplans[op.id] = _sha((own, _wiring(op, self.subplans)))
+            except KeyError:  # a producer's cone is unstable
+                pass
+
+    @functools.cached_property
+    def digest(self) -> str | None:
+        if self.unstable_op is not None:
+            return None
+        # Subplan digests say WHAT each operator computes; the indices add
+        # which operators share a producer and which are copies of it.
+        ops = self.plan.operators()
+        index = {op.id: i for i, op in enumerate(ops)}
+        return _sha((
+            tuple((self.subplans[op.id], _wiring(op, index)) for op in ops),
+            tuple(index[sink.id] for sink in self.plan.sinks)))
+
+    def _own(self, op: Operator) -> tuple | None:
+        """Token of ``op`` alone — type, attributes, loop body — or
+        ``None`` when an attribute of it or of its body is unstable."""
+        body: tuple = ()
+        if isinstance(op, LoopOperator):
+            # A miniature plan, wired by body-local index; a ``LoopInput``
+            # carries its slot, which binds it to the loop's outer edge.
+            body_ops = op.body.operators()
+            index = {o.id: i for i, o in enumerate(body_ops)}
+            body = (tuple((self._own(o), _wiring(o, index))
+                          for o in body_ops),
+                    tuple(index[inp.id] for inp in op.body.inputs),
+                    tuple((index[ref.op.id], ref.output_index)
+                          for ref in op.body.outputs))
+        fp = _Fingerprinter()
+        values = op.__dict__
+        attrs = []
+        for key in sorted(values):
+            if key not in _SKIP_ATTRS:
+                attrs.append((key, fp.token(values[key])))
+                if not fp.stable:  # the first; the rest is moot
+                    self.unstable[op.id] = key
+                    return None
+        if body and any(own is None for own, __ in body[0]):
+            return None
+        return type(op).__name__, tuple(attrs), body
+
+
+def plan_fingerprint(plan: "RheemPlan") -> str | None:
     """Digest of ``plan``'s structure and parameters; ``None`` if unstable.
 
-    The walk covers loop bodies (``include_loop_bodies=True``), so a loop's
-    fingerprint pins its body operators, feedback wiring, and iteration
-    bounds.  ``None`` means some operator attribute could not be tokenized
-    reproducibly — the caller must skip caching for this plan.
+    The digest covers loop bodies, so a loop's fingerprint pins its body
+    operators, feedback wiring, and iteration bounds.  ``None`` means some
+    operator attribute could not be tokenized reproducibly — the caller
+    must skip caching for this plan.
     """
-    return fingerprint_report(plan)[0]
+    return PlanFingerprints(plan).digest
 
 
-def fingerprint_report(plan) -> "tuple[str | None, Operator | None]":
+def fingerprint_report(
+        plan: "RheemPlan") -> "tuple[str | None, Operator | None]":
     """:func:`plan_fingerprint` plus blame: ``(digest, unstable operator)``.
 
     Exactly one of the pair is ``None``: a stable plan returns
-    ``(digest, None)``; an uncacheable plan returns ``(None, op)`` where
-    ``op`` is the first operator (in topological order) whose attributes
-    could not be tokenized reproducibly — surfaced by the
-    ``fingerprint.unstable`` counter and lint rule RP014.
+    ``(digest, None)``, an uncacheable one ``(None, op)`` with the first
+    top-level operator (topological order) that could not be tokenized
+    reproducibly; lint rule RP014 names the attribute.
     """
-    ops: list[Operator] = plan.operators(include_loop_bodies=True)
-    index = {op.id: i for i, op in enumerate(ops)}
-    fp = _Fingerprinter()
-    entries = []
-    unstable_op: Operator | None = None
-    for op in ops:
-        attrs = _op_attr_token(op, fp)
-        if not fp.stable and unstable_op is None:
-            unstable_op = op
-        ins = tuple(
-            (slot, index.get(ref.op.id), ref.output_index)
-            if ref is not None else (slot, None, None)
-            for slot, ref in enumerate(op.inputs))
-        sides = tuple((index.get(ref.op.id), ref.output_index)
-                      for ref in op.side_inputs)
-        body: tuple = ()
-        if isinstance(op, LoopOperator):
-            body = (tuple(index[inp.id] for inp in op.body.inputs),
-                    tuple((index[ref.op.id], ref.output_index)
-                          for ref in op.body.outputs))
-        entries.append((type(op).__name__, ins, sides, body, attrs))
-    if not fp.stable:
-        return None, unstable_op
-    tree = (tuple(entries), tuple(index[sink.id] for sink in plan.sinks))
-    return hashlib.sha256(repr(tree).encode()).hexdigest(), None
+    fps = PlanFingerprints(plan)
+    return fps.digest, fps.unstable_op
 
 
-def unstable_attribute(op: Operator) -> str | None:
-    """Name of the first attribute of ``op`` that defeats fingerprinting.
-
-    ``None`` when every attribute tokenizes stably.  Used by lint rule
-    RP014 to name the offending operator attribute in its hint.
-    """
-    for key in sorted(op.__dict__):
-        if key in _SKIP_ATTRS:
-            continue
-        fp = _Fingerprinter()
-        fp.token(op.__dict__[key])
-        if not fp.stable:
-            return key
-    return None
-
-
-# --------------------------------------------------------------- subplans
-def subplan_fingerprints(plan) -> dict[int, str]:
+def subplan_fingerprints(plan: "RheemPlan") -> dict[int, str]:
     """Merkle digest of the *computation rooted at each operator*.
 
     Returns ``{operator id -> digest}`` for every top-level operator of
     ``plan`` whose upstream cone tokenizes stably.  An operator's digest
-    combines its own attribute token with the digests of its data and
-    broadcast producers (plus a structural token of its loop body, for
-    loops), so two operators share a digest exactly when they compute the
-    same function of the same fingerprinted sources — across plans and
-    across submissions.  Instability poisons transitively: an unstable UDF
-    anywhere in the cone removes the whole downstream chain from the map,
-    mirroring :func:`plan_fingerprint`'s conservative-miss contract.
+    combines its own token (attributes plus, for loops, the body's
+    structure) with the digests of its data and broadcast producers, so
+    two operators share a digest exactly when they compute the same
+    function of the same fingerprinted sources — across plans and across
+    submissions.  Instability poisons transitively: an unstable UDF takes
+    its whole downstream chain out of the map (a conservative miss).
     """
-    memo: dict[int, str | None] = {}
-    for op in plan.operators():
-        _subplan_fp(op, memo)
-    return {op_id: digest for op_id, digest in memo.items()
-            if digest is not None}
-
-
-def _subplan_fp(op: Operator, memo: dict[int, "str | None"]) -> str | None:
-    if op.id in memo:
-        return memo[op.id]
-    fp = _Fingerprinter()
-    entry = (type(op).__name__, _op_attr_token(op, fp))
-    body: tuple = ()
-    if isinstance(op, LoopOperator):
-        body = _loop_body_token(op, fp)
-    if not fp.stable:
-        memo[op.id] = None
-        return None
-    ins: list[tuple] = []
-    for slot, ref in enumerate(op.inputs):
-        if ref is None:
-            ins.append((slot, None, None))
-            continue
-        sub = _subplan_fp(ref.op, memo)
-        if sub is None:
-            memo[op.id] = None
-            return None
-        ins.append((slot, sub, ref.output_index))
-    sides: list[tuple] = []
-    for ref in op.side_inputs:
-        sub = _subplan_fp(ref.op, memo)
-        if sub is None:
-            memo[op.id] = None
-            return None
-        sides.append((sub, ref.output_index))
-    tree = (entry, tuple(ins), tuple(sides), body)
-    digest = hashlib.sha256(repr(tree).encode()).hexdigest()
-    memo[op.id] = digest
-    return digest
-
-
-def _loop_body_token(loop: LoopOperator, fp: _Fingerprinter) -> tuple:
-    """Structural token of a loop body (body-local wiring indices).
-
-    The body is tokenized like a miniature plan: operators in the body's
-    own topological order, wiring by body-local index, attributes through
-    the *loop's* fingerprinter so body instability poisons the loop's
-    subplan digest.  ``LoopInput`` placeholders carry their slot index as
-    an attribute, which binds them to the loop's outer inputs (whose own
-    subplan digests enter through the loop's input edges).
-    """
-    body_ops = loop.body.operators()
-    index = {o.id: i for i, o in enumerate(body_ops)}
-    entries = []
-    for o in body_ops:
-        attrs = _op_attr_token(o, fp)
-        ins = tuple(
-            (slot, index.get(ref.op.id), ref.output_index)
-            if ref is not None else (slot, None, None)
-            for slot, ref in enumerate(o.inputs))
-        sides = tuple((index.get(ref.op.id), ref.output_index)
-                      for ref in o.side_inputs)
-        body = _loop_body_token(o, fp) if isinstance(o, LoopOperator) else ()
-        entries.append((type(o).__name__, ins, sides, body, attrs))
-    return ("loop-body", tuple(entries),
-            tuple(index[inp.id] for inp in loop.body.inputs),
-            tuple((index[ref.op.id], ref.output_index)
-                  for ref in loop.body.outputs))
+    return PlanFingerprints(plan).subplans

@@ -2,9 +2,10 @@
 
 A mapping declares how a platform implements a Rheem operator — either with
 a single execution operator (1-to-1) or with a chain of them (1-to-n, the
-paper's Reduce -> [GroupBy, Map] example).  *Inflation* annotates every
-logical operator with ALL its execution alternatives; the inflated plan is
-the compact search space the enumerator explores.
+paper's Reduce -> [GroupBy, Map] example).  *Inflation* annotates a logical
+operator with ALL its execution alternatives
+(:meth:`MappingRegistry.alternatives_for`) when the enumerator reaches it,
+so an operator that result reuse pruned is never inflated.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from typing import Callable, Sequence, TYPE_CHECKING
 from .cardinality import CardinalityEstimate
 from .channels import ChannelDescriptor
 from .cost import CostEstimate, CostModel
-from .operators import LoopOperator, Operator
-from .plan import RheemPlan
+from .operators import Operator
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..platforms.base import ExecutionOperator
@@ -136,12 +136,20 @@ class MappingRegistry:
 
     def __init__(self) -> None:
         self._mappings: list[OperatorMapping] = []
+        #: Operator type -> the mappings of it and of its bases, in
+        #: registration order; filled on first lookup.  Registration drops
+        #: it by rebinding a fresh dict AFTER the append: worker threads
+        #: look up while ``custom_operator`` registers, and a lookup that
+        #: raced the append wrote into the dict that was dropped.
+        self._by_type: dict[type, list[OperatorMapping]] = {}
 
     def register(self, mapping: OperatorMapping) -> None:
         self._mappings.append(mapping)
+        self._by_type = {}
 
     def register_all(self, mappings: Sequence[OperatorMapping]) -> None:
         self._mappings.extend(mappings)
+        self._by_type = {}
 
     def alternatives_for(self, op: Operator) -> list[ExecutionAlternative]:
         """All execution alternatives for ``op``, honouring a pinned
@@ -150,7 +158,14 @@ class MappingRegistry:
         Raises:
             NoMappingError: If no alternative exists.
         """
-        alts = [m.build(op) for m in self._mappings if m.matches(op)]
+        by_type, op_type = self._by_type, type(op)
+        candidates = by_type.get(op_type)
+        if candidates is None:
+            candidates = by_type[op_type] = [
+                m for m in self._mappings
+                if issubclass(op_type, m.operator_type)]
+        alts = [m.build(op) for m in candidates
+                if m.guard is None or m.guard(op)]
         if op.target_platform is not None:
             alts = [a for a in alts if a.platform == op.target_platform]
         if not alts:
@@ -158,27 +173,3 @@ class MappingRegistry:
                    if op.target_platform else "")
             raise NoMappingError(f"no execution alternative for {op}{pin}")
         return alts
-
-
-@dataclass
-class InflatedPlan:
-    """A Rheem plan annotated with all execution alternatives per operator.
-
-    Loop operators are inflated recursively by the optimizer, not here.
-    """
-
-    plan: RheemPlan
-    alternatives: dict[int, list[ExecutionAlternative]]
-
-    def alternatives_for(self, op: Operator) -> list[ExecutionAlternative]:
-        return self.alternatives[op.id]
-
-
-def inflate(plan: RheemPlan, registry: MappingRegistry) -> InflatedPlan:
-    """Apply all mappings to every (non-loop) operator of ``plan``."""
-    alternatives: dict[int, list[ExecutionAlternative]] = {}
-    for op in plan.operators():
-        if isinstance(op, LoopOperator):
-            continue  # enumerated recursively via its body
-        alternatives[op.id] = registry.alternatives_for(op)
-    return InflatedPlan(plan, alternatives)

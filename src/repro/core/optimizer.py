@@ -2,8 +2,8 @@
 
 Pipeline:
 
-1. **Inflation** — every logical operator is annotated with all its
-   execution alternatives (:func:`repro.core.mappings.inflate`).
+1. **Inflation** — a logical operator is annotated with all its execution
+   alternatives (``MappingRegistry.alternatives_for``) when step 4 reaches it.
 2. **Cardinality and cost annotation** — interval estimates, bottom-up.
 3. **Data movement planning** — per plan edge, the channel conversion graph
    supplies minimum-cost conversion paths between the producing and the
@@ -47,7 +47,8 @@ from .execution import (
     LoopImplementation,
     TaskInput,
 )
-from .mappings import ExecutionAlternative, MappingRegistry, inflate
+from .fingerprint import PlanFingerprints
+from .mappings import ExecutionAlternative, MappingRegistry
 from .operators import (
     CartesianProduct,
     ChannelSource,
@@ -304,6 +305,7 @@ class Optimizer:
         self.stats: dict[str, int] = dict.fromkeys(
             ("plans_enumerated", "plans_pruned", "conversion_paths_solved",
              "conversion_paths_distinct", "plans_beam_dropped"), 0)
+        self._fingerprints: PlanFingerprints | None = None
 
     # ----------------------------------------------------------- public API
     def optimize(self, plan: RheemPlan) -> ExecutionPlan:
@@ -311,10 +313,23 @@ class Optimizer:
         best, cards = self.pick_best(plan)
         return self._build_execution_plan(plan, best)
 
+    def fingerprints(self, plan: RheemPlan) -> PlanFingerprints:
+        """The tokenization pass over ``plan``, made once per optimizer.
+
+        An optimizer serves one ``RheemContext.optimize`` call, whose reuse
+        probe, plan-cache key and lint rule RP014 read this pass.  It lives
+        here (on an operator it would enter that operator's own digest) and
+        for this very object: plans change from one submission to the next.
+        """
+        fps = self._fingerprints
+        if fps is None or fps.plan is not plan:
+            fps = self._fingerprints = PlanFingerprints(plan)
+        return fps
+
     def pick_best(self, plan: RheemPlan,
                   reuse: ReuseProbe | None = None
                   ) -> tuple[PartialPlan, dict]:
-        """Run static analysis + inflation + enumeration.
+        """Run static analysis + estimation + enumeration.
 
         Error-level lint findings abort before enumeration
         (:class:`PlanAnalysisError`); warnings annotate ``plan.diagnostics``
@@ -334,7 +349,12 @@ class Optimizer:
         with self.tracer.span("optimizer.analyze"):
             report = self._analyze(plan)
         with self.tracer.span("optimizer.estimate") as estimate_span:
-            cards = plan.estimate_cardinalities(self.estimation_ctx)
+            # The analyzer estimated with this very context, best-effort:
+            # only a failed estimate is redone (and raises).
+            if report is not None and report.cardinalities is not None:
+                cards = dict(report.cardinalities)
+            else:
+                cards = plan.estimate_cardinalities(self.estimation_ctx)
             if report is not None:
                 for op_id, penalty in report.confidence_penalties.items():
                     est = cards.get(op_id)
@@ -343,17 +363,22 @@ class Optimizer:
                             est.lower, est.upper, est.confidence * penalty)
             estimate_span.set("operators_estimated", len(cards))
         with self.tracer.span("optimizer.inflate") as inflate_span:
-            inflated = inflate(plan, self.registry)
+            # Inflation happens when enumeration reaches an operator; this
+            # holds each answer for a reuse fall-back's second enumeration.
+            inflated: dict[int, list[ExecutionAlternative]] = {}
             ops = plan.operators()
             inflate_span.set("operators", len(ops))
         with self.tracer.span("optimizer.movement") as movement_span:
             bprs = self._estimate_record_bytes(ops, cards=cards)
             movement_span.set("record_widths_modeled", len(bprs))
 
-        def alternatives(op: Operator):
+        def alternatives(op: Operator) -> list:
             if isinstance(op, LoopOperator):
                 return self._loop_decisions(op, cards, bprs, paths)
-            return self._filter_alternatives(op, inflated.alternatives_for(op))
+            alts = inflated.get(op.id)
+            if alts is None:
+                alts = inflated[op.id] = self.registry.alternatives_for(op)
+            return self._filter_alternatives(op, alts)
 
         enum_ops: Sequence[Operator] = ops
         enum_alts = alternatives
@@ -415,10 +440,8 @@ class Optimizer:
         plan-cache miss) without touching the store — probing a store
         known to hold nothing would count meaningless misses.
         """
-        from .fingerprint import subplan_fingerprints
-
         with self.tracer.span("optimizer.reuse_probe") as span:
-            fps = subplan_fingerprints(plan)
+            fps = self.fingerprints(plan).subplans
             bands = self._reuse_bands(plan, fps)
             keys = {op.id: (fps[op.id], bands[op.id], cost_model_version)
                     for op in plan.operators()
@@ -482,6 +505,7 @@ class Optimizer:
             registry=self.registry,
             conversion_graph=self.graph,
             estimation_ctx=self.estimation_ctx,
+            fingerprints=self.fingerprints,
         )
         report = analyzer.analyze(plan)
         notify_report(plan, report)

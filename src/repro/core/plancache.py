@@ -39,6 +39,10 @@ if TYPE_CHECKING:
     from ..trace import MetricsRegistry
     from .cardinality import CardinalityEstimate
     from .execution import ExecutionPlan
+    from .fingerprint import PlanFingerprints
+    from .objectives import Objective
+    from .operators import EstimationContext
+    from .plan import RheemPlan
 
 #: Statistic names mirrored into the metrics registry as ``plan_cache.<n>``.
 PLAN_CACHE_STAT_NAMES = ("hits", "misses", "evictions", "flushes")
@@ -78,19 +82,22 @@ class ExecutionPlanCache:
             self.metrics.counter(f"plan_cache.{name}").inc()
 
     # ------------------------------------------------------------- keying
-    def key_for(self, plan, estimation_ctx, cost_model_version: int,
-                allowed_platforms: set[str] | None,
-                objective) -> tuple | None:
+    def key_for(self, plan: RheemPlan, estimation_ctx: EstimationContext,
+                cost_model_version: int, allowed_platforms: set[str] | None,
+                objective: Objective,
+                fingerprints: PlanFingerprints | None = None) -> tuple | None:
         """Cache key for ``plan`` under the given optimizer configuration.
 
-        Returns ``None`` — meaning "do not cache" — when caching is
-        disabled or the plan cannot be fingerprinted stably.
+        ``fingerprints`` is the caller's tokenization pass over ``plan``,
+        if it has one.  Returns ``None`` — meaning "do not cache" — when
+        caching is disabled or the plan cannot be fingerprinted stably.
         """
-        from .fingerprint import fingerprint_report
+        from .fingerprint import plan_fingerprint
 
         if not self.enabled or self.capacity <= 0:
             return None
-        fingerprint, __ = fingerprint_report(plan)
+        fingerprint = (fingerprints.digest if fingerprints is not None
+                       else plan_fingerprint(plan))
         if fingerprint is None:
             # An unstable attribute (object addresses, open handles, ...)
             # defeated fingerprinting; surface it so a cache that silently

@@ -73,6 +73,39 @@ class TestJsonPlans:
         with pytest.raises(PlanDocumentError):
             build_quanta(ctx, {"operators": []})
 
+    @pytest.mark.parametrize("field, kind, others, source", [
+        (field, kind, others, source)
+        for field, kind, others in [
+            ("expr", "map", {}), ("expr", "flatmap", {}),
+            ("expr", "filter", {}), ("key", "sort", {}),
+            ("key", "groupby", {}), ("key", "reduceby", {"reducer": "a"}),
+            ("reducer", "reduceby", {"key": "x"}), ("reducer", "reduce", {}),
+            ("left_key", "join", {"right_key": "x"}),
+            ("right_key", "join", {"left_key": "x"})]
+        for source in [
+            "x)+(1",  # pasted into ``lambda x: (...)`` this used to compile
+            "x; y", "", "  ", 5, None, ["x"]]
+        if (kind, source) != ("sort", None)])  # a sort key is optional
+    def test_a_udf_source_must_be_one_expression(self, field, kind, others,
+                                                 source):
+        doc = {"operators": [
+            {"name": "xs", "kind": "collection_source", "data": [1, 2]},
+            {"name": "udf", "kind": kind, "input": "xs", "left": "xs",
+             "right": "xs", **others, field: source}],
+            "sink": {"name": "udf"}}
+        with pytest.raises(PlanDocumentError, match="'udf'"):
+            build_quanta(RheemContext(), doc)
+        response = RheemService(RheemContext()).submit(doc)
+        assert response["status"] == "error"
+        assert response["kind"] == "PlanDocumentError"
+
+    def test_surrounding_whitespace_is_not_part_of_the_expression(self):
+        doc = {"operators": [
+            {"name": "xs", "kind": "collection_source", "data": [1, 2]},
+            {"name": "m", "kind": "map", "input": "xs",
+             "expr": "  x + 1\n"}], "sink": {"name": "m"}}
+        assert build_quanta(RheemContext(), doc).collect() == [2, 3]
+
 
 class TestRestService:
     def test_submit_ok(self):

@@ -446,6 +446,23 @@ class TestWsgiFrontend:
         status, __ = self._call(app, body=body, qs="tenant=t&priority=2")
         assert status == "200 OK"
 
+    @pytest.mark.parametrize("field, override", [
+        ("'operators'", {"operators": {"a": 1}}),
+        ("'operators'", {"operators": "abc"}),
+        ("'operators'", {"operators": [5]}),
+        ("'sink'", {"sink": "counts"}),
+        ("'sink'", {"sink": ["counts"]}),
+        ("'execution'", {"execution": "fast"}),
+        ("'name'", {"operators": [
+            {**WORDCOUNT_DOC["operators"][0], "name": ["lines"]}]})])
+    def test_a_misshaped_document_is_a_plan_document_error(
+            self, app, field, override):
+        # Each answered a Python exception name (TypeError, AttributeError).
+        body = json.dumps({**WORDCOUNT_DOC, **override}).encode()
+        payload = self._refused(app, 400, body=body)
+        assert payload["kind"] == "PlanDocumentError"
+        assert field in payload["error"]
+
     def test_bad_query_values_carry_a_kind(self, app):
         body = json.dumps(WORDCOUNT_DOC).encode()
         for qs in ("deadline_s=soon", "priority=high"):
