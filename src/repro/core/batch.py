@@ -1,29 +1,33 @@
-"""Columnar record batches: the vectorized hand-off unit of the engines.
+"""Columnar record batches and the columnar kernels that run on them.
 
 A :class:`RecordBatch` is an immutable, columnar view of a list of records.
-Batches are what the engines move when a context is built with
-``config={"vectorize": True}``: instead of dispatching a Python-level UDF
-per record, batch operators run one numpy kernel per batch and fall back to
-the per-record path only for operators without a vectorized declaration.
+It is a legal payload wherever a list of records is (a
+``pystreams.collection`` channel, one partition of a
+:class:`~repro.platforms.distributed.PartitionedDataset`, a relation's
+rows): it has a length, iterates as its records and reads back exactly
+with ``to_records``.  The ``run_*`` functions at the bottom pick, per
+logical operator and payload, between one numpy kernel over a batch and
+the :mod:`~repro.core.kernels` record kernel over the records.
 
 Layout rules (``from_records``):
 
 * all records are dicts with the same key tuple  -> ``dict`` layout,
   one column per key;
+* all records are ``(dict, dict)`` 2-tuples      -> ``pair`` layout: a left
+  and a right sub-batch with aligned rows (what a join of dict rows
+  emits, whichever kernel ran it);
 * all records are tuples of the same width       -> ``tuple`` layout,
   one column per position;
 * anything else                                  -> ``scalar`` layout,
   the records themselves form the single column.
 
-A fourth layout, ``pair``, is produced by the vectorized join: it holds a
-left and a right sub-batch with aligned rows and reads back as the legacy
-``(left_record, right_record)`` pairs.
+The columnar join emits the ``pair`` layout for any two sub-batches.
 
 Columns whose values are homogeneously ``int``, ``float`` or ``str`` are
 backed by read-only numpy arrays; everything else stays a plain object
 list.  ``to_records`` reconstructs the original records exactly (numpy
-round-trips int64/float64/str values bit-for-bit), which is what lets the
-batch engines guarantee results identical to the per-record engines.
+round-trips int64/float64/str values bit-for-bit), which is what makes a
+columnar kernel's output equal the record kernel's.
 """
 
 from __future__ import annotations
@@ -32,11 +36,8 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .kernels import (bind, distinct_records, flat_map_records, fold_by_key,
-                      hash_join, identity, map_records)
-
-_INT64_MIN = -(2**63)
-_INT64_MAX = 2**63 - 1
+from .kernels import (bind, filter_records, flat_map_records, fold_by_key,
+                      hash_join, map_records)
 
 
 def _make_column(values: list[Any]):
@@ -106,6 +107,11 @@ class RecordBatch:
                 return cls("dict", columns, len(rows), names)
         elif type(first) is tuple and first:
             width = len(first)
+            if width == 2 and all(
+                    type(r) is tuple and len(r) == 2 and type(r[0]) is dict
+                    and type(r[1]) is dict for r in rows):
+                return cls.pair(cls.from_records([r[0] for r in rows]),
+                                cls.from_records([r[1] for r in rows]))
             if all(type(r) is tuple and len(r) == width for r in rows):
                 columns = tuple(_make_column([r[i] for r in rows])
                                 for i in range(width))
@@ -115,7 +121,7 @@ class RecordBatch:
     @classmethod
     def from_columns(cls, names: Sequence[str],
                      columns: Sequence[Any]) -> "RecordBatch":
-        """A dict-layout batch from parallel ``columns`` (vectorized UDFs)."""
+        """A dict-layout batch from parallel ``columns`` (columnar UDFs)."""
         cols = tuple(_freeze(c) for c in columns)
         rows = len(cols[0]) if cols else 0
         return cls("dict", cols, rows, tuple(names))
@@ -178,14 +184,18 @@ class RecordBatch:
         return f"RecordBatch({self._kind}, rows={self._rows})"
 
     def col(self, key):
-        """A column by name (dict layout) or position (tuple layout)."""
+        """A column by name (dict layout) or position (tuple layout).
+
+        Raises:
+            KeyError: No such column, whatever the layout.
+        """
         if self._kind == "dict":
-            if not isinstance(key, str):
-                raise KeyError(key)
-            return self._columns[self._names.index(key)]
-        if self._kind == "tuple":
-            return self._columns[key]
-        if self._kind == "scalar" and key in (0, "value"):
+            if key in self._names:
+                return self._columns[self._names.index(key)]
+        elif self._kind == "tuple":
+            if type(key) is int and 0 <= key < len(self._columns):
+                return self._columns[key]
+        elif self._kind == "scalar" and key in (0, "value"):
             return self._columns[0]
         raise KeyError(f"no column {key!r} in a {self._kind} batch")
 
@@ -193,7 +203,7 @@ class RecordBatch:
         """``col(key)`` as a numpy array, or None if it is an object column."""
         try:
             column = self.col(key)
-        except (KeyError, ValueError, IndexError):
+        except KeyError:
             return None
         return column if isinstance(column, np.ndarray) else None
 
@@ -266,7 +276,7 @@ def _concat_columns(columns: list):
 # ---------------------------------------------------------------- kernels
 def range_mask(batch: RecordBatch, column: str, low: Any,
                high: Any) -> np.ndarray | None:
-    """Vectorized ``low <= batch[column] <= high``; None when not possible."""
+    """Columnar ``low <= batch[column] <= high``; None when not possible."""
     arr = batch.array(column)
     if arr is None:
         return None
@@ -322,7 +332,7 @@ def join_indices(left_keys: np.ndarray,
 
 def joinable_keys(left: RecordBatch, left_col,
                   right: RecordBatch, right_col):
-    """Numpy key arrays for a vectorized join, or None when unavailable.
+    """Numpy key arrays for a columnar join, or None when unavailable.
 
     Requires comparable numpy dtypes on both sides: equality under sort
     order must coincide with the hash-table equality of the legacy path
@@ -376,128 +386,169 @@ def pair_sum_reduce(key_col=0, value_col=1) -> Callable[[RecordBatch],
     return impl
 
 
-def column_values(column) -> list[Any]:
-    """Public alias of :func:`_column_values` for the engines."""
-    return _column_values(column)
-
-
 def sort_order(keys: np.ndarray, descending: bool) -> np.ndarray | None:
     """Stable sort permutation matching ``sorted(records, key=..., reverse=)``.
 
     Python's sort is stable in both directions (``reverse=True`` does NOT
-    reverse ties); ``-keys`` under a stable ascending argsort reproduces
-    that for numeric keys.  Returns None when the dtype cannot express it.
+    reverse ties), so descending is a stable ascending argsort of the
+    order-reversed keys: ``~k`` for ints (``-k - 1``, which unlike ``-k``
+    cannot overflow at the int64 minimum), ``-k`` for floats.  Returns
+    None when the dtype cannot express it, or for NaN keys, which
+    ``sorted`` does not order.
     """
     if not isinstance(keys, np.ndarray):
         return None
+    if keys.dtype.kind == "f" and np.isnan(keys).any():
+        return None
     if descending:
-        if keys.dtype.kind not in ("i", "f"):
+        if keys.dtype.kind == "i":
+            keys = ~keys
+        elif keys.dtype.kind == "f":
+            keys = -keys
+        else:
             return None
-        keys = -keys
     try:
         return np.argsort(keys, kind="stable")
     except (TypeError, ValueError):
         return None
 
 
-# ----------------------------------------------- operator-level batch kernels
-# Shared by every batch engine (pystreams, sparklite, flinklite, pgres
-# bindings): given the LOGICAL operator and one batch, produce the output
-# batch.  Each kernel prefers the operator's vectorized declaration and
-# falls back to running the per-record UDF inside the batch — either way
-# the output records equal the legacy per-record engines' exactly.
-
-def apply_map(logical, batch: RecordBatch, bvals: Sequence[Any] = ()
-              ) -> RecordBatch:
-    """Apply a ``Map`` logical to one batch."""
-    batch_udf = getattr(logical, "batch_udf", None)
-    if batch_udf is not None:
-        return RecordBatch.from_records(batch_udf(batch, *bvals))
-    return RecordBatch.from_records(
-        map_records(bind(logical.udf, bvals), batch.to_records()))
-
-
-def apply_flatmap(logical, batch: RecordBatch, bvals: Sequence[Any] = ()
-                  ) -> RecordBatch:
-    """Apply a ``FlatMap`` logical to one batch."""
-    batch_udf = getattr(logical, "batch_udf", None)
-    if batch_udf is not None:
-        return RecordBatch.from_records(batch_udf(batch, *bvals))
-    return RecordBatch.from_records(
-        flat_map_records(bind(logical.udf, bvals), batch.to_records()))
-
-
-def apply_filter(logical, batch: RecordBatch, bvals: Sequence[Any] = ()
-                 ) -> RecordBatch:
-    """Apply a ``Filter`` logical to one batch.
-
-    Auto-vectorizes ``column``/``low``/``high`` range filters; otherwise
-    uses ``batch_udf`` or the per-record predicate.
-    """
-    batch_udf = getattr(logical, "batch_udf", None)
-    if batch_udf is not None:
-        return batch.mask(np.asarray(batch_udf(batch, *bvals), dtype=bool))
-    if getattr(logical, "column", None) is not None and not bvals:
-        keep = range_mask(batch, logical.column, logical.low, logical.high)
-        if keep is not None:
-            return batch.mask(keep)
-    keep = map_records(bind(logical.udf, bvals), batch.to_records())
-    # Truthiness, not the value: a predicate may return any object.
-    return batch.mask([bool(k) for k in keep])
-
-
-def apply_join(logical, left: RecordBatch, right: RecordBatch) -> RecordBatch:
-    """Hash equi-join of two batches in the legacy engines' output order."""
-    keys = joinable_keys(left, getattr(logical, "left_key_column", None),
-                         right, getattr(logical, "right_key_column", None))
-    if keys is not None:
-        li, ri = join_indices(*keys)
-        return RecordBatch.pair(left.take(li), right.take(ri))
-    return RecordBatch.from_records(
-        hash_join(bind(logical.left_key), bind(logical.right_key),
-                  left.to_records(), right.to_records()))
-
-
-def apply_reduce(logical, batch: RecordBatch) -> RecordBatch:
-    """Key-wise fold of one batch (first-occurrence order, left fold)."""
-    batch_impl = getattr(logical, "batch_impl", None)
-    if batch_impl is not None:
-        return RecordBatch.from_records(batch_impl(batch))
-    return RecordBatch.from_records(
-        fold_by_key(bind(logical.key), bind(logical.reducer),
-                    batch.to_records()))
-
-
-def apply_distinct(logical, batch: RecordBatch) -> RecordBatch:
-    """The first row of each key (default: each record identity)."""
-    keys = map_records(bind(logical.key) or identity, batch.to_records())
-    # Row numbers deduplicated by their row's key: the indices ``take`` needs.
-    keep = distinct_records(range(len(keys)), keys.__getitem__)
-    return batch.take(np.array(keep, dtype=np.int64))
-
-
-def apply_sort(logical, batch: RecordBatch) -> RecordBatch:
-    """Sort one batch, matching ``sorted(records, key=..., reverse=...)``."""
-    batch_key = getattr(logical, "batch_key", None)
-    if batch_key is not None:
-        order = sort_order(np.asarray(batch_key(batch)), logical.descending)
-        if order is not None:
-            return batch.take(order)
-    records = sorted(batch.to_records(), key=bind(logical.key),
-                     reverse=logical.descending)
-    return RecordBatch.from_records(records)
-
-
-def batch_keys(batch: RecordBatch, key_col, key_fn) -> list[Any]:
+def batch_keys(batch: RecordBatch, key_col: Any, key_fn: Any) -> list[Any]:
     """Per-row shuffle keys as plain Python values.
 
     Prefers the declared key column (one ``tolist`` instead of one UDF call
-    per record); key values are identical either way, so ``hash(key) % n``
-    partition assignment matches the per-record engines exactly.
+    per record) and falls back to the key UDF when this batch has no such
+    column; key values are identical either way, so ``hash(key) % n``
+    partition assignment matches ``shuffle_by_key`` exactly.
     """
     if key_col is not None:
         try:
-            return column_values(batch.col(key_col))
-        except (KeyError, IndexError):
+            return _column_values(batch.col(key_col))
+        except KeyError:
             pass
     return map_records(bind(key_fn), batch.to_records())
+
+
+# ---------------------------------------------------------- kernel selection
+# One function per logical type with a columnar kernel, shared by every
+# engine (pystreams, the dataflow engines per partition, pgres).  Given the
+# LOGICAL operator and a payload — a list of records or a RecordBatch — each
+# reads only the operator's declarations and the payload's type:
+#
+# * an explicit declaration (``batch_udf`` / ``batch_impl`` / ``batch_key``)
+#   always runs the columnar kernel and emits a batch;
+# * an implicit one (a range filter's ``column``, a join's ``*_key_column``)
+#   runs it only when the input already is a batch;
+# * everything else runs the record kernel and emits a list.
+#
+# The record kernels are the parity reference: the same plan with its
+# declarations stripped produces equal records in equal order.  An empty
+# batch has no layout for a declared kernel to read, so none is called on it.
+
+Payload = list[Any] | RecordBatch
+
+
+def records_of(payload: Payload) -> list[Any]:
+    """The payload's records as a plain list (a batch's, rebuilt once)."""
+    if isinstance(payload, RecordBatch):
+        return payload.to_records()
+    return payload
+
+
+#: Rows columnarized at a time when a declared row-wise kernel reads a list.
+#: A ``batch_udf`` is record-wise equivalent to its UDF, so it may run block
+#: by block; the block bounds the numpy buffers alive at once (the input's
+#: fixed-width text column above all).  It matters for resident memory:
+#: glibc keeps freed buffers in the allocating thread's arena, where no
+#: other thread's allocations reuse them.
+BLOCK_ROWS = 1 << 14
+
+
+def _rowwise(kernel: Callable[[RecordBatch], RecordBatch],
+             payload: Payload) -> RecordBatch:
+    """``kernel`` over ``payload``'s non-empty batches — itself, or a
+    list's row blocks — concatenated."""
+    if isinstance(payload, RecordBatch):
+        return kernel(payload) if len(payload) else payload
+    return RecordBatch.concat([
+        kernel(RecordBatch.from_records(payload[i:i + BLOCK_ROWS]))
+        for i in range(0, len(payload), BLOCK_ROWS)])
+
+
+def run_map(logical: Any, payload: Payload, bvals: Sequence[Any] = ()
+            ) -> Payload:
+    batch_udf = logical.batch_udf
+    if batch_udf is None:
+        return map_records(bind(logical.udf, bvals), payload)
+    return _rowwise(
+        lambda b: RecordBatch.from_records(batch_udf(b, *bvals)), payload)
+
+
+def run_flat_map(logical: Any, payload: Payload, bvals: Sequence[Any] = ()
+                 ) -> Payload:
+    batch_udf = logical.batch_udf
+    if batch_udf is None:
+        return flat_map_records(bind(logical.udf, bvals), payload)
+    return _rowwise(
+        lambda b: RecordBatch.from_records(batch_udf(b, *bvals)), payload)
+
+
+def run_filter(logical: Any, payload: Payload, bvals: Sequence[Any] = ()
+               ) -> Payload:
+    """``batch_udf`` computes the keep-mask; a ``column`` range over a
+    batch is one columnar comparison when the column is numpy-backed."""
+    batch_udf = logical.batch_udf
+    if batch_udf is not None:
+        return _rowwise(
+            lambda b: b.mask(np.asarray(batch_udf(b, *bvals), dtype=bool)),
+            payload)
+    if (isinstance(payload, RecordBatch) and logical.column is not None
+            and not bvals):
+        keep = range_mask(payload, logical.column, logical.low, logical.high)
+        if keep is not None:
+            return payload.mask(keep)
+    return filter_records(bind(logical.udf, bvals), payload)
+
+
+def run_join(logical: Any, left: Payload, right: Payload) -> Payload:
+    """Hash equi-join, ``(left, right)`` pairs in the record kernel's order.
+
+    Columnar when both key columns are declared, either side already is a
+    batch and the key columns compare like hash keys (``joinable_keys``).
+    """
+    if (logical.left_key_column is not None
+            and logical.right_key_column is not None
+            and (isinstance(left, RecordBatch)
+                 or isinstance(right, RecordBatch))):
+        lb = RecordBatch.from_records(left)
+        rb = RecordBatch.from_records(right)
+        keys = joinable_keys(lb, logical.left_key_column,
+                             rb, logical.right_key_column)
+        if keys is not None:
+            li, ri = join_indices(*keys)
+            return RecordBatch.pair(lb.take(li), rb.take(ri))
+    return hash_join(bind(logical.left_key), bind(logical.right_key),
+                     left, right)
+
+
+def run_reduce(logical: Any, payload: Payload) -> Payload:
+    """Key-wise fold (first-occurrence key order, left fold)."""
+    if logical.batch_impl is None:
+        return fold_by_key(bind(logical.key), bind(logical.reducer), payload)
+    batch = RecordBatch.from_records(payload)
+    if not len(batch):
+        return batch
+    return RecordBatch.from_records(logical.batch_impl(batch))
+
+
+def run_sort(logical: Any, payload: Payload) -> Payload:
+    """Matches ``sorted(records, key=..., reverse=...)``."""
+    if logical.batch_key is not None:
+        batch = RecordBatch.from_records(payload)
+        if not len(batch):
+            return batch
+        order = sort_order(np.asarray(logical.batch_key(batch)),
+                           logical.descending)
+        if order is not None:
+            return batch.take(order)
+    return sorted(payload, key=bind(logical.key), reverse=logical.descending)

@@ -138,8 +138,9 @@ class Channel:
         sibling branch; a downstream operator mutating that container in
         place (e.g. a ``map_partitions`` UDF sorting its partition) would
         silently corrupt the cached/sunk data.  Mutable containers are
-        shallow-copied; immutable payloads (record batches, tuples, path
-        strings) are shared as-is.
+        shallow-copied; immutable payloads (a
+        :class:`~repro.core.batch.RecordBatch`, tuples, path strings) are
+        shared as-is.
         """
         payload = self.payload
         if isinstance(payload, list):

@@ -70,32 +70,14 @@ class RheemContext:
         self.registry = MappingRegistry()
         self.metrics = MetricsRegistry()
         self.graph = ChannelConversionGraph(metrics=self.metrics)
-        # Config first: it gates what the registration loop below installs.
         self.config = {"seed": 42}
         self.config.update(config or {})
-        vectorize = bool(self.config.get("vectorize", False))
         for platform in self.platforms:
             for channel in platform.channels():
                 self.graph.register_channel(channel)
             for conversion in platform.conversions():
                 self.graph.register_conversion(conversion)
-            mappings = platform.mappings()
-            if vectorize:
-                # Batch twins REPLACE the per-record mappings of the same
-                # logical type; batch channels bolt onto the platform's own
-                # channels via zero-cost conversions, so plan costs — hence
-                # plan choice and simulated semantics — are unchanged.
-                batch = platform.batch_mappings()
-                if batch:
-                    replaced = {m.operator_type for m in batch}
-                    mappings = [m for m in mappings
-                                if m.operator_type not in replaced]
-                    mappings.extend(batch)
-                for channel in platform.batch_channels():
-                    self.graph.register_channel(channel)
-                for conversion in platform.batch_conversions():
-                    self.graph.register_conversion(conversion)
-            self.registry.register_all(mappings)
+            self.registry.register_all(platform.mappings())
         self.registry.register(channel_source_mapping())
         self.cost_model = CostModel(self.cluster, cost_params)
         self.tracer = tracer if tracer is not None else NO_TRACER
@@ -426,9 +408,10 @@ class DataQuanta:
             batch_udf: Callable | None = None) -> "DataQuanta":
         """Transform each quantum with ``fn`` (1-to-1).
 
-        ``batch_udf`` optionally declares a vectorized twin operating on a
+        ``batch_udf`` optionally declares a columnar twin operating on a
         whole :class:`~repro.core.batch.RecordBatch` (must be record-wise
-        equivalent to ``fn``).
+        equivalent to ``fn``); when declared, every engine runs it instead
+        of ``fn`` and hands a batch downstream.
         """
         return self._chain(ops.Map(fn, name, bytes_per_record,
                                    batch_udf=batch_udf), broadcasts)
@@ -482,7 +465,7 @@ class DataQuanta:
     def sort(self, key: Callable | None = None,
              descending: bool = False,
              batch_key: Callable | None = None) -> "DataQuanta":
-        """Sort quanta by ``key`` (``batch_key``: its vectorized twin)."""
+        """Sort quanta by ``key`` (``batch_key``: its columnar twin)."""
         return self._chain(ops.Sort(key, descending, batch_key=batch_key))
 
     def group_by(self, key: Callable,
@@ -541,7 +524,8 @@ class DataQuanta:
         """Equi-join with another dataset; emits ``(left, right)`` pairs.
 
         Declaring the column each key UDF projects (``left_key_column`` /
-        ``right_key_column``) lets the batch engines join columnarly.
+        ``right_key_column``) lets a join whose input already is a record
+        batch run columnarly.
         """
         return self._chain2(
             ops.Join(left_key, right_key, selectivity, sim_mode=sim_mode,

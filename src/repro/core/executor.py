@@ -31,6 +31,7 @@ from ..simulation.clock import CostMeter, CriticalPathTracker
 from ..simulation.cluster import VirtualCluster
 from ..trace import NO_TRACER, MetricsRegistry
 from ..trace.spans import Span
+from .batch import records_of
 from .cardinality import CardinalityEstimate
 from .channels import Channel, ChannelConversionGraph, ConversionPath
 from .execution import (
@@ -49,23 +50,6 @@ from .scheduler import StageScheduler
 
 #: Checkpoint hook: (monitor, completed logical op ids) -> True to replan.
 CheckpointHook = Callable[[Monitor, set[int]], bool]
-
-
-def _sniffable(payload: Any) -> Any:
-    """Plain records for sniffer callbacks, whatever the representation.
-
-    Vectorized channels carry a :class:`RecordBatch` (or one per
-    partition); sniffers were written against the per-record engines and
-    must keep seeing the same record lists.
-    """
-    from .batch import RecordBatch
-
-    if isinstance(payload, RecordBatch):
-        return payload.to_records()
-    if (isinstance(payload, list) and payload
-            and all(isinstance(b, RecordBatch) for b in payload)):
-        return [r for b in payload for r in b.to_records()]
-    return payload
 
 
 class JobCancelled(RuntimeError):
@@ -716,9 +700,7 @@ class Executor:
         self.metrics.counter("executor.stages").inc()
         if monitor is not None:
             monitor.record_stage(timing, outcome.platform,
-                                 outcome.observations,
-                                 vectorize=bool(
-                                     self.config.get("vectorize", False)))
+                                 outcome.observations)
         return timing
 
     # --------------------------------------------------------------- tasks
@@ -776,7 +758,9 @@ class Executor:
         platform = op.platform
         profile = (self.cluster.profile(platform)
                    if platform in self.cluster.profiles else None)
-        payload = _sniffable(channel.payload)
+        # A collection as a plain record list, whichever layout the
+        # operator emitted; any other payload (a dataset, a path) as it is.
+        payload = records_of(channel.payload)
         for sniffer in sniffers:
             sniffer.callback(payload)
             if profile is not None:
@@ -927,7 +911,7 @@ class Executor:
         from ..platforms.pystreams.channels import PY_COLLECTION
 
         if channel.descriptor == PY_COLLECTION:
-            return channel.payload
+            return records_of(channel.payload)
         name = channel.descriptor.name
         cached = self._collect_paths.get(name)
         if cached is None or cached[0] != self.graph.version:
@@ -939,7 +923,7 @@ class Executor:
             self._collect_paths[name] = (self.graph.version, path)
         else:
             path = cached[1]
-        return path.apply(channel, ctx).payload
+        return records_of(path.apply(channel, ctx).payload)
 
     # ---------------------------------------------------------- checkpoint
     @staticmethod

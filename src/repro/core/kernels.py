@@ -3,9 +3,9 @@
 An execution operator *binds* its UDFs once per run (:func:`bind`) and hands
 the plain callables to the loops below; no engine applies a
 :class:`~repro.core.udf.Udf` — a wrapper frame, an argument splat and a
-kwargs dict — per record.  The scalar engines (pystreams, the dataflow
-engines per partition, pgres) and the row fall-backs of the batch plane run
-these same functions, so output order is decided here: first-occurrence key
+kwargs dict — per record.  Every engine (pystreams, the dataflow engines
+per partition, pgres) runs these same functions wherever the plan declares
+no columnar kernel (``core.batch.run_*``), so output order is decided here: first-occurrence key
 order for distinct / group / fold, left-major ``(l, r)`` pairs for the join.
 
 Bind on the call's stack, never on an operator instance: instances are

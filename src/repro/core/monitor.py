@@ -41,11 +41,6 @@ class StageObservation:
     duration_s: float
     known_seconds: float
     operators: list[OperatorObservation]
-    #: Whether the stage ran under the vectorized batch engines.  The two
-    #: modes are genuinely different cost regimes (batch kernels amortize
-    #: per-record interpreter cost), so the calibration corpus keys on
-    #: this flag — blending them into one fit would poison both.
-    vectorize: bool = False
 
 
 @dataclass
@@ -88,22 +83,21 @@ class Monitor:
 
     def record_stage(self, timing: StageTiming,
                      platform: str = "",
-                     operators: list[OperatorObservation] | None = None,
-                     vectorize: bool = False) -> None:
+                     operators: list[OperatorObservation] | None = None
+                     ) -> None:
         """Log one executed stage.
 
         Conversion-only stages (no operator observations) are recorded
         with an empty operator list so their directly metered
         ``known_seconds`` still reach the cost learner's calibration —
-        dropping them would silently bias the fit.  ``vectorize`` tags
-        the observation with the engine mode it was measured under.
+        dropping them would silently bias the fit.
         """
         self.stage_timings.append(timing)
         known = sum(e.seconds for e in timing.meter.events
                     if e.category != "cpu")
         self.stage_observations.append(StageObservation(
             timing.stage_id, platform, timing.duration, known,
-            list(operators or []), vectorize=vectorize))
+            list(operators or [])))
         if self.metrics is not None:
             self.metrics.counter("monitor.stages").inc()
             self.metrics.histogram("monitor.stage_sim_seconds").observe(

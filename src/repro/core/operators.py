@@ -228,11 +228,12 @@ class Map(Operator):
     OUTPUT quanta (e.g. a projection shrinking wide rows); by default the
     input's record size is carried through.
 
-    ``batch_udf`` optionally declares a vectorized twin of the UDF for the
-    batch engines: it receives a whole :class:`~repro.core.batch.RecordBatch`
-    (plus broadcast values) and returns the transformed batch.  It MUST be
-    record-wise equivalent to ``udf``; without it, batch engines fall back
-    to applying ``udf`` per record.
+    ``batch_udf`` optionally declares a columnar twin of the UDF: it
+    receives a whole :class:`~repro.core.batch.RecordBatch` (plus broadcast
+    values) and returns the transformed batch.  It MUST be record-wise
+    equivalent to ``udf``.  When declared, every engine runs it instead of
+    ``udf`` and emits a batch; without it, ``udf`` runs per record and the
+    output is a list.
     """
 
     def __init__(self, udf: Callable[..., Any] | Udf, name: str = "map",
@@ -326,9 +327,10 @@ class Filter(Operator):
 
     ``column``/``low``/``high`` optionally describe the predicate as a range
     over one attribute of dict-shaped quanta; the relational platform uses
-    this to run an index scan instead of a sequential scan, and the batch
-    engines auto-vectorize it into one columnar comparison.  ``batch_udf``
-    optionally computes the keep-mask for a whole record batch.
+    this to run an index scan instead of a sequential scan, and a filter
+    whose input already is a record batch runs it as one columnar
+    comparison.  ``batch_udf`` optionally computes the keep-mask for a
+    whole record batch; when declared it always runs instead of the UDF.
     """
 
     def __init__(self, udf: Callable[..., Any] | Udf, name: str = "filter",
@@ -480,9 +482,9 @@ class ReduceBy(Operator):
         self.key = as_udf(key)
         self.reducer = as_udf(reducer)
         self.sim_groups = sim_groups
-        #: Vectorized twin: maps one record batch to its per-key aggregates
+        #: Columnar twin: maps one record batch to its per-key aggregates
         #: (first-occurrence key order, left-fold accumulation — must match
-        #: ``key``/``reducer`` record-for-record).
+        #: ``key``/``reducer`` record-for-record).  Runs whenever declared.
         self.batch_impl = batch_impl
 
     def estimate_cardinality(self, inputs, ctx):
@@ -594,7 +596,8 @@ class Join(Operator):
         self.selectivity = selectivity
         self.sim_mode = sim_mode
         #: Column name (dict layout) or position (tuple layout) the key UDFs
-        #: project; declaring both lets the batch engines join columnarly.
+        #: project; with both declared, a join whose input already is a
+        #: record batch joins columnarly.
         self.left_key_column = left_key_column
         self.right_key_column = right_key_column
 

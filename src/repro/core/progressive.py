@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..platforms.base import ExecutionOperator
+from .batch import records_of
 from .cardinality import CardinalityEstimate
 from .cost import CostEstimate
 from .execution import DRIVER_PLATFORM
@@ -143,9 +144,9 @@ class PausedJob:
     state: object  # PausedExecution
 
     def inspect(self, logical_id: int):
-        """The materialized payload of a completed operator's output."""
-        channel = self.state.materialized[logical_id]
-        return channel.payload
+        """The materialized payload of a completed operator's output (a
+        collection as a plain record list, whatever its layout)."""
+        return records_of(self.state.materialized[logical_id].payload)
 
     @property
     def completed(self) -> set[int]:

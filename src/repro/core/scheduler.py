@@ -205,3 +205,9 @@ class StageScheduler:
                     # buffered outcomes are discarded unread.
                     stop = True
                 raise
+        # ``worker`` and ``submit_batch`` name each other through this
+        # frame's cells; left bound, the pair — and through ``self`` the
+        # job's every output channel — would outlive the call until the
+        # cycle collector runs, and a columnar payload is few objects and
+        # many bytes: it never trips the collector's count.
+        del worker, submit_batch

@@ -7,8 +7,8 @@ serves traffic.  This module is that loop's stationary half:
 
 * :class:`CalibrationCorpus` — a bounded, stratified store of committed
   :class:`~repro.core.monitor.StageObservation` samples, bucketed by
-  (platform, dominant operator kind, cardinality band, vectorize flag)
-  so one chatty workload cannot crowd every other regime out;
+  (platform, dominant operator kind, cardinality band) so one chatty
+  workload cannot crowd every other regime out;
 * :class:`CostCalibrator` — ingests observations, tracks an
   observed-vs-predicted drift EWMA, and when a refit trigger fires
   (sample count or drift threshold) runs the
@@ -19,9 +19,7 @@ serves traffic.  This module is that loop's stationary half:
 
 Hygiene rules mirror the result store's: sniffer and fault-injection
 runs never contribute samples (the executor marks eligibility on the
-:class:`~repro.core.executor.ExecutionResult`), and samples carry the
-``vectorize`` flag so mixed-mode traffic cannot blend two genuinely
-different cost regimes into one fit.
+:class:`~repro.core.executor.ExecutionResult`).
 """
 
 from __future__ import annotations
@@ -71,7 +69,6 @@ def observation_to_json(obs: StageObservation) -> dict:
         "platform": obs.platform,
         "duration_s": obs.duration_s,
         "known_seconds": obs.known_seconds,
-        "vectorize": bool(obs.vectorize),
         "operators": [
             {"platform": o.platform, "op_kind": o.op_kind, "work": o.work,
              "cin": o.cin, "cout": o.cout}
@@ -80,7 +77,8 @@ def observation_to_json(obs: StageObservation) -> dict:
 
 
 def observation_from_json(doc: Mapping) -> StageObservation:
-    """Inverse of :func:`observation_to_json`."""
+    """Inverse of :func:`observation_to_json`; fields it does not name
+    (an older writer's data-plane tag) are ignored."""
     operators = [
         OperatorObservation(str(o["platform"]), str(o["op_kind"]),
                             float(o["work"]), float(o["cin"]),
@@ -89,7 +87,7 @@ def observation_from_json(doc: Mapping) -> StageObservation:
     return StageObservation(
         str(doc["stage_id"]), str(doc["platform"]),
         float(doc["duration_s"]), float(doc["known_seconds"]),
-        operators, vectorize=bool(doc.get("vectorize", False)))
+        operators)
 
 
 # -------------------------------------------------------------------- corpus
@@ -98,10 +96,7 @@ class CalibrationCorpus:
 
     Each bucket is a ``deque(maxlen=per_bucket)``: a hot workload keeps
     refreshing its own bucket without evicting rarer regimes, and the
-    total footprint is bounded by ``per_bucket * live buckets``.  The
-    ``vectorize`` flag is part of the key — the batch engines amortize
-    per-record interpreter cost, so the two modes are different cost
-    regimes that must never share a bucket.
+    total footprint is bounded by ``per_bucket * live buckets``.
     """
 
     def __init__(self, per_bucket: int = 32) -> None:
@@ -117,7 +112,7 @@ class CalibrationCorpus:
         dominant = max(obs.operators,
                        key=lambda o: (o.cin, o.cout, o.op_kind))
         return (obs.platform, dominant.op_kind,
-                volume_band(max(dominant.cin, 1.0)), bool(obs.vectorize))
+                volume_band(max(dominant.cin, 1.0)))
 
     def add(self, obs: StageObservation) -> bool:
         """Ingest one observation; returns whether it was kept.
@@ -135,14 +130,10 @@ class CalibrationCorpus:
         bucket.append(obs)
         return True
 
-    def samples(self, vectorize: bool | None = None
-                ) -> list[StageObservation]:
-        """All retained samples (optionally one vectorize regime only),
-        in deterministic bucket order."""
+    def samples(self) -> list[StageObservation]:
+        """All retained samples, in deterministic bucket order."""
         out: list[StageObservation] = []
         for key in sorted(self._buckets):
-            if vectorize is not None and key[3] is not bool(vectorize):
-                continue
             out.extend(self._buckets[key])
         return out
 
@@ -164,9 +155,6 @@ class CostCalibrator:
             (``RheemContext.publish_cost_params`` on the thread backend,
             the job server's broadcast on the process backend).  Called
             *outside* the corpus lock.
-        vectorize: The cost regime this calibrator fits.  Observations
-            from the other regime are counted and dropped — blending the
-            per-record and batch regimes into one fit poisons both.
         initial_params: The currently published parameters (drift is
             measured against these until the first refit).
         min_samples: Sample-count refit trigger.
@@ -183,7 +171,6 @@ class CostCalibrator:
         cluster: VirtualCluster,
         publish: Callable[[dict[str, OperatorCostParams]], None],
         *,
-        vectorize: bool = False,
         initial_params: Mapping[str, OperatorCostParams] | None = None,
         min_samples: int = 24,
         drift_threshold: float = 0.35,
@@ -198,7 +185,6 @@ class CostCalibrator:
     ) -> None:
         self.cluster = cluster
         self.publish = publish
-        self.vectorize = bool(vectorize)
         self.min_samples = int(min_samples)
         self.drift_threshold = float(drift_threshold)
         self.drift_min_samples = int(drift_min_samples)
@@ -231,11 +217,7 @@ class CostCalibrator:
         samples: list[StageObservation] = []
         with self._lock:
             ingested = 0
-            skipped = 0
             for obs in observations:
-                if bool(obs.vectorize) is not self.vectorize:
-                    skipped += 1
-                    continue
                 if not self.corpus.add(obs):
                     continue
                 ingested += 1
@@ -249,9 +231,6 @@ class CostCalibrator:
                     self.metrics.gauge("calibration.drift").set(self._drift)
                     self.metrics.gauge("calibration.corpus_size").set(
                         len(self.corpus))
-                if skipped:
-                    self.metrics.counter(
-                        "calibration.skipped_regime").inc(skipped)
             due = (not self._fitting
                    and (self._pending >= self.min_samples
                         or (self._drift >= self.drift_threshold
@@ -259,7 +238,7 @@ class CostCalibrator:
             if due:
                 self._fitting = True
                 self._pending = 0
-                samples = self.corpus.samples(vectorize=self.vectorize)
+                samples = self.corpus.samples()
         if not due:
             return False
         try:

@@ -162,25 +162,6 @@ class Platform:
         """Operator mappings from Rheem operators to execution operators."""
         raise NotImplementedError
 
-    # -- vectorized (record-batch) execution -------------------------------
-    # Registered by the context only when built with ``vectorize`` on.  The
-    # batch mappings REPLACE the per-record mappings for their logical
-    # operator types; batch channels connect to the platform's own channels
-    # through zero-cost conversions, so plan costs (hence plan choice and
-    # simulated semantics) are identical with vectorization on or off.
-
-    def batch_channels(self) -> list[ChannelDescriptor]:
-        """Channel types carrying record batches (empty: no batch support)."""
-        return []
-
-    def batch_conversions(self) -> list[Conversion]:
-        """Zero-cost conversions between list and batch payloads."""
-        return []
-
-    def batch_mappings(self) -> list["OperatorMapping"]:
-        """Batch twins replacing the per-record mappings of the same type."""
-        return []
-
     def __repr__(self) -> str:
         return f"Platform({self.name})"
 

@@ -12,6 +12,13 @@ takes an engine value plus a conversion (rate/overhead) table.
 
 Wide (shuffling) operators really hash-partition the data — co-location is
 observable — and charge shuffle time per simulated MB on top of CPU time.
+
+A partition is a list of records or a
+:class:`~repro.core.batch.RecordBatch`; both have a length and iterate as
+records.  The operators with a columnar kernel (map, flatmap, filter, sort,
+reduce-by, join) pick it per partition through ``core.batch.run_*``, and a
+shuffle of batches places rows exactly where ``shuffle_by_key`` places
+records; the others read records and emit lists.
 """
 
 from __future__ import annotations
@@ -26,11 +33,11 @@ import numpy as np
 from ..algorithms.iejoin import ie_join
 from ..algorithms.pagerank import pagerank_edges
 from ..core import operators as ops
+from ..core.batch import (RecordBatch, batch_keys, run_filter, run_flat_map,
+                          run_join, run_map, run_reduce, run_sort)
 from ..core.channels import Channel, ChannelDescriptor, HDFS_FILE
-from ..core.kernels import (bind, distinct_records, filter_records,
-                            flat_map_records, fold_by_key, fold_records,
-                            group_by_key, hash_join, identity,
-                            intersect_records, map_records)
+from ..core.kernels import (bind, distinct_records, fold_records,
+                            group_by_key, identity, intersect_records)
 from ..core.mappings import OperatorMapping
 from .base import (ExecutionOperator, _cin, _group_factor, _sample_seed,
                    charge_operator, union_bytes_per_record)
@@ -44,40 +51,29 @@ _tmp_counter = itertools.count(1)
 class DataflowEngine:
     """One partitioned dataflow engine: its platform name and channels.
 
-    ``broadcast`` may equal ``dataset`` (no dedicated broadcast channel);
-    ``batch`` is ``None`` for an engine without a record-batch plane.  The
-    converter methods are the payload halves of the engine's conversions:
-    the platform pairs each with its own rate and overhead.
+    ``broadcast`` may equal ``dataset`` (no dedicated broadcast channel).
+    The converter methods are the payload halves of the engine's
+    conversions: the platform pairs each with its own rate and overhead.
     """
 
     platform: str
     dataset: ChannelDescriptor
     broadcast: ChannelDescriptor
-    batch: ChannelDescriptor | None = None
 
     # ------------------------------------------------------------- mappings
     def mappings(self, own: Mapping[type, type] | None = None,
                  only: frozenset[type] | None = None) -> list[OperatorMapping]:
-        """The shared scalar mapping table bound to this engine.
+        """The shared mapping table bound to this engine.
 
         ``own`` names the engine's own operator classes per logical type
         (they take the shared one's place); ``only`` restricts the table
         to the logical types the engine supports.
         """
-        table = {**_SCALAR_OPERATORS, **(own or {})}
-        return self._bind({
-            logical_type: cls for logical_type, cls in table.items()
-            if cls is not None and (only is None or logical_type in only)})
-
-    def batch_mappings(self) -> list[OperatorMapping]:
-        """The shared record-batch mapping table bound to this engine
-        (empty for an engine without a ``batch`` channel)."""
-        return self._bind(_BATCH_OPERATORS) if self.batch is not None else []
-
-    def _bind(self, table: Mapping[type, type]) -> list[OperatorMapping]:
+        table = {**_OPERATORS, **(own or {})}
         return [OperatorMapping(logical_type,
                                 lambda op, cls=cls: [cls(op, self)])
-                for logical_type, cls in table.items()]
+                for logical_type, cls in table.items()
+                if cls is not None and (only is None or logical_type in only)]
 
     # ----------------------------------------------------- payload converters
     def from_collection(self, channel: Channel, ctx) -> Channel:
@@ -93,18 +89,6 @@ class DataflowEngine:
         return channel.with_payload(list(channel.payload), self.broadcast,
                                     len(channel.payload))
 
-    def batchify(self, channel: Channel, ctx) -> Channel:
-        from ..core.batch import RecordBatch
-
-        batches = [RecordBatch.from_records(p)
-                   for p in channel.payload.partitions]
-        return channel.with_payload(batches, self.batch,
-                                    sum(len(b) for b in batches))
-
-    def debatchify(self, channel: Channel, ctx) -> Channel:
-        dataset = PartitionedDataset([b.to_records() for b in channel.payload])
-        return channel.with_payload(dataset, self.dataset, dataset.count())
-
     def save_to_hdfs(self, channel: Channel, ctx) -> Channel:
         path = f"hdfs://tmp/{self.platform}-{next(_tmp_counter)}"
         records = channel.payload.to_list()
@@ -118,6 +102,28 @@ class DataflowEngine:
         dataset = PartitionedDataset.from_records(vf.records, n)
         return Channel(self.dataset, dataset, vf.sim_factor,
                        vf.bytes_per_record, dataset.count())
+
+
+def _shuffle(dataset: PartitionedDataset, n: int, key_fn,
+             key_col=None) -> PartitionedDataset:
+    """Hash-partition ``dataset`` by key; batch partitions stay batches.
+
+    ``shuffle_by_key`` appends records to ``parts[hash(key) % n]`` while
+    scanning partitions in order, so target partition ``t`` holds — in
+    source order — every record whose key hashes to ``t``.  Selecting each
+    source batch's matching rows (order-preserving) and concatenating over
+    source batches reproduces that exactly; ``key_col`` names the column
+    holding ``key_fn``'s values, where the batch has it.
+    """
+    if not any(isinstance(p, RecordBatch) for p in dataset.partitions):
+        return dataset.shuffle_by_key(key_fn, n)
+    batches = [RecordBatch.from_records(p) for p in dataset.partitions]
+    assigns = [np.array([hash(k) % n for k in batch_keys(b, key_col, key_fn)],
+                        dtype=np.int64) for b in batches]
+    return PartitionedDataset([
+        RecordBatch.concat([b.take(np.flatnonzero(a == t))
+                            for b, a in zip(batches, assigns) if len(b)])
+        for t in range(n)])
 
 
 class DataflowOperator(ExecutionOperator):
@@ -221,9 +227,9 @@ class DFMap(DataflowOperator):
     op_kind = "map"
 
     def _run(self, inputs, bvals, ctx):
-        fn = bind(self.logical.udf, bvals)
+        logical = self.logical
         out = inputs[0].payload.map_partitions(
-            lambda part: map_records(fn, part))
+            lambda part: run_map(logical, part, bvals))
         return self._emit(inputs[0], out, ctx, _cin(inputs),
                           bytes_per_record=self.logical.bytes_per_record)
 
@@ -232,9 +238,9 @@ class DFFlatMap(DataflowOperator):
     op_kind = "flatmap"
 
     def _run(self, inputs, bvals, ctx):
-        fn = bind(self.logical.udf, bvals)
+        logical = self.logical
         out = inputs[0].payload.map_partitions(
-            lambda part: flat_map_records(fn, part))
+            lambda part: run_flat_map(logical, part, bvals))
         return self._emit(inputs[0], out, ctx, _cin(inputs),
                           bytes_per_record=self.logical.bytes_per_record)
 
@@ -270,9 +276,9 @@ class DFFilter(DataflowOperator):
     op_kind = "filter"
 
     def _run(self, inputs, bvals, ctx):
-        fn = bind(self.logical.udf, bvals)
+        logical = self.logical
         out = inputs[0].payload.map_partitions(
-            lambda part: filter_records(fn, part))
+            lambda part: run_filter(logical, part, bvals))
         return self._emit(inputs[0], out, ctx, _cin(inputs))
 
 
@@ -342,14 +348,23 @@ class DFSort(DataflowOperator):
         return cins[0] * bytes_in / 1e6
 
     def _run(self, inputs, bvals, ctx):
-        records = sorted(inputs[0].payload.records(),
-                         key=bind(self.logical.key),
-                         reverse=self.logical.descending)
+        dataset = inputs[0].payload
+        if self.logical.batch_key is not None:
+            merged = RecordBatch.concat([RecordBatch.from_records(p)
+                                         for p in dataset.partitions])
+        else:
+            merged = dataset.to_list()
+        records = run_sort(self.logical, merged)
         self._charge_shuffle(ctx, inputs[0])
         n = self._parallelism(ctx)
-        chunk = max(1, (len(records) + n - 1) // n)
-        parts = [records[i:i + chunk] for i in range(0, len(records), chunk)]
-        return self._emit(inputs[0], PartitionedDataset(parts or [[]]), ctx,
+        rows = len(records)
+        chunk = max(1, (rows + n - 1) // n)
+        if isinstance(records, RecordBatch):
+            parts = [records.take(np.arange(i, min(i + chunk, rows)))
+                     for i in range(0, rows, chunk)]
+        else:
+            parts = [records[i:i + chunk] for i in range(0, rows, chunk)]
+        return self._emit(inputs[0], PartitionedDataset(parts), ctx,
                           _cin(inputs))
 
 
@@ -379,11 +394,10 @@ class DFReduceBy(DataflowOperator):
         return partial * bytes_in / 1e6
 
     def _run(self, inputs, bvals, ctx):
-        key = bind(self.logical.key)
-        reducer = bind(self.logical.reducer)
+        logical = self.logical
 
-        def fold(part: list[Any]) -> list[Any]:
-            return fold_by_key(key, reducer, part)
+        def fold(part):
+            return run_reduce(logical, part)
 
         combined = inputs[0].payload.map_partitions(fold)
         # Only the locally combined partial aggregates cross the network.
@@ -392,7 +406,8 @@ class DFReduceBy(DataflowOperator):
         profile = ctx.profile(self.platform)
         ctx.meter.charge(partial_mb * profile.shuffle_cost_s_per_mb,
                          f"{self.name}.shuffle", category="net")
-        shuffled = combined.shuffle_by_key(key, self._parallelism(ctx))
+        shuffled = _shuffle(combined, self._parallelism(ctx),
+                            bind(logical.key))
         out = shuffled.map_partitions(fold)
         return self._emit(inputs[0], out, ctx, _cin(inputs),
                           sim_factor=_group_factor(self.logical, out.count(),
@@ -459,15 +474,17 @@ class DFJoin(DataflowOperator):
 
     def _run(self, inputs, bvals, ctx):
         a, b = inputs
-        lk, rk = bind(self.logical.left_key), bind(self.logical.right_key)
+        logical = self.logical
         n = self._parallelism(ctx)
         self._charge_shuffle(ctx, a)
         self._charge_shuffle(ctx, b)
-        sa = a.payload.shuffle_by_key(lk, n)
-        sb = b.payload.shuffle_by_key(rk, n)
+        sa = _shuffle(a.payload, n, bind(logical.left_key),
+                      logical.left_key_column)
+        sb = _shuffle(b.payload, n, bind(logical.right_key),
+                      logical.right_key_column)
         out = sa.zip_partitions(
-            sb, lambda pa, pb: hash_join(lk, rk, pa, pb))
-        factor = self.logical.output_sim_factor(a.sim_factor, b.sim_factor)
+            sb, lambda pa, pb: run_join(logical, pa, pb))
+        factor = logical.output_sim_factor(a.sim_factor, b.sim_factor)
         return self._emit(a, out, ctx, _cin(inputs), sim_factor=factor,
                           bytes_per_record=a.bytes_per_record + b.bytes_per_record)
 
@@ -583,194 +600,12 @@ class DFCollectionSink(DataflowOperator):
 
 
 # --------------------------------------------------------------------------
-# Vectorized (record-batch) twins.  Registered only when the context is
-# built with ``vectorize`` on; they REPLACE the per-record mappings of the
-# same logical types.  The payload is one :class:`RecordBatch` per
-# partition, so partitioning — and therefore every shuffle, chunking and
-# co-location decision — is observably identical to the per-record path.
-# Each twin inherits its scalar class's ``op_kind`` / ``shuffled_mb`` /
-# overheads, so it is charged exactly the same simulated time.
+# The mapping table every engine binds (``DataflowEngine.mappings``), in
+# registration order.  ``None`` marks a logical type with no shared
+# implementation: an engine maps it with an operator of its own or not at
+# all.
 
-class BatchDataflowOperator(DataflowOperator):
-    """Base for the batch twins: they speak the engine's ``batch`` channel."""
-
-    def input_descriptors(self):
-        arity = self.logical.num_inputs if self.logical is not None else 1
-        return [self.engine.batch] * arity
-
-    def output_descriptor(self):
-        return self.engine.batch
-
-    def _emit_batches(self, template: Channel, batches, ctx, cin: float,
-                      sim_factor: float | None = None,
-                      bytes_per_record: float | None = None) -> Channel:
-        # Mirrors ``_emit`` with a list-of-batches payload.
-        out = Channel(
-            self.engine.batch,
-            batches,
-            template.sim_factor if sim_factor is None else sim_factor,
-            (template.bytes_per_record if bytes_per_record is None
-             else bytes_per_record),
-            sum(len(b) for b in batches),
-        )
-        charge_operator(ctx, self, cin, out.sim_cardinality)
-        extra = self.overhead_seconds(ctx.profile(self.platform))
-        if extra:
-            ctx.meter.charge(extra, f"{self.name}.overhead", category="overhead")
-        return out
-
-    def _shuffle(self, batches, n: int, key_fn, key_col=None):
-        """Hash-partition batches by key, exactly like ``shuffle_by_key``.
-
-        The legacy shuffle appends records to ``parts[hash(key) % n]`` while
-        scanning partitions in order, so target partition ``t`` holds — in
-        source order — every record whose key hashes to ``t``.  Selecting
-        each source batch's matching rows (order-preserving) and
-        concatenating over source batches reproduces that exactly.
-        """
-        from ..core.batch import RecordBatch, batch_keys
-
-        assigns = []
-        for b in batches:
-            keys = batch_keys(b, key_col, key_fn)
-            assigns.append(np.array([hash(k) % n for k in keys],
-                                    dtype=np.int64))
-        return [
-            RecordBatch.concat([
-                b.take(np.flatnonzero(a == t))
-                for b, a in zip(batches, assigns) if len(b)
-            ])
-            for t in range(n)
-        ]
-
-
-class DFBatchMap(BatchDataflowOperator, DFMap):
-    def _run(self, inputs, bvals, ctx):
-        from ..core.batch import apply_map
-        out = [apply_map(self.logical, b, bvals) for b in inputs[0].payload]
-        return self._emit_batches(inputs[0], out, ctx, _cin(inputs),
-                                  bytes_per_record=self.logical.bytes_per_record)
-
-
-class DFBatchFlatMap(BatchDataflowOperator, DFFlatMap):
-    def _run(self, inputs, bvals, ctx):
-        from ..core.batch import apply_flatmap
-        out = [apply_flatmap(self.logical, b, bvals)
-               for b in inputs[0].payload]
-        return self._emit_batches(inputs[0], out, ctx, _cin(inputs),
-                                  bytes_per_record=self.logical.bytes_per_record)
-
-
-class DFBatchFilter(BatchDataflowOperator, DFFilter):
-    def _run(self, inputs, bvals, ctx):
-        from ..core.batch import apply_filter
-        out = [apply_filter(self.logical, b, bvals)
-               for b in inputs[0].payload]
-        return self._emit_batches(inputs[0], out, ctx, _cin(inputs))
-
-
-class DFBatchDistinct(BatchDataflowOperator, DFDistinct):
-    def _run(self, inputs, bvals, ctx):
-        from ..core.batch import apply_distinct
-        logical = self.logical
-        self._charge_shuffle(ctx, inputs[0])
-        shuffled = self._shuffle(inputs[0].payload, self._parallelism(ctx),
-                                 logical.key or identity)
-        out = [apply_distinct(logical, b) for b in shuffled]
-        return self._emit_batches(inputs[0], out, ctx, _cin(inputs))
-
-
-class DFBatchSort(BatchDataflowOperator, DFSort):
-    def _run(self, inputs, bvals, ctx):
-        from ..core.batch import RecordBatch, apply_sort
-        merged = apply_sort(self.logical, RecordBatch.concat(inputs[0].payload))
-        self._charge_shuffle(ctx, inputs[0])
-        n = self._parallelism(ctx)
-        rows = len(merged)
-        chunk = max(1, (rows + n - 1) // n)
-        parts = [merged.take(np.arange(i, min(i + chunk, rows)))
-                 for i in range(0, rows, chunk)]
-        return self._emit_batches(
-            inputs[0], parts or [RecordBatch.from_records([])], ctx,
-            _cin(inputs))
-
-
-class DFBatchGroupBy(BatchDataflowOperator, DFGroupBy):
-    def _run(self, inputs, bvals, ctx):
-        from ..core.batch import RecordBatch
-        key = bind(self.logical.key)
-        self._charge_shuffle(ctx, inputs[0])
-        shuffled = self._shuffle(inputs[0].payload, self._parallelism(ctx),
-                                 key)
-        out = [RecordBatch.from_records(group_by_key(key, b.to_records()))
-               for b in shuffled]
-        count = sum(len(b) for b in out)
-        return self._emit_batches(inputs[0], out, ctx, _cin(inputs),
-                                  sim_factor=_group_factor(self.logical, count,
-                                                           inputs[0].sim_factor))
-
-
-class DFBatchReduceBy(BatchDataflowOperator, DFReduceBy):
-    def _run(self, inputs, bvals, ctx):
-        from ..core.batch import apply_reduce
-        logical = self.logical
-        # Local combine, exactly as the per-record engine: each partition
-        # collapses to its key-wise partial aggregates (apply_reduce emits
-        # the fold dict's VALUES in first-occurrence key order — the same
-        # records ``combine`` produces).
-        combined = [apply_reduce(logical, b) for b in inputs[0].payload]
-        partial_mb = (sum(len(b) for b in combined) * inputs[0].sim_factor
-                      * inputs[0].bytes_per_record / 1e6)
-        profile = ctx.profile(self.platform)
-        ctx.meter.charge(partial_mb * profile.shuffle_cost_s_per_mb,
-                         f"{self.name}.shuffle", category="net")
-        shuffled = self._shuffle(combined, self._parallelism(ctx),
-                                 logical.key)
-        out = [apply_reduce(logical, b) for b in shuffled]
-        count = sum(len(b) for b in out)
-        return self._emit_batches(inputs[0], out, ctx, _cin(inputs),
-                                  sim_factor=_group_factor(logical, count,
-                                                           inputs[0].sim_factor))
-
-
-class DFBatchUnion(BatchDataflowOperator, DFUnion):
-    def _run(self, inputs, bvals, ctx):
-        a, b = inputs
-        parts = list(a.payload) + list(b.payload)
-        total_actual = sum(len(p) for p in parts)
-        total_sim = a.sim_cardinality + b.sim_cardinality
-        factor = total_sim / total_actual if total_actual else 1.0
-        return self._emit_batches(a, parts, ctx, _cin(inputs),
-                                  sim_factor=factor,
-                                  bytes_per_record=union_bytes_per_record(a, b))
-
-
-class DFBatchJoin(BatchDataflowOperator, DFJoin):
-    def _run(self, inputs, bvals, ctx):
-        from ..core.batch import apply_join
-        a, b = inputs
-        logical = self.logical
-        n = self._parallelism(ctx)
-        self._charge_shuffle(ctx, a)
-        self._charge_shuffle(ctx, b)
-        sa = self._shuffle(a.payload, n, logical.left_key,
-                           getattr(logical, "left_key_column", None))
-        sb = self._shuffle(b.payload, n, logical.right_key,
-                           getattr(logical, "right_key_column", None))
-        out = [apply_join(logical, pa, pb) for pa, pb in zip(sa, sb)]
-        factor = logical.output_sim_factor(a.sim_factor, b.sim_factor)
-        return self._emit_batches(a, out, ctx, _cin(inputs), sim_factor=factor,
-                                  bytes_per_record=a.bytes_per_record
-                                  + b.bytes_per_record)
-
-
-# --------------------------------------------------------------------------
-# The mapping tables every engine binds (``DataflowEngine.mappings`` /
-# ``batch_mappings``), in registration order.  ``None`` marks a logical type
-# with no shared implementation: an engine maps it with an operator of its
-# own or not at all.
-
-_SCALAR_OPERATORS: dict[type, type | None] = {
+_OPERATORS: dict[type, type | None] = {
     ops.TextFileSource: DFTextFileSource,
     ops.CollectionSource: DFCollectionSource,
     ops.Map: DFMap,
@@ -794,16 +629,4 @@ _SCALAR_OPERATORS: dict[type, type | None] = {
     ops.PageRank: DFPageRank,
     ops.CollectionSink: DFCollectionSink,
     ops.TextFileSink: DFTextFileSink,
-}
-
-_BATCH_OPERATORS: dict[type, type] = {
-    ops.Map: DFBatchMap,
-    ops.FlatMap: DFBatchFlatMap,
-    ops.Filter: DFBatchFilter,
-    ops.Distinct: DFBatchDistinct,
-    ops.Sort: DFBatchSort,
-    ops.GroupBy: DFBatchGroupBy,
-    ops.ReduceBy: DFBatchReduceBy,
-    ops.Union: DFBatchUnion,
-    ops.Join: DFBatchJoin,
 }

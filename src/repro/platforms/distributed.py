@@ -15,7 +15,12 @@ from typing import Any, Callable, Iterable, Iterator
 
 
 class PartitionedDataset:
-    """An immutable list of record partitions."""
+    """An immutable list of record partitions.
+
+    A partition is a list of records or a
+    :class:`~repro.core.batch.RecordBatch` (same length, same iteration);
+    everything here reads partitions through ``len`` and iteration only.
+    """
 
     def __init__(self, partitions: list[list[Any]]) -> None:
         if not partitions:

@@ -10,13 +10,6 @@ FLINK_DATASET = ChannelDescriptor("flinklite.dataset", "flinklite", True)
 #: A broadcast set replicated to every task manager.
 FLINK_BROADCAST = ChannelDescriptor("flinklite.broadcast", "flinklite", True)
 
-#: A pipelined dataset of columnar record batches (one per partition).
-#: Registered (with zero-cost conversions to/from the dataset channel)
-#: only when the context is built with ``vectorize`` on.  Reusable, like
-#: the dataset channel it mirrors.
-FLINK_BATCH = ChannelDescriptor("flinklite.batch", "flinklite", True)
-
 #: The engine value every shared dataflow operator, mapping and payload
 #: converter of this platform is bound to.
-FLINK = DataflowEngine("flinklite", FLINK_DATASET, FLINK_BROADCAST,
-                       FLINK_BATCH)
+FLINK = DataflowEngine("flinklite", FLINK_DATASET, FLINK_BROADCAST)

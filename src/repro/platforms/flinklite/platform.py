@@ -6,7 +6,7 @@ from ...core import operators as ops
 from ...core.channels import Conversion, HDFS_FILE
 from ..base import Platform
 from ..pystreams.channels import PY_COLLECTION
-from .channels import FLINK, FLINK_BATCH, FLINK_BROADCAST, FLINK_DATASET
+from .channels import FLINK, FLINK_BROADCAST, FLINK_DATASET
 from .ops import FlinkCache
 
 
@@ -35,21 +35,3 @@ class FlinkLitePlatform(Platform):
 
     def mappings(self):
         return FLINK.mappings(own={ops.Cache: FlinkCache})
-
-    # ------------------------------------------------- vectorized execution
-    def batch_channels(self):
-        return [FLINK_BATCH]
-
-    def batch_conversions(self):
-        # Pure representation changes within each partition: free, so plan
-        # costs are identical with vectorization on or off.
-        free = float("inf")
-        return [
-            Conversion(FLINK_DATASET, FLINK_BATCH, FLINK.batchify,
-                       mb_per_s=free, overhead_s=0.0, name="flink-batchify"),
-            Conversion(FLINK_BATCH, FLINK_DATASET, FLINK.debatchify,
-                       mb_per_s=free, overhead_s=0.0, name="flink-debatchify"),
-        ]
-
-    def batch_mappings(self):
-        return FLINK.batch_mappings()

@@ -21,7 +21,7 @@ from .engine import PregelEngine
 #: The in-memory distributed dataset of the graph platform.
 GRAPHLITE_DATASET = ChannelDescriptor("graphlite.dataset", "graphlite", True)
 
-#: The engine value (no dedicated broadcast channel, no batch plane).
+#: The engine value (no dedicated broadcast channel).
 GRAPHLITE = DataflowEngine("graphlite", GRAPHLITE_DATASET, GRAPHLITE_DATASET)
 
 #: The subset of the shared dataflow mapping table this engine supports.

@@ -19,7 +19,8 @@ class Relation:
     """Payload of a ``pgres.relation`` channel.
 
     Attributes:
-        rows: Dict-shaped tuples.
+        rows: Dict-shaped tuples — a list, or a
+            :class:`~repro.core.batch.RecordBatch` of them.
         base_table: The catalog table these rows come from *unmodified*
             (enables index scans); ``None`` for derived intermediates.
     """

@@ -5,17 +5,22 @@ range and the relation is an unmodified base table; joins are hash joins;
 inequality joins fall back to a nested loop whose cost is the product of the
 input cardinalities — the weakness BigDansing's plugged IEJoin works around
 on the other platforms.
+
+A relation's rows are a list or a :class:`~repro.core.batch.RecordBatch`;
+the operators with a columnar kernel (projection, selection, join, sort,
+group-by aggregate) pick it per run through ``core.batch.run_*``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Sequence
 
 from ...core.channels import Channel
 from ...core.cost import CostEstimate
-from ...core.kernels import (bind, distinct_records, filter_records,
-                             fold_by_key, fold_records, group_by_key,
-                             hash_join, intersect_records, map_records)
+from ...core.batch import (records_of, run_filter, run_join, run_map,
+                           run_reduce, run_sort)
+from ...core.kernels import (bind, distinct_records, fold_records,
+                             group_by_key, intersect_records)
 from ..base import (ExecutionOperator, _cin, _group_factor, charge_operator,
                     union_bytes_per_record)
 from ..pystreams.channels import PY_COLLECTION
@@ -34,7 +39,7 @@ class PgExecutionOperator(ExecutionOperator):
     def output_descriptor(self):
         return PG_RELATION
 
-    def _emit(self, template: Channel, rows: list[Any], ctx,
+    def _emit(self, template: Channel, rows, ctx,
               cin: float,
               base_table: str | None = None,
               sim_factor: float | None = None,
@@ -128,7 +133,7 @@ class PgFilter(PgExecutionOperator):
             rows = [table.rows[i] for i in row_ids]
             kind = "filter_index"
         else:
-            rows = filter_records(bind(logical.udf), relation.rows)
+            rows = run_filter(logical, relation.rows)
             kind = "filter"
         return self._emit(inputs[0], rows, ctx, _cin(inputs), op_kind=kind)
 
@@ -139,7 +144,7 @@ class PgProjection(PgExecutionOperator):
     op_kind = "map"
 
     def _run(self, inputs, ctx):
-        rows = map_records(bind(self.logical.udf), inputs[0].payload.rows)
+        rows = run_map(self.logical, inputs[0].payload.rows)
         return self._emit(inputs[0], rows, ctx, _cin(inputs))
 
 
@@ -150,9 +155,7 @@ class PgJoin(PgExecutionOperator):
 
     def _run(self, inputs, ctx):
         a, b = inputs
-        rows = hash_join(bind(self.logical.left_key),
-                         bind(self.logical.right_key),
-                         a.payload.rows, b.payload.rows)
+        rows = run_join(self.logical, a.payload.rows, b.payload.rows)
         factor = self.logical.output_sim_factor(a.sim_factor, b.sim_factor)
         return self._emit(a, rows, ctx, _cin(inputs), sim_factor=factor,
                           bytes_per_record=a.bytes_per_record + b.bytes_per_record)
@@ -175,9 +178,10 @@ class PgIEJoin(PgExecutionOperator):
     def _run(self, inputs, ctx):
         a, b = inputs
         conditions = self.logical.conditions
+        right = records_of(b.payload.rows)
         rows = [(l, r)
                 for l in a.payload.rows
-                for r in b.payload.rows
+                for r in right
                 if all(c.holds(l, r) for c in conditions)]
         out = self._emit(a, rows, ctx, _cin(inputs),
                          sim_factor=max(a.sim_factor, b.sim_factor),
@@ -193,8 +197,7 @@ class PgSort(PgExecutionOperator):
     op_kind = "sort"
 
     def _run(self, inputs, ctx):
-        rows = sorted(inputs[0].payload.rows, key=bind(self.logical.key),
-                      reverse=self.logical.descending)
+        rows = run_sort(self.logical, inputs[0].payload.rows)
         return self._emit(inputs[0], rows, ctx, _cin(inputs))
 
 
@@ -223,8 +226,7 @@ class PgReduceBy(PgExecutionOperator):
     op_kind = "reduceby"
 
     def _run(self, inputs, ctx):
-        rows = fold_by_key(bind(self.logical.key),
-                           bind(self.logical.reducer), inputs[0].payload.rows)
+        rows = run_reduce(self.logical, inputs[0].payload.rows)
         return self._emit(inputs[0], rows, ctx, _cin(inputs),
                           sim_factor=_group_factor(self.logical, len(rows),
                                                    inputs[0].sim_factor))
@@ -287,23 +289,3 @@ class PgCollectionSink(PgExecutionOperator):
                       len(rows))
         charge_operator(ctx, self, ch.sim_cardinality, out.sim_cardinality)
         return out
-
-
-class PgBatchFilter(PgFilter):
-    """Vectorized WHERE clause: the sequential-scan path runs one columnar
-    kernel over the whole relation instead of a per-row predicate call.
-
-    Pgres keeps its relational channel — vectorization happens inside the
-    operator — so index selection, charges and ``observed_op_kind`` are
-    exactly ``PgFilter``'s, and the output is the same list of rows.
-    """
-
-    def _run(self, inputs, ctx):
-        relation: Relation = inputs[0].payload
-        if self._index(relation, ctx) is not None:
-            return super()._run(inputs, ctx)
-        from ...core.batch import RecordBatch, apply_filter
-
-        batch = RecordBatch.from_records(relation.rows)
-        rows = apply_filter(self.logical, batch).to_records()
-        return self._emit(inputs[0], rows, ctx, _cin(inputs), op_kind="filter")

@@ -86,12 +86,3 @@ class PgresPlatform(Platform):
             m(ops.IEJoin, lambda op: [x.PgIEJoin(op)]),
             m(ops.CollectionSink, lambda op: [x.PgCollectionSink(op)]),
         ]
-
-    # ------------------------------------------------- vectorized execution
-    # Pgres vectorizes inside the operator (the relation channel already
-    # holds whole tables), so there is no batch channel to register.
-    def batch_mappings(self):
-        m = OperatorMapping
-        return [
-            m(ops.Filter, lambda op: [x.PgBatchFilter(op)]),
-        ]

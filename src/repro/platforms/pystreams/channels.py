@@ -2,12 +2,8 @@
 
 from ...core.channels import ChannelDescriptor
 
-#: A driver-side, in-process materialized collection.  Reusable: any number
-#: of consumers may iterate it (the paper's Java Collection channel).
+#: A driver-side, in-process materialized collection: a list of records or
+#: one immutable :class:`~repro.core.batch.RecordBatch` of them.  Reusable:
+#: any number of consumers may iterate it (the paper's Java Collection
+#: channel).
 PY_COLLECTION = ChannelDescriptor("pystreams.collection", "pystreams", True)
-
-#: The same collection in columnar form: one immutable
-#: :class:`~repro.core.batch.RecordBatch`.  Registered (with zero-cost
-#: conversions to/from the collection channel) only when the context is
-#: built with ``vectorize`` on.
-PY_BATCH = ChannelDescriptor("pystreams.batch", "pystreams", True)

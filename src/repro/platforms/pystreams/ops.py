@@ -2,7 +2,11 @@
 
 The JavaStreams analog.  No start-up cost, no parallelism; per-record work
 is charged at the platform's tuple cost.  All operators speak the
-``pystreams.collection`` channel.
+``pystreams.collection`` channel, whose payload is a list of records or a
+:class:`~repro.core.batch.RecordBatch` — both have a length and iterate as
+records.  The operators with a columnar kernel (map, flatmap, filter, sort,
+reduce-by, join) pick it per run through ``core.batch.run_*``; the others
+read records and emit lists.
 """
 
 from __future__ import annotations
@@ -12,11 +16,11 @@ from typing import Any, Sequence
 
 from ...algorithms.iejoin import ie_join
 from ...algorithms.pagerank import pagerank_edges
+from ...core.batch import (records_of, run_filter, run_flat_map, run_join,
+                           run_map, run_reduce, run_sort)
 from ...core.channels import Channel
-from ...core.kernels import (bind, distinct_records, filter_records,
-                             flat_map_records, fold_by_key, fold_groups,
-                             fold_records, group_by_key, hash_join,
-                             intersect_records, map_records)
+from ...core.kernels import (bind, distinct_records, fold_groups,
+                             fold_records, group_by_key, intersect_records)
 from ..base import (ExecutionOperator, _cin, _group_factor, _sample_seed,
                     charge_operator, union_bytes_per_record)
 from .channels import PY_COLLECTION
@@ -37,7 +41,7 @@ class PyExecutionOperator(ExecutionOperator):
     def broadcast_descriptor(self):
         return PY_COLLECTION
 
-    def _emit(self, template: Channel, payload: list[Any], ctx,
+    def _emit(self, template: Channel, payload, ctx,
               cin: float,
               sim_factor: float | None = None,
               bytes_per_record: float | None = None) -> Channel:
@@ -61,7 +65,9 @@ class PyExecutionOperator(ExecutionOperator):
 
     def execute(self, inputs: Sequence[Channel], broadcasts: Sequence[Channel],
                 ctx) -> Channel:
-        return self._run(inputs, [b.payload for b in broadcasts], ctx)
+        # UDFs take their broadcast values as plain lists.
+        return self._run(inputs, [records_of(b.payload) for b in broadcasts],
+                         ctx)
 
     def _run(self, inputs: Sequence[Channel], bvals: list[Any], ctx) -> Channel:
         raise NotImplementedError
@@ -102,7 +108,7 @@ class PyMap(PyExecutionOperator):
     op_kind = "map"
 
     def _run(self, inputs, bvals, ctx):
-        out = map_records(bind(self.logical.udf, bvals), inputs[0].payload)
+        out = run_map(self.logical, inputs[0].payload, bvals)
         return self._emit(inputs[0], out, ctx, _cin(inputs),
                           bytes_per_record=self.logical.bytes_per_record)
 
@@ -111,8 +117,7 @@ class PyFlatMap(PyExecutionOperator):
     op_kind = "flatmap"
 
     def _run(self, inputs, bvals, ctx):
-        out = flat_map_records(bind(self.logical.udf, bvals),
-                               inputs[0].payload)
+        out = run_flat_map(self.logical, inputs[0].payload, bvals)
         return self._emit(inputs[0], out, ctx, _cin(inputs),
                           bytes_per_record=self.logical.bytes_per_record)
 
@@ -140,8 +145,7 @@ class PyFilter(PyExecutionOperator):
     op_kind = "filter"
 
     def _run(self, inputs, bvals, ctx):
-        out = filter_records(bind(self.logical.udf, bvals),
-                             inputs[0].payload)
+        out = run_filter(self.logical, inputs[0].payload, bvals)
         return self._emit(inputs[0], out, ctx, _cin(inputs))
 
 
@@ -151,7 +155,7 @@ class PySample(PyExecutionOperator):
     op_kind = "sample"
 
     def _run(self, inputs, bvals, ctx):
-        data = inputs[0].payload
+        data = records_of(inputs[0].payload)
         logical = self.logical
         if logical.size is not None:
             k = min(logical.size, len(data))
@@ -177,8 +181,7 @@ class PySort(PyExecutionOperator):
     op_kind = "sort"
 
     def _run(self, inputs, bvals, ctx):
-        out = sorted(inputs[0].payload, key=bind(self.logical.key),
-                     reverse=self.logical.descending)
+        out = run_sort(self.logical, inputs[0].payload)
         return self._emit(inputs[0], out, ctx, _cin(inputs))
 
 
@@ -215,8 +218,7 @@ class PyReduceBy(PyExecutionOperator):
     op_kind = "reduceby"
 
     def _run(self, inputs, bvals, ctx):
-        out = fold_by_key(bind(self.logical.key), bind(self.logical.reducer),
-                          inputs[0].payload)
+        out = run_reduce(self.logical, inputs[0].payload)
         return self._emit(inputs[0], out, ctx, _cin(inputs),
                           sim_factor=_group_factor(self.logical, len(out),
                                                    inputs[0].sim_factor))
@@ -278,8 +280,7 @@ class PyJoin(PyExecutionOperator):
 
     def _run(self, inputs, bvals, ctx):
         a, b = inputs
-        out = hash_join(bind(self.logical.left_key),
-                        bind(self.logical.right_key), a.payload, b.payload)
+        out = run_join(self.logical, a.payload, b.payload)
         factor = self.logical.output_sim_factor(a.sim_factor, b.sim_factor)
         bpr = a.bytes_per_record + b.bytes_per_record
         return self._emit(a, out, ctx, _cin(inputs), sim_factor=factor,
@@ -291,7 +292,8 @@ class PyCartesian(PyExecutionOperator):
 
     def _run(self, inputs, bvals, ctx):
         a, b = inputs
-        out = [(l, r) for l in a.payload for r in b.payload]
+        right = records_of(b.payload)
+        out = [(l, r) for l in a.payload for r in right]
         factor = a.sim_factor * b.sim_factor
         bpr = a.bytes_per_record + b.bytes_per_record
         return self._emit(a, out, ctx, _cin(inputs), sim_factor=factor,
@@ -326,15 +328,23 @@ class PyPageRank(PyExecutionOperator):
         return self._emit(inputs[0], out, ctx, _cin(inputs))
 
 
+def _sunk(ch: Channel) -> Channel:
+    """The channel a sink hands out: a plain list, whatever layout the
+    producing operator emitted, that does not alias a container a sibling
+    branch may still mutate through."""
+    if isinstance(ch.payload, list):
+        return ch.detached()
+    return ch.with_payload(records_of(ch.payload),
+                           actual_count=ch.actual_count)
+
+
 class PyCollectionSink(PyExecutionOperator):
     """Terminal operator: the payload is the job result."""
 
     op_kind = "sink"
 
     def _run(self, inputs, bvals, ctx):
-        # Detach: the sunk result list must not alias a channel a sibling
-        # branch may still mutate through.
-        return inputs[0].detached()
+        return _sunk(inputs[0])
 
 
 class PyTextFileSink(PyExecutionOperator):
@@ -348,4 +358,4 @@ class PyTextFileSink(PyExecutionOperator):
                       ch.sim_factor, ch.bytes_per_record)
         ctx.meter.charge(ctx.profile(self.platform).io_seconds(ch.sim_mb),
                          "pystreams.write", category="io")
-        return ch.detached()
+        return _sunk(ch)

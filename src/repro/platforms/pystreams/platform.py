@@ -13,9 +13,8 @@ from ...core.channels import (
 )
 from ...core.mappings import OperatorMapping
 from ..base import Platform
-from . import batch_ops as bx
 from . import ops as x
-from .channels import PY_BATCH, PY_COLLECTION
+from .channels import PY_COLLECTION
 
 _tmp_counter = itertools.count(1)
 
@@ -36,18 +35,6 @@ def _file_to_collection(channel: Channel, ctx) -> Channel:
     vf = ctx.vfs.read(channel.payload)
     return Channel(PY_COLLECTION, list(vf.records), vf.sim_factor,
                    vf.bytes_per_record, len(vf.records))
-
-
-def _batchify(channel: Channel, ctx) -> Channel:
-    from ...core.batch import RecordBatch
-
-    batch = RecordBatch.from_records(channel.payload)
-    return channel.with_payload(batch, PY_BATCH, len(batch))
-
-
-def _debatchify(channel: Channel, ctx) -> Channel:
-    records = channel.payload.to_records()
-    return channel.with_payload(records, PY_COLLECTION, len(records))
 
 
 class PyStreamsPlatform(Platform):
@@ -102,41 +89,4 @@ class PyStreamsPlatform(Platform):
             m(ops.PageRank, lambda op: [x.PyPageRank(op)]),
             m(ops.CollectionSink, lambda op: [x.PyCollectionSink(op)]),
             m(ops.TextFileSink, lambda op: [x.PyTextFileSink(op)]),
-        ]
-
-    # ------------------------------------------------- vectorized execution
-    def batch_channels(self):
-        return [PY_BATCH]
-
-    def batch_conversions(self):
-        # Pure representation changes within the process: free, so plan
-        # costs are identical with vectorization on or off.
-        free = float("inf")
-        return [
-            Conversion(PY_COLLECTION, PY_BATCH, _batchify,
-                       mb_per_s=free, overhead_s=0.0,
-                       name="pystreams-batchify"),
-            Conversion(PY_BATCH, PY_COLLECTION, _debatchify,
-                       mb_per_s=free, overhead_s=0.0,
-                       name="pystreams-debatchify"),
-        ]
-
-    def batch_mappings(self):
-        m = OperatorMapping
-        return [
-            m(ops.TextFileSource, lambda op: [bx.PyBatchTextFileSource(op)]),
-            m(ops.CollectionSource,
-              lambda op: [bx.PyBatchCollectionSource(op)]),
-            m(ops.Map, lambda op: [bx.PyBatchMap(op)]),
-            m(ops.FlatMap, lambda op: [bx.PyBatchFlatMap(op)]),
-            m(ops.Filter, lambda op: [bx.PyBatchFilter(op)]),
-            m(ops.Distinct, lambda op: [bx.PyBatchDistinct(op)]),
-            m(ops.Sort, lambda op: [bx.PyBatchSort(op)]),
-            m(ops.GroupBy, lambda op: [bx.PyBatchGroupBy(op)]),
-            m(ops.ReduceBy, lambda op: [bx.PyBatchReduceBy(op)]),
-            m(ops.ReduceBy,
-              lambda op: [bx.PyBatchGroupBy(op), bx.PyBatchReduceGroups(op)],
-              name="mapping<ReduceBy via GroupBy+Map>"),
-            m(ops.Union, lambda op: [bx.PyBatchUnion(op)]),
-            m(ops.Join, lambda op: [bx.PyBatchJoin(op)]),
         ]

@@ -13,12 +13,6 @@ SPARK_CACHED = ChannelDescriptor("sparklite.cached_rdd", "sparklite", True)
 #: A broadcast variable replicated to every worker.
 SPARK_BROADCAST = ChannelDescriptor("sparklite.broadcast", "sparklite", True)
 
-#: A distributed dataset of columnar record batches (one per partition).
-#: Registered (with zero-cost conversions to/from the RDD channel) only
-#: when the context is built with ``vectorize`` on.  Like the RDD channel
-#: it is NOT reusable without caching.
-SPARK_BATCH = ChannelDescriptor("sparklite.batch", "sparklite", False)
-
 #: The engine value every shared dataflow operator, mapping and payload
 #: converter of this platform is bound to.
-SPARK = DataflowEngine("sparklite", SPARK_RDD, SPARK_BROADCAST, SPARK_BATCH)
+SPARK = DataflowEngine("sparklite", SPARK_RDD, SPARK_BROADCAST)

@@ -6,8 +6,7 @@ from ...core import operators as ops
 from ...core.channels import Channel, Conversion, HDFS_FILE
 from ..base import Platform
 from ..pystreams.channels import PY_COLLECTION
-from .channels import (SPARK, SPARK_BATCH, SPARK_BROADCAST, SPARK_CACHED,
-                       SPARK_RDD)
+from .channels import SPARK, SPARK_BROADCAST, SPARK_CACHED, SPARK_RDD
 from .ops import SparkCache
 
 
@@ -55,21 +54,3 @@ class SparkLitePlatform(Platform):
 
     def mappings(self):
         return SPARK.mappings(own={ops.Cache: SparkCache})
-
-    # ------------------------------------------------- vectorized execution
-    def batch_channels(self):
-        return [SPARK_BATCH]
-
-    def batch_conversions(self):
-        # Pure representation changes within each partition: free, so plan
-        # costs are identical with vectorization on or off.
-        free = float("inf")
-        return [
-            Conversion(SPARK_RDD, SPARK_BATCH, SPARK.batchify,
-                       mb_per_s=free, overhead_s=0.0, name="spark-batchify"),
-            Conversion(SPARK_BATCH, SPARK_RDD, SPARK.debatchify,
-                       mb_per_s=free, overhead_s=0.0, name="spark-debatchify"),
-        ]
-
-    def batch_mappings(self):
-        return SPARK.batch_mappings()

@@ -109,8 +109,8 @@ class JobServer:
             published, so response latency never pays for the fit.
         calibration: Extra keyword arguments for the
             :class:`CostCalibrator` (``min_samples``,
-            ``drift_threshold``, ``initial_params``, ``cluster``,
-            ``vectorize``, GA budget...).  ``initial_params`` defaults to
+            ``drift_threshold``, ``initial_params``, ``cluster``, GA
+            budget...).  ``initial_params`` defaults to
             the shared context's published snapshot on the thread
             backend; on the process backend pass the factory's params
             explicitly if drift should be measured against them.
@@ -188,8 +188,8 @@ class JobServer:
     def _build_calibrator(self, knobs: dict[str, Any]) -> CostCalibrator:
         """Wire a :class:`CostCalibrator` to this server's publish path.
 
-        Cluster, published parameters and data plane default to the
-        shared context's; a parent that holds none (shard replicas come
+        Cluster and published parameters default to the shared
+        context's; a parent that holds none (shard replicas come
         from a factory it cannot introspect) falls back to a default
         :class:`~repro.simulation.cluster.VirtualCluster`.
         """
@@ -197,17 +197,14 @@ class JobServer:
 
         cluster = knobs.pop("cluster", None)
         initial = knobs.pop("initial_params", None)
-        vectorize = knobs.pop("vectorize", None)
         if self.ctx is not None:
             cluster = cluster if cluster is not None else self.ctx.cluster
             if initial is None:
                 initial = self.ctx.cost_params_snapshot()
-            if vectorize is None:
-                vectorize = self.ctx.config.get("vectorize", False)
         return CostCalibrator(
             cluster if cluster is not None else VirtualCluster(),
             self.publish_cost_params,
-            vectorize=bool(vectorize), initial_params=initial,
+            initial_params=initial,
             metrics=self.metrics, tracer=Tracer(), **knobs)
 
     # ------------------------------------------------------------ admission

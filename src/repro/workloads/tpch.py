@@ -181,79 +181,68 @@ def parse_row(table: str, line: str) -> dict:
             in zip(_CSV_FIELDS[table], line.split("|"))}
 
 
-def _gather_field(view, start, end):
-    """Slice one variable-offset field out of every row of ``view``.
+def _text_field(flat, offset, flen, kind):
+    """One variable-offset field of every row as a fixed-width ``S`` or
+    ``U`` array.
 
-    Returns a ``(rows, max_field_width)`` codepoint array, zero-padded past
-    each field's end, plus the per-row field lengths.
+    ``flat`` is the codepoint view of all lines end to end, ``offset`` each
+    row's field start in it and ``flen`` the field lengths.  The
+    ``(rows, max_field_width)`` character matrix behind the result is
+    zero-padded past each field's end and filled one character position at
+    a time, so nothing wider than one of its columns is ever allocated.
     """
     import numpy as np
 
-    n, width = view.shape
-    flen = end - start
+    n = len(flen)
     maxw = int(flen.max()) if n else 0
     if not maxw:
-        return np.zeros((n, 0), dtype=view.dtype), flen
-    idx = np.minimum(start[:, None] + np.arange(maxw), width - 1)
-    field = np.take_along_axis(view, idx, axis=1)
-    return np.where(np.arange(maxw) < flen[:, None], field,
-                    view.dtype.type(0)), flen
+        return np.full(n, "" if kind == "U" else b"", dtype=f"{kind}1")
+    field = np.zeros((n, maxw),
+                     dtype=np.uint32 if kind == "U" else np.uint8)
+    last = flat.size - 1
+    for j in range(maxw):
+        chars = flat[np.minimum(offset + j, last)]
+        field[:, j] = np.where(j < flen, chars, 0)
+    return field.view(f"{kind}{maxw}").reshape(n)
 
 
-def _field_bytes(field):
-    """Reinterpret a gathered ASCII codepoint matrix as a bytes array."""
-    import numpy as np
+def _int_field(flat, offset, flen):
+    """Parse a digit field by Horner's rule, one character position at a
+    time — no per-element parse calls at all.
 
-    n, maxw = field.shape
-    if not maxw:
-        return np.full(n, b"", dtype="S1")
-    buf = np.ascontiguousarray(field.astype(np.uint8)).tobytes()
-    return np.frombuffer(buf, dtype=f"S{maxw}")
-
-
-def _str_field(field):
-    """Reinterpret a gathered codepoint matrix as a unicode array."""
-    import numpy as np
-
-    n, maxw = field.shape
-    if not maxw:
-        return np.full(n, "", dtype="U1")
-    buf = np.ascontiguousarray(field.astype(np.uint32)).tobytes()
-    return np.frombuffer(buf, dtype=f"U{maxw}")
-
-
-def _int_field(field, flen):
-    """Parse a gathered digit field with a place-value kernel.
-
-    Sums ``digit * 10**position`` across the row — no per-element parse
-    calls at all.  Any non-digit character (sign, blank, overflow-width
-    field) routes the whole column through numpy's C string parser, which
+    Any non-digit character (sign, blank), an empty or an overflow-width
+    field routes the whole column through numpy's C string parser, which
     raises on exactly the inputs ``int()`` raises on.
     """
     import numpy as np
 
-    maxw = field.shape[1]
-    digits = field.astype(np.int64) - ord("0")
-    mask = np.arange(maxw) < flen[:, None]
-    bad = (((digits < 0) | (digits > 9)) & mask).any()
-    if bad or maxw > 18 or (flen == 0).any():
-        return _field_bytes(field).astype(np.int64)
-    powers = 10 ** np.arange(18, dtype=np.int64)
-    exponents = np.where(mask, flen[:, None] - 1 - np.arange(maxw), 0)
-    return (digits * np.where(mask, powers[exponents], 0)).sum(axis=1)
+    maxw = int(flen.max()) if len(flen) else 0
+    value = np.zeros(len(flen), dtype=np.int64)
+    last = flat.size - 1
+    clean = maxw <= 18 and not (flen == 0).any()
+    for j in range(maxw if clean else 0):
+        digit = flat[np.minimum(offset + j, last)].astype(np.int64) - ord("0")
+        active = j < flen
+        if (((digit < 0) | (digit > 9)) & active).any():
+            clean = False
+            break
+        value = np.where(active, value * 10 + digit, value)
+    if clean:
+        return value
+    return _text_field(flat, offset, flen, "S").astype(np.int64)
 
 
 def parse_batch(table: str, batch):
-    """Vectorized :func:`parse_row` over one batch of CSV lines.
+    """Columnar :func:`parse_row` over one batch of CSV lines.
 
     Works on the codepoint view of the lines column: one pass finds the
-    ``|`` separators, each field is gathered into a narrow fixed-width
-    window, integer columns go through a place-value digit kernel and
-    float columns through numpy's C parser.  int64/float64
-    parsing of decimal text matches Python's ``int``/``float`` exactly, so
-    the rows equal the per-record parse bit-for-bit; anything the fast path
-    cannot prove it handles exactly (non-ASCII, trimmed NULs, a malformed
-    field count) falls back to the per-record parse.
+    ``|`` separators, integer columns go through a Horner digit kernel,
+    float columns are gathered into a narrow fixed-width window for numpy's
+    C parser.  int64/float64 parsing of decimal text matches Python's
+    ``int``/``float`` exactly, so the rows equal the per-record parse
+    bit-for-bit; anything the fast path cannot prove it handles exactly
+    (non-ASCII, trimmed NULs, a malformed field count) falls back to the
+    per-record parse.
     """
     import numpy as np
 
@@ -261,32 +250,32 @@ def parse_batch(table: str, batch):
 
     columns = _CSV_COLUMNS[table]
     lines = batch.array(0)
-    if lines is None:  # non-string payload: per-record fallback
+    if lines is None or lines.dtype.kind != "U" or not len(lines):
+        # Non-string (or no) payload: per-record fallback.
         return [parse_row(table, line) for line in batch]
     n = len(lines)
-    if not n:
-        return []
-    if lines.dtype.kind != "U":
-        return [parse_row(table, line) for line in batch]
     width = lines.dtype.itemsize // 4
-    view = lines.view(np.uint32).reshape(n, width)
-    if (view > 127).any():  # non-ASCII: keep the per-record parse exact
+    flat = lines.view(np.uint32)
+    if flat.max() > 127:  # non-ASCII: keep the per-record parse exact
+        return [parse_row(table, line) for line in batch]
+    base = np.arange(n) * width
+    seps = np.flatnonzero(flat == ord("|"))
+    if len(seps) != n * (len(columns) - 1):
+        return [parse_row(table, line) for line in batch]
+    sep_pos = seps.reshape(n, len(columns) - 1) - base[:, None]
+    if ((sep_pos < 0) | (sep_pos >= width)).any():  # uneven field counts
         return [parse_row(table, line) for line in batch]
     lens = np.strings.str_len(lines)
-    seps = view == ord("|")
-    if not (seps.sum(axis=1) == len(columns) - 1).all():
-        return [parse_row(table, line) for line in batch]
-    sep_pos = np.nonzero(seps)[1].reshape(n, len(columns) - 1)
     out = []
     for i, (__, convert) in enumerate(_CSV_FIELDS[table]):
-        start = (sep_pos[:, i - 1] + 1 if i
-                 else np.zeros(n, dtype=np.int64))
+        start = sep_pos[:, i - 1] + 1 if i else 0
         end = sep_pos[:, i] if i < len(columns) - 1 else lens
-        field, flen = _gather_field(view, start, end)
+        offset, flen = base + start, end - start
         if convert is str:
-            out.append(_str_field(field))
+            out.append(_text_field(flat, offset, flen, "U"))
         elif convert is float:
-            out.append(_field_bytes(field).astype(np.float64))
+            out.append(_text_field(flat, offset, flen,
+                                   "S").astype(np.float64))
         else:
-            out.append(_int_field(field, flen))
+            out.append(_int_field(flat, offset, flen))
     return RecordBatch.from_columns(columns, out)

@@ -2,22 +2,31 @@
 
 The batch layer's contract is exactness: ``to_records`` must reconstruct
 the original records bit-for-bit, and every kernel must reproduce the
-per-record engines' output order and values.  These tests pin the layout
+record kernels' output order and values.  These tests pin the layout
 rules, the numpy-backing edge cases (where a silent fallback would cost
-only speed but a wrong conversion would cost correctness), and the join
-fast paths against a reference implementation.
+only speed but a wrong conversion would cost correctness), the join fast
+paths against a reference implementation, and the selection rule of the
+``run_*`` functions: explicit declaration -> batch, implicit one -> batch
+only from a batch, nothing declared -> the record kernel and a list.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from repro.core import operators as ops
 from repro.core.batch import (
     RecordBatch,
-    apply_filter,
-    apply_join,
-    apply_sort,
+    batch_keys,
     fold_by_key_columns,
     join_indices,
+    pair_sum_reduce,
+    run_filter,
+    run_flat_map,
+    run_join,
+    run_map,
+    run_reduce,
+    run_sort,
     sort_order,
 )
 from repro.workloads.tpch import (
@@ -72,6 +81,61 @@ class TestLayouts:
         batch = RecordBatch.pair(left, right)
         assert batch.to_records() == [({"k": 1}, (1, "x")),
                                       ({"k": 2}, (2, "y"))]
+
+    def test_pairs_of_dict_rows_read_back_as_the_pair_layout(self):
+        # What a record-kernel join of dict rows emits: a declared
+        # ``batch_udf`` reads ``.left`` / ``.right`` whichever kernel ran.
+        rows = [({"k": 1, "a": "x"}, {"k": 1, "b": 2.5}),
+                ({"k": 2, "a": "y"}, {"k": 2, "b": 0.5})]
+        batch = RecordBatch.from_records(rows)
+        assert batch.kind == "pair"
+        assert batch.left.col("a").tolist() == ["x", "y"]
+        assert batch.right.col("b").tolist() == [2.5, 0.5]
+        assert batch.to_records() == rows
+        # Anything else of width two stays a tuple layout with ``col``.
+        assert RecordBatch.from_records([("w", 1), ("v", 2)]).kind == "tuple"
+        assert RecordBatch.from_records(
+            [({"k": 1}, (1, 2)), ({"k": 2}, (3, 4))]).kind == "tuple"
+
+
+_LAYOUTS = {
+    "dict": RecordBatch.from_records([{"a": 1, "b": 2.0}]),
+    "tuple": RecordBatch.from_records([(1, 2.0)]),
+    "scalar": RecordBatch.from_records([1, 2]),
+    "pair": RecordBatch.from_records([({"a": 1}, {"b": 2})]),
+}
+
+
+class TestAbsentColumns:
+    """``col`` raises ``KeyError`` — never ``ValueError`` / ``IndexError``
+    — so ``batch_keys`` can fall back to the key UDF on every layout."""
+
+    @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+    @pytest.mark.parametrize("key", ["absent", 7, -3, None, 1.5])
+    def test_col_raises_key_error(self, layout, key):
+        with pytest.raises(KeyError):
+            _LAYOUTS[layout].col(key)
+        assert _LAYOUTS[layout].array(key) is None
+
+    @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+    @pytest.mark.parametrize("key", ["absent", 7])
+    def test_batch_keys_fall_back_to_the_key_udf(self, layout, key):
+        batch = _LAYOUTS[layout]
+        assert batch_keys(batch, key, repr) == [
+            repr(r) for r in batch.to_records()]
+
+    def test_present_columns_are_preferred(self):
+        assert batch_keys(_LAYOUTS["dict"], "a", None) == [1]
+        assert batch_keys(_LAYOUTS["tuple"], 1, None) == [2.0]
+        assert batch_keys(_LAYOUTS["scalar"], 0, None) == [1, 2]
+
+    def test_join_with_a_key_column_missing_on_one_side(self):
+        left = RecordBatch.from_records([{"k": 1, "l": 0}, {"k": 2, "l": 1}])
+        right = RecordBatch.from_records([{"j": 2}, {"j": 1}])
+        logical = ops.Join(lambda x: x["k"], lambda x: x["j"],
+                           left_key_column="k", right_key_column="k")
+        assert run_join(logical, left, right) == [
+            ({"k": 1, "l": 0}, {"j": 1}), ({"k": 2, "l": 1}, {"j": 2})]
 
 
 class TestNumpyBacking:
@@ -176,6 +240,16 @@ class TestKernels:
             assert got == sorted(rows, key=lambda t: t[1],
                                  reverse=descending)
 
+    def test_descending_int64_minimum_sorts_last(self):
+        # ``-keys`` wraps -2**63 onto itself and sorts it FIRST.
+        keys = [-2**63, 0, 5]
+        assert sort_order(np.array(keys), True).tolist() == [2, 1, 0]
+        assert sort_order(np.array(keys), False).tolist() == [0, 1, 2]
+
+    def test_nan_keys_decline(self):
+        assert sort_order(np.array([1.0, float("nan")]), False) is None
+        assert sort_order(np.array([1.0, float("nan")]), True) is None
+
     def test_fold_by_key_matches_legacy_fold(self):
         rows = [("a", 1.0), ("b", 2.0), ("a", 0.5), ("a", 4.0), ("b", 8.0)]
         batch = RecordBatch.from_records(rows)
@@ -238,60 +312,186 @@ class TestJoinIndices:
         assert li.tolist() == ref_li and ri.tolist() == ref_ri
 
 
-class _Join:
-    """Minimal logical-join stand-in for apply_join."""
-
-    def __init__(self, left_key, right_key, left_col=None, right_col=None):
-        self.left_key = left_key
-        self.right_key = right_key
-        self.left_key_column = left_col
-        self.right_key_column = right_col
+def _join(left_col=None, right_col=None):
+    return ops.Join(lambda x: x["k"], lambda x: x["k"],
+                    left_key_column=left_col, right_key_column=right_col)
 
 
 class TestApplyJoin:
     def test_vectorized_and_fallback_paths_agree(self):
         left = [{"k": i % 3, "l": i} for i in range(9)]
         right = [{"k": i % 4, "r": i} for i in range(8)]
-        logical = _Join(lambda x: x["k"], lambda x: x["k"], "k", "k")
-        fast = apply_join(logical, RecordBatch.from_records(left),
-                          RecordBatch.from_records(right))
-        slow = apply_join(_Join(lambda x: x["k"], lambda x: x["k"]),
-                          RecordBatch.from_records(left),
-                          RecordBatch.from_records(right))
+        lb = RecordBatch.from_records(left)
+        rb = RecordBatch.from_records(right)
         expected = [(l, r) for l in left for r in right if l["k"] == r["k"]]
-        assert fast.to_records() == expected
-        assert slow.to_records() == expected
+        # Declared columns + a batch on either side: the columnar kernel.
+        for a, b in ((lb, rb), (lb, right), (left, rb)):
+            fast = run_join(_join("k", "k"), a, b)
+            assert isinstance(fast, RecordBatch) and fast.kind == "pair"
+            assert fast.to_records() == expected
+        # Declared columns over two lists, or batches with nothing
+        # declared: the record kernel, a list.
+        assert run_join(_join("k", "k"), left, right) == expected
+        assert run_join(_join(), lb, rb) == expected
 
     def test_nan_keys_fall_back_to_hash_semantics(self):
-        # NaN != NaN in the legacy hash join; the sort-based fast path
-        # would pair them, so it must decline.
+        # NaN != NaN in the hash join; the sort-based fast path would
+        # pair them, so it must decline.
         nan = float("nan")
         left = [{"k": nan, "l": 0}, {"k": 1.0, "l": 1}]
         right = [{"k": nan, "r": 0}, {"k": 1.0, "r": 1}]
-        logical = _Join(lambda x: x["k"], lambda x: x["k"], "k", "k")
-        out = apply_join(logical, RecordBatch.from_records(left),
-                         RecordBatch.from_records(right))
-        assert out.to_records() == [({"k": 1.0, "l": 1}, {"k": 1.0, "r": 1})]
-
-
-class _Filter:
-    def __init__(self, udf=None, column=None, low=None, high=None):
-        self.udf = udf
-        self.column = column
-        self.low = low
-        self.high = high
-        self.batch_udf = None
+        out = run_join(_join("k", "k"), RecordBatch.from_records(left),
+                       RecordBatch.from_records(right))
+        assert out == [({"k": 1.0, "l": 1}, {"k": 1.0, "r": 1})]
 
 
 class TestApplyFilter:
     def test_range_filter_matches_predicate(self):
         rows = [{"v": i} for i in range(20)]
         batch = RecordBatch.from_records(rows)
-        fast = apply_filter(_Filter(lambda r: 5 <= r["v"] <= 12,
-                                    column="v", low=5, high=12), batch)
-        slow = apply_filter(_Filter(lambda r: 5 <= r["v"] <= 12), batch)
-        assert fast.to_records() == slow.to_records() \
-            == [r for r in rows if 5 <= r["v"] <= 12]
+        ranged = ops.Filter(lambda r: 5 <= r["v"] <= 12,
+                            column="v", low=5, high=12)
+        plain = ops.Filter(lambda r: 5 <= r["v"] <= 12)
+        expected = [r for r in rows if 5 <= r["v"] <= 12]
+        fast = run_filter(ranged, batch)
+        assert isinstance(fast, RecordBatch)
+        assert fast.to_records() == expected
+        # Implicit: a list in is the record kernel and a list out.
+        assert run_filter(ranged, rows) == expected
+        assert run_filter(plain, batch) == expected
+
+    def test_declared_mask_always_runs_columnar(self):
+        rows = [{"v": i} for i in range(6)]
+        declared = ops.Filter(lambda r: r["v"] % 2 == 0,
+                              batch_udf=lambda b: b.col("v") % 2 == 0)
+        out = run_filter(declared, rows)
+        assert isinstance(out, RecordBatch)
+        assert out.to_records() == rows[::2]
+
+
+class TestSelection:
+    """Explicit declarations emit batches from lists; without one the
+    record kernel emits a list from a batch."""
+
+    PAIRS = [("a", 1.0), ("b", 2.0), ("a", 0.5)]
+
+    def test_map_and_flat_map(self):
+        doubled = [(k, v * 2) for k, v in self.PAIRS]
+        declared = ops.Map(
+            lambda t: (t[0], t[1] * 2),
+            batch_udf=lambda b: RecordBatch.from_tuple_columns(
+                (b.col(0), np.asarray(b.col(1)) * 2)))
+        out = run_map(declared, self.PAIRS)
+        assert isinstance(out, RecordBatch) and out.to_records() == doubled
+        plain = ops.Map(lambda t: (t[0], t[1] * 2))
+        assert run_map(plain, RecordBatch.from_records(self.PAIRS)) == doubled
+        flat = ops.FlatMap(lambda t: [t[0]] * 2,
+                           batch_udf=lambda b: np.repeat(b.col(0), 2).tolist())
+        out = run_flat_map(flat, self.PAIRS)
+        assert isinstance(out, RecordBatch)
+        assert out.to_records() == ["a", "a", "b", "b", "a", "a"]
+        assert all(type(w) is str for w in out.to_records())
+
+    def test_reduce_and_sort(self):
+        reducer = ops.ReduceBy(lambda t: t[0],
+                               lambda a, b: (a[0], a[1] + b[1]),
+                               batch_impl=pair_sum_reduce(0, 1))
+        out = run_reduce(reducer, self.PAIRS)
+        assert isinstance(out, RecordBatch)
+        assert out.to_records() == [("a", 1.5), ("b", 2.0)]
+        plain = ops.ReduceBy(lambda t: t[0], lambda a, b: (a[0], a[1] + b[1]))
+        assert run_reduce(plain, RecordBatch.from_records(self.PAIRS)) == [
+            ("a", 1.5), ("b", 2.0)]
+        ordered = ops.Sort(lambda t: t[1], batch_key=lambda b: b.col(1))
+        out = run_sort(ordered, self.PAIRS)
+        assert isinstance(out, RecordBatch)
+        assert out.to_records() == sorted(self.PAIRS, key=lambda t: t[1])
+
+    def test_a_broadcast_reaches_the_declared_kernel(self):
+        declared = ops.Map(
+            lambda x, b: x + b[0],
+            batch_udf=lambda batch, b: (batch.col(0) + b[0]).tolist())
+        out = run_map(declared, [1, 2, 3], [[10]])
+        assert isinstance(out, RecordBatch)
+        assert out.to_records() == [11, 12, 13]
+
+    def test_a_list_is_columnarized_a_block_at_a_time(self, monkeypatch):
+        from repro.core import batch as batch_module
+
+        monkeypatch.setattr(batch_module, "BLOCK_ROWS", 3)
+        seen = []
+
+        def watched(fn):
+            def batch_udf(b):
+                seen.append(len(b))
+                return fn(b)
+            return batch_udf
+
+        rows = list(range(10))
+        mapped = run_map(ops.Map(lambda x: x * 2, batch_udf=watched(
+            lambda b: (b.col(0) * 2).tolist())), rows)
+        flat = run_flat_map(ops.FlatMap(
+            lambda x: [x] * (x % 3), batch_udf=watched(
+                lambda b: [x for x in b.to_records()
+                           for __ in range(x % 3)])), rows)
+        kept = run_filter(ops.Filter(lambda x: x % 2 == 0, batch_udf=watched(
+            lambda b: b.col(0) % 2 == 0)), rows)
+        assert seen == [3, 3, 3, 1] * 3
+        assert mapped.to_records() == [x * 2 for x in rows]
+        assert flat.to_records() == [x for x in rows for __ in range(x % 3)]
+        assert kept.to_records() == rows[::2]
+        # A batch is read whole: it is columnar already.
+        del seen[:]
+        run_map(ops.Map(None, batch_udf=watched(lambda b: b)),
+                RecordBatch.from_records(rows))
+        assert seen == [10]
+
+    def test_an_empty_batch_passes_through_declared_kernels(self):
+        # No rows, no layout: a ``batch_udf`` reading ``b.left`` or
+        # ``b.col("x")`` has nothing to read and is not called.
+        def boom(*args):
+            raise AssertionError("called on an empty batch")
+
+        for logical, run in (
+                (ops.Map(boom, batch_udf=boom), run_map),
+                (ops.FlatMap(boom, batch_udf=boom), run_flat_map),
+                (ops.Filter(boom, batch_udf=boom), run_filter),
+                (ops.ReduceBy(boom, boom, batch_impl=boom), run_reduce),
+                (ops.Sort(boom, batch_key=boom), run_sort)):
+            for empty in ([], RecordBatch.from_records([])):
+                out = run(logical, empty)
+                assert isinstance(out, RecordBatch) and len(out) == 0
+
+
+_INT64 = st.integers(-2**63, 2**63 - 1) | st.sampled_from(
+    [-2**63, -2**63 + 1, -1, 0, 1, 2**63 - 1])
+_FLOATS = st.floats(allow_nan=False) | st.sampled_from(
+    [0.0, -0.0, float("inf"), float("-inf")])
+
+
+class TestSortProperty:
+    """``run_sort`` with a ``batch_key`` == ``sorted(records, key=,
+    reverse=)``: int64 extremes, -0.0 / inf, ties in both directions."""
+
+    @given(st.lists(st.tuples(_INT64 | st.sampled_from([3, 3, 7]),
+                              st.integers(0, 3)), max_size=12),
+           st.booleans())
+    def test_int_keys(self, records, descending):
+        self._check(records, descending)
+
+    @given(st.lists(st.tuples(_FLOATS, st.integers(0, 3)), max_size=12),
+           st.booleans())
+    def test_float_keys(self, records, descending):
+        self._check(records, descending)
+
+    @staticmethod
+    def _check(records, descending):
+        logical = ops.Sort(lambda t: t[0], descending,
+                           batch_key=lambda b: b.col(0))
+        got = run_sort(logical, records).to_records()
+        expected = sorted(records, key=lambda t: t[0], reverse=descending)
+        # repr: 0.0 == -0.0, and a tie must keep ITS row, not an equal one.
+        assert [repr(r) for r in got] == [repr(r) for r in expected]
 
 
 class TestParseBatch:
@@ -331,17 +531,3 @@ class TestParseBatch:
         out = parse_batch("lineitem", RecordBatch.from_records(lines))
         got = out.to_records() if isinstance(out, RecordBatch) else out
         assert got == [parse_row("lineitem", line) for line in lines]
-
-
-class TestColumnarSourceCache:
-    def test_batch_is_built_once_per_source(self):
-        from repro.platforms.pystreams.batch_ops import _columnar
-
-        class Source:
-            pass
-
-        src = Source()
-        first = _columnar(src, [1, 2, 3])
-        second = _columnar(src, [1, 2, 3])
-        assert first is second
-        assert first.to_records() == [1, 2, 3]

@@ -13,6 +13,7 @@ import json
 import math
 import threading
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -73,12 +74,11 @@ def _miscosted_ctx():
 
 
 def _obs(stage_id="s1", platform="pystreams", duration=2.0, known=0.0,
-         ops=(("map", 1e6, 1e6),), vectorize=False):
+         ops=(("map", 1e6, 1e6),)):
     return StageObservation(
         stage_id, platform, duration, known,
         [OperatorObservation(platform, kind, 1.0, cin, cout)
-         for kind, cin, cout in ops],
-        vectorize=vectorize)
+         for kind, cin, cout in ops])
 
 
 def _wait_for_refit(server, minimum=1, timeout=30.0):
@@ -96,17 +96,33 @@ def _wait_for_refit(server, minimum=1, timeout=30.0):
 class TestObservationWire:
     def test_roundtrip(self):
         obs = _obs(duration=3.5, known=0.25,
-                   ops=(("map", 10.0, 20.0), ("filter", 20.0, 5.0)),
-                   vectorize=True)
+                   ops=(("map", 10.0, 20.0), ("filter", 20.0, 5.0)))
         doc = observation_to_json(obs)
         json.dumps(doc)  # must be JSON-able as-is (shard pipe payload)
         back = observation_from_json(doc)
         assert back == obs
 
-    def test_vectorize_defaults_false_for_old_payloads(self):
-        doc = observation_to_json(_obs())
-        del doc["vectorize"]
-        assert observation_from_json(doc).vectorize is False
+    def test_a_parent_written_vectorize_tag_is_ignored(self, capsys, tmp_path):
+        # Two wordcount stages logged by the parent commit, one per value
+        # of the ``vectorize`` tag it still wrote.
+        path = Path(__file__).parent / "fixtures" / \
+            "calibration_corpus_parent.json"
+        docs = json.loads(path.read_text())
+        assert sorted(doc["vectorize"] for doc in docs) == [False, True]
+        loaded = [observation_from_json(doc) for doc in docs]
+        assert all(not hasattr(obs, "vectorize") for obs in loaded)
+        assert "vectorize" not in observation_to_json(loaded[0])
+        # Same stage, same charges on both of the parent's planes: one
+        # bucket, both samples kept, and the offline learner reads the file.
+        assert loaded[0] == loaded[1]
+        corpus = CalibrationCorpus()
+        assert all(corpus.add(obs) for obs in loaded)
+        assert (corpus.bucket_count, len(corpus.samples())) == (1, 2)
+        from repro.__main__ import main
+        assert main(["learn", "--observations", str(path),
+                     "--out", str(tmp_path / "params.json"),
+                     "--generations", "2", "--population", "4"]) == 0
+        assert "loaded 2 stage observations" in capsys.readouterr().out
 
 
 # ================================================================ corpus
@@ -131,16 +147,6 @@ class TestCalibrationCorpus:
         assert corpus.add(StageObservation("conv", "sparklite",
                                            2.0, 2.0, [])) is False
         assert len(corpus) == 0
-
-    def test_vectorize_is_part_of_the_key_and_filterable(self):
-        corpus = CalibrationCorpus()
-        corpus.add(_obs(stage_id="plain", vectorize=False))
-        corpus.add(_obs(stage_id="batch", vectorize=True))
-        assert corpus.bucket_count == 2
-        assert [o.stage_id for o in corpus.samples(vectorize=False)] == \
-            ["plain"]
-        assert [o.stage_id for o in corpus.samples(vectorize=True)] == \
-            ["batch"]
 
     def test_per_bucket_validated(self):
         with pytest.raises(ValueError):
@@ -223,42 +229,6 @@ class TestCostCalibrator:
             record, {}, VirtualCluster()) == pytest.approx(1.5)
 
 
-# ===================================== satellite: poisoned-fit hygiene
-class TestRegimeHygiene:
-    """A calibrator fits exactly one vectorize regime: blending the
-    per-record and batch cost regimes poisons both fits."""
-
-    def test_other_regime_is_dropped_not_fitted(self):
-        registry = MetricsRegistry()
-        publishes = []
-        cal = CostCalibrator(VirtualCluster(), publishes.append,
-                             vectorize=False, min_samples=3,
-                             population_size=8, generations=4,
-                             metrics=registry)
-        # Poison: batch-mode samples claiming the same work is 100x
-        # cheaper.  They must not reach the corpus or the fit.
-        poison = [_obs(stage_id=f"p{i}", duration=0.02, vectorize=True)
-                  for i in range(10)]
-        clean = [_obs(stage_id=f"c{i}", duration=2.0) for i in range(3)]
-        assert cal.observe(poison) is False
-        assert cal.stats()["corpus_size"] == 0  # nothing ingested
-        assert cal.observe(clean) is True
-        snap = registry.snapshot()
-        assert snap["counters"]["calibration.skipped_regime"] == 10
-        assert snap["counters"]["calibration.samples"] == 3
-        # The fit saw only the clean per-record samples: its prediction
-        # for a clean stage is close to 2s, nowhere near the poison.
-        predicted = predict_stage_with_defaults(
-            clean[0], publishes[0], VirtualCluster())
-        assert predicted == pytest.approx(2.0, rel=0.5)
-
-    def test_vectorized_calibrator_keeps_only_its_regime(self):
-        cal = CostCalibrator(VirtualCluster(), lambda p: None,
-                             vectorize=True, min_samples=100)
-        cal.observe([_obs(stage_id="v", vectorize=True), _obs(stage_id="p")])
-        assert [o.stage_id for o in cal.corpus.samples()] == ["v"]
-
-
 # ============================== satellite: executor calibration gating
 class TestExecutionHygiene:
     """Sniffer and fault-injection runs must never teach the cost model
@@ -299,13 +269,6 @@ class TestExecutionHygiene:
         docs = observed["calibration_observations"]
         assert docs and all("duration_s" in d for d in docs)
         json.dumps(docs)  # pipe-safe
-
-    def test_observations_tagged_with_vectorize_mode(self):
-        ctx = RheemContext(config={"vectorize": True})
-        self._corpus(ctx)
-        result = ctx.execute(wordcount(ctx, CORPUS_PATH).to_plan())
-        assert result.monitor.stage_observations
-        assert all(o.vectorize for o in result.monitor.stage_observations)
 
 
 # ================================ satellite: no-op publish regression

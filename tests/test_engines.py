@@ -267,7 +267,7 @@ class TestEngineEquivalence:
 # Golden binding table of the three partitioned dataflow engines, captured
 # from the tree before they were bound by engine value: (engine, logical
 # operator name, [(op_kind, execution-operator name)], input channels,
-# output channel, broadcast channel) with ``vectorize`` off.
+# output channel, broadcast channel).
 # ---------------------------------------------------------------------------
 _GOLDEN_BINDINGS = [
     ("sparklite", "textfile-source",
@@ -402,13 +402,6 @@ _GOLDEN_BINDINGS = [
      ["graphlite.dataset"], "graphlite.dataset", "graphlite.dataset"),
 ]
 
-#: With ``vectorize`` on, these logical operators read and write the
-#: engine's record-batch channel instead; nothing else moves.
-_GOLDEN_BATCH_CHANNEL = {"sparklite": "sparklite.batch",
-                         "flinklite": "flinklite.batch"}
-_GOLDEN_BATCH_LOGICAL = {"map", "flatmap", "filter", "distinct", "sort",
-                         "groupby", "reduceby", "union", "join"}
-
 
 def _logical_samples():
     """One instance of every logical operator a dataflow engine maps."""
@@ -435,11 +428,10 @@ class TestGoldenBindings:
 
     ENGINES = ("sparklite", "flinklite", "graphlite")
 
-    @pytest.mark.parametrize("vectorize", [False, True])
-    def test_every_binding_matches_the_golden_table(self, vectorize):
+    def test_every_binding_matches_the_golden_table(self):
         from repro import RheemContext
 
-        ctx = RheemContext(config={"vectorize": vectorize})
+        ctx = RheemContext()
         actual = []
         for op in _logical_samples():
             for alt in ctx.registry.alternatives_for(op):
@@ -452,10 +444,15 @@ class TestGoldenBindings:
                     alt.output_descriptor().name,
                     alt.broadcast_descriptor().name))
 
-        expected = []
-        for engine, logical, chain, inputs, output, bcast in _GOLDEN_BINDINGS:
-            batch = _GOLDEN_BATCH_CHANNEL.get(engine)
-            if vectorize and batch and logical in _GOLDEN_BATCH_LOGICAL:
-                inputs, output = [batch] * len(inputs), batch
-            expected.append((engine, logical, chain, inputs, output, bcast))
-        assert sorted(actual) == sorted(expected)
+        assert sorted(actual) == sorted(_GOLDEN_BINDINGS)
+
+    def test_no_channel_or_conversion_is_named_for_a_payload_layout(self):
+        # A record batch rides the channels that exist.
+        from repro import RheemContext
+
+        graph = RheemContext().graph
+        names = [d.name for d in graph.descriptors()]
+        names += [c.name for d in graph.descriptors()
+                  for c in graph.conversions_from(d.name)]
+        assert len(names) > 20
+        assert not [n for n in names if "batch" in n]

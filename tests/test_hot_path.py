@@ -196,6 +196,78 @@ class TestCountGuards:
         assert isinstance(plan.diagnostics, LintReport)
 
 
+class TestBatchesOnlyWhereDeclared:
+    """A record batch exists because the plan declared a columnar kernel,
+    never because of a switch, a size or a cached copy of a source."""
+
+    @pytest.mark.parametrize("build", [_wordcount, _sgd, _crocopr])
+    def test_an_undeclared_plan_constructs_none(self, build, batches):
+        ctx = RheemContext()
+        assert build(ctx).execute().output
+        assert batches == []
+
+    def test_a_served_document_constructs_none(self, batches):
+        service = RheemService(RheemContext(), env=ENV)
+        reply = service.submit(_q5_shaped_document())
+        assert reply["status"] == "ok" and reply["output"]
+        assert batches == []
+
+    def test_a_range_filter_over_a_list_stays_a_list(self, monkeypatch):
+        from repro.apps import q5_quanta
+        from repro.core.batch import RecordBatch
+        from repro.platforms.pystreams import ops as pystreams_ops
+        from repro.workloads.tpch import ROW_BYTES, SF1_ROWS, TpchLite
+
+        seen = []
+        run_filter = pystreams_ops.run_filter
+
+        def watching(logical, payload, bvals=()):
+            out = run_filter(logical, payload, bvals)
+            seen.append((logical.column, type(payload), type(out)))
+            return out
+
+        monkeypatch.setattr(pystreams_ops, "run_filter", watching)
+        gen = TpchLite(0.05)
+
+        def mem(ctx, table):
+            return ctx.load_collection(
+                gen.table(table), sim_factor=gen.sim_factor(table),
+                bytes_per_record=ROW_BYTES[table])
+
+        ctx = RheemContext()
+        result = q5_quanta(ctx, 0.05, sources=dict.fromkeys(SF1_ROWS, mem)
+                           ).execute(allowed_platforms={"pystreams", "driver"})
+        assert result.output
+        # Both range filters read collection sources — lists — and the
+        # declared mask downstream of the columnar joins reads a batch.
+        assert sorted(seen, key=repr) == sorted([
+            ("name", list, list), ("orderyear", list, list),
+            (None, RecordBatch, RecordBatch)], key=repr)
+
+    def test_no_source_keeps_a_columnar_copy(self):
+        from repro.core.batch import RecordBatch
+
+        from repro.apps import q5_quanta
+        from repro.workloads.tpch import TpchLite
+
+        ctx = RheemContext(config={"result_reuse": False})
+        TpchLite(0.05, seed=47).place_for_q5(ctx)
+        plans = []
+        for __ in range(2):
+            plans.append(q5_quanta(ctx, 0.05, "polystore").to_plan())
+            assert ctx.execute(plans[-1]).output
+            side = ctx.load_collection([1, 2]).map(
+                lambda x: x + 1, batch_udf=lambda b: (b.col(0) + 1).tolist())
+            plans.append(side.to_plan())
+            assert ctx.execute(plans[-1]).output == [2, 3]
+        holders = list(ctx.vfs._files.values())
+        holders += [op for plan in plans for op in plan.sources()]
+        assert len(holders) > 8
+        for holder in holders:
+            assert not [name for name, value in vars(holder).items()
+                        if isinstance(value, RecordBatch)], holder
+
+
 # ------------------------------------- (ii) cache-state independence
 def _impure_pipeline(ctx, unstable: bool):
     seen = []  # a captured mutable: RP010

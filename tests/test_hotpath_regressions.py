@@ -108,16 +108,18 @@ class TestUnionRecordWidth:
         assert out.sim_mb == pytest.approx(40 * 40.0 / 1e6)
 
     def test_batch_union_matches_scalar_union_width(self):
+        # The same operator over record-batch payloads: same width.
         from repro.core.batch import RecordBatch
-        from repro.platforms.pystreams.batch_ops import PyBatchUnion
-        from repro.platforms.pystreams.channels import PY_BATCH
+        from repro.platforms.pystreams.channels import PY_COLLECTION
+        from repro.platforms.pystreams.ops import PyUnion
 
         ctx = RheemContext()
         exec_ctx = ExecutionContext(cluster=ctx.cluster, pgres=ctx.pgres,
                                     config=ctx.config)
-        wide = Channel(PY_BATCH, RecordBatch.from_records([0] * 10),
+        wide = Channel(PY_COLLECTION, RecordBatch.from_records([0] * 10),
                        1.0, 100.0, 10)
-        narrow = Channel(PY_BATCH, RecordBatch.from_records([0] * 30),
+        narrow = Channel(PY_COLLECTION, RecordBatch.from_records([0] * 30),
                          1.0, 20.0, 30)
-        out = PyBatchUnion(ops.Union()).execute([wide, narrow], [], exec_ctx)
+        out = PyUnion(ops.Union()).execute([wide, narrow], [], exec_ctx)
+        assert out.payload == [0] * 40
         assert out.bytes_per_record == pytest.approx(40.0)

@@ -2,25 +2,30 @@
 
 (i) each kernel equals a naive specification loop written here, order
 included; (ii) every kernel-backed logical operator agrees across the
-engines and the two planes through the public API; (iii) a raising UDF —
-``StopIteration`` included — fails the job, never shortens it; (iv) no
-engine enters ``Udf.__call__`` per record; (v) UDFs are bound per
-execution, not per operator instance.
+engines through the public API, and its plan with columnar declarations
+(and record batches for input) agrees with the same plan stripped of
+them; (iii) a raising UDF — ``StopIteration`` included — fails the job,
+never shortens it; (iv) no engine enters ``Udf.__call__`` per record;
+(v) UDFs are bound per execution, not per operator instance.
 
 Shuffle placement follows ``hash()``: CI runs this module under
 ``PYTHONHASHSEED`` 0 and 1, so nothing here may depend on it.
 """
 
+import operator
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro import RheemContext
 from repro.core import kernels
+from repro.core.batch import RecordBatch, fold_by_key_columns
 from repro.core.udf import Udf
+from conftest import stripped
 
 # ------------------------------------------------------------ (i) kernels
 ints = st.integers(-4, 4)
@@ -164,7 +169,7 @@ class TestKernelsMatchSpecification:
         assert kernels.hash_join(bucket, bucket, left, right) == expected
 
 
-# ----------------------------------------- (ii) engines agree, both planes
+# ------------------------- (ii) engines agree; declared equals stripped
 ENGINES = ("pystreams", "sparklite", "flinklite", "pgres")
 PARTITIONED = ("sparklite", "flinklite")
 
@@ -178,70 +183,100 @@ def by_repr(out):
     return sorted(out, key=repr)
 
 
+def src(c, pin, data):
+    """``data`` behind a pinned identity map that declares a columnar
+    twin: the operator under test reads a record batch (one per partition
+    on the partitioned engines) — and a list once ``stripped``."""
+    return pin(c.load_collection(data).map(lambda x: x, name="as-batch",
+                                           batch_udf=lambda b: b))
+
+
+def _word_sums(batch):
+    sums = fold_by_key_columns(batch, 1, 0, operator.add)
+    return [(total, word) for word, total in sums.to_records()]
+
+
 #: name -> (plan builder, engines that map the pinned operator, canonical
 #: form for the partitioned engines — where round-robin partitioning and
 #: the shuffle leave record order (and which duplicate survives) open).
+#: Every operator with a columnar kernel declares it.
 OPERATORS = {
-    "map": (lambda c, pin: pin(c.load_collection(PAIRS)
-                               .map(lambda t: (t[1], t[0] * 2))),
-            ENGINES, by_repr),
-    "flat_map": (lambda c, pin: pin(c.load_collection(PAIRS)
-                                    .flat_map(lambda t: [t[1]] * (t[0] % 3))),
-                 ENGINES[:3], by_repr),
-    "filter": (lambda c, pin: pin(c.load_collection(PAIRS)
-                                  .filter(lambda t: t[0] % 2)),
-               ENGINES, by_repr),
-    "distinct": (lambda c, pin: pin(c.load_collection(PAIRS).distinct()),
+    "map": (lambda c, pin: pin(src(c, pin, PAIRS).map(
+        lambda t: (t[1], t[0] * 2),
+        batch_udf=lambda b: RecordBatch.from_tuple_columns(
+            (b.col(1), np.asarray(b.col(0)) * 2)))),
+        ENGINES, by_repr),
+    "flat_map": (lambda c, pin: pin(src(c, pin, PAIRS).flat_map(
+        lambda t: [t[1]] * (t[0] % 3),
+        batch_udf=lambda b: [w for n, w in b.to_records()
+                             for __ in range(n % 3)])),
+        ENGINES[:3], by_repr),
+    "filter": (lambda c, pin: pin(src(c, pin, PAIRS).filter(
+        lambda t: t[0] % 2,
+        batch_udf=lambda b: np.asarray(b.col(0)) % 2 == 1)),
+        ENGINES, by_repr),
+    "distinct": (lambda c, pin: pin(src(c, pin, PAIRS).distinct()),
                  ENGINES, by_repr),
-    "distinct_rows": (lambda c, pin: pin(c.load_collection(ROWS).distinct()),
+    "distinct_rows": (lambda c, pin: pin(src(c, pin, ROWS).distinct()),
                       ENGINES, by_repr),
-    "distinct_by_key": (lambda c, pin: pin(c.load_collection(PAIRS)
+    "distinct_by_key": (lambda c, pin: pin(src(c, pin, PAIRS)
                                            .distinct(lambda t: t[0])),
                         ENGINES, lambda out: sorted(t[0] for t in out)),
-    "sort": (lambda c, pin: pin(c.load_collection(PAIRS)
-                                .sort(lambda t: (t[1], t[0]))),
-             ENGINES, list),
-    "group_by": (lambda c, pin: pin(c.load_collection(PAIRS)
+    # 40 records over 35 keys: ties must keep their input order.
+    "sort": (lambda c, pin: pin(src(c, pin, PAIRS).sort(
+        lambda t: t[0] * 5 + int(t[1][1:]),
+        batch_key=lambda b: np.asarray(b.col(0)) * 5 + np.array(
+            [int(w[1:]) for w in b.col(1).tolist()]))),
+        ENGINES, list),
+    "group_by": (lambda c, pin: pin(src(c, pin, PAIRS)
                                     .group_by(lambda t: t[0])),
                  ENGINES, lambda out: sorted((k, sorted(m)) for k, m in out)),
-    "reduce_by_key": (lambda c, pin: pin(
-        c.load_collection(PAIRS).reduce_by_key(
-            lambda t: t[1], lambda a, b: (a[0] + b[0], a[1]))),
+    "reduce_by_key": (lambda c, pin: pin(src(c, pin, PAIRS).reduce_by_key(
+        lambda t: t[1], lambda a, b: (a[0] + b[0], a[1]),
+        batch_impl=_word_sums)),
         ENGINES, by_repr),
-    "reduce": (lambda c, pin: pin(c.load_collection(list(range(40)))
+    "reduce": (lambda c, pin: pin(src(c, pin, list(range(40)))
                                   .reduce(lambda a, b: a + b)),
                ENGINES, list),
-    "join": (lambda c, pin: pin(c.load_collection(PAIRS).join(
-        c.load_collection(OTHER), lambda t: t[0], lambda t: t[0])),
+    "join": (lambda c, pin: pin(src(c, pin, PAIRS).join(
+        src(c, pin, OTHER), lambda t: t[0], lambda t: t[0],
+        left_key_column=0, right_key_column=0)),
         ENGINES, by_repr),
-    "intersect": (lambda c, pin: pin(c.load_collection(PAIRS).intersect(
-        c.load_collection([(i % 3, f"w{i % 5}") for i in range(30)]))),
+    "intersect": (lambda c, pin: pin(src(c, pin, PAIRS).intersect(
+        src(c, pin, [(i % 3, f"w{i % 5}") for i in range(30)]))),
         ENGINES, by_repr),
-    "intersect_rows": (lambda c, pin: pin(c.load_collection(ROWS).intersect(
-        c.load_collection(OTHER_ROWS))), ENGINES, by_repr),
+    "intersect_rows": (lambda c, pin: pin(src(c, pin, ROWS).intersect(
+        src(c, pin, OTHER_ROWS))), ENGINES, by_repr),
 }
 
 
-def run(build, engine, vectorize):
-    ctx = RheemContext(config={"vectorize": vectorize})
-    result = build(ctx, lambda dq: dq.with_target_platform(engine)).execute()
+def run(build, engine, declared):
+    ctx = RheemContext()
+    quanta = build(ctx, lambda dq: dq.with_target_platform(engine))
+    result = (quanta if declared else stripped(quanta)).execute()
     assert engine in result.platforms
     return result
 
 
 @pytest.mark.parametrize("name", sorted(OPERATORS))
-def test_engines_and_planes_agree(name):
+def test_engines_and_planes_agree(name, batches):
     build, engines, canonical = OPERATORS[name]
     reference = run(build, "pystreams", False).output
     assert reference, "a vacuous comparison"
     for engine in engines:
-        scalar, batch = (run(build, engine, v) for v in (False, True))
-        assert batch.output == scalar.output, engine
-        assert batch.runtime == scalar.runtime, engine
+        del batches[:]
+        reference_run = run(build, engine, False)
+        assert not batches, "a stripped plan built a record batch"
+        declared = run(build, engine, True)
+        assert batches, "a vacuous comparison: no kernel saw a batch"
+        assert declared.output == reference_run.output, engine
+        assert type(declared.output) is list
+        assert declared.runtime == reference_run.runtime, engine
         if engine in PARTITIONED:
-            assert canonical(scalar.output) == canonical(reference), engine
+            assert canonical(reference_run.output) == canonical(reference), \
+                engine
         else:
-            assert scalar.output == reference, engine
+            assert reference_run.output == reference, engine
 
 
 _SHUFFLES = """
@@ -251,14 +286,16 @@ from test_kernels import OPERATORS, PARTITIONED, run
 for name in "distinct group_by intersect_rows join reduce_by_key".split():
     build, __, canonical = OPERATORS[name]
     for engine in PARTITIONED:
-        result = run(build, engine, False)
-        print(name, engine, result.runtime, canonical(result.output))
+        for declared in (False, True):
+            result = run(build, engine, declared)
+            print(name, engine, result.runtime, canonical(result.output))
 """
 
 
 def test_shuffles_do_not_leak_the_hash_seed():
     """String keys land in different partitions under different seeds;
-    canonical outputs and simulated runtimes are the same."""
+    canonical outputs and simulated runtimes are the same — for record
+    shuffles and for batch shuffles."""
     script = _SHUFFLES.format(path=[os.path.dirname(__file__), *sys.path])
     seen = {subprocess.run(
         [sys.executable, "-c", script], check=True, capture_output=True,
@@ -286,26 +323,26 @@ def poisoned(exc_type):
     return value
 
 
-#: Every role a UDF plays in a kernel; each builder pins its operator.
+#: Every role a UDF plays in a kernel; each builder pins its operator
+#: and feeds it through ``src`` (a batch, or a list once stripped).
 ROLES = {
-    "map": lambda c, pin, f: pin(c.load_collection(PAIRS).map(f)),
-    "flat_map": lambda c, pin, f: pin(c.load_collection(PAIRS)
+    "map": lambda c, pin, f: pin(src(c, pin, PAIRS).map(f)),
+    "flat_map": lambda c, pin, f: pin(src(c, pin, PAIRS)
                                       .flat_map(lambda t: [f(t)])),
-    "filter": lambda c, pin, f: pin(c.load_collection(PAIRS).filter(f)),
-    "distinct_key": lambda c, pin, f: pin(c.load_collection(PAIRS)
-                                          .distinct(f)),
-    "group_key": lambda c, pin, f: pin(c.load_collection(PAIRS).group_by(f)),
-    "fold_key": lambda c, pin, f: pin(c.load_collection(PAIRS)
+    "filter": lambda c, pin, f: pin(src(c, pin, PAIRS).filter(f)),
+    "distinct_key": lambda c, pin, f: pin(src(c, pin, PAIRS).distinct(f)),
+    "group_key": lambda c, pin, f: pin(src(c, pin, PAIRS).group_by(f)),
+    "fold_key": lambda c, pin, f: pin(src(c, pin, PAIRS)
                                       .reduce_by_key(f, lambda a, b: a)),
     "fold_reducer": lambda c, pin, f: pin(
-        c.load_collection(PAIRS).reduce_by_key(
+        src(c, pin, PAIRS).reduce_by_key(
             lambda t: t[1], lambda a, b: (f(b), a[1]))),
     "global_reducer": lambda c, pin, f: pin(
-        c.load_collection(PAIRS).reduce(lambda a, b: (f(b), a[1]))),
-    "join_left_key": lambda c, pin, f: pin(c.load_collection(PAIRS).join(
-        c.load_collection(OTHER), f, lambda t: t[0])),
-    "join_right_key": lambda c, pin, f: pin(c.load_collection(OTHER).join(
-        c.load_collection(PAIRS), lambda t: t[0], f)),
+        src(c, pin, PAIRS).reduce(lambda a, b: (f(b), a[1]))),
+    "join_left_key": lambda c, pin, f: pin(src(c, pin, PAIRS).join(
+        src(c, pin, OTHER), f, lambda t: t[0])),
+    "join_right_key": lambda c, pin, f: pin(src(c, pin, OTHER).join(
+        src(c, pin, PAIRS), lambda t: t[0], f)),
 }
 
 
@@ -314,19 +351,18 @@ ROLES = {
 def test_raising_udf_fails_the_job(role, exc_type):
     engines = ENGINES[:3] if role == "flat_map" else ENGINES
     for engine in engines:
-        for vectorize in (False, True):
-            ctx = RheemContext(config={"vectorize": vectorize})
+        for declared in (False, True):
             quanta = ROLES[role](
-                ctx, lambda dq: dq.with_target_platform(engine),
+                RheemContext(), lambda dq: dq.with_target_platform(engine),
                 poisoned(exc_type))
             with pytest.raises(exc_type):
-                quanta.execute()
+                (quanta if declared else stripped(quanta)).execute()
 
 
 # ------------------------------------- (iv) no wrapper frame per record
-@pytest.mark.parametrize("vectorize", [False, True])
+@pytest.mark.parametrize("declared", [False, True])
 @pytest.mark.parametrize("engine", ENGINES)
-def test_no_engine_enters_udf_call_per_record(engine, vectorize, monkeypatch):
+def test_no_engine_enters_udf_call_per_record(engine, declared, monkeypatch):
     calls = []
     original = Udf.__call__
 
@@ -339,20 +375,25 @@ def test_no_engine_enters_udf_call_per_record(engine, vectorize, monkeypatch):
     def pin(dq):
         return dq.with_target_platform(engine)
 
-    ctx = RheemContext(config={"vectorize": vectorize})
-    lines = ctx.load_collection([f"w{i % 9} w{i % 4} x" for i in range(1000)])
+    def collect(quanta):
+        return (quanta if declared else stripped(quanta)).collect()
+
+    # Row UDFs throughout; ``src`` feeds them batches when declared.
+    ctx = RheemContext()
+    lines = src(ctx, pin if engine != "pgres" else lambda dq: dq,
+                [f"w{i % 9} w{i % 4} x" for i in range(1000)])
     words = lines.flat_map(str.split)
     if engine != "pgres":  # maps no FlatMap: the rest of the chain is pinned
         words = pin(words)
-    counts = pin(pin(pin(words.filter(lambda w: w != "x"))
-                     .map(lambda w: (w, 1)))
-                 .reduce_by_key(lambda t: t[0],
-                                lambda a, b: (a[0], a[1] + b[1]))).collect()
+    counts = collect(pin(pin(pin(words.filter(lambda w: w != "x"))
+                             .map(lambda w: (w, 1)))
+                         .reduce_by_key(lambda t: t[0],
+                                        lambda a, b: (a[0], a[1] + b[1]))))
     assert sorted(counts)[0] == ("w0", 362) and len(counts) == 9
 
-    joined = pin(ctx.load_collection(list(range(1000))).join(
-        ctx.load_collection(list(range(100))),
-        lambda x: x % 100, lambda y: y)).collect()
+    joined = collect(pin(src(ctx, pin, list(range(1000))).join(
+        src(ctx, pin, list(range(100))),
+        lambda x: x % 100, lambda y: y)))
     assert len(joined) == 1000
     assert calls == []
 

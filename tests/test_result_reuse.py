@@ -4,8 +4,8 @@ The store keeps committed stage outputs keyed by ``(subplan
 fingerprint, source-cardinality bands, cost-model version)`` and offers
 them to the optimizer as zero-cost sources, so a resubmission skips both
 plan enumeration and the execution itself.  These tests pin down the
-contract: reuse is invisible in the *results* (bit-for-bit, vectorized
-mode included), bypassed whenever execution is observed or perturbed
+contract: reuse is invisible in the *results* (bit-for-bit, stored record
+batches included), bypassed whenever execution is observed or perturbed
 (sniffers, fault injection), invalidated by cost-model publication, and
 bounded by a benefit-ranked byte budget.
 """
@@ -13,7 +13,7 @@ bounded by a benefit-ranked byte budget.
 import argparse
 
 import pytest
-from conftest import wordcount
+from conftest import declared_wordcount, wordcount
 
 from repro import RheemContext
 from repro.core.channels import Channel
@@ -51,14 +51,15 @@ class TestWarmResubmission:
         after = ctx.plan_cache.stats["hits"] + ctx.plan_cache.stats["misses"]
         assert after == lookups  # the warm run never consulted it
 
-    @pytest.mark.parametrize("vectorize", [False, True])
-    def test_results_are_bit_for_bit_with_reuse_on_and_off(self, vectorize):
+    @pytest.mark.parametrize("declared", [False, True])
+    def test_results_are_bit_for_bit_with_reuse_on_and_off(self, declared):
+        # Declared, the stored channel holds a record batch.
+        build = declared_wordcount if declared else wordcount
         outputs = []
         for result_reuse in (True, False):
-            ctx = RheemContext(config={"result_reuse": result_reuse,
-                                       "vectorize": vectorize})
-            cold = _run(ctx)
-            warm = _run(ctx)
+            ctx = RheemContext(config={"result_reuse": result_reuse})
+            cold = build(ctx, _corpus(ctx)).execute()
+            warm = build(ctx, _corpus(ctx)).execute()
             assert warm.output == cold.output
             if result_reuse:
                 assert ctx.result_store.stats["hits"] >= 1
@@ -67,6 +68,7 @@ class TestWarmResubmission:
                 assert len(ctx.result_store) == 0
             outputs.append(warm.output)
         assert outputs[0] == outputs[1]
+        assert type(outputs[0]) is list
 
 
 class TestInvalidationAndBypass:
