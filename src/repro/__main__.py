@@ -161,7 +161,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         calibration["drift_threshold"] = args.calibrate_drift
     common: dict[str, Any] = dict(
         workers=args.jobs, queue_size=args.queue_size,
-        default_deadline_s=args.deadline, stage_threads=args.stage_threads,
+        default_deadline_s=args.deadline,
         backend=args.backend, tenant_quota=args.tenant_quota,
         calibrate=args.calibrate, calibration=calibration)
     if args.backend == "process":
@@ -325,11 +325,6 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument("--deadline", type=float, default=None,
                        help="default per-job deadline in seconds "
                             "(measured from admission; default: none)")
-    serve.add_argument("--stage-threads", type=int, default=None,
-                       dest="stage_threads",
-                       help="total intra-job stage-lane budget across all "
-                            "workers; each job gets stage-threads/jobs "
-                            "lanes (default: 2x --jobs)")
     serve.add_argument("--calibrate", action="store_true",
                        help="close the trace -> cost-model loop online: "
                             "committed job traces accumulate into a bounded "

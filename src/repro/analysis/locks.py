@@ -29,11 +29,11 @@ RC005     mutable instance state written inside an execution hot path
 The pass is deliberately conservative where Python's dynamism defeats
 static resolution: it resolves ``with`` targets through literal
 ``OrderedLock("<name>")`` construction sites, the registry's declared
-owner attributes, well-known parameter names (``job_lock``) and simple
-aliasing assignments; call edges are followed for ``self`` methods,
-module-level functions, enclosing-scope closures, and receivers whose
-attribute name has a declared type (:data:`repro.concurrency.order.
-ATTR_TYPES`).  Unresolvable expressions are skipped, never guessed.
+owner attributes and simple aliasing assignments; call edges are
+followed for ``self`` methods, module-level functions, enclosing-scope
+closures, and receivers whose attribute name has a declared type
+(:data:`repro.concurrency.order.ATTR_TYPES`).  Unresolvable expressions
+are skipped, never guessed.
 
 Conventions honoured (and relied on by the runtime):
 
@@ -57,7 +57,6 @@ from ..concurrency.order import (
     ATTR_TYPES,
     BLOCKING_ATTRS,
     LOCK_ORDER,
-    PARAM_LOCKS,
     RAW_LOCK_OK,
     LockSpec,
 )
@@ -347,12 +346,7 @@ class _Checker:
         info = _FunctionInfo(key=key, module=self._module, cls=cls,
                              name=node.name, node=node,
                              local_locks=dict(inherited))
-        # Parameter hints and attribute bindings first, then the walk.
-        for arg in (list(node.args.posonlyargs) + list(node.args.args)
-                    + list(node.args.kwonlyargs)):
-            hint = PARAM_LOCKS.get(arg.arg)
-            if hint is not None:
-                info.local_locks[arg.arg] = hint
+        # Attribute bindings first, then the walk.
         self.functions[key] = info
         self._prebind_locals(node.body, info)
         self._register_attr_bindings(node.body, cls)

@@ -25,8 +25,6 @@ RP012     warning   union/intersect inputs have diverging types
 RP013     warning   declared loop input unused by the loop body
 RP014     info      operator attribute defeats plan fingerprinting
 RP100+    error     structural violations (unwired input, cycle, ...)
-RP201     warning   UDFs on potentially concurrent stages share one
-                    captured mutable object (lane-aware RP010)
 ========  ========  =====================================================
 
 Suppression: ``op.suppress_lint("RP003")`` silences one rule for one
@@ -432,69 +430,6 @@ def _unstable_fingerprint(ctx: AnalysisContext) -> Iterator[Diagnostic]:
                 f"reuse",
                 hint="replace the value with picklable/canonical data, "
                      "or accept the deliberate cache opt-out")
-
-
-# --------------------------------------------------------------------------
-# RP201 shared mutable capture across potentially concurrent stages
-# --------------------------------------------------------------------------
-def _ancestor_sets(ordered: list[ops.Operator]) -> dict[int, set[int]]:
-    """Transitive producer ids per operator (``ordered`` is topological)."""
-    anc: dict[int, set[int]] = {}
-    for op in ordered:
-        ids: set[int] = set()
-        for ref in list(op.inputs) + list(op.side_inputs):
-            if ref is not None:
-                ids.add(ref.op.id)
-                ids |= anc.get(ref.op.id, set())
-        anc[op.id] = ids
-    return anc
-
-
-@register_rule("RP201", "shared-capture-across-lanes", Severity.WARNING,
-               "UDFs on potentially concurrent stages share one captured "
-               "mutable object")
-def _shared_capture(ctx: AnalysisContext) -> Iterator[Diagnostic]:
-    # RP010 flags each mutable capture in isolation; this rule is its
-    # lane-aware upgrade.  The stage scheduler (PR 5) overlaps stages
-    # that are not ancestors of one another on different lanes, so two
-    # UDFs closing over the *same* list/dict/set can mutate it from two
-    # threads at once — a real data race, not just a migration hazard.
-    holders: dict[int, list[tuple[ops.Operator, str, str, str]]] = {}
-    by_id = {op.id: op for op in ctx.ordered}
-    for op_id, reports in ctx.udf_reports.items():
-        op = by_id[op_id]
-        for attr, report in reports:
-            for var, obj_id in report.mutable_capture_ids:
-                holders.setdefault(obj_id, []).append(
-                    (op, attr, var, report.name))
-    shared = {obj_id: entries for obj_id, entries in holders.items()
-              if len({op.id for op, _, _, _ in entries}) > 1}
-    if not shared:
-        return
-    ancestors = _ancestor_sets(ctx.ordered)
-    reported: set[tuple[int, int]] = set()
-    for entries in shared.values():
-        entries.sort(key=lambda e: e[0].id)
-        for i, (op_a, _, var_a, _) in enumerate(entries):
-            for op_b, attr_b, var_b, udf_b in entries[i + 1:]:
-                if op_a.id == op_b.id:
-                    continue
-                if op_a.id in ancestors.get(op_b.id, set()) \
-                        or op_b.id in ancestors.get(op_a.id, set()):
-                    continue  # serial chain: never on two lanes at once
-                key = (op_a.id, op_b.id)
-                if key in reported:
-                    continue
-                reported.add(key)
-                yield _diag(
-                    "RP201", op_b,
-                    f"UDF {udf_b!r} ({attr_b}) captures mutable "
-                    f"{var_b!r}, the same object {op_a.name} "
-                    f"<#{op_a.id}> captures as {var_a!r}; neither stage "
-                    f"depends on the other, so the scheduler may run "
-                    f"both concurrently on different lanes",
-                    hint="give each branch its own copy, or pass the "
-                         "state as a broadcast side-input")
 
 
 def run_rules(ctx: AnalysisContext,

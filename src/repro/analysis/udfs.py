@@ -50,9 +50,6 @@ class UdfReport:
     mutable_captures: list[str] = field(default_factory=list)
     nondeterministic_calls: list[str] = field(default_factory=list)
     global_writes: list[str] = field(default_factory=list)
-    #: ``(variable, id(object))`` per mutable capture — lets the race
-    #: lint (RP201) see when two UDFs close over the *same* object.
-    mutable_capture_ids: list[tuple[str, int]] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
@@ -120,7 +117,6 @@ def introspect_udf(udf) -> UdfReport:
                 continue
             if isinstance(value, _MUTABLE_TYPES):
                 report.mutable_captures.append(var)
-                report.mutable_capture_ids.append((var, id(value)))
         _scan_code(code, getattr(fn, "__globals__", {}), report)
     try:
         udf._introspection = report

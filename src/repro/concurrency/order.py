@@ -40,9 +40,8 @@ class LockSpec:
             is legal.
         owners: Attribute paths (``module:Class.attr`` — or
             ``module:NAME`` for a module-level binding) where instances
-            of this lock live.  Locals created inside a function (the
-            executor's per-job commit lock, the scheduler's dispatch
-            lock) are resolved by the static checker from their
+            of this lock live.  Locals created inside a function are
+            resolved by the static checker from their
             ``OrderedLock("<name>", ...)`` construction site instead.
         guards: Shared attributes (``Class.attr``, in the owner module;
             dotted tails allowed) that must only be *written* while this
@@ -152,16 +151,6 @@ LOCK_ORDER: tuple[LockSpec, ...] = (
             "back into the plan cache",
     ),
     LockSpec(
-        name="executor.job",
-        rank=50,
-        kind="lock",
-        owners=("repro.core.executor:_StageRecorder._lock",),
-        doc="per-job commit lock (one per Executor.execute call): shared "
-            "channel environment, conversion cache, monitor and "
-            "critical-path tracker; lane threads take it briefly to "
-            "snapshot, the driver takes it to commit",
-    ),
-    LockSpec(
         name="intermediate_store",
         rank=55,
         kind="rlock",
@@ -171,18 +160,9 @@ LOCK_ORDER: tuple[LockSpec, ...] = (
                 "IntermediateResultStore.bytes_mb",
                 "IntermediateResultStore._tick"),
         doc="cross-job intermediate-result store: entries, byte budget "
-            "and statistics; taken under the executor's commit lock "
-            "scope (publication) and the publish lock (flush), never "
-            "while executing platform code",
-    ),
-    LockSpec(
-        name="scheduler.dispatch",
-        rank=60,
-        kind="lock",
-        owners=(),
-        doc="stage-scheduler ready-set/lane bookkeeping (a local of "
-            "StageScheduler._run_parallel); never held during compute "
-            "or commit",
+            "and statistics; taken at a stage commit (publication) and "
+            "under the publish lock (flush), never while executing "
+            "platform code",
     ),
     LockSpec(
         name="tracer.spans",
@@ -211,12 +191,6 @@ LOCK_ORDER: tuple[LockSpec, ...] = (
 )
 
 _BY_NAME: dict[str, LockSpec] = {spec.name: spec for spec in LOCK_ORDER}
-
-#: Well-known parameter names the static checker resolves to a lock even
-#: without seeing the construction site (locks threaded through calls).
-PARAM_LOCKS: dict[str, str] = {
-    "job_lock": "executor.job",
-}
 
 #: Attribute names whose receiver the static checker may resolve to a
 #: class scanned elsewhere in the tree (cross-class call edges: e.g. the
@@ -303,7 +277,7 @@ def render_order() -> str:
 
 
 __all__ = [
-    "ATTR_TYPES", "BLOCKING_ATTRS", "LOCK_ORDER", "LockSpec", "PARAM_LOCKS",
-    "RAW_LOCK_OK", "UnknownLockError", "lock_rank", "lock_spec",
-    "render_order", "validate_order",
+    "ATTR_TYPES", "BLOCKING_ATTRS", "LOCK_ORDER", "LockSpec", "RAW_LOCK_OK",
+    "UnknownLockError", "lock_rank", "lock_spec", "render_order",
+    "validate_order",
 ]

@@ -49,7 +49,10 @@ class RheemContext:
             default).  Registering fewer simulates a smaller installation.
         cost_params: Learned cost-model parameters (from
             :mod:`repro.learn`); ``None`` uses the calibrated defaults.
-        config: Job configuration (e.g. ``{"seed": 7}``).
+        config: Job configuration (e.g. ``{"seed": 7}``): ``seed``,
+            ``result_reuse``, ``reuse_budget_mb``, ``reuse_min_benefit``,
+            ``plan_cache``, ``plan_cache_size``.  Any other key is a
+            ``ValueError`` — a key nobody reads changes nothing, silently.
         tracer: A :class:`~repro.trace.Tracer` to receive optimizer and
             executor spans; defaults to the no-op tracer (call
             :meth:`enable_tracing` to install a recording one).
@@ -70,7 +73,14 @@ class RheemContext:
         self.registry = MappingRegistry()
         self.metrics = MetricsRegistry()
         self.graph = ChannelConversionGraph(metrics=self.metrics)
-        self.config = {"seed": 42}
+        self.config = {"seed": 42, "result_reuse": True,
+                       "reuse_budget_mb": 256.0, "reuse_min_benefit": 0.005,
+                       "plan_cache": True, "plan_cache_size": 64}
+        for key in config or {}:
+            if key not in self.config:
+                raise ValueError(
+                    f"unknown config key {key!r}; accepted keys: "
+                    f"{', '.join(sorted(self.config))}")
         self.config.update(config or {})
         for platform in self.platforms:
             for channel in platform.channels():
@@ -82,19 +92,18 @@ class RheemContext:
         self.cost_model = CostModel(self.cluster, cost_params)
         self.tracer = tracer if tracer is not None else NO_TRACER
         self.plan_cache = ExecutionPlanCache(
-            capacity=int(self.config.get("plan_cache_size", 64)),
+            capacity=int(self.config["plan_cache_size"]),
             metrics=self.metrics)
-        self.plan_cache.enabled = bool(self.config.get("plan_cache", True))
+        self.plan_cache.enabled = bool(self.config["plan_cache"])
         # Cross-job intermediate-result store (result reuse): committed
         # stage outputs whose recompute-cost/byte ratio clears the
         # admission threshold are kept and offered to later submissions
         # as zero-cost source alternatives.
         self.result_store = IntermediateResultStore(
-            budget_mb=float(self.config.get("reuse_budget_mb", 256.0)),
-            min_benefit=float(self.config.get("reuse_min_benefit", 0.005)),
+            budget_mb=float(self.config["reuse_budget_mb"]),
+            min_benefit=float(self.config["reuse_min_benefit"]),
             metrics=self.metrics)
-        self.result_store.enabled = bool(
-            self.config.get("result_reuse", True))
+        self.result_store.enabled = bool(self.config["result_reuse"])
         # Serializes cost-model publication (atomic swap + cache flush);
         # rank 20 in the lock registry, above the plan-cache lock it
         # flushes under (repro.concurrency.order).

@@ -1,14 +1,13 @@
 """The executor (Section 4.2 of the paper).
 
-Cuts the execution plan into stages, dispatches every *ready* stage onto
-a bounded pool of worker lanes (:mod:`repro.core.scheduler`), drives
-loops (pausing at loop heads to evaluate the condition), applies channel
-conversions at stage boundaries, and aggregates simulated time along the
-critical path.  Inter-platform parallelism is therefore real in
-wall-clock terms: independent stages overlap their ``stage_wall_s``
-driver-to-platform dwell, while commits stay serialized in stage-list
-order so outputs, monitor contents and the simulated makespan are
-bit-for-bit identical to a serial run (``stage_parallelism=1``).
+Cuts the execution plan into stages and runs them in list order (a valid
+topological order) on the calling thread, drives loops (pausing at loop
+heads to evaluate the condition), applies channel conversions at stage
+boundaries, and aggregates simulated time along the critical path: the
+inter-platform parallelism of independent stages is an overlap in
+*simulated* time, which is the time every figure reports.  Each stage
+attempt runs against scratch state that is committed only if the attempt
+survives.
 
 The executor also implements:
 
@@ -22,11 +21,9 @@ The executor also implements:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from ..concurrency import OrderedLock
 from ..simulation.clock import CostMeter, CriticalPathTracker
 from ..simulation.cluster import VirtualCluster
 from ..trace import NO_TRACER, MetricsRegistry
@@ -39,14 +36,12 @@ from .execution import (
     ExecutionContext,
     ExecutionPlan,
     ExecutionStage,
-    ExecutionTask,
     LoopImplementation,
 )
 from .monitor import Monitor, OperatorObservation
 from .operators import DoWhileLoop, RepeatLoop
 from .optimizer import LoopBodySource
 from .resultstore import IntermediateResultStore
-from .scheduler import StageScheduler
 
 #: Checkpoint hook: (monitor, completed logical op ids) -> True to replan.
 CheckpointHook = Callable[[Monitor, set[int]], bool]
@@ -131,44 +126,17 @@ class _StageRecorder:
     A stage's wasted retry attempts and its loop-body stages must appear
     on the simulated critical path — but only if the stage commits.  The
     recorder resolves dependency end times from its own buffered records
-    first, then (under the job lock) from the already committed tracker,
-    so the timings it hands back during compute are numerically identical
-    to what :meth:`replay` later inserts for real.
+    first, then from the already committed tracker, so the timings it
+    hands back during compute are numerically identical to what
+    :meth:`replay` later inserts for real.
     """
 
-    __slots__ = ("_base", "_lock", "_local", "_records")
+    __slots__ = ("_base", "_local", "_records")
 
-    def __init__(self, base: CriticalPathTracker, lock: OrderedLock) -> None:
+    def __init__(self, base: CriticalPathTracker) -> None:
         self._base = base
-        self._lock = lock
         self._local: dict[str, float] = {}
         self._records: list[tuple[str, list[str], CostMeter]] = []
-
-    def seed(self, stage_id: str, end: float) -> None:
-        """Pre-resolve a producer's end time (its outcome's ``sim_end``).
-
-        A stage may compute before its producers *commit*; seeding makes
-        the producers' (deterministic) simulated end times resolvable
-        without consulting the shared tracker.
-        """
-        self._local[stage_id] = end
-
-    def _end_of(self, dep: str) -> float | None:
-        end = self._local.get(dep)
-        if end is None:
-            with self._lock:
-                end = self._base.end_of(dep)
-        return end
-
-    def end_for(self, dependencies: list[str], meter: CostMeter) -> float:
-        """The end time :meth:`CriticalPathTracker.record` will compute
-        for a stage with these dependencies — without buffering it."""
-        start = 0.0
-        for dep in dependencies:
-            end = self._end_of(dep)
-            if end is not None:
-                start = max(start, end)
-        return start + meter.total
 
     def record(self, stage_id: str, dependencies: list[str],
                meter: CostMeter):
@@ -176,7 +144,9 @@ class _StageRecorder:
 
         start = 0.0
         for dep in dependencies:
-            end = self._end_of(dep)
+            end = self._local.get(dep)
+            if end is None:
+                end = self._base.end_of(dep)
             if end is not None:
                 start = max(start, end)
         timing = StageTiming(stage_id, start, meter.total, meter)
@@ -185,7 +155,7 @@ class _StageRecorder:
         return timing
 
     def replay(self, tracker: CriticalPathTracker) -> None:
-        """Insert the buffered records for real (caller holds the lock)."""
+        """Insert the buffered records for real."""
         for stage_id, dependencies, meter in self._records:
             tracker.record(stage_id, dependencies, meter)
 
@@ -204,14 +174,9 @@ class _StageOutcome:
     pending_sniffs: list[tuple[list[Sniffer], Any, Channel]]
     observations: list[OperatorObservation]
     memory_demands: list[tuple[str, float]]
-    started: set[str]
     final_deps: list[str]
     meter: CostMeter
     attempts: int
-    recorder: _StageRecorder
-    #: Simulated end time the tracker will assign at commit — seeds the
-    #: recorders of dependents that compute before this stage commits.
-    sim_end: float = 0.0
 
 
 class Executor:
@@ -240,16 +205,9 @@ class Executor:
         #: Cooperative cancellation hook, called at every stage boundary;
         #: raises (e.g. :class:`JobCancelled`) to abandon the job cleanly.
         self.cancel_check = cancel_check
-        #: Wall-clock seconds to dwell per executed stage *attempt*,
-        #: emulating the driver-to-platform round trip a real deployment
-        #: waits through (``config["stage_wall_s"]``; concurrent stage
-        #: lanes overlap it, which is what the stage-parallelism
-        #: benchmark measures).
-        self._stage_wall_s = float(self.config.get("stage_wall_s", 0.0))
         #: descriptor name -> (graph version, driver-collection path); loop
         #: conditions materialize the loop variable every iteration, so the
         #: path is resolved once per descriptor instead of per check.
-        #: Benign under concurrency: a race recomputes the same path.
         self._collect_paths: dict[str, tuple[int, ConversionPath]] = {}
 
     # ----------------------------------------------------------- execution
@@ -266,21 +224,15 @@ class Executor:
         fault_injector=None,
         max_stage_retries: int = 2,
         stage_breaks: set[int] = frozenset(),
-        parallelize_stages: bool = True,
         publish_results: bool = False,
     ) -> ExecutionResult:
         """Run ``plan`` to completion (or to a checkpoint pause).
 
-        Ready stages (all producers computed) are dispatched onto up
-        to ``config["stage_parallelism"]`` worker lanes (default: the
-        stage DAG's critical-path width, capped by the server's
-        ``stage_parallelism_cap`` thread budget).  Commits are applied in
-        stage-list order, so every observable effect — outputs, monitor
-        contents, sniffer delivery, checkpoint barriers, the simulated
-        makespan — matches the serial run exactly; only wall-clock time
-        changes.  ``parallelize_stages=False`` keeps the paper's serial
-        baseline, additionally chaining each stage after its predecessor
-        on the simulated critical path.
+        Stages run one at a time in stage-list order: each is computed
+        against per-attempt scratch state, committed, its keyed outputs
+        offered to the result store, and the checkpoint consulted.
+        Independent stages still overlap on the *simulated* critical path
+        (``tracker``), which is where the makespan comes from.
 
         Failed stages (simulated crashes from ``fault_injector``) are re-run
         from their materialized inputs up to ``max_stage_retries`` times —
@@ -294,9 +246,8 @@ class Executor:
             ReplanRequested: If the ``checkpoint`` hook asks for
                 re-optimization after some stage.
             PlatformFailure: If a stage keeps crashing past the retry
-                bound.  Dependent stages that were not yet dispatched are
-                cancelled; in-flight lanes drain and their buffered
-                outcomes are discarded.
+                bound.  Every earlier stage has committed, no later one
+                has run.
         """
         max_retries = max_stage_retries if fault_injector else 0
         monitor = monitor or Monitor(estimates=dict(estimates or {}),
@@ -312,70 +263,38 @@ class Executor:
         stages = plan.build_stages(break_after=stage_breaks)
         crossing = self._crossing_ids(plan, stages)
         completed_logical: set[int] = set()
-        deps_of: dict[str, list[str]] = {}
-        previous_stage_id: str | None = None
-        for stage in stages:
-            deps = sorted(stage.dependencies)
-            if not parallelize_stages and previous_stage_id is not None:
-                # The paper's "stage parallelization" switch: with it
-                # off, stages run strictly one after another (used for
-                # the single-platform baseline measurements).
-                deps = sorted(set(deps) | {previous_stage_id})
-            deps_of[stage.id] = deps
-            previous_stage_id = stage.id
-        parallelism = (1 if not parallelize_stages
-                       else self._stage_parallelism(plan, stages))
-        # Deterministic charge owners, frozen before anything runs: the
-        # stage that would pay in a serial run pays in every run.
-        startup_owners = self._startup_owners(stages, started)
-        conversion_owners = (self._conversion_owners(stages)
-                             if parallelism > 1 else None)
         offers = (self._publish_offers(plan, stages, crossing)
                   if publish_results else {})
-        job_lock = OrderedLock("executor.job", self.metrics)
 
-        with self.tracer.span("executor.run", stages=len(stages),
-                              parallelism=parallelism) as run_span:
-
-            def compute(index: int, stage: ExecutionStage, lane: int,
-                        producers: Sequence[_StageOutcome]):
-                recorder = _StageRecorder(tracker, job_lock)
-                for producer in producers:
-                    recorder.seed(producer.label, producer.sim_end)
-                return self._compute_stage(
-                    stage, stage.id, deps_of[stage.id], env, conversion_cache,
-                    monitor_present=True, sniffer_map=sniffer_map,
-                    crossing=crossing, recorder=recorder,
-                    stage_started=set(), startup_owners=startup_owners,
-                    owner_key=stage.id, conversion_owners=conversion_owners,
-                    producers=producers,
-                    injector=fault_injector, max_retries=max_retries,
-                    job_lock=job_lock, lane=lane, parent_span=run_span)
-
-            def commit(index: int, stage: ExecutionStage,
-                       outcome: _StageOutcome) -> None:
-                with job_lock:
-                    outcome.recorder.replay(tracker)
-                    self._apply_outcome(outcome, env, conversion_cache,
-                                        monitor, completed_logical, tracker)
-                    started.update(outcome.started)
-                # Publication happens only here, at the top-level commit
-                # cursor — loop-body stages commit through _apply_outcome
-                # directly and never publish; crashed attempts were
-                # discarded before reaching a commit.  ``sim_end`` is the
-                # stage's simulated critical-path end: the cumulative cost
-                # of (re)computing the published data.
-                if outcome.label in offers:
-                    store = self.result_store
-                    for task_id, key in offers[outcome.label]:
-                        channel = outcome.env.get(task_id)
-                        if (store is not None and channel is not None
-                                and channel.actual_count is not None):
-                            store.offer(key, channel,
-                                        recompute_s=outcome.sim_end)
-                # Checkpoint barrier: evaluated at the commit cursor, i.e.
-                # in deterministic stage order, with every earlier stage
-                # committed and no later one.
+        with self.tracer.span("executor.run", stages=len(stages)) as run_span:
+            for index, stage in enumerate(stages):
+                recorder = _StageRecorder(tracker)
+                stage_started = set(started)
+                outcome = self._compute_stage(
+                    stage, stage.id, sorted(stage.dependencies), env,
+                    conversion_cache, monitor_present=True,
+                    sniffer_map=sniffer_map, crossing=crossing,
+                    recorder=recorder, stage_started=stage_started,
+                    injector=fault_injector, max_retries=max_retries)
+                recorder.replay(tracker)
+                timing = self._apply_outcome(outcome, env, conversion_cache,
+                                             monitor, completed_logical,
+                                             tracker)
+                started.update(stage_started)
+                # Publication happens only here, at a top-level commit —
+                # loop-body stages commit into their parent's scratch
+                # state and never publish; crashed attempts were discarded
+                # before reaching a commit.  ``timing.end`` is the stage's
+                # simulated critical-path end: the cumulative cost of
+                # (re)computing the published data.
+                for task_id, key in offers.get(stage.id, ()):
+                    channel = outcome.env.get(task_id)
+                    if (channel is not None
+                            and channel.actual_count is not None):
+                        self.result_store.offer(key, channel,
+                                                recompute_s=timing.end)
+                # Checkpoint barrier: every earlier stage committed, no
+                # later one started.
                 if checkpoint is not None and index < len(stages) - 1:
                     if checkpoint(monitor, set(completed_logical)):
                         run_span.set("paused_after", stage.id)
@@ -386,9 +305,6 @@ class Executor:
                             monitor=monitor,
                             started_platforms=started,
                         ))
-
-            StageScheduler(stages, deps_of, parallelism, compute, commit,
-                           metrics=self.metrics).run()
             run_span.set("sim_makespan", tracker.makespan)
 
         outputs = [env[t.id].payload for t in plan.sink_tasks]
@@ -463,117 +379,19 @@ class Executor:
                     crossing.add(ti.producer.id)
         return crossing
 
-    #: Ceiling on the adaptive lane default: beyond this, extra threads
-    #: only add hand-off latency on commodity hosts (explicit
-    #: ``stage_parallelism`` config is not subject to it).
-    ADAPTIVE_LANE_CEILING = 8
-
-    def _stage_parallelism(self, plan: ExecutionPlan,
-                           stages: list[ExecutionStage]) -> int:
-        """Resolve the lane count for this plan.
-
-        ``config["stage_parallelism"]`` wins; otherwise the lane count
-        adapts to the stage DAG itself: the maximum width of its
-        critical-path levels (:meth:`_dag_width`) — how many stages can
-        ever be ready simultaneously.  A linear chain gets one lane
-        (threads would only add hand-off latency), a wide fan-in gets
-        one lane per concurrent branch.  The adaptive default is capped
-        at :attr:`ADAPTIVE_LANE_CEILING`; the server's thread budget
-        (``stage_parallelism_cap``) bounds both paths.
-        """
-        requested = self.config.get("stage_parallelism")
-        if requested is None:
-            requested = min(self._dag_width(stages),
-                            self.ADAPTIVE_LANE_CEILING)
-        requested = max(1, int(requested))
-        cap = self.config.get("stage_parallelism_cap")
-        if cap is not None:
-            requested = min(requested, max(1, int(cap)))
-        return min(requested, max(1, len(stages)))
-
-    @staticmethod
-    def _dag_width(stages: list[ExecutionStage]) -> int:
-        """Maximum number of stages sharing a critical-path level.
-
-        Level of a stage = 1 + the deepest of its dependencies' levels
-        (computed in one pass — ``build_stages`` emits topological
-        order).  The widest level is an upper estimate of how many lanes
-        the scheduler can ever keep busy at once.
-        """
-        level: dict[str, int] = {}
-        width: dict[int, int] = {}
-        for stage in stages:
-            lvl = 1 + max((level.get(dep, 0) for dep in stage.dependencies),
-                          default=0)
-            level[stage.id] = lvl
-            width[lvl] = width.get(lvl, 0) + 1
-        return max(width.values(), default=1)
-
-    @staticmethod
-    def _stage_platforms(stage: ExecutionStage) -> list[str]:
-        """Non-driver platforms a stage touches (loop bodies included)."""
-        platforms: list[str] = []
-        if stage.platform != DRIVER_PLATFORM:
-            platforms.append(stage.platform)
-        for task in stage.tasks:
-            if isinstance(task.operator, LoopImplementation):
-                platforms.extend(sorted(task.operator.body_plan.platforms()))
-        return platforms
-
-    def _startup_owners(self, stages: list[ExecutionStage],
-                        already_started: set[str]) -> dict[str, str]:
-        """platform -> id of the stage that pays its startup cost.
-
-        The owner is the first stage in list order that uses the platform
-        (directly or via a loop body) — exactly the stage that paid in
-        the serial executor — so the charge lands on the same stage's
-        meter no matter how computes interleave.
-        """
-        owners: dict[str, str] = {}
-        for stage in stages:
-            for platform in self._stage_platforms(stage):
-                if platform not in already_started:
-                    owners.setdefault(platform, stage.id)
-        return owners
-
-    @staticmethod
-    def _conversion_owners(stages: list[ExecutionStage]
-                           ) -> dict[tuple, str]:
-        """conversion-cache key -> id of the stage that pays for it.
-
-        Shared conversion prefixes (one producer feeding several stages)
-        are charged to the first consumer in stage-list order — the stage
-        that would miss the cache in a serial run.  Later consumers reuse
-        the committed cache entry, or recompute it *uncharged* when the
-        owner has not committed yet.
-        """
-        owners: dict[tuple, str] = {}
-        for stage in stages:
-            for task in stage.tasks:
-                for ti in task.inputs + task.broadcast_inputs:
-                    key: tuple = (ti.producer.id,)
-                    for step in ti.conversion.steps:
-                        key = key + (step.name,)
-                        owners.setdefault(key, stage.id)
-        return owners
-
     # -------------------------------------------------------------- stages
     def _compute_stage(self, stage, label, deps, env, cache, *,
                        monitor_present, sniffer_map, crossing, recorder,
-                       stage_started, startup_owners, owner_key,
-                       conversion_owners, injector, max_retries, job_lock,
-                       producers=(), lane=0, epoch=0,
-                       parent_span=None) -> _StageOutcome:
+                       stage_started, injector, max_retries,
+                       epoch=0) -> _StageOutcome:
         """Run one stage's attempts against buffered scratch state.
 
         Retries on injected platform failures up to ``max_retries``;
         wasted attempts are buffered on ``recorder`` (the cluster paid
         for them) and the successful attempt chains after the last
-        failure.  Nothing shared is touched except read-only snapshots
-        taken under ``job_lock`` — the returned outcome is applied by
-        :meth:`_apply_outcome` when the stage commits.  The
-        ``stage_wall_s`` dwell is charged per *attempt* (a crashed
-        dispatch still pays the round trip).
+        failure.  ``env`` and ``cache`` are only read — the returned
+        outcome is applied by :meth:`_apply_outcome` when the stage
+        commits, so a crashed attempt leaves nothing behind.
         """
         from .faults import PlatformFailure
 
@@ -584,38 +402,24 @@ class Executor:
             self.cancel_check()
         attempt = 0
         previous_attempt_id = None
-        handle = (self.tracer.span_under(parent_span, f"stage:{label}",
-                                         platform=stage.platform, lane=lane)
-                  if parent_span is not None
-                  else self.tracer.span(f"stage:{label}",
-                                        platform=stage.platform))
-        with handle as stage_span:
+        with self.tracer.span(f"stage:{label}",
+                              platform=stage.platform) as stage_span:
             while True:
                 meter = CostMeter()
-                with job_lock:
-                    attempt_env = dict(env)
-                    attempt_cache = dict(cache)
-                # Producers that computed but have not committed yet are
-                # not in the shared snapshot; overlay their buffered
-                # outcomes (idempotent for committed ones — commit applies
-                # the same values).
-                for producer in producers:
-                    attempt_env.update(producer.env)
-                    attempt_cache.update(producer.cache)
+                attempt_env = dict(env)
+                attempt_cache = dict(cache)
                 attempt_completed: set[int] = set()
                 memory_demands: list[tuple[str, float]] = []
                 pending_sniffs: list[tuple[list[Sniffer], Any, Channel]] = []
                 observations: list[OperatorObservation] = []
-                paid_conversions: set[tuple] = set()
                 scratch = Monitor() if monitor_present else None
-                # A fresh context per attempt: concurrent stages must not
-                # share a mutable meter/monitor pair.
+                # A fresh context per attempt: a crashed attempt's meter
+                # and monitor are thrown away with it.
                 ctx = ExecutionContext(cluster=self.cluster, meter=meter,
                                        pgres=self.pgres, monitor=scratch,
                                        config=dict(self.config), epoch=epoch)
                 with self.tracer.span(f"attempt{attempt}") as attempt_span:
-                    self._charge_stage_overheads(stage, meter, stage_started,
-                                                 startup_owners, owner_key)
+                    self._charge_stage_overheads(stage, meter, stage_started)
                     for task in stage.tasks:
                         self._execute_task(
                             task, attempt_env, ctx, attempt_cache,
@@ -624,12 +428,7 @@ class Executor:
                             pending_sniffs=pending_sniffs,
                             completed=attempt_completed,
                             recorder=recorder, stage_started=stage_started,
-                            startup_owners=startup_owners,
-                            owner_key=owner_key,
-                            conversion_owners=conversion_owners,
-                            paid=paid_conversions,
-                            injector=injector, max_retries=max_retries,
-                            job_lock=job_lock)
+                            injector=injector, max_retries=max_retries)
                         if task.logical_id is not None:
                             attempt_completed.add(task.logical_id)
                         # Within-stage outputs are pipelined; only data
@@ -649,10 +448,6 @@ class Executor:
                     attempt_span.set("failed", failed)
                     attempt_span.set("sim_seconds", meter.total)
                 self.metrics.counter("executor.attempts").inc()
-                if self._stage_wall_s > 0.0:
-                    # The driver waits out the platform round trip whether
-                    # or not the attempt survives.
-                    time.sleep(self._stage_wall_s)
                 if failed:
                     if attempt >= max_retries:
                         raise PlatformFailure(label, attempt)
@@ -669,19 +464,17 @@ class Executor:
                     completed=attempt_completed, scratch=scratch,
                     pending_sniffs=pending_sniffs,
                     observations=observations,
-                    memory_demands=memory_demands,
-                    started=stage_started, final_deps=attempt_deps,
-                    meter=meter, attempts=attempt + 1, recorder=recorder,
-                    sim_end=recorder.end_for(attempt_deps, meter))
+                    memory_demands=memory_demands, final_deps=attempt_deps,
+                    meter=meter, attempts=attempt + 1)
 
     def _apply_outcome(self, outcome: _StageOutcome, env, cache, monitor,
                        completed, record_via):
-        """Commit one stage's buffered outcome (the serial commit order).
+        """Commit one stage's buffered outcome.
 
-        ``record_via`` is the shared tracker for top-level stages (the
-        caller holds the job lock and has already replayed the stage's
-        buffered recorder) and the parent stage's recorder for loop-body
-        stages (which commit into their parent's scratch state).
+        ``record_via`` is the job's tracker for top-level stages (the
+        caller has already replayed the stage's buffered recorder) and
+        the parent stage's recorder for loop-body stages (which commit
+        into their parent's scratch state).
         """
         for platform, needed_mb in outcome.memory_demands:
             self.cluster.check_memory(platform, needed_mb)
@@ -706,33 +499,25 @@ class Executor:
     # --------------------------------------------------------------- tasks
     def _execute_task(self, task, env, ctx, cache, sniffer_map,
                       parent_stage, *, observations, pending_sniffs,
-                      completed, recorder, stage_started, startup_owners,
-                      owner_key, conversion_owners, paid,
-                      injector=None, max_retries=0, job_lock=None) -> None:
+                      completed, recorder, stage_started,
+                      injector=None, max_retries=0) -> None:
         op = task.operator
         if isinstance(op, LoopBodySource):
             if task.id not in env:
                 raise RuntimeError(f"loop input {task} was never primed")
             return
         inputs = [self._convert(env[ti.producer.id], ti.conversion, ctx,
-                                cache, ti.producer.id,
-                                owners=conversion_owners,
-                                owner_key=owner_key, paid=paid)
+                                cache, ti.producer.id)
                   for ti in task.inputs]
         broadcasts = [self._convert(env[ti.producer.id], ti.conversion, ctx,
-                                    cache, ti.producer.id,
-                                    owners=conversion_owners,
-                                    owner_key=owner_key, paid=paid)
+                                    cache, ti.producer.id)
                       for ti in task.broadcast_inputs]
         if isinstance(op, LoopImplementation):
             out = self._run_loop(op, inputs, ctx, parent_stage,
                                  recorder=recorder, sniffer_map=sniffer_map,
                                  completed=completed,
                                  stage_started=stage_started,
-                                 startup_owners=startup_owners,
-                                 owner_key=owner_key,
-                                 injector=injector, max_retries=max_retries,
-                                 job_lock=job_lock)
+                                 injector=injector, max_retries=max_retries)
         else:
             out = op.execute(inputs, broadcasts, ctx)
             ctx.record_output(op, out)
@@ -770,71 +555,38 @@ class Executor:
                     f"sniffer[{op.name}]", category="cpu")
 
     def _convert(self, channel: Channel, path: ConversionPath, ctx,
-                 cache, producer_id: int, owners=None, owner_key=None,
-                 paid: set | None = None) -> Channel:
-        """Apply a conversion path, reusing shared cache entries.
-
-        Serially (``owners is None``) the first consumer pays on miss.
-        Under stage parallelism the precomputed *owner* always pays —
-        even when a sibling's commit already cached the step — and
-        non-owners either reuse the cache or recompute the step against
-        a throwaway meter, so simulated charges are independent of
-        commit timing.
-        """
+                 cache, producer_id: int) -> Channel:
+        """Apply a conversion path, reusing shared prefixes: the first
+        consumer in stage order pays for a step, later ones find it in
+        ``cache``."""
         current = channel
         key: tuple = (producer_id,)
         for step in path.steps:
             key = key + (step.name,)
-            if owners is None:
-                if key in cache:
-                    current = cache[key]
-                else:
-                    with self.tracer.span(f"convert:{step.name}"):
-                        current = step.apply(current, ctx)
-                    self.metrics.counter("executor.conversions").inc()
-                    cache[key] = current
-                continue
-            if owners.get(key) == owner_key:
-                if paid is not None and key in paid:
-                    current = cache[key]
-                    continue
+            if key in cache:
+                current = cache[key]
+            else:
                 with self.tracer.span(f"convert:{step.name}"):
                     current = step.apply(current, ctx)
                 self.metrics.counter("executor.conversions").inc()
                 cache[key] = current
-                if paid is not None:
-                    paid.add(key)
-            elif key in cache:
-                current = cache[key]
-            else:
-                # The owner has not committed yet; rebuild the channel
-                # without charging anyone (the owner's meter carries the
-                # canonical cost).
-                current = step.apply(current, self._uncharged(ctx))
-                cache[key] = current
         return current
 
-    def _uncharged(self, ctx: ExecutionContext) -> ExecutionContext:
-        """A context whose charges and observations go nowhere."""
-        return ExecutionContext(cluster=ctx.cluster, meter=CostMeter(),
-                                pgres=ctx.pgres, monitor=None,
-                                config=ctx.config, epoch=ctx.epoch)
-
     def _charge_stage_overheads(self, stage: ExecutionStage, meter: CostMeter,
-                                stage_started: set[str],
-                                startup_owners: dict[str, str],
-                                owner_key: str) -> None:
+                                stage_started: set[str]) -> None:
         if stage.platform == DRIVER_PLATFORM:
             return
-        # ``stage_started`` doubles as the "platforms actually started"
-        # report (ExecutionResult.platforms) and the per-stage dedup for
-        # the startup charge across retries and loop iterations.
+        # ``stage_started`` — the platforms the job had started when the
+        # enclosing top-level stage began, plus that stage's own — doubles
+        # as the "platforms actually started" report
+        # (ExecutionResult.platforms) and the dedup for the startup charge
+        # across stages, retries and loop iterations.
         first_use = stage.platform not in stage_started
         stage_started.add(stage.platform)
         if stage.platform not in self.cluster.profiles:
             return
         profile = self.cluster.profile(stage.platform)
-        if first_use and startup_owners.get(stage.platform) == owner_key:
+        if first_use:
             meter.charge(profile.startup_s, f"{stage.platform}.startup",
                          category="overhead")
             self.metrics.counter("executor.platform_startups").inc()
@@ -848,8 +600,7 @@ class Executor:
     # --------------------------------------------------------------- loops
     def _run_loop(self, impl: LoopImplementation, inputs: list[Channel],
                   ctx, parent_stage, *, recorder, sniffer_map, completed,
-                  stage_started, startup_owners, owner_key,
-                  injector=None, max_retries=0, job_lock=None) -> Channel:
+                  stage_started, injector=None, max_retries=0) -> Channel:
         loop = impl.logical
         channels = list(inputs)
         body_stages = impl.body_plan.build_stages()
@@ -863,8 +614,6 @@ class Executor:
         last_tail: str | None = None
         max_iterations = (loop.iterations if isinstance(loop, RepeatLoop)
                           else loop.max_iterations)
-        lock = (job_lock if job_lock is not None
-                else OrderedLock("executor.job", self.metrics))
         while iteration < max_iterations:
             env: dict[int, Channel] = {}
             cache: dict[tuple, Channel] = {}
@@ -876,18 +625,16 @@ class Executor:
                 deps = [f"{prefix}.{d}" for d in sorted(stage.dependencies)]
                 deps.extend([last_tail] if last_tail is not None
                             else initial_deps)
-                # Body stages run serially inside the parent's attempt (on
-                # its lane) and commit into the parent's scratch state:
-                # the parent's recorder, scratch monitor and completed
-                # buffer — so a crashed parent attempt discards them too.
+                # Body stages run inside the parent's attempt and commit
+                # into the parent's scratch state: its recorder, scratch
+                # monitor and completed buffer — so a crashed parent
+                # attempt discards them too.
                 outcome = self._compute_stage(
                     stage, f"{prefix}.{stage.id}", deps, env, cache,
                     monitor_present=ctx.monitor is not None,
                     sniffer_map=sniffer_map, crossing=body_crossing,
                     recorder=recorder, stage_started=stage_started,
-                    startup_owners=startup_owners, owner_key=owner_key,
-                    conversion_owners=None, injector=injector,
-                    max_retries=max_retries, job_lock=lock,
+                    injector=injector, max_retries=max_retries,
                     epoch=iteration)
                 self._apply_outcome(outcome, env, cache, ctx.monitor,
                                     completed, recorder)

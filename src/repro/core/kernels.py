@@ -9,8 +9,8 @@ no columnar kernel (``core.batch.run_*``), so output order is decided here: firs
 order for distinct / group / fold, left-major ``(l, r)`` pairs for the join.
 
 Bind on the call's stack, never on an operator instance: instances are
-shared across scheduler lanes, loop iterations and cached plans, and
-broadcast values differ per execution.
+shared across loop iterations and — through cached plans — concurrent
+jobs, and broadcast values differ per execution.
 
 The loops are comprehensions, not ``map`` / ``filter``: a UDF raising
 ``StopIteration`` must fail the job, and ``list(map(f, xs))`` would end the

@@ -160,8 +160,8 @@ class DataflowOperator(ExecutionOperator):
               sim_factor: float | None = None,
               bytes_per_record: float | None = None) -> Channel:
         # ``cin`` is threaded through the call (not instance state): shared
-        # operator instances re-execute across loop iterations and
-        # concurrent scheduler lanes.
+        # operator instances re-execute across loop iterations and, through
+        # cached plans, concurrent jobs.
         out = Channel(
             self.engine.dataset,
             dataset,

@@ -47,9 +47,10 @@ class PgExecutionOperator(ExecutionOperator):
               charge: bool = True,
               op_kind: str | None = None) -> Channel:
         # ``cin`` is threaded through the call (not instance state): shared
-        # operator instances re-execute across loop iterations, concurrent
-        # lanes and cached plans.  ``op_kind`` overrides the charged kind
-        # when the run resolved it dynamically (index vs sequential scan).
+        # operator instances re-execute across loop iterations and, through
+        # cached plans, concurrent jobs.  ``op_kind`` overrides the charged
+        # kind when the run resolved it dynamically (index vs sequential
+        # scan).
         out = Channel(
             PG_RELATION,
             Relation(rows, base_table),

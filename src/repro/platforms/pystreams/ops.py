@@ -49,8 +49,9 @@ class PyExecutionOperator(ExecutionOperator):
 
         ``cin`` is the simulated input cardinality the charge is based on,
         threaded through the call explicitly: a shared operator instance
-        re-executed across loop iterations or concurrent scheduler lanes
-        must never read charge inputs from mutable instance state.
+        re-executed across loop iterations or — through a cached plan —
+        by concurrent jobs must never read charge inputs from mutable
+        instance state.
         """
         out = Channel(
             PY_COLLECTION,

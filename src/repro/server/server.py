@@ -80,12 +80,6 @@ class JobServer:
             *admission*, so time spent queued counts against them, and
             are enforced between executor stages; only the process
             backend can also stop a stage that never ends.
-        stage_threads: Total intra-job stage-lane budget across every
-            worker (default ``2 * workers``).  Each job's executor caps
-            its ``stage_parallelism`` at ``stage_threads // workers``, so
-            admission control keeps bounding the real thread count even
-            when jobs run wide polystore plans concurrently.  (Thread
-            backend only; a process shard budgets its own lanes.)
         backend: ``"thread"`` (default) or ``"process"``.
         context_factory: Process backend: builds one context replica
             inside each shard process (default: a plain
@@ -123,7 +117,6 @@ class JobServer:
         workers: int = 4,
         queue_size: int = 16,
         default_deadline_s: float | None = None,
-        stage_threads: int | None = None,
         *,
         backend: str = "thread",
         context_factory: Callable[[], Any] | None = None,
@@ -143,8 +136,6 @@ class JobServer:
         self.default_deadline_s = default_deadline_s
         self.tenant_quota = (None if tenant_quota is None
                              else max(1, int(tenant_quota)))
-        self.stage_threads = max(self.workers, int(
-            stage_threads if stage_threads is not None else 2 * self.workers))
         self._tracing = bool(tracing)
         self.ctx: RheemContext | None = None
         self._shards: ShardPool | SoloPool
@@ -159,11 +150,6 @@ class JobServer:
                 start_method=start_method)
         else:
             self.ctx = ctx if ctx is not None else RheemContext()
-            # Executors read the cap from the shared config; an explicit
-            # user-configured cap wins.
-            self.ctx.config.setdefault(
-                "stage_parallelism_cap",
-                max(1, self.stage_threads // self.workers))
             self.metrics = self.ctx.metrics
             self._shards = SoloPool(InProcessShard(self.ctx, env))
         # Outermost lock of the runtime (what it guards is declared in

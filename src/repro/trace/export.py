@@ -57,40 +57,17 @@ def write_jsonl(handle: TextIO, tracer: Tracer,
 
 
 def _wall_events(tracer: Tracer) -> list[dict[str, Any]]:
-    """Wall-clock spans as X events; stage lanes get their own tids.
-
-    Spans carrying a ``lane`` attribute (executor stages dispatched by
-    the concurrent stage scheduler) — and their descendants — land on
-    ``tid = lane + 2``, so chrome://tracing shows the true wall-clock
-    overlap of concurrent stages.  Driver-side spans stay on tid 1.
-    """
-    events: list[dict[str, Any]] = []
-    lanes_seen: set[int] = set()
-
-    def walk(span: Span, tid: int) -> None:
-        lane = span.attributes.get("lane")
-        if isinstance(lane, int):
-            tid = lane + 2
-            lanes_seen.add(lane)
-        events.append({
-            "name": span.name,
-            "cat": "driver",
-            "ph": "X",
-            "ts": round(span.start * 1e6, 3),
-            "dur": round(span.duration * 1e6, 3),
-            "pid": WALL_PID,
-            "tid": tid,
-            "args": dict(span.attributes),
-        })
-        for child in span.children:
-            walk(child, tid)
-
-    for root in tracer.roots:
-        walk(root, 1)
-    for lane in sorted(lanes_seen):
-        events.append({"name": "thread_name", "ph": "M", "pid": WALL_PID,
-                       "tid": lane + 2, "args": {"name": f"lane {lane}"}})
-    return events
+    """Wall-clock spans as X events on tid 1 of the driver's pid."""
+    return [{
+        "name": span.name,
+        "cat": "driver",
+        "ph": "X",
+        "ts": round(span.start * 1e6, 3),
+        "dur": round(span.duration * 1e6, 3),
+        "pid": WALL_PID,
+        "tid": 1,
+        "args": dict(span.attributes),
+    } for span in tracer.walk()]
 
 
 def _lane_of(start: float, lanes: list[float]) -> int:

@@ -83,20 +83,17 @@ class Span:
 class _SpanHandle:
     """Context manager opening one span on ``__enter__``."""
 
-    __slots__ = ("_tracer", "_name", "_attributes", "_span", "_parent")
+    __slots__ = ("_tracer", "_name", "_attributes", "_span")
 
     def __init__(self, tracer: "Tracer", name: str,
-                 attributes: dict[str, Any],
-                 parent: Span | None = None) -> None:
+                 attributes: dict[str, Any]) -> None:
         self._tracer = tracer
         self._name = name
         self._attributes = attributes
-        self._parent = parent
         self._span: Span | None = None
 
     def __enter__(self) -> Span:
-        self._span = self._tracer._open(self._name, self._attributes,
-                                        parent=self._parent)
+        self._span = self._tracer._open(self._name, self._attributes)
         return self._span
 
     def __exit__(self, *exc_info: Any) -> None:
@@ -107,11 +104,9 @@ class _SpanHandle:
 class Tracer:
     """Records a tree of spans against a monotonic wall clock.
 
-    The span stack is thread-local, so worker threads (the executor's
-    stage lanes) can nest spans independently; the span *tree* itself is
-    shared and guarded by a lock.  :meth:`span_under` opens a span with
-    an explicit parent, which is how a worker thread attaches its stage
-    span under the driver's ``executor.run`` span.
+    The span stack is thread-local, so threads sharing one tracer (jobs
+    of a server whose context traces) nest spans independently; the span
+    *tree* itself is shared and guarded by a lock.
 
     Args:
         clock: Monotonic time source (injectable for deterministic tests).
@@ -140,21 +135,9 @@ class Tracer:
         """Open a child span of the current span for a ``with`` block."""
         return _SpanHandle(self, name, attributes)
 
-    def span_under(self, parent: Span | None, name: str,
-                   **attributes: Any) -> _SpanHandle:
-        """Open a span under an *explicit* parent (cross-thread nesting).
-
-        The new span still pushes onto the calling thread's stack, so
-        further plain :meth:`span` calls on that thread nest beneath it.
-        A ``None`` parent falls back to the thread's current span.
-        """
-        return _SpanHandle(self, name, attributes, parent=parent)
-
-    def _open(self, name: str, attributes: dict[str, Any],
-              parent: Span | None = None) -> Span:
+    def _open(self, name: str, attributes: dict[str, Any]) -> Span:
         stack = self._thread_stack()
-        if parent is None:
-            parent = stack[-1] if stack else None
+        parent = stack[-1] if stack else None
         with self._lock:
             span = Span(name, next(self._ids),
                         parent.span_id if parent is not None else None,
@@ -214,10 +197,6 @@ class NullTracer:
     roots: list[Span] = []
 
     def span(self, name: str, **attributes: Any) -> _NullHandle:
-        return _NULL_HANDLE
-
-    def span_under(self, parent: Span | None, name: str,
-                   **attributes: Any) -> _NullHandle:
         return _NULL_HANDLE
 
     def current(self) -> Span | None:

@@ -4,9 +4,8 @@ Covers the :mod:`repro.learn.calibration` pieces (bounded corpus, drift
 tracking, refit triggers), the cost-pipeline bugfixes that ride along
 (no-op cost publications, strict ``params_from_json`` validation,
 calibration hygiene for sniffed/fault-injected runs), the end-to-end
-self-tuning path on both job-server backends, the beam-search
-enumeration fallback for very wide plans, and the adaptive
-stage-parallelism default.
+self-tuning path on both job-server backends, and the beam-search
+enumeration fallback for very wide plans.
 """
 
 import json
@@ -14,7 +13,6 @@ import math
 import threading
 import time
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from conftest import wordcount
@@ -508,64 +506,3 @@ class TestBeamEnumeration:
         assert beamed.stats["plans_beam_dropped"] > 0
         assert best_beam.cost.geometric_mean == pytest.approx(
             best_full.cost.geometric_mean)
-
-
-# =========================================== adaptive stage parallelism
-class TestAdaptiveStageParallelism:
-    def _stages(self, edges):
-        """Stage stubs from ``{id: [deps]}`` in insertion order."""
-        return [SimpleNamespace(id=sid, dependencies=deps)
-                for sid, deps in edges.items()]
-
-    def test_chain_width_is_one(self, ctx):
-        from repro.core.executor import Executor
-
-        stages = self._stages({"a": [], "b": ["a"], "c": ["b"]})
-        assert Executor._dag_width(stages) == 1
-
-    def test_fanout_width_counts_ready_stages(self):
-        from repro.core.executor import Executor
-
-        stages = self._stages({"a": [], "b": ["a"], "c": ["a"], "d": ["a"],
-                               "e": ["b", "c", "d"]})
-        assert Executor._dag_width(stages) == 3
-
-    def test_adaptive_default_caps_at_ceiling(self, ctx):
-        executor = ctx.executor()
-        stages = self._stages(
-            {"src": []} | {f"b{i}": ["src"] for i in range(20)})
-        assert executor._stage_parallelism(None, stages) == \
-            executor.ADAPTIVE_LANE_CEILING
-
-    def test_explicit_config_wins_over_adaptive(self):
-        ctx = RheemContext(config={"stage_parallelism": 3})
-        executor = ctx.executor()
-        stages = self._stages({"a": [], "b": [], "c": [], "d": [], "e": []})
-        assert executor._stage_parallelism(None, stages) == 3
-
-    def test_server_thread_budget_still_caps_adaptive(self):
-        ctx = RheemContext(config={"stage_parallelism_cap": 2})
-        executor = ctx.executor()
-        stages = self._stages({f"s{i}": [] for i in range(6)})
-        assert executor._stage_parallelism(None, stages) == 2
-
-    def test_parallel_results_match_serial(self, ctx):
-        # The adaptive default must stay invisible in results: a fan-out
-        # plan under adaptive lanes is bit-for-bit the serial outcome.
-        ctx.vfs.write("hdfs://par/x.txt", [f"{i}" for i in range(40)],
-                      sim_factor=500.0)
-        left = ctx.read_text_file("hdfs://par/x.txt").map(int)
-        right = ctx.read_text_file("hdfs://par/x.txt").map(
-            lambda s: int(s) * 2)
-        plan = left.union(right).distinct().sort().to_plan()
-        adaptive = ctx.execute(plan)
-        serial_ctx = RheemContext(config={"stage_parallelism": 1})
-        serial_ctx.vfs.write("hdfs://par/x.txt",
-                             [f"{i}" for i in range(40)], sim_factor=500.0)
-        left2 = serial_ctx.read_text_file("hdfs://par/x.txt").map(int)
-        right2 = serial_ctx.read_text_file("hdfs://par/x.txt").map(
-            lambda s: int(s) * 2)
-        serial = serial_ctx.execute(
-            left2.union(right2).distinct().sort().to_plan())
-        assert adaptive.output == serial.output
-        assert adaptive.runtime == serial.runtime

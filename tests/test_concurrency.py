@@ -1,7 +1,6 @@
 """The concurrency correctness pass: registry, ordered locks, checker.
 
-Covers the three legs of the lock-order tooling plus the plan-level race
-lint:
+Covers the three legs of the lock-order tooling:
 
 * the registry itself (`repro.concurrency.order`) validates and resolves;
 * `OrderedLock`/`OrderedRLock` assert rank order per thread under the
@@ -9,9 +8,7 @@ lint:
 * the static checker (`repro.analysis.locks`) flags the seeded fixture
   (`tests/fixtures/lock_inversion.py`) on every rule and passes the real
   tree clean — the same guarantee `python -m repro lint --concurrency`
-  enforces in CI;
-* RP201 flags UDFs sharing one captured mutable object across stages the
-  scheduler may overlap, and stays quiet on serial chains.
+  enforces in CI.
 """
 
 import json
@@ -21,7 +18,6 @@ from pathlib import Path
 import pytest
 
 from repro import RheemContext
-from repro.analysis import analyze_plan
 from repro.analysis.locks import check_package, check_source
 from repro.concurrency import (
     LOCK_ORDER,
@@ -106,8 +102,8 @@ class TestOrderedLockRuntime:
             pass  # still usable
 
     def test_equal_rank_raises_for_plain_lock(self):
-        a = OrderedLock("executor.job")
-        b = OrderedLock("executor.job")
+        a = OrderedLock("context.publish")
+        b = OrderedLock("context.publish")
         with a:
             with pytest.raises(LockOrderViolation):
                 b.acquire()
@@ -120,12 +116,12 @@ class TestOrderedLockRuntime:
 
     def test_histograms_record_wait_and_hold(self):
         metrics = MetricsRegistry()
-        lock = OrderedLock("scheduler.dispatch", metrics)
+        lock = OrderedLock("tracer.spans", metrics)
         with lock:
             pass
         snap = metrics.snapshot()["histograms"]
-        assert snap["lock.wait_s.scheduler.dispatch"]["count"] == 1
-        assert snap["lock.hold_s.scheduler.dispatch"]["count"] == 1
+        assert snap["lock.wait_s.tracer.spans"]["count"] == 1
+        assert snap["lock.hold_s.tracer.spans"]["count"] == 1
 
     def test_violation_escapes_lane_threads(self):
         # A rank inversion on a worker thread must surface, not deadlock.
@@ -280,42 +276,3 @@ class TestServerContention:
         assert hists["lock.wait_s.server.jobs"]["count"] > 0
         assert hists["lock.hold_s.server.jobs"]["count"] > 0
         assert hists["lock.hold_s.server.jobs"]["max"] >= 0.0
-
-
-# ------------------------------------------------------------ RP201 lint
-class TestSharedCaptureAcrossLanes:
-    def _parallel_plan(self):
-        ctx = RheemContext()
-        shared = []
-        src = ctx.load_collection([1, 2, 3])
-        a = src.map(lambda x: (shared.append(x), x)[1])
-        b = src.map(lambda x: (shared.count(x), x)[1])
-        return ctx, a.union(b).to_plan()
-
-    def test_fires_on_potentially_concurrent_stages(self):
-        ctx, plan = self._parallel_plan()
-        report = analyze_plan(plan, ctx)
-        hits = [d for d in report if d.rule_id == "RP201"]
-        assert len(hits) == 1
-        assert "different lanes" in hits[0].message
-
-    def test_quiet_on_serial_chains(self):
-        ctx = RheemContext()
-        state = []
-        quanta = (ctx.load_collection([1, 2, 3])
-                  .map(lambda x: (state.append(x), x)[1])
-                  .map(lambda x: (state.count(x), x)[1]))
-        report = analyze_plan(quanta.to_plan(), ctx)
-        # RP010 still flags each capture; RP201 must not cry wolf on a
-        # chain the scheduler can never overlap.
-        assert any(d.rule_id == "RP010" for d in report)
-        assert not any(d.rule_id == "RP201" for d in report)
-
-    def test_quiet_on_distinct_objects(self):
-        ctx = RheemContext()
-        left, right = [], []
-        src = ctx.load_collection([1, 2, 3])
-        a = src.map(lambda x: (left.append(x), x)[1])
-        b = src.map(lambda x: (right.append(x), x)[1])
-        report = analyze_plan(a.union(b).to_plan(), ctx)
-        assert not any(d.rule_id == "RP201" for d in report)

@@ -32,6 +32,34 @@ class TestContextSetup:
         sample = lambda c: c.load_collection(data).sample(size=5).collect()
         assert sample(a) == sample(b)
 
+    @pytest.mark.parametrize("key", [
+        "stage_paralelism",                                     # a typo
+        "stage_parallelism", "stage_parallelism_cap", "stage_wall_s"])
+    def test_config_key_nobody_reads_is_an_error(self, key):
+        """Accepted and ignored on the parent: a misspelt key — or one of
+        the three the lane scheduler took with it — changed nothing,
+        silently."""
+        with pytest.raises(ValueError) as refused:
+            RheemContext(config={key: 4})
+        assert repr(key) in str(refused.value)
+        for accepted in ("seed", "result_reuse", "reuse_budget_mb",
+                         "reuse_min_benefit", "plan_cache",
+                         "plan_cache_size"):
+            assert accepted in str(refused.value)
+
+    def test_every_accepted_config_key_is_read(self):
+        ctx = RheemContext(config={
+            "seed": 7, "result_reuse": False, "reuse_budget_mb": 8.0,
+            "reuse_min_benefit": 0.5, "plan_cache": False,
+            "plan_cache_size": 3})
+        assert ctx.config["seed"] == 7
+        assert not ctx.result_store.enabled
+        assert (ctx.result_store.budget_mb,
+                ctx.result_store.min_benefit) == (8.0, 0.5)
+        assert not ctx.plan_cache.enabled
+        assert ctx.plan_cache.capacity == 3
+        assert len(ctx.config) == 6
+
 
 class TestFluentVerbs:
     def test_map_filter_flatmap(self, ctx):

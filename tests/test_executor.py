@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import RheemContext
 from repro.core.executor import Sniffer
 from repro.core.monitor import Monitor
 from repro.core.cardinality import CardinalityEstimate
@@ -191,31 +192,6 @@ class TestMonitor:
         assert {"flatmap", "reduceby"} <= kinds
 
 
-class TestStageParallelization:
-    def test_disabling_serializes_independent_stages(self, ctx):
-        from repro.core.executor import Executor
-
-        a = ctx.load_collection(list(range(200)), sim_factor=1e5).map(
-            lambda x: x)
-        b = ctx.load_collection(list(range(200)), sim_factor=1e5).map(
-            lambda x: x)
-        plan = a.union(b).to_plan()
-        optimizer = ctx.optimizer(allowed_platforms={"pystreams", "driver"})
-        best, cards = optimizer.pick_best(plan)
-
-        def run(parallel):
-            exec_plan = optimizer._build_execution_plan(plan, best)
-            return ctx.executor().execute(exec_plan, estimates=cards,
-                                          parallelize_stages=parallel)
-
-        overlapped = run(True)
-        serial = run(False)
-        assert sorted(serial.output) == sorted(overlapped.output)
-        assert serial.runtime >= overlapped.runtime
-        # Fully serialized: makespan equals total busy time.
-        assert serial.runtime == pytest.approx(serial.tracker.busy_time)
-
-
 class TestMonitorReport:
     def test_report_mentions_stages_and_surprises(self, ctx):
         from repro.core.udf import Udf
@@ -246,3 +222,123 @@ class TestConversionDeduplication:
                    if e.label.startswith("convert:pgres-export")]
         assert len(exports) == 1
         assert len(res.output) == 20
+
+
+# ------------------------------------------------------- loop fixes S1/S2
+class TestLoopBodyFixes:
+    def test_sniffer_inside_repeat_loop_fires_per_iteration(self, ctx):
+        """S1: sniffers on loop-body operators must observe every
+        iteration (the loop used to swallow the sniffer map)."""
+        data = ctx.load_collection([1, 2]).cache()
+        seed = ctx.load_collection([0])
+        body_ids = []
+
+        def body(s, inv):
+            stepped = s.map(lambda v: v + 1)
+            body_ids.append(stepped.op.id)
+            return stepped
+
+        out = seed.repeat(3, body, invariants=[data])
+        tapped = []
+        result = out.execute(sniffers=[Sniffer(body_ids[0], tapped.append)])
+        assert result.output == [3]
+        assert tapped == [[1], [2], [3]]
+
+    def test_sniffed_loop_costs_more_than_plain(self, ctx):
+        """The in-loop sniffer's multiplexing cost lands on the body
+        stages' meters, so the makespan grows."""
+
+        def run(sniffers):
+            run_ctx = RheemContext()
+            data = run_ctx.load_collection(
+                list(range(100)), sim_factor=50_000.0).cache()
+            seed = run_ctx.load_collection([0])
+            ids = []
+
+            def body(s, inv):
+                stepped = s.map(lambda v: v + 1)
+                ids.append(stepped.op.id)
+                return stepped
+
+            out = seed.repeat(4, body, invariants=[data])
+            taps = ([Sniffer(ids[0], lambda _: None, cost_factor=5000.0)]
+                    if sniffers else [])
+            return out.execute(sniffers=taps).runtime
+
+        assert run(sniffers=True) > run(sniffers=False)
+
+    def test_loop_body_memory_checks_scale_with_iterations(self, ctx):
+        """S2: channels materialized at loop-body stage boundaries hit
+        ``cluster.check_memory`` — once per iteration, so the call count
+        grows with the iteration count (it used to stay flat)."""
+
+        def count_checks(iterations):
+            run_ctx = RheemContext()
+            calls = []
+            real = run_ctx.cluster.check_memory
+            run_ctx.cluster.check_memory = (
+                lambda platform, mb: (calls.append(platform),
+                                      real(platform, mb))[1])
+            data = run_ctx.load_collection([1, 2]).cache()
+            seed = run_ctx.load_collection([0])
+            out = seed.repeat(iterations,
+                              lambda s, inv: s.map(lambda v: v + 1),
+                              invariants=[data])
+            assert out.collect() == [iterations]
+            return len(calls)
+
+        assert count_checks(6) > count_checks(2)
+
+    def test_loop_body_ops_reach_completed_logical(self, ctx):
+        """S2: loop-body logical operators show up in the completed set a
+        checkpoint receives once their loop stage commits."""
+        data = ctx.load_collection([1, 2]).cache()
+        seed = ctx.load_collection([0])
+        body_ids = []
+
+        def body(s, inv):
+            stepped = s.map(lambda v: v + 1)
+            body_ids.append(stepped.op.id)
+            return stepped
+
+        out = seed.repeat(2, body, invariants=[data]).map(lambda v: v * 10)
+        plan = out.to_plan()
+        optimizer = ctx.optimizer()
+        best, cards = optimizer.pick_best(plan)
+        exec_plan = optimizer._build_execution_plan(plan, best)
+        seen = []
+        result = ctx.executor().execute(
+            exec_plan, estimates=cards,
+            checkpoint=lambda monitor, completed: (seen.append(completed),
+                                                   False)[1])
+        assert result.output == [20]
+        union = set().union(*seen) if seen else set()
+        assert body_ids[0] in union
+
+
+# --------------------------------------------------------------------- S4
+class TestStartedPlatformReporting:
+    def test_platforms_reports_what_actually_started(self, ctx):
+        tapped = wordcount(ctx, "hdfs://s4/l.txt")
+        ctx.vfs.write("hdfs://s4/l.txt", ["a b"], sim_factor=10.0)
+        result = tapped.execute()
+        timeline_platforms = {o.platform
+                              for o in result.monitor.stage_observations
+                              if o.platform != "driver"}
+        assert result.platforms == timeline_platforms
+
+    def test_resumed_job_keeps_previously_started_platforms(self, ctx):
+        """A paused-then-resumed job must report the platforms started
+        before the pause, not just the residual plan's platforms (the
+        old code re-derived them from ``plan.platforms()``)."""
+        ctx.vfs.write("hdfs://s4/r.txt", ["a b", "b"], sim_factor=10.0)
+        plan = wordcount(ctx, "hdfs://s4/r.txt").to_plan()
+        optimizer = ctx.optimizer()
+        best, cards = optimizer.pick_best(plan)
+        exec_plan = optimizer._build_execution_plan(plan, best)
+        pre_started = {"already-started-platform"}
+        result = ctx.executor().execute(exec_plan, estimates=cards,
+                                        started_platforms=pre_started)
+        assert "already-started-platform" in result.platforms
+        assert result.platforms - {"already-started-platform"} <= \
+            exec_plan.platforms()

@@ -188,33 +188,3 @@ class TestRetryCostAccounting:
         assert counters["executor.retries_wasted"] == 2
         assert counters["executor.attempts"] == \
             counters["executor.stages"] + 2
-
-    def test_stage_wall_dwell_charged_per_attempt(self, monkeypatch):
-        """``stage_wall_s`` models a stage occupying its platform for real
-        wall-clock time; a crashed attempt held the platform just as long
-        as a successful one, so every attempt must pay the dwell."""
-        import repro.core.executor as executor_mod
-
-        dwell_sleeps = []
-        monkeypatch.setattr(
-            executor_mod.time, "sleep",
-            lambda seconds: dwell_sleeps.append(seconds))
-
-        def run(failures):
-            dwell_sleeps.clear()
-            ctx = RheemContext()
-            ctx.config["stage_wall_s"] = 0.01
-            ctx.config["stage_parallelism"] = 1
-            stage_id = _first_stage_id()
-            injector = FaultInjector(failures={stage_id: failures})
-            _corpus(ctx).execute(fault_injector=injector,
-                                 max_stage_retries=2)
-            counters = ctx.metrics.snapshot()["counters"]
-            return len(dwell_sleeps), counters["executor.attempts"]
-
-        clean_sleeps, clean_attempts = run(failures=0)
-        faulty_sleeps, faulty_attempts = run(failures=2)
-        # One dwell per attempt — including the two crashed ones.
-        assert clean_sleeps == clean_attempts
-        assert faulty_sleeps == faulty_attempts
-        assert faulty_sleeps == clean_sleeps + 2

@@ -10,7 +10,6 @@ the ``backend`` fixture: ``REPRO_STRESS_BACKEND`` (``thread`` by default;
 the CI ``stress`` job's process leg sets ``process``) picks the backend,
 as it does for ``test_server_stress.py``."""
 
-import functools
 import io
 import json
 import os
@@ -44,9 +43,17 @@ WORDCOUNT_DOC = {
 
 BAD_DOC = {"operators": [], "sink": {"name": "ghost"}}
 
+#: WORDCOUNT_DOC with a first stage 50 ms of wall time per line long (and a
+#: stage boundary after it): still running when a short deadline passes.
+SLOW_DOC = {**WORDCOUNT_DOC, "operators": [
+    WORDCOUNT_DOC["operators"][0],
+    {**WORDCOUNT_DOC["operators"][1], "expr": "nap(x).split()"},
+    *WORDCOUNT_DOC["operators"][2:]]}
+SLOW_ENV = {"nap": lambda x: (time.sleep(0.05), x)[1]}
 
-def _ctx(**config):
-    ctx = RheemContext(config=config or None)
+
+def _ctx():
+    ctx = RheemContext()
     ctx.vfs.write("hdfs://srv/x.txt", ["a b", "b"], sim_factor=10.0)
     return ctx
 
@@ -56,13 +63,11 @@ def backend():
     return os.environ.get("REPRO_STRESS_BACKEND", "thread")
 
 
-def _server(backend, config=None, **kwargs):
+def _server(backend, **kwargs):
     """A job server over the wordcount corpus on either backend."""
-    factory = functools.partial(_ctx, **(config or {}))
     if backend == "process":
-        return JobServer(backend="process", context_factory=factory,
-                         **kwargs)
-    return JobServer(factory(), **kwargs)
+        return JobServer(backend="process", context_factory=_ctx, **kwargs)
+    return JobServer(_ctx(), **kwargs)
 
 
 def _wait_until_running(job, timeout=10.0):
@@ -291,12 +296,13 @@ class TestDeadlinesAndCancellation:
         assert calls  # the hook actually ran
 
     def test_timeout_releases_slot_and_keeps_state_consistent(self):
-        # Every stage dwells 50 ms of wall time; a 1 ms deadline must fire
-        # at the next stage boundary.
-        ctx = _ctx(stage_wall_s=0.05)
-        with JobServer(ctx, workers=1, queue_size=4) as server:
+        # The first stage takes 100 ms of wall time; a 1 ms deadline must
+        # fire at the next stage boundary.
+        ctx = _ctx()
+        with JobServer(ctx, env=SLOW_ENV, workers=1,
+                       queue_size=4) as server:
             before = dict(ctx.plan_cache.stats)
-            job = server.submit(WORDCOUNT_DOC, deadline_s=0.001)
+            job = server.submit(SLOW_DOC, deadline_s=0.001)
             response = server.result(job.job_id, timeout=30)
             assert job.state is JobState.TIMEOUT
             assert response["status"] == "error"
@@ -310,7 +316,7 @@ class TestDeadlinesAndCancellation:
             assert after["hits"] == before["hits"]
             # The queue slot is free: the same document runs to completion
             # and replays the cached plan.
-            ok = server.submit_sync(WORDCOUNT_DOC, deadline_s=60)
+            ok = server.submit_sync(SLOW_DOC, deadline_s=60)
             assert ok["status"] == "ok"
             assert ctx.plan_cache.stats["hits"] == before["hits"] + 1
             assert ctx.plan_cache.stats["misses"] == before["misses"] + 1
@@ -390,9 +396,9 @@ class TestWsgiFrontend:
             server.shutdown(drain=True)
 
     def test_shutdown_maps_to_503_and_timeout_to_408(self, backend):
-        server = _server(backend, {"stage_wall_s": 0.05}, workers=1)
+        server = _server(backend, env=SLOW_ENV, workers=1)
         app = make_wsgi_app(server)
-        body = json.dumps(WORDCOUNT_DOC).encode()
+        body = json.dumps(SLOW_DOC).encode()
         status, payload = self._call(app, body=body, qs="deadline_s=0.001")
         assert status.startswith("408")
         assert payload["kind"] == "Timeout"

@@ -258,14 +258,15 @@ class TestShardFailure:
             server.shutdown()
 
     def test_cooperative_cancellation_goes_first(self):
-        # Stage boundaries every 50 ms: the worker notices the deadline
-        # itself, well inside the grace period, and keeps its process.
-        server = JobServer(
-            workers=1, backend="process", tracing=False,
-            context_factory=lambda: RheemContext(
-                config={"stage_wall_s": 0.05}))
+        # A stage 0.3 s long with another one after it: the worker notices
+        # the deadline itself at that boundary, well inside the grace
+        # period, and keeps its process.
+        server = JobServer(workers=1, backend="process", tracing=False,
+                           env={"nap": lambda x: (time.sleep(0.05), x)[1]})
+        slow = _doc(3)
+        slow["operators"][1].update(expr="nap(x) * 2", platform="Spark")
         try:
-            job = server.submit(_doc(3), deadline_s=0.001)
+            job = server.submit(slow, deadline_s=0.001)
             assert server.result(job.job_id, timeout=30)["kind"] == "Timeout"
             assert job.state is JobState.TIMEOUT
             pid = server.snapshot()["shards"][0]["pid"]
