@@ -81,7 +81,8 @@ class TestFig10bProgressive:
             rows = {"misestimated filter": {
                 "PO off": Cell(off.runtime),
                 "PO on": Cell(report.result.runtime,
-                              f"{report.replans} replan(s)"),
+                              f"{report.result.runtime:,.1f} "
+                              f"({report.replans} replan(s))"),
             }}
             print_series("Fig 10(b) progressive optimization", "scenario",
                          rows)

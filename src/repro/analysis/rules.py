@@ -418,8 +418,6 @@ def _unstable_fingerprint(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     if ctx.fingerprints is None:
         return
     for op in ctx.ordered:
-        if isinstance(op, ops.ChannelSource):
-            continue  # residual-plan plumbing, never user-addressable
         attr = ctx.fingerprints.unstable.get(op.id)
         if attr is not None:
             yield _diag(

@@ -254,7 +254,7 @@ def _transfer(op: ops.Operator, ins: list[QType], types: dict[int, QType],
         return type_of_collection(op.data)
     if isinstance(op, ops.TableSource):
         return RECORD
-    if isinstance(op, (ops.ChannelSource, ops.LoopInput)):
+    if isinstance(op, ops.LoopInput):
         return ANY
 
     # --------------------------------------------------------------- unary

@@ -22,7 +22,7 @@ from .objectives import Objective, RUNTIME, monetary, price_of
 from .optimizer import OptimizationError, Optimizer
 from .plan import PlanValidationError, RheemPlan
 from .progressive import (PausedJob, ProgressiveReport,
-    execute_progressively, execute_with_pause, resume)
+    execute_progressively, run_to_checkpoint)
 from .udf import Udf, as_udf
 
 __all__ = [
@@ -61,8 +61,7 @@ __all__ = [
     "PausedJob",
     "ProgressiveReport",
     "execute_progressively",
-    "execute_with_pause",
-    "resume",
+    "run_to_checkpoint",
     "Udf",
     "as_udf",
 ]

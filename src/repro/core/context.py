@@ -32,12 +32,12 @@ from .cost import CostModel, OperatorCostParams
 from .executor import ExecutionResult, Executor, Sniffer
 from .mappings import MappingRegistry
 from .operators import EstimationContext, InequalityCondition, Operator
-from .optimizer import Optimizer
+from .optimizer import OptimizationError, Optimizer, PlanAnalysisError
 from .plancache import ExecutionPlanCache
 from .plan import RheemPlan
 from .resultstore import IntermediateResultStore
-from .progressive import ProgressiveReport, channel_source_mapping, \
-    execute_progressively
+from .progressive import PausedJob, ProgressiveReport, \
+    execute_progressively, run_to_checkpoint
 
 
 class RheemContext:
@@ -88,7 +88,6 @@ class RheemContext:
             for conversion in platform.conversions():
                 self.graph.register_conversion(conversion)
             self.registry.register_all(platform.mappings())
-        self.registry.register(channel_source_mapping())
         self.cost_model = CostModel(self.cluster, cost_params)
         self.tracer = tracer if tracer is not None else NO_TRACER
         self.plan_cache = ExecutionPlanCache(
@@ -228,7 +227,9 @@ class RheemContext:
         the search space and skips the pruned operators' execution.
         Reuse-pruned plans bypass the execution-plan cache entirely
         (their decisions depend on store contents, which the cache key
-        does not cover).
+        does not cover).  A hit whose stored channel no alternative
+        downstream can reach is counted (``optimizer.reuse_fallbacks``)
+        and planned as a miss.
 
         Without a store hit the plan cache behaves as before: hits skip
         enumeration but still run static analysis, so diagnostics and
@@ -247,10 +248,18 @@ class RheemContext:
             probe = optimizer.probe_reuse(plan, self.result_store,
                                           self.cost_model.version)
         if probe is not None and probe.roots:
-            best, cards = optimizer.pick_best(plan, reuse=probe)
-            exec_plan = optimizer._build_execution_plan(plan, best)
-            exec_plan.reuse_keys = dict(probe.keys)
-            return exec_plan, cards
+            try:
+                best, cards = optimizer.pick_best(plan, reuse=probe)
+            except PlanAnalysisError:
+                raise
+            except OptimizationError:
+                # Plan the whole job below instead of failing one that is
+                # executable without reuse.
+                self.metrics.counter("optimizer.reuse_fallbacks").inc()
+            else:
+                exec_plan = optimizer._build_execution_plan(plan, best)
+                exec_plan.reuse_keys = dict(probe.keys)
+                return exec_plan, cards
         key = self.plan_cache.key_for(
             plan, optimizer.estimation_ctx, self.cost_model.version,
             allowed_platforms, optimizer.objective,
@@ -356,22 +365,23 @@ class RheemContext:
         output, then pause (returns a
         :class:`~repro.core.progressive.PausedJob`); finishes normally if
         the breakpoint never splits the plan."""
-        from .progressive import execute_with_pause
-
-        return execute_with_pause(
-            plan,
+        break_after = set(break_after)
+        return run_to_checkpoint(
+            PausedJob(plan),
             make_optimizer=lambda overrides: self.optimizer(
                 allowed_platforms, overrides),
             executor=self.executor(),
-            break_after=set(break_after),
+            checkpoint=lambda monitor, completed: break_after <= completed,
+            stage_breaks=break_after,
         )
 
-    def resume(self, paused, allowed_platforms: set[str] | None = None
-               ) -> ExecutionResult:
-        """Resume a paused exploratory job to completion."""
-        from .progressive import resume
-
-        return resume(
+    def resume(self, paused: PausedJob,
+               allowed_platforms: set[str] | None = None) -> ExecutionResult:
+        """Resume a paused exploratory job to completion: what is left of
+        its plan is re-optimized with the cardinalities measured before
+        the pause pinned as exact, so resuming doubles as one progressive
+        re-optimization round."""
+        return run_to_checkpoint(
             paused,
             make_optimizer=lambda overrides: self.optimizer(
                 allowed_platforms, overrides),

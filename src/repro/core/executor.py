@@ -40,7 +40,7 @@ from .execution import (
 )
 from .monitor import Monitor, OperatorObservation
 from .operators import DoWhileLoop, RepeatLoop
-from .optimizer import LoopBodySource
+from .optimizer import CachedResultExec, LoopBodySource
 from .resultstore import IntermediateResultStore
 
 #: Checkpoint hook: (monitor, completed logical op ids) -> True to replan.
@@ -62,23 +62,18 @@ class JobCancelled(RuntimeError):
 class ReplanRequested(Exception):
     """Raised when a checkpoint decides the remainder must be re-optimized.
 
-    Carries everything the progressive optimizer needs to resume.
+    Carries everything the progressive optimizer needs to resume: the
+    latest materialized channel per completed logical operator id, the
+    run's monitor, the platforms it started and its simulated makespan.
     """
 
-    def __init__(self, state: "PausedExecution") -> None:
+    def __init__(self, materialized: dict[int, Channel], monitor: Monitor,
+                 started_platforms: set[str], makespan: float) -> None:
         super().__init__("progressive re-optimization requested")
-        self.state = state
-
-
-@dataclass
-class PausedExecution:
-    """Materialized state of a paused job."""
-
-    materialized: dict[int, Channel]  # logical op id -> output channel
-    completed_logical_ids: set[int]
-    tracker: CriticalPathTracker
-    monitor: Monitor
-    started_platforms: set[str]
+        self.materialized = materialized
+        self.monitor = monitor
+        self.started_platforms = started_platforms
+        self.makespan = makespan
 
 
 @dataclass
@@ -142,7 +137,7 @@ class _StageRecorder:
                meter: CostMeter):
         from ..simulation.clock import StageTiming
 
-        start = 0.0
+        start = self._base.origin
         for dep in dependencies:
             end = self._local.get(dep)
             if end is None:
@@ -215,12 +210,10 @@ class Executor:
         self,
         plan: ExecutionPlan,
         estimates: dict[int, CardinalityEstimate] | None = None,
-        monitor: Monitor | None = None,
-        tracker: CriticalPathTracker | None = None,
         checkpoint: CheckpointHook | None = None,
         sniffers: Sequence[Sniffer] = (),
         started_platforms: set[str] | None = None,
-        initial_env: dict[int, Channel] | None = None,
+        start_at: float = 0.0,
         fault_injector=None,
         max_stage_retries: int = 2,
         stage_breaks: set[int] = frozenset(),
@@ -231,8 +224,11 @@ class Executor:
         Stages run one at a time in stage-list order: each is computed
         against per-attempt scratch state, committed, its keyed outputs
         offered to the result store, and the checkpoint consulted.
-        Independent stages still overlap on the *simulated* critical path
-        (``tracker``), which is where the makespan comes from.
+        Independent stages still overlap on the *simulated* critical path,
+        which is where the makespan comes from.  A resumed job hands over
+        the ``started_platforms`` of its paused run and that run's makespan
+        as ``start_at``: a checkpoint is a barrier, nothing here starts
+        earlier.
 
         Failed stages (simulated crashes from ``fault_injector``) are re-run
         from their materialized inputs up to ``max_stage_retries`` times —
@@ -250,11 +246,11 @@ class Executor:
                 has run.
         """
         max_retries = max_stage_retries if fault_injector else 0
-        monitor = monitor or Monitor(estimates=dict(estimates or {}),
-                                     metrics=self.metrics)
-        tracker = tracker or CriticalPathTracker()
+        monitor = Monitor(estimates=dict(estimates or {}),
+                          metrics=self.metrics)
+        tracker = CriticalPathTracker(origin=start_at)
         started = started_platforms if started_platforms is not None else set()
-        env: dict[int, Channel] = dict(initial_env or {})
+        env: dict[int, Channel] = {}
         conversion_cache: dict[tuple, Channel] = {}
         sniffer_map: dict[int, list[Sniffer]] = {}
         for sniffer in sniffers:
@@ -298,13 +294,9 @@ class Executor:
                 if checkpoint is not None and index < len(stages) - 1:
                     if checkpoint(monitor, set(completed_logical)):
                         run_span.set("paused_after", stage.id)
-                        raise ReplanRequested(PausedExecution(
-                            materialized=self._materialized(plan, env),
-                            completed_logical_ids=set(completed_logical),
-                            tracker=tracker,
-                            monitor=monitor,
-                            started_platforms=started,
-                        ))
+                        raise ReplanRequested(
+                            self._materialized(plan, env), monitor, started,
+                            tracker.makespan)
             run_span.set("sim_makespan", tracker.makespan)
 
         outputs = [env[t.id].payload for t in plan.sink_tasks]
@@ -530,9 +522,12 @@ class Executor:
                     op.platform, op.observed_op_kind(inputs, ctx), op.work(),
                     cin, cout))
             logical_id = task.logical_id
-            if logical_id in sniffer_map and out.actual_count is not None:
-                # Deferred to commit time: a crashed attempt never produced
-                # observable data, so its sniffers must stay silent.
+            if (logical_id in sniffer_map and out.actual_count is not None
+                    and not isinstance(op, CachedResultExec)):
+                # A held channel flowed past its sniffers when it was
+                # produced.  Deferred to commit time: a crashed attempt
+                # never produced observable data, so its sniffers must
+                # stay silent.
                 if pending_sniffs is not None:
                     pending_sniffs.append((sniffer_map[logical_id], op, out))
                 else:

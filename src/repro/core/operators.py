@@ -201,23 +201,6 @@ class TableSource(SourceOperator):
         return CardinalityEstimate(0, 1e9, 0.1)
 
 
-class ChannelSource(SourceOperator):
-    """A source bound to an already materialized channel.
-
-    The progressive optimizer uses these to splice the results a paused job
-    already produced into the residual plan it re-optimizes.
-    """
-
-    def __init__(self, channel, name: str = "channel-source") -> None:
-        super().__init__(name)
-        self.channel = channel
-
-    def estimate_cardinality(self, inputs, ctx):
-        if self.channel.actual_count is not None:
-            return CardinalityEstimate.exact(self.channel.sim_cardinality)
-        return CardinalityEstimate(0, 1e9, 0.1)
-
-
 # --------------------------------------------------------------------------
 # Unary operators
 # --------------------------------------------------------------------------

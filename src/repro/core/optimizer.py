@@ -25,7 +25,7 @@ at ``iterations x body cost`` plus per-iteration feedback conversion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 from ..platforms.base import ExecutionOperator
@@ -51,7 +51,6 @@ from .fingerprint import PlanFingerprints
 from .mappings import ExecutionAlternative, MappingRegistry
 from .operators import (
     CartesianProduct,
-    ChannelSource,
     CollectionSource,
     EstimationContext,
     FlatMap,
@@ -67,7 +66,7 @@ from .operators import (
     Union,
 )
 from .plan import RheemPlan
-from .resultstore import IntermediateResultStore, StoredResult
+from .resultstore import IntermediateResultStore
 
 
 class OptimizationError(RuntimeError):
@@ -94,20 +93,21 @@ PLANNING_BYTES_PER_RECORD = 100.0
 
 @dataclass
 class ChannelSourceDecision:
-    """Decision for placeholder sources (loop inputs, materialized channels)."""
+    """Decision for a placeholder source: a channel that already exists."""
 
     descriptor: ChannelDescriptor
 
 
 @dataclass
 class CachedResultDecision(ChannelSourceDecision):
-    """Reuse a stored intermediate: a zero-cost source alternative.
+    """Reuse a held channel: a zero-cost source alternative.
 
-    Enumeration treats it exactly like a materialized-channel source (the
-    ``ChannelSourceDecision`` base), so a store hit contributes no
-    operator, conversion, startup or dispatch cost — pruning the whole
-    upstream cone out of the plan space.  Plan construction turns it into
-    a :class:`CachedResultExec` task that re-emits the stored channel.
+    The only alternative of a reuse root (:class:`ReuseProbe`), whether
+    the channel comes from the intermediate-result store or from the
+    paused run of this very job.  It contributes no operator, conversion,
+    startup or dispatch cost and prunes the whole upstream cone out of
+    the plan space.  Plan construction turns it into a
+    :class:`CachedResultExec` task that re-emits the channel.
     """
 
     channel: Channel
@@ -115,22 +115,60 @@ class CachedResultDecision(ChannelSourceDecision):
 
 @dataclass
 class ReuseProbe:
-    """Outcome of probing the intermediate-result store for one plan.
+    """The operators of one plan whose output already exists.
+
+    Built by :meth:`Optimizer.probe_reuse` from the intermediate-result
+    store and by :meth:`~repro.core.progressive.PausedJob.reuse` from what a
+    paused job has materialized; :meth:`Optimizer.pick_best` treats both
+    alike.
 
     Attributes:
-        keys: Operator id -> store key, for every reusable-keyed operator
-            (stable subplan fingerprint, sinks excluded).  The executor
-            publishes committed outputs under these keys.
-        roots: Operator id -> stored entry, for the hits chosen as reuse
-            roots (the ones closest to the sinks).
+        roots: Operator id -> held channel, for the materialized operators
+            closest to the sinks.
         needed: Ids of the operators that still require enumeration and
             execution (the roots themselves included; everything strictly
             above a root is pruned).
+        keys: Operator id -> store key, for every reusable-keyed operator
+            (stable subplan fingerprint, sinks excluded).  The executor
+            publishes committed outputs under these keys.
+        started: Platforms the job is already running on (a resume); their
+            start-up is not charged again.
+        widths: Root id -> measured bytes per record (a resume); a store
+            root keeps the modeled width.
     """
 
-    keys: dict[int, tuple]
-    roots: dict[int, StoredResult]
+    roots: dict[int, Channel]
     needed: set[int]
+    keys: dict[int, tuple] = field(default_factory=dict)
+    started: frozenset[str] = frozenset()
+    widths: dict[int, float] = field(default_factory=dict)
+
+
+def reuse_roots(plan: RheemPlan,
+                held: Callable[[Operator], Channel | None]
+                ) -> tuple[dict[int, Channel], set[int]]:
+    """``(roots, needed)`` of a :class:`ReuseProbe`.
+
+    Walks from the sinks toward the sources and stops each descent at the
+    first operator whose output ``held`` hands over — so the roots are
+    the ones closest to the sinks (maximal pruning).
+    """
+    roots: dict[int, Channel] = {}
+    needed: set[int] = set()
+    stack: list[Operator] = list(plan.sinks)
+    while stack:
+        op = stack.pop()
+        if op.id in needed:
+            continue
+        needed.add(op.id)
+        channel = held(op)
+        if channel is not None:
+            roots[op.id] = channel
+            continue
+        for ref in list(op.inputs) + list(op.side_inputs):
+            if ref is not None:
+                stack.append(ref.op)
+    return roots, needed
 
 
 @dataclass
@@ -335,13 +373,15 @@ class Optimizer:
         (:class:`PlanAnalysisError`); warnings annotate ``plan.diagnostics``
         and decay the confidence of estimates flowing through impure UDFs.
 
-        A ``reuse`` probe with hits (:meth:`probe_reuse`) restricts
-        enumeration to the operators below the reuse roots; each root's
-        only alternative is its stored intermediate.  If the pruned plan
-        space turns out unexecutable (a stored channel unreachable from
-        every downstream alternative), enumeration falls back to the full
-        plan and clears ``reuse.roots`` so the caller knows no reuse
-        happened.
+        A ``reuse`` probe with roots restricts enumeration to the
+        operators below them; each root's only alternative is its held
+        channel.
+
+        Raises:
+            OptimizationError: If no executable plan exists — with
+                ``reuse``, also when a root's channel is unreachable from
+                every downstream alternative (whether to then enumerate
+                the whole plan is the caller's policy).
         """
         self.stats = dict.fromkeys(self.stats, 0)
         self.last_enumeration_size = 0
@@ -362,54 +402,33 @@ class Optimizer:
                         cards[op_id] = CardinalityEstimate(
                             est.lower, est.upper, est.confidence * penalty)
             estimate_span.set("operators_estimated", len(cards))
+        if reuse is None:
+            reuse = ReuseProbe(roots={}, needed=set())
         with self.tracer.span("optimizer.inflate") as inflate_span:
-            # Inflation happens when enumeration reaches an operator; this
-            # holds each answer for a reuse fall-back's second enumeration.
-            inflated: dict[int, list[ExecutionAlternative]] = {}
+            # Inflation happens when enumeration reaches an operator.
             ops = plan.operators()
             inflate_span.set("operators", len(ops))
         with self.tracer.span("optimizer.movement") as movement_span:
-            bprs = self._estimate_record_bytes(ops, cards=cards)
+            bprs = self._estimate_record_bytes(ops, dict(reuse.widths),
+                                               cards=cards)
             movement_span.set("record_widths_modeled", len(bprs))
 
         def alternatives(op: Operator) -> list:
+            channel = reuse.roots.get(op.id)
+            if channel is not None:
+                return [CachedResultDecision(channel.descriptor, channel)]
             if isinstance(op, LoopOperator):
                 return self._loop_decisions(op, cards, bprs, paths)
-            alts = inflated.get(op.id)
-            if alts is None:
-                alts = inflated[op.id] = self.registry.alternatives_for(op)
-            return self._filter_alternatives(op, alts)
+            return self._filter_alternatives(
+                op, self.registry.alternatives_for(op))
 
-        enum_ops: Sequence[Operator] = ops
-        enum_alts = alternatives
-        if reuse is not None and reuse.roots:
-            enum_ops = [op for op in ops if op.id in reuse.needed]
-
-            def enum_alts(op: Operator):  # noqa: F811 — reuse-aware shadow
-                entry = reuse.roots.get(op.id)
-                if entry is not None:
-                    return [CachedResultDecision(entry.channel.descriptor,
-                                                 entry.channel)]
-                return alternatives(op)
-
+        enum_ops = ([op for op in ops if op.id in reuse.needed]
+                    if reuse.roots else ops)
         with self.tracer.span("optimizer.enumerate") as enumerate_span:
-            try:
-                results = self._enumerate_ops(enum_ops, cards, bprs,
-                                              enum_alts, paths,
-                                              phantom_open=set())
-            except OptimizationError:
-                if enum_ops is ops:
-                    raise
-                # A stored intermediate's channel may be unreachable from
-                # every downstream alternative; re-enumerate the full plan
-                # instead of failing a job that was executable without
-                # reuse.  Clearing the roots tells the caller no cached
-                # decision made it into the plan.
-                self.metrics.counter("optimizer.reuse_fallbacks").inc()
-                assert reuse is not None
-                reuse.roots.clear()
-                results = self._enumerate_ops(ops, cards, bprs, alternatives,
-                                              paths, phantom_open=set())
+            results = self._enumerate_ops(enum_ops, cards, bprs,
+                                          alternatives, paths,
+                                          phantom_open=set(),
+                                          started=reuse.started)
             for key, value in self.stats.items():
                 enumerate_span.set(key, value)
                 self.metrics.counter(f"optimizer.{key}").inc(value)
@@ -428,13 +447,11 @@ class Optimizer:
                     lookup: bool = True) -> ReuseProbe:
         """Probe the intermediate-result store for ``plan``'s subplans.
 
-        Walks from the sinks toward the sources, looking each operator's
-        ``(subplan fingerprint, source bands, cost-model version)`` key up
-        in the store and stopping the descent at the first hit — so the
-        chosen reuse roots are the ones closest to the sinks (maximal
-        pruning).  Sinks themselves are never reuse roots: their side
-        effects (writing files, delivering the result collection) must
-        re-run on every submission.
+        Looks each operator's ``(subplan fingerprint, source bands,
+        cost-model version)`` key up in the store on the walk of
+        :func:`reuse_roots`.  Sinks themselves are never keyed: their
+        side effects (writing files, delivering the result collection)
+        must re-run on every submission.
 
         ``lookup=False`` computes the keys only (for publication after a
         plan-cache miss) without touching the store — probing a store
@@ -446,26 +463,17 @@ class Optimizer:
             keys = {op.id: (fps[op.id], bands[op.id], cost_model_version)
                     for op in plan.operators()
                     if op.id in fps and not isinstance(op, SinkOperator)}
-            roots: dict[int, StoredResult] = {}
-            needed: set[int] = set()
-            stack: list[Operator] = list(plan.sinks)
-            while stack:
-                op = stack.pop()
-                if op.id in needed:
-                    continue
-                needed.add(op.id)
+
+            def held(op: Operator) -> Channel | None:
                 key = keys.get(op.id)
                 entry = (store.get(key)
                          if lookup and key is not None else None)
-                if entry is not None:
-                    roots[op.id] = entry
-                    continue
-                for ref in list(op.inputs) + list(op.side_inputs):
-                    if ref is not None:
-                        stack.append(ref.op)
+                return None if entry is None else entry.channel
+
+            roots, needed = reuse_roots(plan, held)
             span.set("subplans_keyed", len(keys))
             span.set("reuse_hits", len(roots))
-        return ReuseProbe(keys=keys, roots=roots, needed=needed)
+        return ReuseProbe(roots, needed, keys)
 
     def _reuse_bands(self, plan: RheemPlan,
                      fps: dict[int, str]) -> dict[int, tuple]:
@@ -542,8 +550,6 @@ class Optimizer:
             elif isinstance(op, TableSource):
                 b = self.estimation_ctx.table_bytes.get(
                     op.table, PLANNING_BYTES_PER_RECORD)
-            elif isinstance(op, ChannelSource):
-                b = op.channel.bytes_per_record
             elif isinstance(op, (Map, FlatMap)) and op.bytes_per_record:
                 b = op.bytes_per_record
             elif isinstance(op, (Join, CartesianProduct, IEJoin)):
@@ -662,13 +668,15 @@ class Optimizer:
         paths: PathTable,
         phantom_open: set[int],
         include_startup: bool = True,
+        started: frozenset[str] = frozenset(),
     ) -> list[PartialPlan]:
         """Enumerate execution plans for ``ops`` (topologically ordered).
 
         Returns the surviving partial plans covering ALL operators; with
         pruning enabled, one per boundary signature (lossless).  Operators
         in ``phantom_open`` keep their output channel in the signature even
-        with no uncovered consumer (loop inputs/outputs).
+        with no uncovered consumer (loop inputs/outputs).  Platforms in
+        ``started`` are running already: no plan pays their start-up.
 
         Above :attr:`beam_threshold` operators the lossless frontier is
         additionally bounded to the :attr:`beam_width` cheapest signatures
@@ -685,7 +693,7 @@ class Optimizer:
                 else None)
         consumer_counts = self._consumer_counts(ops)
         remaining = dict(consumer_counts)
-        frontier: list[PartialPlan] = [PartialPlan()]
+        frontier: list[PartialPlan] = [PartialPlan(platforms=started)]
         # A loop body is enumerated from inside the outer loop below, so
         # the size is summed locally and added once (never reset here).
         size = 1
@@ -1060,11 +1068,12 @@ class Optimizer:
 
 
 class CachedResultExec(ExecutionOperator):
-    """Re-emits a stored intermediate result at zero cost (result reuse).
+    """Re-emits a held channel at zero cost (result reuse, resume).
 
     ``logical`` is the reuse-root operator of the submitted plan, so the
     task reports the right logical id to the monitor and completion
-    tracking; the payload comes from the intermediate-result store.
+    tracking; the payload comes from the intermediate-result store or
+    from the paused run of the job itself.
     """
 
     op_kind = "cached_result"
@@ -1087,8 +1096,8 @@ class CachedResultExec(ExecutionOperator):
         return CostEstimate.zero()
 
     def execute(self, inputs, broadcasts, ctx):
-        # Detach: the stored channel stays resident and may be re-emitted
-        # into several jobs, whose branches must not share mutable payloads.
+        # Detach: the held channel stays resident and may be re-emitted
+        # into several runs, whose branches must not share mutable payloads.
         return self.channel.detached()
 
 

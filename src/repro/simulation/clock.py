@@ -92,14 +92,17 @@ class CriticalPathTracker:
     Stages that depend on each other run back to back; independent stages
     overlap (inter-platform parallelism, Section 1 challenge (iv) of the
     paper).  The job's simulated runtime is the maximum stage end time.
+    No stage starts before ``origin`` — the makespan of the paused run a
+    resumed job continues from.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, origin: float = 0.0) -> None:
+        self.origin = origin
         self._timings: dict[str, StageTiming] = {}
 
     def record(self, stage_id: str, dependencies: list[str], meter: CostMeter) -> StageTiming:
         """Record a completed stage; its start is the latest dependency end."""
-        start = 0.0
+        start = self.origin
         for dep in dependencies:
             if dep in self._timings:
                 start = max(start, self._timings[dep].end)
@@ -121,9 +124,8 @@ class CriticalPathTracker:
     @property
     def makespan(self) -> float:
         """Simulated end-to-end runtime of everything recorded so far."""
-        if not self._timings:
-            return 0.0
-        return max(t.end for t in self._timings.values())
+        return max((t.end for t in self._timings.values()),
+                   default=self.origin)
 
     @property
     def busy_time(self) -> float:

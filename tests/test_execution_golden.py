@@ -8,6 +8,10 @@ on): ``PYTHONPATH=<that commit's src> python tests/test_execution_golden.py
 the same outputs, simulated makespan, critical-path records (stage id,
 start, end at full ``repr``), monitor observations in order, started
 platforms and ``executor.*`` counter deltas as the scheduler it replaced.
+The ``progressive`` and ``paused_resumed`` rows were re-recorded when a
+resume became a result-reuse restart: its placeholder reads
+``cached_result`` and its stages start at the paused makespan, which the
+earlier rows left out of ``runtime``.
 CI runs this module under two ``PYTHONHASHSEED`` values.
 """
 
@@ -181,8 +185,8 @@ def _paused_resumed() -> dict:
     return _record(
         ctx, before, ctx.resume(paused),
         inspected=paused.inspect(parsed.op.id),
-        paused_observations=_observations(paused.state.monitor),
-        paused_platforms=sorted(paused.state.started_platforms))
+        paused_observations=_observations(paused.monitor),
+        paused_platforms=sorted(paused.started_platforms))
 
 
 SCENARIOS = {

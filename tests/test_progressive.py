@@ -1,9 +1,18 @@
 """Tests for progressive (re-)optimization."""
 
+import dataclasses
+
 import pytest
 
 from repro import RheemContext
+from repro.core import operators as ops
+from repro.core.channels import ChannelDescriptor
+from repro.core.executor import Sniffer
+from repro.core.optimizer import OptimizationError
+from repro.core.plan import RheemPlan
+from repro.core.progressive import PausedJob
 from repro.core.udf import Udf
+from conftest import wordcount
 
 
 def _lookup_join_plan(ctx, filter_selectivity_hint):
@@ -58,6 +67,37 @@ class TestProgressiveOptimization:
         totals = dict(res.output)
         assert sum(totals.values()) == 3996  # rows with value >= 1
 
+    def test_replan_leaves_the_callers_plan_untouched(self):
+        ctx = RheemContext()
+        plan = _lookup_join_plan(ctx, 0.0001)
+        before = [type(o) for o in RheemPlan(plan.sinks).operators()]
+        assert ctx.execute_progressive(plan).replans >= 1
+        assert [type(o) for o in RheemPlan(plan.sinks).operators()] == before
+        # The plan still reads its source: half the file, half the rows.
+        ctx.vfs.write("hdfs://data/events.csv",
+                      [f"item{i},{i % 1000}" for i in range(2000)],
+                      sim_factor=10_000.0, bytes_per_record=100.0)
+        assert sum(dict(ctx.execute(plan).output).values()) == 1998
+
+    def test_runtime_includes_what_ran_before_the_checkpoint(self):
+        ctx = RheemContext()
+        result = ctx.execute_progressive(
+            _lookup_join_plan(ctx, 0.0001)).result
+        at_pause = result.tracker.origin
+        assert at_pause > 0
+        assert all(t.start >= at_pause for t in result.tracker.timings())
+        assert result.runtime > at_pause
+
+    def test_sniffer_sees_an_output_once_across_a_replan(self):
+        ctx = RheemContext()
+        plan = _lookup_join_plan(ctx, 0.0001)
+        (hinted,) = [o for o in plan.operators() if isinstance(o, ops.Filter)]
+        seen = []
+        report = ctx.execute_progressive(
+            plan, sniffers=[Sniffer(hinted.id, seen.append)])
+        assert report.replans >= 1
+        assert len(seen) == 1
+
 
 class TestPauseResume:
     def _plan(self, ctx):
@@ -73,7 +113,6 @@ class TestPauseResume:
         ctx = RheemContext()
         parsed, plan = self._plan(ctx)
         paused = ctx.execute_paused(plan, break_after={parsed.op.id})
-        from repro.core.progressive import PausedJob
         assert isinstance(paused, PausedJob)
         assert parsed.op.id in paused.completed
         snapshot = paused.inspect(parsed.op.id)
@@ -92,3 +131,66 @@ class TestPauseResume:
         sink_id = plan.sinks[0].id
         outcome = ctx.execute_paused(plan, break_after={sink_id})
         assert isinstance(outcome, ExecutionResult)
+
+    def test_resumed_runtime_continues_from_the_paused_makespan(self):
+        ctx = RheemContext()
+        parsed, plan = self._plan(ctx)
+        paused = ctx.execute_paused(plan, break_after={parsed.op.id})
+        assert paused.makespan > 0
+        result = ctx.resume(paused)
+        # What is left is one chain of stages: its own makespan is the
+        # sum of their durations.
+        assert result.runtime == paused.makespan + result.tracker.busy_time
+
+    def test_completed_sink_is_not_run_again(self):
+        ctx = RheemContext()
+        ctx.vfs.write("hdfs://pr/two.txt", [f"{i}" for i in range(100)],
+                      sim_factor=1000.0)
+        calls = []
+
+        def parse(line):
+            calls.append(line)
+            return int(line)
+
+        parsed = ctx.read_text_file("hdfs://pr/two.txt").map(parse,
+                                                             name="parse")
+        first, second = ops.CollectionSink("first"), ops.CollectionSink("second")
+        first.connect(0, parsed.filter(lambda v: v % 2 == 0, name="evens").op)
+        second.connect(0, parsed.map(lambda v: v + 1, name="inc").sort().op)
+        plan = RheemPlan([first, second])
+        paused = ctx.execute_paused(plan, break_after={first.id})
+        assert isinstance(paused, PausedJob)
+        assert first.id in paused.completed
+        assert second.id not in paused.completed
+        result = ctx.resume(paused)
+        assert len(calls) == 100
+        assert result.outputs == [list(range(0, 100, 2)),
+                                  list(range(1, 101))]
+
+    def test_unreachable_root_fails_the_resume_and_runs_nothing(self):
+        ctx = RheemContext()
+        parsed, plan = self._plan(ctx)
+        paused = ctx.execute_paused(plan, break_after={parsed.op.id})
+        nowhere = ChannelDescriptor("nowhere.channel", "nowhere", True)
+        paused.materialized[parsed.op.id] = dataclasses.replace(
+            paused.materialized[parsed.op.id], descriptor=nowhere)
+        stages = ctx.metrics.snapshot()["counters"]["executor.stages"]
+        with pytest.raises(OptimizationError):
+            ctx.resume(paused)
+        assert ctx.metrics.snapshot()["counters"]["executor.stages"] == stages
+
+    def test_unreachable_store_hit_plans_the_whole_job_instead(self):
+        """The same dead end under a store hit is the store's to absorb."""
+        ctx = RheemContext()
+        ctx.vfs.write("hdfs://pr/corpus.txt", ["to be or not to be"] * 40,
+                      sim_factor=1_000.0)
+        first = ctx.execute(wordcount(ctx, "hdfs://pr/corpus.txt").to_plan())
+        nowhere = ChannelDescriptor("nowhere.channel", "nowhere", True)
+        for entry in ctx.result_store._entries.values():
+            entry.channel = dataclasses.replace(entry.channel,
+                                                descriptor=nowhere)
+        again = ctx.execute(wordcount(ctx, "hdfs://pr/corpus.txt").to_plan())
+        assert sorted(again.output) == sorted(first.output)
+        assert again.runtime == first.runtime
+        counters = ctx.metrics.snapshot()["counters"]
+        assert counters["optimizer.reuse_fallbacks"] == 1
