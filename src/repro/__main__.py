@@ -73,7 +73,6 @@ def _context_from_options(no_cache: bool, no_reuse: bool,
     ctx = RheemContext()
     if no_cache:
         ctx.plan_cache.enabled = False
-        ctx.graph.caching = False
     if no_reuse:
         ctx.result_store.enabled = False
     if abstracts:
@@ -370,8 +369,7 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--pagelinks", type=float, default=0.0,
                        help="seed hdfs://data/pagelinks.txt at this percent")
         p.add_argument("--no-cache", action="store_true", dest="no_cache",
-                       help="disable the optimizer's conversion-path and "
-                            "execution-plan caches")
+                       help="disable the execution-plan cache")
         p.add_argument("--no-reuse", action="store_true", dest="no_reuse",
                        help="disable cross-job reuse of committed "
                             "intermediate results")

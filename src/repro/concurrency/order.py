@@ -140,15 +140,9 @@ LOCK_ORDER: tuple[LockSpec, ...] = (
         kind="rlock",
         owners=("repro.core.channels:ChannelConversionGraph._lock",),
         guards=("ChannelConversionGraph._descriptors",
-                "ChannelConversionGraph._edges",
-                "ChannelConversionGraph._path_cache",
-                "ChannelConversionGraph._solved_rows",
-                "ChannelConversionGraph._reachable",
-                "ChannelConversionGraph._tree_cache",
-                "ChannelConversionGraph.cache_stats",
-                "ChannelConversionGraph.version"),
-        doc="channel registry and conversion memo tables; never calls "
-            "back into the plan cache",
+                "ChannelConversionGraph._edges"),
+        doc="channel registry: registration against the searches reading "
+            "it; never calls back into the plan cache",
     ),
     LockSpec(
         name="intermediate_store",

@@ -15,20 +15,18 @@ Adding a platform only requires conversions to/from ONE existing channel;
 the graph supplies the rest.  This is the paper's O(n) vs O(n*m)
 extensibility argument, exercised by an ablation benchmark.
 
-Because every enumeration, on every thread, asks for conversion paths
-(once per distinct channel pair and producer), the graph memoizes its
-searches: path *structure* is cached per ``(source, target, volume band)``
-— where a band is a quarter-octave of the simulated data volume — while
-costs are always recomputed exactly for the requested volume.  One full
-single-source Dijkstra fills the whole cache row for that band, and
-``multicast_tree`` reuses the same rows as its Steiner all-pairs table.
-Registering a channel or conversion invalidates everything.
+The graph is a registry plus pure searches: it remembers channels and
+conversions, never an answer.  One exact single-source search
+(:meth:`ChannelConversionGraph.paths_from`) serves ``cheapest_path``,
+``multicast_tree``'s all-pairs table and the optimizer, which keeps the
+rows it asked for on its enumeration's stack — so the path a job gets
+is a function of the graph and the volume alone, not of what was asked
+before.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, TYPE_CHECKING
@@ -43,10 +41,9 @@ if TYPE_CHECKING:  # pragma: no cover
 def volume_band(value: float) -> int:
     """Quantize a positive magnitude into a quarter-octave log2 band.
 
-    Conversion costs are linear in data volume, so the cheapest path can
-    only flip where cost lines cross; within a ~19%-wide band the winner is
-    stable for every realistic conversion graph, which makes the band a
-    safe memo key (costs themselves are never taken from the cache).
+    The coarse volume key of the plan cache, the result store and the
+    calibration corpus: inputs within a ~19%-wide band share an entry.
+    Conversion searches never band — they take the exact volume.
     """
     if value <= 1.0:
         return 0
@@ -248,50 +245,23 @@ class ConversionTree:
         return out
 
 
-#: Sentinel distinguishing "never solved" from "solved: unreachable".
-_UNSOLVED = object()
-
-#: Counter names tracked in :attr:`ChannelConversionGraph.cache_stats`.
-CACHE_STAT_NAMES = ("path_hits", "path_misses", "tree_hits", "tree_misses",
-                    "dijkstra_runs", "invalidations")
-
-
 class ChannelConversionGraph:
-    """Registry of channels and conversions with memoized path/tree search.
+    """Registry of channels and conversions, searched exactly on demand.
 
-    The graph (edges + memo tables) is shared read-mostly across the job
-    server's worker threads; one re-entrant lock serializes registration,
-    invalidation and memo-table fills.  Rank 40 in the lock registry
-    (:data:`repro.concurrency.order.LOCK_ORDER`): above the metrics lock
-    (``_stat`` mirrors counters while holding it), never held while
-    calling into the plan cache or the server's job table.
+    The registry is shared read-mostly across the job server's worker
+    threads; one re-entrant lock serializes registration against the
+    searches reading the edge lists.  Rank 40 in the lock registry
+    (:data:`repro.concurrency.order.LOCK_ORDER`); a search calls nothing
+    but the conversions' cost models while holding it.
 
     Args:
-        metrics: Optional shared registry mirroring the graph's
-            ``conversion_cache.*`` hit/miss counters (see
-            :mod:`repro.trace.metrics`).
+        metrics: Optional shared registry the lock reports its acquire /
+            wait / hold figures to (see :mod:`repro.trace.metrics`).
     """
 
     def __init__(self, metrics: "MetricsRegistry | None" = None) -> None:
         self._descriptors: dict[str, ChannelDescriptor] = {}
         self._edges: dict[str, list[Conversion]] = {}
-        self.metrics = metrics
-        #: Set False to disable memoization (ablations / lossless tests).
-        self.caching = True
-        #: Bumped on every mutation; external caches key off it.
-        self.version = 0
-        #: Monotonic counters of cache behaviour (cheap test access).
-        self.cache_stats: dict[str, int] = dict.fromkeys(CACHE_STAT_NAMES, 0)
-        # (source, target, rec_band, bpr_band) -> tuple[Conversion] | None
-        # (None = proven unreachable; costs are recomputed on every hit).
-        self._path_cache: dict[tuple[str, str, int, int], Any] = {}
-        # Rows already filled by a full single-source Dijkstra.
-        self._solved_rows: set[tuple[str, int, int]] = set()
-        # source -> frozenset of reachable descriptor names.
-        self._reachable: dict[str, frozenset[str]] = {}
-        # (source, targets, rec_band, bpr_band) -> {target: tuple[Conversion]}
-        self._tree_cache: dict[tuple, dict[str, tuple[Conversion, ...]]] = {}
-        #: Serializes registration and memo-table mutation (see class doc).
         self._lock = OrderedRLock("conversion_graph", metrics)
         self.register_channel(HDFS_FILE)
         self.register_channel(LOCAL_FILE)
@@ -303,8 +273,6 @@ class ChannelConversionGraph:
             if existing is not None and existing != desc:
                 raise ValueError(
                     f"conflicting descriptor registration for {desc.name}")
-            if existing is None:
-                self._invalidate()
             self._descriptors[desc.name] = desc
             self._edges.setdefault(desc.name, [])
 
@@ -313,25 +281,6 @@ class ChannelConversionGraph:
             self.register_channel(conv.source)
             self.register_channel(conv.target)
             self._edges[conv.source.name].append(conv)
-            self._invalidate()
-
-    def _invalidate(self) -> None:
-        """Drop every memoized search result (the graph changed)."""
-        with self._lock:
-            self.version += 1
-            if self._path_cache or self._solved_rows or self._tree_cache \
-                    or self._reachable:
-                self._stat("invalidations")
-            self._path_cache.clear()
-            self._solved_rows.clear()
-            self._reachable.clear()
-            self._tree_cache.clear()
-
-    def _stat(self, name: str) -> None:
-        with self._lock:
-            self.cache_stats[name] += 1
-        if self.metrics is not None:
-            self.metrics.counter(f"conversion_cache.{name}").inc()
 
     def descriptor(self, name: str) -> ChannelDescriptor:
         try:
@@ -346,6 +295,44 @@ class ChannelConversionGraph:
         return list(self._edges.get(name, []))
 
     # ------------------------------------------------------------ searching
+    def paths_from(
+        self,
+        source: ChannelDescriptor,
+        sim_records: float,
+        bytes_per_record: float = 100.0,
+    ) -> dict[str, ConversionPath]:
+        """Cheapest chains from ``source`` to EVERY channel it reaches.
+
+        One exact Dijkstra for the requested volume, under one lock
+        acquisition.  The row is keyed by channel name in registration
+        order (never set order) and holds ``source`` itself with the empty
+        path; an absent key means unreachable.  Equal-cost chains tie-break
+        on the channel name, so the answer depends on nothing but the
+        graph and the arguments.
+        """
+        found: dict[str, ConversionPath] = {}
+        dist: dict[str, float] = {source.name: 0.0}
+        back: dict[str, tuple[str, Conversion]] = {}
+        heap: list[tuple[float, str]] = [(0.0, source.name)]
+        with self._lock:
+            while heap:
+                d, node = heapq.heappop(heap)
+                if node in found:
+                    continue
+                if node in back:  # its predecessor was popped before it
+                    prev, conv = back[node]
+                    found[node] = ConversionPath(found[prev].steps + [conv], d)
+                else:
+                    found[node] = ConversionPath([], 0.0)
+                for conv in self._edges.get(node, ()):
+                    nd = d + conv.estimate_cost(sim_records, bytes_per_record)
+                    if nd < dist.get(conv.target.name, float("inf")):
+                        dist[conv.target.name] = nd
+                        back[conv.target.name] = (node, conv)
+                        heapq.heappush(heap, (nd, conv.target.name))
+            return {name: found[name] for name in self._descriptors
+                    if name in found}
+
     def cheapest_path(
         self,
         source: ChannelDescriptor,
@@ -355,101 +342,17 @@ class ChannelConversionGraph:
     ) -> ConversionPath:
         """Minimum-cost conversion chain for a single consumer.
 
-        Memoized: one full Dijkstra per (source, volume band) caches the
-        path structure to EVERY reachable channel; the returned cost is
-        always recomputed exactly for the requested volume.
-
         Raises:
             ChannelConversionError: If the target is unreachable.
         """
         if source.name == target.name:
             return ConversionPath([], 0.0)
-        steps = self._path_steps(source, target, sim_records, bytes_per_record)
-        if steps is None:
+        path = self.paths_from(source, sim_records,
+                               bytes_per_record).get(target.name)
+        if path is None:
             raise ChannelConversionError(
                 f"no conversion path from {source.name} to {target.name}")
-        return ConversionPath(list(steps), sum(
-            conv.estimate_cost(sim_records, bytes_per_record)
-            for conv in steps))
-
-    def _path_steps(
-        self,
-        source: ChannelDescriptor,
-        target: ChannelDescriptor,
-        sim_records: float,
-        bytes_per_record: float,
-    ) -> tuple[Conversion, ...] | None:
-        """Cached conversion chain ``source -> target`` (None: unreachable)."""
-        if not self.caching:
-            row = self._solve_row(source.name, sim_records, bytes_per_record)
-            return row.get(target.name)
-        band = (volume_band(sim_records), volume_band(bytes_per_record))
-        key = (source.name, target.name, *band)
-        with self._lock:
-            steps = self._path_cache.get(key, _UNSOLVED)
-            if steps is not _UNSOLVED:
-                self._stat("path_hits")
-                return steps
-            self._stat("path_misses")
-            row_key = (source.name, *band)
-            if row_key not in self._solved_rows:
-                row = self._solve_row(source.name, sim_records,
-                                      bytes_per_record)
-                for name in self._descriptors:
-                    self._path_cache[(source.name, name, *band)] = \
-                        row.get(name)
-                self._solved_rows.add(row_key)
-            return self._path_cache[key]
-
-    def _solve_row(self, source_name: str, sim_records: float,
-                   bytes_per_record: float) -> dict[str, tuple[Conversion, ...]]:
-        """One single-source Dijkstra: cheapest chains to ALL reachable nodes."""
-        self._stat("dijkstra_runs")
-        dist: dict[str, float] = {source_name: 0.0}
-        back: dict[str, tuple[str, Conversion]] = {}
-        heap: list[tuple[float, str]] = [(0.0, source_name)]
-        visited: set[str] = set()
-        while heap:
-            d, node = heapq.heappop(heap)
-            if node in visited:
-                continue
-            visited.add(node)
-            for conv in self._edges.get(node, []):
-                weight = conv.estimate_cost(sim_records, bytes_per_record)
-                nd = d + weight
-                if nd < dist.get(conv.target.name, float("inf")):
-                    dist[conv.target.name] = nd
-                    back[conv.target.name] = (node, conv)
-                    heapq.heappush(heap, (nd, conv.target.name))
-        row: dict[str, tuple[Conversion, ...]] = {}
-        for name in visited:
-            steps: list[Conversion] = []
-            node = name
-            while node != source_name:
-                prev, conv = back[node]
-                steps.append(conv)
-                node = prev
-            steps.reverse()
-            row[name] = tuple(steps)
-        return row
-
-    def reachable_from(self, name: str) -> frozenset[str]:
-        """Descriptor names reachable from ``name`` (BFS, memoized)."""
-        with self._lock:
-            cached = self._reachable.get(name) if self.caching else None
-            if cached is None:
-                seen = {name}
-                frontier = [name]
-                while frontier:
-                    node = frontier.pop()
-                    for conv in self._edges.get(node, []):
-                        if conv.target.name not in seen:
-                            seen.add(conv.target.name)
-                            frontier.append(conv.target.name)
-                cached = frozenset(seen)
-                if self.caching:
-                    self._reachable[name] = cached
-            return cached
+        return path
 
     def multicast_tree(
         self,
@@ -477,59 +380,21 @@ class ChannelConversionGraph:
                                       bytes_per_record)
             return ConversionTree(source, {names[0]: path}, path.cost)
 
-        # Nodes the source cannot reach can never join the tree: prune them
-        # from the Steiner DP up front, and fail fast on unreachable targets
-        # instead of silently iterating them through the DP tables.
-        reachable = self.reachable_from(source.name)
-        missing = [n for n in names if n not in reachable]
-        if missing:
-            raise ChannelConversionError(
-                f"no conversion tree from {source.name} to {names}"
-                f" (unreachable: {missing})")
-
-        with self._lock:
-            return self._multicast_tree_locked(
-                source, unique, names, reachable, sim_records,
-                bytes_per_record)
-
-    def _multicast_tree_locked(
-        self,
-        source: ChannelDescriptor,
-        unique: dict[str, ChannelDescriptor],
-        names: list[str],
-        reachable: frozenset[str],
-        sim_records: float,
-        bytes_per_record: float,
-    ) -> ConversionTree:
-        """The Steiner solve, run under the graph lock (memo-table fills)."""
-        band = (volume_band(sim_records), volume_band(bytes_per_record))
-        tree_key = (source.name, tuple(names), *band)
-        if self.caching:
-            cached = self._tree_cache.get(tree_key)
-            if cached is not None:
-                self._stat("tree_hits")
-                return self._tree_from_segments(source, cached, sim_records,
-                                                bytes_per_record)
-            self._stat("tree_misses")
-
-        # The Steiner all-pairs table reuses the memoized Dijkstra rows (one
-        # per (node, band), shared with cheapest_path and later calls)
-        # instead of recomputing |V|^2 searches per invocation.
-        nodes = [n for n in self._descriptors if n in reachable]
-        paths: dict[str, dict[str, ConversionPath]] = {}
-        for start in nodes:
-            start_desc = self._descriptors[start]
-            paths[start] = {}
-            for end in nodes:
-                if start == end:
-                    paths[start][end] = ConversionPath([], 0.0)
-                    continue
-                steps = self._path_steps(start_desc, self._descriptors[end],
-                                         sim_records, bytes_per_record)
-                if steps is not None:
-                    paths[start][end] = ConversionPath(list(steps), sum(
-                        conv.estimate_cost(sim_records, bytes_per_record)
-                        for conv in steps))
+        with self._lock:  # one graph for the whole all-pairs table
+            # Channels the source cannot reach can never join the tree:
+            # only its row's keys enter the Steiner DP, and an unreachable
+            # target fails fast instead of iterating through the tables.
+            nodes = list(self.paths_from(source, sim_records,
+                                         bytes_per_record))
+            missing = [n for n in names if n not in nodes]
+            if missing:
+                raise ChannelConversionError(
+                    f"no conversion tree from {source.name} to {names}"
+                    f" (unreachable: {missing})")
+            paths = {start: self.paths_from(self._descriptors[start],
+                                            sim_records, bytes_per_record)
+                     for start in nodes}
+            reusable = [n for n in nodes if self._descriptors[n].reusable]
 
         full = (1 << len(names)) - 1
         index = {name: i for i, name in enumerate(names)}
@@ -540,7 +405,7 @@ class ChannelConversionGraph:
         for name in names:
             mask = 1 << index[name]
             for node in nodes:
-                if name in paths.get(node, {}):
+                if name in paths[node]:
                     dp[mask][node] = paths[node][name].cost
                     choice[mask][node] = ("path", name)
         for mask in range(1, full + 1):
@@ -551,9 +416,7 @@ class ChannelConversionGraph:
             while sub:
                 rest = mask ^ sub
                 if sub < rest:  # avoid symmetric duplicates
-                    for node in nodes:
-                        if not self._descriptors[node].reusable:
-                            continue
+                    for node in reusable:
                         a = dp[sub].get(node, inf)
                         b = dp[rest].get(node, inf)
                         if a + b < dp[mask].get(node, inf):
@@ -566,7 +429,7 @@ class ChannelConversionGraph:
                 if base is None:
                     continue
                 for start in nodes:
-                    if node in paths.get(start, {}):
+                    if node in paths[start]:
                         cost = paths[start][node].cost + base
                         if cost < dp[mask].get(start, inf):
                             dp[mask][start] = cost
@@ -577,67 +440,24 @@ class ChannelConversionGraph:
                 f"no conversion tree from {source.name} to {names}"
                 " (no reusable branching channel connects them)")
 
-        # Reconstruct per-target conversion chains.  Each chain is kept as a
-        # list of *segments*: a shared "via"/merge prefix carries the same
-        # segment id across every target below it, so a cached tree can be
-        # re-costed later charging each shared segment exactly once (the
-        # same accounting as the DP total).
-        segments_by_target: dict[str, tuple[tuple[int, tuple[Conversion, ...]],
-                                            ...]] = {}
-        next_segment = itertools.count().__next__
-
-        def build(mask: int, node: str,
-                  prefix: tuple[tuple[int, tuple[Conversion, ...]], ...]
-                  ) -> None:
-            what = choice[mask][node]
-            if what[0] == "path":
-                name = what[1]
-                segments_by_target[name] = prefix + (
-                    (next_segment(), tuple(paths[node][name].steps)),)
-            elif what[0] == "merge":
-                __, sub, rest = what
-                build(sub, node, prefix)
-                build(rest, node, prefix)
-            else:  # via
-                mid = what[1]
-                build(mask, mid, prefix + (
-                    (next_segment(), tuple(paths[node][mid].steps)),))
-
-        build(full, source.name, ())
-        if self.caching:
-            self._tree_cache[tree_key] = segments_by_target
-        tree = self._tree_from_segments(source, segments_by_target,
-                                        sim_records, bytes_per_record)
-        assert abs(tree.cost - total) <= 1e-9 + 1e-9 * abs(total)
-        return tree
-
-    def _tree_from_segments(
-        self,
-        source: ChannelDescriptor,
-        segments_by_target: dict[str, tuple],
-        sim_records: float,
-        bytes_per_record: float,
-    ) -> ConversionTree:
-        """Re-cost a (possibly cached) tree structure for the given volume.
-
-        Segments shared between targets (same segment id) are charged once
-        in the tree total, matching the Steiner DP's accounting; per-target
-        path costs sum their own full chains, matching ``cheapest_path``.
-        """
+        # Per-target chains: each carries its shared "via"/merge prefix in
+        # full (``ConversionTree.apply`` runs a shared step once), while
+        # the tree total is the DP's, which charged every edge once.
         target_paths: dict[str, ConversionPath] = {}
-        charged: set[int] = set()
-        total = 0.0
-        for name, segments in segments_by_target.items():
-            steps: list[Conversion] = []
-            cost = 0.0
-            for segment_id, segment_steps in segments:
-                segment_cost = sum(
-                    conv.estimate_cost(sim_records, bytes_per_record)
-                    for conv in segment_steps)
-                steps.extend(segment_steps)
-                cost += segment_cost
-                if segment_id not in charged:
-                    charged.add(segment_id)
-                    total += segment_cost
-            target_paths[name] = ConversionPath(steps, cost)
+
+        def build(mask: int, node: str, prefix: ConversionPath) -> None:
+            what = choice[mask][node]
+            if what[0] == "merge":
+                build(what[1], node, prefix)
+                build(what[2], node, prefix)
+                return
+            leg = paths[node][what[1]]
+            reached = ConversionPath(prefix.steps + leg.steps,
+                                     prefix.cost + leg.cost)
+            if what[0] == "path":
+                target_paths[what[1]] = reached
+            else:  # via
+                build(mask, what[1], reached)
+
+        build(full, source.name, ConversionPath([], 0.0))
         return ConversionTree(source, target_paths, total)

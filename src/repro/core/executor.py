@@ -165,7 +165,7 @@ class _StageOutcome:
     env: dict[int, Channel]
     cache: dict[tuple, Channel]
     completed: set[int]
-    scratch: Monitor | None
+    scratch: Monitor
     pending_sniffs: list[tuple[list[Sniffer], Any, Channel]]
     observations: list[OperatorObservation]
     memory_demands: list[tuple[str, float]]
@@ -200,10 +200,6 @@ class Executor:
         #: Cooperative cancellation hook, called at every stage boundary;
         #: raises (e.g. :class:`JobCancelled`) to abandon the job cleanly.
         self.cancel_check = cancel_check
-        #: descriptor name -> (graph version, driver-collection path); loop
-        #: conditions materialize the loop variable every iteration, so the
-        #: path is resolved once per descriptor instead of per check.
-        self._collect_paths: dict[str, tuple[int, ConversionPath]] = {}
 
     # ----------------------------------------------------------- execution
     def execute(
@@ -268,9 +264,9 @@ class Executor:
                 stage_started = set(started)
                 outcome = self._compute_stage(
                     stage, stage.id, sorted(stage.dependencies), env,
-                    conversion_cache, monitor_present=True,
-                    sniffer_map=sniffer_map, crossing=crossing,
-                    recorder=recorder, stage_started=stage_started,
+                    conversion_cache, sniffer_map=sniffer_map,
+                    crossing=crossing, recorder=recorder,
+                    stage_started=stage_started,
                     injector=fault_injector, max_retries=max_retries)
                 recorder.replay(tracker)
                 timing = self._apply_outcome(outcome, env, conversion_cache,
@@ -373,9 +369,8 @@ class Executor:
 
     # -------------------------------------------------------------- stages
     def _compute_stage(self, stage, label, deps, env, cache, *,
-                       monitor_present, sniffer_map, crossing, recorder,
-                       stage_started, injector, max_retries,
-                       epoch=0) -> _StageOutcome:
+                       sniffer_map, crossing, recorder, stage_started,
+                       injector, max_retries, epoch=0) -> _StageOutcome:
         """Run one stage's attempts against buffered scratch state.
 
         Retries on injected platform failures up to ``max_retries``;
@@ -404,7 +399,7 @@ class Executor:
                 memory_demands: list[tuple[str, float]] = []
                 pending_sniffs: list[tuple[list[Sniffer], Any, Channel]] = []
                 observations: list[OperatorObservation] = []
-                scratch = Monitor() if monitor_present else None
+                scratch = Monitor()
                 # A fresh context per attempt: a crashed attempt's meter
                 # and monitor are thrown away with it.
                 ctx = ExecutionContext(cluster=self.cluster, meter=meter,
@@ -472,10 +467,8 @@ class Executor:
             self.cluster.check_memory(platform, needed_mb)
         env.update(outcome.env)
         cache.update(outcome.cache)
-        if completed is not None:
-            completed |= outcome.completed
-        if monitor is not None and outcome.scratch is not None:
-            monitor.absorb(outcome.scratch)
+        completed |= outcome.completed
+        monitor.absorb(outcome.scratch)
         for sniffers, op, out in outcome.pending_sniffs:
             self._sniff(sniffers, op, out, outcome.meter)
         timing = record_via.record(outcome.label, outcome.final_deps,
@@ -483,9 +476,7 @@ class Executor:
         outcome.span.set("attempts", outcome.attempts)
         outcome.span.set("sim_seconds", outcome.meter.total)
         self.metrics.counter("executor.stages").inc()
-        if monitor is not None:
-            monitor.record_stage(timing, outcome.platform,
-                                 outcome.observations)
+        monitor.record_stage(timing, outcome.platform, outcome.observations)
         return timing
 
     # --------------------------------------------------------------- tasks
@@ -513,14 +504,12 @@ class Executor:
         else:
             out = op.execute(inputs, broadcasts, ctx)
             ctx.record_output(op, out)
-            if observations is not None:
-                cin = sum(ch.sim_cardinality for ch in inputs
-                          if ch.actual_count is not None)
-                cout = (out.sim_cardinality
-                        if out.actual_count is not None else 0.0)
-                observations.append(OperatorObservation(
-                    op.platform, op.observed_op_kind(inputs, ctx), op.work(),
-                    cin, cout))
+            cin = sum(ch.sim_cardinality for ch in inputs
+                      if ch.actual_count is not None)
+            cout = out.sim_cardinality if out.actual_count is not None else 0.0
+            observations.append(OperatorObservation(
+                op.platform, op.observed_op_kind(inputs, ctx), op.work(),
+                cin, cout))
             logical_id = task.logical_id
             if (logical_id in sniffer_map and out.actual_count is not None
                     and not isinstance(op, CachedResultExec)):
@@ -528,10 +517,7 @@ class Executor:
                 # produced.  Deferred to commit time: a crashed attempt
                 # never produced observable data, so its sniffers must
                 # stay silent.
-                if pending_sniffs is not None:
-                    pending_sniffs.append((sniffer_map[logical_id], op, out))
-                else:
-                    self._sniff(sniffer_map[logical_id], op, out, ctx.meter)
+                pending_sniffs.append((sniffer_map[logical_id], op, out))
         env[task.id] = out
 
     def _sniff(self, sniffers, op, channel: Channel, meter: CostMeter) -> None:
@@ -626,7 +612,6 @@ class Executor:
                 # attempt discards them too.
                 outcome = self._compute_stage(
                     stage, f"{prefix}.{stage.id}", deps, env, cache,
-                    monitor_present=ctx.monitor is not None,
                     sniffer_map=sniffer_map, crossing=body_crossing,
                     recorder=recorder, stage_started=stage_started,
                     injector=injector, max_retries=max_retries,
@@ -654,17 +639,10 @@ class Executor:
 
         if channel.descriptor == PY_COLLECTION:
             return records_of(channel.payload)
-        name = channel.descriptor.name
-        cached = self._collect_paths.get(name)
-        if cached is None or cached[0] != self.graph.version:
-            path = self.graph.cheapest_path(
-                channel.descriptor, PY_COLLECTION,
-                channel.sim_cardinality if channel.actual_count is not None
-                else 0,
-                channel.bytes_per_record)
-            self._collect_paths[name] = (self.graph.version, path)
-        else:
-            path = cached[1]
+        path = self.graph.cheapest_path(
+            channel.descriptor, PY_COLLECTION,
+            channel.sim_cardinality if channel.actual_count is not None else 0,
+            channel.bytes_per_record)
         return records_of(path.apply(channel, ctx).payload)
 
     # ---------------------------------------------------------- checkpoint

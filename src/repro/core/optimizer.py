@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from ..platforms.base import ExecutionOperator
 from ..trace import NO_TRACER, MetricsRegistry
 from .cardinality import CardinalityEstimate
 from .channels import (
     Channel,
-    ChannelConversionError,
     ChannelConversionGraph,
     ChannelDescriptor,
     ConversionPath,
@@ -186,9 +185,11 @@ class LoopDecision:
 
 Decision = ExecutionAlternative | ChannelSourceDecision | LoopDecision
 
-#: One ``pick_best`` call's conversion table: (have, want, producer id) ->
-#: path, ``None`` when unreachable.  Lives on that call's stack only.
-PathTable = dict[tuple[str, str, int], ConversionPath | None]
+#: One ``pick_best`` call's conversion table, on that call's stack only:
+#: (have, want, producer id) -> path, ``None`` when unreachable — read off
+#: the graph's row for the producer's volume, which sits in the same table
+#: under (have, records, bytes/record) so each row is searched once.
+PathTable = dict[tuple[str, str | float, float], Any]
 
 
 class _Prepared(NamedTuple):
@@ -949,19 +950,22 @@ class Optimizer:
         """Cheapest ``have -> want`` conversion of ``producer``'s output.
 
         Volume is a function of the producer within one enumeration, so
-        the graph (lock, counters, volume bands) is asked once per distinct
-        key and the answer — ``None`` when unreachable — lives in ``paths``.
+        an answer — ``None`` when unreachable — is looked up once per
+        distinct key and lives in ``paths``; the graph (and its lock) is
+        searched once per distinct (have, volume), a whole row at a time.
         """
         key = (have.name, want.name, producer)
         if key not in paths:
-            self.stats["conversion_paths_distinct"] += 1
-            try:
-                path = paths[key] = self.graph.cheapest_path(
-                    have, want, cards[producer].geometric_mean,
-                    bprs.get(producer, PLANNING_BYTES_PER_RECORD))
+            records = cards[producer].geometric_mean
+            width = bprs.get(producer, PLANNING_BYTES_PER_RECORD)
+            row = paths.get((have.name, records, width))
+            if row is None:
+                self.stats["conversion_paths_distinct"] += 1
+                row = paths[have.name, records, width] = \
+                    self.graph.paths_from(have, records, width)
+            path = paths[key] = row.get(want.name)
+            if path is not None:
                 CostEstimate.fixed(path.cost)  # validates: non-negative
-            except ChannelConversionError:
-                paths[key] = None
         return paths[key]
 
     # --------------------------------------------------- plan construction

@@ -13,8 +13,8 @@ the "same" plan could legitimately optimize differently:
 * the **fingerprint** (:func:`~repro.core.fingerprint.plan_fingerprint`)
   pins structure and every parameter including UDF code — unstable plans
   fingerprint as ``None`` and are never cached;
-* **source-cardinality bands** (quarter-octave, shared with the conversion
-  memo cache) re-key the cache when the underlying data grows enough to
+* **source-cardinality bands** (quarter-octave, shared with the result
+  store's keys) re-key the cache when the underlying data grows enough to
   change plan choice;
 * the **cost-model version** is bumped whenever the genetic cost learner
   publishes new parameters (:meth:`RheemContext.publish_cost_params`),

@@ -94,8 +94,6 @@ class JobServer:
             ``trace`` block — the serving hot path for benchmarks.
         respawn_shards: Process backend: replace dead shards with fresh
             replicas (default).  Off, a dead slot stays retired.
-        start_method: Process backend: multiprocessing start method
-            (default ``fork`` where available).
         calibrate: Close the trace → cost-model loop: committed jobs'
             stage observations feed a :class:`CostCalibrator`, whose
             refits publish through :meth:`publish_cost_params`.  Refits
@@ -123,7 +121,6 @@ class JobServer:
         tenant_quota: int | None = None,
         tracing: bool = True,
         respawn_shards: bool = True,
-        start_method: str | None = None,
         calibrate: bool = False,
         calibration: dict[str, Any] | None = None,
     ) -> None:
@@ -146,8 +143,7 @@ class JobServer:
             self.metrics = MetricsRegistry()
             self._shards = ShardPool(
                 context_factory or RheemContext, shards=self.workers,
-                env=env, metrics=self.metrics, respawn=respawn_shards,
-                start_method=start_method)
+                env=env, metrics=self.metrics, respawn=respawn_shards)
         else:
             self.ctx = ctx if ctx is not None else RheemContext()
             self.metrics = self.ctx.metrics

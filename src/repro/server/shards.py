@@ -1,7 +1,7 @@
 """Shards: where a job document runs, and the pools that route to them.
 
 A *shard* owns one :class:`~repro.core.context.RheemContext` (plan cache,
-conversion-graph memos, result store, metrics registry) and offers the
+conversion graph, result store, metrics registry) and offers the
 four calls of the :class:`Shard` surface — ``run_job``, ``publish``,
 ``metrics``, ``stop``.  The job server knows nothing else about where a
 job runs; what the surface hides is the transport:
@@ -382,9 +382,9 @@ class ShardPool:
 
     Args:
         context_factory: Zero-argument callable building one context
-            replica *inside the worker process*.  Under the default
-            ``fork`` start method any callable works (closures
-            included); under ``spawn`` it must be picklable.
+            replica *inside the worker process*.  Shards ``fork`` where
+            the host can, and then any callable works (closures
+            included); elsewhere they ``spawn`` and it must be picklable.
         shards: Worker-process count (``>= 1``).
         env: Extra names exposed to document UDF expressions.
         metrics: Parent-side registry: the pool's own instruments, and
@@ -393,25 +393,21 @@ class ShardPool:
             cost-parameter publication is replayed into it).  With
             ``False`` a dead slot stays retired and its fingerprints
             re-map permanently.
-        start_method: Multiprocessing start method; defaults to ``fork``
-            where available (no pickling constraints), else ``spawn``.
     """
 
     def __init__(self, context_factory: Callable[[], Any],
                  shards: int = 4,
                  env: dict[str, Any] | None = None,
                  metrics: MetricsRegistry | None = None,
-                 respawn: bool = True,
-                 start_method: str | None = None) -> None:
+                 respawn: bool = True) -> None:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.size = max(1, int(shards))
         self.respawn = respawn
         self._factory = context_factory
         self._env = dict(env or {})
-        if start_method is None:
-            available = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in available else "spawn"
-        self._mp = multiprocessing.get_context(start_method)
+        self._mp = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods()
+            else "spawn")
         self._lock = OrderedLock("server.pool", self.metrics)
         self._published: dict[str, Any] | None = None
         # Last-known registry snapshot per shard incarnation, so a

@@ -165,10 +165,6 @@ def _render_span(span: Span, depth: int, lines: list[str]) -> None:
 
 #: Hit/miss counter pairs rendered as derived "cache hit rates" lines.
 _CACHE_RATE_SOURCES = (
-    ("conversion paths", "conversion_cache.path_hits",
-     "conversion_cache.path_misses"),
-    ("conversion trees", "conversion_cache.tree_hits",
-     "conversion_cache.tree_misses"),
     ("execution plans", "plan_cache.hits", "plan_cache.misses"),
     ("intermediate results", "intermediate.hits", "intermediate.misses"),
 )

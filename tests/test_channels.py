@@ -154,67 +154,87 @@ class TestMulticast:
         assert tree.cost <= independent + 1e-9
 
 
-class TestConversionMemoCache:
-    def test_repeat_lookup_hits_without_a_new_dijkstra(self):
-        graph = _graph([(A, C, 1000, 0), (C, B, 1000, 0)])
-        first = graph.cheapest_path(A, B, 1_000_000, 100)
-        second = graph.cheapest_path(A, B, 1_000_000, 100)
-        assert [s.name for s in first.steps] == [s.name for s in second.steps]
-        assert graph.cache_stats["path_hits"] == 1
-        assert graph.cache_stats["dijkstra_runs"] == 1
+_NODES = [ChannelDescriptor(f"p.{i}", "p", True) for i in range(6)]
+_QUERIES = st.tuples(st.integers(0, 5), st.integers(0, 5),
+                     st.floats(0, 1e9), st.floats(1, 1e4))
 
-    def test_one_dijkstra_row_serves_all_targets(self):
-        graph = _graph([(A, B, 100, 0), (A, C, 100, 0), (A, D, 100, 0)])
-        graph.cheapest_path(A, B, 1000, 100)
-        graph.cheapest_path(A, C, 1000, 100)
-        graph.cheapest_path(A, D, 1000, 100)
-        assert graph.cache_stats["dijkstra_runs"] == 1
-        assert graph.cache_stats["path_hits"] == 2
 
-    def test_costs_are_exact_not_banded(self):
-        # Volumes in the same quantization band share the cached path
-        # STRUCTURE, but the returned cost is always recomputed exactly.
-        graph = _graph([(A, B, 10, 1.5)])
-        lo = graph.cheapest_path(A, B, 1_000, 100)
-        hi = graph.cheapest_path(A, B, 1_040, 100)  # same quarter-octave
-        assert graph.cache_stats["path_hits"] == 1
-        assert lo.cost == pytest.approx(1.5 + 1_000 * 100 / 1e6 / 10)
-        assert hi.cost == pytest.approx(1.5 + 1_040 * 100 / 1e6 / 10)
+class TestSearchHasNoMemory:
+    """``cheapest_path`` is a function of the graph and its arguments."""
 
-    def test_register_conversion_invalidates_cached_paths(self):
+    @pytest.mark.parametrize("order", [(45_000, 50_500), (50_500, 45_000)])
+    def test_a_neighbouring_volume_asked_first_does_not_flip_the_path(
+            self, order):
+        # Direct edge: 1 s + 1000 MB/s.  Detour: two hops at 10 MB/s.  The
+        # lines cross at ~5.025 MB, inside one quarter-octave of volume.
+        graph = _graph([(A, B, 1000, 1.0), (A, C, 10, 0), (C, B, 10, 0)])
+        got = {records: graph.cheapest_path(A, B, records, 100)
+               for records in order}
+        assert [s.target.name for s in got[45_000].steps] == ["t.c", "t.b"]
+        assert got[45_000].cost == pytest.approx(0.9)
+        assert [s.target.name for s in got[50_500].steps] == ["t.b"]
+        assert got[50_500].cost == pytest.approx(1.00505)
+
+    def test_a_conversion_registered_later_is_searched(self):
         graph = _graph([(A, C, 10, 0), (C, B, 10, 0)])
         before = graph.cheapest_path(A, B, 1_000_000, 100)
         assert len(before.steps) == 2
-        # A much faster direct conversion appears (new platform plugged in):
-        # the memoized detour must NOT survive.
+        # A much faster direct conversion appears (new platform plugged in).
         graph.register_conversion(_conv(A, B, 1_000_000))
         after = graph.cheapest_path(A, B, 1_000_000, 100)
         assert [s.target.name for s in after.steps] == ["t.b"]
         assert after.cost < before.cost
-        assert graph.cache_stats["invalidations"] == 1
 
-    def test_register_channel_of_known_descriptor_keeps_cache(self):
-        graph = _graph([(A, B, 10, 0)])
-        graph.cheapest_path(A, B, 1000, 100)
-        graph.register_channel(A)  # re-registration, no structural change
-        graph.cheapest_path(A, B, 1000, 100)
-        assert graph.cache_stats["path_hits"] == 1
-        assert graph.cache_stats["invalidations"] == 0
+    @given(
+        edges=st.lists(st.tuples(
+            st.integers(0, 5), st.integers(0, 5),
+            st.floats(0.5, 5000), st.floats(0, 5)), max_size=14),
+        asked_before=st.lists(_QUERIES, max_size=4),
+        query=_QUERIES)
+    def test_cost_is_the_brute_force_minimum_whatever_was_asked_before(
+            self, edges, asked_before, query):
+        graph = ChannelConversionGraph()
+        for node in _NODES:
+            graph.register_channel(node)
+        convs = [_conv(_NODES[i], _NODES[j], rate, overhead)
+                 for i, j, rate, overhead in edges if i != j]
+        for conv in convs:
+            graph.register_conversion(conv)
+        for i, j, records, width in asked_before:
+            try:
+                graph.cheapest_path(_NODES[i], _NODES[j], records, width)
+            except ChannelConversionError:
+                pass
+        source, target, records, width = query
 
-    def test_caching_off_still_correct(self):
-        graph = _graph([(A, C, 1000, 0), (C, B, 1000, 0), (A, B, 1, 0)])
-        graph.caching = False
-        path = graph.cheapest_path(A, B, 1_000_000, 100)
-        assert [s.target.name for s in path.steps] == ["t.c", "t.b"]
-        assert graph.cache_stats["path_hits"] == 0
+        def cheapest(node, seen, cost):
+            """Minimum over the simple paths ``node -> target``."""
+            if node == target:
+                return cost
+            return min((cheapest(
+                _NODES.index(conv.target), seen | {node},
+                cost + conv.estimate_cost(records, width))
+                for conv in convs
+                if conv.source == _NODES[node]
+                and _NODES.index(conv.target) not in seen | {node}),
+                default=float("inf"))
 
-    def test_tree_cache_hit_recosts_exactly(self):
-        graph = _graph([(A, C, 1, 0), (C, B, 1000, 0), (C, D, 1000, 0)])
-        first = graph.multicast_tree(A, [B, D], 1_000_000, 100)
-        second = graph.multicast_tree(A, [B, D], 1_010_000, 100)
-        assert graph.cache_stats["tree_hits"] == 1
-        assert first.cost == pytest.approx(100 / 1 + 0.1 + 0.1)
-        assert second.cost == pytest.approx(101 / 1 + 0.101 + 0.101)
+        expected = cheapest(source, frozenset(), 0.0)
+        if expected == float("inf"):
+            with pytest.raises(ChannelConversionError):
+                graph.cheapest_path(_NODES[source], _NODES[target],
+                                    records, width)
+        else:
+            path = graph.cheapest_path(_NODES[source], _NODES[target],
+                                       records, width)
+            assert path.cost == expected
+            along = 0.0
+            for step in path.steps:
+                along += step.estimate_cost(records, width)
+            assert path.cost == along
+            hops = [_NODES[source]] + [s.target for s in path.steps]
+            assert [s.source for s in path.steps] == hops[:-1]
+            assert hops[-1] == _NODES[target]
 
 
 class TestMulticastReachability:
@@ -226,7 +246,7 @@ class TestMulticastReachability:
         graph.register_channel(island)
         tree = graph.multicast_tree(A, [B, D], 1_000_000, 100)
         assert set(tree.paths) == {"t.b", "t.d"}
-        assert "t.island" not in graph.reachable_from("t.a")
+        assert "t.island" not in graph.paths_from(A, 1_000_000, 100)
 
     def test_unreachable_target_error_names_the_island(self):
         graph = _graph([(A, B, 10, 0)])

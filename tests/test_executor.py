@@ -116,6 +116,21 @@ class TestLoopsAtRuntime:
             invariants=[data], max_iterations=100)
         assert out.collect() == [4]
 
+    def test_do_while_condition_reads_a_loop_variable_held_off_the_driver(
+            self, ctx):
+        # The body is pinned to sparklite, so the loop variable is an RDD:
+        # each check converts it to a driver collection through the graph.
+        data = ctx.load_collection([1]).cache()
+        seed = ctx.load_collection([0])
+        seen = []
+        out = seed.do_while(
+            lambda values: (seen.append(values), values[0] < 4)[1],
+            lambda s, inv: s.map(lambda v: v + 1)
+                            .with_target_platform("sparklite"),
+            invariants=[data], max_iterations=100)
+        assert out.collect() == [4]
+        assert seen == [[1], [2], [3], [4]]
+
     def test_do_while_respects_max_iterations(self, ctx):
         data = ctx.load_collection([1]).cache()
         seed = ctx.load_collection([0])
