@@ -202,7 +202,7 @@ class RheemContext:
         cancellation — see :class:`~repro.core.executor.JobCancelled`).
         """
         return Executor(self.cluster, self.graph, pgres=self.pgres,
-                        config=self.config,
+                        seed=int(self.config["seed"]),
                         tracer=tracer if tracer is not None else self.tracer,
                         metrics=self.metrics, cancel_check=cancel_check,
                         result_store=self.result_store)

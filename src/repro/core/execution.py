@@ -41,7 +41,8 @@ class ExecutionContext:
     meter: CostMeter = field(default_factory=CostMeter)
     pgres: Any = None
     monitor: "Monitor | None" = None
-    config: dict[str, Any] = field(default_factory=dict)
+    #: The job's random seed (the context's ``seed`` config key).
+    seed: int = 42
     #: Loop-iteration index of the stage being executed (0 outside loops).
     #: Operators that need per-iteration variation (e.g. sampling) derive it
     #: from here instead of mutating instance state, so crash-retried

@@ -24,10 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from ..simulation.clock import CostMeter, CriticalPathTracker
+from ..simulation.clock import CostMeter, CriticalPathTracker, StageTiming
 from ..simulation.cluster import VirtualCluster
 from ..trace import NO_TRACER, MetricsRegistry
-from ..trace.spans import Span
 from .batch import records_of
 from .cardinality import CardinalityEstimate
 from .channels import Channel, ChannelConversionGraph, ConversionPath
@@ -115,65 +114,6 @@ class ExecutionResult:
         return self.outputs[0]
 
 
-class _StageRecorder:
-    """Buffers critical-path records until the owning stage commits.
-
-    A stage's wasted retry attempts and its loop-body stages must appear
-    on the simulated critical path — but only if the stage commits.  The
-    recorder resolves dependency end times from its own buffered records
-    first, then from the already committed tracker, so the timings it
-    hands back during compute are numerically identical to what
-    :meth:`replay` later inserts for real.
-    """
-
-    __slots__ = ("_base", "_local", "_records")
-
-    def __init__(self, base: CriticalPathTracker) -> None:
-        self._base = base
-        self._local: dict[str, float] = {}
-        self._records: list[tuple[str, list[str], CostMeter]] = []
-
-    def record(self, stage_id: str, dependencies: list[str],
-               meter: CostMeter):
-        from ..simulation.clock import StageTiming
-
-        start = self._base.origin
-        for dep in dependencies:
-            end = self._local.get(dep)
-            if end is None:
-                end = self._base.end_of(dep)
-            if end is not None:
-                start = max(start, end)
-        timing = StageTiming(stage_id, start, meter.total, meter)
-        self._local[stage_id] = timing.end
-        self._records.append((stage_id, list(dependencies), meter))
-        return timing
-
-    def replay(self, tracker: CriticalPathTracker) -> None:
-        """Insert the buffered records for real."""
-        for stage_id, dependencies, meter in self._records:
-            tracker.record(stage_id, dependencies, meter)
-
-
-@dataclass
-class _StageOutcome:
-    """Everything one stage's surviving attempt buffered for commit."""
-
-    label: str
-    platform: str
-    span: Span
-    env: dict[int, Channel]
-    cache: dict[tuple, Channel]
-    completed: set[int]
-    scratch: Monitor
-    pending_sniffs: list[tuple[list[Sniffer], Any, Channel]]
-    observations: list[OperatorObservation]
-    memory_demands: list[tuple[str, float]]
-    final_deps: list[str]
-    meter: CostMeter
-    attempts: int
-
-
 class Executor:
     """Runs execution plans on the registered platforms."""
 
@@ -182,7 +122,7 @@ class Executor:
         cluster: VirtualCluster,
         conversion_graph: ChannelConversionGraph,
         pgres: Any = None,
-        config: dict[str, Any] | None = None,
+        seed: int = 42,
         tracer=None,
         metrics: MetricsRegistry | None = None,
         cancel_check: Callable[[], None] | None = None,
@@ -191,7 +131,7 @@ class Executor:
         self.cluster = cluster
         self.graph = conversion_graph
         self.pgres = pgres
-        self.config = dict(config or {})
+        self.seed = seed
         #: Cross-job intermediate-result store; committed stage outputs
         #: are offered to it when ``execute(publish_results=True)``.
         self.result_store = result_store
@@ -260,19 +200,12 @@ class Executor:
 
         with self.tracer.span("executor.run", stages=len(stages)) as run_span:
             for index, stage in enumerate(stages):
-                recorder = _StageRecorder(tracker)
-                stage_started = set(started)
-                outcome = self._compute_stage(
+                timing = self._run_stage(
                     stage, stage.id, sorted(stage.dependencies), env,
-                    conversion_cache, sniffer_map=sniffer_map,
-                    crossing=crossing, recorder=recorder,
-                    stage_started=stage_started,
-                    injector=fault_injector, max_retries=max_retries)
-                recorder.replay(tracker)
-                timing = self._apply_outcome(outcome, env, conversion_cache,
-                                             monitor, completed_logical,
-                                             tracker)
-                started.update(stage_started)
+                    conversion_cache, monitor, completed_logical, tracker,
+                    sniffer_map=sniffer_map, crossing=crossing,
+                    started=started, injector=fault_injector,
+                    max_retries=max_retries)
                 # Publication happens only here, at a top-level commit —
                 # loop-body stages commit into their parent's scratch
                 # state and never publish; crashed attempts were discarded
@@ -280,7 +213,7 @@ class Executor:
                 # simulated critical-path end: the cumulative cost of
                 # (re)computing the published data.
                 for task_id, key in offers.get(stage.id, ()):
-                    channel = outcome.env.get(task_id)
+                    channel = env.get(task_id)
                     if (channel is not None
                             and channel.actual_count is not None):
                         self.result_store.offer(key, channel,
@@ -368,17 +301,18 @@ class Executor:
         return crossing
 
     # -------------------------------------------------------------- stages
-    def _compute_stage(self, stage, label, deps, env, cache, *,
-                       sniffer_map, crossing, recorder, stage_started,
-                       injector, max_retries, epoch=0) -> _StageOutcome:
-        """Run one stage's attempts against buffered scratch state.
+    def _run_stage(self, stage, label, deps, env, cache, monitor, completed,
+                   tracker, *, sniffer_map, crossing, started, injector,
+                   max_retries, epoch=0) -> StageTiming:
+        """Run one stage's attempts against scratch state, then commit.
 
         Retries on injected platform failures up to ``max_retries``;
-        wasted attempts are buffered on ``recorder`` (the cluster paid
-        for them) and the successful attempt chains after the last
-        failure.  ``env`` and ``cache`` are only read — the returned
-        outcome is applied by :meth:`_apply_outcome` when the stage
-        commits, so a crashed attempt leaves nothing behind.
+        wasted attempts are recorded on ``tracker`` (the cluster paid for
+        them) and the surviving attempt chains after the last failure.
+        Only the surviving attempt's state is committed into ``env``,
+        ``cache``, ``monitor`` and ``completed`` — the job's for a
+        top-level stage, the enclosing attempt's scratch state for a
+        loop-body stage — so a crashed attempt leaves only its cost.
         """
         from .faults import PlatformFailure
 
@@ -388,7 +322,7 @@ class Executor:
             # keeps every committed stage and abandons nothing half-done.
             self.cancel_check()
         attempt = 0
-        previous_attempt_id = None
+        attempt_deps = deps
         with self.tracer.span(f"stage:{label}",
                               platform=stage.platform) as stage_span:
             while True:
@@ -404,18 +338,18 @@ class Executor:
                 # and monitor are thrown away with it.
                 ctx = ExecutionContext(cluster=self.cluster, meter=meter,
                                        pgres=self.pgres, monitor=scratch,
-                                       config=dict(self.config), epoch=epoch)
+                                       seed=self.seed, epoch=epoch)
                 with self.tracer.span(f"attempt{attempt}") as attempt_span:
-                    self._charge_stage_overheads(stage, meter, stage_started)
+                    self._charge_stage_overheads(stage, meter, started)
                     for task in stage.tasks:
                         self._execute_task(
                             task, attempt_env, ctx, attempt_cache,
                             sniffer_map, parent_stage=stage,
                             observations=observations,
                             pending_sniffs=pending_sniffs,
-                            completed=attempt_completed,
-                            recorder=recorder, stage_started=stage_started,
-                            injector=injector, max_retries=max_retries)
+                            completed=attempt_completed, tracker=tracker,
+                            started=started, injector=injector,
+                            max_retries=max_retries)
                         if task.logical_id is not None:
                             attempt_completed.add(task.logical_id)
                         # Within-stage outputs are pipelined; only data
@@ -428,61 +362,42 @@ class Executor:
                                 and task.platform in self.cluster.profiles):
                             memory_demands.append(
                                 (task.platform, out.sim_mb))
-                    attempt_deps = (list(deps) if previous_attempt_id is None
-                                    else [previous_attempt_id])
                     failed = (injector is not None
                               and injector.should_fail(label, attempt))
                     attempt_span.set("failed", failed)
                     attempt_span.set("sim_seconds", meter.total)
                 self.metrics.counter("executor.attempts").inc()
-                if failed:
-                    if attempt >= max_retries:
-                        raise PlatformFailure(label, attempt)
-                    # Discard the attempt's buffered state; only the
-                    # critical-path charge survives.
-                    self.metrics.counter("executor.retries_wasted").inc()
-                    previous_attempt_id = f"{label}.attempt{attempt}"
-                    recorder.record(previous_attempt_id, attempt_deps, meter)
-                    attempt += 1
-                    continue
-                return _StageOutcome(
-                    label=label, platform=stage.platform, span=stage_span,
-                    env=attempt_env, cache=attempt_cache,
-                    completed=attempt_completed, scratch=scratch,
-                    pending_sniffs=pending_sniffs,
-                    observations=observations,
-                    memory_demands=memory_demands, final_deps=attempt_deps,
-                    meter=meter, attempts=attempt + 1)
-
-    def _apply_outcome(self, outcome: _StageOutcome, env, cache, monitor,
-                       completed, record_via):
-        """Commit one stage's buffered outcome.
-
-        ``record_via`` is the job's tracker for top-level stages (the
-        caller has already replayed the stage's buffered recorder) and
-        the parent stage's recorder for loop-body stages (which commit
-        into their parent's scratch state).
-        """
-        for platform, needed_mb in outcome.memory_demands:
+                if not failed:
+                    break
+                if attempt >= max_retries:
+                    raise PlatformFailure(label, attempt)
+                # Discard the attempt's scratch state; only the
+                # critical-path charge survives.
+                self.metrics.counter("executor.retries_wasted").inc()
+                wasted = f"{label}.attempt{attempt}"
+                tracker.record(wasted, attempt_deps, meter)
+                attempt_deps = [wasted]
+                attempt += 1
+        # Commit the surviving attempt.
+        for platform, needed_mb in memory_demands:
             self.cluster.check_memory(platform, needed_mb)
-        env.update(outcome.env)
-        cache.update(outcome.cache)
-        completed |= outcome.completed
-        monitor.absorb(outcome.scratch)
-        for sniffers, op, out in outcome.pending_sniffs:
-            self._sniff(sniffers, op, out, outcome.meter)
-        timing = record_via.record(outcome.label, outcome.final_deps,
-                                   outcome.meter)
-        outcome.span.set("attempts", outcome.attempts)
-        outcome.span.set("sim_seconds", outcome.meter.total)
+        env.update(attempt_env)
+        cache.update(attempt_cache)
+        completed |= attempt_completed
+        monitor.absorb(scratch)
+        for sniffers, op, out in pending_sniffs:
+            self._sniff(sniffers, op, out, meter)
+        timing = tracker.record(label, attempt_deps, meter)
+        stage_span.set("attempts", attempt + 1)
+        stage_span.set("sim_seconds", meter.total)
         self.metrics.counter("executor.stages").inc()
-        monitor.record_stage(timing, outcome.platform, outcome.observations)
+        monitor.record_stage(timing, stage.platform, observations)
         return timing
 
     # --------------------------------------------------------------- tasks
     def _execute_task(self, task, env, ctx, cache, sniffer_map,
                       parent_stage, *, observations, pending_sniffs,
-                      completed, recorder, stage_started,
+                      completed, tracker, started,
                       injector=None, max_retries=0) -> None:
         op = task.operator
         if isinstance(op, LoopBodySource):
@@ -497,9 +412,8 @@ class Executor:
                       for ti in task.broadcast_inputs]
         if isinstance(op, LoopImplementation):
             out = self._run_loop(op, inputs, ctx, parent_stage,
-                                 recorder=recorder, sniffer_map=sniffer_map,
-                                 completed=completed,
-                                 stage_started=stage_started,
+                                 tracker=tracker, sniffer_map=sniffer_map,
+                                 completed=completed, started=started,
                                  injector=injector, max_retries=max_retries)
         else:
             out = op.execute(inputs, broadcasts, ctx)
@@ -554,16 +468,15 @@ class Executor:
         return current
 
     def _charge_stage_overheads(self, stage: ExecutionStage, meter: CostMeter,
-                                stage_started: set[str]) -> None:
+                                started: set[str]) -> None:
         if stage.platform == DRIVER_PLATFORM:
             return
-        # ``stage_started`` — the platforms the job had started when the
-        # enclosing top-level stage began, plus that stage's own — doubles
+        # ``started`` — the platforms the job has started so far — doubles
         # as the "platforms actually started" report
         # (ExecutionResult.platforms) and the dedup for the startup charge
         # across stages, retries and loop iterations.
-        first_use = stage.platform not in stage_started
-        stage_started.add(stage.platform)
+        first_use = stage.platform not in started
+        started.add(stage.platform)
         if stage.platform not in self.cluster.profiles:
             return
         profile = self.cluster.profile(stage.platform)
@@ -580,8 +493,8 @@ class Executor:
 
     # --------------------------------------------------------------- loops
     def _run_loop(self, impl: LoopImplementation, inputs: list[Channel],
-                  ctx, parent_stage, *, recorder, sniffer_map, completed,
-                  stage_started, injector=None, max_retries=0) -> Channel:
+                  ctx, parent_stage, *, tracker, sniffer_map, completed,
+                  started, injector=None, max_retries=0) -> Channel:
         loop = impl.logical
         channels = list(inputs)
         body_stages = impl.body_plan.build_stages()
@@ -607,17 +520,15 @@ class Executor:
                 deps.extend([last_tail] if last_tail is not None
                             else initial_deps)
                 # Body stages run inside the parent's attempt and commit
-                # into the parent's scratch state: its recorder, scratch
-                # monitor and completed buffer — so a crashed parent
-                # attempt discards them too.
-                outcome = self._compute_stage(
+                # into its scratch monitor and completed buffer, which a
+                # crashed parent attempt discards; their critical-path
+                # records stay, as the cluster paid for them.
+                self._run_stage(
                     stage, f"{prefix}.{stage.id}", deps, env, cache,
+                    ctx.monitor, completed, tracker,
                     sniffer_map=sniffer_map, crossing=body_crossing,
-                    recorder=recorder, stage_started=stage_started,
-                    injector=injector, max_retries=max_retries,
-                    epoch=iteration)
-                self._apply_outcome(outcome, env, cache, ctx.monitor,
-                                    completed, recorder)
+                    started=started, injector=injector,
+                    max_retries=max_retries, epoch=iteration)
             if body_stages:
                 last_tail = f"{prefix}.{body_stages[-1].id}"
             loop_var = env[impl.body_plan.sink_tasks[0].id]

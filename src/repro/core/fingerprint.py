@@ -220,19 +220,6 @@ def plan_fingerprint(plan: "RheemPlan") -> str | None:
     return PlanFingerprints(plan).digest
 
 
-def fingerprint_report(
-        plan: "RheemPlan") -> "tuple[str | None, Operator | None]":
-    """:func:`plan_fingerprint` plus blame: ``(digest, unstable operator)``.
-
-    Exactly one of the pair is ``None``: a stable plan returns
-    ``(digest, None)``, an uncacheable one ``(None, op)`` with the first
-    top-level operator (topological order) that could not be tokenized
-    reproducibly; lint rule RP014 names the attribute.
-    """
-    fps = PlanFingerprints(plan)
-    return fps.digest, fps.unstable_op
-
-
 def subplan_fingerprints(plan: "RheemPlan") -> dict[int, str]:
     """Merkle digest of the *computation rooted at each operator*.
 

@@ -225,7 +225,7 @@ def _sample_seed(ctx: "ExecutionContext", logical: Operator) -> str:
     same iteration draws the identical sample, while successive loop
     iterations still get fresh draws.
     """
-    return (f"{ctx.config.get('seed', 42)}|{logical.seed}"
+    return (f"{ctx.seed}|{logical.seed}"
             f"|{logical.name}|{ctx.epoch}")
 
 

@@ -110,12 +110,6 @@ class CriticalPathTracker:
         self._timings[stage_id] = timing
         return timing
 
-    def extend_stage(self, stage_id: str, seconds: float, label: str) -> None:
-        """Append extra simulated time to an already recorded stage."""
-        timing = self._timings[stage_id]
-        timing.meter.charge(seconds, label)
-        timing.duration += seconds
-
     def end_of(self, stage_id: str) -> float | None:
         """End time of a recorded stage, or ``None`` if unknown."""
         timing = self._timings.get(stage_id)

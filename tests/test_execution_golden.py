@@ -12,6 +12,10 @@ The ``progressive`` and ``paused_resumed`` rows were re-recorded when a
 resume became a result-reuse restart: its placeholder reads
 ``cached_result`` and its stages start at the paused makespan, which the
 earlier rows left out of ``runtime``.
+The ``loop_consumer`` row was recorded from the commit before the stage
+commit stopped buffering critical-path records; it pins a known defect
+(a loop's driver stage is recorded next to its body, not after it) so
+that its fix re-records the row on purpose.
 CI runs this module under two ``PYTHONHASHSEED`` values.
 """
 
@@ -123,6 +127,22 @@ def _faulty_seeded() -> dict:
                 fault_injector=FaultInjector(probability=0.25, seed=5))
 
 
+def _loop_consumer() -> dict:
+    # Pins a known defect, not a wanted behaviour: a loop's driver stage
+    # ("stage3") is recorded next to its body, not after it, so the map
+    # consuming the loop's output starts before the body's last stage
+    # ends; and when the driver stage crashes once the whole loop runs
+    # again, yet the makespan equals the clean run's — the re-run body
+    # records overwrite the first run's under the same ids.
+    def build(ctx):
+        return _do_while(ctx).map(lambda v: v * 2)
+
+    return {"clean": _run(build),
+            "driver_crash": _run(build, max_stage_retries=1,
+                                 fault_injector=FaultInjector(
+                                     failures={"stage3": 1}))}
+
+
 def _sniffed() -> dict:
     ctx = RheemContext()
     ctx.vfs.write("hdfs://golden/sniff.txt", ["a b b"] * 30,
@@ -201,6 +221,7 @@ SCENARIOS = {
     "sniffed_loop": _sniffed_loop,
     "progressive": _progressive,
     "paused_resumed": _paused_resumed,
+    "loop_consumer": _loop_consumer,
 }
 
 

@@ -99,7 +99,7 @@ class TestUnionRecordWidth:
 
         ctx = RheemContext()
         exec_ctx = ExecutionContext(cluster=ctx.cluster, pgres=ctx.pgres,
-                                    config=ctx.config)
+                                    seed=ctx.config["seed"])
         wide = Channel(PY_COLLECTION, [0] * 10, 1.0, 100.0, 10)
         narrow = Channel(PY_COLLECTION, [0] * 30, 1.0, 20.0, 30)
         out = PyUnion(ops.Union()).execute([wide, narrow], [], exec_ctx)
@@ -115,7 +115,7 @@ class TestUnionRecordWidth:
 
         ctx = RheemContext()
         exec_ctx = ExecutionContext(cluster=ctx.cluster, pgres=ctx.pgres,
-                                    config=ctx.config)
+                                    seed=ctx.config["seed"])
         wide = Channel(PY_COLLECTION, RecordBatch.from_records([0] * 10),
                        1.0, 100.0, 10)
         narrow = Channel(PY_COLLECTION, RecordBatch.from_records([0] * 30),

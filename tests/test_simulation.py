@@ -82,14 +82,6 @@ class TestCriticalPathTracker:
             tracker.record(sid, deps, meter)
         assert tracker.makespan == 7.0
 
-    def test_extend_stage_shifts_duration(self):
-        tracker = CriticalPathTracker()
-        meter = CostMeter()
-        meter.charge(1.0, "a")
-        tracker.record("s1", [], meter)
-        tracker.extend_stage("s1", 2.0, "extra")
-        assert tracker.makespan == 3.0
-
     def test_empty_tracker_has_zero_makespan(self):
         assert CriticalPathTracker().makespan == 0.0
 
