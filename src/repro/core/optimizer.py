@@ -343,7 +343,8 @@ class Optimizer:
         #: Per-phase counters of the last :meth:`pick_best` run.
         self.stats: dict[str, int] = dict.fromkeys(
             ("plans_enumerated", "plans_pruned", "conversion_paths_solved",
-             "conversion_paths_distinct", "plans_beam_dropped"), 0)
+             "conversion_paths_distinct", "plans_beam_dropped",
+             "plans_dominated"), 0)
         self._fingerprints: PlanFingerprints | None = None
 
     # ----------------------------------------------------------- public API
@@ -789,15 +790,36 @@ class Optimizer:
         # started platforms -> option platforms -> (start-ups, union)
         touch: dict[frozenset[str], dict[
             frozenset[str], tuple[tuple[float, ...], frozenset[str]]]] = {}
-        enumerated = pruned = wirings = 0
+        # Loop decisions: input channel names -> (undominated, skipped,
+        # skipped wirings); see :meth:`_undominated`.
+        live: dict[tuple, tuple[list[_Prepared], int, int]] | None = (
+            {} if prune and prepared and all(
+                isinstance(p.option, LoopDecision) for p in prepared)
+            else None)
+        enumerated = pruned = wirings = dominated = 0
         for partial in frontier:
             base, open_channels = partial.cost, partial.open_channels
             touched = touch.setdefault(partial.platforms, {})
             haves = [(slot, producer, open_channels.get(producer))
                      for slot, producer in edges]
             outs: dict[str, tuple[dict[int, ChannelDescriptor], tuple]] = {}
+            options = prepared
+            if live is not None:
+                names = tuple(None if have is None else have.name
+                              for __, __, have in haves)
+                entry = live.get(names)
+                if entry is None:
+                    entry = live[names] = self._undominated(
+                        prepared, haves, paths, cards, bprs)
+                options, skipped, skipped_wirings = entry
+                # Each skipped candidate would have been enumerated, wired
+                # and then pruned by the incumbent its dominator left.
+                enumerated += skipped
+                pruned += skipped
+                dominated += skipped
+                wirings += skipped_wirings
             for (option, wants, out_desc, option_platforms, platform,
-                 cost_lower, cost_upper, confidence, overhead) in prepared:
+                 cost_lower, cost_upper, confidence, overhead) in options:
                 lower, upper = base.lower, base.upper
                 conv_delta = []
                 # Stage dispatch: a new stage starts when no data input
@@ -883,7 +905,79 @@ class Optimizer:
         self.stats["plans_enumerated"] += enumerated
         self.stats["plans_pruned"] += pruned
         self.stats["conversion_paths_solved"] += wirings
+        self.stats["plans_dominated"] += dominated
         return list(best.values()) if prune else unpruned
+
+    def _undominated(self, prepared: list[_Prepared], haves: list,
+                     paths: PathTable,
+                     cards: dict[int, CardinalityEstimate],
+                     bprs: dict[int, float]
+                     ) -> tuple[list[_Prepared], int, int]:
+        """The loop decisions that can still win from inputs ``haves``.
+
+        Options of one (output channel, platform set) group give one
+        signature from one partial plan.  An option's cost terms are its
+        conversion cost per input slot (0.0 where no conversion is needed),
+        then its own ``lower`` and ``upper``; a loop opens no stage, so no
+        dispatch overhead applies.  :meth:`_extend` adds each term to the
+        partial's interval in this order, and float addition, product and
+        square root are monotone, so an option ≥ an *earlier* option of its
+        group on every term has a geometric mean ≥ the earlier one's and
+        loses to it (or to what beat it) under first-seen-wins.  A later
+        option never drops an earlier one: after rounding it may only tie,
+        and a tie keeps the earlier.  The dominator's own ``lower`` must be
+        positive — at a zero lower bound the geometric mean jumps to the
+        midpoint of the interval, which is not monotone.
+
+        Returns the survivors in their order, how many options were
+        dropped, and the conversions those would have wired.  An option
+        with an unreachable input neither dominates nor is dropped, and a
+        producer outside the enumeration's scope keeps every option.
+        """
+        if any(have is None for __, __, have in haves):
+            return prepared, 0, 0
+        dominators: dict[tuple, list[list[float]]] = {}
+        survivors: list[_Prepared] = []
+        skipped = skipped_wirings = 0
+        for prep in prepared:
+            terms: list[float] = []
+            needed = 0
+            for (slot, producer, have), want in zip(haves, prep.wants):
+                if have.name == want.name:
+                    terms.append(0.0)
+                    continue
+                try:
+                    path = paths[have.name, want.name, producer]
+                except KeyError:
+                    path = self._path(paths, have, want, producer, cards,
+                                      bprs)
+                if path is None:
+                    break
+                terms.append(path.cost)
+                needed += 1
+            else:
+                terms += (prep.lower, prep.upper)
+                group = dominators.setdefault(
+                    (prep.out_desc.name, prep.platforms), [])
+                if self._beaten(terms, group):
+                    skipped += 1
+                    skipped_wirings += needed
+                    continue
+                if prep.lower > 0:
+                    group.append(terms)
+            survivors.append(prep)
+        return survivors, skipped, skipped_wirings
+
+    @staticmethod
+    def _beaten(terms: list[float], dominators: list[list[float]]) -> bool:
+        """Whether some vector in ``dominators`` is <= ``terms`` everywhere."""
+        for other in dominators:
+            for mine, theirs in zip(terms, other):
+                if not theirs <= mine:  # NaN never dominates
+                    break
+            else:
+                return True
+        return False
 
     def _prepare(self, op: Operator, option: Decision,
                  cards: dict[int, CardinalityEstimate],
