@@ -1,8 +1,7 @@
 """Benchmark-suite configuration.
 
 Each figure scenario is deterministic and already aggregates many runs
-internally, so pytest-benchmark executes it once (pedantic mode) and the
-paper-comparable simulated seconds ride along in ``extra_info``.
+internally, so every test calls its scenario once, directly.
 """
 
 import sys
@@ -11,8 +10,3 @@ from pathlib import Path
 # Make the sibling helper modules (harness, tasks) importable when pytest
 # is invoked from the repository root.
 sys.path.insert(0, str(Path(__file__).parent))
-
-
-def run_once(benchmark, fn):
-    """Run a scenario exactly once under pytest-benchmark."""
-    return benchmark.pedantic(fn, iterations=1, rounds=1)

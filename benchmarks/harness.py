@@ -4,8 +4,8 @@ Every benchmark module reproduces one table/figure of the paper: it runs
 the corresponding workload on the simulated cluster, prints the paper-style
 series (simulated seconds per system and sweep point) and asserts the
 *shape* the paper reports — who wins, rough factors, where crossovers and
-failures fall.  Wall-clock time of the whole scenario is measured by
-pytest-benchmark; the simulated seconds are attached as ``extra_info``.
+failures fall.  Each scenario runs once as a plain pytest test; wall time
+is perfbench's business, not this suite's.
 """
 
 from __future__ import annotations
@@ -76,15 +76,6 @@ def print_series(title: str, x_label: str,
         line = " | ".join(f"{str(cells.get(s, Cell(None))):>{width}}"
                           for s in systems)
         print(f"{str(x):>14} | {line}")
-
-
-def sim_extra_info(benchmark, rows: dict[str, dict[str, Cell]]) -> None:
-    """Attach the simulated measurements to the pytest-benchmark record."""
-    benchmark.extra_info["simulated_seconds"] = {
-        str(x): {s: (c.seconds if c.seconds is not None else c.note)
-                 for s, c in cells.items()}
-        for x, cells in rows.items()
-    }
 
 
 def fresh_context(**kwargs) -> RheemContext:

@@ -9,13 +9,12 @@ C. Cost learning: plans picked with a badly mis-calibrated cost model vs
 
 import pytest
 
-from conftest import run_once
-from harness import Cell, fresh_context, print_series, sim_extra_info
+from harness import Cell, fresh_context, print_series
 from tasks import build_crocopr, build_wordcount, wordcount_quanta
 
 
 class TestAblationPruning:
-    def test_pruning_is_lossless_and_effective(self, benchmark):
+    def test_pruning_is_lossless_and_effective(self):
         def scenario():
             ctx = fresh_context()
             from repro.workloads import write_abstracts
@@ -39,8 +38,7 @@ class TestAblationPruning:
             print_series("Ablation A: lossless pruning", "plan", rows)
             return rows
 
-        rows = run_once(benchmark, scenario)
-        sim_extra_info(benchmark, rows)
+        rows = scenario()
         cells = rows["WordCount+sort+distinct"]
         assert cells["pruned cost"].seconds == pytest.approx(
             cells["exhaustive cost"].seconds)
@@ -49,7 +47,7 @@ class TestAblationPruning:
 
 
 class TestAblationChannelGraph:
-    def test_new_platform_needs_constant_conversions(self, benchmark):
+    def test_new_platform_needs_constant_conversions(self):
         """The paper's O(n) vs O(n*m) extensibility argument, measured."""
 
         def scenario():
@@ -93,15 +91,14 @@ class TestAblationChannelGraph:
                          rows)
             return rows, len(data_channels)
 
-        (rows, n) = run_once(benchmark, scenario)
-        sim_extra_info(benchmark, rows)
+        (rows, n) = scenario()
         cells = rows["new arraydb platform"]
         assert cells["channels reachable"].seconds == 2 * n
         assert cells["conversions written"].seconds == 2
 
 
 class TestAblationCostLearner:
-    def test_learned_model_beats_a_miscalibrated_one(self, benchmark):
+    def test_learned_model_beats_a_miscalibrated_one(self):
         """Plan quality: runtimes of the plans chosen under (i) a cost model
         whose pystreams costs are wrong by 100x, (ii) the same model after
         re-fitting from generated execution logs."""
@@ -139,8 +136,7 @@ class TestAblationCostLearner:
             print_series("Ablation C: cost model learning", "task", rows)
             return rows
 
-        rows = run_once(benchmark, scenario)
-        sim_extra_info(benchmark, rows)
+        rows = scenario()
         cells = rows["WordCount 25%"]
         assert cells["learned model"].seconds < \
             cells["mis-calibrated model"].seconds / 2

@@ -8,16 +8,14 @@
 3. Runtime vs money: the same task optimized for each objective.
 """
 
-from conftest import run_once
-from harness import Cell, fresh_context, print_series, run_forced, \
-    sim_extra_info
+from harness import Cell, fresh_context, print_series, run_forced
 from repro.core import FaultInjector, monetary, price_of
 from repro.workloads import write_abstracts
 from tasks import build_crocopr, build_wordcount
 
 
 class TestGraphPlatformSpectrum:
-    def test_graphchi_fills_the_memory_gap(self, benchmark):
+    def test_graphchi_fills_the_memory_gap(self):
         def scenario():
             rows = {}
             for pct in (1, 25, 100):
@@ -37,8 +35,7 @@ class TestGraphPlatformSpectrum:
                          "dataset %", rows)
             return rows
 
-        rows = run_once(benchmark, scenario)
-        sim_extra_info(benchmark, rows)
+        rows = scenario()
         # JGraph dies at 100%; the out-of-core platform survives on ONE
         # machine, slower than the 10-node cluster but alive.
         assert rows[100]["JGraph*"].note == "OOM"
@@ -46,7 +43,7 @@ class TestGraphPlatformSpectrum:
 
 
 class TestFaultToleranceOverhead:
-    def test_overhead_grows_with_failure_rate(self, benchmark):
+    def test_overhead_grows_with_failure_rate(self):
         def scenario():
             rows = {}
             baseline = build_wordcount(25).execute()
@@ -65,14 +62,13 @@ class TestFaultToleranceOverhead:
                          "failure rate", rows)
             return rows
 
-        rows = run_once(benchmark, scenario)
-        sim_extra_info(benchmark, rows)
+        rows = scenario()
         assert rows["p=0.4"]["runtime"].seconds >= \
             rows["p=0.0"]["runtime"].seconds
 
 
 class TestRuntimeVsMoney:
-    def test_objectives_trace_a_tradeoff(self, benchmark):
+    def test_objectives_trace_a_tradeoff(self):
         def scenario():
             rows = {}
             for pct in (5, 50):
@@ -96,8 +92,7 @@ class TestRuntimeVsMoney:
                          "input", rows)
             return rows
 
-        rows = run_once(benchmark, scenario)
-        sim_extra_info(benchmark, rows)
+        rows = scenario()
         for cells in rows.values():
             assert cells["money-opt ($)"].seconds <= \
                 cells["runtime-opt ($)"].seconds + 1e-9

@@ -1,8 +1,7 @@
 """Figure 10: (a) the hidden-opportunity Join, (b) progressive
 optimization, (c) exploratory-mode (data exploration) overhead."""
 
-from conftest import run_once
-from harness import Cell, fresh_context, print_series, sim_extra_info
+from harness import Cell, fresh_context, print_series
 from repro.core.executor import Sniffer
 from repro.core.udf import Udf
 from repro.workloads import TpchLite
@@ -25,7 +24,7 @@ def _join_task(ctx, sf):
 
 
 class TestFig10aJoin:
-    def test_join_vs_pure_postgres(self, benchmark):
+    def test_join_vs_pure_postgres(self):
         def scenario():
             rows = {}
             for sf in (1, 10):
@@ -42,8 +41,7 @@ class TestFig10aJoin:
                          "scale factor", rows)
             return rows
 
-        rows = run_once(benchmark, scenario)
-        sim_extra_info(benchmark, rows)
+        rows = scenario()
         # The hidden opportunity: even though the data lives in Postgres,
         # shipping the (projected) tuples to a parallel engine wins.
         assert rows["sf10"]["Rheem"].seconds < \
@@ -71,7 +69,7 @@ def _po_plan(ctx, hint):
 
 
 class TestFig10bProgressive:
-    def test_progressive_reoptimization(self, benchmark):
+    def test_progressive_reoptimization(self):
         def scenario():
             ctx_off = fresh_context()
             off = ctx_off.execute(_po_plan(ctx_off, hint=0.0001))
@@ -89,8 +87,7 @@ class TestFig10bProgressive:
             assert sorted(off.output) == sorted(report.result.output)
             return rows, report.replans
 
-        (rows, replans) = run_once(benchmark, scenario)
-        sim_extra_info(benchmark, rows)
+        (rows, replans) = scenario()
         cells = rows["misestimated filter"]
         assert replans >= 1
         # Paper: ~4x; anything >= 2x demonstrates the mechanism.
@@ -98,7 +95,7 @@ class TestFig10bProgressive:
 
 
 class TestFig10cExploration:
-    def test_sniffer_overhead(self, benchmark):
+    def test_sniffer_overhead(self):
         def scenario():
             plain = build_wordcount(50).execute()
             dq = build_wordcount(50)
@@ -116,8 +113,7 @@ class TestFig10cExploration:
             assert seen, "the sniffer callback must observe data"
             return rows
 
-        rows = run_once(benchmark, scenario)
-        sim_extra_info(benchmark, rows)
+        rows = scenario()
         cells = rows["WordCount 50%"]
         overhead = cells["DE on"].seconds / cells["DE off"].seconds - 1.0
         # Paper: ~36% overhead; assert it is in a sane low band.

@@ -6,14 +6,13 @@ because the post-preparation PageRank runs in-process while Musketeer
 recompiles and re-materializes per iteration.
 """
 
-from conftest import run_once
-from harness import Cell, print_series, run_forced, sim_extra_info
+from harness import Cell, print_series, run_forced
 from repro.baselines import MusketeerRunner
 from tasks import build_crocopr, crocopr_edge_lines
 
 
 class TestFig11:
-    def test_dataset_size_sweep(self, benchmark):
+    def test_dataset_size_sweep(self):
         def scenario():
             runner = MusketeerRunner()
             rows = {}
@@ -30,12 +29,11 @@ class TestFig11:
                          "dataset %", rows)
             return rows
 
-        rows = run_once(benchmark, scenario)
-        sim_extra_info(benchmark, rows)
+        rows = scenario()
         for cells in rows.values():
             assert cells["Rheem"].seconds * 5 < cells["Musketeer*"].seconds
 
-    def test_iteration_sweep(self, benchmark):
+    def test_iteration_sweep(self):
         def scenario():
             runner = MusketeerRunner()
             rows = {}
@@ -52,8 +50,7 @@ class TestFig11:
                          rows)
             return rows
 
-        rows = run_once(benchmark, scenario)
-        sim_extra_info(benchmark, rows)
+        rows = scenario()
         # Order-of-magnitude gap that WIDENS with iterations (paper: up to
         # ~85x at 100 iterations).
         gap_100 = (rows[100]["Musketeer*"].seconds

@@ -8,8 +8,7 @@
 
 import math
 
-from conftest import run_once
-from harness import Cell, fresh_context, print_series, sim_extra_info
+from harness import Cell, fresh_context, print_series
 from repro.apps import (
     BigDansing,
     ML4all,
@@ -44,7 +43,7 @@ class TestFig2aCleaning:
         records = [parse_tax(l) for l in ctx.vfs.read("hdfs://tax").records]
         return ctx, data, records
 
-    def test_cleaning_vs_baselines(self, benchmark):
+    def test_cleaning_vs_baselines(self):
         def scenario():
             rows = {}
             from repro.simulation.cluster import SimulatedOutOfMemory
@@ -72,8 +71,7 @@ class TestFig2aCleaning:
                          "rows", rows)
             return rows
 
-        rows = run_once(benchmark, scenario)
-        sim_extra_info(benchmark, rows)
+        rows = scenario()
         # >= 2 orders of magnitude vs both baselines at 100k.
         r = rows[100_000]
         assert r["NADEEF*"].seconds > 100 * r["DC@Rheem"].seconds
@@ -85,7 +83,7 @@ class TestFig2aCleaning:
 
 
 class TestFig2bSgdSystems:
-    def test_sgd_across_datasets(self, benchmark):
+    def test_sgd_across_datasets(self):
         def scenario():
             rows = {}
             for name in ("rcv1", "higgs", "svm"):
@@ -111,8 +109,7 @@ class TestFig2bSgdSystems:
             print_series("Fig 2(b) SGD across datasets", "dataset", rows)
             return rows
 
-        rows = run_once(benchmark, scenario)
-        sim_extra_info(benchmark, rows)
+        rows = scenario()
         for name in ("rcv1", "higgs"):
             r = rows[name]
             assert r["ML@Rheem"].seconds < r["MLlib*"].seconds
@@ -123,7 +120,7 @@ class TestFig2bSgdSystems:
 class TestFig2cMandatory:
     SIZES_MB = (200, 500, 1000)
 
-    def test_xdb_from_postgres_vs_ideal(self, benchmark):
+    def test_xdb_from_postgres_vs_ideal(self):
         def scenario():
             rows = {}
             for mb in self.SIZES_MB:
@@ -152,8 +149,7 @@ class TestFig2cMandatory:
                          "(cross-community PageRank)", "input size", rows)
             return rows
 
-        rows = run_once(benchmark, scenario)
-        sim_extra_info(benchmark, rows)
+        rows = scenario()
         for mb in self.SIZES_MB:
             r = rows[f"{mb}MB"]
             # Rheem stays close to the ideal despite having to migrate the
@@ -164,7 +160,7 @@ class TestFig2cMandatory:
 class TestFig2dPolystore:
     SCALE_FACTORS = (1, 10, 100)
 
-    def test_q5_across_three_stores(self, benchmark):
+    def test_q5_across_three_stores(self):
         def scenario():
             rows = {}
             for sf in self.SCALE_FACTORS:
@@ -182,8 +178,7 @@ class TestFig2dPolystore:
                          "scale factor", rows)
             return rows
 
-        rows = run_once(benchmark, scenario)
-        sim_extra_info(benchmark, rows)
+        rows = scenario()
         for sf in self.SCALE_FACTORS:
             r = rows[f"sf{sf}"]
             # Rheem beats loading the lake into Postgres by a wide margin...

@@ -6,13 +6,12 @@ gains a lot (loop body off the big-data platform), CrocoPR picks the
 "surprising" Flink+JGraph combination and stays flat as iterations grow.
 """
 
-from conftest import run_once
-from harness import Cell, print_series, run_forced, sim_extra_info
+from harness import Cell, print_series, run_forced
 from tasks import build_crocopr, build_sgd, build_wordcount
 
 
 class TestFig9d:
-    def test_wordcount_with_mixing(self, benchmark):
+    def test_wordcount_with_mixing(self):
         def scenario():
             rows = {}
             for pct in (50, 100, 200):
@@ -27,8 +26,7 @@ class TestFig9d:
                          rows)
             return rows
 
-        rows = run_once(benchmark, scenario)
-        sim_extra_info(benchmark, rows)
+        rows = scenario()
         for pct, cells in rows.items():
             best_single = min(cells["Spark*"].seconds,
                               cells["Flink*"].seconds)
@@ -38,7 +36,7 @@ class TestFig9d:
 
 
 class TestFig9e:
-    def test_sgd_batch_sweep(self, benchmark):
+    def test_sgd_batch_sweep(self):
         def scenario():
             rows = {}
             for batch in (1, 100, 1000, 10000):
@@ -55,8 +53,7 @@ class TestFig9e:
                          "batch size", rows)
             return rows
 
-        rows = run_once(benchmark, scenario)
-        sim_extra_info(benchmark, rows)
+        rows = scenario()
         # Small batches: the mixed plan crushes pure Spark (paper: ~20x at
         # 1000 iterations; here 100 iterations, so >=4x).
         assert rows[1]["Spark*"].seconds > 4 * rows[1]["Rheem"].seconds
@@ -67,7 +64,7 @@ class TestFig9e:
 
 
 class TestFig9f:
-    def test_crocopr_iteration_sweep(self, benchmark):
+    def test_crocopr_iteration_sweep(self):
         def scenario():
             rows = {}
             for iters in (10, 100, 1000):
@@ -82,8 +79,7 @@ class TestFig9f:
                          "iterations", rows)
             return rows
 
-        rows = run_once(benchmark, scenario)
-        sim_extra_info(benchmark, rows)
+        rows = scenario()
         # Rheem beats the fastest single platform at every iteration count.
         for iters, cells in rows.items():
             assert cells["Rheem"].seconds < cells["Giraph*"].seconds

@@ -7,8 +7,7 @@ large, and Rheem always picks (nearly) the best platform.
 
 import pytest
 
-from conftest import run_once
-from harness import Cell, print_series, run_forced, sim_extra_info
+from harness import Cell, print_series, run_forced
 from tasks import build_crocopr, build_sgd, build_wordcount
 
 #: Rheem's free choice may be this factor worse than the best forced run
@@ -36,7 +35,7 @@ def _assert_rheem_near_best(rows):
 
 
 class TestFig9a:
-    def test_wordcount_sweep(self, benchmark):
+    def test_wordcount_sweep(self):
         systems = {
             "JavaStreams*": {"pystreams"},
             "Spark*": {"sparklite"},
@@ -51,8 +50,7 @@ class TestFig9a:
                          "dataset %", rows)
             return rows
 
-        rows = run_once(benchmark, scenario)
-        sim_extra_info(benchmark, rows)
+        rows = scenario()
         _assert_rheem_near_best(rows)
         # Single-threaded JavaStreams degrades hard at full size...
         assert rows[100]["JavaStreams*"].seconds > \
@@ -63,7 +61,7 @@ class TestFig9a:
 
 
 class TestFig9b:
-    def test_sgd_sweep(self, benchmark):
+    def test_sgd_sweep(self):
         systems = {
             "JavaStreams*": {"pystreams"},
             "Spark*": {"sparklite"},
@@ -79,15 +77,14 @@ class TestFig9b:
                          "dataset %", rows)
             return rows
 
-        rows = run_once(benchmark, scenario)
-        sim_extra_info(benchmark, rows)
+        rows = scenario()
         _assert_rheem_near_best(rows)
         # Big-data platform overheads dominate on the small slices.
         assert rows[1]["JavaStreams*"].seconds < rows[1]["Spark*"].seconds
 
 
 class TestFig9c:
-    def test_crocopr_sweep(self, benchmark):
+    def test_crocopr_sweep(self):
         systems = {
             "JGraph*": {"pystreams", "jgraph"},
             "Giraph*": {"graphlite", "pystreams"},
@@ -112,8 +109,7 @@ class TestFig9c:
                          "dataset %", rows)
             return rows
 
-        rows = run_once(benchmark, scenario)
-        sim_extra_info(benchmark, rows)
+        rows = scenario()
         _assert_rheem_near_best(rows)
         # JGraph cannot process the large slices (paper: killed/OOM)...
         assert rows[100]["JGraph*"].note == "OOM"

@@ -1,11 +1,10 @@
 """Table 1: the benchmark tasks, their operator counts and datasets."""
 
-from conftest import run_once
 from harness import Cell, print_series
 from tasks import TABLE1, build_crocopr, build_sgd, build_wordcount
 
 
-def test_table1_task_inventory(benchmark):
+def test_table1_task_inventory():
     def scenario():
         plans = {
             "WordCount": build_wordcount(1).to_plan(),
@@ -25,5 +24,5 @@ def test_table1_task_inventory(benchmark):
             print(f"  {task}: {meta['dataset']}")
         return rows
 
-    rows = run_once(benchmark, scenario)
+    rows = scenario()
     assert set(rows) == {"WordCount", "SGD", "CrocoPR"}

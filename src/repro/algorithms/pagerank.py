@@ -1,8 +1,8 @@
-"""Reference PageRank over an edge list.
+"""The PageRank kernel: every platform's PageRank operator calls it.
 
-Shared by the graph engines (as ground truth for their superstep
-implementations) and by tests.  Dangling vertices redistribute their mass
-uniformly, matching networkx's convention.
+Platforms differ in what they charge, never in what they compute.
+Dangling vertices redistribute their mass uniformly, matching networkx's
+convention.
 """
 
 from __future__ import annotations
@@ -17,6 +17,11 @@ def pagerank_edges(
 ) -> dict[Hashable, float]:
     """PageRank by power iteration on a directed edge list.
 
+    Vertices are visited in sorted order (first-seen order when they do
+    not compare), so the float sums — and the ranks — depend only on the
+    multiset of edges: not on the hash seed, the partitioning or the
+    record order.
+
     Args:
         edges: ``(src, dst)`` pairs; repeated edges carry repeated weight.
         iterations: Number of power iterations (the paper's tasks fix this,
@@ -27,20 +32,22 @@ def pagerank_edges(
         Vertex -> rank, summing to ~1.0 over all vertices.
     """
     adjacency: dict[Hashable, list[Hashable]] = {}
-    vertices: set[Hashable] = set()
     for src, dst in edges:
         adjacency.setdefault(src, []).append(dst)
-        vertices.add(src)
-        vertices.add(dst)
+        adjacency.setdefault(dst, [])
+    try:
+        vertices = sorted(adjacency)
+    except TypeError:
+        vertices = list(adjacency)
     n = len(vertices)
     if n == 0:
         return {}
-    rank = {v: 1.0 / n for v in vertices}
+    rank = dict.fromkeys(vertices, 1.0 / n)
     for __ in range(iterations):
-        nxt = {v: 0.0 for v in vertices}
+        nxt = dict.fromkeys(vertices, 0.0)
         dangling_mass = 0.0
         for v, r in rank.items():
-            outs = adjacency.get(v)
+            outs = adjacency[v]
             if not outs:
                 dangling_mass += r
                 continue

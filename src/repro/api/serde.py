@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import ast
 import functools
+from numbers import Real
 from types import CodeType
 from typing import Any, Callable
 
@@ -173,9 +174,15 @@ def build_quanta(
                 selectivity=spec.get("selectivity"),
                 sim_mode=spec.get("sim_mode", "linear"))
         elif kind == "pagerank":
-            dq = dataset(_field(spec, "input")).pagerank(
-                iterations=spec.get("iterations", 10),
-                damping=spec.get("damping", 0.85))
+            edges = dataset(_field(spec, "input"))
+            iterations = typed(spec.get("iterations", 10), int,
+                               f"operator {name!r} field 'iterations'")
+            damping = typed(spec.get("damping", 0.85), Real,
+                            f"operator {name!r} field 'damping'")
+            try:
+                dq = edges.pagerank(iterations=iterations, damping=damping)
+            except ValueError as exc:  # a bool, or out of range
+                raise PlanDocumentError(f"operator {name!r}: {exc}") from None
         else:
             raise PlanDocumentError(f"unknown operator kind {kind!r}")
         if spec.get("platform"):

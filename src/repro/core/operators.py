@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Any, Callable, Iterable, Sequence
 
 from .cardinality import (
@@ -686,8 +687,14 @@ class PageRank(Operator):
     def __init__(self, iterations: int = 10, damping: float = 0.85,
                  name: str = "pagerank") -> None:
         super().__init__(name)
-        if iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        if (isinstance(iterations, bool) or not isinstance(iterations, int)
+                or iterations < 1):
+            raise ValueError(f"PageRank 'iterations' must be an int >= 1, "
+                             f"not {iterations!r}")
+        if (isinstance(damping, bool) or not isinstance(damping, Real)
+                or not 0 <= damping <= 1):
+            raise ValueError(f"PageRank 'damping' must be a real number in "
+                             f"[0, 1], not {damping!r}")
         self.iterations = iterations
         self.damping = damping
 

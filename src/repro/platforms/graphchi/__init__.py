@@ -1,7 +1,5 @@
 """GraphChi: the out-of-core single-machine graph platform."""
 
-from .engine import GraphChiEngine, Shard, ShardedGraph
 from .platform import GraphChiPageRank, GraphChiPlatform
 
-__all__ = ["GraphChiEngine", "Shard", "ShardedGraph", "GraphChiPageRank",
-           "GraphChiPlatform"]
+__all__ = ["GraphChiPageRank", "GraphChiPlatform"]

@@ -3,21 +3,23 @@
 Slots between JGraph and Giraph in the paper's platform spectrum: one
 machine like JGraph (no cluster start-up) but disk-streaming like nothing
 else — so it survives graphs that out-grow JGraph's heap, at the price of
-sequential-disk speed per iteration.
+sequential-disk speed per iteration.  It ranks with the shared kernel;
+its cost declarations (shard seeks, per-iteration disk streaming) are what
+make it GraphChi.
 """
 
 from __future__ import annotations
 
+from ...algorithms.pagerank import pagerank_edges
 from ...core import operators as ops
 from ...core.channels import Channel
 from ...core.mappings import OperatorMapping
 from ..base import ExecutionOperator, Platform, charge_operator
 from ..pystreams.channels import PY_COLLECTION
-from .engine import GraphChiEngine
 
 
 class GraphChiPageRank(ExecutionOperator):
-    """PageRank by parallel-sliding-windows shard streaming."""
+    """PageRank priced as parallel-sliding-windows shard streaming."""
 
     platform = "graphchi"
     op_kind = "pagerank"
@@ -39,10 +41,9 @@ class GraphChiPageRank(ExecutionOperator):
 
     def execute(self, inputs, broadcasts, ctx):
         edges_channel = inputs[0]
-        engine = GraphChiEngine(num_shards=4)
-        ranks = sorted(engine.pagerank(edges_channel.payload,
-                                       self.logical.iterations,
-                                       self.logical.damping).items())
+        ranks = sorted(pagerank_edges(edges_channel.payload,
+                                      self.logical.iterations,
+                                      self.logical.damping).items())
         out = Channel(PY_COLLECTION, ranks, edges_channel.sim_factor,
                       edges_channel.bytes_per_record, len(ranks))
         charge_operator(ctx, self, edges_channel.sim_cardinality,

@@ -1,7 +1,5 @@
 """GraphLite: the Giraph-analog Pregel platform."""
 
-from .engine import PregelEngine, SuperstepStats
 from .platform import GRAPHLITE_DATASET, GraphLitePlatform
 
-__all__ = ["PregelEngine", "SuperstepStats", "GRAPHLITE_DATASET",
-           "GraphLitePlatform"]
+__all__ = ["GRAPHLITE_DATASET", "GraphLitePlatform"]

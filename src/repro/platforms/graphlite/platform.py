@@ -3,20 +3,20 @@
 Heavy start-up, per-superstep synchronisation overhead, wide parallelism.
 Only graph-adjacent operators are supported (sources feed the input format,
 Map/Filter/Distinct model input-format parsing, Intersect is a
-vertex-centric co-grouping of edge sets, PageRank runs as a real Pregel
-program); all but PageRank are the shared
-:mod:`~repro.platforms.dataflow` operators bound to :data:`GRAPHLITE`.
+vertex-centric co-grouping of edge sets, PageRank is priced as supersteps);
+all but PageRank are the shared :mod:`~repro.platforms.dataflow` operators
+bound to :data:`GRAPHLITE`.
 """
 
 from __future__ import annotations
 
+from ...algorithms.pagerank import pagerank_edges
 from ...core import operators as ops
 from ...core.channels import ChannelDescriptor, Conversion, HDFS_FILE
 from ..base import Platform, _cin
 from ..dataflow import DataflowEngine, DataflowOperator
 from ..distributed import PartitionedDataset
 from ..pystreams.channels import PY_COLLECTION
-from .engine import PregelEngine
 
 #: The in-memory distributed dataset of the graph platform.
 GRAPHLITE_DATASET = ChannelDescriptor("graphlite.dataset", "graphlite", True)
@@ -33,7 +33,7 @@ _SUPPORTED = frozenset({
 
 
 class GLPageRank(DataflowOperator):
-    """PageRank as supersteps on the Pregel engine."""
+    """PageRank priced as Pregel supersteps over the shared kernel."""
 
     op_kind = "pagerank"
 
@@ -47,9 +47,8 @@ class GLPageRank(DataflowOperator):
         return self.logical.iterations * profile.stage_overhead_s
 
     def _run(self, inputs, bvals, ctx):
-        engine = PregelEngine(num_partitions=self._parallelism(ctx))
-        ranks = engine.pagerank(inputs[0].payload.records(),
-                                self.logical.iterations, self.logical.damping)
+        ranks = pagerank_edges(inputs[0].payload.records(),
+                               self.logical.iterations, self.logical.damping)
         out = PartitionedDataset.from_records(sorted(ranks.items()),
                                               self._parallelism(ctx))
         return self._emit(inputs[0], out, ctx, _cin(inputs))

@@ -1,6 +1,5 @@
 """JGraph: the in-process graph-library platform."""
 
-from .engine import Graph
 from .platform import JGraphPageRank, JGraphPlatform
 
-__all__ = ["Graph", "JGraphPageRank", "JGraphPlatform"]
+__all__ = ["JGraphPageRank", "JGraphPlatform"]

@@ -3,21 +3,22 @@
 Like the paper's JGraph, it lives inside the driver process: it consumes
 and produces plain PyStreams collections, has no start-up cost and no
 parallelism, and fails with a simulated out-of-memory beyond its small
-heap — which is why Rheem only picks it for modest graphs.
+heap — which is why Rheem only picks it for modest graphs.  It ranks with
+the shared kernel; its cost declarations are what make it JGraph.
 """
 
 from __future__ import annotations
 
+from ...algorithms.pagerank import pagerank_edges
 from ...core import operators as ops
 from ...core.channels import Channel
 from ...core.mappings import OperatorMapping
 from ..base import ExecutionOperator, Platform, charge_operator
 from ..pystreams.channels import PY_COLLECTION
-from .engine import Graph
 
 
 class JGraphPageRank(ExecutionOperator):
-    """PageRank on the in-process graph library."""
+    """PageRank priced as an in-heap adjacency-list traversal."""
 
     platform = "jgraph"
     op_kind = "pagerank"
@@ -47,8 +48,8 @@ class JGraphPageRank(ExecutionOperator):
         # weak spot: enforce the simulated memory ceiling on the input.
         ctx.cluster.check_memory(self.platform,
                                  edges_channel.sim_mb * self.OBJECT_OVERHEAD)
-        graph = Graph.from_edges(edges_channel.payload)
-        ranks = sorted(graph.pagerank(self.logical.iterations,
+        ranks = sorted(pagerank_edges(edges_channel.payload,
+                                      self.logical.iterations,
                                       self.logical.damping).items())
         out = Channel(PY_COLLECTION, ranks, edges_channel.sim_factor,
                       edges_channel.bytes_per_record, len(ranks))

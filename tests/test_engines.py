@@ -1,13 +1,10 @@
-"""Engine-level tests: partitioned datasets, Pregel, the graph library,
-the relational engine, and cross-engine result equivalence."""
+"""Engine-level tests: partitioned datasets, the relational engine, and
+cross-engine result equivalence."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.algorithms import pagerank_edges
 from repro.platforms.distributed import PartitionedDataset
-from repro.platforms.graphlite import PregelEngine
-from repro.platforms.jgraph import Graph
 from repro.platforms.pgres import (
     DuplicateTable,
     PgresDatabase,
@@ -73,55 +70,6 @@ class TestPartitionedDataset:
     def test_empty_dataset(self):
         ds = PartitionedDataset([])
         assert ds.count() == 0 and ds.num_partitions == 1
-
-
-class TestPregelEngine:
-    def test_pagerank_matches_reference(self):
-        edges = [(0, 1), (1, 2), (2, 0), (0, 2), (3, 0)]
-        pregel = PregelEngine(num_partitions=4).pagerank(edges, iterations=15)
-        reference = pagerank_edges(edges, iterations=15)
-        for v in reference:
-            assert pregel[v] == pytest.approx(reference[v])
-
-    def test_partition_count_does_not_change_result(self):
-        edges = [(i, (i * 3) % 11) for i in range(11)]
-        one = PregelEngine(num_partitions=1).pagerank(edges)
-        many = PregelEngine(num_partitions=8).pagerank(edges)
-        for v in one:
-            assert one[v] == pytest.approx(many[v])
-
-    def test_superstep_stats_recorded(self):
-        engine = PregelEngine(num_partitions=2)
-        engine.pagerank([(0, 1), (1, 0)], iterations=5)
-        assert len(engine.stats) == 5
-        assert all(s.messages_sent == 2 for s in engine.stats)
-
-    def test_empty_graph(self):
-        assert PregelEngine().pagerank([]) == {}
-
-    def test_invalid_partitions(self):
-        with pytest.raises(ValueError):
-            PregelEngine(num_partitions=0)
-
-
-class TestJGraphLibrary:
-    def test_counts_and_degrees(self):
-        g = Graph.from_edges([(1, 2), (1, 3), (2, 3)])
-        assert g.num_vertices == 3 and g.num_edges == 3
-        assert g.out_degree(1) == 2 and g.out_degree(3) == 0
-        assert sorted(g.neighbors(1)) == [2, 3]
-
-    def test_pagerank_matches_reference(self):
-        edges = [(0, 1), (1, 2), (2, 0)]
-        ours = Graph.from_edges(edges).pagerank(iterations=20)
-        ref = pagerank_edges(edges, iterations=20)
-        for v in ref:
-            assert ours[v] == pytest.approx(ref[v])
-
-    def test_reachability(self):
-        g = Graph.from_edges([(1, 2), (2, 3), (4, 5)])
-        assert g.reachable_from(1) == {1, 2, 3}
-        assert g.reachable_from(99) == set()
 
 
 class TestPgresEngine:

@@ -143,6 +143,15 @@ class TestCardinalityEstimators:
         with pytest.raises(ValueError):
             ops.IEJoin([cond, cond, cond])
 
+    @pytest.mark.parametrize("field, params", [
+        ("'iterations'", {"iterations": value})
+        for value in (0, "10", 2.5, True, None)] + [
+        ("'damping'", {"damping": value})
+        for value in ("x", 7, -1, float("nan"), False)])
+    def test_pagerank_parameters_are_checked_where_set(self, field, params):
+        with pytest.raises(ValueError, match=field):
+            ops.PageRank(**params)
+
 
 def _loop_plan(iterations=3):
     src = ops.CollectionSource(list(range(4)))

@@ -52,6 +52,15 @@ SLOW_DOC = {**WORDCOUNT_DOC, "operators": [
 SLOW_ENV = {"nap": lambda x: (time.sleep(0.05), x)[1]}
 
 
+def _pagerank_doc(**params):
+    """A document ranking a three-edge graph with PageRank ``params``."""
+    return {"operators": [
+        {"name": "edges", "kind": "collection_source",
+         "data": [[0, 1], [1, 2], [2, 0]]},
+        {"name": "ranks", "kind": "pagerank", "input": "edges", **params}],
+        "sink": {"name": "ranks"}}
+
+
 def _ctx():
     ctx = RheemContext()
     ctx.vfs.write("hdfs://srv/x.txt", ["a b", "b"], sim_factor=10.0)
@@ -460,10 +469,14 @@ class TestWsgiFrontend:
         ("'sink'", {"sink": ["counts"]}),
         ("'execution'", {"execution": "fast"}),
         ("'name'", {"operators": [
-            {**WORDCOUNT_DOC["operators"][0], "name": ["lines"]}]})])
+            {**WORDCOUNT_DOC["operators"][0], "name": ["lines"]}]}),
+        *[(f"'{key}'", _pagerank_doc(**{key: value})) for key, value in [
+            ("iterations", "10"), ("iterations", 2.5), ("iterations", True),
+            ("damping", "x"), ("damping", 7), ("damping", -1)]]])
     def test_a_misshaped_document_is_a_plan_document_error(
             self, app, field, override):
-        # Each answered a Python exception name (TypeError, AttributeError).
+        # Each answered a Python exception name (TypeError, AttributeError),
+        # or — a bool iteration count, a damping outside [0, 1] — ranks.
         body = json.dumps({**WORDCOUNT_DOC, **override}).encode()
         payload = self._refused(app, 400, body=body)
         assert payload["kind"] == "PlanDocumentError"
