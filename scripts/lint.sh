@@ -31,8 +31,9 @@ else
 fi
 
 # Always runs (it only needs the stdlib + the repo): the lock-registry
-# checker over src/repro/ — rank inversions, undeclared locks, blocking
-# calls under a lock, unguarded writes to registry-declared attributes.
+# checker over src/repro/ — locks the registry does not know (RC001) and
+# per-run state written on shared execution operators (RC005).  Rank
+# order is asserted at run time, under REPRO_LOCK_CHECK in the tests.
 echo "==> concurrency lint (lock registry)"
 PYTHONPATH=src python -m repro lint --concurrency \
     || failures=$((failures + 1))

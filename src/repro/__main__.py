@@ -323,7 +323,11 @@ def main(argv: list[str] | None = None) -> int:
                             "before admission control rejects (default 16)")
     serve.add_argument("--deadline", type=float, default=None,
                        help="default per-job deadline in seconds "
-                            "(measured from admission; default: none)")
+                            "(measured from admission; default: none). "
+                            "On the thread backend it is cooperative: it "
+                            "fires at stage boundaries, and a UDF that "
+                            "never reaches one keeps its worker thread; "
+                            "only --backend process kills the worker")
     serve.add_argument("--calibrate", action="store_true",
                        help="close the trace -> cost-model loop online: "
                             "committed job traces accumulate into a bounded "
@@ -361,8 +365,10 @@ def main(argv: list[str] | None = None) -> int:
                            "with --concurrency)")
     lint.add_argument("--concurrency", action="store_true",
                       help="check the repro source tree against the lock "
-                           "registry: rank inversions, undeclared locks, "
-                           "blocking calls under a lock, unguarded writes")
+                           "registry: locks it does not know (RC001) and "
+                           "per-run state written on shared execution "
+                           "operators (RC005); rank order is asserted at "
+                           "run time under REPRO_LOCK_CHECK")
     for p in (run, trace, serve, lint):
         p.add_argument("--abstracts", type=float, default=0.0,
                        help="seed hdfs://data/abstracts.txt at this percent")

@@ -50,6 +50,7 @@ _LAZY = {
     "UdfReport": ("udfs", "UdfReport"),
     "LintCollector": ("collector", "LintCollector"),
     "collecting": ("collector", "collecting"),
+    # The concurrency checker behind ``lint --concurrency`` (RC001, RC005).
     "ConcurrencyFinding": ("locks", "ConcurrencyFinding"),
     "check_package": ("locks", "check_package"),
     "check_source": ("locks", "check_source"),

@@ -104,7 +104,7 @@ class PlanAnalyzer:
     Args:
         registry: Operator mappings (enables the platform-capability and
             channel-reachability rules).
-        conversion_graph: The channel conversion graph (reachability rule).
+        graph: The channel conversion graph (reachability rule).
         estimation_ctx: Source metadata; enables cardinality-based rules
             (oversized broadcasts).
         rules: Restrict to a subset of the registry (default: all rules).
@@ -115,14 +115,14 @@ class PlanAnalyzer:
     def __init__(
         self,
         registry: Optional["MappingRegistry"] = None,
-        conversion_graph: Optional["ChannelConversionGraph"] = None,
+        graph: Optional["ChannelConversionGraph"] = None,
         estimation_ctx: EstimationContext | None = None,
         rules: Optional[list[Rule]] = None,
         fingerprints: Callable[[RheemPlan],
                                PlanFingerprints] = PlanFingerprints,
     ) -> None:
         self.registry = registry
-        self.graph = conversion_graph
+        self.graph = graph
         self.estimation_ctx = estimation_ctx
         self.rules = rules
         self.fingerprints = fingerprints
@@ -203,7 +203,7 @@ def analyze_plan(plan: "RheemPlan", context=None) -> LintReport:
     if context is not None:
         analyzer = PlanAnalyzer(
             registry=context.registry,
-            conversion_graph=context.graph,
+            graph=context.graph,
             estimation_ctx=context.estimation_context(),
         )
     else:

@@ -14,9 +14,7 @@ from .order import (
     LOCK_ORDER,
     LockSpec,
     UnknownLockError,
-    lock_rank,
     lock_spec,
-    render_order,
     validate_order,
 )
 from .runtime import (
@@ -37,9 +35,7 @@ __all__ = [
     "UnknownLockError",
     "debug_enabled",
     "held_locks",
-    "lock_rank",
     "lock_spec",
-    "render_order",
     "set_debug",
     "validate_order",
 ]

@@ -31,10 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, TYPE_CHECKING
 
-from ..concurrency import OrderedRLock
-
 if TYPE_CHECKING:  # pragma: no cover
-    from ..trace import MetricsRegistry
     from .execution import ExecutionContext
 
 
@@ -245,54 +242,91 @@ class ConversionTree:
         return out
 
 
+#: A graph registry: channel name -> descriptor and channel name ->
+#: outgoing conversions, both in registration order.  Never mutated once
+#: bound to :attr:`ChannelConversionGraph._snapshot`.
+_Snapshot = tuple[dict[str, ChannelDescriptor],
+                  dict[str, tuple[Conversion, ...]]]
+
+
+def _search(snapshot: _Snapshot, source: str, sim_records: float,
+            bytes_per_record: float) -> dict[str, ConversionPath]:
+    """One Dijkstra row from ``source`` over ``snapshot`` (see
+    :meth:`ChannelConversionGraph.paths_from`)."""
+    descriptors, edges = snapshot
+    found: dict[str, ConversionPath] = {}
+    dist: dict[str, float] = {source: 0.0}
+    back: dict[str, tuple[str, Conversion]] = {}
+    heap: list[tuple[float, str]] = [(0.0, source)]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if node in found:
+            continue
+        if node in back:  # its predecessor was popped before it
+            prev, conv = back[node]
+            found[node] = ConversionPath(found[prev].steps + [conv], d)
+        else:
+            found[node] = ConversionPath([], 0.0)
+        for conv in edges.get(node, ()):
+            nd = d + conv.estimate_cost(sim_records, bytes_per_record)
+            if nd < dist.get(conv.target.name, float("inf")):
+                dist[conv.target.name] = nd
+                back[conv.target.name] = (node, conv)
+                heapq.heappush(heap, (nd, conv.target.name))
+    return {name: found[name] for name in descriptors if name in found}
+
+
 class ChannelConversionGraph:
     """Registry of channels and conversions, searched exactly on demand.
 
-    The registry is shared read-mostly across the job server's worker
-    threads; one re-entrant lock serializes registration against the
-    searches reading the edge lists.  Rank 40 in the lock registry
-    (:data:`repro.concurrency.order.LOCK_ORDER`); a search calls nothing
-    but the conversions' cost models while holding it.
-
-    Args:
-        metrics: Optional shared registry the lock reports its acquire /
-            wait / hold figures to (see :mod:`repro.trace.metrics`).
+    The job server's worker threads search one graph, and a platform
+    plugged into a live context registers while they do, so the registry
+    is one immutable snapshot: channel name -> descriptor and channel name ->
+    tuple of outgoing conversions, both in registration order.  A
+    registration builds the next snapshot and rebinds it in a single
+    assignment; a search reads whichever snapshot is current when it
+    starts and takes no lock.  Registrations are not serialized against
+    each other: they come from one thread at a time (context setup).
     """
 
-    def __init__(self, metrics: "MetricsRegistry | None" = None) -> None:
-        self._descriptors: dict[str, ChannelDescriptor] = {}
-        self._edges: dict[str, list[Conversion]] = {}
-        self._lock = OrderedRLock("conversion_graph", metrics)
+    def __init__(self) -> None:
+        self._snapshot: _Snapshot = ({}, {})
         self.register_channel(HDFS_FILE)
         self.register_channel(LOCAL_FILE)
 
     # ------------------------------------------------------------- registry
     def register_channel(self, desc: ChannelDescriptor) -> None:
-        with self._lock:
-            existing = self._descriptors.get(desc.name)
+        self._publish((desc,))
+
+    def register_conversion(self, conv: Conversion) -> None:
+        self._publish((conv.source, conv.target), conv)
+
+    def _publish(self, channels: tuple[ChannelDescriptor, ...],
+                 conv: Conversion | None = None) -> None:
+        """Build the next snapshot from the current one and rebind it."""
+        descriptors, edges = dict(self._snapshot[0]), dict(self._snapshot[1])
+        for desc in channels:
+            existing = descriptors.get(desc.name)
             if existing is not None and existing != desc:
                 raise ValueError(
                     f"conflicting descriptor registration for {desc.name}")
-            self._descriptors[desc.name] = desc
-            self._edges.setdefault(desc.name, [])
-
-    def register_conversion(self, conv: Conversion) -> None:
-        with self._lock:
-            self.register_channel(conv.source)
-            self.register_channel(conv.target)
-            self._edges[conv.source.name].append(conv)
+            descriptors[desc.name] = desc
+            edges.setdefault(desc.name, ())
+        if conv is not None:
+            edges[conv.source.name] += (conv,)
+        self._snapshot = (descriptors, edges)
 
     def descriptor(self, name: str) -> ChannelDescriptor:
         try:
-            return self._descriptors[name]
+            return self._snapshot[0][name]
         except KeyError:
             raise ChannelConversionError(f"unknown channel {name!r}") from None
 
     def descriptors(self) -> list[ChannelDescriptor]:
-        return list(self._descriptors.values())
+        return list(self._snapshot[0].values())
 
     def conversions_from(self, name: str) -> list[Conversion]:
-        return list(self._edges.get(name, []))
+        return list(self._snapshot[1].get(name, ()))
 
     # ------------------------------------------------------------ searching
     def paths_from(
@@ -303,35 +337,15 @@ class ChannelConversionGraph:
     ) -> dict[str, ConversionPath]:
         """Cheapest chains from ``source`` to EVERY channel it reaches.
 
-        One exact Dijkstra for the requested volume, under one lock
-        acquisition.  The row is keyed by channel name in registration
-        order (never set order) and holds ``source`` itself with the empty
-        path; an absent key means unreachable.  Equal-cost chains tie-break
-        on the channel name, so the answer depends on nothing but the
-        graph and the arguments.
+        One exact Dijkstra for the requested volume over the current
+        snapshot.  The row is keyed by channel name in registration order
+        (never set order) and holds ``source`` itself with the empty path;
+        an absent key means unreachable.  Equal-cost chains tie-break on
+        the channel name, so the answer depends on nothing but the graph
+        and the arguments.
         """
-        found: dict[str, ConversionPath] = {}
-        dist: dict[str, float] = {source.name: 0.0}
-        back: dict[str, tuple[str, Conversion]] = {}
-        heap: list[tuple[float, str]] = [(0.0, source.name)]
-        with self._lock:
-            while heap:
-                d, node = heapq.heappop(heap)
-                if node in found:
-                    continue
-                if node in back:  # its predecessor was popped before it
-                    prev, conv = back[node]
-                    found[node] = ConversionPath(found[prev].steps + [conv], d)
-                else:
-                    found[node] = ConversionPath([], 0.0)
-                for conv in self._edges.get(node, ()):
-                    nd = d + conv.estimate_cost(sim_records, bytes_per_record)
-                    if nd < dist.get(conv.target.name, float("inf")):
-                        dist[conv.target.name] = nd
-                        back[conv.target.name] = (node, conv)
-                        heapq.heappush(heap, (nd, conv.target.name))
-            return {name: found[name] for name in self._descriptors
-                    if name in found}
+        return _search(self._snapshot, source.name, sim_records,
+                       bytes_per_record)
 
     def cheapest_path(
         self,
@@ -380,21 +394,23 @@ class ChannelConversionGraph:
                                       bytes_per_record)
             return ConversionTree(source, {names[0]: path}, path.cost)
 
-        with self._lock:  # one graph for the whole all-pairs table
-            # Channels the source cannot reach can never join the tree:
-            # only its row's keys enter the Steiner DP, and an unreachable
-            # target fails fast instead of iterating through the tables.
-            nodes = list(self.paths_from(source, sim_records,
-                                         bytes_per_record))
-            missing = [n for n in names if n not in nodes]
-            if missing:
-                raise ChannelConversionError(
-                    f"no conversion tree from {source.name} to {names}"
-                    f" (unreachable: {missing})")
-            paths = {start: self.paths_from(self._descriptors[start],
-                                            sim_records, bytes_per_record)
-                     for start in nodes}
-            reusable = [n for n in nodes if self._descriptors[n].reusable]
+        # One snapshot for the whole all-pairs table, so a concurrent
+        # registration cannot show the DP half a graph.  Channels the
+        # source cannot reach can never join the tree: only its row's keys
+        # enter the Steiner DP, and an unreachable target fails fast
+        # instead of iterating through the tables.
+        snapshot = self._snapshot
+        nodes = list(_search(snapshot, source.name, sim_records,
+                             bytes_per_record))
+        missing = [n for n in names if n not in nodes]
+        if missing:
+            raise ChannelConversionError(
+                f"no conversion tree from {source.name} to {names}"
+                f" (unreachable: {missing})")
+        paths = {start: _search(snapshot, start, sim_records,
+                                bytes_per_record)
+                 for start in nodes}
+        reusable = [n for n in nodes if snapshot[0][n].reusable]
 
         full = (1 << len(names)) - 1
         index = {name: i for i, name in enumerate(names)}
@@ -461,3 +477,4 @@ class ChannelConversionGraph:
 
         build(full, source.name, ConversionPath([], 0.0))
         return ConversionTree(source, target_paths, total)
+

@@ -72,7 +72,7 @@ class RheemContext:
                               else builtin_platforms())
         self.registry = MappingRegistry()
         self.metrics = MetricsRegistry()
-        self.graph = ChannelConversionGraph(metrics=self.metrics)
+        self.graph = ChannelConversionGraph()
         self.config = {"seed": 42, "result_reuse": True,
                        "reuse_budget_mb": 256.0, "reuse_min_benefit": 0.005,
                        "plan_cache": True, "plan_cache_size": 64}
@@ -184,7 +184,7 @@ class RheemContext:
         """
         return Optimizer(
             registry=self.registry,
-            conversion_graph=self.graph,
+            graph=self.graph,
             cost_model=self.cost_model,
             estimation_ctx=self.estimation_context(overrides),
             allowed_platforms=allowed_platforms,

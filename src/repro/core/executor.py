@@ -120,7 +120,7 @@ class Executor:
     def __init__(
         self,
         cluster: VirtualCluster,
-        conversion_graph: ChannelConversionGraph,
+        graph: ChannelConversionGraph,
         pgres: Any = None,
         seed: int = 42,
         tracer=None,
@@ -129,7 +129,7 @@ class Executor:
         result_store: IntermediateResultStore | None = None,
     ) -> None:
         self.cluster = cluster
-        self.graph = conversion_graph
+        self.graph = graph
         self.pgres = pgres
         self.seed = seed
         #: Cross-job intermediate-result store; committed stage outputs

@@ -292,7 +292,7 @@ class Optimizer:
 
     Args:
         registry: Operator mappings of all registered platforms.
-        conversion_graph: The channel conversion graph.
+        graph: The channel conversion graph.
         cost_model: Operator/startup/overhead cost estimation.
         estimation_ctx: Source metadata for cardinality estimation, plus any
             measured cardinalities pinned by the progressive optimizer.
@@ -303,7 +303,7 @@ class Optimizer:
     def __init__(
         self,
         registry: MappingRegistry,
-        conversion_graph: ChannelConversionGraph,
+        graph: ChannelConversionGraph,
         cost_model: CostModel,
         estimation_ctx: EstimationContext | None = None,
         allowed_platforms: set[str] | None = None,
@@ -314,7 +314,7 @@ class Optimizer:
         from .objectives import RUNTIME
 
         self.registry = registry
-        self.graph = conversion_graph
+        self.graph = graph
         self.cost_model = cost_model
         self.estimation_ctx = estimation_ctx or EstimationContext()
         self.allowed_platforms = allowed_platforms
@@ -513,7 +513,7 @@ class Optimizer:
 
         analyzer = PlanAnalyzer(
             registry=self.registry,
-            conversion_graph=self.graph,
+            graph=self.graph,
             estimation_ctx=self.estimation_ctx,
             fingerprints=self.fingerprints,
         )

@@ -57,9 +57,8 @@ class ExecutionPlanCache:
 
     The cache is shared by every worker thread of the job server, so all
     entry/stat mutation happens under one re-entrant lock (rank 30 in
-    the lock registry, :data:`repro.concurrency.order.LOCK_ORDER`): above
-    the metrics lock, below the server's job-table lock, and never held
-    while calling into the conversion graph.
+    the lock registry, :data:`repro.concurrency.order.LOCK_ORDER`), ranked
+    between the server's job-table lock and the metrics lock.
     """
 
     def __init__(self, capacity: int = 64,

@@ -32,9 +32,8 @@ equal benefit) whenever the configured byte budget overflows.
 
 Thread safety: the store is shared by every worker of the job server;
 all entry/stat mutation happens under one re-entrant lock, rank 55 in
-the lock registry (:data:`repro.concurrency.order.LOCK_ORDER`) — above
-the conversion-graph lock, below the tracer/metrics locks it may take
-inside.
+the lock registry (:data:`repro.concurrency.order.LOCK_ORDER`) — below
+the tracer/metrics locks it may take inside.
 Stats mirror into the shared metrics registry as ``intermediate.*``.
 """
 

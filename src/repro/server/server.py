@@ -243,7 +243,6 @@ class JobServer:
             # Pool.submit is a non-blocking enqueue; keeping it atomic
             # with admission guarantees a drain token exists for every
             # pending job even as shutdown races the admission path.
-            # lock-ok: non-blocking enqueue, must stay atomic w/ admission
             self._pool.submit(self._drain)
         self.metrics.counter("server.jobs.submitted").inc()
         return job

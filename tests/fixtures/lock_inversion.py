@@ -1,10 +1,9 @@
 """A deliberately wrong module: acquires locks against the hierarchy.
 
 ``tests/test_concurrency.py`` feeds this file to the static checker
-(which must flag the inversion, the raw lock, the blocking call and the
-unguarded write) and executes ``inverted_acquire`` under the debug flag
-(which must raise ``LockOrderViolation`` at runtime).  It is never
-imported by the package itself.
+(which must flag the raw lock) and executes ``inverted_acquire`` under
+the debug flag (which must raise ``LockOrderViolation`` at runtime).  It
+is never imported by the package itself.
 """
 
 import threading
@@ -21,20 +20,8 @@ class Inverted:
         self.outer = OrderedLock("server.jobs")
 
     def inverted_acquire(self):
-        """RC002 (statically) and LockOrderViolation (at runtime):
-        metrics is rank 80, server.jobs is rank 10."""
+        """LockOrderViolation at runtime: metrics is rank 80, server.jobs
+        is rank 10."""
         with self.inner:
             with self.outer:
                 pass
-
-    def blocking_under_lock(self, future):
-        """RC003: a lock held across a potentially blocking call."""
-        with self.outer:
-            future.result()
-
-
-class JobServer:
-    """Shadows the real owner class so registry guards apply (RC004)."""
-
-    def unguarded_write(self, job_id, job):
-        self._jobs[job_id] = job

@@ -1,5 +1,8 @@
 """Tests for channels and the channel conversion graph."""
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -254,3 +257,46 @@ class TestMulticastReachability:
         graph.register_channel(island)
         with pytest.raises(ChannelConversionError, match="island"):
             graph.multicast_tree(A, [B, island], 1000, 100)
+
+
+class TestSnapshotRegistry:
+    def test_searches_racing_registrations_never_see_half_a_graph(self):
+        # Readers search while one thread registers 300 conversions, each
+        # to a new channel D -> r.i.  A search reads one snapshot: its row
+        # holds r.0 .. r.(k-1) for some k, and the tree never changes.
+        graph = _graph([(A, C, 10, 0), (C, B, 1000, 0), (C, D, 1000, 0)])
+        tree_cost = graph.multicast_tree(A, [B, D], 1_000_000, 100).cost
+        fresh = [ChannelDescriptor(f"r.{i}", "r", True) for i in range(300)]
+        done, wrong = threading.Event(), []
+
+        def search():
+            try:
+                while not done.is_set():
+                    row = graph.paths_from(A, 1_000_000, 100)
+                    seen = [name for name in row if name.startswith("r.")]
+                    if seen != [f"r.{i}" for i in range(len(seen))]:
+                        wrong.append(seen)
+                    tree = graph.multicast_tree(A, [B, D], 1_000_000, 100)
+                    if tree.cost != tree_cost:
+                        wrong.append(tree.cost)
+            except Exception as exc:  # noqa: BLE001 — reported below
+                wrong.append(exc)
+
+        readers = [threading.Thread(target=search) for __ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for reader in readers:
+                reader.start()
+            for desc in fresh:
+                graph.register_conversion(_conv(D, desc, 100))
+        finally:
+            done.set()
+            for reader in readers:
+                reader.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert not wrong, wrong[:3]
+        assert [c.target for c in graph.conversions_from(D.name)] == fresh
+        assert set(graph.paths_from(D, 1000)) == {D.name} | {
+            desc.name for desc in fresh}

@@ -145,21 +145,18 @@ def test_enumeration_matches_the_recorded_table(name):
     assert got["plan"] == golden["plan"]
 
 
-@pytest.mark.parametrize("name, graph_calls, lock_samples", [
-    ("q5", 1_000, 2_000), ("sgd", 10_000, 15_000)])
+@pytest.mark.parametrize("name, graph_calls", [("q5", 1_000),
+                                               ("sgd", 10_000)])
 def test_cold_job_keeps_the_inner_loop_off_the_shared_graph(
-        name, graph_calls, lock_samples):
+        name, graph_calls):
     """Exact counts, no timing: per-wiring graph calls would be 32,591
-    (Q5) / 558,890 (SGD), each through the instrumented graph lock."""
+    (Q5) / 558,890 (SGD)."""
     ctx = RheemContext()
     searches = []
     search = ctx.graph.paths_from
     ctx.graph.paths_from = lambda *args: searches.append(args) or search(*args)
     ROWS[name][0](ctx).execute()
     assert 0 < len(searches) <= graph_calls
-    histograms = ctx.metrics.snapshot()["histograms"]
-    assert histograms["lock.wait_s.conversion_graph"]["count"] \
-        <= lock_samples
 
 
 if __name__ == "__main__":

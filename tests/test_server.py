@@ -305,13 +305,28 @@ class TestDeadlinesAndCancellation:
         assert calls  # the hook actually ran
 
     def test_timeout_releases_slot_and_keeps_state_consistent(self):
-        # The first stage takes 100 ms of wall time; a 1 ms deadline must
-        # fire at the next stage boundary.
-        ctx = _ctx()
-        with JobServer(ctx, env=SLOW_ENV, workers=1,
-                       queue_size=4) as server:
+        # Pinned across two platforms, so a stage boundary follows the
+        # first stage.  That stage waits on a gate that opens only after
+        # the job's deadline has passed: the timeout fires at the boundary,
+        # never before the job has looked up its plan.  Result reuse is
+        # off: the gated stage commits, and a resubmission reusing its
+        # output would bypass the plan cache this test counts.
+        ops = SLOW_DOC["operators"]
+        doc = {**SLOW_DOC, "operators": [
+            ops[0], {**ops[1], "platform": "JavaStreams"}, ops[2],
+            {**ops[3], "platform": "Spark"}]}
+        ctx = RheemContext(config={"result_reuse": False})
+        ctx.vfs.write("hdfs://srv/x.txt", ["a b", "b"], sim_factor=10.0)
+        gate = threading.Event()
+        env = {"nap": lambda x: (gate.wait(10), x)[1]}
+        deadline_s = 0.5
+        with JobServer(ctx, env=env, workers=1, queue_size=4) as server:
             before = dict(ctx.plan_cache.stats)
-            job = server.submit(SLOW_DOC, deadline_s=0.001)
+            job = server.submit(doc, deadline_s=deadline_s)
+            expired = time.monotonic() + deadline_s + 0.1
+            _wait_until_running(job)
+            time.sleep(max(0.0, expired - time.monotonic()))
+            gate.set()
             response = server.result(job.job_id, timeout=30)
             assert job.state is JobState.TIMEOUT
             assert response["status"] == "error"
@@ -325,7 +340,7 @@ class TestDeadlinesAndCancellation:
             assert after["hits"] == before["hits"]
             # The queue slot is free: the same document runs to completion
             # and replays the cached plan.
-            ok = server.submit_sync(SLOW_DOC, deadline_s=60)
+            ok = server.submit_sync(doc, deadline_s=60)
             assert ok["status"] == "ok"
             assert ctx.plan_cache.stats["hits"] == before["hits"] + 1
             assert ctx.plan_cache.stats["misses"] == before["misses"] + 1
