@@ -6,6 +6,11 @@ series (simulated seconds per system and sweep point) and asserts the
 *shape* the paper reports — who wins, rough factors, where crossovers and
 failures fall.  Each scenario runs once as a plain pytest test; wall time
 is perfbench's business, not this suite's.
+
+Every printed cell is also held to ``expected/figures.json`` exactly
+(title -> row -> system): ``print_series`` fails the test that printed a
+table whose cells moved.  ``pytest benchmarks --write-expected``
+re-records the file from a run over the whole suite.
 """
 
 from __future__ import annotations
@@ -41,6 +46,22 @@ class Cell:
             return self.note or "-"
         return f"{self.seconds:,.1f}"
 
+    def recorded(self) -> str:
+        """The cell as ``expected/figures.json`` holds it: the seconds at
+        full ``repr`` (followed by the note, e.g. the chosen platforms),
+        or the failure marker."""
+        if self.seconds is None:
+            return self.note or "-"
+        return f"{self.seconds!r} {self.note}".rstrip()
+
+
+#: Title -> row -> system -> recorded cell that ``print_series`` compares
+#: against; conftest loads it, and leaves it ``None`` under
+#: ``--write-expected``.
+expected: dict | None = None
+#: Every table printed in this session, in the same shape.
+printed: dict = {}
+
 
 def run_forced(build, platforms: set[str] | None) -> Cell:
     """Run a freshly built task, optionally pinned to a platform set.
@@ -67,7 +88,8 @@ def run_forced(build, platforms: set[str] | None) -> Cell:
 
 def print_series(title: str, x_label: str,
                  rows: dict[str, dict[str, Cell]]) -> None:
-    """Print a paper-style results table: one line per sweep point."""
+    """Print a paper-style results table: one line per sweep point, and
+    check its cells against the recorded table."""
     systems = sorted({s for cells in rows.values() for s in cells})
     width = max(12, *(len(s) + 2 for s in systems))
     print(f"\n=== {title} ===")
@@ -76,6 +98,17 @@ def print_series(title: str, x_label: str,
         line = " | ".join(f"{str(cells.get(s, Cell(None))):>{width}}"
                           for s in systems)
         print(f"{str(x):>14} | {line}")
+    table = {str(x): {s: cells[s].recorded() for s in systems if s in cells}
+             for x, cells in rows.items()}
+    printed[title] = table
+    if expected is not None and table != expected.get(title):
+        recorded = expected.get(title, {})
+        moved = [f"{x} / {s}: {recorded.get(x, {}).get(s)} -> {cell}"
+                 for x, cells in table.items() for s, cell in cells.items()
+                 if recorded.get(x, {}).get(s) != cell]
+        raise AssertionError(
+            f"{title}: cells differ from expected/figures.json "
+            f"(re-record with --write-expected): {moved or table}")
 
 
 def fresh_context(**kwargs) -> RheemContext:
