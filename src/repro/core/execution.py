@@ -16,12 +16,11 @@ from typing import Any, TYPE_CHECKING
 
 from ..simulation.clock import CostMeter
 from ..simulation.cluster import VirtualCluster
-from .channels import Channel, ConversionPath
+from .channels import ConversionPath
 from .operators import LoopOperator
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..platforms.base import ExecutionOperator
-    from .monitor import Monitor
 
 _task_id_counter = itertools.count(1)
 
@@ -34,13 +33,12 @@ class ExecutionContext:
     """Everything an execution operator may touch while running.
 
     The executor swaps :attr:`meter` per stage so charges land on the right
-    stage timing.
+    stage record.
     """
 
     cluster: VirtualCluster
     meter: CostMeter = field(default_factory=CostMeter)
     pgres: Any = None
-    monitor: "Monitor | None" = None
     #: The job's random seed (the context's ``seed`` config key).
     seed: int = 42
     #: Loop-iteration index of the stage being executed (0 outside loops).
@@ -55,11 +53,6 @@ class ExecutionContext:
 
     def profile(self, platform: str):
         return self.cluster.profile(platform)
-
-    def record_output(self, exec_op: "ExecutionOperator", channel: Channel) -> None:
-        """Report a measured operator output to the monitor, if any."""
-        if self.monitor is not None and channel.actual_count is not None:
-            self.monitor.record_cardinality(exec_op, channel.sim_cardinality)
 
 
 @dataclass

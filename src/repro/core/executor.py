@@ -3,11 +3,12 @@
 Cuts the execution plan into stages and runs them in list order (a valid
 topological order) on the calling thread, drives loops (pausing at loop
 heads to evaluate the condition), applies channel conversions at stage
-boundaries, and aggregates simulated time along the critical path: the
+boundaries, and places every stage run on the simulated critical path: the
 inter-platform parallelism of independent stages is an overlap in
 *simulated* time, which is the time every figure reports.  Each stage
 attempt runs against scratch state that is committed only if the attempt
-survives.
+survives, and every attempt — survived or wasted — is one record in the
+job's :class:`~repro.simulation.clock.StageLedger`.
 
 The executor also implements:
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from ..simulation.clock import CostMeter, CriticalPathTracker, StageTiming
+from ..simulation.clock import CostMeter, StageLedger, StageRecord
 from ..simulation.cluster import VirtualCluster
 from ..trace import NO_TRACER, MetricsRegistry
 from .batch import records_of
@@ -63,16 +64,16 @@ class ReplanRequested(Exception):
 
     Carries everything the progressive optimizer needs to resume: the
     latest materialized channel per completed logical operator id, the
-    run's monitor, the platforms it started and its simulated makespan.
+    run's monitor (and through it the job's ledger) and the platforms it
+    started.
     """
 
     def __init__(self, materialized: dict[int, Channel], monitor: Monitor,
-                 started_platforms: set[str], makespan: float) -> None:
+                 started_platforms: set[str]) -> None:
         super().__init__("progressive re-optimization requested")
         self.materialized = materialized
         self.monitor = monitor
         self.started_platforms = started_platforms
-        self.makespan = makespan
 
 
 @dataclass
@@ -90,12 +91,25 @@ class Sniffer:
 
 
 @dataclass
+class _Job:
+    """What every stage run of one job shares."""
+
+    ledger: StageLedger
+    #: The platforms started so far (see ``_charge_stage_overheads``).
+    started: set[str]
+    sniffers: dict[int, list[Sniffer]]
+    injector: Any
+    max_retries: int
+
+
+@dataclass
 class ExecutionResult:
     """Outcome of a job."""
 
     outputs: list[Any]
     runtime: float
-    tracker: CriticalPathTracker
+    #: The job's ledger: every stage run, over every round of the job.
+    tracker: StageLedger
     monitor: Monitor
     stage_count: int
     platforms: set[str] = field(default_factory=set)
@@ -149,7 +163,7 @@ class Executor:
         checkpoint: CheckpointHook | None = None,
         sniffers: Sequence[Sniffer] = (),
         started_platforms: set[str] | None = None,
-        start_at: float = 0.0,
+        ledger: StageLedger | None = None,
         fault_injector=None,
         max_stage_retries: int = 2,
         stage_breaks: set[int] = frozenset(),
@@ -162,9 +176,9 @@ class Executor:
         offered to the result store, and the checkpoint consulted.
         Independent stages still overlap on the *simulated* critical path,
         which is where the makespan comes from.  A resumed job hands over
-        the ``started_platforms`` of its paused run and that run's makespan
-        as ``start_at``: a checkpoint is a barrier, nothing here starts
-        earlier.
+        the ``started_platforms`` and the ``ledger`` of its paused run:
+        this run's records are appended to it, and since a checkpoint is a
+        barrier none of them starts before the ledger's makespan.
 
         Failed stages (simulated crashes from ``fault_injector``) are re-run
         from their materialized inputs up to ``max_stage_retries`` times —
@@ -181,16 +195,21 @@ class Executor:
                 bound.  Every earlier stage has committed, no later one
                 has run.
         """
-        max_retries = max_stage_retries if fault_injector else 0
-        monitor = Monitor(estimates=dict(estimates or {}),
-                          metrics=self.metrics)
-        tracker = CriticalPathTracker(origin=start_at)
+        ledger = ledger if ledger is not None else StageLedger()
         started = started_platforms if started_platforms is not None else set()
+        job = _Job(ledger, started, {}, fault_injector,
+                   max_stage_retries if fault_injector else 0)
+        monitor = Monitor(dict(estimates or {}), ledger)
+        # A stage starts when its dependencies end — ids resolve within
+        # this run, whose stages are numbered from ``stage1`` again — and
+        # no earlier than the runs the ledger already holds.
+        floor = ledger.makespan
+        ends: dict[str, float] = {}
+        sim_seconds = self.metrics.histogram("monitor.stage_sim_seconds")
         env: dict[int, Channel] = {}
         conversion_cache: dict[tuple, Channel] = {}
-        sniffer_map: dict[int, list[Sniffer]] = {}
         for sniffer in sniffers:
-            sniffer_map.setdefault(sniffer.logical_id, []).append(sniffer)
+            job.sniffers.setdefault(sniffer.logical_id, []).append(sniffer)
 
         stages = plan.build_stages(break_after=stage_breaks)
         crossing = self._crossing_ids(plan, stages)
@@ -200,16 +219,19 @@ class Executor:
 
         with self.tracer.span("executor.run", stages=len(stages)) as run_span:
             for index, stage in enumerate(stages):
-                timing = self._run_stage(
-                    stage, stage.id, sorted(stage.dependencies), env,
-                    conversion_cache, monitor, completed_logical, tracker,
-                    sniffer_map=sniffer_map, crossing=crossing,
-                    started=started, injector=fault_injector,
-                    max_retries=max_retries)
+                mark = len(ledger.records)
+                record = self._run_stage(
+                    job, stage, stage.id,
+                    max([floor] + [ends[d] for d in stage.dependencies]),
+                    env, conversion_cache, completed_logical, crossing)
+                ends[stage.id] = record.end
+                for nested in ledger.records[mark:]:
+                    if nested.survived:
+                        sim_seconds.observe(nested.duration)
                 # Publication happens only here, at a top-level commit —
                 # loop-body stages commit into their parent's scratch
                 # state and never publish; crashed attempts were discarded
-                # before reaching a commit.  ``timing.end`` is the stage's
+                # before reaching a commit.  ``record.end`` is the stage's
                 # simulated critical-path end: the cumulative cost of
                 # (re)computing the published data.
                 for task_id, key in offers.get(stage.id, ()):
@@ -217,22 +239,21 @@ class Executor:
                     if (channel is not None
                             and channel.actual_count is not None):
                         self.result_store.offer(key, channel,
-                                                recompute_s=timing.end)
+                                                recompute_s=record.end)
                 # Checkpoint barrier: every earlier stage committed, no
                 # later one started.
                 if checkpoint is not None and index < len(stages) - 1:
                     if checkpoint(monitor, set(completed_logical)):
                         run_span.set("paused_after", stage.id)
                         raise ReplanRequested(
-                            self._materialized(plan, env), monitor, started,
-                            tracker.makespan)
-            run_span.set("sim_makespan", tracker.makespan)
+                            self._materialized(plan, env), monitor, started)
+            run_span.set("sim_makespan", ledger.makespan)
 
         outputs = [env[t.id].payload for t in plan.sink_tasks]
         return ExecutionResult(
             outputs=outputs,
-            runtime=tracker.makespan,
-            tracker=tracker,
+            runtime=ledger.makespan,
+            tracker=ledger,
             monitor=monitor,
             stage_count=len(stages),
             platforms=set(started),
@@ -301,17 +322,19 @@ class Executor:
         return crossing
 
     # -------------------------------------------------------------- stages
-    def _run_stage(self, stage, label, deps, env, cache, monitor, completed,
-                   tracker, *, sniffer_map, crossing, started, injector,
-                   max_retries, epoch=0) -> StageTiming:
+    def _run_stage(self, job: _Job, stage, label, start, env, cache,
+                   completed, crossing, epoch=0) -> StageRecord:
         """Run one stage's attempts against scratch state, then commit.
 
-        Retries on injected platform failures up to ``max_retries``;
-        wasted attempts are recorded on ``tracker`` (the cluster paid for
-        them) and the surviving attempt chains after the last failure.
-        Only the surviving attempt's state is committed into ``env``,
-        ``cache``, ``monitor`` and ``completed`` — the job's for a
-        top-level stage, the enclosing attempt's scratch state for a
+        The first attempt starts at ``start``; a retry on an injected
+        platform failure (up to ``job.max_retries``) starts where the
+        crashed attempt ended.  Every attempt is one ledger record, and a
+        crashed one is wasted together with every record it nested (a
+        loop driver's body runs).  An attempt that nested records starts
+        its own where the last of them ends: a loop's driver stage closes
+        after its body's last stage.  Only the surviving attempt's state
+        is committed into ``env``, ``cache`` and ``completed`` — the job's
+        for a top-level stage, the enclosing attempt's scratch state for a
         loop-body stage — so a crashed attempt leaves only its cost.
         """
         from .faults import PlatformFailure
@@ -321,11 +344,12 @@ class Executor:
             # outside the attempt scratch state below — a cancelled job
             # keeps every committed stage and abandons nothing half-done.
             self.cancel_check()
+        ledger = job.ledger
         attempt = 0
-        attempt_deps = deps
         with self.tracer.span(f"stage:{label}",
                               platform=stage.platform) as stage_span:
             while True:
+                mark = len(ledger.records)
                 meter = CostMeter()
                 attempt_env = dict(env)
                 attempt_cache = dict(cache)
@@ -333,23 +357,19 @@ class Executor:
                 memory_demands: list[tuple[str, float]] = []
                 pending_sniffs: list[tuple[list[Sniffer], Any, Channel]] = []
                 observations: list[OperatorObservation] = []
-                scratch = Monitor()
                 # A fresh context per attempt: a crashed attempt's meter
-                # and monitor are thrown away with it.
+                # is thrown away with it.
                 ctx = ExecutionContext(cluster=self.cluster, meter=meter,
-                                       pgres=self.pgres, monitor=scratch,
-                                       seed=self.seed, epoch=epoch)
+                                       pgres=self.pgres, seed=self.seed,
+                                       epoch=epoch)
                 with self.tracer.span(f"attempt{attempt}") as attempt_span:
-                    self._charge_stage_overheads(stage, meter, started)
+                    self._charge_stage_overheads(stage, meter, job.started)
                     for task in stage.tasks:
                         self._execute_task(
-                            task, attempt_env, ctx, attempt_cache,
-                            sniffer_map, parent_stage=stage,
-                            observations=observations,
+                            job, task, attempt_env, ctx, attempt_cache,
+                            label, start, observations=observations,
                             pending_sniffs=pending_sniffs,
-                            completed=attempt_completed, tracker=tracker,
-                            started=started, injector=injector,
-                            max_retries=max_retries)
+                            completed=attempt_completed)
                         if task.logical_id is not None:
                             attempt_completed.add(task.logical_id)
                         # Within-stage outputs are pipelined; only data
@@ -362,21 +382,24 @@ class Executor:
                                 and task.platform in self.cluster.profiles):
                             memory_demands.append(
                                 (task.platform, out.sim_mb))
-                    failed = (injector is not None
-                              and injector.should_fail(label, attempt))
+                    failed = (job.injector is not None
+                              and job.injector.should_fail(label, attempt))
                     attempt_span.set("failed", failed)
                     attempt_span.set("sim_seconds", meter.total)
                 self.metrics.counter("executor.attempts").inc()
+                begin = (ledger.records[-1].end if len(ledger.records) > mark
+                         else start)
                 if not failed:
                     break
-                if attempt >= max_retries:
+                if attempt >= job.max_retries:
                     raise PlatformFailure(label, attempt)
-                # Discard the attempt's scratch state; only the
-                # critical-path charge survives.
+                # Discard the attempt's scratch state; its ledger records
+                # stay, as wasted.
                 self.metrics.counter("executor.retries_wasted").inc()
-                wasted = f"{label}.attempt{attempt}"
-                tracker.record(wasted, attempt_deps, meter)
-                attempt_deps = [wasted]
+                start = ledger.record(label, attempt, stage.platform, begin,
+                                      meter, observations).end
+                for wasted in ledger.records[mark:]:
+                    wasted.survived = False
                 attempt += 1
         # Commit the surviving attempt.
         for platform, needed_mb in memory_demands:
@@ -384,21 +407,17 @@ class Executor:
         env.update(attempt_env)
         cache.update(attempt_cache)
         completed |= attempt_completed
-        monitor.absorb(scratch)
         for sniffers, op, out in pending_sniffs:
             self._sniff(sniffers, op, out, meter)
-        timing = tracker.record(label, attempt_deps, meter)
         stage_span.set("attempts", attempt + 1)
         stage_span.set("sim_seconds", meter.total)
         self.metrics.counter("executor.stages").inc()
-        monitor.record_stage(timing, stage.platform, observations)
-        return timing
+        return ledger.record(label, attempt, stage.platform, begin, meter,
+                             observations)
 
     # --------------------------------------------------------------- tasks
-    def _execute_task(self, task, env, ctx, cache, sniffer_map,
-                      parent_stage, *, observations, pending_sniffs,
-                      completed, tracker, started,
-                      injector=None, max_retries=0) -> None:
+    def _execute_task(self, job: _Job, task, env, ctx, cache, label, start,
+                      *, observations, pending_sniffs, completed) -> None:
         op = task.operator
         if isinstance(op, LoopBodySource):
             if task.id not in env:
@@ -411,27 +430,27 @@ class Executor:
                                     cache, ti.producer.id)
                       for ti in task.broadcast_inputs]
         if isinstance(op, LoopImplementation):
-            out = self._run_loop(op, inputs, ctx, parent_stage,
-                                 tracker=tracker, sniffer_map=sniffer_map,
-                                 completed=completed, started=started,
-                                 injector=injector, max_retries=max_retries)
+            out = self._run_loop(job, op, inputs, ctx, label, start,
+                                 completed)
         else:
             out = op.execute(inputs, broadcasts, ctx)
-            ctx.record_output(op, out)
             cin = sum(ch.sim_cardinality for ch in inputs
                       if ch.actual_count is not None)
-            cout = out.sim_cardinality if out.actual_count is not None else 0.0
+            measured = out.actual_count is not None
+            # Only a measured output tells the monitor a cardinality.
+            logical = op.logical if measured else None
             observations.append(OperatorObservation(
                 op.platform, op.observed_op_kind(inputs, ctx), op.work(),
-                cin, cout))
+                cin, out.sim_cardinality if measured else 0.0,
+                getattr(logical, "id", None), getattr(logical, "name", "")))
             logical_id = task.logical_id
-            if (logical_id in sniffer_map and out.actual_count is not None
+            if (logical_id in job.sniffers and measured
                     and not isinstance(op, CachedResultExec)):
                 # A held channel flowed past its sniffers when it was
                 # produced.  Deferred to commit time: a crashed attempt
                 # never produced observable data, so its sniffers must
                 # stay silent.
-                pending_sniffs.append((sniffer_map[logical_id], op, out))
+                pending_sniffs.append((job.sniffers[logical_id], op, out))
         env[task.id] = out
 
     def _sniff(self, sniffers, op, channel: Channel, meter: CostMeter) -> None:
@@ -492,48 +511,42 @@ class Executor:
                      f"{stage.platform}.dispatch", category="overhead")
 
     # --------------------------------------------------------------- loops
-    def _run_loop(self, impl: LoopImplementation, inputs: list[Channel],
-                  ctx, parent_stage, *, tracker, sniffer_map, completed,
-                  started, injector=None, max_retries=0) -> Channel:
+    def _run_loop(self, job: _Job, impl: LoopImplementation,
+                  inputs: list[Channel], ctx, label, start,
+                  completed) -> Channel:
+        """Run a loop's body once per iteration inside the driver stage
+        ``label``'s attempt, which started at ``start``."""
         loop = impl.logical
         channels = list(inputs)
         body_stages = impl.body_plan.build_stages()
         # Loop-body stages materialize channels at their boundaries just
         # like top-level stages, so they face the same memory checks.
         body_crossing = self._crossing_ids(impl.body_plan, body_stages)
-        iteration = 0
-        # The parent (driver) stage is recorded only after the loop ends, so
-        # the first iteration chains off the loop's producer stages instead.
-        initial_deps = sorted(parent_stage.dependencies)
-        last_tail: str | None = None
+        # The first iteration chains after the driver attempt's start,
+        # every later one after the previous iteration's last stage.
+        chain = start
         max_iterations = (loop.iterations if isinstance(loop, RepeatLoop)
                           else loop.max_iterations)
-        while iteration < max_iterations:
+        for iteration in range(max_iterations):
             env: dict[int, Channel] = {}
             cache: dict[tuple, Channel] = {}
+            ends: dict[str, float] = {}
             for k, task in enumerate(impl.body_input_tasks):
                 if task is not None:
                     env[task.id] = channels[k]
-            prefix = f"{parent_stage.id}.loop{impl.id}.it{iteration}"
+            prefix = f"{label}.loop{impl.id}.it{iteration}"
             for stage in body_stages:
-                deps = [f"{prefix}.{d}" for d in sorted(stage.dependencies)]
-                deps.extend([last_tail] if last_tail is not None
-                            else initial_deps)
-                # Body stages run inside the parent's attempt and commit
-                # into its scratch monitor and completed buffer, which a
-                # crashed parent attempt discards; their critical-path
-                # records stay, as the cluster paid for them.
-                self._run_stage(
-                    stage, f"{prefix}.{stage.id}", deps, env, cache,
-                    ctx.monitor, completed, tracker,
-                    sniffer_map=sniffer_map, crossing=body_crossing,
-                    started=started, injector=injector,
-                    max_retries=max_retries, epoch=iteration)
-            if body_stages:
-                last_tail = f"{prefix}.{body_stages[-1].id}"
+                # Body stages run inside the driver's attempt and commit
+                # into its scratch state, which a crashed driver attempt
+                # discards; their ledger records stay, marked wasted.
+                ends[stage.id] = self._run_stage(
+                    job, stage, f"{prefix}.{stage.id}",
+                    max([chain] + [ends[d] for d in stage.dependencies]),
+                    env, cache, completed, body_crossing,
+                    epoch=iteration).end
+            chain = ends[body_stages[-1].id]
             loop_var = env[impl.body_plan.sink_tasks[0].id]
-            iteration += 1
-            done = iteration >= max_iterations
+            done = iteration + 1 >= max_iterations
             if isinstance(loop, DoWhileLoop) and not done:
                 values = self._materialize_payload(loop_var, ctx)
                 done = not loop.condition(values)

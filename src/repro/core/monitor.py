@@ -1,7 +1,7 @@
 """Execution monitoring (Section 4.3 of the paper).
 
-The monitor collects light-weight statistics while a plan runs — true
-output cardinalities per logical operator and per-stage timings — and
+The monitor reads light-weight statistics off the job's stage ledger —
+true output cardinalities per logical operator and per-stage timings — and
 checks the health of the execution: a large mismatch between measured and
 estimated cardinalities pauses the plan and hands control to the
 progressive optimizer.
@@ -11,20 +11,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..simulation.clock import StageTiming
-from ..trace import MetricsRegistry
+from ..simulation.clock import StageLedger, StageRecord
 from .cardinality import CardinalityEstimate
 
 
 @dataclass(frozen=True)
 class OperatorObservation:
-    """One execution operator's measured behaviour within a stage."""
+    """One execution operator's measured behaviour within a stage.
+
+    ``logical_id`` / ``name`` name the logical operator whose output
+    cardinality ``cout`` measured (``None`` when the operator has no
+    logical counterpart or its output count was not measured); the cost
+    learner reads neither.
+    """
 
     platform: str
     op_kind: str
     work: float
     cin: float
     cout: float
+    logical_id: int | None = field(default=None, compare=False)
+    name: str = field(default="", compare=False)
 
 
 @dataclass
@@ -34,6 +41,8 @@ class StageObservation:
     The paper's learner sees only stage runtimes, never isolated operator
     timings; ``known_seconds`` carries the directly metered non-CPU parts
     (I/O, network, dispatch) so the regression solves for the CPU model.
+    Conversion-only stages keep an empty operator list: dropping them
+    would silently bias the fit.
     """
 
     stage_id: str
@@ -55,70 +64,42 @@ class CardinalityMismatch:
 
 @dataclass
 class Monitor:
-    """Collects execution statistics for one job.
+    """Execution statistics for one job: reads over its stage ledger.
 
     Attributes:
         estimates: The optimizer's cardinality estimates per logical
             operator id (installed when the job starts).
-        actuals: Measured simulated cardinalities per logical operator id
-            (the latest measurement wins, e.g. across loop iterations).
+        ledger: Every stage the job ran; only the records that survived
+            are read here, in commit order.
     """
 
     estimates: dict[int, CardinalityEstimate] = field(default_factory=dict)
-    actuals: dict[int, float] = field(default_factory=dict)
-    operator_names: dict[int, str] = field(default_factory=dict)
-    stage_timings: list[StageTiming] = field(default_factory=list)
-    stage_observations: list[StageObservation] = field(default_factory=list)
-    metrics: MetricsRegistry | None = field(default=None, repr=False)
+    ledger: StageLedger = field(default_factory=StageLedger)
 
-    def record_cardinality(self, exec_op, sim_cardinality: float) -> None:
-        """Called by the execution context after each operator output."""
-        logical = exec_op.logical
-        if logical is None:
-            return
-        self.actuals[logical.id] = sim_cardinality
-        self.operator_names[logical.id] = logical.name
-        if self.metrics is not None:
-            self.metrics.counter("monitor.cardinalities").inc()
+    @property
+    def stage_timings(self) -> list[StageRecord]:
+        return self.ledger.surviving()
 
-    def record_stage(self, timing: StageTiming,
-                     platform: str = "",
-                     operators: list[OperatorObservation] | None = None
-                     ) -> None:
-        """Log one executed stage.
+    @property
+    def stage_observations(self) -> list[StageObservation]:
+        return [StageObservation(
+            r.stage_id, r.platform, r.duration,
+            sum(e.seconds for e in r.meter.events if e.category != "cpu"),
+            list(r.operators)) for r in self.ledger.surviving()]
 
-        Conversion-only stages (no operator observations) are recorded
-        with an empty operator list so their directly metered
-        ``known_seconds`` still reach the cost learner's calibration —
-        dropping them would silently bias the fit.
-        """
-        self.stage_timings.append(timing)
-        known = sum(e.seconds for e in timing.meter.events
-                    if e.category != "cpu")
-        self.stage_observations.append(StageObservation(
-            timing.stage_id, platform, timing.duration, known,
-            list(operators or [])))
-        if self.metrics is not None:
-            self.metrics.counter("monitor.stages").inc()
-            self.metrics.histogram("monitor.stage_sim_seconds").observe(
-                timing.duration)
-
-    def absorb(self, other: "Monitor") -> None:
-        """Fold a committed per-attempt buffer into this monitor.
-
-        The executor runs every stage attempt against a scratch monitor
-        and absorbs it only on success, so crashed attempts never leak
-        observations into the progressive optimizer's view.
-        """
-        self.actuals.update(other.actuals)
-        self.operator_names.update(other.operator_names)
-        self.stage_timings.extend(other.stage_timings)
-        self.stage_observations.extend(other.stage_observations)
+    @property
+    def actuals(self) -> dict[int, float]:
+        """Measured simulated cardinalities per logical operator id (the
+        latest measurement wins, e.g. across loop iterations)."""
+        return {o.logical_id: o.cout for r in self.ledger.surviving()
+                for o in r.operators if o.logical_id is not None}
 
     def mismatches(self, tolerance: float = 2.0) -> list[CardinalityMismatch]:
         """Operators whose measured cardinality falls badly outside the
         estimated interval (the health check that triggers re-optimization).
         """
+        names = {o.logical_id: o.name for r in self.ledger.surviving()
+                 for o in r.operators}
         out = []
         for logical_id, actual in self.actuals.items():
             estimate = self.estimates.get(logical_id)
@@ -127,7 +108,7 @@ class Monitor:
             if estimate.mismatches(actual, tolerance):
                 out.append(CardinalityMismatch(
                     logical_id,
-                    self.operator_names.get(logical_id, f"op#{logical_id}"),
+                    names[logical_id],
                     estimate,
                     actual,
                 ))

@@ -198,16 +198,12 @@ class RheemPlan:
 
         Returns a map from operator id to its output-cardinality estimate.
         Loop bodies are estimated too (one representative iteration), keyed
-        by the body operators' ids.
+        by the body operators' ids, nested bodies included.
         """
         ctx = ctx or EstimationContext()
         estimates: dict[int, CardinalityEstimate] = {}
         _estimate_operators(self._topo, ctx, estimates)
-        # Surface loop-body estimates as well (the loop estimator pinned the
-        # placeholders while estimating the loop's own output above).
-        for op in self._topo:
-            if isinstance(op, LoopOperator):
-                _estimate_operators(op.body.operators(), ctx, estimates)
+        _estimate_bodies(self._topo, ctx, estimates)
         return estimates
 
     def __repr__(self) -> str:
@@ -243,6 +239,21 @@ def _estimate_operators(
             out[ref.op.id] for ref in op.inputs if ref is not None
         ]
         out[op.id] = op.estimate_cardinality(input_estimates, ctx)
+
+
+def _estimate_bodies(
+    ops: Sequence[Operator],
+    ctx: EstimationContext,
+    out: dict[int, CardinalityEstimate],
+) -> None:
+    """Surface loop-body estimates as well, at every nesting depth (each
+    loop estimator pinned its placeholders while estimating the loop's own
+    output)."""
+    for op in ops:
+        if isinstance(op, LoopOperator):
+            body_ops = op.body.operators()
+            _estimate_operators(body_ops, ctx, out)
+            _estimate_bodies(body_ops, ctx, out)
 
 
 def estimate_subplan(

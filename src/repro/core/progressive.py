@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+from ..simulation.clock import StageLedger
 from .batch import records_of
 from .cardinality import CardinalityEstimate
 from .channels import Channel
@@ -52,9 +53,9 @@ class PausedJob:
     materialized: dict[int, Channel] = field(default_factory=dict)
     #: Every cardinality the job has measured, pinned as exact.
     overrides: dict[int, CardinalityEstimate] = field(default_factory=dict)
-    monitor: Monitor | None = None  # of the run that paused
+    #: The paused run's monitor; its ledger holds every earlier round.
+    monitor: Monitor = field(default_factory=Monitor)
     started_platforms: set[str] = field(default_factory=set)
-    makespan: float = 0.0
 
     def inspect(self, logical_id: int):
         """The materialized payload of a completed operator's output (a
@@ -99,14 +100,14 @@ def run_to_checkpoint(
         return executor.execute(
             exec_plan, estimates=cards, checkpoint=checkpoint,
             started_platforms=set(job.started_platforms),
-            start_at=job.makespan, **execute_options)
+            ledger=StageLedger(job.monitor.ledger.records), **execute_options)
     except ReplanRequested as pause:
         measured = {logical_id: CardinalityEstimate.exact(actual)
                     for logical_id, actual in pause.monitor.actuals.items()}
         return PausedJob(
             job.plan, {**job.materialized, **pause.materialized},
             {**job.overrides, **measured}, pause.monitor,
-            pause.started_platforms, pause.makespan)
+            pause.started_platforms)
 
 
 def execute_progressively(

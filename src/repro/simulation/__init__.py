@@ -6,7 +6,7 @@ virtual cluster with memory accounting (:mod:`~repro.simulation.cluster`)
 and the virtual HDFS/local file systems (:mod:`~repro.simulation.vfs`).
 """
 
-from .clock import CostEvent, CostMeter, CriticalPathTracker, StageTiming
+from .clock import CostEvent, CostMeter, StageLedger, StageRecord
 from .cluster import SimulatedOutOfMemory, VirtualCluster
 from .profiles import (
     HardwareProfile,
@@ -28,8 +28,8 @@ from .vfs import (
 __all__ = [
     "CostEvent",
     "CostMeter",
-    "CriticalPathTracker",
-    "StageTiming",
+    "StageLedger",
+    "StageRecord",
     "SimulatedOutOfMemory",
     "VirtualCluster",
     "HardwareProfile",

@@ -73,59 +73,66 @@ class CostMeter:
 
 
 @dataclass
-class StageTiming:
-    """Critical-path bookkeeping for one executed stage."""
+class StageRecord:
+    """One run of one stage: an attempt, whether or not it survived.
+
+    ``operators`` are the monitor's per-operator observations.  A record
+    is wasted (``survived`` false) when its own attempt crashed or when
+    an enclosing attempt (the loop driver stage it ran under) crashed
+    later; the cluster paid for it all the same.
+    """
 
     stage_id: str
+    attempt: int
+    platform: str
     start: float
-    duration: float
-    meter: CostMeter = field(repr=False, default_factory=CostMeter)
+    meter: CostMeter = field(repr=False)
+    operators: list = field(default_factory=list, repr=False)
+    survived: bool = True
+
+    @property
+    def duration(self) -> float:
+        return self.meter.total
 
     @property
     def end(self) -> float:
-        return self.start + self.duration
+        return self.start + self.meter.total
+
+    @property
+    def label(self) -> str:
+        """The stage id, tagged with its attempt when the record was
+        wasted."""
+        return (self.stage_id if self.survived
+                else f"{self.stage_id}.attempt{self.attempt}")
 
 
-class CriticalPathTracker:
-    """Aggregates stage timings into an overall simulated runtime.
+class StageLedger:
+    """A job's append-only record of every stage it ran, in commit order.
 
     Stages that depend on each other run back to back; independent stages
     overlap (inter-platform parallelism, Section 1 challenge (iv) of the
-    paper).  The job's simulated runtime is the maximum stage end time.
-    No stage starts before ``origin`` — the makespan of the paused run a
-    resumed job continues from.
+    paper): the executor places each record's start, and the job's
+    simulated runtime is the maximum end over all records.  A resumed job
+    appends to the ledger of the run it continues.
     """
 
-    def __init__(self, origin: float = 0.0) -> None:
-        self.origin = origin
-        self._timings: dict[str, StageTiming] = {}
+    def __init__(self, records: list[StageRecord] = ()) -> None:
+        self.records = list(records)
 
-    def record(self, stage_id: str, dependencies: list[str], meter: CostMeter) -> StageTiming:
-        """Record a completed stage; its start is the latest dependency end."""
-        start = self.origin
-        for dep in dependencies:
-            if dep in self._timings:
-                start = max(start, self._timings[dep].end)
-        timing = StageTiming(stage_id, start, meter.total, meter)
-        self._timings[stage_id] = timing
-        return timing
+    def record(self, stage_id: str, attempt: int, platform: str,
+               start: float, meter: CostMeter,
+               operators: list = ()) -> StageRecord:
+        """Append one stage run starting at simulated time ``start``."""
+        record = StageRecord(stage_id, attempt, platform, start, meter,
+                             list(operators))
+        self.records.append(record)
+        return record
 
-    def end_of(self, stage_id: str) -> float | None:
-        """End time of a recorded stage, or ``None`` if unknown."""
-        timing = self._timings.get(stage_id)
-        return None if timing is None else timing.end
+    def surviving(self) -> list[StageRecord]:
+        """The records that survived, in commit order."""
+        return [r for r in self.records if r.survived]
 
     @property
     def makespan(self) -> float:
         """Simulated end-to-end runtime of everything recorded so far."""
-        return max((t.end for t in self._timings.values()),
-                   default=self.origin)
-
-    @property
-    def busy_time(self) -> float:
-        """Sum of all stage durations (ignores overlap)."""
-        return sum(t.duration for t in self._timings.values())
-
-    def timings(self) -> list[StageTiming]:
-        """All stage timings in recording order."""
-        return list(self._timings.values())
+        return max((r.end for r in self.records), default=0.0)

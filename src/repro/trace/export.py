@@ -7,8 +7,8 @@ Three consumers, three formats:
 * :func:`write_jsonl` streams one JSON object per span (plus a final
   metrics record) for offline processing;
 * :func:`chrome_trace` renders the *wall-clock* span tree and the
-  *simulated* :class:`~repro.simulation.clock.CriticalPathTracker`
-  timelines into the Chrome trace-event format, so a whole cross-platform
+  *simulated* :class:`~repro.simulation.clock.StageLedger` timelines
+  into the Chrome trace-event format, so a whole cross-platform
   job — optimizer phases, every stage attempt, conversions, retries — can
   be inspected visually in ``chrome://tracing`` / Perfetto.
 """
@@ -79,23 +79,25 @@ def _lane_of(start: float, lanes: list[float]) -> int:
     return len(lanes) - 1
 
 
-def _simulated_events(tracker: Any, pid: int) -> list[dict[str, Any]]:
-    """Stage timings as overlap-stacked X events on one simulated pid."""
+def _simulated_events(ledger: Any, pid: int) -> list[dict[str, Any]]:
+    """Stage records, wasted ones included, as overlap-stacked X events on
+    one simulated pid; each is tagged with its attempt."""
     events: list[dict[str, Any]] = []
     lanes: list[float] = []
-    for timing in sorted(tracker.timings(), key=lambda t: (t.start, t.stage_id)):
-        lane = _lane_of(timing.start, lanes)
-        lanes[lane] = timing.end
+    for record in sorted(ledger.records, key=lambda r: (r.start, r.label)):
+        lane = _lane_of(record.start, lanes)
+        lanes[lane] = record.end
         events.append({
-            "name": timing.stage_id,
+            "name": record.label,
             "cat": "simulated",
             "ph": "X",
-            "ts": round(timing.start * 1e6, 3),
-            "dur": round(timing.duration * 1e6, 3),
+            "ts": round(record.start * 1e6, 3),
+            "dur": round(record.duration * 1e6, 3),
             "pid": pid,
             "tid": lane + 1,
-            "args": {k: round(v, 6)
-                     for k, v in timing.meter.by_category().items()},
+            "args": {"attempt": record.attempt, "survived": record.survived,
+                     **{k: round(v, 6)
+                        for k, v in record.meter.by_category().items()}},
         })
     return events
 
@@ -105,10 +107,10 @@ def chrome_trace(tracer: Tracer | None = None,
                  metrics: MetricsRegistry | None = None) -> dict[str, Any]:
     """Build a Chrome trace-event document.
 
-    The driver's wall-clock spans land on pid 1; each tracker's simulated
-    stage timeline gets its own pid (2, 3, ...).  Both timelines use
-    microseconds, so durations are comparable lane by lane even though
-    their clocks differ.
+    The driver's wall-clock spans land on pid 1; each job ledger's
+    simulated stage timeline gets its own pid (2, 3, ...).  Both
+    timelines use microseconds, so durations are comparable lane by lane
+    even though their clocks differ.
     """
     events: list[dict[str, Any]] = []
     if tracer is not None:

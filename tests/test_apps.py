@@ -94,7 +94,7 @@ class TestML4all:
         result = ML4all(ctx).train("hdfs://pts", algo, iterations=500)
         # With an impossible-to-miss tolerance it stops almost immediately.
         iterations_run = sum(
-            1 for t in result.tracker.timings() if ".it" in t.stage_id
+            1 for t in result.tracker.records if ".it" in t.stage_id
         )
         assert iterations_run < 500
 

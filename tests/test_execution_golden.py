@@ -5,17 +5,19 @@ driver changed.
 the lane scheduler was deleted, at that commit's default settings (lanes
 on): ``PYTHONPATH=<that commit's src> python tests/test_execution_golden.py
 --write``.  A pass means the one stage driver produces, for every scenario,
-the same outputs, simulated makespan, critical-path records (stage id,
-start, end at full ``repr``), monitor observations in order, started
-platforms and ``executor.*`` counter deltas as the scheduler it replaced.
+the same outputs, simulated makespan, ledger records (stage id tagged with
+its attempt when wasted, start, end at full ``repr``), monitor
+observations in order, started platforms and ``executor.*`` counter
+deltas as the scheduler it replaced.
 The ``progressive`` and ``paused_resumed`` rows were re-recorded when a
 resume became a result-reuse restart: its placeholder reads
 ``cached_result`` and its stages start at the paused makespan, which the
 earlier rows left out of ``runtime``.
-The ``loop_consumer`` row was recorded from the commit before the stage
-commit stopped buffering critical-path records; it pins a known defect
-(a loop's driver stage is recorded next to its body, not after it) so
-that its fix re-records the row on purpose.
+When the job's two stage records became one ledger, the ``runtime`` and
+``tracker`` of the rows with loops were re-recorded (a loop's driver
+stage closes after its body's last stage; a re-run loop keeps its
+crashed run's records and chains after them), and the two resumed rows
+gained their paused round's records and observations.
 CI runs this module under two ``PYTHONHASHSEED`` values.
 """
 
@@ -77,8 +79,8 @@ def _record(ctx, before, result, unordered=False, counters=COUNTERS,
                     else result.outputs),
         "runtime": repr(result.runtime),
         "stage_count": result.stage_count,
-        "tracker": [[_norm(t.stage_id), repr(t.start), repr(t.end)]
-                    for t in result.tracker.timings()],
+        "tracker": [[_norm(r.label), repr(r.start), repr(r.end)]
+                    for r in result.tracker.records],
         "observations": _observations(result.monitor),
         "platforms": sorted(result.platforms),
         "counters": {name: after[name] - before[name] for name in counters},
@@ -128,12 +130,10 @@ def _faulty_seeded() -> dict:
 
 
 def _loop_consumer() -> dict:
-    # Pins a known defect, not a wanted behaviour: a loop's driver stage
-    # ("stage3") is recorded next to its body, not after it, so the map
-    # consuming the loop's output starts before the body's last stage
-    # ends; and when the driver stage crashes once the whole loop runs
-    # again, yet the makespan equals the clean run's — the re-run body
-    # records overwrite the first run's under the same ids.
+    # The loop's driver stage ("stage3") closes after its body's last
+    # stage, so the map consuming the loop's output starts after it.
+    # When the driver stage crashes once the whole loop runs again: the
+    # first run's records stay (wasted) and the rerun chains after them.
     def build(ctx):
         return _do_while(ctx).map(lambda v: v * 2)
 

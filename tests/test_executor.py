@@ -4,8 +4,9 @@ import pytest
 
 from repro import RheemContext
 from repro.core.executor import Sniffer
-from repro.core.monitor import Monitor
+from repro.core.monitor import Monitor, OperatorObservation
 from repro.core.cardinality import CardinalityEstimate
+from repro.simulation.clock import CostMeter
 from repro.simulation.cluster import SimulatedOutOfMemory
 from conftest import wordcount
 
@@ -91,7 +92,8 @@ class TestExecution:
         b = ctx.load_collection(list(range(100)), sim_factor=1e5).map(
             lambda x: x)
         res = a.union(b).execute(allowed_platforms={"pystreams", "driver"})
-        assert res.tracker.makespan <= res.tracker.busy_time
+        assert res.tracker.makespan <= sum(
+            r.duration for r in res.tracker.records)
 
 
 class TestLoopsAtRuntime:
@@ -175,28 +177,30 @@ class TestSniffers:
         assert overhead < 1.0  # bounded exploratory overhead
 
 
+def _monitor_measuring(cout, survived=True) -> Monitor:
+    """A monitor whose ledger holds one stage in which logical operator 1
+    ("op") measured ``cout`` records."""
+    monitor = Monitor(estimates={1: CardinalityEstimate(10, 20)})
+    record = monitor.ledger.record(
+        "stage1", 0, "pystreams", 0.0, CostMeter(),
+        [OperatorObservation("pystreams", "map", 1.0, cout, cout, 1, "op")])
+    record.survived = survived
+    return monitor
+
+
 class TestMonitor:
     def test_actuals_and_mismatches(self):
-        monitor = Monitor(estimates={1: CardinalityEstimate(10, 20)})
-
-        class FakeOp:
-            class logical:
-                id = 1
-                name = "op"
-        monitor.record_cardinality(FakeOp, 500.0)
+        monitor = _monitor_measuring(500.0)
         assert monitor.actuals[1] == 500.0
         assert not monitor.is_healthy()
         assert monitor.mismatches()[0].actual == 500.0
+        assert monitor.mismatches()[0].operator_name == "op"
 
     def test_healthy_when_within_bounds(self):
-        monitor = Monitor(estimates={1: CardinalityEstimate(10, 20)})
-
-        class FakeOp:
-            class logical:
-                id = 1
-                name = "op"
-        monitor.record_cardinality(FakeOp, 15.0)
+        monitor = _monitor_measuring(15.0)
         assert monitor.is_healthy()
+        # A wasted record measured nothing the health check reads.
+        assert _monitor_measuring(500.0, survived=False).is_healthy()
 
     def test_observations_recorded_during_execution(self, ctx):
         ctx.vfs.write("hdfs://f", ["a b"] * 10, sim_factor=100.0)
@@ -232,7 +236,7 @@ class TestConversionDeduplication:
         odds = base.filter(lambda r: r["v"] % 2 == 1,
                            name="odds").with_target_platform("flinklite")
         res = evens.union(odds).execute()
-        exports = [e for t in res.tracker.timings()
+        exports = [e for t in res.tracker.records
                    for e in t.meter.events
                    if e.label.startswith("convert:pgres-export")]
         assert len(exports) == 1

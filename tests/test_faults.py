@@ -60,8 +60,8 @@ class TestStageRetries:
         faulty = _task(faulty_ctx).execute(fault_injector=injector,
                                            max_stage_retries=2)
         assert faulty.runtime > clean.runtime
-        attempt_stages = [t for t in faulty.tracker.timings()
-                          if ".attempt" in t.stage_id]
+        attempt_stages = [r for r in faulty.tracker.records
+                          if not r.survived]
         assert len(attempt_stages) == 2
 
     def test_exceeding_retry_bound_raises(self):

@@ -162,18 +162,14 @@ class TestConversionOnlyStages:
     must still reach the calibration log — dropping their known_seconds
     would bias the fit."""
 
-    def _conversion_timing(self, seconds=2.0):
-        from repro.simulation.clock import CostMeter, CriticalPathTracker
-
-        meter = CostMeter()
-        meter.charge(seconds, "hdfs.read", category="io")
-        return CriticalPathTracker().record("conv", [], meter)
-
     def test_monitor_records_conversion_only_stages(self):
         from repro.core.monitor import Monitor
+        from repro.simulation.clock import CostMeter
 
+        meter = CostMeter()
+        meter.charge(2.0, "hdfs.read", category="io")
         monitor = Monitor()
-        monitor.record_stage(self._conversion_timing(2.0), "sparklite")
+        monitor.ledger.record("conv", 0, "sparklite", 0.0, meter)
         (obs,) = monitor.stage_observations
         assert obs.operators == []
         assert obs.known_seconds == pytest.approx(2.0)

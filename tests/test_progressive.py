@@ -83,10 +83,18 @@ class TestProgressiveOptimization:
         ctx = RheemContext()
         result = ctx.execute_progressive(
             _lookup_join_plan(ctx, 0.0001)).result
-        at_pause = result.tracker.origin
+        # The ledger holds the paused round's stages, then the last
+        # round's (no loops, no retries: one record per stage).
+        records = result.tracker.records
+        paused = records[:len(records) - result.stage_count]
+        assert paused
+        at_pause = max(r.end for r in paused)
         assert at_pause > 0
-        assert all(t.start >= at_pause for t in result.tracker.timings())
+        assert all(r.start >= at_pause for r in records[len(paused):])
         assert result.runtime > at_pause
+        # Every stage of every round is observed once.
+        committed = ctx.metrics.snapshot()["counters"]["executor.stages"]
+        assert len(result.monitor.stage_observations) == committed
 
     def test_sniffer_sees_an_output_once_across_a_replan(self):
         ctx = RheemContext()
@@ -136,11 +144,19 @@ class TestPauseResume:
         ctx = RheemContext()
         parsed, plan = self._plan(ctx)
         paused = ctx.execute_paused(plan, break_after={parsed.op.id})
-        assert paused.makespan > 0
+        before = list(paused.monitor.ledger.records)
+        at_pause = paused.monitor.ledger.makespan
+        assert at_pause > 0
         result = ctx.resume(paused)
+        # The resumed round appends to the paused run's ledger, which the
+        # paused job itself keeps as it was.
+        assert result.tracker.records[:len(before)] == before
+        assert paused.monitor.ledger.records == before
         # What is left is one chain of stages: its own makespan is the
         # sum of their durations.
-        assert result.runtime == paused.makespan + result.tracker.busy_time
+        resumed = result.tracker.records[len(before):]
+        assert resumed
+        assert result.runtime == at_pause + sum(r.duration for r in resumed)
 
     def test_completed_sink_is_not_run_again(self):
         ctx = RheemContext()

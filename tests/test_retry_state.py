@@ -144,9 +144,8 @@ class TestBufferedCommit:
                           for o in result.monitor.stage_observations)
 
         clean = run()
-        driver_stages = {t.stage_id for t in clean.tracker.timings()
-                         if ".loop" not in t.stage_id
-                         and ".attempt" not in t.stage_id}
+        driver_stages = {r.stage_id for r in clean.tracker.records
+                         if ".loop" not in r.stage_id}
         failures = {sid: 1 for sid in driver_stages}
         faulty = run(FaultInjector(failures=failures), retries=2)
         assert normalized(faulty) == normalized(clean)
@@ -159,7 +158,7 @@ class TestRetryCostAccounting:
         injector = FaultInjector(failures={stage_id: 2})
         result = _corpus(ctx).execute(fault_injector=injector,
                                       max_stage_retries=2)
-        timings = {t.stage_id: t for t in result.tracker.timings()}
+        timings = {r.label: r for r in result.tracker.records}
         a0 = timings[f"{stage_id}.attempt0"]
         a1 = timings[f"{stage_id}.attempt1"]
         final = timings[stage_id]

@@ -5,11 +5,11 @@ from hypothesis import given, strategies as st
 
 from repro.simulation import (
     CostMeter,
-    CriticalPathTracker,
     FileNotFound,
     HardwareProfile,
     PLATFORM_PROFILES,
     SimulatedOutOfMemory,
+    StageLedger,
     VirtualCluster,
     VirtualFileSystem,
     platform_profile,
@@ -53,37 +53,53 @@ class TestCostMeter:
         assert meter.total == pytest.approx(sum(charges))
 
 
+def _meter(seconds):
+    meter = CostMeter()
+    meter.charge(seconds, "work")
+    return meter
+
+
 class TestCriticalPathTracker:
+    """The job's stage ledger: the makespan is the latest end over every
+    record, wasted ones included."""
+
     def test_sequential_stages_chain(self):
-        tracker = CriticalPathTracker()
-        m1, m2 = CostMeter(), CostMeter()
-        m1.charge(2.0, "a")
-        m2.charge(3.0, "b")
-        tracker.record("s1", [], m1)
-        tracker.record("s2", ["s1"], m2)
-        assert tracker.makespan == 5.0
+        ledger = StageLedger()
+        s1 = ledger.record("s1", 0, "p", 0.0, _meter(2.0))
+        s2 = ledger.record("s2", 0, "p", s1.end, _meter(3.0))
+        assert (s2.start, s2.end) == (2.0, 5.0)
+        assert ledger.makespan == 5.0
 
     def test_independent_stages_overlap(self):
-        tracker = CriticalPathTracker()
-        m1, m2 = CostMeter(), CostMeter()
-        m1.charge(2.0, "a")
-        m2.charge(3.0, "b")
-        tracker.record("s1", [], m1)
-        tracker.record("s2", [], m2)
-        assert tracker.makespan == 3.0
-        assert tracker.busy_time == 5.0
+        ledger = StageLedger()
+        ledger.record("s1", 0, "p", 0.0, _meter(2.0))
+        ledger.record("s2", 0, "p", 0.0, _meter(3.0))
+        assert ledger.makespan == 3.0
+        assert sum(r.duration for r in ledger.records) == 5.0
 
     def test_diamond_takes_slowest_branch(self):
-        tracker = CriticalPathTracker()
-        for sid, deps, secs in [("a", [], 1.0), ("b", ["a"], 5.0),
-                                ("c", ["a"], 2.0), ("d", ["b", "c"], 1.0)]:
-            meter = CostMeter()
-            meter.charge(secs, sid)
-            tracker.record(sid, deps, meter)
-        assert tracker.makespan == 7.0
+        ledger = StageLedger()
+        a = ledger.record("a", 0, "p", 0.0, _meter(1.0))
+        b = ledger.record("b", 0, "p", a.end, _meter(5.0))
+        c = ledger.record("c", 0, "p", a.end, _meter(2.0))
+        ledger.record("d", 0, "p", max(b.end, c.end), _meter(1.0))
+        assert ledger.makespan == 7.0
 
     def test_empty_tracker_has_zero_makespan(self):
-        assert CriticalPathTracker().makespan == 0.0
+        assert StageLedger().makespan == 0.0
+
+    def test_wasted_records_stay_and_count(self):
+        ledger = StageLedger()
+        body = ledger.record("d.loop1.it0.s1", 0, "p", 0.0, _meter(4.0))
+        crashed = ledger.record("d", 0, "driver", body.end, _meter(1.0))
+        body.survived = crashed.survived = False
+        rerun = ledger.record("d.loop1.it0.s1", 0, "p", crashed.end,
+                              _meter(4.0))
+        driver = ledger.record("d", 1, "driver", rerun.end, _meter(1.0))
+        assert [r.label for r in ledger.records] == [
+            "d.loop1.it0.s1.attempt0", "d.attempt0", "d.loop1.it0.s1", "d"]
+        assert ledger.surviving() == [rerun, driver]
+        assert ledger.makespan == 10.0
 
 
 class TestProfiles:

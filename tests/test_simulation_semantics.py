@@ -134,9 +134,9 @@ class TestCriticalPathWithLoops:
         res = out.execute(allowed_platforms={"flinklite", "pystreams",
                                              "driver"})
         # The preparation stage is the long non-iteration one (file read).
-        prep = max((t for t in res.tracker.timings()
+        prep = max((t for t in res.tracker.records
                     if ".it" not in t.stage_id), key=lambda t: t.duration)
         assert prep.duration > 1.0
-        first_iter = min(t.start for t in res.tracker.timings()
+        first_iter = min(t.start for t in res.tracker.records
                          if ".it0." in t.stage_id)
         assert first_iter >= prep.end - 1e-9

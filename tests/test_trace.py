@@ -4,7 +4,7 @@ import json
 
 from repro import RheemContext
 from repro.core.faults import FaultInjector
-from repro.simulation.clock import CostMeter, CriticalPathTracker
+from repro.simulation.clock import CostMeter, StageLedger
 from repro.trace import (
     NO_TRACER,
     MetricsRegistry,
@@ -141,13 +141,13 @@ class TestExporters:
         assert records[0]["attributes"] == {"stages": 1}
 
     def test_chrome_trace_two_timelines_and_lanes(self):
-        tracker = CriticalPathTracker()
+        tracker = StageLedger()
         fast, slow = CostMeter(), CostMeter()
         fast.charge(1.0, "a")
         slow.charge(5.0, "b")
-        tracker.record("s1", [], fast)
-        tracker.record("s2", [], slow)      # overlaps s1 -> second lane
-        tracker.record("s3", ["s1"], fast)  # chains -> back to lane 1
+        s1 = tracker.record("s1", 0, "p", 0.0, fast)
+        tracker.record("s2", 0, "p", 0.0, slow)   # overlaps s1 -> lane 2
+        tracker.record("s3", 0, "p", s1.end, fast)  # chains -> lane 1
         doc = chrome_trace(self._traced(), [tracker])
         names = {e["name"] for e in doc["traceEvents"]}
         assert {"run", "stage:s1", "s1", "s2", "s3"} <= names
@@ -229,6 +229,36 @@ class TestTracedExecution:
         assert counters["optimizer.plans_enumerated"] > 0
         assert counters["optimizer.plans_pruned"] > 0
         assert counters["optimizer.conversion_paths_solved"] > 0
+
+    def test_crashed_loop_driver_shows_both_loop_runs(self):
+        """The driver stage hosting a loop crashes once, so the whole loop
+        runs twice: both runs are on the simulated timeline, the first
+        one's records wasted and tagged with their attempt, and the
+        second starts where the crashed driver attempt ended."""
+        from test_execution_golden import _do_while
+
+        ctx = RheemContext()
+        result = _do_while(ctx).map(lambda v: v * 2).execute(
+            max_stage_retries=1,
+            fault_injector=FaultInjector(failures={"stage3": 1}))
+        assert result.output == [12]
+        doc = chrome_trace(None, [result.tracker])
+        events = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+        body = [e for e in events if ".loop" in e["name"]]
+        wasted = [e for e in body if not e["args"]["survived"]]
+        kept = [e for e in body if e["args"]["survived"]]
+        assert wasted and len(wasted) == len(kept)
+        assert all(e["name"].endswith(".attempt0") for e in wasted)
+        (crashed,) = [e for e in events if e["name"] == "stage3.attempt0"]
+        (driver,) = [e for e in events if e["name"] == "stage3"]
+        assert (crashed["args"]["attempt"], driver["args"]["attempt"]) \
+            == (0, 1)
+        # Each loop run ends before its driver attempt closes; the rerun
+        # starts after the crashed attempt.
+        assert max(e["ts"] + e["dur"] for e in wasted) <= crashed["ts"]
+        assert min(e["ts"] for e in kept) >= crashed["ts"] + crashed["dur"]
+        assert max(e["ts"] + e["dur"] for e in kept) <= driver["ts"]
+        assert result.runtime == result.tracker.makespan
 
     def test_enumerate_span_counts_wirings_beside_distinct_paths(self):
         from repro.apps.dataciv import q5_quanta
