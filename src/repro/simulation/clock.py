@@ -10,6 +10,7 @@ paper's 10-node-cluster experiments deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,7 @@ class StageLedger:
     appends to the ledger of the run it continues.
     """
 
-    def __init__(self, records: list[StageRecord] = ()) -> None:
+    def __init__(self, records: Iterable[StageRecord] = ()) -> None:
         self.records = list(records)
 
     def record(self, stage_id: str, attempt: int, platform: str,
