@@ -103,9 +103,13 @@ KIND_PARAM_DEFAULTS: dict[str, OperatorCostParams] = {
 }
 
 
+#: The parameters of every kind without an entry above.
+_UNLISTED_KIND_PARAMS = OperatorCostParams()
+
+
 def kind_params(op_kind: str) -> OperatorCostParams:
     """Default cost parameters for an operator kind."""
-    return KIND_PARAM_DEFAULTS.get(op_kind, OperatorCostParams())
+    return KIND_PARAM_DEFAULTS.get(op_kind, _UNLISTED_KIND_PARAMS)
 
 
 class CostModel:

@@ -10,6 +10,12 @@ attempt runs against scratch state that is committed only if the attempt
 survives, and every attempt — survived or wasted — is one record in the
 job's :class:`~repro.simulation.clock.StageLedger`.
 
+A plan is *prepared* once per ``execute``, and a loop body once per loop
+run: stage order, dependencies as list positions, each task's dispatch
+kind, crossing flag and conversion paths, each stage's dispatch charge.
+An iteration runs the kernels, charges the meters and appends one ledger
+record per stage; the job's metrics move once, when it ends.
+
 The executor also implements:
 
 * **optimization checkpoints** — after every stage (our stage outputs are
@@ -25,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
+from ..platforms.pystreams.channels import PY_COLLECTION
 from ..simulation.clock import CostMeter, StageLedger, StageRecord
 from ..simulation.cluster import VirtualCluster
 from ..trace import NO_TRACER, MetricsRegistry
@@ -36,8 +43,10 @@ from .execution import (
     ExecutionContext,
     ExecutionPlan,
     ExecutionStage,
+    ExecutionTask,
     LoopImplementation,
 )
+from .faults import PlatformFailure
 from .monitor import Monitor, OperatorObservation
 from .operators import DoWhileLoop, RepeatLoop
 from .optimizer import CachedResultExec, LoopBodySource
@@ -95,11 +104,43 @@ class _Job:
     """What every stage run of one job shares."""
 
     ledger: StageLedger
-    #: The platforms started so far (see ``_charge_stage_overheads``).
+    #: The platforms started so far; dedups the startup charge.
     started: set[str]
     sniffers: dict[int, list[Sniffer]]
     injector: Any
     max_retries: int
+    stages: int = 0
+    attempts: int = 0
+
+
+#: How a prepared task is dispatched.
+_SOURCE, _LOOP, _OPERATOR = range(3)
+
+
+@dataclass(slots=True)
+class _Task:
+    """A prepared task: input edges as ``(producer id, path or None)``;
+    ``crossing``: its output occupies its platform's memory at commit."""
+
+    task: ExecutionTask
+    kind: int
+    inputs: list[tuple[int, ConversionPath | None]]
+    broadcasts: list[tuple[int, ConversionPath | None]]
+    crossing: bool
+    logical_id: int | None
+
+
+@dataclass(slots=True)
+class _Stage:
+    """A prepared stage: its dependencies' list positions, its profile
+    (``None``: no overhead charged), its dispatch charge and its offers."""
+
+    stage: ExecutionStage
+    deps: list[int]
+    tasks: list[_Task]
+    profile: Any
+    dispatch_s: float
+    offers: list[tuple]
 
 
 @dataclass
@@ -200,59 +241,54 @@ class Executor:
         job = _Job(ledger, started, {}, fault_injector,
                    max_stage_retries if fault_injector else 0)
         monitor = Monitor(dict(estimates or {}), ledger)
-        # A stage starts when its dependencies end — ids resolve within
-        # this run, whose stages are numbered from ``stage1`` again — and
-        # no earlier than the runs the ledger already holds.
-        floor = ledger.makespan
-        ends: dict[str, float] = {}
-        sim_seconds = self.metrics.histogram("monitor.stage_sim_seconds")
         env: dict[int, Channel] = {}
-        conversion_cache: dict[tuple, Channel] = {}
+        completed_logical: set[int] = set()
         for sniffer in sniffers:
             job.sniffers.setdefault(sniffer.logical_id, []).append(sniffer)
+        store = self.result_store
+        stages = self._prepare(plan, stage_breaks, (
+            getattr(plan, "reuse_keys", {}) if publish_results
+            and store is not None and store.enabled else {}))
+        # This run's records are those from ``first`` on; none of its
+        # stages starts before the runs the ledger already holds.
+        first = committed = len(ledger.records)
 
-        stages = plan.build_stages(break_after=stage_breaks)
-        crossing = self._crossing_ids(plan, stages)
-        completed_logical: set[int] = set()
-        offers = (self._publish_offers(plan, stages, crossing)
-                  if publish_results else {})
+        def commit(index: int, stage: _Stage, record: StageRecord) -> None:
+            nonlocal committed
+            committed = len(ledger.records)
+            # Only a top-level commit publishes; ``record.end`` is the
+            # data's (re)computing cost on the critical path.
+            for task_id, key in stage.offers:
+                channel = env.get(task_id)
+                if channel is not None and channel.actual_count is not None:
+                    store.offer(key, channel, recompute_s=record.end)
+            # Checkpoint barrier: earlier stages committed, none started.
+            if (checkpoint is not None and index < len(stages) - 1
+                    and checkpoint(monitor, set(completed_logical))):
+                run_span.set("paused_after", stage.stage.id)
+                raise ReplanRequested(
+                    self._materialized(plan, env), monitor, started)
 
-        with self.tracer.span("executor.run", stages=len(stages)) as run_span:
-            for index, stage in enumerate(stages):
-                mark = len(ledger.records)
-                record = self._run_stage(
-                    job, stage, stage.id,
-                    max([floor] + [ends[d] for d in stage.dependencies]),
-                    env, conversion_cache, completed_logical, crossing)
-                ends[stage.id] = record.end
-                for nested in ledger.records[mark:]:
-                    if nested.survived:
-                        sim_seconds.observe(nested.duration)
-                # Publication happens only here, at a top-level commit —
-                # loop-body stages commit into their parent's scratch
-                # state and never publish; crashed attempts were discarded
-                # before reaching a commit.  ``record.end`` is the stage's
-                # simulated critical-path end: the cumulative cost of
-                # (re)computing the published data.
-                for task_id, key in offers.get(stage.id, ()):
-                    channel = env.get(task_id)
-                    if (channel is not None
-                            and channel.actual_count is not None):
-                        self.result_store.offer(key, channel,
-                                                recompute_s=record.end)
-                # Checkpoint barrier: every earlier stage committed, no
-                # later one started.
-                if checkpoint is not None and index < len(stages) - 1:
-                    if checkpoint(monitor, set(completed_logical)):
-                        run_span.set("paused_after", stage.id)
-                        raise ReplanRequested(
-                            self._materialized(plan, env), monitor, started)
-            run_span.set("sim_makespan", ledger.makespan)
+        try:
+            with self.tracer.span("executor.run",
+                                  stages=len(stages)) as run_span:
+                self._run_stages(job, stages, "", ledger.makespan, env, {},
+                                 completed_logical, 0, commit)
+                runtime = ledger.makespan
+                run_span.set("sim_makespan", runtime)
+        finally:
+            # Once per job, by every stage run it made.
+            for name, count in (("executor.stages", job.stages),
+                                ("executor.attempts", job.attempts)):
+                if count:
+                    self.metrics.counter(name).inc(count)
+            self.metrics.histogram("monitor.stage_sim_seconds").observe_all(
+                r.duration for r in ledger.records[first:committed]
+                if r.survived)
 
-        outputs = [env[t.id].payload for t in plan.sink_tasks]
         return ExecutionResult(
-            outputs=outputs,
-            runtime=ledger.makespan,
+            outputs=[env[t.id].payload for t in plan.sink_tasks],
+            runtime=runtime,
             tracker=ledger,
             monitor=monitor,
             stage_count=len(stages),
@@ -263,50 +299,6 @@ class Executor:
             calibration_ok=(not sniffers and fault_injector is None),
         )
 
-    # ------------------------------------------------------- result reuse
-    def _publish_offers(self, plan: ExecutionPlan,
-                        stages: list[ExecutionStage],
-                        crossing: set[int]) -> dict[str, list[tuple]]:
-        """stage id -> ``[(task id, store key), ...]`` to offer at commit.
-
-        Candidates are the *final* task of each reuse-keyed logical
-        operator (an operator may map to a chain of execution tasks; only
-        the chain's last output is the operator's result).  Per stage we
-        offer every candidate materialized at a stage boundary plus the
-        stage's last in-stage candidate — the output downstream jobs are
-        most likely to reuse (typically the channel feeding a sink).
-        Outputs of :class:`~repro.core.optimizer.CachedResultExec` tasks
-        are offered too, but the store only refreshes their recency (the
-        key is already resident).
-        """
-        store = self.result_store
-        reuse_keys = getattr(plan, "reuse_keys", {})
-        if store is None or not store.enabled or not reuse_keys:
-            return {}
-        final: dict[int, int] = {}
-        for task in plan.tasks:
-            lid = task.logical_id
-            if lid is not None and lid in reuse_keys:
-                final[lid] = task.id
-        keyed = {task_id: reuse_keys[lid] for lid, task_id in final.items()}
-        offers: dict[str, list[tuple]] = {}
-        for stage in stages:
-            per: list[tuple] = []
-            tail: tuple | None = None
-            for task in stage.tasks:
-                key = keyed.get(task.id)
-                if key is None:
-                    continue
-                if task.id in crossing:
-                    per.append((task.id, key))
-                else:
-                    tail = (task.id, key)
-            if tail is not None and tail not in per:
-                per.append(tail)
-            if per:
-                offers[stage.id] = per
-        return offers
-
     # ------------------------------------------------------------ topology
     @staticmethod
     def _crossing_ids(plan: ExecutionPlan,
@@ -314,16 +306,73 @@ class Executor:
         """Task ids whose outputs are materialized at a stage boundary."""
         stage_of = {task.id: stage.id
                     for stage in stages for task in stage.tasks}
-        crossing: set[int] = set(t.id for t in plan.sink_tasks)
-        for task in plan.tasks:
-            for ti in task.inputs + task.broadcast_inputs:
-                if stage_of.get(ti.producer.id) != stage_of.get(task.id):
-                    crossing.add(ti.producer.id)
-        return crossing
+        return {t.id for t in plan.sink_tasks} | {
+            ti.producer.id for task in plan.tasks
+            for ti in task.inputs + task.broadcast_inputs
+            if stage_of.get(ti.producer.id) != stage_of.get(task.id)}
+
+    def _prepare(self, plan: ExecutionPlan, breaks: set[int],
+                 reuse_keys: dict[int, tuple]) -> list[_Stage]:
+        """Cut ``plan`` into stages and fix what no run of them changes.
+        A stage offers the result store the reuse candidates (the *final*
+        task of each reuse-keyed logical operator) it materializes at its
+        boundary, then its last in-stage one (typically a sink's input)."""
+        stages = plan.build_stages(break_after=breaks)
+        crossing = self._crossing_ids(plan, stages)
+        profiles = self.cluster.profiles
+        position = {stage.id: i for i, stage in enumerate(stages)}
+        final = {task.logical_id: task.id for task in plan.tasks
+                 if task.logical_id in reuse_keys}
+        keyed = {task_id: reuse_keys[lid] for lid, task_id in final.items()}
+
+        def edges(inputs) -> list[tuple[int, ConversionPath | None]]:
+            return [(ti.producer.id, ti.conversion if ti.conversion.steps
+                     else None) for ti in inputs]
+
+        prepared = []
+        for stage in stages:
+            tasks = [_Task(
+                task, _SOURCE if isinstance(task.operator, LoopBodySource)
+                else _LOOP if isinstance(task.operator, LoopImplementation)
+                else _OPERATOR, edges(task.inputs),
+                edges(task.broadcast_inputs),
+                task.id in crossing and task.platform in profiles,
+                task.logical_id) for task in stage.tasks]
+            profile = (profiles.get(stage.platform)
+                       if stage.platform != DRIVER_PLATFORM else None)
+            dispatch_s = 0.0 if profile is None else (
+                profile.stage_overhead_s * max(
+                    (t.task.operator.tasks_fraction(profile) for t in tasks
+                     if t.kind != _LOOP), default=1.0))
+            offers = [(t.id, keyed[t.id]) for t in stage.tasks
+                      if t.id in keyed and t.id in crossing]
+            offers += [(t.id, keyed[t.id]) for t in stage.tasks
+                       if t.id in keyed and t.id not in crossing][-1:]
+            prepared.append(_Stage(
+                stage, [position[d] for d in stage.dependencies], tasks,
+                profile, dispatch_s, offers))
+        return prepared
 
     # -------------------------------------------------------------- stages
-    def _run_stage(self, job: _Job, stage, label, start, env, cache,
-                   completed, crossing, epoch=0) -> StageRecord:
+    def _run_stages(self, job: _Job, stages: list[_Stage], prefix: str,
+                    floor: float, env, cache, completed, epoch,
+                    commit=None) -> float:
+        """Run prepared stages in order, each labelled ``prefix`` + its id
+        and started when its dependencies end (no earlier than ``floor``),
+        then ``commit(index, stage, record)``; returns the last end."""
+        ends: list[float] = []
+        for index, stage in enumerate(stages):
+            record = self._run_stage(
+                job, stage, prefix + stage.stage.id,
+                max([floor, *map(ends.__getitem__, stage.deps)]),
+                env, cache, completed, epoch)
+            ends.append(record.end)
+            if commit is not None:
+                commit(index, stage, record)
+        return ends[-1] if ends else floor
+
+    def _run_stage(self, job: _Job, stage: _Stage, label, start, env,
+                   cache, completed, epoch) -> StageRecord:
         """Run one stage's attempts against scratch state, then commit.
 
         The first attempt starts at ``start``; a retry on an injected
@@ -337,56 +386,52 @@ class Executor:
         for a top-level stage, the enclosing attempt's scratch state for a
         loop-body stage — so a crashed attempt leaves only its cost.
         """
-        from .faults import PlatformFailure
-
         if self.cancel_check is not None:
             # Stage boundary: the only cancellation point, deliberately
             # outside the attempt scratch state below — a cancelled job
             # keeps every committed stage and abandons nothing half-done.
             self.cancel_check()
         ledger = job.ledger
+        platform = stage.stage.platform
+        profile = stage.profile
         attempt = 0
         with self.tracer.span(f"stage:{label}",
-                              platform=stage.platform) as stage_span:
+                              platform=platform) as stage_span:
             while True:
                 mark = len(ledger.records)
                 meter = CostMeter()
                 attempt_env = dict(env)
                 attempt_cache = dict(cache)
                 attempt_completed: set[int] = set()
-                memory_demands: list[tuple[str, float]] = []
                 pending_sniffs: list[tuple[list[Sniffer], Any, Channel]] = []
                 observations: list[OperatorObservation] = []
                 # A fresh context per attempt: a crashed attempt's meter
                 # is thrown away with it.
-                ctx = ExecutionContext(cluster=self.cluster, meter=meter,
-                                       pgres=self.pgres, seed=self.seed,
-                                       epoch=epoch)
+                ctx = ExecutionContext(self.cluster, meter, self.pgres,
+                                       self.seed, epoch)
                 with self.tracer.span(f"attempt{attempt}") as attempt_span:
-                    self._charge_stage_overheads(stage, meter, job.started)
+                    if profile is not None:
+                        if platform not in job.started:
+                            meter.charge(profile.startup_s,
+                                         f"{platform}.startup", "overhead")
+                            self.metrics.counter(
+                                "executor.platform_startups").inc()
+                        meter.charge(stage.dispatch_s, f"{platform}.dispatch",
+                                     "overhead")
+                    if platform != DRIVER_PLATFORM:
+                        job.started.add(platform)
                     for task in stage.tasks:
-                        self._execute_task(
+                        attempt_env[task.task.id] = self._execute_task(
                             job, task, attempt_env, ctx, attempt_cache,
-                            label, start, observations=observations,
-                            pending_sniffs=pending_sniffs,
-                            completed=attempt_completed)
+                            label, start, observations, pending_sniffs,
+                            attempt_completed)
                         if task.logical_id is not None:
                             attempt_completed.add(task.logical_id)
-                        # Within-stage outputs are pipelined; only data
-                        # materialized at a stage boundary occupies the
-                        # platform's memory.
-                        out = attempt_env[task.id]
-                        if (task.id in crossing
-                                and out.actual_count is not None
-                                and out.descriptor.in_memory
-                                and task.platform in self.cluster.profiles):
-                            memory_demands.append(
-                                (task.platform, out.sim_mb))
                     failed = (job.injector is not None
                               and job.injector.should_fail(label, attempt))
                     attempt_span.set("failed", failed)
                     attempt_span.set("sim_seconds", meter.total)
-                self.metrics.counter("executor.attempts").inc()
+                job.attempts += 1
                 begin = (ledger.records[-1].end if len(ledger.records) > mark
                          else start)
                 if not failed:
@@ -396,77 +441,75 @@ class Executor:
                 # Discard the attempt's scratch state; its ledger records
                 # stay, as wasted.
                 self.metrics.counter("executor.retries_wasted").inc()
-                start = ledger.record(label, attempt, stage.platform, begin,
+                start = ledger.record(label, attempt, platform, begin,
                                       meter, observations).end
                 for wasted in ledger.records[mark:]:
                     wasted.survived = False
                 attempt += 1
-        # Commit the surviving attempt.
-        for platform, needed_mb in memory_demands:
-            self.cluster.check_memory(platform, needed_mb)
+        # Commit the surviving attempt.  Within-stage outputs are pipelined:
+        # only data materialized at a stage boundary occupies memory.
+        for task in stage.tasks:
+            out = attempt_env[task.task.id]
+            if (task.crossing and out.actual_count is not None
+                    and out.descriptor.in_memory):
+                self.cluster.check_memory(task.task.platform, out.sim_mb)
         env.update(attempt_env)
         cache.update(attempt_cache)
         completed |= attempt_completed
         for sniffers, op, out in pending_sniffs:
-            self._sniff(sniffers, op, out, meter)
+            # A collection as a plain record list, whichever layout the
+            # operator emitted; any other payload (a dataset, a path) as is.
+            payload = records_of(out.payload)
+            sniff_profile = self.cluster.profiles.get(op.platform)
+            for sniffer in sniffers:
+                sniffer.callback(payload)
+                if sniff_profile is not None:
+                    meter.charge(sniff_profile.cpu_seconds(
+                        out.sim_cardinality, sniffer.cost_factor),
+                        f"sniffer[{op.name}]", category="cpu")
         stage_span.set("attempts", attempt + 1)
         stage_span.set("sim_seconds", meter.total)
-        self.metrics.counter("executor.stages").inc()
-        return ledger.record(label, attempt, stage.platform, begin, meter,
+        job.stages += 1
+        return ledger.record(label, attempt, platform, begin, meter,
                              observations)
 
     # --------------------------------------------------------------- tasks
-    def _execute_task(self, job: _Job, task, env, ctx, cache, label, start,
-                      *, observations, pending_sniffs, completed) -> None:
-        op = task.operator
-        if isinstance(op, LoopBodySource):
+    def _execute_task(self, job: _Job, prepared: _Task, env, ctx, cache, label,
+                      start, observations, sniffs, completed) -> Channel:
+        """Run one task of an attempt; returns its output channel."""
+        task = prepared.task
+        if prepared.kind == _SOURCE:
             if task.id not in env:
                 raise RuntimeError(f"loop input {task} was never primed")
-            return
-        inputs = [self._convert(env[ti.producer.id], ti.conversion, ctx,
-                                cache, ti.producer.id)
-                  for ti in task.inputs]
-        broadcasts = [self._convert(env[ti.producer.id], ti.conversion, ctx,
-                                    cache, ti.producer.id)
-                      for ti in task.broadcast_inputs]
-        if isinstance(op, LoopImplementation):
-            out = self._run_loop(job, op, inputs, ctx, label, start,
-                                 completed)
-        else:
-            out = op.execute(inputs, broadcasts, ctx)
-            cin = sum(ch.sim_cardinality for ch in inputs
-                      if ch.actual_count is not None)
-            measured = out.actual_count is not None
-            # Only a measured output tells the monitor a cardinality.
-            logical = op.logical if measured else None
-            observations.append(OperatorObservation(
-                op.platform, op.observed_op_kind(inputs, ctx), op.work(),
-                cin, out.sim_cardinality if measured else 0.0,
-                getattr(logical, "id", None), getattr(logical, "name", "")))
-            logical_id = task.logical_id
-            if (logical_id in job.sniffers and measured
-                    and not isinstance(op, CachedResultExec)):
-                # A held channel flowed past its sniffers when it was
-                # produced.  Deferred to commit time: a crashed attempt
-                # never produced observable data, so its sniffers must
-                # stay silent.
-                pending_sniffs.append((job.sniffers[logical_id], op, out))
-        env[task.id] = out
-
-    def _sniff(self, sniffers, op, channel: Channel, meter: CostMeter) -> None:
-        platform = op.platform
-        profile = (self.cluster.profile(platform)
-                   if platform in self.cluster.profiles else None)
-        # A collection as a plain record list, whichever layout the
-        # operator emitted; any other payload (a dataset, a path) as it is.
-        payload = records_of(channel.payload)
-        for sniffer in sniffers:
-            sniffer.callback(payload)
-            if profile is not None:
-                meter.charge(
-                    profile.cpu_seconds(channel.sim_cardinality,
-                                        sniffer.cost_factor),
-                    f"sniffer[{op.name}]", category="cpu")
+            return env[task.id]
+        inputs = [env[producer] if path is None else
+                  self._convert(env[producer], path, ctx, cache, producer)
+                  for producer, path in prepared.inputs]
+        broadcasts = [env[producer] if path is None else
+                      self._convert(env[producer], path, ctx, cache, producer)
+                      for producer, path in prepared.broadcasts]
+        op = task.operator
+        if prepared.kind == _LOOP:
+            return self._run_loop(job, op, inputs, ctx, label, start,
+                                  completed)
+        out = op.execute(inputs, broadcasts, ctx)
+        cin = sum([ch.sim_cardinality for ch in inputs
+                   if ch.actual_count is not None])
+        measured = out.actual_count is not None
+        # Only a measured output tells the monitor a cardinality.
+        logical = op.logical if measured else None
+        observations.append(OperatorObservation(
+            op.platform, op.observed_op_kind(inputs, ctx), op.work(),
+            cin, out.sim_cardinality if measured else 0.0,
+            getattr(logical, "id", None), getattr(logical, "name", "")))
+        logical_id = prepared.logical_id
+        if (logical_id in job.sniffers and measured
+                and not isinstance(op, CachedResultExec)):
+            # A held channel flowed past its sniffers when it was
+            # produced.  Deferred to commit time: a crashed attempt never
+            # produced observable data, so its sniffers must stay silent.
+            sniffs.append((job.sniffers[logical_id], op, out))
+        return out
 
     def _convert(self, channel: Channel, path: ConversionPath, ctx,
                  cache, producer_id: int) -> Channel:
@@ -486,70 +529,32 @@ class Executor:
                 cache[key] = current
         return current
 
-    def _charge_stage_overheads(self, stage: ExecutionStage, meter: CostMeter,
-                                started: set[str]) -> None:
-        if stage.platform == DRIVER_PLATFORM:
-            return
-        # ``started`` — the platforms the job has started so far — doubles
-        # as the "platforms actually started" report
-        # (ExecutionResult.platforms) and the dedup for the startup charge
-        # across stages, retries and loop iterations.
-        first_use = stage.platform not in started
-        started.add(stage.platform)
-        if stage.platform not in self.cluster.profiles:
-            return
-        profile = self.cluster.profile(stage.platform)
-        if first_use:
-            meter.charge(profile.startup_s, f"{stage.platform}.startup",
-                         category="overhead")
-            self.metrics.counter("executor.platform_startups").inc()
-        fraction = max((t.operator.tasks_fraction(profile)
-                        for t in stage.tasks
-                        if not isinstance(t.operator, LoopImplementation)),
-                       default=1.0)
-        meter.charge(profile.stage_overhead_s * fraction,
-                     f"{stage.platform}.dispatch", category="overhead")
-
     # --------------------------------------------------------------- loops
     def _run_loop(self, job: _Job, impl: LoopImplementation,
                   inputs: list[Channel], ctx, label, start,
                   completed) -> Channel:
-        """Run a loop's body once per iteration inside the driver stage
-        ``label``'s attempt, which started at ``start``."""
+        """Run a loop's body, prepared once per loop run, once per iteration
+        inside the driver stage ``label``'s attempt, started at ``start``."""
         loop = impl.logical
         channels = list(inputs)
-        body_stages = impl.body_plan.build_stages()
-        # Loop-body stages materialize channels at their boundaries just
-        # like top-level stages, so they face the same memory checks.
-        body_crossing = self._crossing_ids(impl.body_plan, body_stages)
+        body = self._prepare(impl.body_plan, frozenset(), {})
+        primed = [(task.id, k) for k, task in enumerate(impl.body_input_tasks)
+                  if task is not None]
         # The first iteration chains after the driver attempt's start,
         # every later one after the previous iteration's last stage.
         chain = start
         max_iterations = (loop.iterations if isinstance(loop, RepeatLoop)
                           else loop.max_iterations)
         for iteration in range(max_iterations):
-            env: dict[int, Channel] = {}
-            cache: dict[tuple, Channel] = {}
-            ends: dict[str, float] = {}
-            for k, task in enumerate(impl.body_input_tasks):
-                if task is not None:
-                    env[task.id] = channels[k]
-            prefix = f"{label}.loop{impl.id}.it{iteration}"
-            for stage in body_stages:
-                # Body stages run inside the driver's attempt and commit
-                # into its scratch state, which a crashed driver attempt
-                # discards; their ledger records stay, marked wasted.
-                ends[stage.id] = self._run_stage(
-                    job, stage, f"{prefix}.{stage.id}",
-                    max([chain] + [ends[d] for d in stage.dependencies]),
-                    env, cache, completed, body_crossing,
-                    epoch=iteration).end
-            chain = ends[body_stages[-1].id]
+            env = {task_id: channels[k] for task_id, k in primed}
+            chain = self._run_stages(
+                job, body, f"{label}.loop{impl.id}.it{iteration}.", chain,
+                env, {}, completed, iteration)
             loop_var = env[impl.body_plan.sink_tasks[0].id]
             done = iteration + 1 >= max_iterations
             if isinstance(loop, DoWhileLoop) and not done:
-                values = self._materialize_payload(loop_var, ctx)
-                done = not loop.condition(values)
+                done = not loop.condition(
+                    self._materialize_payload(loop_var, ctx))
             if done:
                 # The loop's external output keeps the body's channel type;
                 # the feedback conversion only runs between iterations.
@@ -559,8 +564,6 @@ class Executor:
 
     def _materialize_payload(self, channel: Channel, ctx) -> list[Any]:
         """Driver-side view of a channel's records (for loop conditions)."""
-        from ..platforms.pystreams.channels import PY_COLLECTION
-
         if channel.descriptor == PY_COLLECTION:
             return records_of(channel.payload)
         path = self.graph.cheapest_path(
@@ -574,8 +577,5 @@ class Executor:
     def _materialized(plan: ExecutionPlan, env: dict[int, Channel]
                       ) -> dict[int, Channel]:
         """Latest materialized channel per completed logical operator."""
-        out: dict[int, Channel] = {}
-        for task in plan.tasks:
-            if task.id in env and task.logical_id is not None:
-                out[task.logical_id] = env[task.id]
-        return out
+        return {task.logical_id: env[task.id] for task in plan.tasks
+                if task.id in env and task.logical_id is not None}

@@ -15,14 +15,16 @@ from ..simulation.clock import StageLedger, StageRecord
 from .cardinality import CardinalityEstimate
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class OperatorObservation:
     """One execution operator's measured behaviour within a stage.
 
     ``logical_id`` / ``name`` name the logical operator whose output
     cardinality ``cout`` measured (``None`` when the operator has no
     logical counterpart or its output count was not measured); the cost
-    learner reads neither.
+    learner reads neither.  Not frozen: the executor builds one per
+    operator run, loop iterations included, and a frozen dataclass's
+    ``__init__`` costs several times a plain one's.
     """
 
     platform: str

@@ -13,6 +13,7 @@ import itertools
 from typing import Any, Sequence, TYPE_CHECKING
 
 from ..core.channels import Channel, ChannelDescriptor, Conversion
+from ..core.cost import kind_params
 from ..core.operators import Operator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -192,8 +193,6 @@ def charge_operator(
     be evaluated against it.  ``kind`` overrides ``exec_op.op_kind`` when
     the run resolved the kind dynamically (see ``observed_op_kind``).
     """
-    from ..core.cost import kind_params  # local import to avoid a cycle
-
     p = kind_params(kind if kind is not None else exec_op.op_kind)
     profile = ctx.cluster.profile(exec_op.platform)
     units = p.alpha * cin_sim + p.beta * cout_sim

@@ -34,22 +34,24 @@ class CostMeter:
 
     A meter is created per execution stage (and per conversion operator); the
     executor sums meters along the critical path to obtain the job runtime.
+    Charges are kept as plain tuples and become :class:`CostEvent` objects
+    only when read.
     """
 
     def __init__(self) -> None:
-        self._events: list[CostEvent] = []
+        self._events: list[tuple[str, float, str]] = []
         self._total = 0.0
 
     def charge(self, seconds: float, label: str, category: str = "cpu") -> None:
         """Charge ``seconds`` of simulated time."""
         if seconds < 0:
             raise ValueError(f"negative charge: {seconds!r} for {label}")
-        self._events.append(CostEvent(label, seconds, category))
+        self._events.append((label, seconds, category))
         self._total += seconds
 
     def merge(self, other: "CostMeter") -> None:
         """Fold another meter's events into this one (sequential composition)."""
-        self._events.extend(other.events)
+        self._events.extend(other._events)
         self._total += other.total
 
     @property
@@ -60,13 +62,13 @@ class CostMeter:
     @property
     def events(self) -> list[CostEvent]:
         """The individual charges, in order."""
-        return list(self._events)
+        return [CostEvent(*event) for event in self._events]
 
     def by_category(self) -> dict[str, float]:
         """Simulated seconds summed per category."""
         out: dict[str, float] = {}
-        for event in self._events:
-            out[event.category] = out.get(event.category, 0.0) + event.seconds
+        for __, seconds, category in self._events:
+            out[category] = out.get(category, 0.0) + seconds
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

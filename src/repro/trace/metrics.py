@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 from ..concurrency.runtime import OrderedLock
 
@@ -90,16 +90,27 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         """Record one sample."""
-        value = float(value)
+        self.observe_all((value,))
+
+    def observe_all(self, values: Iterable[float]) -> None:
+        """Record samples in order, under one lock acquisition."""
         with _METRICS_LOCK:
-            self.count += 1
-            self.total += value
-            self.min = min(self.min, value)
-            self.max = max(self.max, value)
-            if len(self.samples) < self.reservoir_size:
-                self.samples.append(value)
-            else:  # ring-buffer the reservoir: keep the most recent window
-                self.samples[self.count % self.reservoir_size] = value
+            count, total, low, high = self.count, self.total, self.min, self.max
+            samples, size = self.samples, self.reservoir_size
+            try:
+                for value in values:
+                    value = float(value)
+                    total += value
+                    low = min(low, value)
+                    high = max(high, value)
+                    if len(samples) < size:
+                        samples.append(value)
+                    else:  # ring-buffer the reservoir: overwrite the oldest
+                        samples[count % size] = value
+                    count += 1
+            finally:
+                self.count, self.total, self.min, self.max = (
+                    count, total, low, high)
 
     @property
     def mean(self) -> float:

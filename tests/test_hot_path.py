@@ -39,6 +39,8 @@ from repro.analysis.udfs import (
 from repro.api import PlanDocumentError, RheemService, build_quanta
 from repro.core import fingerprint
 from repro.core import operators as ops
+from repro.core.execution import ExecutionPlan
+from repro.core.executor import Executor
 from repro.core.fingerprint import plan_fingerprint, subplan_fingerprints
 from repro.core.mappings import (
     ExecutionAlternative,
@@ -179,6 +181,41 @@ class TestCountGuards:
         fns = [op.udf.fn for op in first.operators() if hasattr(op, "udf")]
         again = [op.udf.fn for op in second.operators() if hasattr(op, "udf")]
         assert fns and not any(a is b for a, b in zip(fns, again))
+
+    def test_a_loop_body_is_prepared_once_per_loop_run(self, monkeypatch):
+        ctx = RheemContext()
+        looped = ctx.load_collection([0], sim_factor=1_000.0).repeat(
+            300, lambda s: s.map(lambda v: v + 1).map(lambda v: v * 1))
+        plan, estimates = ctx.optimize(
+            looped.to_plan(), allowed_platforms={"pystreams", "driver"})
+        calls = dict.fromkeys(("build_stages", "crossing_ids"), 0)
+        fractions: dict[int, int] = {}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def counted_fraction(op, profile):
+            fractions[op.id] = fractions.get(op.id, 0) + 1
+            return 1.0
+
+        monkeypatch.setattr(ExecutionPlan, "build_stages",
+                            counting("build_stages",
+                                     ExecutionPlan.build_stages))
+        monkeypatch.setattr(Executor, "_crossing_ids", staticmethod(
+            counting("crossing_ids", Executor._crossing_ids)))
+        monkeypatch.setattr(ExecutionOperator, "tasks_fraction",
+                            counted_fraction)
+        result = ctx.executor().execute(plan, estimates)
+        assert result.output == [300]
+        assert len(result.tracker.records) > 300
+        # The job's plan and its loop body, each once.
+        assert calls == {"build_stages": 2, "crossing_ids": 2}
+        # The body's maps and the job's source and sink, each once.
+        assert len(fractions) >= 3
+        assert set(fractions.values()) == {1}
 
     def test_a_failed_estimate_still_raises_from_pick_best(self, ctx):
         class Boom(ops.Map):

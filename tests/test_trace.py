@@ -109,6 +109,17 @@ class TestMetrics:
         assert stats["mean"] > 0
         assert 0.0 <= hist.percentile(0.5) <= 999.0
 
+    def test_a_wrapped_reservoir_keeps_the_most_recent_samples(self):
+        hist = MetricsRegistry().histogram("h")
+        hist.reservoir_size = 4
+        for value in range(1, 7):
+            hist.observe(float(value))
+        assert sorted(hist.samples) == [3.0, 4.0, 5.0, 6.0]
+        for value in range(7, 16):
+            hist.observe(float(value))
+        assert sorted(hist.samples) == [12.0, 13.0, 14.0, 15.0]
+        assert hist.percentile(0.0) == 12.0
+
     def test_get_or_create_identity(self):
         registry = MetricsRegistry()
         assert registry.counter("x") is registry.counter("x")
