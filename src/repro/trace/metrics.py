@@ -95,22 +95,17 @@ class Histogram:
     def observe_all(self, values: Iterable[float]) -> None:
         """Record samples in order, under one lock acquisition."""
         with _METRICS_LOCK:
-            count, total, low, high = self.count, self.total, self.min, self.max
-            samples, size = self.samples, self.reservoir_size
-            try:
-                for value in values:
-                    value = float(value)
-                    total += value
-                    low = min(low, value)
-                    high = max(high, value)
-                    if len(samples) < size:
-                        samples.append(value)
-                    else:  # ring-buffer the reservoir: overwrite the oldest
-                        samples[count % size] = value
-                    count += 1
-            finally:
-                self.count, self.total, self.min, self.max = (
-                    count, total, low, high)
+            for value in values:
+                value = float(value)
+                self.count += 1
+                self.total += value
+                self.min = min(self.min, value)
+                self.max = max(self.max, value)
+                if len(self.samples) < self.reservoir_size:
+                    self.samples.append(value)
+                else:  # ring-buffer the reservoir: overwrite the oldest
+                    self.samples[(self.count - 1) % self.reservoir_size] = (
+                        value)
 
     @property
     def mean(self) -> float:
