@@ -126,7 +126,11 @@ def _jsonable(value: Any) -> Any:
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (str, int, float, bool)) or value is None:
+    if isinstance(value, float):
+        # inf and nan have no JSON literal (RFC 8259): x - x is 0.0 only
+        # for a finite x.
+        return value if value - value == 0.0 else repr(value)
+    if isinstance(value, (str, int)) or value is None:
         return value
     return repr(value)
 

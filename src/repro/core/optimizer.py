@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from ..platforms.base import ExecutionOperator
 from ..trace import NO_TRACER, MetricsRegistry
@@ -206,6 +206,16 @@ class _Prepared(NamedTuple):
     overhead: float  # stage dispatch, charged when no input is co-located
 
 
+class _Wired(NamedTuple):
+    """One option wired to one tuple of input channels (``_wire``)."""
+
+    prep: _Prepared
+    conversions: tuple  # ((producer, consumer, slot), path) per conversion
+    terms: list[float] | None  # per slot, 0.0 if unconverted; None: unwired
+    wirings: int  # conversions looked up, an unreachable one included
+    new_stage: bool  # no data input arrives from the option's platform
+
+
 class PartialPlan:
     """A costed assignment of decisions to a prefix of the plan.
 
@@ -214,8 +224,10 @@ class PartialPlan:
     never copies dictionaries.  The full ``decisions``/``conversions``
     mappings materialize lazily — in practice only for the handful of
     winners that reach plan construction.  ``open_channels`` stays a real
-    dict (it is read on every extension) but is shared with the parent
-    whenever an operator neither closes nor opens a channel.
+    dict (it is read on every extension) but is shared: with the parent
+    whenever an operator neither closes nor opens a channel, and with
+    every sibling plan of one DP step that yields the same open
+    signature.  It is never mutated after construction.
     """
 
     __slots__ = ("cost", "gm", "open_channels", "platforms", "parent",
@@ -767,11 +779,14 @@ class Optimizer:
         Nothing is derived more often than it can change: what depends on
         the option alone is prepared once (:meth:`_prepare`), a conversion
         once per (channel pair, producer) of the enumeration (``paths``),
+        each option's wiring once per distinct input channels
+        (:meth:`_wire`; :meth:`_undominated` filters it for loop decisions),
         the first-touch start-up terms once per (started, option) platform
         sets, the copy-on-write open channels and their signature half
-        once per (plan, output channel).  A candidate then costs float
-        additions in a fixed operand order (conversions by slot, broadcast
-        conversions, operator, start-ups, stage dispatch — never pre-summed,
+        once per (parent's open signature, output channel) (:meth:`_open`).
+        A candidate then costs float additions in a fixed operand order
+        (conversions by slot — 0.0 where none is needed — broadcast
+        conversions, operator, start-ups, stage dispatch; never pre-summed,
         so totals are bit-for-bit those of chained ``CostEstimate.plus``),
         one signature probe and the incumbent comparison; only survivors
         become a validated ``CostEstimate`` and a ``PartialPlan``.  With
@@ -790,182 +805,194 @@ class Optimizer:
         # started platforms -> option platforms -> (start-ups, union)
         touch: dict[frozenset[str], dict[
             frozenset[str], tuple[tuple[float, ...], frozenset[str]]]] = {}
-        # Loop decisions: input channel names -> (undominated, skipped,
-        # skipped wirings); see :meth:`_undominated`.
-        live: dict[tuple, tuple[list[_Prepared], int, int]] | None = (
-            {} if prune and prepared and all(
-                isinstance(p.option, LoopDecision) for p in prepared)
-            else None)
+        dominance = prune and prepared and all(
+            isinstance(p.option, LoopDecision) for p in prepared)
+        # input channel names -> (wired options, wirings, dominated)
+        walks: dict[tuple, tuple[list[_Wired], int, int]] = {}
+        # parent's open signature -> (walk, output name -> :meth:`_open`)
+        boundaries: dict[tuple, tuple[tuple, dict]] = {}
         enumerated = pruned = wirings = dominated = 0
         for partial in frontier:
-            base, open_channels = partial.cost, partial.open_channels
+            base = partial.cost
             touched = touch.setdefault(partial.platforms, {})
-            haves = [(slot, producer, open_channels.get(producer))
-                     for slot, producer in edges]
-            outs: dict[str, tuple[dict[int, ChannelDescriptor], tuple]] = {}
-            options = prepared
-            if live is not None:
+            open_sig = partial.signature()[0]
+            boundary = boundaries.get(open_sig)
+            if boundary is None:
+                haves = [(slot, producer, partial.open_channels.get(producer))
+                         for slot, producer in edges]
                 names = tuple(None if have is None else have.name
                               for __, __, have in haves)
-                entry = live.get(names)
-                if entry is None:
-                    entry = live[names] = self._undominated(
-                        prepared, haves, paths, cards, bprs)
-                options, skipped, skipped_wirings = entry
-                # Each skipped candidate would have been enumerated, wired
-                # and then pruned by the incumbent its dominator left.
-                enumerated += skipped
-                pruned += skipped
-                dominated += skipped
-                wirings += skipped_wirings
-            for (option, wants, out_desc, option_platforms, platform,
-                 cost_lower, cost_upper, confidence, overhead) in options:
+                walk = walks.get(names)
+                if walk is None:
+                    wired = self._wire(op_id, prepared, haves, paths, cards,
+                                       bprs)
+                    kept, skipped, tries = (
+                        self._undominated(wired) if dominance
+                        else (wired, 0, 0))
+                    reached = []
+                    for entry in kept:
+                        tries += entry.wirings
+                        if entry.terms is not None:
+                            reached.append(entry)
+                    walk = walks[names] = (reached, tries, skipped)
+                boundary = boundaries[open_sig] = (walk, {})
+            (reached, walked, skipped), outs = boundary
+            # Each skipped candidate would have been enumerated, wired and
+            # then pruned by the incumbent its dominator left.
+            enumerated += skipped
+            pruned += skipped
+            dominated += skipped
+            wirings += walked
+            for prep, conv_delta, terms, __, new_stage in reached:
+                (option, __, out_desc, option_platforms, __, cost_lower,
+                 cost_upper, confidence, overhead) = prep
                 lower, upper = base.lower, base.upper
-                conv_delta = []
-                # Stage dispatch: a new stage starts when no data input
-                # arrives from the same platform (the executor's stage cut).
-                new_stage = platform is not None
-                for (slot, producer, have), want in zip(haves, wants):
-                    if have is None:
-                        break  # producer outside this enumeration scope
-                    if slot >= 0 and have.platform == platform:
-                        new_stage = False
-                    if have.name != want.name:
-                        wirings += 1
-                        try:
-                            path = paths[have.name, want.name, producer]
-                        except KeyError:
-                            path = self._path(paths, have, want, producer,
-                                              cards, bprs)
-                        if path is None:
-                            break  # unreachable channel
-                        conv_delta.append(((producer, op_id, slot), path))
-                        lower += path.cost
-                        upper += path.cost
-                else:  # every input is wired
-                    lower += cost_lower
-                    upper += cost_upper
-                    # Platform start-up: first touch of each platform, in
-                    # name order (a sum must not depend on set order).
-                    started = touched.get(option_platforms)
-                    if started is None:
-                        fresh = sorted(option_platforms - partial.platforms)
-                        started = touched[option_platforms] = (
-                            tuple(CostEstimate.fixed(
-                                self.cost_model.platform_startup(p)
-                                * self.objective.weight(p)).lower
-                                for p in fresh) if include_startup else (),
-                            partial.platforms | option_platforms)
-                    for startup in started[0]:
-                        lower += startup
-                        upper += startup
-                    if new_stage:
-                        lower += overhead
-                        upper += overhead
-                    # Channel bookkeeping — copy-on-write: share the parent's
-                    # dict when ``op`` neither closes nor opens a channel.
-                    opened = outs.get(out_desc.name)
-                    if opened is None:
-                        channels = open_channels
-                        if to_close or keep_open:
-                            channels = dict(open_channels)
-                            for pid in to_close:
-                                channels.pop(pid, None)
-                            if keep_open:
-                                channels[op_id] = out_desc
-                        open_sig = tuple(sorted(
-                            (i, desc.name) for i, desc in channels.items()))
-                        opened = outs[out_desc.name] = (
-                            channels, intern.setdefault(open_sig, open_sig))
-                    enumerated += 1
-                    sig = (opened[1], started[1])
-                    if prune:
-                        # CostEstimate.geometric_mean, on the bare floats.
-                        gm = ((lower + upper) / 2 if lower <= 0
-                              else math.sqrt(lower * upper))
-                        incumbent = best.get(sig)
-                        if incumbent is not None:
-                            pruned += 1  # this candidate or the incumbent
-                            if incumbent.gm <= gm:
-                                continue
-                    extended = PartialPlan(
-                        cost=CostEstimate(lower, upper,
-                                          min(base.confidence, confidence)),
-                        open_channels=opened[0],
-                        platforms=started[1],
-                        parent=partial,
-                        decision_delta=(op_id, option),
-                        conversion_delta=tuple(conv_delta),
-                    )
-                    extended._signature = sig
-                    if prune:
-                        best[sig] = extended
-                    else:
-                        unpruned.append(extended)
+                for term in terms:  # 0.0 where a slot needs no conversion
+                    lower += term
+                    upper += term
+                lower += cost_lower
+                upper += cost_upper
+                # Platform start-up: first touch of each platform, in name
+                # order (a sum must not depend on set order).
+                started = touched.get(option_platforms)
+                if started is None:
+                    fresh = sorted(option_platforms - partial.platforms)
+                    started = touched[option_platforms] = (
+                        tuple(CostEstimate.fixed(
+                            self.cost_model.platform_startup(p)
+                            * self.objective.weight(p)).lower
+                            for p in fresh) if include_startup else (),
+                        partial.platforms | option_platforms)
+                for startup in started[0]:
+                    lower += startup
+                    upper += startup
+                if new_stage:
+                    lower += overhead
+                    upper += overhead
+                opened = outs.get(out_desc.name)
+                if opened is None:
+                    opened = outs[out_desc.name] = self._open(
+                        partial.open_channels, to_close, keep_open, op_id,
+                        out_desc, intern)
+                enumerated += 1
+                sig = (opened[1], started[1])
+                if prune:
+                    # CostEstimate.geometric_mean, on the bare floats.
+                    gm = ((lower + upper) / 2 if lower <= 0
+                          else math.sqrt(lower * upper))
+                    incumbent = best.get(sig)
+                    if incumbent is not None:
+                        pruned += 1  # this candidate or the incumbent
+                        if incumbent.gm <= gm:
+                            continue
+                extended = PartialPlan(
+                    cost=CostEstimate(lower, upper,
+                                      min(base.confidence, confidence)),
+                    open_channels=opened[0],
+                    platforms=started[1],
+                    parent=partial,
+                    decision_delta=(op_id, option),
+                    conversion_delta=conv_delta,
+                )
+                extended._signature = sig
+                if prune:
+                    best[sig] = extended
+                else:
+                    unpruned.append(extended)
         self.stats["plans_enumerated"] += enumerated
         self.stats["plans_pruned"] += pruned
         self.stats["conversion_paths_solved"] += wirings
         self.stats["plans_dominated"] += dominated
         return list(best.values()) if prune else unpruned
 
-    def _undominated(self, prepared: list[_Prepared], haves: list,
-                     paths: PathTable,
-                     cards: dict[int, CardinalityEstimate],
-                     bprs: dict[int, float]
-                     ) -> tuple[list[_Prepared], int, int]:
-        """The loop decisions that can still win from inputs ``haves``.
-
-        Options of one (output channel, platform set) group give one
-        signature from one partial plan.  An option's cost terms are its
-        conversion cost per input slot (0.0 where no conversion is needed),
-        then its own ``lower`` and ``upper``; a loop opens no stage, so no
-        dispatch overhead applies.  :meth:`_extend` adds each term to the
-        partial's interval in this order, and float addition, product and
-        square root are monotone, so an option ≥ an *earlier* option of its
-        group on every term has a geometric mean ≥ the earlier one's and
-        loses to it (or to what beat it) under first-seen-wins.  A later
-        option never drops an earlier one: after rounding it may only tie,
-        and a tie keeps the earlier.  The dominator's own ``lower`` must be
-        positive — at a zero lower bound the geometric mean jumps to the
-        midpoint of the interval, which is not monotone.
-
-        Returns the survivors in their order, how many options were
-        dropped, and the conversions those would have wired.  An option
-        with an unreachable input neither dominates nor is dropped, and a
-        producer outside the enumeration's scope keeps every option.
-        """
-        if any(have is None for __, __, have in haves):
-            return prepared, 0, 0
-        dominators: dict[tuple, list[list[float]]] = {}
-        survivors: list[_Prepared] = []
-        skipped = skipped_wirings = 0
+    def _wire(self, op_id: int, prepared: list[_Prepared], haves: list,
+              paths: PathTable, cards: dict[int, CardinalityEstimate],
+              bprs: dict[int, float]) -> Iterator[_Wired]:
+        """Every option wired to ``haves``: ``(slot, producer, channel)``
+        per data input, then per side input; a ``None`` channel (producer
+        out of scope) leaves every option unwired.  A generator: an entry
+        a consumer drops is freed before the next one is walked."""
         for prep in prepared:
-            terms: list[float] = []
-            needed = 0
+            # Stage dispatch: a new stage starts when no data input
+            # arrives from the same platform (the executor's stage cut).
+            new_stage = prep.platform is not None
+            conversions, tried = [], 0
+            terms: list[float] | None = []
             for (slot, producer, have), want in zip(haves, prep.wants):
+                if have is None:
+                    terms = None
+                    break
+                if slot >= 0 and have.platform == prep.platform:
+                    new_stage = False
                 if have.name == want.name:
                     terms.append(0.0)
                     continue
+                tried += 1
                 try:
                     path = paths[have.name, want.name, producer]
                 except KeyError:
                     path = self._path(paths, have, want, producer, cards,
                                       bprs)
                 if path is None:
+                    terms = None  # unreachable channel
                     break
+                conversions.append(((producer, op_id, slot), path))
                 terms.append(path.cost)
-                needed += 1
-            else:
-                terms += (prep.lower, prep.upper)
+            # Skips the NamedTuple's own __new__, a Python call per option.
+            yield tuple.__new__(_Wired, (prep, tuple(conversions), terms,
+                                         tried, new_stage))
+
+    @staticmethod
+    def _open(open_channels: dict[int, ChannelDescriptor], to_close: set[int],
+              keep_open: bool, op_id: int, out_desc: ChannelDescriptor,
+              intern: dict[tuple, tuple]) -> tuple[dict, tuple]:
+        """The open channels after ``op_id``, copy-on-write, and their
+        interned signature half."""
+        channels = open_channels
+        if to_close or keep_open:
+            channels = {i: desc for i, desc in open_channels.items()
+                        if i not in to_close}
+            if keep_open:
+                channels[op_id] = out_desc
+        open_sig = tuple(sorted((i, desc.name) for i, desc in channels.items()))
+        return channels, intern.setdefault(open_sig, open_sig)
+
+    def _undominated(self, wired: Iterator[_Wired]
+                     ) -> tuple[list[_Wired], int, int]:
+        """The wired loop decisions that can still win from their inputs.
+
+        Options of one (output channel, platform set) group give one
+        signature from one partial plan.  An option's cost terms are its
+        wiring's ``terms`` (conversion cost per input slot, 0.0 where no
+        conversion is needed), then its own ``lower`` and ``upper``; a loop
+        opens no stage, so no dispatch overhead applies.  :meth:`_extend`
+        adds each term to the partial's interval in this order, and float
+        addition, product and square root are monotone, so an option ≥ an
+        *earlier* option of its group on every term has a geometric mean ≥
+        the earlier one's and loses to it (or to what beat it) under
+        first-seen-wins.  A later option never drops an earlier one: after
+        rounding it may only tie, and a tie keeps the earlier.  The
+        dominator's own ``lower`` must be positive — at a zero lower bound
+        the geometric mean jumps to the midpoint of the interval, which is
+        not monotone.  An unwired option neither dominates nor is dropped.
+        Returns the survivors in order, the number dropped, their wirings.
+        """
+        dominators: dict[tuple, list[list[float]]] = {}
+        survivors: list[_Wired] = []
+        skipped = skipped_wirings = 0
+        for entry in wired:
+            prep = entry.prep
+            if entry.terms is not None:
+                terms = [*entry.terms, prep.lower, prep.upper]
                 group = dominators.setdefault(
                     (prep.out_desc.name, prep.platforms), [])
                 if self._beaten(terms, group):
                     skipped += 1
-                    skipped_wirings += needed
+                    skipped_wirings += entry.wirings
                     continue
                 if prep.lower > 0:
                     group.append(terms)
-            survivors.append(prep)
+            survivors.append(entry)
         return survivors, skipped, skipped_wirings
 
     @staticmethod
@@ -1045,8 +1072,8 @@ class Optimizer:
 
         Volume is a function of the producer within one enumeration, so
         an answer — ``None`` when unreachable — is looked up once per
-        distinct key and lives in ``paths``; the graph (and its lock) is
-        searched once per distinct (have, volume), a whole row at a time.
+        distinct key and lives in ``paths``; the graph is searched once per
+        distinct (have, volume), a whole row at a time.
         """
         key = (have.name, want.name, producer)
         if key not in paths:

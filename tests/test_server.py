@@ -390,6 +390,29 @@ class TestWsgiFrontend:
             status, payload = self._call(app, method="GET", path="/metrics")
             assert status == "200 OK" and "counters" in payload
 
+    def test_non_finite_output_floats_keep_the_reply_valid_json(self,
+                                                                  backend):
+        # RFC 8259 has no Infinity/NaN: a strict parser must read the body.
+        def strict(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        document = {"operators": [
+            {"name": "src", "kind": "collection_source", "data": [1, 2]},
+            {"name": "m", "kind": "map", "input": "src",
+             "expr": "x * 1e308 * 10"}], "sink": {"name": "m"}}
+        request = json.dumps(document).encode()
+        captured = {}
+        with _server(backend, workers=1) as server:
+            chunks = make_wsgi_app(server)(
+                {"REQUEST_METHOD": "POST", "PATH_INFO": "/jobs",
+                 "QUERY_STRING": "", "CONTENT_LENGTH": str(len(request)),
+                 "wsgi.input": io.BytesIO(request)},
+                lambda status, headers: captured.update(status=status))
+            body = b"".join(chunks)
+        assert captured["status"] == "200 OK"
+        payload = json.loads(body, parse_constant=strict)
+        assert payload["output"] == ["inf", "inf"]
+
     def test_async_submit_then_poll(self, backend):
         with _server(backend, workers=2) as server:
             app = make_wsgi_app(server)
