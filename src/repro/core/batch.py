@@ -25,9 +25,12 @@ The columnar join emits the ``pair`` layout for any two sub-batches.
 
 Columns whose values are homogeneously ``int``, ``float`` or ``str`` are
 backed by read-only numpy arrays; everything else stays a plain object
-list.  ``to_records`` reconstructs the original records exactly (numpy
-round-trips int64/float64/str values bit-for-bit), which is what makes a
-columnar kernel's output equal the record kernel's.
+list.  So does a ``scalar`` batch of ``str``: its records are lines or
+words, which kernels read as Python strings, and a fixed-width text
+matrix of them costs more to build than a kernel saves.  ``to_records``
+reconstructs the original records exactly (numpy round-trips
+int64/float64/str values bit-for-bit), which is what makes a columnar
+kernel's output equal the record kernel's.
 """
 
 from __future__ import annotations
@@ -40,8 +43,11 @@ from .kernels import (bind, filter_records, flat_map_records, fold_by_key,
                       hash_join, map_records)
 
 
-def _make_column(values: list[Any]):
-    """A read-only numpy array when the element type allows, else a list."""
+def _make_column(values: list[Any], text: bool = True):
+    """A read-only numpy array when the element type allows, else a list.
+
+    ``text=False`` keeps a ``str`` column a list (a scalar batch's lines).
+    """
     if not values:
         return values
     # ``set(map(type, ...))`` runs the type scan at C speed; ``type`` (not
@@ -54,7 +60,7 @@ def _make_column(values: list[Any]):
             return values
     elif kinds == {float}:
         arr = np.array(values, dtype=np.float64)
-    elif kinds == {str}:
+    elif kinds == {str} and text:
         arr = np.array(values, dtype=str)
         # numpy's fixed-width unicode dtype drops trailing NULs; if any
         # character went missing, keep the strings on the object path.
@@ -116,7 +122,7 @@ class RecordBatch:
                 columns = tuple(_make_column([r[i] for r in rows])
                                 for i in range(width))
                 return cls("tuple", columns, len(rows))
-        return cls("scalar", (_make_column(rows),), len(rows))
+        return cls("scalar", (_make_column(rows, text=False),), len(rows))
 
     @classmethod
     def from_columns(cls, names: Sequence[str],
@@ -156,7 +162,9 @@ class RecordBatch:
             return cls.pair(cls.concat([b.left for b in batches]),
                             cls.concat([b.right for b in batches]))
         if same_layout and head._kind in ("dict", "tuple", "scalar"):
-            columns = tuple(_concat_columns([b._columns[i] for b in batches])
+            text = head._kind != "scalar"
+            columns = tuple(_concat_columns([b._columns[i] for b in batches],
+                                            text)
                             for i in range(len(head._columns)))
             rows = sum(len(b) for b in batches)
             return cls(head._kind, columns, rows, head._names)
@@ -258,7 +266,7 @@ def _freeze(column):
     return _make_column(list(column))
 
 
-def _concat_columns(columns: list):
+def _concat_columns(columns: list, text: bool = True):
     if all(isinstance(c, np.ndarray) for c in columns):
         try:
             out = np.concatenate(columns)
@@ -270,7 +278,7 @@ def _concat_columns(columns: list):
     merged: list[Any] = []
     for c in columns:
         merged.extend(_column_values(c))
-    return _make_column(merged)
+    return _make_column(merged, text)
 
 
 # ---------------------------------------------------------------- kernels
@@ -457,10 +465,9 @@ def records_of(payload: Payload) -> list[Any]:
 
 #: Rows columnarized at a time when a declared row-wise kernel reads a list.
 #: A ``batch_udf`` is record-wise equivalent to its UDF, so it may run block
-#: by block; the block bounds the numpy buffers alive at once (the input's
-#: fixed-width text column above all).  It matters for resident memory:
-#: glibc keeps freed buffers in the allocating thread's arena, where no
-#: other thread's allocations reuse them.
+#: by block; the block bounds the numpy buffers alive at once.  It matters
+#: for resident memory: glibc keeps freed buffers in the allocating
+#: thread's arena, where no other thread's allocations reuse them.
 BLOCK_ROWS = 1 << 14
 
 

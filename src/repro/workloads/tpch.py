@@ -12,6 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 #: TPC-H rows per scale factor 1.
 SF1_ROWS = {
     "region": 5,
@@ -181,101 +183,92 @@ def parse_row(table: str, line: str) -> dict:
             in zip(_CSV_FIELDS[table], line.split("|"))}
 
 
-def _text_field(flat, offset, flen, kind):
-    """One variable-offset field of every row as a fixed-width ``S`` or
-    ``U`` array.
+#: ``10 ** k`` for the fraction digits an 18-character field can have, as
+#: doubles converted from exact ints (every power of ten up to 1e22 is
+#: exactly one; ``pow`` need not return it).
+_POW10 = np.array([float(10 ** k) for k in range(18)])
 
-    ``flat`` is the codepoint view of all lines end to end, ``offset`` each
-    row's field start in it and ``flen`` the field lengths.  The
-    ``(rows, max_field_width)`` character matrix behind the result is
-    zero-padded past each field's end and filled one character position at
-    a time, so nothing wider than one of its columns is ever allocated.
+
+def _number(digits, start, end, convert):
+    """One int or float column parsed exactly, or None to fall back.
+
+    ``digits`` is the lines' bytes minus ``ord("0")``: a digit's value,
+    254 for ``.`` and at least 10 for any other byte, but 0 at every
+    separator.  Horner's rule runs over all rows at once, one character
+    position at a time, right-aligned: left of a short field it reads the
+    separator before it, a leading zero.  At most 18 characters, so the
+    int64 mantissa cannot overflow.  A float field is digits with at most
+    one ``.``; with its mantissa below 2**53, ``mantissa /
+    10.0**fraction_digits`` divides two exact doubles, and one correctly
+    rounded division is what ``float()`` returns for the text (Clinger's
+    fast path).
     """
-    import numpy as np
-
-    n = len(flen)
-    maxw = int(flen.max()) if n else 0
-    if not maxw:
-        return np.full(n, "" if kind == "U" else b"", dtype=f"{kind}1")
-    field = np.zeros((n, maxw),
-                     dtype=np.uint32 if kind == "U" else np.uint8)
-    last = flat.size - 1
-    for j in range(maxw):
-        chars = flat[np.minimum(offset + j, last)]
-        field[:, j] = np.where(j < flen, chars, 0)
-    return field.view(f"{kind}{maxw}").reshape(n)
-
-
-def _int_field(flat, offset, flen):
-    """Parse a digit field by Horner's rule, one character position at a
-    time — no per-element parse calls at all.
-
-    Any non-digit character (sign, blank), an empty or an overflow-width
-    field routes the whole column through numpy's C string parser, which
-    raises on exactly the inputs ``int()`` raises on.
-    """
-    import numpy as np
-
-    maxw = int(flen.max()) if len(flen) else 0
-    value = np.zeros(len(flen), dtype=np.int64)
-    last = flat.size - 1
-    clean = maxw <= 18 and not (flen == 0).any()
-    for j in range(maxw if clean else 0):
-        digit = flat[np.minimum(offset + j, last)].astype(np.int64) - ord("0")
-        active = j < flen
-        if (((digit < 0) | (digit > 9)) & active).any():
-            clean = False
-            break
-        value = np.where(active, value * 10 + digit, value)
-    if clean:
-        return value
-    return _text_field(flat, offset, flen, "S").astype(np.int64)
+    width = int((end - start).max())
+    if width > 18 or (end == start).any():
+        return None
+    value, dots, fraction = (np.zeros(len(end), dtype=np.int64)
+                             for __ in range(3))
+    top = np.zeros(len(end), dtype=np.uint8)  # the largest non-"." byte
+    floor = start - 1
+    for offset in range(width, 0, -1):
+        d = digits.take(np.maximum(end - offset, floor))
+        if convert is int:
+            np.maximum(top, d, out=top)
+            value = value * 10 + d
+            continue
+        dot = d == 254
+        np.maximum(top, d, out=top, where=~dot)
+        fraction += dots
+        dots += dot
+        value = np.where(dot, value, value * 10 + d)
+    if convert is int:
+        return value if top.max() < 10 else None
+    if (top.max() > 9 or dots.max() > 1 or (dots == end - start).any()
+            or value.max() >= 1 << 53):
+        return None
+    return value / _POW10[fraction]
 
 
 def parse_batch(table: str, batch):
-    """Columnar :func:`parse_row` over one batch of CSV lines.
+    """Columnar :func:`parse_row` over one batch of CSV lines, exactly.
 
-    Works on the codepoint view of the lines column: one pass finds the
-    ``|`` separators, integer columns go through a Horner digit kernel,
-    float columns are gathered into a narrow fixed-width window for numpy's
-    C parser.  int64/float64 parsing of decimal text matches Python's
-    ``int``/``float`` exactly, so the rows equal the per-record parse
-    bit-for-bit; anything the fast path cannot prove it handles exactly
-    (non-ASCII, trimmed NULs, a malformed field count) falls back to the
-    per-record parse.
+    One byte pass over the lines, joined and encoded as ASCII: one
+    ``flatnonzero`` finds every ``|`` and line end, int and float fields
+    are parsed by :func:`_number` and str fields are slices of the joined
+    text.  Anything else — signs, exponents, blanks, underscores,
+    ``inf``/``nan``, non-ASCII, a wrong field count, a separator inside a
+    field — falls back to the per-record parse, which also raises where
+    :func:`parse_row` raises.
     """
-    import numpy as np
-
     from ..core.batch import RecordBatch
 
-    columns = _CSV_COLUMNS[table]
-    lines = batch.array(0)
-    if lines is None or lines.dtype.kind != "U" or not len(lines):
-        # Non-string (or no) payload: per-record fallback.
-        return [parse_row(table, line) for line in batch]
-    n = len(lines)
-    width = lines.dtype.itemsize // 4
-    flat = lines.view(np.uint32)
-    if flat.max() > 127:  # non-ASCII: keep the per-record parse exact
-        return [parse_row(table, line) for line in batch]
-    base = np.arange(n) * width
-    seps = np.flatnonzero(flat == ord("|"))
-    if len(seps) != n * (len(columns) - 1):
-        return [parse_row(table, line) for line in batch]
-    sep_pos = seps.reshape(n, len(columns) - 1) - base[:, None]
-    if ((sep_pos < 0) | (sep_pos >= width)).any():  # uneven field counts
-        return [parse_row(table, line) for line in batch]
-    lens = np.strings.str_len(lines)
-    out = []
-    for i, (__, convert) in enumerate(_CSV_FIELDS[table]):
-        start = sep_pos[:, i - 1] + 1 if i else 0
-        end = sep_pos[:, i] if i < len(columns) - 1 else lens
-        offset, flen = base + start, end - start
+    lines = batch.to_records()
+    fields = _CSV_FIELDS[table]
+    try:
+        # The leading "\n" puts a separator before every field.
+        text = "\n" + "\n".join(lines)
+        raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    except (TypeError, UnicodeEncodeError):
+        return [parse_row(table, line) for line in lines]
+    stops = np.flatnonzero((raw == 124) | (raw == 10))  # "|", "\n"
+    n, k = len(lines), len(fields)
+    newline = raw[stops] == 10
+    # Exactly k - 1 "|" per line: every k-th stop is a line's "\n".
+    if len(stops) != n * k or newline.sum() != n or not newline[::k].all():
+        return [parse_row(table, line) for line in lines]
+    # (fields, rows), so that each column's offsets are contiguous.
+    starts = (stops + 1).reshape(n, k).T.copy()
+    ends = np.append(stops[1:], raw.size).reshape(n, k).T.copy()
+    digits = raw - np.uint8(48)  # wraps below "0"
+    digits[stops] = 0
+    columns = []
+    for j, (__, convert) in enumerate(fields):
         if convert is str:
-            out.append(_text_field(flat, offset, flen, "U"))
-        elif convert is float:
-            out.append(_text_field(flat, offset, flen,
-                                   "S").astype(np.float64))
-        else:
-            out.append(_int_field(flat, offset, flen))
-    return RecordBatch.from_columns(columns, out)
+            columns.append([text[a:b] for a, b in
+                            zip(starts[j].tolist(), ends[j].tolist())])
+            continue
+        column = _number(digits, starts[j], ends[j], convert)
+        if column is None:
+            return [parse_row(table, line) for line in lines]
+        columns.append(column)
+    return RecordBatch.from_columns(_CSV_COLUMNS[table], columns)

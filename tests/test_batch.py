@@ -10,9 +10,11 @@ paths against a reference implementation, and the selection rule of the
 only from a batch, nothing declared -> the record kernel and a list.
 """
 
+import functools
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core import operators as ops
 from repro.core.batch import (
@@ -29,6 +31,7 @@ from repro.core.batch import (
     run_sort,
     sort_order,
 )
+from repro.workloads import tpch
 from repro.workloads.tpch import (
     SF1_ROWS,
     TpchLite,
@@ -145,13 +148,14 @@ class TestNumpyBacking:
         for name in ("i", "f", "s"):
             assert batch.array(name) is not None
 
-    def test_scalar_string_lines_are_numpy_backed(self):
-        # Regression: the scalar layout used to skip _make_column, so a
-        # column of CSV lines never vectorized and parse_batch silently
-        # fell back to the per-record parse.
-        batch = RecordBatch.from_records(["1|2", "3|4"])
-        assert batch.array(0) is not None
-        assert batch.array(0).dtype.kind == "U"
+    def test_scalar_strings_stay_a_list(self):
+        # Lines and words are read as Python strings: a fixed-width text
+        # matrix of them costs more to build than a kernel saves.
+        parts = [RecordBatch.from_records(["a|1", "b|2"]),
+                 RecordBatch.from_records(["c|3"])]
+        for batch in parts + [RecordBatch.concat(parts)]:
+            assert type(batch.col(0)) is list
+        assert RecordBatch.concat(parts).to_records() == ["a|1", "b|2", "c|3"]
 
     def test_backing_arrays_are_read_only(self):
         batch = RecordBatch.from_records([1, 2, 3])
@@ -494,14 +498,123 @@ class TestSortProperty:
         assert [repr(r) for r in got] == [repr(r) for r in expected]
 
 
+def _parsed(table, lines):
+    """``parse_batch`` over ``lines`` as records, or ValueError."""
+    try:
+        out = parse_batch(table, RecordBatch.from_records(lines))
+    except ValueError:
+        return ValueError
+    return out.to_records() if isinstance(out, RecordBatch) else out
+
+
+def _per_record(table, lines):
+    """``parse_row`` over ``lines``, or ValueError."""
+    try:
+        return [parse_row(table, line) for line in lines]
+    except ValueError:
+        return ValueError
+
+
+def _exact(rows):
+    """Rows by ``repr`` and exact type per field: ``==`` counts 0.0 equal
+    to -0.0 and 1 equal to 1.0."""
+    if rows is ValueError:
+        return rows
+    return [[(k, type(v).__name__, repr(v)) for k, v in row.items()]
+            for row in rows]
+
+
+#: Field texts ``int()`` / ``float()`` may or may not accept: every one
+#: the byte pass declines must fall back to ``parse_row``'s answer.  The
+#: last two have mantissas above 2**53 that a Clinger division misrounds.
+_ODD_TEXTS = [
+    "-5", "+5", "-0.0", "0.0", "-0", "1e5", "1E-3", "2.5e+3", "inf",
+    "-inf", "nan", "NaN", "Infinity", " 5", "5 ", " 1.5", "1.5\t", "1_000",
+    "1_0.5", "007", "000.250", ".5", "5.", ".", "..", "1.2.3", "",
+    "9007199254740992", "9007199254740993", "0." + "1" * 23, "1" * 18,
+    "1" * 19, "9" * 20, "x\x00", "\x00", "7\x00", "é", "٣", "1\n2", "1|2",
+    "ASIA", "a.b", "1:5", "1/5", "0x1f", "7.3785690282684228",
+    "7931475343646273.2",
+]
+_ODD_FIELDS = st.sampled_from(_ODD_TEXTS)
+
+_FIELD = st.one_of(
+    _ODD_FIELDS,
+    st.integers(0, 10 ** 20).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.from_regex(r"[0-9]{0,18}\.?[0-9]{0,18}", fullmatch=True),
+    st.text(max_size=6),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _table(name):
+    return TpchLite(0.01).table(name)
+
+
+@st.composite
+def _blocks(draw):
+    """A table and a block of its CSV lines with up to two fields mutated
+    and, sometimes, one line a field short or long."""
+    table = draw(st.sampled_from(sorted(SF1_ROWS) + ["lineitem"] * 4))
+    rows = _table(table)
+    lines = [_to_csv(table, draw(st.sampled_from(rows))).split("|")
+             for __ in range(draw(st.integers(0, 5)))]
+    for __ in range(draw(st.integers(0, 2)) if lines else 0):
+        fields = draw(st.sampled_from(lines))
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(_FIELD)
+    if lines and draw(st.integers(0, 4)) == 0:
+        fields = draw(st.sampled_from(lines))
+        if draw(st.booleans()):
+            fields.pop()
+        else:
+            fields.append(draw(_FIELD))
+    return table, ["|".join(fields) for fields in lines]
+
+
 class TestParseBatch:
+    @settings(max_examples=300, deadline=None)
+    @given(_blocks())
+    def test_matches_parse_row_by_repr_and_type(self, block):
+        table, lines = block
+        assert _exact(_parsed(table, lines)) == \
+            _exact(_per_record(table, lines))
+
+    @pytest.mark.parametrize("table", ["lineitem", "orders", "nation"])
+    def test_every_odd_text_in_every_column(self, table):
+        clean = _to_csv(table, _table(table)[3]).split("|")
+        for column in range(len(clean)):
+            for text in _ODD_TEXTS:
+                odd = "|".join(clean[:column] + [text] + clean[column + 1:])
+                lines = ["|".join(clean), odd, "|".join(clean)]
+                assert _exact(_parsed(table, lines)) == \
+                    _exact(_per_record(table, lines)), (column, text)
+
+    def test_q5_lines_take_the_byte_pass(self, monkeypatch):
+        # Guards against a silent fall back to the per-record parse: the
+        # Q5 source tables parse without one parse_row call, from a scalar
+        # batch that holds the lines as they came (a list, no text matrix).
+        calls = []
+        real = parse_row
+        monkeypatch.setattr(tpch, "parse_row",
+                            lambda *args: calls.append(args) or real(*args))
+        for table in ("lineitem", "orders"):
+            rows = TpchLite(0.1, actual_scale=2.0).table(table)
+            lines = [_to_csv(table, r) for r in rows]
+            batch = RecordBatch.from_records(lines)
+            assert type(batch.col(0)) is list and batch.col(0) == lines
+            out = parse_batch(table, batch)
+            assert isinstance(out, RecordBatch)
+            assert _exact(out.to_records()) == _exact(
+                [real(table, line) for line in lines])
+        assert calls == []
+
     @pytest.mark.parametrize("table", sorted(SF1_ROWS))
     def test_parity_with_parse_row(self, table):
         rows = TpchLite(0.1, actual_scale=2.0).table(table)
         lines = [_to_csv(table, r) for r in rows]
-        out = parse_batch(table, RecordBatch.from_records(lines))
-        got = out.to_records() if isinstance(out, RecordBatch) else out
-        assert got == [parse_row(table, line) for line in lines]
+        assert _exact(_parsed(table, lines)) == \
+            _exact(_per_record(table, lines))
 
     @pytest.mark.parametrize("line", [
         "1|x|2.0|0.1",       # non-numeric int field
@@ -516,18 +629,18 @@ class TestParseBatch:
 
     def test_non_ascii_name_falls_back_and_matches(self):
         lines = ["0|1|NATIÖN", "1|2|NATION"]
-        out = parse_batch("nation", RecordBatch.from_records(lines))
-        got = out.to_records() if isinstance(out, RecordBatch) else out
-        assert got == [parse_row("nation", line) for line in lines]
+        assert _exact(_parsed("nation", lines)) == \
+            _exact(_per_record("nation", lines))
 
     @pytest.mark.parametrize("lines", [
         [],
         ["1|2|3.0"],                # short row: separator-count fallback
-        ["-5|2|1.0|0.5"],           # sign routes ints through the C parser
+        ["-5|2|1.0|0.5"],           # sign: per-record fallback
         ["1|2|1e-05|0.5"],          # exponent float
+        ["1|2\n3|4"],               # a "\n" inside a short row's field
+        ["1|2|3.5|0.1|9", "1|2|3.5"],  # long and short rows, same count
         ["1|2|3.5|0.1", "10|20|70000.25|0.07"],
     ])
     def test_edge_inputs_match_per_record_parse(self, lines):
-        out = parse_batch("lineitem", RecordBatch.from_records(lines))
-        got = out.to_records() if isinstance(out, RecordBatch) else out
-        assert got == [parse_row("lineitem", line) for line in lines]
+        assert _exact(_parsed("lineitem", lines)) == \
+            _exact(_per_record("lineitem", lines))
