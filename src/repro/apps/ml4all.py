@@ -15,6 +15,7 @@ phase run each iteration without rescanning the dataset.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, mul
 from typing import Callable, Sequence
 
 from ..core.context import DataQuanta, RheemContext
@@ -46,35 +47,52 @@ class Algorithm:
     converge: Callable[[Vector, Vector], bool] | None = None
 
 
+# The gradient kernels run per sampled point, so they use builtins
+# (``map``, ``sum``, list comprehensions).  Every value must stay the same
+# operation on the same operands in the same order as the plain formula —
+# ``sum`` adds floats the same way whatever iterable feeds it — so that
+# the weights are bit-identical.  A gradient is d weight terms plus a count.
+
+
+def _combine(a, b):
+    """Sum two gradient contributions, the count included."""
+    return tuple(map(add, a, b))
+
+
+def _update(learning_rate: float) -> Callable:
+    """``w - learning_rate * gradient / count``, one weight at a time."""
+
+    def update(gradient, weights):
+        count = max(gradient[-1], 1)
+        # zip stops at the d weights, before the count.
+        return tuple([wi - learning_rate * gi / count
+                      for wi, gi in zip(weights[0], gradient)])
+
+    return update
+
+
 def sgd_hinge(dimensions: int, learning_rate: float = 0.05,
               regularizer: float = 1e-4) -> Algorithm:
     """Stochastic gradient descent on hinge loss (linear SVM)."""
 
     def compute(point, weights):
-        label, *features = point
+        label, features = point[0], point[1:]
         w = weights[0]
-        margin = label * sum(wi * xi for wi, xi in zip(w, features))
+        margin = label * sum(map(mul, w, features))
         if margin >= 1.0:
-            return tuple(regularizer * wi for wi in w) + (1,)
-        grad = tuple(regularizer * wi - label * xi
-                     for wi, xi in zip(w, features))
-        return grad + (1,)
-
-    def combine(a, b):
-        return tuple(x + y for x, y in zip(a[:-1], b[:-1])) + (a[-1] + b[-1],)
-
-    def update(gradient, weights):
-        w = weights[0]
-        count = max(gradient[-1], 1)
-        return tuple(wi - learning_rate * gi / count
-                     for wi, gi in zip(w, gradient[:-1]))
+            gradient = [regularizer * wi for wi in w]
+        else:
+            gradient = [regularizer * wi - label * xi
+                        for wi, xi in zip(w, features)]
+        gradient.append(1)
+        return tuple(gradient)
 
     return Algorithm(
         transform=parse_point,
         stage=lambda: tuple(0.0 for __ in range(dimensions)),
         compute=compute,
-        combine=combine,
-        update=update,
+        combine=_combine,
+        update=_update(learning_rate),
     )
 
 
@@ -83,27 +101,19 @@ def logistic_sgd(dimensions: int, learning_rate: float = 0.1) -> Algorithm:
     import math
 
     def compute(point, weights):
-        label, *features = point
-        w = weights[0]
-        margin = label * sum(wi * xi for wi, xi in zip(w, features))
+        label, features = point[0], point[1:]
+        margin = label * sum(map(mul, weights[0], features))
         factor = -label / (1.0 + math.exp(min(margin, 50.0)))
-        return tuple(factor * xi for xi in features) + (1,)
-
-    def combine(a, b):
-        return tuple(x + y for x, y in zip(a[:-1], b[:-1])) + (a[-1] + b[-1],)
-
-    def update(gradient, weights):
-        w = weights[0]
-        count = max(gradient[-1], 1)
-        return tuple(wi - learning_rate * gi / count
-                     for wi, gi in zip(w, gradient[:-1]))
+        gradient = [factor * xi for xi in features]
+        gradient.append(1)
+        return tuple(gradient)
 
     return Algorithm(
         transform=parse_point,
         stage=lambda: tuple(0.0 for __ in range(dimensions)),
         compute=compute,
-        combine=combine,
-        update=update,
+        combine=_combine,
+        update=_update(learning_rate),
     )
 
 
@@ -190,12 +200,10 @@ class ML4all:
         if algorithm.converge is None:
             return weights.repeat(iterations, body, invariants=[points])
         converge = algorithm.converge
-        state: dict = {"prev": None}
 
-        def condition(records: list) -> bool:
-            new = records[0]
-            old, state["prev"] = state["prev"], new
-            return old is None or not converge(old, new)
+        def condition(previous: list | None, records: list) -> bool:
+            # The executor hands over this loop run's previous weights.
+            return previous is None or not converge(previous[0], records[0])
 
         return weights.do_while(condition, body, invariants=[points],
                                 expected=iterations,

@@ -12,7 +12,7 @@ from typing import Any, Callable
 
 from ..core.context import DataQuanta, RheemContext
 from ..core.executor import ExecutionResult
-from ..workloads.graphs import parse_edge
+from ..workloads.graphs import parse_edge, parse_edges
 
 
 class XdbQuery:
@@ -77,9 +77,11 @@ def crocopr_quanta(ctx: RheemContext, community_a: str, community_b: str,
     """Cross-community PageRank: intersect two link datasets, rank the
     shared subgraph, return the vertices sorted by rank."""
     edges_a = (ctx.read_text_file(community_a)
-               .map(parse_edge, name="parse-a", bytes_per_record=16))
+               .map(parse_edge, name="parse-a", bytes_per_record=16,
+                    batch_udf=parse_edges))
     edges_b = (ctx.read_text_file(community_b)
-               .map(parse_edge, name="parse-b", bytes_per_record=16))
+               .map(parse_edge, name="parse-b", bytes_per_record=16,
+                    batch_udf=parse_edges))
     shared = edges_a.intersect(edges_b).distinct()
     ranks = shared.pagerank(iterations=iterations)
     return ranks.sort(key=lambda vr: -vr[1])

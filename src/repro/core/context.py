@@ -588,7 +588,11 @@ class DataQuanta:
                  invariants: Sequence["DataQuanta"] = (),
                  expected: int = 10,
                  max_iterations: int = 10_000) -> "DataQuanta":
-        """Iterate ``body`` while ``condition(loop_var_records)`` holds."""
+        """Iterate ``body`` while ``condition(loop_var_records)`` holds.
+
+        A two-argument ``condition(previous, loop_var_records)`` also gets
+        the records of the loop run's previous check (None at its first).
+        """
         loop_inputs = [ops.LoopInput(i) for i in range(1 + len(invariants))]
         handles = [DataQuanta(self.ctx, li) for li in loop_inputs]
         out = body(*handles)

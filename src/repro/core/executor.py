@@ -545,6 +545,9 @@ class Executor:
         chain = start
         max_iterations = (loop.iterations if isinstance(loop, RepeatLoop)
                           else loop.max_iterations)
+        # What this run's previous check saw, for a two-argument condition.
+        pairwise = isinstance(loop, DoWhileLoop) and loop.takes_previous()
+        previous = None
         for iteration in range(max_iterations):
             env = {task_id: channels[k] for task_id, k in primed}
             chain = self._run_stages(
@@ -553,8 +556,10 @@ class Executor:
             loop_var = env[impl.body_plan.sink_tasks[0].id]
             done = iteration + 1 >= max_iterations
             if isinstance(loop, DoWhileLoop) and not done:
-                done = not loop.condition(
-                    self._materialize_payload(loop_var, ctx))
+                records = self._materialize_payload(loop_var, ctx)
+                done = not (loop.condition(previous, records) if pairwise
+                            else loop.condition(records))
+                previous = records
             if done:
                 # The loop's external output keeps the body's channel type;
                 # the feedback conversion only runs between iterations.

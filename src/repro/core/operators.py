@@ -13,6 +13,7 @@ broadcast value as extra positional arguments.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 from dataclasses import dataclass, field
 from numbers import Real
@@ -808,6 +809,13 @@ class RepeatLoop(LoopOperator):
 class DoWhileLoop(LoopOperator):
     """Runs the body until ``condition(loop_var_collection)`` is falsy.
 
+    A condition with two required positional parameters is called as
+    ``condition(previous, loop_var_collection)``: ``previous`` is the
+    collection the same loop run's previous check saw, None at its first
+    (the paper's ML4all Converge compares old and new weights).  So a
+    convergence test keeps no state of its own, and a rerun loop — a
+    retried driver stage, a second ``execute`` — starts afresh.
+
     ``expected_iterations`` is the optimizer's guess; the executor stops on
     the real condition (and a ``max_iterations`` safety bound).
     """
@@ -823,6 +831,16 @@ class DoWhileLoop(LoopOperator):
 
     def expected_iterations(self) -> int:
         return self.expected
+
+    def takes_previous(self) -> bool:
+        """Whether the condition is ``condition(previous, records)``."""
+        try:
+            params = inspect.signature(self.condition.fn).parameters
+        except (TypeError, ValueError):  # no signature: one argument
+            return False
+        return sum(p.default is p.empty and p.kind in (
+            p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+            for p in params.values()) == 2
 
 
 # --------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from .graphs import (
     community_edges,
     parse_edge,
+    parse_edges,
     power_law_edges,
     write_community,
     write_pagelinks,
@@ -15,6 +16,7 @@ from .tpch import SF1_ROWS, TpchLite, parse_row
 __all__ = [
     "community_edges",
     "parse_edge",
+    "parse_edges",
     "power_law_edges",
     "write_community",
     "write_pagelinks",

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+from .text import parse_delimited
+
 #: Full-scale parameters of the pagelinks stand-in (~24 GB, ~170M links).
 FULL_SIM_EDGES = 170_000_000.0
 BYTES_PER_EDGE = 140.0
@@ -80,3 +82,24 @@ def parse_edge(line: str) -> tuple[int, int]:
     """Parse ``"src dst"`` into an integer pair."""
     a, b = line.split()
     return (int(a), int(b))
+
+
+def parse_edges(batch):
+    """Columnar :func:`parse_edge` over one batch of edge lines, exactly.
+
+    The lines take :func:`~repro.workloads.text.parse_delimited`'s byte
+    pass when each is two runs of at most 18 ASCII digits around exactly
+    one space, and come back as a tuple batch of two int64 columns.
+    Anything ``str.split`` reads differently — tabs, runs of spaces,
+    leading or trailing blanks — and anything ``int`` might accept or
+    reject — signs, ``_``, NUL, non-ASCII, a wrong field count — falls
+    back to :func:`parse_edge` per record, which also raises where it
+    raises.
+    """
+    from ..core.batch import RecordBatch
+
+    lines = batch.to_records()
+    columns = parse_delimited(lines, " ", (int, int))
+    if columns is None:
+        return [parse_edge(line) for line in lines]
+    return RecordBatch.from_tuple_columns(columns)

@@ -74,4 +74,4 @@ def write_points(ctx, path: str, dataset: str = "higgs",
 
 def parse_point(line: str) -> tuple[float, ...]:
     """Parse a CSV point line into ``(label, x1, ..., xd)``."""
-    return tuple(float(v) for v in line.split(","))
+    return tuple(map(float, line.split(",")))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import numpy as np
+from .text import parse_delimited
 
 #: TPC-H rows per scale factor 1.
 SF1_ROWS = {
@@ -183,92 +183,15 @@ def parse_row(table: str, line: str) -> dict:
             in zip(_CSV_FIELDS[table], line.split("|"))}
 
 
-#: ``10 ** k`` for the fraction digits an 18-character field can have, as
-#: doubles converted from exact ints (every power of ten up to 1e22 is
-#: exactly one; ``pow`` need not return it).
-_POW10 = np.array([float(10 ** k) for k in range(18)])
-
-
-def _number(digits, start, end, convert):
-    """One int or float column parsed exactly, or None to fall back.
-
-    ``digits`` is the lines' bytes minus ``ord("0")``: a digit's value,
-    254 for ``.`` and at least 10 for any other byte, but 0 at every
-    separator.  Horner's rule runs over all rows at once, one character
-    position at a time, right-aligned: left of a short field it reads the
-    separator before it, a leading zero.  At most 18 characters, so the
-    int64 mantissa cannot overflow.  A float field is digits with at most
-    one ``.``; with its mantissa below 2**53, ``mantissa /
-    10.0**fraction_digits`` divides two exact doubles, and one correctly
-    rounded division is what ``float()`` returns for the text (Clinger's
-    fast path).
-    """
-    width = int((end - start).max())
-    if width > 18 or (end == start).any():
-        return None
-    value, dots, fraction = (np.zeros(len(end), dtype=np.int64)
-                             for __ in range(3))
-    top = np.zeros(len(end), dtype=np.uint8)  # the largest non-"." byte
-    floor = start - 1
-    for offset in range(width, 0, -1):
-        d = digits.take(np.maximum(end - offset, floor))
-        if convert is int:
-            np.maximum(top, d, out=top)
-            value = value * 10 + d
-            continue
-        dot = d == 254
-        np.maximum(top, d, out=top, where=~dot)
-        fraction += dots
-        dots += dot
-        value = np.where(dot, value, value * 10 + d)
-    if convert is int:
-        return value if top.max() < 10 else None
-    if (top.max() > 9 or dots.max() > 1 or (dots == end - start).any()
-            or value.max() >= 1 << 53):
-        return None
-    return value / _POW10[fraction]
-
-
 def parse_batch(table: str, batch):
-    """Columnar :func:`parse_row` over one batch of CSV lines, exactly.
-
-    One byte pass over the lines, joined and encoded as ASCII: one
-    ``flatnonzero`` finds every ``|`` and line end, int and float fields
-    are parsed by :func:`_number` and str fields are slices of the joined
-    text.  Anything else — signs, exponents, blanks, underscores,
-    ``inf``/``nan``, non-ASCII, a wrong field count, a separator inside a
-    field — falls back to the per-record parse, which also raises where
-    :func:`parse_row` raises.
-    """
+    """Columnar :func:`parse_row` over one batch of ``|``-separated lines,
+    exactly: :func:`~repro.workloads.text.parse_delimited`'s byte pass, or
+    the per-record parse where that pass declines."""
     from ..core.batch import RecordBatch
 
     lines = batch.to_records()
-    fields = _CSV_FIELDS[table]
-    try:
-        # The leading "\n" puts a separator before every field.
-        text = "\n" + "\n".join(lines)
-        raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    except (TypeError, UnicodeEncodeError):
+    columns = parse_delimited(
+        lines, "|", [convert for __, convert in _CSV_FIELDS[table]])
+    if columns is None:
         return [parse_row(table, line) for line in lines]
-    stops = np.flatnonzero((raw == 124) | (raw == 10))  # "|", "\n"
-    n, k = len(lines), len(fields)
-    newline = raw[stops] == 10
-    # Exactly k - 1 "|" per line: every k-th stop is a line's "\n".
-    if len(stops) != n * k or newline.sum() != n or not newline[::k].all():
-        return [parse_row(table, line) for line in lines]
-    # (fields, rows), so that each column's offsets are contiguous.
-    starts = (stops + 1).reshape(n, k).T.copy()
-    ends = np.append(stops[1:], raw.size).reshape(n, k).T.copy()
-    digits = raw - np.uint8(48)  # wraps below "0"
-    digits[stops] = 0
-    columns = []
-    for j, (__, convert) in enumerate(fields):
-        if convert is str:
-            columns.append([text[a:b] for a, b in
-                            zip(starts[j].tolist(), ends[j].tolist())])
-            continue
-        column = _number(digits, starts[j], ends[j], convert)
-        if column is None:
-            return [parse_row(table, line) for line in lines]
-        columns.append(column)
     return RecordBatch.from_columns(_CSV_COLUMNS[table], columns)

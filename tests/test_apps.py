@@ -1,6 +1,9 @@
 """Integration tests for the four applications of Section 2."""
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import RheemContext
 from repro.apps import (
@@ -15,7 +18,7 @@ from repro.apps import (
     sgd_hinge,
     tax_rule,
 )
-from repro.apps.ml4all import Algorithm
+from repro.apps.ml4all import Algorithm, logistic_sgd
 from repro.algorithms import pagerank_edges
 from repro.workloads import (
     TpchLite,
@@ -24,6 +27,7 @@ from repro.workloads import (
     write_tax,
 )
 from repro.workloads.graphs import community_edges
+from repro.workloads.points import parse_point
 from repro.workloads.tax import parse_tax
 
 
@@ -108,6 +112,119 @@ class TestML4all:
             sample_method="random",
             allowed_platforms={"sparklite", "driver"})
         assert free.runtime < forced.runtime
+
+
+# The gradient formulas as generator expressions, before ML4all moved them
+# onto builtins: the reference the builtins must equal bit for bit.
+def _reference_hinge(learning_rate, regularizer):
+    def compute(point, weights):
+        label, *features = point
+        w = weights[0]
+        margin = label * sum(wi * xi for wi, xi in zip(w, features))
+        if margin >= 1.0:
+            return tuple(regularizer * wi for wi in w) + (1,)
+        grad = tuple(regularizer * wi - label * xi
+                     for wi, xi in zip(w, features))
+        return grad + (1,)
+
+    return compute, _reference_combine, _reference_update(learning_rate)
+
+
+def _reference_logistic(learning_rate):
+    def compute(point, weights):
+        label, *features = point
+        w = weights[0]
+        margin = label * sum(wi * xi for wi, xi in zip(w, features))
+        factor = -label / (1.0 + math.exp(min(margin, 50.0)))
+        return tuple(factor * xi for xi in features) + (1,)
+
+    return compute, _reference_combine, _reference_update(learning_rate)
+
+
+def _reference_combine(a, b):
+    return tuple(x + y for x, y in zip(a[:-1], b[:-1])) + (a[-1] + b[-1],)
+
+
+def _reference_update(learning_rate):
+    def update(gradient, weights):
+        w = weights[0]
+        count = max(gradient[-1], 1)
+        return tuple(wi - learning_rate * gi / count
+                     for wi, gi in zip(w, gradient[:-1]))
+
+    return update
+
+
+#: Signed zeros, subnormals, values near the largest double and infinities.
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e308,
+                -1e308, 1.7976931348623157e308, math.inf, -math.inf]
+_FLOAT = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                   st.floats(allow_nan=True, allow_infinity=True),
+                   st.floats(-2.0, 2.0))
+_RATE = st.one_of(st.sampled_from([0.05, 0.1, 1e-4, 1.0]),
+                  st.floats(1e-300, 1e300))
+
+
+@st.composite
+def _gradient_case(draw):
+    """Weights, a point, two gradient contributions and the rates."""
+    d = draw(st.integers(1, 6))
+    vector = st.lists(_FLOAT, min_size=d, max_size=d).map(tuple)
+    label = draw(st.one_of(st.sampled_from([1.0, -1.0]), _FLOAT))
+    count = st.integers(0, 10 ** 6)
+    return {
+        "weights": (draw(vector),),
+        "point": (label,) + draw(vector),
+        "a": draw(vector) + (draw(count),),
+        "b": draw(vector) + (draw(count),),
+        "rate": draw(_RATE),
+        "regularizer": draw(_RATE),
+    }
+
+
+def _bits(value):
+    return repr(value), type(value).__name__, [type(v).__name__ for v in value]
+
+
+class TestGradientArithmetic:
+    """ML4all's hinge and logistic kernels run on builtins and must give
+    the old generator-expression formulas' floats, compared by repr."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_gradient_case())
+    def test_hinge_and_logistic_match_the_reference(self, case):
+        pairs = [
+            (sgd_hinge(len(case["weights"][0]), case["rate"],
+                       case["regularizer"]),
+             _reference_hinge(case["rate"], case["regularizer"])),
+            (logistic_sgd(len(case["weights"][0]), case["rate"]),
+             _reference_logistic(case["rate"])),
+        ]
+        for algorithm, (compute, combine, update) in pairs:
+            weights, point = case["weights"], case["point"]
+            assert _bits(algorithm.compute(point, weights)) == \
+                _bits(compute(point, weights))
+            assert _bits(algorithm.combine(case["a"], case["b"])) == \
+                _bits(combine(case["a"], case["b"]))
+            assert _bits(algorithm.update(case["a"], weights)) == \
+                _bits(update(case["a"], weights))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        _FLOAT.map(repr), st.sampled_from(["1", "-0", " 2.5 ", "1e-320",
+                                           "1_0", "", "x", "nan", "-inf"])),
+        min_size=1, max_size=8).map(",".join))
+    def test_parse_point_matches_the_reference(self, line):
+        def reference(text):
+            return tuple(float(v) for v in text.split(","))
+
+        outcomes = []
+        for parse in (parse_point, reference):
+            try:
+                outcomes.append(_bits(parse(line)))
+            except ValueError:
+                outcomes.append(ValueError)
+        assert outcomes[0] == outcomes[1]
 
 
 class TestXdb:

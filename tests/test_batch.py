@@ -31,7 +31,8 @@ from repro.core.batch import (
     run_sort,
     sort_order,
 )
-from repro.workloads import tpch
+from repro.workloads import graphs, tpch
+from repro.workloads.graphs import community_edges, parse_edge, parse_edges
 from repro.workloads.tpch import (
     SF1_ROWS,
     TpchLite,
@@ -644,3 +645,116 @@ class TestParseBatch:
     def test_edge_inputs_match_per_record_parse(self, lines):
         assert _exact(_parsed("lineitem", lines)) == \
             _exact(_per_record("lineitem", lines))
+
+
+def _edges_parsed(parse, lines):
+    """Edge records by ``repr`` and exact type, or the exception type."""
+    try:
+        out = parse(lines)
+    except ValueError as exc:
+        return type(exc)
+    if isinstance(out, RecordBatch):
+        out = out.to_records()
+    return [(type(r).__name__, [(type(v).__name__, repr(v)) for v in r])
+            for r in out]
+
+
+def _by_byte_pass(lines):
+    return parse_edges(RecordBatch.from_records(lines))
+
+
+def _per_edge(lines):
+    return [parse_edge(line) for line in lines]
+
+
+#: Field and separator texts ``str.split`` and ``int()`` may read in a way
+#: the byte pass must not guess at: every one has to fall back.
+_ODD_EDGE_FIELDS = [
+    "+5", "-5", "-0", "1_000", "007", "0", "1" * 18, "9" * 18, "1" * 19,
+    "9" * 19, "9" * 20, "1" + "0" * 19, "7\x00", "\x00", "é", "٣", "",
+    "1.0", "0x1f", "1e3",
+]
+_ODD_EDGE_SEPS = [
+    "\t", "  ", " \t", "\x0b", "\x0c", "\x1c", "\r", "\n", "\x85",
+    "\xa0", "\u3000", "|", ",", "",
+]
+_EDGE_FIELD = st.one_of(
+    st.sampled_from(_ODD_EDGE_FIELDS),
+    st.integers(-10 ** 21, 10 ** 21).map(str),
+    st.text(max_size=4),
+)
+_EDGE_SEP = st.one_of(st.just(" "), st.sampled_from(_ODD_EDGE_SEPS))
+
+
+@st.composite
+def _edge_blocks(draw):
+    """Generated ``"src dst"`` lines with up to two fields mutated, some
+    separators and blanks swapped for odd ones, sometimes one line a field
+    short or long — or an empty block."""
+    lines = [[str(a), str(b)] for a, b in draw(st.lists(
+        st.tuples(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6)),
+        max_size=6))]
+    for __ in range(draw(st.integers(0, 2)) if lines else 0):
+        fields = draw(st.sampled_from(lines))
+        fields[draw(st.integers(0, 1))] = draw(_EDGE_FIELD)
+    if lines and draw(st.integers(0, 4)) == 0:
+        fields = draw(st.sampled_from(lines))
+        if draw(st.booleans()):
+            fields.pop()
+        else:
+            fields.append(draw(_EDGE_FIELD))
+    out = []
+    for fields in lines:
+        odd = draw(st.integers(0, 5)) == 0
+        sep = draw(_EDGE_SEP) if odd else " "
+        lead = draw(st.sampled_from(["", " ", "\t"])) if odd else ""
+        trail = draw(st.sampled_from(["", " ", "\t", "\n"])) if odd else ""
+        out.append(lead + sep.join(fields) + trail)
+    return out
+
+
+class TestParseEdges:
+    @settings(max_examples=400, deadline=None)
+    @given(_edge_blocks())
+    def test_matches_parse_edge_by_repr_and_type(self, lines):
+        assert _edges_parsed(_by_byte_pass, lines) == \
+            _edges_parsed(_per_edge, lines)
+
+    def test_every_odd_field_and_separator(self):
+        for position in range(2):
+            for text in _ODD_EDGE_FIELDS:
+                odd = ["12", "34"]
+                odd[position] = text
+                lines = ["1 2", " ".join(odd), "3 4"]
+                assert _edges_parsed(_by_byte_pass, lines) == \
+                    _edges_parsed(_per_edge, lines), (position, text)
+        for sep in _ODD_EDGE_SEPS:
+            for line in (f"12{sep}34", f"{sep}12 34", f"12 34{sep}"):
+                lines = ["1 2", line, "3 4"]
+                assert _edges_parsed(_by_byte_pass, lines) == \
+                    _edges_parsed(_per_edge, lines), line
+
+    @pytest.mark.parametrize("lines", [
+        [], ["5"], ["1 2 3"], ["1 2", "3"], ["1 2 3", "4"],
+    ])
+    def test_field_counts_match_parse_edge(self, lines):
+        assert _edges_parsed(_by_byte_pass, lines) == \
+            _edges_parsed(_per_edge, lines)
+
+    def test_crocopr_lines_take_the_byte_pass(self, monkeypatch):
+        # Guards against a silent fall back to the per-record parse: the
+        # benchmark-size CrocoPR lines parse without one parse_edge call,
+        # into a tuple batch of two int64 columns.
+        calls = []
+        monkeypatch.setattr(graphs, "parse_edge",
+                            lambda line: calls.append(line) or
+                            parse_edge(line))
+        for community in (0, 1):
+            lines = [f"{a} {b}" for a, b in community_edges(
+                community, num_edges=10_000, num_vertices=1_000)]
+            out = parse_edges(RecordBatch.from_records(lines))
+            assert out.kind == "tuple"
+            assert [out.col(j).dtype for j in range(2)] == [np.int64] * 2
+            assert _edges_parsed(lambda __: out, lines) == \
+                _edges_parsed(_per_edge, lines)
+        assert calls == []

@@ -3,7 +3,9 @@
 import pytest
 
 from repro import RheemContext
+from repro.apps import ML4all, sgd_hinge
 from repro.core.faults import FaultInjector, PlatformFailure
+from repro.workloads import write_points
 from conftest import wordcount
 
 
@@ -91,3 +93,55 @@ class TestStageRetries:
         result = out.execute(fault_injector=injector, max_stage_retries=10)
         assert result.output == [3]
         assert injector.injected > 0
+
+
+def _converging_sgd(ctx):
+    """ML4all SGD with an early-stop test that passes on the second check
+    of a loop run: with convergence state carried over from an earlier
+    run, the first check already passes and the weights differ."""
+    write_points(ctx, "hdfs://ft/points", "rcv1", percent=100)
+    algorithm = sgd_hinge(12)
+    algorithm.converge = lambda old, new: max(
+        abs(a - b) for a, b in zip(old, new)) < 1.0
+    return ML4all(ctx).training_quanta("hdfs://ft/points", algorithm,
+                                       iterations=100)
+
+
+_SGD_PLATFORMS = {"pystreams", "driver"}
+
+
+def _iterations(result):
+    return len({r.stage_id.split(".it")[1].split(".")[0]
+                for r in result.tracker.records
+                if r.survived and ".it" in r.stage_id})
+
+
+class TestLoopConvergenceState:
+    """A do-while loop's convergence test sees only its own loop run."""
+
+    def test_a_crash_retried_loop_starts_its_convergence_afresh(self):
+        clean = _converging_sgd(RheemContext()).execute(
+            allowed_platforms=_SGD_PLATFORMS)
+        assert _iterations(clean) == 2
+        ctx = RheemContext()
+        quanta = _converging_sgd(ctx)
+        plan = ctx.optimizer(_SGD_PLATFORMS).optimize(quanta.to_plan())
+        driver = [s.id for s in plan.build_stages() if s.platform == "driver"]
+        assert len(driver) == 1
+        injector = FaultInjector(failures={driver[0]: 1})
+        retried = quanta.execute(allowed_platforms=_SGD_PLATFORMS,
+                                 fault_injector=injector,
+                                 max_stage_retries=1)
+        assert injector.injected == 1
+        assert repr(retried.output) == repr(clean.output)
+        assert _iterations(retried) == _iterations(clean)
+
+    def test_executing_the_same_quanta_twice_gives_the_same_weights(self):
+        clean = _converging_sgd(RheemContext()).execute(
+            allowed_platforms=_SGD_PLATFORMS)
+        ctx = RheemContext(config={"result_reuse": False})
+        quanta = _converging_sgd(ctx)
+        for __ in range(2):
+            again = quanta.execute(allowed_platforms=_SGD_PLATFORMS)
+            assert repr(again.output) == repr(clean.output)
+            assert _iterations(again) == _iterations(clean)

@@ -276,11 +276,37 @@ class TestBatchesOnlyWhereDeclared:
     """A record batch exists because the plan declared a columnar kernel,
     never because of a switch, a size or a cached copy of a source."""
 
-    @pytest.mark.parametrize("build", [_wordcount, _sgd, _crocopr])
+    @pytest.mark.parametrize("build", [_wordcount, _sgd])
     def test_an_undeclared_plan_constructs_none(self, build, batches):
         ctx = RheemContext()
         assert build(ctx).execute().output
         assert batches == []
+
+    def test_crocopr_builds_batches_only_at_its_parse_maps(
+            self, monkeypatch):
+        # CrocoPR declares its two parse maps' columnar twin: every batch
+        # the run constructs is a parse map's block of lines or the edge
+        # columns parsed from it, and nothing downstream builds one.
+        from repro.apps import xdb
+        from repro.core.batch import RecordBatch
+
+        built, parsed = [], []
+        init, parse_edges = RecordBatch.__init__, xdb.parse_edges
+
+        def recording(batch, *args, **kwargs):
+            built.append(batch)
+            init(batch, *args, **kwargs)
+
+        def parsing(batch):
+            out = parse_edges(batch)
+            parsed.extend([batch, out])
+            return out
+
+        monkeypatch.setattr(RecordBatch, "__init__", recording)
+        monkeypatch.setattr(xdb, "parse_edges", parsing)
+        assert _crocopr(RheemContext()).execute().output
+        assert [b.kind for b in parsed] == ["scalar", "tuple"] * 2
+        assert list(map(id, built)) == list(map(id, parsed))
 
     def test_a_served_document_constructs_none(self, batches):
         service = RheemService(RheemContext(), env=ENV)
