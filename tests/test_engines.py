@@ -212,12 +212,65 @@ class TestEngineEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Golden binding table of the three partitioned dataflow engines, captured
-# from the tree before they were bound by engine value: (engine, logical
-# operator name, [(op_kind, execution-operator name)], input channels,
-# output channel, broadcast channel).
+# Golden binding table, captured from the tree before each engine was bound
+# by engine value: (engine, logical operator name, [(op_kind,
+# execution-operator name)], input channels, output channel, broadcast
+# channel or None).  Rows of one logical operator are in registration
+# order; pystreams' ReduceBy has a second, two-operator alternative.
 # ---------------------------------------------------------------------------
+_PY = "pystreams.collection"
+
 _GOLDEN_BINDINGS = [
+    ("pystreams", "textfile-source",
+     [("source", "pystreams.source[textfile-source]")], [], _PY, _PY),
+    ("pystreams", "collection-source",
+     [("source", "pystreams.source[collection-source]")], [], _PY, _PY),
+    ("pystreams", "map", [("map", "pystreams.map[map]")], [_PY], _PY, _PY),
+    ("pystreams", "flatmap", [("flatmap", "pystreams.flatmap[flatmap]")],
+     [_PY], _PY, _PY),
+    ("pystreams", "filter", [("filter", "pystreams.filter[filter]")],
+     [_PY], _PY, _PY),
+    ("pystreams", "map-partitions",
+     [("map", "pystreams.map[map-partitions]")], [_PY], _PY, _PY),
+    ("pystreams", "zipwithid", [("map", "pystreams.map[zipwithid]")],
+     [_PY], _PY, _PY),
+    ("pystreams", "sample", [("sample", "pystreams.sample[sample]")],
+     [_PY], _PY, _PY),
+    ("pystreams", "sample-first",
+     [("sample", "pystreams.sample[sample-first]")], [_PY], _PY, _PY),
+    ("pystreams", "distinct", [("distinct", "pystreams.distinct[distinct]")],
+     [_PY], _PY, _PY),
+    ("pystreams", "sort", [("sort", "pystreams.sort[sort]")],
+     [_PY], _PY, _PY),
+    ("pystreams", "groupby", [("groupby", "pystreams.groupby[groupby]")],
+     [_PY], _PY, _PY),
+    ("pystreams", "reduceby", [("reduceby", "pystreams.reduceby[reduceby]")],
+     [_PY], _PY, _PY),
+    ("pystreams", "reduceby",
+     [("groupby", "pystreams.groupby[reduceby]"),
+      ("map", "pystreams.map[reduceby]")], [_PY], _PY, _PY),
+    ("pystreams", "reduce", [("reduce", "pystreams.reduce[reduce]")],
+     [_PY], _PY, _PY),
+    ("pystreams", "count", [("count", "pystreams.count[count]")],
+     [_PY], _PY, _PY),
+    ("pystreams", "cache", [("cache", "pystreams.cache[cache]")],
+     [_PY], _PY, _PY),
+    ("pystreams", "union", [("union", "pystreams.union[union]")],
+     [_PY] * 2, _PY, _PY),
+    ("pystreams", "intersect",
+     [("intersect", "pystreams.intersect[intersect]")], [_PY] * 2, _PY, _PY),
+    ("pystreams", "join", [("join", "pystreams.join[join]")],
+     [_PY] * 2, _PY, _PY),
+    ("pystreams", "cartesian",
+     [("cartesian", "pystreams.cartesian[cartesian]")], [_PY] * 2, _PY, _PY),
+    ("pystreams", "iejoin", [("iejoin", "pystreams.iejoin[iejoin]")],
+     [_PY] * 2, _PY, _PY),
+    ("pystreams", "pagerank", [("pagerank", "pystreams.pagerank[pagerank]")],
+     [_PY], _PY, _PY),
+    ("pystreams", "collection-sink",
+     [("sink", "pystreams.sink[collection-sink]")], [_PY], _PY, _PY),
+    ("pystreams", "textfile-sink",
+     [("sink", "pystreams.sink[textfile-sink]")], [_PY], _PY, _PY),
     ("sparklite", "textfile-source",
      [("source", "sparklite.source[textfile-source]")],
      [], "sparklite.rdd", "sparklite.broadcast"),
@@ -348,6 +401,10 @@ _GOLDEN_BINDINGS = [
      ["graphlite.dataset"], "pystreams.collection", "graphlite.dataset"),
     ("graphlite", "textfile-sink", [("sink", "graphlite.sink[textfile-sink]")],
      ["graphlite.dataset"], "graphlite.dataset", "graphlite.dataset"),
+    ("graphchi", "pagerank", [("pagerank", "graphchi.pagerank[pagerank]")],
+     [_PY], _PY, None),
+    ("jgraph", "pagerank", [("pagerank", "jgraph.pagerank[pagerank]")],
+     [_PY], _PY, None),
 ]
 
 
@@ -372,27 +429,33 @@ def _logical_samples():
 
 
 class TestGoldenBindings:
-    """No binding of sparklite / flinklite / graphlite is lost or renamed."""
+    """No binding of an engine-bound platform is lost, renamed or
+    reordered among its logical operator's alternatives."""
 
-    ENGINES = ("sparklite", "flinklite", "graphlite")
+    ENGINES = ("pystreams", "sparklite", "flinklite", "graphlite",
+               "graphchi", "jgraph")
 
     def test_every_binding_matches_the_golden_table(self):
         from repro import RheemContext
 
         ctx = RheemContext()
+        samples = _logical_samples()
         actual = []
-        for op in _logical_samples():
+        for op in samples:
             for alt in ctx.registry.alternatives_for(op):
                 if alt.platform not in self.ENGINES:
                     continue
+                broadcast = alt.broadcast_descriptor()
                 actual.append((
                     alt.platform, op.name,
                     [(x.op_kind, x.name) for x in alt.ops],
                     [d.name for d in alt.input_descriptors()],
                     alt.output_descriptor().name,
-                    alt.broadcast_descriptor().name))
+                    broadcast.name if broadcast is not None else None))
 
-        assert sorted(actual) == sorted(_GOLDEN_BINDINGS)
+        position = {op.name: i for i, op in enumerate(samples)}
+        assert actual == sorted(_GOLDEN_BINDINGS,
+                                key=lambda row: position[row[1]])
 
     def test_no_channel_or_conversion_is_named_for_a_payload_layout(self):
         # A record batch rides the channels that exist.
