@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
-
 from ...core import operators as ops
 from ...core.channels import Channel, Conversion, LOCAL_FILE
 from ...core.mappings import OperatorMapping
@@ -11,8 +9,6 @@ from ..base import Platform
 from ..pystreams.channels import PY_COLLECTION
 from . import ops as x
 from .channels import PG_RELATION, Relation
-
-_tmp_counter = itertools.count(1)
 
 #: Bulk-load bandwidth (INSERT path): deliberately slow — Figure 2(d) finds
 #: loading into Postgres ~3x dearer than the whole cross-platform task.
@@ -26,24 +22,19 @@ def _export(channel: Channel, ctx) -> Channel:
     return channel.with_payload(rows, PY_COLLECTION, len(rows))
 
 
+# A loaded relation registers no catalog table: the operators read its
+# rows, and an unindexed temporary table would only grow the catalog whose
+# statistics every optimization copies.
+
 def _load(channel: Channel, ctx) -> Channel:
     rows = list(channel.payload)
-    name = f"_rheem_tmp_{next(_tmp_counter)}"
-    columns = sorted(rows[0]) if rows and isinstance(rows[0], dict) else []
-    ctx.pgres.create_table(name, columns, rows,
-                           sim_factor=channel.sim_factor,
-                           bytes_per_row=channel.bytes_per_record)
-    return channel.with_payload(Relation(rows, name), PG_RELATION, len(rows))
+    return channel.with_payload(Relation(rows), PG_RELATION, len(rows))
 
 
 def _copy_from_file(channel: Channel, ctx) -> Channel:
     vf = ctx.vfs.read(channel.payload)
     rows = list(vf.records)
-    name = f"_rheem_tmp_{next(_tmp_counter)}"
-    columns = sorted(rows[0]) if rows and isinstance(rows[0], dict) else []
-    ctx.pgres.create_table(name, columns, rows, sim_factor=vf.sim_factor,
-                           bytes_per_row=vf.bytes_per_record)
-    return Channel(PG_RELATION, Relation(rows, name), vf.sim_factor,
+    return Channel(PG_RELATION, Relation(rows), vf.sim_factor,
                    vf.bytes_per_record, len(rows))
 
 

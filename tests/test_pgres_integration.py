@@ -75,16 +75,34 @@ class TestProjectionPushdown:
 class TestLoadPaths:
     def test_collection_can_be_loaded_into_pgres(self):
         # Pinning relational work on pgres over driver data triggers the
-        # load conversion (temp table creation).
+        # load conversion.
         ctx = RheemContext()
+        tables = ctx.pgres.table_names()
         rows = [{"k": i % 3, "v": i} for i in range(30)]
         out = (ctx.load_collection(rows, bytes_per_record=40)
                .filter_range("v", 10, None, selectivity=2 / 3)
                .with_target_platform("pgres")
                .collect())
         assert sorted(r["v"] for r in out) == list(range(10, 30))
-        # The load created a temporary relation in the catalog.
-        assert any(t.startswith("_rheem_tmp") for t in ctx.pgres.table_names())
+        # The catalog is unchanged.
+        assert ctx.pgres.table_names() == tables
+
+    def test_repeated_loads_leave_the_catalog_alone(self):
+        # Every optimization copies the catalog's statistics, so a table
+        # registered per load would grow every later job's work.
+        ctx = RheemContext(config={"result_reuse": False})
+        tables = ctx.pgres.table_names()
+        rows = [{"k": i % 3, "v": i} for i in range(2000)]
+        for __ in range(3):
+            result = (ctx.load_collection(rows, bytes_per_record=40)
+                      .filter_range("v", 500, None, selectivity=0.75)
+                      .with_target_platform("pgres")
+                      .execute())
+            assert len(result.output) == 1500
+            assert [e for r in result.tracker.records for e in r.meter.events
+                    if e.label.startswith("convert:pgres-load")]
+        assert ctx.pgres.table_names() == tables
+        assert ctx.estimation_context().table_cardinalities == {}
 
     def test_local_file_copy_into_pgres(self):
         ctx = RheemContext()
