@@ -1,17 +1,28 @@
-"""Generic execution operators shared by the distributed dataflow engines.
+"""Execution operators shared by every dataflow engine.
 
-The Spark analog, the Flink analog and the Giraph analog execute the same
-*logic* over :class:`~repro.platforms.distributed.PartitionedDataset`
-payloads; they differ in channel types, performance profiles and a few
-operators of their own (Spark's explicit Cache, the Pregel PageRank).  An
-engine is therefore a *value* — a :class:`DataflowEngine` naming the
-platform and its channels — that every operator here receives at
-construction; the engine also binds the one shared mapping table and the
-one set of payload converters, so plugging in another partitioned engine
-takes an engine value plus a conversion (rate/overhead) table.
+The JavaStreams analog (pystreams), the Spark analog, the Flink analog, the
+Giraph analog and the two in-process graph libraries execute the same
+*logic*; they differ in channel types, performance profiles, payload layout
+and a few operators of their own (Spark's explicit Cache, each graph
+platform's priced PageRank).  An engine is therefore a *value* — a
+:class:`DataflowEngine` naming the platform, its channels and its payload
+layout — that every operator here receives at construction; the engine also
+binds the one shared mapping table, so plugging in another engine takes an
+engine value plus a conversion (rate/overhead) table.
+
+The layout says how a channel's payload splits into partitions and back.  A
+partitioned engine carries a
+:class:`~repro.platforms.distributed.PartitionedDataset` of as many
+partitions as its profile's parallelism; a :class:`CollectionEngine` carries
+its one partition itself.  The operators read and write a plain list of
+partitions through the engine, and whatever differs on one partition
+depends on the partition count, never on the engine: a shuffle of one
+partition into one moves nothing, so it neither hashes nor copies, ReduceBy
+then skips its second fold, and Sort does not chunk its output.
 
 Wide (shuffling) operators really hash-partition the data — co-location is
-observable — and charge shuffle time per simulated MB on top of CPU time.
+observable — and charge shuffle time per simulated MB on top of CPU time
+(at pystreams' rate of zero, nothing).
 
 A partition is a list of records or a
 :class:`~repro.core.batch.RecordBatch`; both have a length and iterate as
@@ -26,15 +37,17 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from itertools import chain
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from ..algorithms.iejoin import ie_join
 from ..algorithms.pagerank import pagerank_edges
 from ..core import operators as ops
-from ..core.batch import (RecordBatch, batch_keys, run_filter, run_flat_map,
-                          run_join, run_map, run_reduce, run_sort)
+from ..core.batch import (RecordBatch, batch_keys, records_of, run_filter,
+                          run_flat_map, run_join, run_map, run_reduce,
+                          run_sort)
 from ..core.channels import Channel, ChannelDescriptor, HDFS_FILE
 from ..core.kernels import (bind, distinct_records, fold_records,
                             group_by_key, identity, intersect_records)
@@ -51,14 +64,28 @@ _tmp_counter = itertools.count(1)
 class DataflowEngine:
     """One partitioned dataflow engine: its platform name and channels.
 
-    ``broadcast`` may equal ``dataset`` (no dedicated broadcast channel).
-    The converter methods are the payload halves of the engine's
-    conversions: the platform pairs each with its own rate and overhead.
+    ``broadcast`` may equal ``dataset`` (no dedicated broadcast channel) or
+    be ``None`` (the engine takes no broadcasts).  The converter methods
+    are the payload halves of a partitioned engine's conversions: the
+    platform pairs each with its own rate and overhead.
     """
 
     platform: str
     dataset: ChannelDescriptor
-    broadcast: ChannelDescriptor
+    broadcast: ChannelDescriptor | None
+
+    # --------------------------------------------------------------- layout
+    def parts(self, payload) -> list:
+        """The partitions of one of this engine's payloads."""
+        return payload.partitions
+
+    def payload(self, parts: list):
+        """The payload holding ``parts``."""
+        return PartitionedDataset(parts)
+
+    def width(self, ctx) -> int:
+        """How many partitions a source or a shuffle produces."""
+        return ctx.profile(self.platform).parallelism
 
     # ------------------------------------------------------------- mappings
     def mappings(self, own: Mapping[type, type] | None = None,
@@ -104,10 +131,39 @@ class DataflowEngine:
                        vf.bytes_per_record, dataset.count())
 
 
-def _shuffle(dataset: PartitionedDataset, n: int, key_fn,
-             key_col=None) -> PartitionedDataset:
-    """Hash-partition ``dataset`` by key; batch partitions stay batches.
+class CollectionEngine(DataflowEngine):
+    """A single-node engine whose payload is its one partition: a list of
+    records or a :class:`~repro.core.batch.RecordBatch`."""
 
+    def parts(self, payload) -> list:
+        return [payload]
+
+    def payload(self, parts: list):
+        if len(parts) == 1:
+            return parts[0]
+        return list(chain.from_iterable(parts))
+
+    def width(self, ctx) -> int:
+        return 1
+
+
+def _records(parts: list) -> Iterable:
+    """Every record of ``parts``: the one partition itself, or a chain."""
+    return parts[0] if len(parts) == 1 else chain.from_iterable(parts)
+
+
+def _record_list(parts: list) -> list:
+    """Every record of ``parts`` as a list (one partition's own, if it is
+    a list)."""
+    if len(parts) == 1:
+        return records_of(parts[0])
+    return list(chain.from_iterable(parts))
+
+
+def _shuffle(parts: list, n: int, key_fn, key_col=None) -> list:
+    """Hash-partition ``parts`` by key into ``n``; batches stay batches.
+
+    One partition into one moves nothing: ``parts`` itself comes back.
     ``shuffle_by_key`` appends records to ``parts[hash(key) % n]`` while
     scanning partitions in order, so target partition ``t`` holds — in
     source order — every record whose key hashes to ``t``.  Selecting each
@@ -115,19 +171,20 @@ def _shuffle(dataset: PartitionedDataset, n: int, key_fn,
     source batches reproduces that exactly; ``key_col`` names the column
     holding ``key_fn``'s values, where the batch has it.
     """
-    if not any(isinstance(p, RecordBatch) for p in dataset.partitions):
-        return dataset.shuffle_by_key(key_fn, n)
-    batches = [RecordBatch.from_records(p) for p in dataset.partitions]
+    if n == 1 == len(parts):
+        return parts
+    if not any(isinstance(p, RecordBatch) for p in parts):
+        return PartitionedDataset(parts).shuffle_by_key(key_fn, n).partitions
+    batches = [RecordBatch.from_records(p) for p in parts]
     assigns = [np.array([hash(k) % n for k in batch_keys(b, key_col, key_fn)],
                         dtype=np.int64) for b in batches]
-    return PartitionedDataset([
-        RecordBatch.concat([b.take(np.flatnonzero(a == t))
-                            for b, a in zip(batches, assigns) if len(b)])
-        for t in range(n)])
+    return [RecordBatch.concat([b.take(np.flatnonzero(a == t))
+                                for b, a in zip(batches, assigns) if len(b)])
+            for t in range(n)]
 
 
 class DataflowOperator(ExecutionOperator):
-    """Base for distributed execution operators, bound to one engine."""
+    """Base for dataflow execution operators, bound to one engine."""
 
     def __init__(self, logical, engine: DataflowEngine) -> None:
         super().__init__(logical)
@@ -147,15 +204,25 @@ class DataflowOperator(ExecutionOperator):
     # ------------------------------------------------------------- plumbing
     def execute(self, inputs: Sequence[Channel], broadcasts: Sequence[Channel],
                 ctx) -> Channel:
-        return self._run(inputs, [b.payload for b in broadcasts], ctx)
+        # UDFs take their broadcast values as plain lists.
+        return self._run(inputs, [records_of(b.payload) for b in broadcasts],
+                         ctx)
 
     def _run(self, inputs: Sequence[Channel], bvals: list[Any], ctx) -> Channel:
         raise NotImplementedError
 
-    def _parallelism(self, ctx) -> int:
-        return ctx.profile(self.platform).parallelism
+    def _parts(self, channel: Channel) -> list:
+        return self.engine.parts(channel.payload)
 
-    def _emit(self, template: Channel, dataset: PartitionedDataset, ctx,
+    def _width(self, ctx) -> int:
+        return self.engine.width(ctx)
+
+    def _split(self, records, ctx) -> list:
+        """``records`` dealt round-robin over the engine's width."""
+        return PartitionedDataset.from_records(records,
+                                               self._width(ctx)).partitions
+
+    def _emit(self, template: Channel, parts: list, ctx,
               cin: float,
               sim_factor: float | None = None,
               bytes_per_record: float | None = None) -> Channel:
@@ -164,11 +231,11 @@ class DataflowOperator(ExecutionOperator):
         # cached plans, concurrent jobs.
         out = Channel(
             self.engine.dataset,
-            dataset,
+            self.engine.payload(parts),
             template.sim_factor if sim_factor is None else sim_factor,
             (template.bytes_per_record if bytes_per_record is None
              else bytes_per_record),
-            dataset.count(),
+            sum(map(len, parts)),
         )
         charge_operator(ctx, self, cin, out.sim_cardinality)
         extra = self.overhead_seconds(ctx.profile(self.platform))
@@ -185,7 +252,7 @@ class DataflowOperator(ExecutionOperator):
 
 
 class DFTextFileSource(DataflowOperator):
-    """Parallel file read at the engine's aggregate bandwidth."""
+    """File read at the engine's (aggregate) bandwidth."""
 
     op_kind = "source"
 
@@ -196,11 +263,9 @@ class DFTextFileSource(DataflowOperator):
         vf = ctx.vfs.read(self.logical.path)
         ctx.meter.charge(ctx.profile(self.platform).io_seconds(vf.sim_mb),
                          f"{self.name}.read", category="io")
-        dataset = PartitionedDataset.from_records(vf.records,
-                                                  self._parallelism(ctx))
         template = Channel(self.engine.dataset, None, vf.sim_factor,
                            vf.bytes_per_record)
-        return self._emit(template, dataset, ctx, 0.0)
+        return self._emit(template, self._split(vf.records, ctx), ctx, 0.0)
 
 
 class DFCollectionSource(DataflowOperator):
@@ -213,11 +278,9 @@ class DFCollectionSource(DataflowOperator):
 
     def _run(self, inputs, bvals, ctx):
         logical = self.logical
-        dataset = PartitionedDataset.from_records(logical.data,
-                                                  self._parallelism(ctx))
         template = Channel(self.engine.dataset, None, logical.sim_factor,
                            logical.bytes_per_record)
-        out = self._emit(template, dataset, ctx, 0.0)
+        out = self._emit(template, self._split(logical.data, ctx), ctx, 0.0)
         ctx.meter.charge(ctx.profile(self.platform).transfer_seconds(out.sim_mb),
                          f"{self.name}.parallelize", category="net")
         return out
@@ -227,10 +290,8 @@ class DFMap(DataflowOperator):
     op_kind = "map"
 
     def _run(self, inputs, bvals, ctx):
-        logical = self.logical
-        out = inputs[0].payload.map_partitions(
-            lambda part: run_map(logical, part, bvals))
-        return self._emit(inputs[0], out, ctx, _cin(inputs),
+        parts = [run_map(self.logical, p, bvals) for p in self._parts(inputs[0])]
+        return self._emit(inputs[0], parts, ctx, _cin(inputs),
                           bytes_per_record=self.logical.bytes_per_record)
 
 
@@ -238,21 +299,21 @@ class DFFlatMap(DataflowOperator):
     op_kind = "flatmap"
 
     def _run(self, inputs, bvals, ctx):
-        logical = self.logical
-        out = inputs[0].payload.map_partitions(
-            lambda part: run_flat_map(logical, part, bvals))
-        return self._emit(inputs[0], out, ctx, _cin(inputs),
+        parts = [run_flat_map(self.logical, p, bvals)
+                 for p in self._parts(inputs[0])]
+        return self._emit(inputs[0], parts, ctx, _cin(inputs),
                           bytes_per_record=self.logical.bytes_per_record)
 
 
 class DFMapPartitions(DataflowOperator):
+    """A single-node engine's whole collection is one partition."""
+
     op_kind = "map"
 
     def _run(self, inputs, bvals, ctx):
         udf = self.logical.udf
-        out = inputs[0].payload.map_partitions(
-            lambda part: list(udf(list(part), *bvals)))
-        return self._emit(inputs[0], out, ctx, _cin(inputs),
+        parts = [list(udf(list(p), *bvals)) for p in self._parts(inputs[0])]
+        return self._emit(inputs[0], parts, ctx, _cin(inputs),
                           bytes_per_record=self.logical.bytes_per_record)
 
 
@@ -262,24 +323,20 @@ class DFZipWithId(DataflowOperator):
     op_kind = "map"
 
     def _run(self, inputs, bvals, ctx):
-        dataset = inputs[0].payload
-        stride = dataset.num_partitions
-        parts = [
-            [(pid + i * stride, record) for i, record in enumerate(part)]
-            for pid, part in enumerate(dataset.partitions)
-        ]
-        return self._emit(inputs[0], PartitionedDataset(parts), ctx,
-                          _cin(inputs))
+        parts = self._parts(inputs[0])
+        stride = len(parts)
+        parts = [[(pid + i * stride, record) for i, record in enumerate(part)]
+                 for pid, part in enumerate(parts)]
+        return self._emit(inputs[0], parts, ctx, _cin(inputs))
 
 
 class DFFilter(DataflowOperator):
     op_kind = "filter"
 
     def _run(self, inputs, bvals, ctx):
-        logical = self.logical
-        out = inputs[0].payload.map_partitions(
-            lambda part: run_filter(logical, part, bvals))
-        return self._emit(inputs[0], out, ctx, _cin(inputs))
+        parts = [run_filter(self.logical, p, bvals)
+                 for p in self._parts(inputs[0])]
+        return self._emit(inputs[0], parts, ctx, _cin(inputs))
 
 
 class DFSample(DataflowOperator):
@@ -287,7 +344,8 @@ class DFSample(DataflowOperator):
 
     ``random`` models a full-scan take-sample (what MLlib does), while
     ``random_jump`` / ``shuffled_partition`` model ML4all's plugged
-    IO-efficient samplers that only touch the sample itself.
+    IO-efficient samplers that only touch the sample itself.  The draw is
+    index-based either way.
     """
 
     @property
@@ -308,7 +366,7 @@ class DFSample(DataflowOperator):
         return 1.0
 
     def _run(self, inputs, bvals, ctx):
-        data = inputs[0].payload.to_list()
+        data = _record_list(self._parts(inputs[0]))
         logical = self.logical
         if logical.size is not None:
             k = min(logical.size, len(data))
@@ -319,8 +377,8 @@ class DFSample(DataflowOperator):
         else:
             rng = random.Random(_sample_seed(ctx, logical))
             sample = [data[rng.randrange(len(data))] for __ in range(k)] if data else []
-        out = PartitionedDataset([sample])
-        return self._emit(inputs[0], out, ctx, _cin(inputs), sim_factor=1.0)
+        return self._emit(inputs[0], [sample], ctx, _cin(inputs),
+                          sim_factor=1.0)
 
 
 class DFDistinct(DataflowOperator):
@@ -332,11 +390,10 @@ class DFDistinct(DataflowOperator):
     def _run(self, inputs, bvals, ctx):
         key = bind(self.logical.key)
         self._charge_shuffle(ctx, inputs[0])
-        shuffled = inputs[0].payload.shuffle_by_key(key or identity,
-                                                    self._parallelism(ctx))
-        out = shuffled.map_partitions(
-            lambda part: distinct_records(part, key))
-        return self._emit(inputs[0], out, ctx, _cin(inputs))
+        shuffled = _shuffle(self._parts(inputs[0]), self._width(ctx),
+                            key or identity)
+        parts = [distinct_records(p, key) for p in shuffled]
+        return self._emit(inputs[0], parts, ctx, _cin(inputs))
 
 
 class DFSort(DataflowOperator):
@@ -348,27 +405,36 @@ class DFSort(DataflowOperator):
         return cins[0] * bytes_in / 1e6
 
     def _run(self, inputs, bvals, ctx):
-        dataset = inputs[0].payload
-        if self.logical.batch_key is not None:
+        parts = self._parts(inputs[0])
+        if len(parts) == 1:
+            merged = parts[0]
+        elif self.logical.batch_key is not None:
             merged = RecordBatch.concat([RecordBatch.from_records(p)
-                                         for p in dataset.partitions])
+                                         for p in parts])
         else:
-            merged = dataset.to_list()
+            merged = list(chain.from_iterable(parts))
         records = run_sort(self.logical, merged)
         self._charge_shuffle(ctx, inputs[0])
-        n = self._parallelism(ctx)
+        n = self._width(ctx)
         rows = len(records)
         chunk = max(1, (rows + n - 1) // n)
-        if isinstance(records, RecordBatch):
+        if n == 1:
+            parts = [records]
+        elif isinstance(records, RecordBatch):
             parts = [records.take(np.arange(i, min(i + chunk, rows)))
                      for i in range(0, rows, chunk)]
         else:
             parts = [records[i:i + chunk] for i in range(0, rows, chunk)]
-        return self._emit(inputs[0], PartitionedDataset(parts), ctx,
-                          _cin(inputs))
+        return self._emit(inputs[0], parts, ctx, _cin(inputs))
 
 
 class DFGroupBy(DataflowOperator):
+    """Groups into ``(key, [members])`` quanta.
+
+    Accepts ``GroupBy`` or ``ReduceBy`` logicals (the latter as the first
+    half of the 1-to-n Reduce mapping of the paper's Figure 4).
+    """
+
     op_kind = "groupby"
 
     def shuffled_mb(self, profile, cins, cout, bytes_in, bytes_out):
@@ -377,10 +443,11 @@ class DFGroupBy(DataflowOperator):
     def _run(self, inputs, bvals, ctx):
         key = bind(self.logical.key)
         self._charge_shuffle(ctx, inputs[0])
-        shuffled = inputs[0].payload.shuffle_by_key(key, self._parallelism(ctx))
-        out = shuffled.map_partitions(lambda part: group_by_key(key, part))
-        return self._emit(inputs[0], out, ctx, _cin(inputs),
-                          sim_factor=_group_factor(self.logical, out.count(),
+        shuffled = _shuffle(self._parts(inputs[0]), self._width(ctx), key)
+        parts = [group_by_key(key, p) for p in shuffled]
+        return self._emit(inputs[0], parts, ctx, _cin(inputs),
+                          sim_factor=_group_factor(self.logical,
+                                                   sum(map(len, parts)),
                                                    inputs[0].sim_factor))
 
 
@@ -395,22 +462,20 @@ class DFReduceBy(DataflowOperator):
 
     def _run(self, inputs, bvals, ctx):
         logical = self.logical
-
-        def fold(part):
-            return run_reduce(logical, part)
-
-        combined = inputs[0].payload.map_partitions(fold)
+        combined = [run_reduce(logical, p) for p in self._parts(inputs[0])]
         # Only the locally combined partial aggregates cross the network.
-        partial_mb = (combined.count() * inputs[0].sim_factor
+        partial_mb = (sum(map(len, combined)) * inputs[0].sim_factor
                       * inputs[0].bytes_per_record / 1e6)
         profile = ctx.profile(self.platform)
         ctx.meter.charge(partial_mb * profile.shuffle_cost_s_per_mb,
                          f"{self.name}.shuffle", category="net")
-        shuffled = _shuffle(combined, self._parallelism(ctx),
-                            bind(logical.key))
-        out = shuffled.map_partitions(fold)
-        return self._emit(inputs[0], out, ctx, _cin(inputs),
-                          sim_factor=_group_factor(self.logical, out.count(),
+        shuffled = _shuffle(combined, self._width(ctx), bind(logical.key))
+        # When nothing moved, the local aggregates already are the result.
+        parts = (combined if shuffled is combined
+                 else [run_reduce(logical, p) for p in shuffled])
+        return self._emit(inputs[0], parts, ctx, _cin(inputs),
+                          sim_factor=_group_factor(self.logical,
+                                                   sum(map(len, parts)),
                                                    inputs[0].sim_factor))
 
 
@@ -419,18 +484,16 @@ class DFGlobalReduce(DataflowOperator):
 
     def _run(self, inputs, bvals, ctx):
         out = fold_records(bind(self.logical.reducer),
-                           inputs[0].payload.records())
-        return self._emit(inputs[0], PartitionedDataset([out]), ctx,
-                          _cin(inputs), sim_factor=1.0)
+                           _records(self._parts(inputs[0])))
+        return self._emit(inputs[0], [out], ctx, _cin(inputs), sim_factor=1.0)
 
 
 class DFCount(DataflowOperator):
     op_kind = "count"
 
     def _run(self, inputs, bvals, ctx):
-        n = inputs[0].payload.count()
-        return self._emit(inputs[0], PartitionedDataset([[n]]), ctx,
-                          _cin(inputs), sim_factor=1.0)
+        n = sum(map(len, self._parts(inputs[0])))
+        return self._emit(inputs[0], [[n]], ctx, _cin(inputs), sim_factor=1.0)
 
 
 class DFUnion(DataflowOperator):
@@ -438,12 +501,11 @@ class DFUnion(DataflowOperator):
 
     def _run(self, inputs, bvals, ctx):
         a, b = inputs
-        parts = list(a.payload.partitions) + list(b.payload.partitions)
-        total_actual = a.payload.count() + b.payload.count()
+        parts = self._parts(a) + self._parts(b)
+        total_actual = sum(map(len, parts))
         total_sim = a.sim_cardinality + b.sim_cardinality
         factor = total_sim / total_actual if total_actual else 1.0
-        return self._emit(a, PartitionedDataset(parts), ctx, _cin(inputs),
-                          sim_factor=factor,
+        return self._emit(a, parts, ctx, _cin(inputs), sim_factor=factor,
                           bytes_per_record=union_bytes_per_record(a, b))
 
 
@@ -455,13 +517,13 @@ class DFIntersect(DataflowOperator):
 
     def _run(self, inputs, bvals, ctx):
         a, b = inputs
-        n = self._parallelism(ctx)
+        n = self._width(ctx)
         self._charge_shuffle(ctx, a)
         self._charge_shuffle(ctx, b)
-        sa = a.payload.shuffle_by_key(identity, n)
-        sb = b.payload.shuffle_by_key(identity, n)
-        return self._emit(a, sa.zip_partitions(sb, intersect_records), ctx,
-                          _cin(inputs))
+        sa = _shuffle(self._parts(a), n, identity)
+        sb = _shuffle(self._parts(b), n, identity)
+        parts = [intersect_records(pa, pb) for pa, pb in zip(sa, sb)]
+        return self._emit(a, parts, ctx, _cin(inputs))
 
 
 class DFJoin(DataflowOperator):
@@ -475,17 +537,16 @@ class DFJoin(DataflowOperator):
     def _run(self, inputs, bvals, ctx):
         a, b = inputs
         logical = self.logical
-        n = self._parallelism(ctx)
+        n = self._width(ctx)
         self._charge_shuffle(ctx, a)
         self._charge_shuffle(ctx, b)
-        sa = _shuffle(a.payload, n, bind(logical.left_key),
+        sa = _shuffle(self._parts(a), n, bind(logical.left_key),
                       logical.left_key_column)
-        sb = _shuffle(b.payload, n, bind(logical.right_key),
+        sb = _shuffle(self._parts(b), n, bind(logical.right_key),
                       logical.right_key_column)
-        out = sa.zip_partitions(
-            sb, lambda pa, pb: run_join(logical, pa, pb))
+        parts = [run_join(logical, pa, pb) for pa, pb in zip(sa, sb)]
         factor = logical.output_sim_factor(a.sim_factor, b.sim_factor)
-        return self._emit(a, out, ctx, _cin(inputs), sim_factor=factor,
+        return self._emit(a, parts, ctx, _cin(inputs), sim_factor=factor,
                           bytes_per_record=a.bytes_per_record + b.bytes_per_record)
 
 
@@ -498,11 +559,11 @@ class DFCartesian(DataflowOperator):
 
     def _run(self, inputs, bvals, ctx):
         a, b = inputs
-        right = b.payload.to_list()
+        right = _record_list(self._parts(b))
         self._charge_shuffle(ctx, b)  # replicate the right side
-        out = a.payload.map_partitions(
-            lambda part: [(l, r) for l in part for r in right])
-        return self._emit(a, out, ctx, _cin(inputs),
+        parts = [[(l, r) for l in part for r in right]
+                 for part in self._parts(a)]
+        return self._emit(a, parts, ctx, _cin(inputs),
                           sim_factor=a.sim_factor * b.sim_factor,
                           bytes_per_record=a.bytes_per_record + b.bytes_per_record)
 
@@ -521,9 +582,9 @@ class DFIEJoin(DataflowOperator):
                       for c in self.logical.conditions]
         self._charge_shuffle(ctx, a)
         self._charge_shuffle(ctx, b)
-        pairs = ie_join(a.payload.to_list(), b.payload.to_list(), conditions)
-        out = PartitionedDataset.from_records(pairs, self._parallelism(ctx))
-        return self._emit(a, out, ctx, _cin(inputs),
+        pairs = ie_join(_records(self._parts(a)), _records(self._parts(b)),
+                        conditions)
+        return self._emit(a, self._split(pairs, ctx), ctx, _cin(inputs),
                           sim_factor=max(a.sim_factor, b.sim_factor),
                           bytes_per_record=a.bytes_per_record + b.bytes_per_record)
 
@@ -533,7 +594,8 @@ class DFPageRank(DataflowOperator):
 
     Each iteration is a separate distributed job, so the engine pays one
     stage overhead per iteration — exactly why the paper's CrocoPR prefers
-    JGraph for small graphs.
+    JGraph for small graphs.  Every platform ranks with the one kernel;
+    its subclasses only declare what their platform's ranking costs.
     """
 
     op_kind = "pagerank"
@@ -544,20 +606,23 @@ class DFPageRank(DataflowOperator):
     def overhead_seconds(self, profile) -> float:
         return self.logical.iterations * profile.stage_overhead_s
 
-    def _run(self, inputs, bvals, ctx):
-        ranks = pagerank_edges(inputs[0].payload.records(),
+    def _ranks(self, edges: Channel, ctx) -> list:
+        """The ranked vertices, dealt over the engine's partitions."""
+        ranks = pagerank_edges(_records(self._parts(edges)),
                                self.logical.iterations, self.logical.damping)
-        out = PartitionedDataset.from_records(sorted(ranks.items()),
-                                              self._parallelism(ctx))
+        return self._split(sorted(ranks.items()), ctx)
+
+    def _run(self, inputs, bvals, ctx):
+        parts = self._ranks(inputs[0], ctx)
         # Each iteration shuffles rank contributions (vertex-sized, not
         # edge-sized).
         profile = ctx.profile(self.platform)
-        rank_mb = (len(ranks) * inputs[0].sim_factor
+        rank_mb = (sum(map(len, parts)) * inputs[0].sim_factor
                    * inputs[0].bytes_per_record / 1e6)
         ctx.meter.charge(
             self.logical.iterations * rank_mb * profile.shuffle_cost_s_per_mb,
             f"{self.name}.rank-shuffles", category="net")
-        return self._emit(inputs[0], out, ctx, _cin(inputs))
+        return self._emit(inputs[0], parts, ctx, _cin(inputs))
 
 
 class DFTextFileSink(DataflowOperator):
@@ -565,14 +630,15 @@ class DFTextFileSink(DataflowOperator):
 
     def _run(self, inputs, bvals, ctx):
         ch = inputs[0]
-        records = [str(x) for x in ch.payload.records()]
+        parts = self._parts(ch)
+        records = [str(x) for x in _records(parts)]
         ctx.vfs.write(self.logical.path, records, ch.sim_factor,
                       ch.bytes_per_record)
         ctx.meter.charge(ctx.profile(self.platform).io_seconds(ch.sim_mb),
                          f"{self.name}.write", category="io")
-        # Detach: the sunk channel must not alias a dataset a sibling
+        # Detach: the sunk channel must not alias a container a sibling
         # branch may mutate through (partition lists are mutable).
-        copied = PartitionedDataset([list(p) for p in ch.payload.partitions])
+        copied = self.engine.payload([list(p) for p in parts])
         return ch.with_payload(copied, actual_count=ch.actual_count)
 
 
@@ -592,7 +658,7 @@ class DFCollectionSink(DataflowOperator):
 
     def _run(self, inputs, bvals, ctx):
         ch = inputs[0]
-        records = ch.payload.to_list()
+        records = list(_records(self._parts(ch)))
         out = Channel(PY_COLLECTION, records, ch.sim_factor,
                       ch.bytes_per_record, len(records))
         charge_operator(ctx, self, ch.sim_cardinality, out.sim_cardinality)

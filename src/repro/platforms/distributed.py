@@ -60,12 +60,6 @@ class PartitionedDataset:
         """Total number of records across partitions."""
         return sum(len(p) for p in self._partitions)
 
-    def map_partitions(
-        self, fn: Callable[[list[Any]], list[Any]]
-    ) -> "PartitionedDataset":
-        """Apply a partition-wise transformation (narrow dependency)."""
-        return PartitionedDataset([fn(p) for p in self._partitions])
-
     def shuffle_by_key(
         self, key_fn: Callable[[Any], Any],
         num_partitions: int | None = None,
@@ -80,20 +74,6 @@ class PartitionedDataset:
         for rec in self.records():
             parts[hash(key_fn(rec)) % n].append(rec)
         return PartitionedDataset(parts)
-
-    def zip_partitions(
-        self, other: "PartitionedDataset",
-        fn: Callable[[list[Any], list[Any]], list[Any]],
-    ) -> "PartitionedDataset":
-        """Combine co-partitioned datasets partition-wise.
-
-        Raises:
-            ValueError: If the partition counts differ.
-        """
-        if self.num_partitions != other.num_partitions:
-            raise ValueError("zip_partitions requires equal partition counts")
-        return PartitionedDataset(
-            [fn(a, b) for a, b in zip(self._partitions, other._partitions)])
 
     def __repr__(self) -> str:
         return (f"PartitionedDataset({self.num_partitions} partitions, "

@@ -10,12 +10,10 @@ bound to :data:`GRAPHLITE`.
 
 from __future__ import annotations
 
-from ...algorithms.pagerank import pagerank_edges
 from ...core import operators as ops
 from ...core.channels import ChannelDescriptor, Conversion, HDFS_FILE
-from ..base import Platform, _cin
-from ..dataflow import DataflowEngine, DataflowOperator
-from ..distributed import PartitionedDataset
+from ..base import Platform
+from ..dataflow import DataflowEngine, DFPageRank
 from ..pystreams.channels import PY_COLLECTION
 
 #: The in-memory distributed dataset of the graph platform.
@@ -32,26 +30,18 @@ _SUPPORTED = frozenset({
 })
 
 
-class GLPageRank(DataflowOperator):
-    """PageRank priced as Pregel supersteps over the shared kernel."""
+class GLPageRank(DFPageRank):
+    """PageRank priced as Pregel supersteps over the shared kernel.
 
-    op_kind = "pagerank"
+    The inherited per-iteration overhead is one synchronisation barrier
+    per superstep; the inherited rank shuffles cost nothing at this
+    profile's shuffle rate of zero.
+    """
 
     def work(self) -> float:
         # Vertex-centric message passing is far cheaper per edge-iteration
         # than the generic join/aggregate emulation (the logical default).
         return 0.3 * self.logical.iterations
-
-    def overhead_seconds(self, profile) -> float:
-        # One synchronisation barrier per superstep.
-        return self.logical.iterations * profile.stage_overhead_s
-
-    def _run(self, inputs, bvals, ctx):
-        ranks = pagerank_edges(inputs[0].payload.records(),
-                               self.logical.iterations, self.logical.damping)
-        out = PartitionedDataset.from_records(sorted(ranks.items()),
-                                              self._parallelism(ctx))
-        return self._emit(inputs[0], out, ctx, _cin(inputs))
 
 
 class GraphLitePlatform(Platform):

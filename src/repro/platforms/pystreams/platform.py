@@ -13,7 +13,6 @@ from ...core.channels import (
 )
 from ...core.mappings import OperatorMapping
 from ..base import Platform
-from . import ops as x
 from .channels import PY_COLLECTION
 
 _tmp_counter = itertools.count(1)
@@ -60,33 +59,26 @@ class PyStreamsPlatform(Platform):
         ]
 
     def mappings(self):
-        m = OperatorMapping
+        # Imported here: the shared operators' module reads this package's
+        # channel while the package initializes.
+        from .ops import (PYSTREAMS, PyCache, PyCollectionSink,
+                          PyCollectionSource, PyPageRank, PyReduceGroups,
+                          PySample)
+        from ..dataflow import DFGroupBy
+
         return [
-            m(ops.TextFileSource, lambda op: [x.PyTextFileSource(op)]),
-            m(ops.CollectionSource, lambda op: [x.PyCollectionSource(op)]),
-            m(ops.Map, lambda op: [x.PyMap(op)]),
-            m(ops.FlatMap, lambda op: [x.PyFlatMap(op)]),
-            m(ops.Filter, lambda op: [x.PyFilter(op)]),
-            m(ops.MapPartitions, lambda op: [x.PyMapPartitions(op)]),
-            m(ops.ZipWithId, lambda op: [x.PyZipWithId(op)]),
-            m(ops.Sample, lambda op: [x.PySample(op)]),
-            m(ops.Distinct, lambda op: [x.PyDistinct(op)]),
-            m(ops.Sort, lambda op: [x.PySort(op)]),
-            m(ops.GroupBy, lambda op: [x.PyGroupBy(op)]),
-            m(ops.ReduceBy, lambda op: [x.PyReduceBy(op)]),
+            *PYSTREAMS.mappings(own={
+                ops.CollectionSource: PyCollectionSource,
+                ops.Sample: PySample,
+                ops.Cache: PyCache,
+                ops.PageRank: PyPageRank,
+                ops.CollectionSink: PyCollectionSink,
+            }),
             # The paper's Figure 4: Reduce-style operators also map to a
-            # GroupBy + Map chain (a 1-to-n mapping).
-            m(ops.ReduceBy, lambda op: [x.PyGroupBy(op), x.PyReduceGroups(op)],
-              name="mapping<ReduceBy via GroupBy+Map>"),
-            m(ops.GlobalReduce, lambda op: [x.PyGlobalReduce(op)]),
-            m(ops.Count, lambda op: [x.PyCount(op)]),
-            m(ops.Cache, lambda op: [x.PyCache(op)]),
-            m(ops.Union, lambda op: [x.PyUnion(op)]),
-            m(ops.Intersect, lambda op: [x.PyIntersect(op)]),
-            m(ops.Join, lambda op: [x.PyJoin(op)]),
-            m(ops.CartesianProduct, lambda op: [x.PyCartesian(op)]),
-            m(ops.IEJoin, lambda op: [x.PyIEJoin(op)]),
-            m(ops.PageRank, lambda op: [x.PyPageRank(op)]),
-            m(ops.CollectionSink, lambda op: [x.PyCollectionSink(op)]),
-            m(ops.TextFileSink, lambda op: [x.PyTextFileSink(op)]),
+            # GroupBy + Map chain (a 1-to-n mapping), after the 1-to-1 one.
+            OperatorMapping(
+                ops.ReduceBy,
+                lambda op: [DFGroupBy(op, PYSTREAMS),
+                            PyReduceGroups(op, PYSTREAMS)],
+                name="mapping<ReduceBy via GroupBy+Map>"),
         ]

@@ -40,11 +40,6 @@ class TestPartitionedDataset:
         with pytest.raises(ValueError):
             PartitionedDataset.from_records([1, 2], n)
 
-    def test_map_partitions(self):
-        ds = PartitionedDataset.from_records(range(6), 2)
-        out = ds.map_partitions(lambda p: [x * 2 for x in p])
-        assert sorted(out.records()) == [0, 2, 4, 6, 8, 10]
-
     @given(st.lists(st.integers(0, 50), max_size=60), st.integers(1, 7))
     def test_shuffle_preserves_multiset(self, records, n):
         ds = PartitionedDataset.from_records(records, 3)
@@ -60,12 +55,6 @@ class TestPartitionedDataset:
             for record in part:
                 key = record % 3
                 assert location.setdefault(key, pid) == pid
-
-    def test_zip_partitions_requires_equal_counts(self):
-        a = PartitionedDataset.from_records(range(4), 2)
-        b = PartitionedDataset.from_records(range(4), 4)
-        with pytest.raises(ValueError):
-            a.zip_partitions(b, lambda x, y: x + y)
 
     def test_empty_dataset(self):
         ds = PartitionedDataset([])

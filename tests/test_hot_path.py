@@ -317,18 +317,18 @@ class TestBatchesOnlyWhereDeclared:
     def test_a_range_filter_over_a_list_stays_a_list(self, monkeypatch):
         from repro.apps import q5_quanta
         from repro.core.batch import RecordBatch
-        from repro.platforms.pystreams import ops as pystreams_ops
+        from repro.platforms import dataflow
         from repro.workloads.tpch import ROW_BYTES, SF1_ROWS, TpchLite
 
         seen = []
-        run_filter = pystreams_ops.run_filter
+        run_filter = dataflow.run_filter
 
         def watching(logical, payload, bvals=()):
             out = run_filter(logical, payload, bvals)
             seen.append((logical.column, type(payload), type(out)))
             return out
 
-        monkeypatch.setattr(pystreams_ops, "run_filter", watching)
+        monkeypatch.setattr(dataflow, "run_filter", watching)
         gen = TpchLite(0.05)
 
         def mem(ctx, table):

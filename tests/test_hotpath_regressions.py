@@ -94,15 +94,17 @@ class TestUnionRecordWidth:
         assert union_bytes_per_record(empty_a, empty_b) == 100.0
 
     def test_py_union_output_width_is_cardinality_weighted(self):
+        from repro.platforms.dataflow import DFUnion
         from repro.platforms.pystreams.channels import PY_COLLECTION
-        from repro.platforms.pystreams.ops import PyUnion
+        from repro.platforms.pystreams.ops import PYSTREAMS
 
         ctx = RheemContext()
         exec_ctx = ExecutionContext(cluster=ctx.cluster, pgres=ctx.pgres,
                                     seed=ctx.config["seed"])
         wide = Channel(PY_COLLECTION, [0] * 10, 1.0, 100.0, 10)
         narrow = Channel(PY_COLLECTION, [0] * 30, 1.0, 20.0, 30)
-        out = PyUnion(ops.Union()).execute([wide, narrow], [], exec_ctx)
+        out = DFUnion(ops.Union(), PYSTREAMS).execute([wide, narrow], [],
+                                                      exec_ctx)
         assert out.bytes_per_record == pytest.approx(40.0)
         # The simulated volume follows: 40 records x 40 B, not 40 x 100 B.
         assert out.sim_mb == pytest.approx(40 * 40.0 / 1e6)
@@ -110,8 +112,9 @@ class TestUnionRecordWidth:
     def test_batch_union_matches_scalar_union_width(self):
         # The same operator over record-batch payloads: same width.
         from repro.core.batch import RecordBatch
+        from repro.platforms.dataflow import DFUnion
         from repro.platforms.pystreams.channels import PY_COLLECTION
-        from repro.platforms.pystreams.ops import PyUnion
+        from repro.platforms.pystreams.ops import PYSTREAMS
 
         ctx = RheemContext()
         exec_ctx = ExecutionContext(cluster=ctx.cluster, pgres=ctx.pgres,
@@ -120,6 +123,7 @@ class TestUnionRecordWidth:
                        1.0, 100.0, 10)
         narrow = Channel(PY_COLLECTION, RecordBatch.from_records([0] * 30),
                          1.0, 20.0, 30)
-        out = PyUnion(ops.Union()).execute([wide, narrow], [], exec_ctx)
+        out = DFUnion(ops.Union(), PYSTREAMS).execute([wide, narrow], [],
+                                                      exec_ctx)
         assert out.payload == [0] * 40
         assert out.bytes_per_record == pytest.approx(40.0)
