@@ -22,7 +22,7 @@ then skips its second fold, and Sort does not chunk its output.
 
 Wide (shuffling) operators really hash-partition the data — co-location is
 observable — and charge shuffle time per simulated MB on top of CPU time
-(at pystreams' rate of zero, nothing).
+(a platform with no shuffle rate, like pystreams, records none).
 
 A partition is a list of records or a
 :class:`~repro.core.batch.RecordBatch`; both have a length and iterate as
@@ -243,12 +243,12 @@ class DataflowOperator(ExecutionOperator):
             ctx.meter.charge(extra, f"{self.name}.overhead", category="overhead")
         return out
 
-    def _charge_shuffle(self, ctx, channel: Channel) -> None:
-        """Charge network time for shuffling one input's simulated volume."""
-        profile = ctx.profile(self.platform)
-        mb = channel.sim_cardinality * channel.bytes_per_record / 1e6
-        ctx.meter.charge(mb * profile.shuffle_cost_s_per_mb,
-                         f"{self.name}.shuffle", category="net")
+    def _charge_net(self, ctx, mb: float, what: str = "shuffle") -> None:
+        """Charge network time for moving ``mb`` simulated MB; a platform
+        that prices no shuffle (pystreams, graphlite) records no charge."""
+        rate = ctx.profile(self.platform).shuffle_cost_s_per_mb
+        if rate:
+            ctx.meter.charge(mb * rate, f"{self.name}.{what}", category="net")
 
 
 class DFTextFileSource(DataflowOperator):
@@ -389,7 +389,7 @@ class DFDistinct(DataflowOperator):
 
     def _run(self, inputs, bvals, ctx):
         key = bind(self.logical.key)
-        self._charge_shuffle(ctx, inputs[0])
+        self._charge_net(ctx, inputs[0].sim_mb)
         shuffled = _shuffle(self._parts(inputs[0]), self._width(ctx),
                             key or identity)
         parts = [distinct_records(p, key) for p in shuffled]
@@ -414,7 +414,7 @@ class DFSort(DataflowOperator):
         else:
             merged = list(chain.from_iterable(parts))
         records = run_sort(self.logical, merged)
-        self._charge_shuffle(ctx, inputs[0])
+        self._charge_net(ctx, inputs[0].sim_mb)
         n = self._width(ctx)
         rows = len(records)
         chunk = max(1, (rows + n - 1) // n)
@@ -442,7 +442,7 @@ class DFGroupBy(DataflowOperator):
 
     def _run(self, inputs, bvals, ctx):
         key = bind(self.logical.key)
-        self._charge_shuffle(ctx, inputs[0])
+        self._charge_net(ctx, inputs[0].sim_mb)
         shuffled = _shuffle(self._parts(inputs[0]), self._width(ctx), key)
         parts = [group_by_key(key, p) for p in shuffled]
         return self._emit(inputs[0], parts, ctx, _cin(inputs),
@@ -466,9 +466,7 @@ class DFReduceBy(DataflowOperator):
         # Only the locally combined partial aggregates cross the network.
         partial_mb = (sum(map(len, combined)) * inputs[0].sim_factor
                       * inputs[0].bytes_per_record / 1e6)
-        profile = ctx.profile(self.platform)
-        ctx.meter.charge(partial_mb * profile.shuffle_cost_s_per_mb,
-                         f"{self.name}.shuffle", category="net")
+        self._charge_net(ctx, partial_mb)
         shuffled = _shuffle(combined, self._width(ctx), bind(logical.key))
         # When nothing moved, the local aggregates already are the result.
         parts = (combined if shuffled is combined
@@ -518,8 +516,8 @@ class DFIntersect(DataflowOperator):
     def _run(self, inputs, bvals, ctx):
         a, b = inputs
         n = self._width(ctx)
-        self._charge_shuffle(ctx, a)
-        self._charge_shuffle(ctx, b)
+        self._charge_net(ctx, a.sim_mb)
+        self._charge_net(ctx, b.sim_mb)
         sa = _shuffle(self._parts(a), n, identity)
         sb = _shuffle(self._parts(b), n, identity)
         parts = [intersect_records(pa, pb) for pa, pb in zip(sa, sb)]
@@ -538,8 +536,8 @@ class DFJoin(DataflowOperator):
         a, b = inputs
         logical = self.logical
         n = self._width(ctx)
-        self._charge_shuffle(ctx, a)
-        self._charge_shuffle(ctx, b)
+        self._charge_net(ctx, a.sim_mb)
+        self._charge_net(ctx, b.sim_mb)
         sa = _shuffle(self._parts(a), n, bind(logical.left_key),
                       logical.left_key_column)
         sb = _shuffle(self._parts(b), n, bind(logical.right_key),
@@ -560,7 +558,7 @@ class DFCartesian(DataflowOperator):
     def _run(self, inputs, bvals, ctx):
         a, b = inputs
         right = _record_list(self._parts(b))
-        self._charge_shuffle(ctx, b)  # replicate the right side
+        self._charge_net(ctx, b.sim_mb)  # replicate the right side
         parts = [[(l, r) for l in part for r in right]
                  for part in self._parts(a)]
         return self._emit(a, parts, ctx, _cin(inputs),
@@ -580,8 +578,8 @@ class DFIEJoin(DataflowOperator):
         a, b = inputs
         conditions = [(c.left_key, c.op, c.right_key)
                       for c in self.logical.conditions]
-        self._charge_shuffle(ctx, a)
-        self._charge_shuffle(ctx, b)
+        self._charge_net(ctx, a.sim_mb)
+        self._charge_net(ctx, b.sim_mb)
         pairs = ie_join(_records(self._parts(a)), _records(self._parts(b)),
                         conditions)
         return self._emit(a, self._split(pairs, ctx), ctx, _cin(inputs),
@@ -616,12 +614,10 @@ class DFPageRank(DataflowOperator):
         parts = self._ranks(inputs[0], ctx)
         # Each iteration shuffles rank contributions (vertex-sized, not
         # edge-sized).
-        profile = ctx.profile(self.platform)
         rank_mb = (sum(map(len, parts)) * inputs[0].sim_factor
                    * inputs[0].bytes_per_record / 1e6)
-        ctx.meter.charge(
-            self.logical.iterations * rank_mb * profile.shuffle_cost_s_per_mb,
-            f"{self.name}.rank-shuffles", category="net")
+        self._charge_net(ctx, self.logical.iterations * rank_mb,
+                         "rank-shuffles")
         return self._emit(inputs[0], parts, ctx, _cin(inputs))
 
 
