@@ -4,6 +4,7 @@ cross-engine result equivalence."""
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.kernels import group_by_key
 from repro.platforms.distributed import PartitionedDataset
 from repro.platforms.pgres import (
     DuplicateTable,
@@ -59,6 +60,76 @@ class TestPartitionedDataset:
     def test_empty_dataset(self):
         ds = PartitionedDataset([])
         assert ds.count() == 0 and ds.num_partitions == 1
+
+
+class TestOnePartitionPath:
+    """On one partition nothing moves: the shuffle reads no key and
+    ReduceBy folds once.  The same operators on a partitioned engine
+    shuffle for real."""
+
+    RECORDS = [(i % 4, i) for i in range(12)]
+
+    def _execute(self, exec_op, payload):
+        from repro import RheemContext
+        from repro.core.channels import Channel
+        from repro.core.execution import ExecutionContext
+
+        ctx = RheemContext()
+        exec_ctx = ExecutionContext(cluster=ctx.cluster, pgres=ctx.pgres,
+                                    seed=0)
+        channel = Channel(exec_op.engine.dataset, payload, 1.0, 16.0,
+                          len(self.RECORDS))
+        return exec_op.execute([channel], [], exec_ctx)
+
+    def test_a_shuffle_of_one_partition_reads_no_key(self):
+        from repro.core import operators as ops
+        from repro.platforms.dataflow import DFGroupBy
+        from repro.platforms.pystreams.ops import PYSTREAMS
+        from repro.platforms.sparklite.channels import SPARK
+
+        calls = []
+
+        def key(record):
+            calls.append(record)
+            return record[0]
+
+        out = self._execute(DFGroupBy(ops.GroupBy(key), PYSTREAMS),
+                            list(self.RECORDS))
+        assert out.payload == group_by_key(lambda r: r[0], self.RECORDS)
+        assert len(calls) == len(self.RECORDS)  # grouping only
+        del calls[:]
+        self._execute(DFGroupBy(ops.GroupBy(key), SPARK),
+                      PartitionedDataset.from_records(self.RECORDS, 3))
+        assert len(calls) == 2 * len(self.RECORDS)  # shuffle + grouping
+
+    def test_reduce_by_folds_once_when_nothing_moved(self, monkeypatch):
+        from repro.core import operators as ops
+        from repro.platforms import dataflow
+        from repro.platforms.pystreams.ops import PYSTREAMS
+        from repro.platforms.sparklite.channels import SPARK
+
+        folds = []
+        run_reduce = dataflow.run_reduce
+
+        def counting(logical, payload):
+            folds.append(len(payload))
+            return run_reduce(logical, payload)
+
+        monkeypatch.setattr(dataflow, "run_reduce", counting)
+
+        def add(a, b):
+            return (a[0], a[1] + b[1])
+
+        out = self._execute(
+            dataflow.DFReduceBy(ops.ReduceBy(lambda r: r[0], add),
+                                PYSTREAMS), list(self.RECORDS))
+        assert out.payload == [(0, 12), (1, 15), (2, 18), (3, 21)]
+        assert folds == [len(self.RECORDS)]
+        del folds[:]
+        self._execute(dataflow.DFReduceBy(ops.ReduceBy(lambda r: r[0], add),
+                                          SPARK),
+                      PartitionedDataset.from_records(self.RECORDS, 3))
+        assert len(folds) > 3  # 3 local folds, then one per target
 
 
 class TestPgresEngine:
