@@ -34,7 +34,7 @@ class GLPageRank(DFPageRank):
     """PageRank priced as Pregel supersteps over the shared kernel.
 
     The inherited per-iteration overhead is one synchronisation barrier
-    per superstep; the inherited rank shuffles cost nothing at this
+    per superstep; the inherited rank shuffles record nothing at this
     profile's shuffle rate of zero.
     """
 

@@ -61,10 +61,10 @@ class PyStreamsPlatform(Platform):
     def mappings(self):
         # Imported here: the shared operators' module reads this package's
         # channel while the package initializes.
+        from ..dataflow import DFGroupBy
         from .ops import (PYSTREAMS, PyCache, PyCollectionSink,
                           PyCollectionSource, PyPageRank, PyReduceGroups,
                           PySample)
-        from ..dataflow import DFGroupBy
 
         return [
             *PYSTREAMS.mappings(own={
