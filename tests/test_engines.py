@@ -276,9 +276,12 @@ class TestEngineEquivalence:
 # by engine value: (engine, logical operator name, [(op_kind,
 # execution-operator name)], input channels, output channel, broadcast
 # channel or None).  Rows of one logical operator are in registration
-# order; pystreams' ReduceBy has a second, two-operator alternative.
+# order (the platforms' registration order across them); pystreams'
+# ReduceBy has a second, two-operator alternative.  The pgres rows were
+# captured before pgres was bound to the shared operators.
 # ---------------------------------------------------------------------------
 _PY = "pystreams.collection"
+_PG = "pgres.relation"
 
 _GOLDEN_BINDINGS = [
     ("pystreams", "textfile-source",
@@ -439,6 +442,32 @@ _GOLDEN_BINDINGS = [
      ["flinklite.dataset"], "pystreams.collection", "flinklite.broadcast"),
     ("flinklite", "textfile-sink", [("sink", "flinklite.sink[textfile-sink]")],
      ["flinklite.dataset"], "flinklite.dataset", "flinklite.broadcast"),
+    ("pgres", "table-source(t)",
+     [("table_source", "pgres.table_source[table-source(t)]")],
+     [], _PG, None),
+    ("pgres", "map", [("map", "pgres.map[map]")], [_PG], _PG, None),
+    ("pgres", "filter", [("filter", "pgres.filter[filter]")],
+     [_PG], _PG, None),
+    ("pgres", "distinct", [("distinct", "pgres.distinct[distinct]")],
+     [_PG], _PG, None),
+    ("pgres", "sort", [("sort", "pgres.sort[sort]")], [_PG], _PG, None),
+    ("pgres", "groupby", [("groupby", "pgres.groupby[groupby]")],
+     [_PG], _PG, None),
+    ("pgres", "reduceby", [("reduceby", "pgres.reduceby[reduceby]")],
+     [_PG], _PG, None),
+    ("pgres", "reduce", [("reduce", "pgres.reduce[reduce]")],
+     [_PG], _PG, None),
+    ("pgres", "count", [("count", "pgres.count[count]")], [_PG], _PG, None),
+    ("pgres", "union", [("union", "pgres.union[union]")],
+     [_PG] * 2, _PG, None),
+    ("pgres", "intersect", [("intersect", "pgres.intersect[intersect]")],
+     [_PG] * 2, _PG, None),
+    ("pgres", "join", [("join", "pgres.join[join]")], [_PG] * 2, _PG, None),
+    ("pgres", "iejoin", [("nested_loop", "pgres.nested_loop[iejoin]")],
+     [_PG] * 2, _PG, None),
+    ("pgres", "collection-sink",
+     [("collect_sink", "pgres.collect_sink[collection-sink]")],
+     [_PG], _PY, None),
     ("graphlite", "textfile-source",
      [("source", "graphlite.source[textfile-source]")],
      [], "graphlite.dataset", "graphlite.dataset"),
@@ -469,7 +498,8 @@ _GOLDEN_BINDINGS = [
 
 
 def _logical_samples():
-    """One instance of every logical operator a dataflow engine maps."""
+    """One instance of every logical operator an engine-bound platform
+    maps."""
     from repro.core import operators as ops
 
     def k(x):
@@ -477,7 +507,7 @@ def _logical_samples():
 
     return [
         ops.TextFileSource("hdfs://in"), ops.CollectionSource([1]),
-        ops.Map(k), ops.FlatMap(k), ops.Filter(k), ops.MapPartitions(k),
+        ops.TableSource("t"), ops.Map(k), ops.FlatMap(k), ops.Filter(k), ops.MapPartitions(k),
         ops.ZipWithId(), ops.Sample(size=1),
         ops.Sample(size=1, method="first", name="sample-first"),
         ops.Distinct(), ops.Sort(), ops.GroupBy(k), ops.ReduceBy(k, k),
@@ -493,7 +523,7 @@ class TestGoldenBindings:
     reordered among its logical operator's alternatives."""
 
     ENGINES = ("pystreams", "sparklite", "flinklite", "graphlite",
-               "graphchi", "jgraph")
+               "graphchi", "jgraph", "pgres")
 
     def test_every_binding_matches_the_golden_table(self):
         from repro import RheemContext
