@@ -55,8 +55,8 @@ class TestAblationChannelGraph:
                 Channel,
                 ChannelDescriptor,
                 Conversion,
+                PY_COLLECTION,
             )
-            from repro.platforms.pystreams.channels import PY_COLLECTION
 
             ctx = fresh_context()
             data_channels = [d for d in ctx.graph.descriptors()

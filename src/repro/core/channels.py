@@ -80,6 +80,13 @@ class ChannelDescriptor:
 HDFS_FILE = ChannelDescriptor("vfs.hdfs", None, True, in_memory=False)
 LOCAL_FILE = ChannelDescriptor("vfs.local", None, True, in_memory=False)
 
+#: A driver-side, in-process materialized collection: a list of records or
+#: one immutable :class:`~repro.core.batch.RecordBatch` of them.  Reusable:
+#: any number of consumers may iterate it (the paper's Java Collection
+#: channel).  Pystreams owns it; job results and every platform's collect
+#: conversion meet on it.
+PY_COLLECTION = ChannelDescriptor("pystreams.collection", "pystreams", True)
+
 
 @dataclass
 class Channel:

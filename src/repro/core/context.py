@@ -45,8 +45,10 @@ class RheemContext:
 
     Args:
         cluster: Virtual cluster to run on (fresh default if omitted).
-        platforms: Platform instances to register (all built-ins by
+        platforms: Platform declarations to register (all built-ins by
             default).  Registering fewer simulates a smaller installation.
+            A declared profile is installed into ``cluster`` unless it
+            already holds one under that platform's name.
         cost_params: Learned cost-model parameters (from
             :mod:`repro.learn`); ``None`` uses the calibrated defaults.
         config: Job configuration (e.g. ``{"seed": 7}``): ``seed``,
@@ -83,11 +85,15 @@ class RheemContext:
                     f"{', '.join(sorted(self.config))}")
         self.config.update(config or {})
         for platform in self.platforms:
-            for channel in platform.channels():
+            # A profile the cluster already holds (a what-if override)
+            # wins over the declared one, and prices the conversions too.
+            profile = self.cluster.profiles.setdefault(platform.name,
+                                                       platform.profile)
+            for channel in platform.channels:
                 self.graph.register_channel(channel)
-            for conversion in platform.conversions():
+            for conversion in platform.conversions(profile):
                 self.graph.register_conversion(conversion)
-            self.registry.register_all(platform.mappings())
+            self.registry.register_all(platform.mappings)
         self.cost_model = CostModel(self.cluster, cost_params)
         self.tracer = tracer if tracer is not None else NO_TRACER
         self.plan_cache = ExecutionPlanCache(

@@ -31,13 +31,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from ..platforms.pystreams.channels import PY_COLLECTION
 from ..simulation.clock import CostMeter, StageLedger, StageRecord
 from ..simulation.cluster import VirtualCluster
 from ..trace import NO_TRACER, MetricsRegistry
 from .batch import records_of
 from .cardinality import CardinalityEstimate
-from .channels import Channel, ChannelConversionGraph, ConversionPath
+from .channels import (Channel, ChannelConversionGraph, ConversionPath,
+                       PY_COLLECTION)
 from .execution import (
     DRIVER_PLATFORM,
     ExecutionContext,

@@ -1,8 +1,12 @@
 """Simulated data processing platforms.
 
-Each subpackage is one platform: its engine, channel types, conversions and
-operator mappings.  ``builtin_platforms`` returns one instance of each,
-ready to be registered with a :class:`~repro.core.context.RheemContext`.
+Each platform is one declaration — a :class:`~repro.platforms.base.Platform`
+value holding its performance profile, channel types, profile-priced
+conversions and operator mappings — in its own module (``pgres`` is a
+package: the declaration plus its storage engine and physical operators).
+Plugging a new platform in means writing one such value and registering it
+with a :class:`~repro.core.context.RheemContext`; ``builtin_platforms``
+lists the bundled ones.
 """
 
 from .base import ExecutionOperator, Platform, charge_operator
@@ -10,24 +14,13 @@ from .distributed import PartitionedDataset
 
 
 def builtin_platforms() -> list[Platform]:
-    """Fresh instances of every bundled platform."""
-    from .flinklite import FlinkLitePlatform
-    from .graphchi import GraphChiPlatform
-    from .graphlite import GraphLitePlatform
-    from .jgraph import JGraphPlatform
-    from .pgres import PgresPlatform
-    from .pystreams import PyStreamsPlatform
-    from .sparklite import SparkLitePlatform
+    """Every bundled platform's declaration, in registration order."""
+    from . import (flinklite, graphchi, graphlite, jgraph, pgres, pystreams,
+                   sparklite)
 
-    return [
-        PyStreamsPlatform(),
-        SparkLitePlatform(),
-        FlinkLitePlatform(),
-        PgresPlatform(),
-        GraphLitePlatform(),
-        GraphChiPlatform(),
-        JGraphPlatform(),
-    ]
+    return [pystreams.PLATFORM, sparklite.PLATFORM, flinklite.PLATFORM,
+            pgres.PLATFORM, graphlite.PLATFORM, graphchi.PLATFORM,
+            jgraph.PLATFORM]
 
 
 __all__ = [

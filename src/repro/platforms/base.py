@@ -1,20 +1,23 @@
 """Platform and execution-operator abstractions.
 
-A *platform* bundles: the engine that does the work, the channel types it
-speaks, the conversions in/out of those channels, and the operator mappings
+A *platform* is one declaration, a :class:`Platform` value: its
+performance profile, the channel types it speaks, the conversions in/out
+of those channels (priced from the profile), and the operator mappings
 from Rheem operators to its execution operators.  Plugging a new platform
-into the reproduction means implementing exactly these pieces — mirroring
-the paper's extensibility story (Section 3, "Extensibility").
+into the reproduction means writing exactly that one value — mirroring the
+paper's extensibility story (Section 3, "Extensibility").
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Sequence, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Any, Callable, Sequence, TYPE_CHECKING
 
 from ..core.channels import Channel, ChannelDescriptor, Conversion
 from ..core.cost import kind_params
 from ..core.operators import Operator
+from ..simulation.profiles import PlatformProfile
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.execution import ExecutionContext
@@ -142,41 +145,39 @@ class ExecutionOperator:
         return f"<{self.name}#{self.id}>"
 
 
+@dataclass(frozen=True, eq=False)
 class Platform:
-    """Static description of one registered platform."""
+    """One platform, declared once.
 
-    name: str = ""
+    Attributes:
+        profile: Its calibrated performance profile; ``profile.name`` is
+            the platform's name.  These are the *true* simulation
+            constants: the optimizer's cost model approximates them
+            (exactly by default, or via parameters learned from logs by
+            ``repro.learn``).  A context installs the profile into its
+            cluster unless the cluster already holds one of that name, so
+            a what-if ``set_profile`` made beforehand wins.
+        channels: The channel types it owns.
+        conversions: Builds its conversions in/out of those channels from
+            the profile the context's cluster holds for it.  Only
+            conversions to/from one already-known channel are required;
+            the channel conversion graph composes the rest.
+        mappings: Its operator mappings from Rheem operators to execution
+            operators.
+    """
 
-    def channels(self) -> list[ChannelDescriptor]:
-        """Channel types this platform owns."""
-        raise NotImplementedError
+    profile: PlatformProfile
+    channels: Sequence[ChannelDescriptor] = ()
+    conversions: Callable[[PlatformProfile], Sequence[Conversion]] = (
+        lambda profile: ())
+    mappings: Sequence["OperatorMapping"] = ()
 
-    def conversions(self) -> list[Conversion]:
-        """Conversions in/out of this platform's channels.
-
-        Only conversions to/from at least one already-known channel are
-        required; the channel conversion graph composes the rest.
-        """
-        raise NotImplementedError
-
-    def mappings(self) -> list["OperatorMapping"]:
-        """Operator mappings from Rheem operators to execution operators."""
-        raise NotImplementedError
+    @property
+    def name(self) -> str:
+        return self.profile.name
 
     def __repr__(self) -> str:
         return f"Platform({self.name})"
-
-
-def charge_cpu(
-    ctx: "ExecutionContext",
-    platform: str,
-    records_sim: float,
-    work: float,
-    label: str,
-) -> None:
-    """Charge per-record CPU time for ``records_sim`` simulated records."""
-    profile = ctx.cluster.profile(platform)
-    ctx.meter.charge(profile.cpu_seconds(records_sim, work), label, category="cpu")
 
 
 def charge_operator(

@@ -1,24 +1,27 @@
 """Execution operators shared by every dataflow engine.
 
 The JavaStreams analog (pystreams), the Spark analog, the Flink analog, the
-Giraph analog and the two in-process graph libraries execute the same
-*logic*; they differ in channel types, performance profiles, payload layout
-and a few operators of their own (Spark's explicit Cache, each graph
-platform's priced PageRank).  An engine is therefore a *value* — a
+Giraph analog, the two in-process graph libraries and the Postgres analog's
+relational operators execute the same *logic*; they differ in channel
+types, performance profiles, payload layout and a few operators of their
+own (Spark's explicit Cache, each graph platform's priced PageRank,
+pgres's scans and nested loop).  An engine is therefore a *value* — a
 :class:`DataflowEngine` naming the platform, its channels and its payload
 layout — that every operator here receives at construction; the engine also
-binds the one shared mapping table, so plugging in another engine takes an
-engine value plus a conversion (rate/overhead) table.
+binds the one shared mapping table, so plugging in another engine takes one
+:class:`~repro.platforms.base.Platform` declaration: an engine value, a
+profile and a conversion (rate/overhead) table.
 
 The layout says how a channel's payload splits into partitions and back.  A
 partitioned engine carries a
 :class:`~repro.platforms.distributed.PartitionedDataset` of as many
 partitions as its profile's parallelism; a :class:`CollectionEngine` carries
-its one partition itself.  The operators read and write a plain list of
-partitions through the engine, and whatever differs on one partition
-depends on the partition count, never on the engine: a shuffle of one
-partition into one moves nothing, so it neither hashes nor copies, ReduceBy
-then skips its second fold, and Sort does not chunk its output.
+its one partition itself (pgres wraps it in a relation).  The operators
+read and write a plain list of partitions through the engine, and whatever
+differs on one partition depends on the partition count, never on the
+engine: a shuffle of one partition into one moves nothing, so it neither
+hashes nor copies, ReduceBy then skips its second fold, and Sort does not
+chunk its output.
 
 Wide (shuffling) operators really hash-partition the data — co-location is
 observable — and charge shuffle time per simulated MB on top of CPU time
@@ -48,14 +51,15 @@ from ..core import operators as ops
 from ..core.batch import (RecordBatch, batch_keys, records_of, run_filter,
                           run_flat_map, run_join, run_map, run_reduce,
                           run_sort)
-from ..core.channels import Channel, ChannelDescriptor, HDFS_FILE
+from ..core.channels import (Channel, ChannelDescriptor, HDFS_FILE,
+                             PY_COLLECTION)
 from ..core.kernels import (bind, distinct_records, fold_records,
                             group_by_key, identity, intersect_records)
 from ..core.mappings import OperatorMapping
+from ..simulation.vfs import HDFS_SCHEME, LOCAL_SCHEME
 from .base import (ExecutionOperator, _cin, _group_factor, _sample_seed,
                    charge_operator, union_bytes_per_record)
 from .distributed import PartitionedDataset
-from .pystreams.channels import PY_COLLECTION
 
 _tmp_counter = itertools.count(1)
 
@@ -66,8 +70,9 @@ class DataflowEngine:
 
     ``broadcast`` may equal ``dataset`` (no dedicated broadcast channel) or
     be ``None`` (the engine takes no broadcasts).  The converter methods
-    are the payload halves of a partitioned engine's conversions: the
-    platform pairs each with its own rate and overhead.
+    are the payload halves of the engine's conversions, written against
+    its layout: the platform's declaration pairs each with a rate and an
+    overhead.
     """
 
     platform: str
@@ -87,6 +92,11 @@ class DataflowEngine:
         """How many partitions a source or a shuffle produces."""
         return ctx.profile(self.platform).parallelism
 
+    def split(self, records, ctx) -> list:
+        """``records`` dealt round-robin over the engine's width."""
+        return PartitionedDataset.from_records(records,
+                                               self.width(ctx)).partitions
+
     # ------------------------------------------------------------- mappings
     def mappings(self, own: Mapping[type, type] | None = None,
                  only: frozenset[type] | None = None) -> list[OperatorMapping]:
@@ -104,31 +114,34 @@ class DataflowEngine:
 
     # ----------------------------------------------------- payload converters
     def from_collection(self, channel: Channel, ctx) -> Channel:
-        n = ctx.profile(self.platform).parallelism
-        dataset = PartitionedDataset.from_records(channel.payload, n)
-        return channel.with_payload(dataset, self.dataset, dataset.count())
+        parts = self.split(channel.payload, ctx)
+        return channel.with_payload(self.payload(parts), self.dataset,
+                                    sum(map(len, parts)))
 
     def to_collection(self, channel: Channel, ctx) -> Channel:
-        records = channel.payload.to_list()
+        records = list(_records(self.parts(channel.payload)))
         return channel.with_payload(records, PY_COLLECTION, len(records))
 
     def to_broadcast(self, channel: Channel, ctx) -> Channel:
         return channel.with_payload(list(channel.payload), self.broadcast,
                                     len(channel.payload))
 
-    def save_to_hdfs(self, channel: Channel, ctx) -> Channel:
-        path = f"hdfs://tmp/{self.platform}-{next(_tmp_counter)}"
-        records = channel.payload.to_list()
+    def save_to_file(self, channel: Channel, ctx,
+                     file: ChannelDescriptor = HDFS_FILE) -> Channel:
+        """Write the records to a fresh temporary file: on HDFS, or on
+        the local file system when ``file`` is ``LOCAL_FILE``."""
+        scheme = HDFS_SCHEME if file is HDFS_FILE else LOCAL_SCHEME
+        path = f"{scheme}://tmp/{self.platform}-{next(_tmp_counter)}"
+        records = list(_records(self.parts(channel.payload)))
         ctx.vfs.write(path, records, channel.sim_factor,
                       channel.bytes_per_record)
-        return channel.with_payload(path, HDFS_FILE, len(records))
+        return channel.with_payload(path, file, len(records))
 
-    def read_from_hdfs(self, channel: Channel, ctx) -> Channel:
+    def read_file(self, channel: Channel, ctx) -> Channel:
         vf = ctx.vfs.read(channel.payload)
-        n = ctx.profile(self.platform).parallelism
-        dataset = PartitionedDataset.from_records(vf.records, n)
-        return Channel(self.dataset, dataset, vf.sim_factor,
-                       vf.bytes_per_record, dataset.count())
+        parts = self.split(vf.records, ctx)
+        return Channel(self.dataset, self.payload(parts), vf.sim_factor,
+                       vf.bytes_per_record, len(vf.records))
 
 
 class CollectionEngine(DataflowEngine):
@@ -217,11 +230,6 @@ class DataflowOperator(ExecutionOperator):
     def _width(self, ctx) -> int:
         return self.engine.width(ctx)
 
-    def _split(self, records, ctx) -> list:
-        """``records`` dealt round-robin over the engine's width."""
-        return PartitionedDataset.from_records(records,
-                                               self._width(ctx)).partitions
-
     def _emit(self, template: Channel, parts: list, ctx,
               cin: float,
               sim_factor: float | None = None,
@@ -262,7 +270,8 @@ class DFTextFileSource(DataflowOperator):
                          f"{self.name}.read", category="io")
         template = Channel(self.engine.dataset, None, vf.sim_factor,
                            vf.bytes_per_record)
-        return self._emit(template, self._split(vf.records, ctx), ctx, 0.0)
+        parts = self.engine.split(vf.records, ctx)
+        return self._emit(template, parts, ctx, 0.0)
 
 
 class DFCollectionSource(DataflowOperator):
@@ -277,7 +286,8 @@ class DFCollectionSource(DataflowOperator):
         logical = self.logical
         template = Channel(self.engine.dataset, None, logical.sim_factor,
                            logical.bytes_per_record)
-        out = self._emit(template, self._split(logical.data, ctx), ctx, 0.0)
+        parts = self.engine.split(logical.data, ctx)
+        out = self._emit(template, parts, ctx, 0.0)
         ctx.meter.charge(ctx.profile(self.platform).transfer_seconds(out.sim_mb),
                          f"{self.name}.parallelize", category="net")
         return out
@@ -579,7 +589,7 @@ class DFIEJoin(DataflowOperator):
         self._charge_net(ctx, b.sim_mb)
         pairs = ie_join(_records(self._parts(a)), _records(self._parts(b)),
                         conditions)
-        return self._emit(a, self._split(pairs, ctx), ctx, _cin(inputs),
+        return self._emit(a, self.engine.split(pairs, ctx), ctx, _cin(inputs),
                           sim_factor=max(a.sim_factor, b.sim_factor),
                           bytes_per_record=a.bytes_per_record + b.bytes_per_record)
 
@@ -615,7 +625,7 @@ class DFPageRank(DataflowOperator):
         """The ranked vertices, dealt over the engine's partitions."""
         ranks = pagerank_edges(_records(self._parts(edges)),
                                self.logical.iterations, self.logical.damping)
-        return self._split(sorted(ranks.items()), ctx)
+        return self.engine.split(sorted(ranks.items()), ctx)
 
     def _run(self, inputs, bvals, ctx):
         parts = self._ranks(inputs[0], ctx)

@@ -1,19 +1,21 @@
-"""JGraph: the in-process graph-library platform.
+"""JGraph: the in-process graph-library platform, declared once.
 
 Like the paper's JGraph, it lives inside the driver process: it consumes
 and produces plain PyStreams collections, has no start-up cost and no
 parallelism, and fails with a simulated out-of-memory beyond its small
 heap — which is why Rheem only picks it for modest graphs.  It is a
 one-partition engine value that ranks with the shared kernel; its cost
-declarations are what make it JGraph.
+declarations are what make it JGraph.  It owns no channel and no
+conversion.
 """
 
 from __future__ import annotations
 
-from ...core import operators as ops
-from ..base import Platform
-from ..dataflow import CollectionEngine, DFPageRank
-from ..pystreams.channels import PY_COLLECTION
+from ..core import operators as ops
+from ..core.channels import PY_COLLECTION
+from ..simulation.profiles import HardwareProfile, PlatformProfile
+from .base import Platform
+from .dataflow import CollectionEngine, DFPageRank
 
 #: The engine value (no broadcast channel).
 JGRAPH = CollectionEngine("jgraph", PY_COLLECTION, None)
@@ -46,17 +48,18 @@ class JGraphPageRank(DFPageRank):
         return super()._run(inputs, bvals, ctx)
 
 
-class JGraphPlatform(Platform):
-    """The JGraph analog: no channels of its own, one graph operator."""
-
-    name = "jgraph"
-
-    def channels(self):
-        return []
-
-    def conversions(self):
-        return []
-
-    def mappings(self):
-        return JGRAPH.mappings(own={ops.PageRank: JGraphPageRank},
-                               only=frozenset({ops.PageRank}))
+#: The JGraph analog: in-process graph library, small memory ceiling.
+PLATFORM = Platform(
+    profile=PlatformProfile(
+        name="jgraph",
+        startup_s=0.0,
+        stage_overhead_s=0.002,
+        parallelism=1,
+        tuple_cost_s=1.5e-7,
+        io_mb_per_s=HardwareProfile().disk_mb_per_s,
+        net_mb_per_s=500.0,
+        memory_cap_mb=2_048.0,
+    ),
+    mappings=JGRAPH.mappings(own={ops.PageRank: JGraphPageRank},
+                             only=frozenset({ops.PageRank})),
+)

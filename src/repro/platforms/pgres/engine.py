@@ -1,9 +1,10 @@
 """A miniature relational engine (the Postgres analog's storage layer).
 
 Implements heap tables of dict-shaped rows, ordered (B-tree-style) indexes
-with range scans, and a tiny catalog with statistics — enough substance for
-indexed selections, projections and hash joins to behave (and cost) like a
-single-node DBMS in the reproduction's experiments.
+with range scans, a tiny catalog with statistics, and the relation payload
+the platform's channel carries — enough substance for indexed selections,
+projections and hash joins to behave (and cost) like a single-node DBMS in
+the reproduction's experiments.
 """
 
 from __future__ import annotations
@@ -11,6 +12,24 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Iterable
+
+
+@dataclass
+class Relation:
+    """Payload of a ``pgres.relation`` channel.
+
+    Attributes:
+        rows: Dict-shaped tuples — a list, or a
+            :class:`~repro.core.batch.RecordBatch` of them.
+        base_table: The catalog table these rows come from *unmodified*
+            (enables index scans); ``None`` for derived intermediates.
+    """
+
+    rows: list[dict | Any]
+    base_table: str | None = None
+
+    def __len__(self) -> int:
+        return len(self.rows)
 
 
 class TableNotFound(KeyError):

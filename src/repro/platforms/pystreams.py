@@ -1,7 +1,7 @@
-"""PyStreams' engine value and the execution operators of its own.
+"""PyStreams: the JavaStreams-analog in-process platform, declared once.
 
-The JavaStreams analog.  No start-up cost, no parallelism; per-record work
-is charged at the platform's tuple cost.  PyStreams is the one-partition
+No start-up cost, no parallelism; per-record work is charged at the
+platform's tuple cost.  PyStreams is the one-partition
 :class:`~repro.platforms.dataflow.CollectionEngine` value :data:`PYSTREAMS`:
 every operator it maps is a shared :mod:`~repro.platforms.dataflow`
 operator whose one partition is the ``pystreams.collection`` payload — a
@@ -17,14 +17,19 @@ of the GroupBy + Map alternative of ReduceBy.
 
 from __future__ import annotations
 
-from ...core.batch import records_of
-from ...core.channels import Channel
-from ...core.kernels import bind, fold_groups
-from ..base import _cin
-from ..dataflow import (CollectionEngine, DataflowOperator,
-                        DFCollectionSink, DFCollectionSource, DFPageRank,
-                        DFSample)
-from .channels import PY_COLLECTION
+from functools import partial
+
+from ..core import operators as ops
+from ..core.batch import records_of
+from ..core.channels import (Channel, Conversion, HDFS_FILE, LOCAL_FILE,
+                             PY_COLLECTION)
+from ..core.kernels import bind, fold_groups
+from ..core.mappings import OperatorMapping
+from ..simulation.profiles import HardwareProfile, PlatformProfile
+from .base import Platform, _cin
+from .dataflow import (CollectionEngine, DataflowOperator,
+                       DFCollectionSink, DFCollectionSource, DFGroupBy,
+                       DFPageRank, DFSample)
 
 #: The engine value every pystreams operator and mapping is bound to.
 PYSTREAMS = CollectionEngine("pystreams", PY_COLLECTION, PY_COLLECTION)
@@ -92,3 +97,52 @@ class PyReduceGroups(DataflowOperator):
         reducer = bind(self.logical.reducer)
         parts = [fold_groups(reducer, p) for p in self._parts(inputs[0])]
         return self._emit(inputs[0], parts, ctx, _cin(inputs))
+
+
+def _conversions(profile: PlatformProfile) -> list[Conversion]:
+    # File hand-offs run at the single node's disk bandwidth.
+    io = profile.io_mb_per_s
+    return [
+        Conversion(PY_COLLECTION, HDFS_FILE, PYSTREAMS.save_to_file,
+                   mb_per_s=io, overhead_s=0.05),
+        Conversion(PY_COLLECTION, LOCAL_FILE,
+                   partial(PYSTREAMS.save_to_file, file=LOCAL_FILE),
+                   mb_per_s=io, overhead_s=0.01),
+        Conversion(HDFS_FILE, PY_COLLECTION, PYSTREAMS.read_file,
+                   mb_per_s=io, overhead_s=0.05),
+        Conversion(LOCAL_FILE, PY_COLLECTION, PYSTREAMS.read_file,
+                   mb_per_s=io, overhead_s=0.01),
+    ]
+
+
+#: The JavaStreams analog: zero start-up, single-threaded, cheap per record.
+PLATFORM = Platform(
+    profile=PlatformProfile(
+        name="pystreams",
+        startup_s=0.0,
+        stage_overhead_s=0.001,
+        parallelism=1,
+        tuple_cost_s=1.0e-6,
+        io_mb_per_s=HardwareProfile().disk_mb_per_s,
+        net_mb_per_s=500.0,  # in-process hand-off
+        memory_cap_mb=20_480.0,
+    ),
+    channels=(PY_COLLECTION,),
+    conversions=_conversions,
+    mappings=(
+        *PYSTREAMS.mappings(own={
+            ops.CollectionSource: PyCollectionSource,
+            ops.Sample: PySample,
+            ops.Cache: PyCache,
+            ops.PageRank: PyPageRank,
+            ops.CollectionSink: PyCollectionSink,
+        }),
+        # The paper's Figure 4: Reduce-style operators also map to a
+        # GroupBy + Map chain (a 1-to-n mapping), after the 1-to-1 one.
+        OperatorMapping(
+            ops.ReduceBy,
+            lambda op: [DFGroupBy(op, PYSTREAMS),
+                        PyReduceGroups(op, PYSTREAMS)],
+            name="mapping<ReduceBy via GroupBy+Map>"),
+    ),
+)

@@ -1,21 +1,15 @@
 """Virtual-cluster simulation substrate.
 
-Provides simulated time (:mod:`~repro.simulation.clock`), calibrated
-platform performance profiles (:mod:`~repro.simulation.profiles`), the
-virtual cluster with memory accounting (:mod:`~repro.simulation.cluster`)
-and the virtual HDFS/local file systems (:mod:`~repro.simulation.vfs`).
+Provides simulated time (:mod:`~repro.simulation.clock`), the hardware
+and platform performance-profile records
+(:mod:`~repro.simulation.profiles`), the virtual cluster with memory
+accounting (:mod:`~repro.simulation.cluster`) and the virtual HDFS/local
+file systems (:mod:`~repro.simulation.vfs`).
 """
 
 from .clock import CostEvent, CostMeter, StageLedger, StageRecord
 from .cluster import SimulatedOutOfMemory, VirtualCluster
-from .profiles import (
-    HardwareProfile,
-    PlatformProfile,
-    PLATFORM_PROFILES,
-    hardware_profile,
-    platform_profile,
-    with_overrides,
-)
+from .profiles import HardwareProfile, PlatformProfile
 from .vfs import (
     FileNotFound,
     HDFS_SCHEME,
@@ -34,10 +28,6 @@ __all__ = [
     "VirtualCluster",
     "HardwareProfile",
     "PlatformProfile",
-    "PLATFORM_PROFILES",
-    "hardware_profile",
-    "platform_profile",
-    "with_overrides",
     "FileNotFound",
     "HDFS_SCHEME",
     "LOCAL_SCHEME",

@@ -2,12 +2,7 @@
 
 from __future__ import annotations
 
-from .profiles import (
-    HardwareProfile,
-    PlatformProfile,
-    PLATFORM_PROFILES,
-    hardware_profile,
-)
+from .profiles import HardwareProfile, PlatformProfile
 from .vfs import VirtualFileSystem
 
 
@@ -32,6 +27,8 @@ class VirtualCluster:
 
     One cluster is shared by all platforms of a :class:`~repro.core.context.
     RheemContext`; tests may build isolated clusters with tweaked profiles.
+    By default it holds the profile of every built-in platform, so it
+    prices them without a context.
     """
 
     def __init__(
@@ -39,8 +36,14 @@ class VirtualCluster:
         hardware: HardwareProfile | None = None,
         profiles: dict[str, PlatformProfile] | None = None,
     ) -> None:
-        self.hardware = hardware or hardware_profile()
-        self.profiles = dict(profiles or PLATFORM_PROFILES)
+        self.hardware = hardware or HardwareProfile()
+        if profiles is None:
+            # Imported here: the platforms import the core, which imports
+            # this module.
+            from ..platforms import builtin_platforms
+
+            profiles = {p.name: p.profile for p in builtin_platforms()}
+        self.profiles = dict(profiles)
         self.vfs = VirtualFileSystem()
 
     def profile(self, platform: str) -> PlatformProfile:

@@ -9,13 +9,16 @@ is calibrated from the constants the paper reports (e.g. big-data-platform
 job overheads dominating small inputs, Postgres bulk load being ~3x the full
 cross-platform runtime, JGraph failing beyond ~10% of the pagelinks graph).
 
-All values are in simulated units: seconds, MB, records.  They are plain
-data so the cost learner (``repro.learn``) can re-fit them from logs.
+Each platform's calibrated profile is part of its one declaration
+(:mod:`repro.platforms`); this module holds the two record types and the
+default hardware.  All values are in simulated units: seconds, MB,
+records.  They are plain data so the cost learner (``repro.learn``) can
+re-fit them from logs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -86,117 +89,3 @@ class PlatformProfile:
         if mb <= 0:
             return 0.0
         return mb / self.net_mb_per_s
-
-
-_HW = HardwareProfile()
-
-#: Calibrated platform profiles.  These are the *true* simulation constants;
-#: the optimizer's cost model approximates them (exactly by default, or via
-#: parameters learned from logs by ``repro.learn``).
-PLATFORM_PROFILES: dict[str, PlatformProfile] = {
-    # JavaStreams analog: zero start-up, single-threaded, cheap per record.
-    "pystreams": PlatformProfile(
-        name="pystreams",
-        startup_s=0.0,
-        stage_overhead_s=0.001,
-        parallelism=1,
-        tuple_cost_s=1.0e-6,
-        io_mb_per_s=_HW.disk_mb_per_s,
-        net_mb_per_s=500.0,  # in-process hand-off
-        memory_cap_mb=20_480.0,
-    ),
-    # Spark analog: heavy start-up and per-job overhead, wide parallelism.
-    "sparklite": PlatformProfile(
-        name="sparklite",
-        startup_s=6.0,
-        stage_overhead_s=0.35,
-        parallelism=_HW.total_cores,
-        tuple_cost_s=2.0e-6,
-        io_mb_per_s=_HW.aggregate_disk_mb_per_s,
-        net_mb_per_s=_HW.network_mb_per_s,
-        memory_cap_mb=_HW.nodes * 20_480.0,
-        shuffle_cost_s_per_mb=0.008,
-    ),
-    # Flink analog: lighter dispatch, pipelined, slightly different constants.
-    "flinklite": PlatformProfile(
-        name="flinklite",
-        startup_s=4.5,
-        stage_overhead_s=0.2,
-        parallelism=_HW.total_cores,
-        tuple_cost_s=1.7e-6,
-        io_mb_per_s=_HW.aggregate_disk_mb_per_s,
-        net_mb_per_s=_HW.network_mb_per_s,
-        memory_cap_mb=_HW.nodes * 20_480.0,
-        shuffle_cost_s_per_mb=0.006,
-    ),
-    # Postgres analog: instant start, 4-way parallel scans, costly loads.
-    "pgres": PlatformProfile(
-        name="pgres",
-        startup_s=0.05,
-        stage_overhead_s=0.01,
-        parallelism=4,
-        tuple_cost_s=1.2e-6,
-        io_mb_per_s=_HW.disk_mb_per_s,
-        net_mb_per_s=40.0,  # single JDBC-ish pipe for exports/loads
-        memory_cap_mb=20_480.0,
-    ),
-    # Giraph analog: very heavy start-up, per-superstep synchronisation.
-    "graphlite": PlatformProfile(
-        name="graphlite",
-        startup_s=20.0,
-        stage_overhead_s=0.8,
-        parallelism=_HW.total_cores,
-        tuple_cost_s=2.4e-6,
-        io_mb_per_s=_HW.aggregate_disk_mb_per_s,
-        net_mb_per_s=_HW.network_mb_per_s,
-        memory_cap_mb=_HW.nodes * 20_480.0,
-    ),
-    # GraphChi analog: ONE machine, out-of-core shard streaming.  The CPU
-    # side uses the few local cores; the defining cost is re-reading the
-    # edge shards from disk every iteration (priced via shuffle rate =
-    # 1/disk bandwidth for the optimizer's estimate).
-    "graphchi": PlatformProfile(
-        name="graphchi",
-        startup_s=1.0,
-        stage_overhead_s=0.1,
-        parallelism=4,
-        tuple_cost_s=4.0e-7,
-        io_mb_per_s=_HW.disk_mb_per_s,
-        net_mb_per_s=500.0,
-        memory_cap_mb=1_000_000.0,  # out-of-core: disk is the limit
-        shuffle_cost_s_per_mb=1.0 / _HW.disk_mb_per_s,
-    ),
-    # JGraph analog: in-process graph library, small memory ceiling.
-    "jgraph": PlatformProfile(
-        name="jgraph",
-        startup_s=0.0,
-        stage_overhead_s=0.002,
-        parallelism=1,
-        tuple_cost_s=1.5e-7,
-        io_mb_per_s=_HW.disk_mb_per_s,
-        net_mb_per_s=500.0,
-        memory_cap_mb=2_048.0,
-    ),
-}
-
-
-def hardware_profile() -> HardwareProfile:
-    """The default virtual cluster hardware."""
-    return _HW
-
-
-def platform_profile(name: str) -> PlatformProfile:
-    """Look up a platform profile by name.
-
-    Raises:
-        KeyError: If no profile is registered under ``name``.
-    """
-    return PLATFORM_PROFILES[name]
-
-
-def with_overrides(name: str, **changes: float) -> PlatformProfile:
-    """A copy of a registered profile with some fields replaced.
-
-    Useful in tests and what-if experiments (e.g. a slower network).
-    """
-    return replace(PLATFORM_PROFILES[name], **changes)

@@ -21,10 +21,9 @@ import pytest
 from repro import RheemContext
 from repro.apps import dataciv, q5_quanta
 from repro.core.batch import RecordBatch
-from repro.core.channels import Channel
+from repro.core.channels import Channel, PY_COLLECTION
 from repro.core.executor import Sniffer
 from repro.core.faults import FaultInjector
-from repro.platforms.pystreams.channels import PY_COLLECTION
 from repro.workloads import TpchLite, write_community
 from conftest import declared_wordcount, stripped
 

@@ -13,10 +13,34 @@ class TestContextSetup:
                          "graphlite", "graphchi", "jgraph"}
 
     def test_partial_platform_installation(self):
-        from repro.platforms.pystreams import PyStreamsPlatform
-        small = RheemContext(platforms=[PyStreamsPlatform()])
+        from repro.platforms import pystreams
+        small = RheemContext(platforms=[pystreams.PLATFORM])
         out = small.load_collection([3, 1, 2]).sort().collect()
         assert out == [1, 2, 3]
+
+    def test_cluster_profile_prices_the_conversions(self):
+        """A what-if profile installed before the context wins over the
+        declared one, and the conversions priced from it move with it."""
+        from dataclasses import replace
+
+        from repro.simulation import VirtualCluster
+
+        cluster = VirtualCluster()
+        for name, net in (("sparklite", 60.0), ("pgres", 20.0)):
+            cluster.set_profile(replace(cluster.profile(name),
+                                        net_mb_per_s=net))
+        ctx = RheemContext(cluster=cluster)
+        assert ctx.cluster.profile("sparklite").net_mb_per_s == 60.0
+        conversions = {c.name: c for d in ctx.graph.descriptors()
+                       for c in ctx.graph.conversions_from(d.name)}
+        mb = 1e6 * 100.0 / 1e6  # a million 100-byte records
+        for name, rate in (("spark-parallelize", 60.0),
+                           ("spark-collect", 60.0),
+                           ("spark-broadcast", 60.0 / 4),
+                           ("pgres-export", 20.0)):
+            conversion = conversions[name]
+            assert conversion.estimate_cost(1e6, 100.0) == (
+                conversion.overhead_s + mb / rate)
 
     def test_estimation_context_carries_catalog(self, ctx):
         ctx.pgres.create_table("t", ["a"], [{"a": 1}], sim_factor=7.0,

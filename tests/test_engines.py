@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from repro.core.kernels import group_by_key
 from repro.platforms.distributed import PartitionedDataset
-from repro.platforms.pgres import (
+from repro.platforms.pgres.engine import (
     DuplicateTable,
     PgresDatabase,
     TableNotFound,
@@ -84,8 +84,8 @@ class TestOnePartitionPath:
     def test_a_shuffle_of_one_partition_reads_no_key(self):
         from repro.core import operators as ops
         from repro.platforms.dataflow import DFGroupBy
-        from repro.platforms.pystreams.ops import PYSTREAMS
-        from repro.platforms.sparklite.channels import SPARK
+        from repro.platforms.pystreams import PYSTREAMS
+        from repro.platforms.sparklite import SPARK
 
         calls = []
 
@@ -105,8 +105,8 @@ class TestOnePartitionPath:
     def test_reduce_by_folds_once_when_nothing_moved(self, monkeypatch):
         from repro.core import operators as ops
         from repro.platforms import dataflow
-        from repro.platforms.pystreams.ops import PYSTREAMS
-        from repro.platforms.sparklite.channels import SPARK
+        from repro.platforms.pystreams import PYSTREAMS
+        from repro.platforms.sparklite import SPARK
 
         folds = []
         run_reduce = dataflow.run_reduce
@@ -507,7 +507,8 @@ def _logical_samples():
 
     return [
         ops.TextFileSource("hdfs://in"), ops.CollectionSource([1]),
-        ops.TableSource("t"), ops.Map(k), ops.FlatMap(k), ops.Filter(k), ops.MapPartitions(k),
+        ops.TableSource("t"), ops.Map(k), ops.FlatMap(k), ops.Filter(k),
+        ops.MapPartitions(k),
         ops.ZipWithId(), ops.Sample(size=1),
         ops.Sample(size=1, method="first", name="sample-first"),
         ops.Distinct(), ops.Sort(), ops.GroupBy(k), ops.ReduceBy(k, k),

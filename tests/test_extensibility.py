@@ -6,13 +6,15 @@ channel."""
 import pytest
 
 from repro import RheemContext
-from repro.core.channels import Channel, ChannelDescriptor, Conversion
+from repro.core.channels import (Channel, ChannelDescriptor, Conversion,
+                                 PY_COLLECTION)
 from repro.core.mappings import OperatorMapping
 from repro.core.operators import Map, Operator
 from repro.core.cardinality import CardinalityEstimate
+from repro.platforms import builtin_platforms
 from repro.platforms.base import ExecutionOperator, Platform, charge_operator
 from repro.platforms.dataflow import DataflowEngine
-from repro.platforms.pystreams.channels import PY_COLLECTION
+from repro.simulation import PlatformProfile
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +73,8 @@ class TestCustomOperator:
 
 
 # ---------------------------------------------------------------------------
-# A whole new platform: "arraydb", with one channel, two conversions and a
-# couple of execution operators.
+# A whole new platform: "arraydb", one declaration with a profile, one
+# channel, two conversions and an execution operator.
 # ---------------------------------------------------------------------------
 ARRAY_CHANNEL = ChannelDescriptor("arraydb.array", "arraydb", True)
 
@@ -97,47 +99,37 @@ class ArrayMap(ExecutionOperator):
         return ch.with_payload(out, ARRAY_CHANNEL, len(out))
 
 
-class ArrayDbPlatform(Platform):
-    """A minimal array-database platform, per the paper's recipe."""
+def _into_array(ch, ctx):
+    return ch.with_payload(list(ch.payload), ARRAY_CHANNEL, ch.actual_count)
 
-    name = "arraydb"
 
-    def channels(self):
-        return [ARRAY_CHANNEL]
+def _out_of_array(ch, ctx):
+    return ch.with_payload(list(ch.payload), PY_COLLECTION, ch.actual_count)
 
-    def conversions(self):
-        def into(ch, ctx):
-            return ch.with_payload(list(ch.payload), ARRAY_CHANNEL,
-                                   ch.actual_count)
 
-        def outof(ch, ctx):
-            return ch.with_payload(list(ch.payload), PY_COLLECTION,
-                                   ch.actual_count)
-
-        return [
-            Conversion(PY_COLLECTION, ARRAY_CHANNEL, into, mb_per_s=300.0,
-                       overhead_s=0.01, name="arraydb-import"),
-            Conversion(ARRAY_CHANNEL, PY_COLLECTION, outof, mb_per_s=300.0,
-                       overhead_s=0.01, name="arraydb-export"),
-        ]
-
-    def mappings(self):
-        return [OperatorMapping(Map, lambda op: [ArrayMap(op)])]
+#: A minimal array-database platform, per the paper's recipe: one
+#: declaration holding its profile, channel, conversions and mapping.
+ARRAYDB = Platform(
+    profile=PlatformProfile(
+        name="arraydb", startup_s=0.2, stage_overhead_s=0.01,
+        parallelism=8, tuple_cost_s=1e-7, io_mb_per_s=400.0,
+        net_mb_per_s=300.0, memory_cap_mb=8192.0),
+    channels=(ARRAY_CHANNEL,),
+    conversions=lambda profile: [
+        Conversion(PY_COLLECTION, ARRAY_CHANNEL, _into_array,
+                   mb_per_s=profile.net_mb_per_s, overhead_s=0.01,
+                   name="arraydb-import"),
+        Conversion(ARRAY_CHANNEL, PY_COLLECTION, _out_of_array,
+                   mb_per_s=profile.net_mb_per_s, overhead_s=0.01,
+                   name="arraydb-export"),
+    ],
+    mappings=[OperatorMapping(Map, lambda op: [ArrayMap(op)])],
+)
 
 
 class TestNewPlatform:
     def _ctx(self):
-        from repro.platforms import builtin_platforms
-        from repro.simulation import PlatformProfile, VirtualCluster
-
-        cluster = VirtualCluster()
-        cluster.set_profile(PlatformProfile(
-            name="arraydb", startup_s=0.2, stage_overhead_s=0.01,
-            parallelism=8, tuple_cost_s=1e-7, io_mb_per_s=400.0,
-            net_mb_per_s=300.0, memory_cap_mb=8192.0))
-        return RheemContext(cluster=cluster,
-                            platforms=builtin_platforms()
-                            + [ArrayDbPlatform()])
+        return RheemContext(platforms=builtin_platforms() + [ARRAYDB])
 
     def test_plan_can_run_on_the_new_platform(self):
         ctx = self._ctx()
@@ -181,45 +173,37 @@ class TestNewPlatform:
 
 
 # ---------------------------------------------------------------------------
-# A fourth partitioned dataflow engine: ONE DataflowEngine value plus
-# conversions to/from PY_COLLECTION.  No operator subclass anywhere.
+# A fourth partitioned dataflow engine: ONE declaration of a DataflowEngine
+# value, its profile and conversions to/from PY_COLLECTION.  No operator
+# subclass anywhere.
 # ---------------------------------------------------------------------------
 TOY_DATASET = ChannelDescriptor("toyflow.dataset", "toyflow", True)
 TOY = DataflowEngine("toyflow", TOY_DATASET, TOY_DATASET)
 
 
-class ToyFlowPlatform(Platform):
-    name = "toyflow"
-
-    def channels(self):
-        return [TOY_DATASET]
-
-    def conversions(self):
-        return [
-            Conversion(PY_COLLECTION, TOY_DATASET, TOY.from_collection,
-                       mb_per_s=500.0, overhead_s=0.01, name="toyflow-load"),
-            Conversion(TOY_DATASET, PY_COLLECTION, TOY.to_collection,
-                       mb_per_s=500.0, overhead_s=0.01,
-                       name="toyflow-collect"),
-        ]
-
-    def mappings(self):
-        return TOY.mappings()
+#: toyflow's one declaration: a four-partition profile, its channel, two
+#: conversions priced from that profile and the shared mapping table.
+TOYFLOW = Platform(
+    profile=PlatformProfile(
+        name="toyflow", startup_s=0.1, stage_overhead_s=0.01,
+        parallelism=4, tuple_cost_s=1e-7, io_mb_per_s=400.0,
+        net_mb_per_s=300.0, memory_cap_mb=8192.0),
+    channels=(TOY_DATASET,),
+    conversions=lambda profile: [
+        Conversion(PY_COLLECTION, TOY_DATASET, TOY.from_collection,
+                   mb_per_s=profile.net_mb_per_s, overhead_s=0.01,
+                   name="toyflow-load"),
+        Conversion(TOY_DATASET, PY_COLLECTION, TOY.to_collection,
+                   mb_per_s=profile.net_mb_per_s, overhead_s=0.01,
+                   name="toyflow-collect"),
+    ],
+    mappings=TOY.mappings(),
+)
 
 
 class TestNewDataflowEngine:
     def _ctx(self):
-        from repro.platforms import builtin_platforms
-        from repro.simulation import PlatformProfile, VirtualCluster
-
-        cluster = VirtualCluster()
-        cluster.set_profile(PlatformProfile(
-            name="toyflow", startup_s=0.1, stage_overhead_s=0.01,
-            parallelism=4, tuple_cost_s=1e-7, io_mb_per_s=400.0,
-            net_mb_per_s=300.0, memory_cap_mb=8192.0))
-        ctx = RheemContext(cluster=cluster,
-                           platforms=builtin_platforms()
-                           + [ToyFlowPlatform()])
+        ctx = RheemContext(platforms=builtin_platforms() + [TOYFLOW])
         ctx.vfs.write("hdfs://toy/x.txt", ["a b a", "b c", "a"],
                       sim_factor=10.0)
         return ctx

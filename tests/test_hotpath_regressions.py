@@ -95,8 +95,8 @@ class TestUnionRecordWidth:
 
     def test_py_union_output_width_is_cardinality_weighted(self):
         from repro.platforms.dataflow import DFUnion
-        from repro.platforms.pystreams.channels import PY_COLLECTION
-        from repro.platforms.pystreams.ops import PYSTREAMS
+        from repro.core.channels import PY_COLLECTION
+        from repro.platforms.pystreams import PYSTREAMS
 
         ctx = RheemContext()
         exec_ctx = ExecutionContext(cluster=ctx.cluster, pgres=ctx.pgres,
@@ -113,8 +113,8 @@ class TestUnionRecordWidth:
         # The same operator over record-batch payloads: same width.
         from repro.core.batch import RecordBatch
         from repro.platforms.dataflow import DFUnion
-        from repro.platforms.pystreams.channels import PY_COLLECTION
-        from repro.platforms.pystreams.ops import PYSTREAMS
+        from repro.core.channels import PY_COLLECTION
+        from repro.platforms.pystreams import PYSTREAMS
 
         ctx = RheemContext()
         exec_ctx = ExecutionContext(cluster=ctx.cluster, pgres=ctx.pgres,

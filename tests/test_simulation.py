@@ -1,21 +1,27 @@
 """Unit tests for the simulation substrate: clock, profiles, cluster, VFS."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.platforms import builtin_platforms
 from repro.simulation import (
     CostMeter,
     FileNotFound,
     HardwareProfile,
-    PLATFORM_PROFILES,
     SimulatedOutOfMemory,
     StageLedger,
     VirtualCluster,
     VirtualFileSystem,
-    platform_profile,
     scheme_of,
-    with_overrides,
 )
+
+
+def platform_profile(name):
+    """The profile held by the declaration of built-in platform ``name``."""
+    [platform] = [p for p in builtin_platforms() if p.name == name]
+    return platform.profile
 
 
 class TestCostMeter:
@@ -104,9 +110,14 @@ class TestCriticalPathTracker:
 
 class TestProfiles:
     def test_all_builtin_platforms_have_profiles(self):
-        for name in ("pystreams", "sparklite", "flinklite", "pgres",
-                     "graphlite", "jgraph"):
-            assert platform_profile(name).name == name
+        # A bare cluster prices every built-in platform with the profile
+        # its declaration holds.
+        cluster = VirtualCluster()
+        platforms = builtin_platforms()
+        assert set(cluster.profiles) == {p.name for p in platforms}
+        for platform in platforms:
+            assert cluster.profile(platform.name) is platform.profile
+            assert platform.profile.name == platform.name
 
     def test_cpu_seconds_scales_with_parallelism(self):
         spark = platform_profile("sparklite")
@@ -122,10 +133,10 @@ class TestProfiles:
         assert p.io_seconds(100.0) == pytest.approx(100.0 / p.io_mb_per_s)
         assert p.transfer_seconds(0) == 0.0
 
-    def test_with_overrides_replaces_field(self):
-        slow = with_overrides("sparklite", startup_s=99.0)
+    def test_replace_leaves_the_declared_profile(self):
+        slow = replace(platform_profile("sparklite"), startup_s=99.0)
         assert slow.startup_s == 99.0
-        assert PLATFORM_PROFILES["sparklite"].startup_s != 99.0
+        assert platform_profile("sparklite").startup_s != 99.0
 
     def test_hardware_totals(self):
         hw = HardwareProfile(nodes=10, cores_per_node=4)
@@ -151,7 +162,8 @@ class TestVirtualCluster:
 
     def test_set_profile_overrides(self):
         cluster = VirtualCluster()
-        cluster.set_profile(with_overrides("jgraph", memory_cap_mb=1.0))
+        cluster.set_profile(replace(cluster.profile("jgraph"),
+                                    memory_cap_mb=1.0))
         with pytest.raises(SimulatedOutOfMemory):
             cluster.check_memory("jgraph", 2.0)
 
