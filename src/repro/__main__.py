@@ -18,9 +18,10 @@ appends the wall-clock span tree, metrics and simulated stage timelines.
 ``trace`` runs the script with tracing enabled and writes a Chrome
 trace-event file (open it in ``chrome://tracing`` or Perfetto).
 ``serve`` exposes the REST interface (``POST /jobs`` with a JSON job
-document) through the concurrent job server — ``--jobs`` workers (pool
-threads, or with ``--backend process`` one context-replica process each,
-scaling past the GIL), a bounded admission queue (429 + ``Retry-After``
+document) through the concurrent job server — ``--jobs`` workers, each
+with its own context (in-process shards, or with ``--backend process``
+one context-replica process each, scaling past the GIL), sticky
+plan-fingerprint routing, a bounded admission queue (429 + ``Retry-After``
 on overflow), optional per-job deadlines and per-tenant fair-share
 quotas — via a threading wsgiref server; Ctrl-C drains the queue before
 exiting.  With ``--calibrate`` the server closes the trace → cost-model
@@ -67,9 +68,10 @@ _SCRIPT_ERRORS = (OSError, LatinSyntaxError, FileNotFound, OptimizationError)
 def _context_from_options(no_cache: bool, no_reuse: bool,
                           abstracts: float, pagelinks: float) -> RheemContext:
     """Build a context from plain options (module-level and picklable on
-    purpose: the process-backend job server ships it — via
-    ``functools.partial`` — into worker shards under any multiprocessing
-    start method)."""
+    purpose: ``serve`` builds every shard's context from it — via
+    ``functools.partial`` — in this process or, with ``--backend
+    process``, inside worker shards under any multiprocessing start
+    method)."""
     ctx = RheemContext()
     if no_cache:
         ctx.plan_cache.enabled = False
@@ -158,23 +160,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         calibration["min_samples"] = args.calibrate_min_samples
     if args.calibrate_drift is not None:
         calibration["drift_threshold"] = args.calibrate_drift
-    common: dict[str, Any] = dict(
+    factory = functools.partial(
+        _context_from_options, getattr(args, "no_cache", False),
+        getattr(args, "no_reuse", False), args.abstracts, args.pagelinks)
+    job_server = JobServer(
         workers=args.jobs, queue_size=args.queue_size,
-        default_deadline_s=args.deadline,
-        backend=args.backend, tenant_quota=args.tenant_quota,
+        default_deadline_s=args.deadline, backend=args.backend,
+        context_factory=factory, tenant_quota=args.tenant_quota,
         calibrate=args.calibrate, calibration=calibration)
-    if args.backend == "process":
-        factory = functools.partial(
-            _context_from_options, getattr(args, "no_cache", False),
-            getattr(args, "no_reuse", False), args.abstracts, args.pagelinks)
-        job_server = JobServer(context_factory=factory, **common)
-    else:
-        job_server = JobServer(_build_context(args), **common)
     httpd = make_server("127.0.0.1", args.port, make_wsgi_app(job_server),
                         server_class=ThreadingWSGIServer)
-    unit = "process shard(s)" if args.backend == "process" else "thread(s)"
+    unit = ("process shard(s)" if args.backend == "process"
+            else "in-process shard(s)")
     print(f"rheem job server on http://127.0.0.1:{args.port}/jobs "
-          f"({args.jobs} {unit}, queue {args.queue_size}, "
+          f"({args.jobs} {unit}, one context each, "
+          f"queue {args.queue_size}, "
           f"deadline {args.deadline or 'none'}, "
           f"tenant quota {args.tenant_quota or 'none'}, "
           f"calibration {'on' if args.calibrate else 'off'})")
@@ -305,13 +305,15 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument("--port", type=int, default=8642)
     serve.add_argument("--backend", choices=("thread", "process"),
                        default="thread",
-                       help="worker backend: 'thread' shares one context "
-                            "behind the GIL; 'process' runs one context "
-                            "replica per worker process with sticky "
-                            "plan-fingerprint routing (default: thread)")
+                       help="worker backend: 'thread' runs one context "
+                            "per worker thread, behind the GIL; 'process' "
+                            "runs one context replica per worker process; "
+                            "both route jobs by plan fingerprint "
+                            "(default: thread)")
     serve.add_argument("--jobs", type=int, default=4,
-                       help="workers in the job pool: threads, or shard "
-                            "processes with --backend process (default 4)")
+                       help="workers in the job pool, each with its own "
+                            "context: threads, or shard processes with "
+                            "--backend process (default 4)")
     serve.add_argument("--tenant-quota", type=int, default=None,
                        dest="tenant_quota",
                        help="max concurrently running jobs per tenant; "

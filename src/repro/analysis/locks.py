@@ -8,22 +8,25 @@ id        finding
 ========  ==========================================================
 RC001     a lock the registry does not know: raw ``threading``
           primitive construction outside
-          :mod:`repro.concurrency.runtime`, an ``OrderedLock`` /
-          ``OrderedRLock`` whose name is non-literal, undeclared or of
-          the wrong kind, or a declared lock that is never constructed
+          :mod:`repro.concurrency.runtime`, an ``OrderedLock`` whose
+          name is non-literal or undeclared, or a declared lock that is
+          never constructed
 RC005     mutable instance state written inside an execution hot path
           (``execute``/``_run`` of an ``ExecutionOperator`` subclass):
-          cached plans share operator instances across loop iterations
-          and concurrently executing jobs, so per-run values must be
-          threaded through the call, not stored on ``self``
+          one operator instance re-executes across loop iterations,
+          retried attempts and — through the plan cache — later jobs on
+          the same context, so a value stored on ``self`` by one run is
+          read by the next (a do-while condition that stopped a
+          re-executed loop after one iteration was this bug); per-run
+          values must be threaded through the call
 ========  ==========================================================
 
 Rank order is not checked here: every lock is an ``OrderedLock``, and
 under ``REPRO_LOCK_CHECK`` (on in every test) an out-of-order
 acquisition raises :class:`~repro.concurrency.LockOrderViolation` on
 the spot.  The two rules above are what that assertion cannot see: a
-lock that bypasses the wrappers, and shared state that is written
-without any lock at all.
+lock that bypasses the wrappers, and per-run state that outlives its
+run.
 """
 
 from __future__ import annotations
@@ -41,15 +44,12 @@ _RAW_PRIMITIVES = frozenset(
     {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore",
      "Barrier"})
 
-#: The ordered-lock constructors and whether each builds a re-entrant lock.
-_ORDERED_CTORS = {"OrderedLock": False, "OrderedRLock": True}
-
 #: Method names that mutate their receiver in place (RC005).
 _MUTATORS = frozenset(
     {"append", "add", "clear", "update", "pop", "popitem", "setdefault",
      "move_to_end", "remove", "discard", "extend", "insert"})
 
-#: Methods that run per-execution on shared operator instances (RC005).
+#: Methods that run per-execution on re-executed operator instances (RC005).
 _EXEC_METHODS = frozenset({"execute", "_run"})
 
 #: Root of the class hierarchy RC005 applies to.
@@ -170,31 +170,23 @@ class _Checker:
             if module not in RAW_LOCK_OK:
                 self._add("RC001", path, call.lineno,
                           f"raw threading.{_call_name(call)}() construction; "
-                          f"shared locks must be OrderedLock/OrderedRLock "
-                          f"instances declared in "
-                          f"repro.concurrency.order.LOCK_ORDER")
+                          f"shared locks must be OrderedLock instances "
+                          f"declared in repro.concurrency.order.LOCK_ORDER")
             return
-        ctor = _call_name(call)
-        if ctor not in _ORDERED_CTORS:
+        if _call_name(call) != "OrderedLock":
             return
         first = call.args[0] if call.args else None
         if not (isinstance(first, ast.Constant)
                 and isinstance(first.value, str)):
             self._add("RC001", path, call.lineno,
-                      f"{ctor} name must be a string literal so the checker "
-                      f"can find it in the registry")
-            return
-        spec = self.specs.get(first.value)
-        if spec is None:
+                      "OrderedLock name must be a string literal so the "
+                      "checker can find it in the registry")
+        elif first.value not in self.specs:
             self._add("RC001", path, call.lineno,
-                      f"{ctor}({first.value!r}) is not declared in "
+                      f"OrderedLock({first.value!r}) is not declared in "
                       f"repro.concurrency.order.LOCK_ORDER")
-            return
-        self.constructed.add(spec.name)
-        if spec.reentrant != _ORDERED_CTORS[ctor]:
-            self._add("RC001", path, call.lineno,
-                      f"{ctor}({spec.name!r}) does not match the registry "
-                      f"kind {spec.kind!r}")
+        else:
+            self.constructed.add(first.value)
 
     def _scan_class(self, node: ast.ClassDef, path: str) -> None:
         bases = self.class_bases.setdefault(node.name, set())
@@ -225,9 +217,9 @@ class _Checker:
             if cls in operators:
                 self._add("RC005", path, line,
                           f"{cls}.{method} writes {target}: mutable instance "
-                          f"state in an execution hot path; cached plans "
-                          f"share operator instances across loop iterations "
-                          f"and concurrent jobs — thread the value through "
+                          f"state in an execution hot path; an operator "
+                          f"re-executes across loop iterations, retries and "
+                          f"cached-plan replays — thread the value through "
                           f"the call instead")
         if require_all_locks:
             for name in self.specs:

@@ -51,12 +51,12 @@ class RheemService:
         back over their pipe; plain REST responses omit them.
 
         Each job runs under its own per-request tracer, *passed through*
-        the optimizer and executor rather than installed on the shared
-        context — the context is never mutated, so concurrent submissions
-        (the job server's worker pool) can share it without mixing spans,
-        and a job that fails anywhere (even while the document is still
-        being parsed) cannot leak state onto the context.  The metrics
-        registry is shared across the service's lifetime.
+        the optimizer and executor rather than installed on the context
+        — the context's tracer is never touched, so each response carries
+        exactly its own spans, and a job that fails anywhere (even while
+        the document is still being parsed) cannot leak state onto the
+        context.  The metrics registry is shared across the service's
+        lifetime.
 
         ``cancel_check`` is forwarded to the executor, which calls it at
         every stage boundary; it may raise

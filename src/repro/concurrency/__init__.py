@@ -2,8 +2,8 @@
 
 * :mod:`repro.concurrency.order` — the machine-readable lock hierarchy
   (the single source of truth DESIGN.md points at);
-* :mod:`repro.concurrency.runtime` — ``OrderedLock``/``OrderedRLock``
-  wrappers with per-thread rank assertions and wait/hold histograms.
+* :mod:`repro.concurrency.runtime` — the ``OrderedLock`` wrapper with
+  per-thread rank assertions and wait/hold histograms.
 
 The static companion — the AST checker behind ``python -m repro lint
 --concurrency`` — lives in :mod:`repro.analysis.locks` so it can share
@@ -20,7 +20,6 @@ from .order import (
 from .runtime import (
     LockOrderViolation,
     OrderedLock,
-    OrderedRLock,
     debug_enabled,
     held_locks,
     set_debug,
@@ -31,7 +30,6 @@ __all__ = [
     "LockOrderViolation",
     "LockSpec",
     "OrderedLock",
-    "OrderedRLock",
     "UnknownLockError",
     "debug_enabled",
     "held_locks",

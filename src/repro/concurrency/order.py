@@ -3,17 +3,17 @@
 Every lock the runtime shares across threads is declared here as a
 :class:`LockSpec`: its registry name, its rank in the acquisition order
 (a lock may only be acquired while holding locks of strictly *lower*
-rank), its kind and what it guards.  ``DESIGN.md`` describes the
+rank) and what it guards.  No lock is re-entrant.  ``DESIGN.md`` describes the
 hierarchy and points here for the definition.
 
 Two consumers keep the declaration honest:
 
-* :mod:`repro.concurrency.runtime` — ``OrderedLock``/``OrderedRLock``
-  resolve their rank and kind here and assert the order per thread under
-  the debug flag (on in tests), which is where an inversion is caught;
+* :mod:`repro.concurrency.runtime` — ``OrderedLock`` resolves its rank
+  here and asserts the order per thread under the debug flag (on in
+  tests), which is where an inversion is caught;
 * :mod:`repro.analysis.locks` — the static checker flags a lock the
   registry does not know (raw ``threading`` primitives, undeclared or
-  non-literal names, a wrong kind, a declared lock never constructed).
+  non-literal names, a declared lock never constructed).
 """
 
 from __future__ import annotations
@@ -29,77 +29,48 @@ class LockSpec:
         name: Registry name, the key ``OrderedLock`` is constructed with.
         rank: Position in the acquisition order.  A thread may acquire a
             lock only while every lock it already holds has a strictly
-            lower rank (re-entrant acquisition of the same ``rlock`` is
-            exempt).  Ranks are spaced so future locks can slot in
+            lower rank.  Ranks are spaced so future locks can slot in
             between without renumbering.
-        kind: ``"lock"`` or ``"rlock"`` — whether re-entrant acquisition
-            is legal.
         doc: The owning attribute and what the lock guards.
     """
 
     name: str
     rank: int
-    kind: str
     doc: str = ""
-
-    @property
-    def reentrant(self) -> bool:
-        return self.kind == "rlock"
 
 
 #: The lock hierarchy, outermost (lowest rank) first.
 LOCK_ORDER: tuple[LockSpec, ...] = (
     LockSpec(
-        "server.jobs", 10, "lock",
+        "server.jobs", 10,
         doc="JobServer._lock: job table, pending queue, per-tenant running "
             "counts, the service-time EWMA and the accepting/cancelled "
             "flags; never held while a job executes",
     ),
     LockSpec(
-        "server.pool", 12, "lock",
+        "server.pool", 12,
         doc="ShardPool._lock: slot table, per-shard in-flight counts, the "
             "replayed cost-parameter publication and last-known shard "
             "metrics; held only for routing decisions and slot swaps, "
             "never while a shard executes a job",
     ),
     LockSpec(
-        "server.shard", 15, "lock",
-        doc="ProcessShard._lock: one worker shard's IPC pipe; serializes "
-            "request/response pairs on the connection (held across the "
-            "child's execution of the request — the shard process is the "
-            "critical section)",
+        "server.shard", 15,
+        doc="One shard's _lock: a context runs one job or publication "
+            "at a time.  InProcessShard holds it across run_job and "
+            "publish; ProcessShard across each request/response pair on "
+            "its pipe (the child's execution of the request included)",
     ),
     LockSpec(
-        "calibration.corpus", 18, "lock",
+        "calibration.corpus", 18,
         doc="CostCalibrator._lock: sample buckets, drift EWMA and the "
             "single-refit-in-flight flag; released while the genetic fit "
             "runs and while the merged parameters are published (the "
-            "process-backend broadcast takes server.pool, rank 12)",
+            "broadcast takes server.pool and server.shard, ranks 12 and "
+            "15)",
     ),
     LockSpec(
-        "context.publish", 20, "lock",
-        doc="RheemContext._publish_lock: cost-parameter publication — "
-            "atomic param swap, version bump, plan-cache and result-store "
-            "flush",
-    ),
-    LockSpec(
-        "plan_cache", 30, "rlock",
-        doc="ExecutionPlanCache._lock: entries and statistics",
-    ),
-    LockSpec(
-        "intermediate_store", 55, "rlock",
-        doc="IntermediateResultStore._lock: entries, byte budget and "
-            "statistics; taken at a stage commit (publication) and under "
-            "the publish lock (flush), never while executing platform "
-            "code",
-    ),
-    LockSpec(
-        "tracer.spans", 70, "lock",
-        doc="Tracer._lock: span-tree mutation (span stacks are "
-            "thread-local and unlocked)",
-    ),
-    LockSpec(
-        "metrics", 80, "lock",
+        "metrics", 80,
         doc="trace.metrics._METRICS_LOCK, innermost: instrument mutation "
             "and the registry's instrument tables; takes no other lock",
     ),
@@ -107,8 +78,8 @@ LOCK_ORDER: tuple[LockSpec, ...] = (
 
 _BY_NAME: dict[str, LockSpec] = {spec.name: spec for spec in LOCK_ORDER}
 
-#: Modules allowed to construct raw ``threading.Lock``/``RLock`` objects
-#: (the wrapper implementation itself).
+#: Modules allowed to construct raw ``threading.Lock`` objects (the
+#: wrapper implementation itself).
 RAW_LOCK_OK: frozenset[str] = frozenset({"repro.concurrency.runtime"})
 
 
@@ -148,10 +119,6 @@ def validate_order(order: tuple[LockSpec, ...] = LOCK_ORDER) -> None:
     if ranks != sorted(ranks):
         raise ValueError("LOCK_ORDER must be declared outermost-first "
                          f"(ranks {ranks} are not ascending)")
-    for spec in order:
-        if spec.kind not in ("lock", "rlock"):
-            raise ValueError(f"{spec.name}: kind must be 'lock' or 'rlock', "
-                             f"got {spec.kind!r}")
 
 
 validate_order()

@@ -1,8 +1,8 @@
-"""Rank-asserting, contention-instrumented lock wrappers.
+"""A rank-asserting, contention-instrumented lock wrapper.
 
-:class:`OrderedLock` and :class:`OrderedRLock` are drop-in replacements
-for ``threading.Lock``/``RLock`` that resolve their position in the
-documented hierarchy from :mod:`repro.concurrency.order` by name:
+:class:`OrderedLock` is a drop-in replacement for ``threading.Lock`` that
+resolves its position in the documented hierarchy from
+:mod:`repro.concurrency.order` by name:
 
 * **rank assertions** (under the debug flag — on in the test suite, off
   on production hot paths): each thread tracks the stack of ordered
@@ -97,21 +97,13 @@ class OrderedLock:
             recording never recurses.
     """
 
-    _factory: Any = staticmethod(threading.Lock)
-    reentrant = False
-
     __slots__ = ("_hold_hist", "_inner", "_wait_hist", "name", "rank")
 
     def __init__(self, name: str,
                  metrics: "MetricsRegistry | None" = None) -> None:
-        spec = lock_spec(name)
-        if spec.reentrant != self.reentrant:
-            want = "OrderedRLock" if spec.reentrant else "OrderedLock"
-            raise TypeError(f"lock {name!r} is declared kind={spec.kind!r} "
-                            f"in the registry; construct it with {want}")
         self.name = name
-        self.rank = spec.rank
-        self._inner = self._factory()
+        self.rank = lock_spec(name).rank
+        self._inner = threading.Lock()
         self._wait_hist: Histogram | None = None
         self._hold_hist: Histogram | None = None
         if metrics is not None:
@@ -123,8 +115,6 @@ class OrderedLock:
             return
         max_rank = max(held.rank for held, _ in stack)
         if self.rank > max_rank:
-            return
-        if self.reentrant and any(held is self for held, _ in stack):
             return
         held_desc = " -> ".join(f"{held.name}(rank {held.rank})"
                                 for held, _ in stack)
@@ -162,7 +152,7 @@ class OrderedLock:
             self._hold_hist.observe(time.perf_counter() - acquired_at)
 
     def locked(self) -> bool:
-        """Whether the underlying lock is currently held (Lock only)."""
+        """Whether the underlying lock is currently held."""
         return bool(self._inner.locked())
 
     def __enter__(self) -> "OrderedLock":
@@ -177,20 +167,7 @@ class OrderedLock:
                 f"at {id(self):#x}>")
 
 
-class OrderedRLock(OrderedLock):
-    """A re-entrant :class:`OrderedLock` (same-lock re-acquisition is
-    exempt from the rank assertion, exactly like ``threading.RLock``)."""
-
-    _factory: Any = staticmethod(threading.RLock)
-    reentrant = True
-
-    __slots__ = ()
-
-    def locked(self) -> bool:  # pragma: no cover - parity guard
-        raise AttributeError("RLock has no locked()")
-
-
 __all__ = [
-    "LockOrderViolation", "OrderedLock", "OrderedRLock", "debug_enabled",
-    "held_locks", "set_debug",
+    "LockOrderViolation", "OrderedLock", "debug_enabled", "held_locks",
+    "set_debug",
 ]

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Sequence
 
-from ..concurrency import OrderedLock
 from ..platforms import builtin_platforms
 from ..platforms.pgres.engine import PgresDatabase
 from ..simulation.cluster import VirtualCluster
@@ -109,10 +108,6 @@ class RheemContext:
             min_benefit=float(self.config["reuse_min_benefit"]),
             metrics=self.metrics)
         self.result_store.enabled = bool(self.config["result_reuse"])
-        # Serializes cost-model publication (atomic swap + cache flush);
-        # rank 20 in the lock registry, above the plan-cache lock it
-        # flushes under (repro.concurrency.order).
-        self._publish_lock = OrderedLock("context.publish", self.metrics)
 
     def enable_tracing(self) -> Tracer:
         """Install (and return) a recording tracer on this context."""
@@ -126,10 +121,9 @@ class RheemContext:
 
         Bumps the cost-model version and flushes the execution-plan cache:
         plans chosen under the old parameters may no longer be optimal, so
-        they must never be replayed.  Publication is an atomic dict swap
-        under a lock: an in-flight optimization sees either the old or the
-        new parameter set, never a half-written one, and its cache entry is
-        keyed by the version it actually used.
+        they must never be replayed.  A context runs one job at a time —
+        a job server's shard publishes between jobs, never during one —
+        so no optimization ever sees a half-applied publication.
 
         Publishing parameters equal to the current ones is a version-stable
         no-op: a convergent periodic refit (the online calibrator) would
@@ -137,26 +131,21 @@ class RheemContext:
         parameter set under which each cached decision is still exactly
         right.
         """
-        with self._publish_lock:
-            if dict(params) == self.cost_model.params:
-                return
-            self.cost_model.params = dict(params)
-            self.cost_model.version += 1
-            self.plan_cache.flush()
-            # Intermediate results are keyed by the version too, but a
-            # flush keeps the store from carrying dead weight produced
-            # under parameters that will never be probed again.
-            self.result_store.flush()
+        if dict(params) == self.cost_model.params:
+            return
+        self.cost_model.params = dict(params)
+        self.cost_model.version += 1
+        self.plan_cache.flush()
+        # Intermediate results are keyed by the version too, but a
+        # flush keeps the store from carrying dead weight produced
+        # under parameters that will never be probed again.
+        self.result_store.flush()
 
     def cost_params_snapshot(self) -> dict[str, OperatorCostParams]:
-        """A consistent copy of the currently published cost parameters.
-
-        Taken under the publish lock so a concurrent publication can
-        never be observed half-applied; the copy is safe to ship across
-        process boundaries (the job server broadcasts it to shards).
-        """
-        with self._publish_lock:
-            return dict(self.cost_model.params)
+        """A copy of the currently published cost parameters, safe to
+        ship across process boundaries (the job server broadcasts it to
+        shards)."""
+        return dict(self.cost_model.params)
 
     # ------------------------------------------------------------- plumbing
     @property
@@ -185,8 +174,8 @@ class RheemContext:
         """A cross-platform optimizer bound to this context's registries.
 
         ``tracer`` overrides the context's tracer for this optimizer only
-        (per-job tracing under the concurrent job server: spans land in the
-        job's tree, never on the shared context).
+        (per-job tracing under the job server: spans land in the job's
+        tree, never on the context).
         """
         return Optimizer(
             registry=self.registry,
@@ -311,8 +300,8 @@ class RheemContext:
         inputs.
 
         ``tracer`` runs the whole job (optimizer + executor) against a
-        per-job tracer instead of the context's own — required for
-        concurrent submissions, whose spans must never interleave.
+        per-job tracer instead of the context's own — a served job
+        answers with its own spans, never with an earlier job's.
         ``cancel_check`` is invoked at every stage boundary and may raise
         :class:`~repro.core.executor.JobCancelled` to abandon the job
         (deadline enforcement in the job server).

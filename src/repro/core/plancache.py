@@ -32,7 +32,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Any
 
-from ..concurrency import OrderedRLock
 from .channels import volume_band
 
 if TYPE_CHECKING:
@@ -55,10 +54,9 @@ class ExecutionPlanCache:
     estimates are keyed by the *cached* plan's operator ids, so a hit
     replays both together (the executor's monitor consumes them).
 
-    The cache is shared by every worker thread of the job server, so all
-    entry/stat mutation happens under one re-entrant lock (rank 30 in
-    the lock registry, :data:`repro.concurrency.order.LOCK_ORDER`), ranked
-    between the server's job-table lock and the metrics lock.
+    The cache belongs to one context, and a context runs one job at a
+    time (a job server's shard holds its context for the whole job), so
+    it takes no lock.
     """
 
     def __init__(self, capacity: int = 64,
@@ -68,15 +66,12 @@ class ExecutionPlanCache:
         self.enabled = True
         self.stats: dict[str, int] = dict.fromkeys(PLAN_CACHE_STAT_NAMES, 0)
         self._entries: OrderedDict[tuple, tuple] = OrderedDict()
-        self._lock = OrderedRLock("plan_cache", metrics)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     def _stat(self, name: str) -> None:
-        with self._lock:
-            self.stats[name] += 1
+        self.stats[name] += 1
         if self.metrics is not None:
             self.metrics.counter(f"plan_cache.{name}").inc()
 
@@ -117,33 +112,29 @@ class ExecutionPlanCache:
 
     # ------------------------------------------------------------- access
     def get(self, key: tuple) -> "tuple[ExecutionPlan, dict] | None":
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._stat("misses")
-                return None
-            self._entries.move_to_end(key)
-            self._stat("hits")
-            return entry
+        entry = self._entries.get(key)
+        if entry is None:
+            self._stat("misses")
+            return None
+        self._entries.move_to_end(key)
+        self._stat("hits")
+        return entry
 
     def put(self, key: tuple, exec_plan: "ExecutionPlan",
             cards: "dict[int, CardinalityEstimate]") -> None:
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-            self._entries[key] = (exec_plan, dict(cards))
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self._stat("evictions")
+        if key in self._entries:
+            self._entries.move_to_end(key)
+        self._entries[key] = (exec_plan, dict(cards))
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+            self._stat("evictions")
 
     def flush(self) -> None:
         """Drop every entry (cost-model parameters changed)."""
-        with self._lock:
-            if self._entries:
-                self._stat("flushes")
-                self._entries.clear()
+        if self._entries:
+            self._stat("flushes")
+            self._entries.clear()
 
     def snapshot(self) -> dict[str, Any]:
         """Stats plus current size, for profile/REST surfaces."""
-        with self._lock:
-            return {**self.stats, "size": len(self._entries)}
+        return {**self.stats, "size": len(self._entries)}

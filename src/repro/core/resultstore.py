@@ -30,18 +30,15 @@ Admission is cost-aware: an output is materialized only when its
 the memory), and the store evicts the lowest-benefit entry (LRU within
 equal benefit) whenever the configured byte budget overflows.
 
-Thread safety: the store is shared by every worker of the job server;
-all entry/stat mutation happens under one re-entrant lock, rank 55 in
-the lock registry (:data:`repro.concurrency.order.LOCK_ORDER`) — below
-the tracer/metrics locks it may take inside.
-Stats mirror into the shared metrics registry as ``intermediate.*``.
+The store belongs to one context, and a context runs one job at a time
+(a job server's shard holds its context for the whole job), so it takes
+no lock.  Stats mirror into the context's metrics registry as
+``intermediate.*``.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
-
-from ..concurrency import OrderedRLock
 
 if TYPE_CHECKING:
     from ..trace import MetricsRegistry
@@ -76,7 +73,7 @@ class IntermediateResultStore:
         min_benefit: Admission threshold in simulated recompute seconds
             per simulated megabyte — outputs cheaper to recompute than to
             hold are rejected.
-        metrics: Shared registry receiving ``intermediate.*`` counters
+        metrics: The context's registry, receiving ``intermediate.*`` counters
             and the ``intermediate.bytes`` gauge.
     """
 
@@ -92,19 +89,16 @@ class IntermediateResultStore:
         self.bytes_mb = 0.0
         self._entries: dict[tuple, StoredResult] = {}
         self._tick = 0
-        self._lock = OrderedRLock("intermediate_store", metrics)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     def _stat(self, name: str) -> None:
-        with self._lock:
-            self.stats[name] += 1
+        self.stats[name] += 1
         if self.metrics is not None:
             self.metrics.counter(f"intermediate.{name}").inc()
 
-    def _publish_bytes_locked(self) -> None:
+    def _publish_bytes(self) -> None:
         if self.metrics is not None:
             self.metrics.gauge("intermediate.bytes").set(
                 self.bytes_mb * 1e6)
@@ -114,15 +108,14 @@ class IntermediateResultStore:
         """Look up one subplan key; counts a hit or a miss."""
         if not self.enabled:
             return None
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._stat("misses")
-                return None
-            self._tick += 1
-            entry.last_use = self._tick
-            self._stat("hits")
-            return entry
+        entry = self._entries.get(key)
+        if entry is None:
+            self._stat("misses")
+            return None
+        self._tick += 1
+        entry.last_use = self._tick
+        self._stat("hits")
+        return entry
 
     def offer(self, key: tuple, channel: "Channel",
               recompute_s: float) -> bool:
@@ -142,41 +135,37 @@ class IntermediateResultStore:
             return False
         mb = channel.sim_mb
         benefit = recompute_s / max(mb, 1e-9)
-        with self._lock:
-            resident = self._entries.get(key)
-            if resident is not None:
-                self._tick += 1
-                resident.last_use = self._tick
-                return False
-            if benefit < self.min_benefit or mb > self.budget_mb:
-                self._stat("rejections")
-                return False
+        resident = self._entries.get(key)
+        if resident is not None:
             self._tick += 1
-            self._entries[key] = StoredResult(
-                key, channel.detached(), recompute_s, mb, benefit,
-                self._tick)
-            self.bytes_mb += mb
-            self._stat("admissions")
-            while self.bytes_mb > self.budget_mb and len(self._entries) > 1:
-                victim = min(self._entries.values(),
-                             key=lambda e: (e.benefit, e.last_use))
-                del self._entries[victim.key]
-                self.bytes_mb -= victim.mb
-                self._stat("evictions")
-            self._publish_bytes_locked()
+            resident.last_use = self._tick
+            return False
+        if benefit < self.min_benefit or mb > self.budget_mb:
+            self._stat("rejections")
+            return False
+        self._tick += 1
+        self._entries[key] = StoredResult(
+            key, channel.detached(), recompute_s, mb, benefit, self._tick)
+        self.bytes_mb += mb
+        self._stat("admissions")
+        while self.bytes_mb > self.budget_mb and len(self._entries) > 1:
+            victim = min(self._entries.values(),
+                         key=lambda e: (e.benefit, e.last_use))
+            del self._entries[victim.key]
+            self.bytes_mb -= victim.mb
+            self._stat("evictions")
+        self._publish_bytes()
         return True
 
     def flush(self) -> None:
         """Drop every entry (cost-model parameters changed)."""
-        with self._lock:
-            if self._entries:
-                self._stat("flushes")
-                self._entries.clear()
-                self.bytes_mb = 0.0
-                self._publish_bytes_locked()
+        if self._entries:
+            self._stat("flushes")
+            self._entries.clear()
+            self.bytes_mb = 0.0
+            self._publish_bytes()
 
     def snapshot(self) -> dict[str, Any]:
         """Stats plus current size/bytes, for profile/REST surfaces."""
-        with self._lock:
-            return {**self.stats, "size": len(self._entries),
-                    "bytes_mb": self.bytes_mb}
+        return {**self.stats, "size": len(self._entries),
+                "bytes_mb": self.bytes_mb}

@@ -195,10 +195,10 @@ class CostCalibrator:
         self.metrics = metrics
         self.tracer = tracer if tracer is not None else NO_TRACER
         self.corpus = CalibrationCorpus(per_bucket)
-        # Rank 18 in the lock registry: below context.publish (20), so a
-        # refit may publish while other threads keep observing; publish
-        # itself runs with the corpus lock RELEASED (the process-backend
-        # broadcast takes server.pool, rank 12).
+        # Rank 18 in the lock registry; publish runs with the corpus lock
+        # RELEASED, so other threads keep observing while a refit
+        # publishes (the broadcast takes server.pool and server.shard,
+        # ranks 12 and 15).
         self._lock = OrderedLock("calibration.corpus", metrics)
         self.params: dict[str, OperatorCostParams] = dict(initial_params or {})
         self._pending = 0

@@ -129,8 +129,9 @@ class ExecutionOperator:
         """Cost-parameter kind this execution actually used.
 
         Must be a pure function of the inputs and context — never of
-        mutable instance state, because cached plans share operator
-        instances across concurrently executing jobs.  Operators whose
+        mutable instance state, because one operator instance
+        re-executes across loop iterations, retried attempts and, through
+        the plan cache, later jobs on the same context.  Operators whose
         kind depends on runtime data (e.g. index vs sequential scan)
         override this; the executor records it post-execute.
         """

@@ -234,9 +234,9 @@ class DataflowOperator(ExecutionOperator):
               cin: float,
               sim_factor: float | None = None,
               bytes_per_record: float | None = None) -> Channel:
-        # ``cin`` is threaded through the call (not instance state): shared
-        # operator instances re-execute across loop iterations and, through
-        # cached plans, concurrent jobs.
+        # ``cin`` is threaded through the call (not instance state): one
+        # operator instance re-executes across loop iterations, retries
+        # and, through the plan cache, later jobs on the same context.
         out = Channel(
             self.engine.dataset,
             self.engine.payload(parts),

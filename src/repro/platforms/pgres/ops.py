@@ -56,7 +56,8 @@ class PgFilter(DataflowOperator):
 
     Whether the index applies is a pure function of the inputs and the
     catalog — resolved per run and threaded into the charge, never stored
-    on the (shared, possibly concurrently executing) operator instance.
+    on the operator instance, which re-executes across loop iterations,
+    retries and cached-plan replays.
     """
 
     op_kind = "filter"

@@ -1,14 +1,15 @@
 """The concurrent job-execution layer (the deployment shape of the RHEEM
-demo paper: many applications submitting plans to ONE shared cross-platform
-layer).
+demo paper: many applications submitting plans to ONE cross-platform
+service).
 
 :class:`JobServer` admits JSON job documents into a bounded queue
 (structured 429 rejections with a ``Retry-After`` estimate, priorities,
 per-tenant fair-share quotas) and runs each on a *shard*
-(:mod:`repro.server.shards`): the **thread** backend's one in-process
-shard over a shared :class:`~repro.core.context.RheemContext`, or one of
-the **process** backend's worker processes, each with a private replica,
-behind sticky routing, respawn and a hard deadline.
+(:mod:`repro.server.shards`) picked by sticky plan-fingerprint routing.
+A shard owns a :class:`~repro.core.context.RheemContext` and runs one
+job at a time on it: the **thread** backend's shards are in-process
+(the pipe-free path), the **process** backend's are worker processes,
+each with a private replica, behind respawn and a hard deadline.
 
 Jobs move through the states ``queued -> running -> done|failed|timeout``
 (or are ``rejected`` at admission) and are queryable by job id; shutdown

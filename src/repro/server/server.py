@@ -1,16 +1,22 @@
 """The concurrent job server: admission, dispatch and accounting.
 
-A :class:`JobServer` never runs a job itself.  It holds a pool of shards
-(:mod:`repro.server.shards`) and every job takes the same path —
-``pick`` a shard, ``run_job``, ``release`` — whichever ``backend`` built
-the pool:
+A :class:`JobServer` never runs a job itself.  It holds one pool of
+shards (:mod:`repro.server.shards`), each owning a
+:class:`~repro.core.context.RheemContext` that runs one job at a time,
+and every job takes the same path — ``pick`` a shard (sticky by plan
+fingerprint), ``run_job``, ``release`` — whichever ``backend`` built the
+shards:
 
-* ``"thread"`` (the default): one in-process shard over a shared
-  :class:`~repro.core.context.RheemContext`; the worker threads all call
-  it at once and share its caches, metrics and learned cost parameters.
+* ``"thread"`` (the default): in-process shards, one per worker, each
+  over a private context from ``context_factory`` — or, when a ``ctx``
+  is passed, that one context as the pool's only shard, so its jobs run
+  one after another.  The pipe-free path: tests and low-latency serving.
 * ``"process"``: one worker *process* per worker, each holding a private
-  context replica — past the GIL, with sticky routing by plan
-  fingerprint, respawn of dead workers and a hard deadline.
+  context replica — past the GIL, with respawn of dead workers and a
+  hard deadline.
+
+The server keeps its own metrics registry; ``/metrics`` merges every
+shard's into it.
 
 What this module owns: a bounded queue (capacity = ``workers +
 queue_size``) whose structured 429-style rejection carries the queue
@@ -38,7 +44,13 @@ from ..core.context import RheemContext
 from ..learn.calibration import CostCalibrator, observation_from_json
 from ..trace import NO_TRACER, MetricsRegistry, Tracer
 from .jobs import Job, JobState
-from .shards import InProcessShard, ShardPool, SoloPool, error_response
+from .shards import (
+    InProcessShard,
+    ProcessShard,
+    Shard,
+    ShardPool,
+    error_response,
+)
 
 #: Weight of the newest sample in the service-time EWMA feeding the
 #: ``Retry-After`` estimate on queue-full rejections.
@@ -67,12 +79,13 @@ class JobServer:
     """Accepts, schedules and isolates concurrent job-document executions.
 
     Args:
-        ctx: The shared context for the thread backend (a fresh one by
-            default).  Unused — and never built — under the process
-            backend, where every shard owns a private replica.
+        ctx: Thread backend: the context of a one-shard pool, whose jobs
+            then run one at a time (default: none — one context per
+            worker from ``context_factory``).  Unused under the process
+            backend, where every shard builds a private replica.
         env: Extra names exposed to document UDF expressions.
-        workers: Worker count (``>= 1``): dispatch threads, and on the
-            process backend as many shard *processes*.
+        workers: Worker count (``>= 1``): dispatch threads, and as many
+            shards (contexts) unless ``ctx`` is given.
         queue_size: Jobs allowed to *wait* beyond the running ones; the
             admission bound is ``workers + queue_size`` jobs in the system.
         default_deadline_s: Deadline applied to jobs that do not carry one
@@ -81,10 +94,11 @@ class JobServer:
             are enforced between executor stages; only the process
             backend can also stop a stage that never ends.
         backend: ``"thread"`` (default) or ``"process"``.
-        context_factory: Process backend: builds one context replica
-            inside each shard process (default: a plain
-            :class:`RheemContext`).  Must be picklable under the
-            ``spawn`` start method; any callable works under ``fork``.
+        context_factory: Builds one shard's context (default: a plain
+            :class:`RheemContext`): here on the thread backend, inside
+            each shard process on the process backend — there it must be
+            picklable under the ``spawn`` start method; any callable
+            works under ``fork``.
         tenant_quota: Maximum concurrently *running* jobs per tenant
             (``None``: no cap).  Jobs over quota stay queued — they are
             never rejected for quota, only for capacity — while other
@@ -102,10 +116,10 @@ class JobServer:
         calibration: Extra keyword arguments for the
             :class:`CostCalibrator` (``min_samples``,
             ``drift_threshold``, ``initial_params``, ``cluster``, GA
-            budget...).  ``initial_params`` defaults to
-            the shared context's published snapshot on the thread
-            backend; on the process backend pass the factory's params
-            explicitly if drift should be measured against them.
+            budget...).  ``initial_params`` defaults to the
+            published snapshot of a given ``ctx``; with contexts from a
+            factory pass the factory's params explicitly if drift should
+            be measured against them.
     """
 
     def __init__(
@@ -134,20 +148,22 @@ class JobServer:
         self.tenant_quota = (None if tenant_quota is None
                              else max(1, int(tenant_quota)))
         self._tracing = bool(tracing)
-        self.ctx: RheemContext | None = None
-        self._shards: ShardPool | SoloPool
-        if backend == "process":
-            # The parent never executes plans: no context here, just its
-            # own registry for server/lock instruments.  Shard replicas
-            # are built by the factory inside each worker process.
-            self.metrics = MetricsRegistry()
-            self._shards = ShardPool(
-                context_factory or RheemContext, shards=self.workers,
-                env=env, metrics=self.metrics, respawn=respawn_shards)
-        else:
-            self.ctx = ctx if ctx is not None else RheemContext()
-            self.metrics = self.ctx.metrics
-            self._shards = SoloPool(InProcessShard(self.ctx, env))
+        # The server's own registry (server/lock instruments); each
+        # shard's context keeps its own, merged in by /metrics.
+        self.metrics = MetricsRegistry()
+        factory = context_factory or RheemContext
+        given = ctx if backend == "thread" else None
+
+        def make_shard(slot: int) -> Shard:
+            if backend == "process":
+                return ProcessShard.spawn(slot, factory, env, self.metrics)
+            return InProcessShard(
+                slot, given if given is not None else factory(), env,
+                self.metrics)
+
+        self._shards = ShardPool(
+            make_shard, self.workers if given is None else 1,
+            metrics=self.metrics, respawn=respawn_shards)
         # Outermost lock of the runtime (what it guards is declared in
         # repro.concurrency.order).  Never held while a job executes.
         self._lock = OrderedLock("server.jobs", self.metrics)
@@ -165,24 +181,26 @@ class JobServer:
                                         thread_name_prefix="rheem-job")
         self.calibrator: CostCalibrator | None = None
         if calibrate:
-            self.calibrator = self._build_calibrator(dict(calibration or {}))
+            self.calibrator = self._build_calibrator(
+                dict(calibration or {}), given)
 
-    def _build_calibrator(self, knobs: dict[str, Any]) -> CostCalibrator:
+    def _build_calibrator(self, knobs: dict[str, Any],
+                          ctx: RheemContext | None) -> CostCalibrator:
         """Wire a :class:`CostCalibrator` to this server's publish path.
 
-        Cluster and published parameters default to the shared
-        context's; a parent that holds none (shard replicas come
-        from a factory it cannot introspect) falls back to a default
+        Cluster and published parameters default to those of the given
+        ``ctx``; without one (contexts come from a factory the server
+        cannot introspect) the cluster falls back to a default
         :class:`~repro.simulation.cluster.VirtualCluster`.
         """
         from ..simulation.cluster import VirtualCluster
 
         cluster = knobs.pop("cluster", None)
         initial = knobs.pop("initial_params", None)
-        if self.ctx is not None:
-            cluster = cluster if cluster is not None else self.ctx.cluster
+        if ctx is not None:
+            cluster = cluster if cluster is not None else ctx.cluster
             if initial is None:
-                initial = self.ctx.cost_params_snapshot()
+                initial = ctx.cost_params_snapshot()
         return CostCalibrator(
             cluster if cluster is not None else VirtualCluster(),
             self.publish_cost_params,
@@ -340,25 +358,22 @@ class JobServer:
                 "tenants_running": dict(self._tenant_running),
                 "states": states,
             }
-        shards = self._shards.snapshot()
-        if shards:
-            snap["shards"] = shards
+        snap["shards"] = self._shards.snapshot()
         if self.calibrator is not None:
             snap["calibration"] = self.calibrator.stats()
         return snap
 
     def metrics_snapshot(self) -> dict[str, Any]:
         """The ``/metrics`` document: every registry behind this server
-        (its own and, where shards keep theirs, each shard's) in the
-        single-registry shape."""
+        (its own and each shard's) in the single-registry shape."""
         return self._shards.metrics_snapshot()
 
     # --------------------------------------------------------- coordination
     def publish_cost_params(self, params: dict[str, Any]) -> int:
-        """Install learned cost parameters on every shard's context (each
-        bumps its cost-model version and flushes its caches; a respawned
-        shard gets the publication replayed).  Returns how many
-        acknowledged."""
+        """Install learned cost parameters on every shard's context,
+        between that shard's jobs (each bumps its cost-model version and
+        flushes its caches; a respawned shard gets the publication
+        replayed).  Returns how many acknowledged."""
         return self._shards.publish(params)
 
     def warm(self, document: dict[str, Any]) -> list[dict[str, Any]]:

@@ -1,28 +1,45 @@
-"""Shards: where a job document runs, and the pools that route to them.
+"""Shards: where a job document runs, and the pool that routes to them.
 
 A *shard* owns one :class:`~repro.core.context.RheemContext` (plan cache,
-conversion graph, result store, metrics registry) and offers the
-four calls of the :class:`Shard` surface — ``run_job``, ``publish``,
-``metrics``, ``stop``.  The job server knows nothing else about where a
-job runs; what the surface hides is the transport:
+conversion graph, result store, metrics registry) and runs one job at a
+time on it: no context is ever shared between threads, so none of them
+takes a lock inside.  It offers the four calls of the :class:`Shard`
+surface — ``run_job``, ``publish``, ``metrics``, ``stop`` — and the job
+server knows nothing else about where a job runs; what the surface hides
+is the transport:
 
 * :class:`InProcessShard` (the ``thread`` backend) calls
-  :func:`run_document` on a context shared by every worker thread.  One
-  such shard serves all callers at once, so its pool (:class:`SoloPool`)
-  routes nothing, counts nothing and takes no lock.
+  :func:`run_document` on its context under its own lock, so a job and a
+  cost-parameter publication never overlap.  It is the pipe-free path,
+  used by tests (a ``threading.Event`` in the UDF env can hold a job)
+  and for low-latency serving.
 * :class:`ProcessShard` (the ``process`` backend, past the GIL) sends the
   call down a pipe to a worker process (:func:`_shard_main`) that calls
   the same :func:`run_document` on a private replica built by a
-  caller-supplied ``context_factory``.  A :class:`ShardPool` keeps ``N``
-  of them and adds what only a process can do: **sticky routing** by
-  plan fingerprint (:meth:`ShardPool.pick`), **respawn** of a worker
-  that exited (:meth:`ShardPool.handle_failure`) and a **hard deadline**
+  caller-supplied ``context_factory``.  The worker executes one request
+  at a time, which makes the child itself the critical section — the
+  parent-side lock only serializes the pipe.  Only a process can die or
+  be killed, so only this backend has **respawn**
+  (:meth:`ShardPool.handle_failure`) and a **hard deadline**
   (:meth:`ProcessShard.run_job` kills a worker that overruns one).
 
-The IPC protocol is deliberately tiny: one duplex pipe per shard carrying
-``(request_id, kind, payload)`` tuples.  The worker executes one request
-at a time, which makes the child itself the critical section — the
-parent-side :class:`ProcessShard` lock only serializes the pipe.
+One :class:`ShardPool` serves both: ``N`` shards built by a per-slot
+constructor, **sticky routing** by plan fingerprint
+(:meth:`ShardPool.pick`), in-flight counts, broadcast publication and
+one merged metrics snapshot.  A one-shard pool routes nothing and
+computes no fingerprint.
+
+What in-process shards still share is module-level state, each item
+safe for concurrent callers without a lock of ours:
+
+* the ``_lambda_code`` ``functools.lru_cache`` (:mod:`repro.api.serde`):
+  the C implementation is thread-safe, and it caches immutable code
+  objects — every request binds its own ``env``;
+* the ``itertools.count`` id counters (operator, execution-operator and
+  task ids, dataflow temp-file serials): one ``next()`` is a single C
+  call under the GIL, so ids stay unique across shards;
+* ``_METRICS_LOCK`` (:mod:`repro.trace.metrics`): a registered lock,
+  ``metrics``, innermost in :data:`repro.concurrency.order.LOCK_ORDER`.
 """
 
 from __future__ import annotations
@@ -50,6 +67,11 @@ from ..trace import (
 
 #: Seconds between liveness checks while waiting on a shard response.
 _POLL_S = 0.05
+
+#: How worker processes start: ``fork`` where the host has it.
+_MP = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods()
+    else "spawn")
 
 #: Seconds a process shard may overrun a job's deadline before its worker
 #: is killed.  Cancellation at the next stage boundary goes first; this
@@ -122,12 +144,19 @@ class Shard(Protocol):
     """What the serving layer needs from the place a job runs.
 
     ``run_job`` answers like :func:`run_document`: always a response
-    document, whatever happened to the job or to the transport.
+    document, whatever happened to the job or to the transport.  The
+    attributes are the pool's bookkeeping: ``inflight`` (jobs routed and
+    not yet released) is owned by the pool and guarded by its lock.
     """
 
+    slot: int
+    alive: bool
+    inflight: int
+    jobs_run: int
+
     @property
-    def slot(self) -> int | None:
-        """The routing slot (``None`` where nothing routes)."""
+    def pid(self) -> int | None:
+        """The worker process id (``None`` in this process)."""
 
     def run_job(self, job_id: str, document: dict[str, Any],
                 remaining_s: float | None, tracer: Tracer | NullTracer,
@@ -145,69 +174,48 @@ class Shard(Protocol):
 
 
 class InProcessShard:
-    """The shard surface as plain calls on a context in this process.
+    """The shard surface as plain calls on a context this shard owns.
 
-    Safe for every worker thread at once: jobs share the context's
-    read-mostly state under the documented lock order and isolate the
-    rest per job.  Deadlines are cooperative only — a thread cannot be
-    killed, so a UDF that never reaches a stage boundary keeps its worker.
+    ``run_job`` and ``publish`` hold the shard's ``server.shard`` lock, so
+    the context runs one job at a time and a publication lands between
+    jobs — the rule a worker process keeps by answering one request at a
+    time.  Deadlines are cooperative only: a thread cannot be killed, so
+    a UDF that never reaches a stage boundary keeps the shard (and its
+    worker thread); nothing here can die, so nothing is respawned.
     """
 
-    slot = None
+    pid = None
 
-    def __init__(self, ctx: RheemContext,
-                 env: dict[str, Any] | None = None) -> None:
+    def __init__(self, slot: int, ctx: RheemContext,
+                 env: dict[str, Any] | None = None,
+                 metrics: MetricsRegistry | None = None) -> None:
+        self.slot = slot
         self.ctx = ctx
         self.service = RheemService(ctx, env)
+        self.alive = True
+        self.inflight = 0
+        self.jobs_run = 0
+        self._lock = OrderedLock("server.shard", metrics)
 
     def run_job(self, job_id: str, document: dict[str, Any],
                 remaining_s: float | None, tracer: Tracer | NullTracer,
                 observe: bool = False) -> dict[str, Any]:
-        return run_document(self.service, job_id, document, remaining_s,
-                            tracer, observe)
+        with self._lock:
+            self.jobs_run += 1
+            return run_document(self.service, job_id, document,
+                                remaining_s, tracer, observe)
 
     def publish(self, params: dict[str, Any]) -> None:
-        self.ctx.publish_cost_params(params)
+        with self._lock:
+            self.ctx.publish_cost_params(params)
 
     def metrics(self) -> dict[str, Any]:
+        """The context's registry, read without waiting for its job
+        (instrument updates are atomic under the metrics lock)."""
         return self.ctx.metrics.snapshot()
 
     def stop(self) -> None:
-        """Nothing to stop: the context belongs to whoever built it."""
-
-
-class SoloPool:
-    """The pool surface over ONE shard that serves every worker at once:
-    nothing to route (jobs carry no fingerprint), no slots to report,
-    nothing that can die — and so no lock on the job path."""
-
-    def __init__(self, shard: Shard) -> None:
-        self.shard = shard
-
-    def fingerprint(self, document: dict[str, Any]) -> str | None:
-        return None
-
-    def pick(self, fingerprint: str | None) -> Shard:
-        return self.shard
-
-    def release(self, shard: Shard) -> None:
-        pass
-
-    def publish(self, params: dict[str, Any]) -> int:
-        self.shard.publish(params)
-        return 1
-
-    def broadcast_job(self, document: dict[str, Any]) -> list[dict[str, Any]]:
-        return [self.shard.run_job("warmup", document, None, NO_TRACER)]
-
-    def metrics_snapshot(self) -> dict[str, Any]:
-        return self.shard.metrics()
-
-    def snapshot(self) -> list[dict[str, Any]]:
-        return []
-
-    def shutdown(self) -> None:
-        self.shard.stop()
+        """Nothing to stop: the context stays readable for ``/metrics``."""
 
 
 def _shard_main(conn: Connection, shard_id: int,
@@ -263,13 +271,12 @@ def _shard_main(conn: Connection, shard_id: int,
 class ProcessShard:
     """Parent-side handle on one worker process and its pipe.
 
-    ``inflight`` (how many jobs the router has assigned and not yet
-    released) is owned by the pool and guarded by the pool lock; the
-    shard's own lock only serializes pipe traffic.
+    The shard's lock only serializes pipe traffic: the worker answers
+    one request at a time, so its context runs one job at a time.
     """
 
     def __init__(self, slot: int, process: Any, conn: Connection,
-                 metrics: MetricsRegistry) -> None:
+                 metrics: MetricsRegistry | None = None) -> None:
         self.slot = slot
         self.process = process
         self.alive = True
@@ -278,6 +285,32 @@ class ProcessShard:
         self._conn = conn
         self._lock = OrderedLock("server.shard", metrics)
         self._requests = itertools.count(1)
+
+    @classmethod
+    def spawn(cls, slot: int, context_factory: Callable[[], Any],
+              env: dict[str, Any] | None = None,
+              metrics: MetricsRegistry | None = None) -> "ProcessShard":
+        """Start the worker process of ``slot`` and return its handle.
+
+        The worker builds its replica with ``context_factory``.  Workers
+        ``fork`` where the host can, and then any callable works
+        (closures included); elsewhere they ``spawn`` and it must be
+        picklable.
+        """
+        parent_conn, child_conn = _MP.Pipe()
+        process = _MP.Process(
+            target=_shard_main,
+            args=(child_conn, slot, context_factory, dict(env or {})),
+            name=f"rheem-shard-{slot}", daemon=True)
+        process.start()
+        # The parent's copy of the child end must close so a dead child
+        # reliably surfaces as EOF on the parent connection.
+        child_conn.close()
+        return cls(slot, process, parent_conn, metrics)
+
+    @property
+    def pid(self) -> int | None:
+        return self.process.pid
 
     def call(self, kind: str, payload: Any = None,
              timeout: float | None = None) -> Any:
@@ -367,70 +400,55 @@ class ProcessShard:
         snapshot: dict[str, Any] = self.call("metrics", timeout=timeout)
         return snapshot
 
-    def stop(self) -> None:
-        """Ask the worker to exit its loop (best effort)."""
+    def stop(self, timeout: float = 10.0) -> None:
+        """Ask the worker to exit its loop, then terminate it if it has
+        not within ``timeout`` seconds (best effort)."""
         try:
             with self._lock:
                 if self.alive:
                     self._conn.send((0, "stop", None))
         except (BrokenPipeError, OSError):
             pass
+        self.process.join(timeout=timeout)
+        if self.process.is_alive():
+            self.process.terminate()
+            self.process.join(timeout=2)
+        self.alive = False
 
 
 class ShardPool:
-    """``N`` process shards with sticky routing and broadcast plumbing.
+    """``N`` shards with sticky routing and broadcast plumbing.
 
     Args:
-        context_factory: Zero-argument callable building one context
-            replica *inside the worker process*.  Shards ``fork`` where
-            the host can, and then any callable works (closures
-            included); elsewhere they ``spawn`` and it must be picklable.
-        shards: Worker-process count (``>= 1``).
-        env: Extra names exposed to document UDF expressions.
-        metrics: Parent-side registry: the pool's own instruments, and
+        make_shard: Builds the shard of one slot, ``make_shard(slot)``:
+            once per slot here, and again to respawn a dead one.
+        shards: Slot count (``>= 1``).
+        metrics: The server's registry: the pool's own instruments, and
             the base :meth:`metrics_snapshot` merges the shards' into.
-        respawn: Replace a dead shard with a fresh replica (the last
-            cost-parameter publication is replayed into it).  With
-            ``False`` a dead slot stays retired and its fingerprints
-            re-map permanently.
+        respawn: Replace a dead shard (only a process shard dies) with a
+            fresh one; the last cost-parameter publication is replayed
+            into it.  With ``False`` a dead slot stays retired and its
+            fingerprints re-map permanently.
     """
 
-    def __init__(self, context_factory: Callable[[], Any],
+    def __init__(self, make_shard: Callable[[int], Shard],
                  shards: int = 4,
-                 env: dict[str, Any] | None = None,
                  metrics: MetricsRegistry | None = None,
                  respawn: bool = True) -> None:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.size = max(1, int(shards))
         self.respawn = respawn
-        self._factory = context_factory
-        self._env = dict(env or {})
-        self._mp = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn")
+        self._make_shard = make_shard
         self._lock = OrderedLock("server.pool", self.metrics)
         self._published: dict[str, Any] | None = None
         # Last-known registry snapshot per shard incarnation, so a
         # respawned shard never overwrites — or double-counts with — its
         # predecessor's committed counters.
         self._last_metrics: dict[str, dict[str, Any]] = {}
-        self._slots: list[ProcessShard | None] = [
-            self._spawn(slot) for slot in range(self.size)]
+        self._slots: list[Shard | None] = [
+            make_shard(slot) for slot in range(self.size)]
 
-    # ------------------------------------------------------------- spawning
-    def _spawn(self, slot: int) -> ProcessShard:
-        parent_conn, child_conn = self._mp.Pipe()
-        process = self._mp.Process(
-            target=_shard_main,
-            args=(child_conn, slot, self._factory, self._env),
-            name=f"rheem-shard-{slot}", daemon=True)
-        process.start()
-        # The parent's copy of the child end must close so a dead child
-        # reliably surfaces as EOF on the parent connection.
-        child_conn.close()
-        return ProcessShard(slot, process, parent_conn, self.metrics)
-
-    def handle_failure(self, shard: ProcessShard) -> None:
+    def handle_failure(self, shard: Shard) -> None:
         """Retire a dead shard's slot; respawn a replacement if enabled.
 
         A no-op on a live shard, and only the first caller retires a dead
@@ -447,7 +465,7 @@ class ShardPool:
         # Fork OUTSIDE the pool lock: at-fork handlers reset the global
         # metrics lock in the child, but holding our own lock across the
         # fork would still copy it locked into the child.
-        replacement = self._spawn(shard.slot)
+        replacement = self._make_shard(shard.slot)
         with self._lock:
             self._slots[shard.slot] = replacement
             published = self._published
@@ -459,33 +477,36 @@ class ShardPool:
                 pass
 
     # -------------------------------------------------------------- routing
-    def _live_locked(self) -> list[ProcessShard]:
+    def _live_locked(self) -> list[Shard]:
         return [s for s in self._slots if s is not None and s.alive]
 
-    def live_shards(self) -> list[ProcessShard]:
+    def live_shards(self) -> list[Shard]:
         """The currently live shards (routing targets)."""
         with self._lock:
             return self._live_locked()
 
-    fingerprint = staticmethod(document_fingerprint)
+    def fingerprint(self, document: dict[str, Any]) -> str | None:
+        """The routing key of ``document`` (``None``: one slot, nothing
+        to route)."""
+        return document_fingerprint(document) if self.size > 1 else None
 
-    def pick(self, fingerprint: str | None) -> ProcessShard:
+    def pick(self, fingerprint: str | None) -> Shard:
         """Route one job: sticky by fingerprint, spilling when busy.
 
-        The home slot is ``digest mod size``.  Scanning the slot ring
-        from home, the first *live* shard with the minimum in-flight
-        count wins — so an idle home shard always takes its own
-        fingerprints (cache locality), a busy home spills to the
-        least-loaded survivor (utilization), and a dead home re-maps
-        deterministically to the next live slot.
+        The home slot is ``digest mod size`` (slot 0 without a
+        fingerprint).  Scanning the slot ring from home, the first *live*
+        shard with the minimum in-flight count wins — so an idle home
+        shard always takes its own fingerprints (cache locality), a busy
+        home spills to the least-loaded survivor (utilization), and a
+        dead home re-maps deterministically to the next live slot.
 
         Raises:
             ShardDied: When no live shard remains.
         """
-        assert fingerprint is not None
-        home = int(fingerprint[:16], 16) % self.size
+        home = 0 if fingerprint is None else \
+            int(fingerprint[:16], 16) % self.size
         with self._lock:
-            best: ProcessShard | None = None
+            best: Shard | None = None
             for offset in range(self.size):
                 shard = self._slots[(home + offset) % self.size]
                 if shard is None or not shard.alive:
@@ -502,7 +523,6 @@ class ShardPool:
     def release(self, shard: Shard) -> None:
         """Return a routed job's slot reservation; a shard that died (or
         was killed at its hard deadline) under the job is retired."""
-        assert isinstance(shard, ProcessShard)
         with self._lock:
             shard.inflight -= 1
         if not shard.alive:  # keeps the job path at one pool-lock round
@@ -539,28 +559,26 @@ class ShardPool:
             self.handle_failure(shard)
         return responses
 
-    def _refresh_metrics(self, shard: ProcessShard,
-                         timeout: float) -> None:
+    def _refresh_metrics(self, shard: Shard) -> None:
         """Fetch one shard's registry snapshot into the last-known table,
         keyed by shard *incarnation* (slot and pid)."""
         try:
-            snapshot = shard.metrics(timeout)
+            snapshot = shard.metrics()
         except (ShardDied, ShardCallTimeout, RuntimeError):
             return
         with self._lock:
-            self._last_metrics[f"{shard.slot}:{shard.process.pid}"] = \
-                snapshot
+            self._last_metrics[f"{shard.slot}:{shard.pid}"] = snapshot
 
     def metrics_snapshot(self) -> dict[str, Any]:
-        """The parent registry (admission counters, queue gauges, lock
+        """The server's registry (admission counters, queue gauges, lock
         histograms) merged with every shard's, single-registry shape.
 
-        A busy shard answers after its current job; a dead shard
+        A busy process shard answers after its current job; a dead shard
         contributes its last-known snapshot exactly once, so committed
         counters survive the shard without double-publishing.
         """
         for shard in self.live_shards():
-            self._refresh_metrics(shard, 120.0)
+            self._refresh_metrics(shard)
             self.handle_failure(shard)
         with self._lock:
             last_known = list(self._last_metrics.values())
@@ -576,29 +594,21 @@ class ShardPool:
              "alive": bool(s is not None and s.alive),
              "inflight": 0 if s is None else s.inflight,
              "jobs_run": 0 if s is None else s.jobs_run,
-             "pid": None if s is None else s.process.pid}
+             "pid": None if s is None else s.pid}
             for i, s in enumerate(slots)
         ]
 
-    def shutdown(self, timeout: float = 10.0) -> None:
-        """Stop every shard process (ask nicely, then terminate).
+    def shutdown(self) -> None:
+        """Stop every shard.
 
         Each live shard's registry is snapshotted first, so
         :meth:`metrics_snapshot` keeps reporting the full aggregate
-        after the processes are gone (``/metrics`` outlives a drain).
+        after worker processes are gone (``/metrics`` outlives a drain).
         """
         with self._lock:
             shards = [s for s in self._slots if s is not None]
         for shard in shards:
             if shard.alive:
-                self._refresh_metrics(shard, timeout)
+                self._refresh_metrics(shard)
         for shard in shards:
             shard.stop()
-        deadline = time.monotonic() + timeout
-        for shard in shards:
-            shard.process.join(timeout=max(0.1, deadline - time.monotonic()))
-            if shard.process.is_alive():
-                shard.process.terminate()
-                shard.process.join(timeout=2)
-            shard.alive = False
-

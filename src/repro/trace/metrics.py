@@ -7,9 +7,11 @@ Instruments are created on first use (``registry.counter("x").inc()``)
 and are deliberately tiny — a few float fields — so the hot path can
 update them unconditionally.
 
-The registry is shared across the job server's worker threads, so every
-instrument update happens under one process-wide lock (``a += b`` on a
-float is not atomic at the bytecode level).  The lock is the *innermost*
+A registry can have several threads at once — the job server's own is
+written by every worker, a shard's is read by ``/metrics`` while the
+shard's job writes it — so every instrument update happens under one
+process-wide lock (``a += b`` on a float is not atomic at the bytecode
+level).  The lock is the *innermost*
 lock of the runtime (see ``DESIGN.md``, "Lock order"): no code path may
 acquire another lock while holding it, which makes it always safe to take.
 """
@@ -175,19 +177,19 @@ class MetricsRegistry:
 
 
 def merge_snapshots(*snapshots: dict[str, Any]) -> dict[str, Any]:
-    """Aggregate registry snapshots from several processes into one.
+    """Aggregate registry snapshots from several registries into one.
 
-    The process-backend job server keeps one :class:`MetricsRegistry` per
-    worker shard (plus the parent's own); ``/metrics`` merges them into a
-    single snapshot with the exact single-registry shape:
+    The job server keeps one :class:`MetricsRegistry` per shard (plus
+    its own); ``/metrics`` merges them into a single snapshot with the
+    exact single-registry shape:
 
     * **counters** sum — each shard counted disjoint events;
-    * **gauges** sum — every multi-process gauge in the tree is an
+    * **gauges** sum — every multi-shard gauge in the tree is an
       occupancy or byte total (queue depth, in-flight stages, store
       bytes), for which the fleet-wide value is the sum;
     * **histograms** merge exactly on count/sum/min/max, with the mean
       recomputed from the merged totals (reservoir percentiles are
-      per-process and are not merged).
+      per-registry and are not merged).
     """
     counters: dict[str, float] = {}
     gauges: dict[str, float] = {}

@@ -14,12 +14,9 @@ an ``if tracing:`` guard.
 from __future__ import annotations
 
 import itertools
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
-
-from ..concurrency.runtime import OrderedLock
 
 
 @dataclass
@@ -104,9 +101,10 @@ class _SpanHandle:
 class Tracer:
     """Records a tree of spans against a monotonic wall clock.
 
-    The span stack is thread-local, so threads sharing one tracer (jobs
-    of a server whose context traces) nest spans independently; the span
-    *tree* itself is shared and guarded by a lock.
+    A tracer has one writer at a time and takes no lock: a job's tracer
+    is written by the one worker running the job, a context's by the
+    one job the context runs at a time, and a calibrator's by its one
+    refit in flight.
 
     Args:
         clock: Monotonic time source (injectable for deterministic tests).
@@ -117,47 +115,38 @@ class Tracer:
     def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
         self._clock = clock
         self._epoch = clock()
-        self._local = threading.local()
-        self._lock = OrderedLock("tracer.spans")
         self._ids = itertools.count(1)
+        self._stack: list[Span] = []
         self.roots: list[Span] = []
 
     def _now(self) -> float:
         return self._clock() - self._epoch
-
-    def _thread_stack(self) -> list[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
 
     def span(self, name: str, **attributes: Any) -> _SpanHandle:
         """Open a child span of the current span for a ``with`` block."""
         return _SpanHandle(self, name, attributes)
 
     def _open(self, name: str, attributes: dict[str, Any]) -> Span:
-        stack = self._thread_stack()
+        stack = self._stack
         parent = stack[-1] if stack else None
-        with self._lock:
-            span = Span(name, next(self._ids),
-                        parent.span_id if parent is not None else None,
-                        self._now(), attributes=dict(attributes))
-            (parent.children if parent is not None else self.roots).append(span)
+        span = Span(name, next(self._ids),
+                    parent.span_id if parent is not None else None,
+                    self._now(), attributes=dict(attributes))
+        (parent.children if parent is not None else self.roots).append(span)
         stack.append(span)
         return span
 
     def _close(self, span: Span) -> None:
         span.end = self._now()
-        stack = self._thread_stack()
+        stack = self._stack
         while stack and stack[-1] is not span:
             stack.pop()  # orphaned children of an escaped exception
         if stack:
             stack.pop()
 
     def current(self) -> Span | None:
-        """The innermost open span on the calling thread, if any."""
-        stack = self._thread_stack()
-        return stack[-1] if stack else None
+        """The innermost open span, if any."""
+        return self._stack[-1] if self._stack else None
 
     def walk(self) -> Iterator[Span]:
         """Pre-order traversal over every recorded span."""

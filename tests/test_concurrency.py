@@ -3,12 +3,12 @@
 Covers the three legs of the lock-order tooling:
 
 * the registry itself (`repro.concurrency.order`) validates and resolves;
-* `OrderedLock`/`OrderedRLock` assert rank order per thread under the
-  debug flag and feed wait/hold histograms into a metrics registry — the
-  seeded inversion in `tests/fixtures/lock_inversion.py` raises here;
+* `OrderedLock` asserts rank order per thread under the debug flag and
+  feeds wait/hold histograms into a metrics registry — the seeded
+  inversion in `tests/fixtures/lock_inversion.py` raises here;
 * the static checker (`repro.analysis.locks`) flags the fixture's raw
-  lock (RC001) and state written on shared execution operators (RC005),
-  and passes the real tree clean — the same guarantee
+  lock (RC001) and per-run state written on re-executed execution
+  operators (RC005), and passes the real tree clean — the same guarantee
   `python -m repro lint --concurrency` enforces in CI.
 """
 
@@ -24,7 +24,6 @@ from repro.concurrency import (
     LOCK_ORDER,
     LockOrderViolation,
     OrderedLock,
-    OrderedRLock,
     UnknownLockError,
     debug_enabled,
     held_locks,
@@ -51,28 +50,29 @@ class TestRegistry:
         assert lock_spec("metrics") == LOCK_ORDER[-1]
         with pytest.raises(UnknownLockError):
             lock_spec("no-such-lock")
+        with pytest.raises(UnknownLockError):
+            OrderedLock("not-in-registry")
 
     def test_validate_rejects_bad_registries(self):
-        dup = (LockSpec("a", 1, "lock"), LockSpec("a", 2, "lock"))
+        dup = (LockSpec("a", 1), LockSpec("a", 2))
         with pytest.raises(ValueError):
             validate_order(dup)
-        unsorted_ = (LockSpec("a", 2, "lock"), LockSpec("b", 1, "lock"))
+        unsorted_ = (LockSpec("a", 2), LockSpec("b", 1))
         with pytest.raises(ValueError):
             validate_order(unsorted_)
+
+    def test_no_lock_guards_a_context(self):
+        # A context runs one job at a time (its shard's lock is the
+        # critical section), so nothing inside it is registered.
+        assert [spec.name for spec in LOCK_ORDER] == [
+            "server.jobs", "server.pool", "server.shard",
+            "calibration.corpus", "metrics"]
 
 
 # ------------------------------------------------------------ ordered locks
 class TestOrderedLockRuntime:
     def test_debug_flag_is_on_in_tests(self):
         assert debug_enabled()
-
-    def test_kind_mismatch_rejected(self):
-        with pytest.raises(TypeError):
-            OrderedLock("plan_cache")  # declared rlock
-        with pytest.raises(TypeError):
-            OrderedRLock("metrics")  # declared lock
-        with pytest.raises(UnknownLockError):
-            OrderedLock("not-in-registry")
 
     def test_correct_order_passes_and_tracks(self):
         outer = OrderedLock("server.jobs")
@@ -95,26 +95,21 @@ class TestOrderedLockRuntime:
             pass  # still usable
 
     def test_equal_rank_raises_for_plain_lock(self):
-        a = OrderedLock("context.publish")
-        b = OrderedLock("context.publish")
+        # Two shards' locks share a rank: no thread may hold both.
+        a = OrderedLock("server.shard")
+        b = OrderedLock("server.shard")
         with a:
             with pytest.raises(LockOrderViolation):
                 b.acquire()
 
-    def test_rlock_reentry_is_exempt(self):
-        lock = OrderedRLock("plan_cache")
-        with lock:
-            with lock:  # same object: legal, like threading.RLock
-                assert held_locks().count("plan_cache") == 2
-
     def test_histograms_record_wait_and_hold(self):
         metrics = MetricsRegistry()
-        lock = OrderedLock("tracer.spans", metrics)
+        lock = OrderedLock("calibration.corpus", metrics)
         with lock:
             pass
         snap = metrics.snapshot()["histograms"]
-        assert snap["lock.wait_s.tracer.spans"]["count"] == 1
-        assert snap["lock.hold_s.tracer.spans"]["count"] == 1
+        assert snap["lock.wait_s.calibration.corpus"]["count"] == 1
+        assert snap["lock.hold_s.calibration.corpus"]["count"] == 1
 
     def test_violation_escapes_lane_threads(self):
         # A rank inversion on a worker thread must surface, not deadlock.
@@ -144,20 +139,20 @@ class TestStaticChecker:
         findings = check_source(FIXTURE.read_text(), path=str(FIXTURE))
         assert {f.rule_id for f in findings} == {"RC001"}
 
-    def test_undeclared_or_mis_kinded_locks_are_flagged(self):
+    def test_undeclared_locks_are_flagged(self):
         src = (
-            "from repro.concurrency import OrderedLock, OrderedRLock\n"
+            "from repro.concurrency import OrderedLock\n"
             "A = OrderedLock('no-such-lock')\n"
             "B = OrderedLock(NAME)\n"
             "C = OrderedLock('plan_cache')\n"
-            "D = OrderedRLock('metrics')\n"
+            "D = OrderedLock('metrics')\n"
             "E = OrderedLock('server.jobs')\n")
         lines = [f.line for f in check_source(src) if f.rule_id == "RC001"]
-        assert lines == [2, 3, 4, 5]
+        assert lines == [2, 3, 4]
 
     def test_exec_hot_path_state_write_is_flagged(self):
-        # RC005: cached plans share operator instances across loop
-        # iterations and concurrent jobs; per-run values must be threaded
+        # RC005: an operator instance re-executes across loop iterations,
+        # retries and cached-plan replays; per-run values must be threaded
         # through the call, never stored on self.
         src = (
             "class MyOp(ExecutionOperator):\n"

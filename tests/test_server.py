@@ -24,7 +24,7 @@ from repro.api import RheemService
 from repro.core.executor import JobCancelled
 from repro.server import AdmissionError, JobServer, JobState, make_wsgi_app
 from repro.server import http as http_module
-from repro.server.shards import SoloPool, run_document
+from repro.server.shards import ShardPool, run_document
 from repro.trace import NO_TRACER, MetricsRegistry
 
 WORDCOUNT_DOC = {
@@ -74,9 +74,7 @@ def backend():
 
 def _server(backend, **kwargs):
     """A job server over the wordcount corpus on either backend."""
-    if backend == "process":
-        return JobServer(backend="process", context_factory=_ctx, **kwargs)
-    return JobServer(_ctx(), **kwargs)
+    return JobServer(backend=backend, context_factory=_ctx, **kwargs)
 
 
 def _wait_until_running(job, timeout=10.0):
@@ -204,6 +202,83 @@ class TestJobLifecycle:
         assert server.result(running.job_id, timeout=30)["status"] == "ok"
 
 
+def _recording_gated_doc(value):
+    """A gated document whose UDF first notes that its job started (a
+    distinct ``value`` per job: no job reuses another's result)."""
+    return {
+        "operators": [
+            {"name": "src", "kind": "collection_source", "data": [value]},
+            {"name": "hold", "kind": "map", "input": "src",
+             "expr": "(started.append(x), gate.wait(10), x)[2]"},
+        ],
+        "sink": {"name": "hold"},
+    }
+
+
+def _wait_for(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
+
+
+class TestOneJobPerContext:
+    """A context runs one job at a time; contexts run side by side."""
+
+    def test_a_given_context_runs_its_jobs_one_at_a_time(self):
+        gate, started = threading.Event(), []
+        server = JobServer(RheemContext(),
+                           env={"gate": gate, "started": started},
+                           workers=2, queue_size=4)
+        try:
+            first, second = (server.submit(_recording_gated_doc(value))
+                             for value in (1, 2))
+            # Both workers picked a job, but the second waits for the
+            # context the first one holds.
+            _wait_for(lambda: started and second.state is JobState.RUNNING)
+            time.sleep(0.2)
+            assert len(started) == 1
+            gate.set()
+            assert [server.result(job.job_id, 30)["status"]
+                    for job in (first, second)] == ["ok", "ok"]
+            assert len(started) == 2
+        finally:
+            gate.set()
+            server.shutdown()
+
+    def test_factory_contexts_run_jobs_side_by_side(self):
+        gate, started, built = threading.Event(), [], []
+
+        def factory():
+            built.append(RheemContext())
+            return built[-1]
+
+        server = JobServer(env={"gate": gate, "started": started},
+                           workers=2, context_factory=factory)
+        try:
+            jobs = [server.submit(_recording_gated_doc(value))
+                    for value in (1, 2)]
+            # Both hold their gate at once: two contexts, one job each.
+            _wait_for(lambda: len(started) == 2)
+            assert len(built) == 2
+            gate.set()
+            for job in jobs:
+                assert server.result(job.job_id, 30)["status"] == "ok"
+            assert sorted(job.shard_slot for job in jobs) == [0, 1]
+            shards = server.snapshot()["shards"]
+            assert [(s["slot"], s["jobs_run"], s["inflight"])
+                    for s in shards] == [(0, 1, 0), (1, 1, 0)]
+            merged = server.metrics_snapshot()["counters"]
+            per_context = [ctx.metrics.snapshot()["counters"]
+                           for ctx in built]
+            assert merged["plan_cache.misses"] == 2 == sum(
+                c["plan_cache.misses"] for c in per_context)
+            assert merged["server.jobs.done"] == 2
+        finally:
+            gate.set()
+            server.shutdown()
+
+
 class TestBoundedJobTable:
     """A long-lived server keeps a bounded number of terminal jobs."""
 
@@ -218,7 +293,8 @@ class TestBoundedJobTable:
         monkeypatch.setattr(server_module, "MAX_TERMINAL_JOBS", 8)
         held_doc, gate = _gated_doc()
         total = 30
-        with JobServer(RheemContext(), env={"gate": gate}, workers=2,
+        # Two contexts: the held job keeps one, the rest run on the other.
+        with JobServer(env={"gate": gate}, workers=2,
                        queue_size=4) as server:
             app = make_wsgi_app(server)
             # A job that stays running while the table turns over.
@@ -634,11 +710,16 @@ class _FakeShard:
     """Records calls; answers each document with its ``reply`` entry.
 
     A document with ``"hold": True`` blocks in ``run_job`` until
-    ``gate`` is set — the fake's way of keeping a worker busy."""
+    ``gate`` is set — the fake's way of keeping a worker busy.  Unlike a
+    real shard it takes no lock, so every worker can be inside it."""
 
-    slot = None
+    slot = 0
+    pid = None
 
     def __init__(self):
+        self.alive = True
+        self.inflight = 0
+        self.jobs_run = 0
         self.calls = []
         self.published = []
         self.stopped = False
@@ -648,6 +729,7 @@ class _FakeShard:
         self.calls.append(SimpleNamespace(
             job_id=job_id, document=document, remaining_s=remaining_s,
             tracer=tracer, observe=observe))
+        self.jobs_run += 1
         if document.get("hold"):
             assert self.gate.wait(10)
         if document.get("raise"):
@@ -682,7 +764,8 @@ class TestServerOverFakeShard:
         def make(**kwargs):
             stub = SimpleNamespace(config={}, metrics=MetricsRegistry())
             server = JobServer(stub, **kwargs)
-            server._shards = SoloPool(shard)
+            server._shards = ShardPool(lambda slot: shard, 1,
+                                       metrics=server.metrics)
             servers.append(server)
             return server
 
@@ -772,7 +855,8 @@ class TestServerOverFakeShard:
         assert call.job_id == job.job_id and call.document == {"n": 1}
         assert 29.0 < call.remaining_s <= 30.0
         assert call.tracer is NO_TRACER and call.observe is False
-        assert (job.fingerprint, job.shard_slot) == (None, None)
+        # One slot: nothing to route, so no fingerprint is computed.
+        assert (job.fingerprint, job.shard_slot) == (None, 0)
         # The out-of-band calls delegate to the same surface.
         assert server.warm({"n": 2}) == [{"status": "ok"}]
         warm = shard.calls[1]
@@ -780,8 +864,12 @@ class TestServerOverFakeShard:
             "warmup", None, NO_TRACER)
         assert server.publish_cost_params({"p": 1}) == 1
         assert shard.published == [{"p": 1}]
-        assert server.metrics_snapshot()["counters"] == {"fake": 1}
-        assert "shards" not in server.snapshot()
+        # The shard's registry merges into the server's own.
+        counters = server.metrics_snapshot()["counters"]
+        assert (counters["fake"], counters["server.jobs.done"]) == (1, 1)
+        assert server.snapshot()["shards"] == [
+            {"slot": 0, "alive": True, "inflight": 0, "jobs_run": 2,
+             "pid": None}]
         server.shutdown()
         assert shard.stopped
 

@@ -5,6 +5,7 @@ fair-share dispatch, backpressure hints — and the worker-kill scenario
 release its slot, re-map its fingerprint and never double-publish
 counters)."""
 
+import functools
 import json
 import os
 import signal
@@ -19,6 +20,7 @@ from repro.server import (
     AdmissionError,
     JobServer,
     JobState,
+    ProcessShard,
     ShardDied,
     ShardPool,
     document_fingerprint,
@@ -278,7 +280,9 @@ class TestShardFailure:
             server.shutdown()
 
     def test_pool_raises_when_no_shards_left(self):
-        pool = ShardPool(RheemContext, shards=1, respawn=False)
+        pool = ShardPool(functools.partial(ProcessShard.spawn,
+                                           context_factory=RheemContext),
+                         shards=1, respawn=False)
         try:
             shard = pool.live_shards()[0]
             os.kill(shard.process.pid, signal.SIGKILL)
@@ -329,7 +333,8 @@ class TestFairShareDispatch:
             ],
             "sink": {"name": "hold"},
         }
-        server = JobServer(RheemContext(), env={"gate": gate}, workers=2,
+        # Two contexts, so a second tenant's job can run beside A's.
+        server = JobServer(env={"gate": gate}, workers=2,
                            queue_size=16, tenant_quota=1)
         try:
             # Tenant A fills its quota and queues two more; tenant B

@@ -10,17 +10,15 @@ Three properties are asserted over an 8-worker x 40-job mixed run:
   same document executed sequentially on a fresh context, and a second
   concurrent run reproduces the first (unique per-job payloads make any
   cross-job contamination show up in the outputs);
-* **shared-state consistency** — the caching layers serve every job
-  (hits + misses add up, entries stay replayable) and the per-state
-  counters account for every submission.
+* **shared-state consistency** — the caches each shard's jobs share
+  serve every job (hits + misses add up, sticky routing bounds cold
+  misses) and the per-state counters account for every submission.
 
 ``REPRO_STRESS_BACKEND`` selects the server backend (``thread``, the
-default, or ``process`` — one context replica per worker shard); the CI
-``stress`` job runs this file once per backend with ``PYTHONHASHSEED``
-pinned.  The shared-context assertions (direct ``server.ctx`` pokes)
-only apply to the thread backend; the process backend is asserted
-through the aggregated ``/metrics`` snapshot instead, since its state
-lives across worker processes.
+default — in-process shards — or ``process``); either way every worker
+shard owns a context built by the same factory, and state is asserted
+through the merged ``/metrics`` snapshot.  The CI ``stress`` job runs
+this file once per backend with ``PYTHONHASHSEED`` pinned.
 """
 
 import faulthandler
@@ -79,7 +77,7 @@ def _make_context() -> RheemContext:
 
 
 def _wordcount_doc(i: int) -> dict:
-    # Shared shape: repeated submissions hit the shared plan cache.
+    # Shared shape: repeated submissions hit their home shard's caches.
     return {
         "operators": [
             {"name": "lines", "kind": "textfile_source",
@@ -151,13 +149,8 @@ def _run_sequential(documents: list[dict]) -> list[dict]:
 
 
 def _run_concurrent(documents: list[dict]) -> tuple[JobServer, list[dict]]:
-    if BACKEND == "process":
-        server = JobServer(workers=WORKERS, queue_size=len(documents),
-                           backend="process",
-                           context_factory=_make_context)
-    else:
-        server = JobServer(_make_context(), workers=WORKERS,
-                           queue_size=len(documents))
+    server = JobServer(workers=WORKERS, queue_size=len(documents),
+                       backend=BACKEND, context_factory=_make_context)
     with server:
         handles = [server.submit(doc) for doc in documents]
         responses = [server.result(h.job_id, timeout=120) for h in handles]
@@ -177,7 +170,7 @@ def test_stress_outputs_match_sequential_bit_for_bit():
             _canonical(reference["output"]), \
             f"job {i} output diverged from its sequential run"
         # Same platforms chosen under concurrency as sequentially — the
-        # shared plan cache replayed, it did not cross wires.
+        # plan caches replayed, they did not cross wires.
         assert response["platforms"] == reference["platforms"], i
 
 
@@ -216,38 +209,22 @@ def test_stress_shared_state_stays_consistent():
     documents = _mixed_documents(JOBS)
     server, responses = _run_concurrent(documents)
 
-    if BACKEND == "process":
-        # The caching state lives inside the worker shards; assert it
-        # through the aggregated metrics instead of direct context pokes.
-        # Every job either hit some shard's intermediate-result store or
-        # performed exactly one plan-cache lookup on its home shard.
-        merged = server.metrics_snapshot()["counters"]
-        lookups = merged.get("plan_cache.hits", 0) + \
-            merged.get("plan_cache.misses", 0)
-        assert lookups <= JOBS
-        assert merged.get("intermediate.hits", 0) >= JOBS - lookups
-        # Sticky routing bounds cold misses: every unique document costs
-        # one miss on its home shard, and the one repeated shape
-        # (wordcount) can at worst spill cold onto each further shard
-        # once.  Without stickiness, repeats would miss on every
-        # resubmission and blow through this bound.
-        unique = len({json.dumps(d, sort_keys=True) for d in documents})
-        assert merged.get("plan_cache.misses", 0) <= unique + WORKERS - 1
-    else:
-        # Every job either hit the intermediate-result store (which
-        # skips plan enumeration AND the plan-cache lookup) or performed
-        # exactly one plan-cache lookup.  Concurrent first-submissions
-        # of one shape may race to a duplicate miss, but the two layers
-        # together must still account for every job, and the table must
-        # still replay (snapshot stays well-formed).
-        ctx = server.ctx
-        stats = ctx.plan_cache.stats
-        reuse = ctx.result_store.stats
-        assert stats["hits"] + stats["misses"] <= JOBS
-        assert reuse["hits"] >= JOBS - (stats["hits"] + stats["misses"])
-        assert 0 < len(ctx.plan_cache) <= stats["misses"]
-        snapshot = ctx.plan_cache.snapshot()
-        assert snapshot["size"] == len(ctx.plan_cache)
+    # The caching state lives inside the worker shards; assert it
+    # through the merged metrics.  Every job either hit some shard's
+    # intermediate-result store or performed exactly one plan-cache
+    # lookup on the shard it ran on.
+    merged = server.metrics_snapshot()["counters"]
+    lookups = merged.get("plan_cache.hits", 0) + \
+        merged.get("plan_cache.misses", 0)
+    assert lookups <= JOBS
+    assert merged.get("intermediate.hits", 0) >= JOBS - lookups
+    # Sticky routing bounds cold misses: every unique document costs
+    # one miss on its home shard, and the one repeated shape
+    # (wordcount) can at worst spill cold onto each further shard
+    # once.  Without stickiness, repeats would miss on every
+    # resubmission and blow through this bound.
+    unique = len({json.dumps(d, sort_keys=True) for d in documents})
+    assert merged.get("plan_cache.misses", 0) <= unique + WORKERS - 1
 
     # Server accounting: every admitted job is done, nothing lingers.
     counters = server.metrics.snapshot()["counters"]
