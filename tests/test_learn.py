@@ -78,6 +78,36 @@ class TestGenerator:
         assert all(r.duration_s >= 0 for r in records)
 
 
+#: The parameters a small fit of the generator's first 40 stages finds
+#: (population 8, 3 generations, seed 7), recorded from the learner as it
+#: was; any change to how a stage is predicted moves the loss bits.
+GOLDEN_FIT_PARAMS = {
+    "flinklite.collect_sink": (0.0, 33.0, 0.0),
+    "flinklite.distinct": (1.0, 0.0, 0.0),
+    "flinklite.filter": (1.0, 0.0, 0.0),
+    "flinklite.map": (1.0, 0.0, 0.0),
+    "flinklite.sort": (1.0, 0.0, 0.0),
+    "flinklite.source": (1.0, 0.0, 0.0),
+    "pgres.distinct": (1.0, 0.0, 0.0),
+    "pgres.filter": (1.0, 0.0, 0.0),
+    "pgres.map": (1.0, 0.0, 0.0),
+    "pgres.sort": (1.0, 0.0, 0.0),
+    "pystreams.distinct": (1.0, 0.0, 0.0),
+    "pystreams.filter": (1.0, 0.0, 0.0),
+    "pystreams.map": (1.0, 0.0, 0.0),
+    "pystreams.sink": (1.0, 0.0, 0.0),
+    "pystreams.sort": (1.0, 0.0, 0.0),
+    "pystreams.source": (1.0, 0.0, 0.0),
+    "sparklite.collect_sink": (0.0, 33.0, 0.0),
+    "sparklite.distinct": (1.0, 0.0, 0.0),
+    "sparklite.filter": (1.0, 0.0, 0.0),
+    "sparklite.map": (1.0, 0.0, 0.0),
+    "sparklite.sort": (1.0, 0.0, 0.0),
+    "sparklite.source": (1.0, 0.0, 0.0),
+}
+GOLDEN_FIT_LOSS = 0.2902277272083317
+
+
 class TestGeneticLearner:
     def _records(self):
         config = GeneratorConfig(sizes=(150,), sim_factors=(2_000.0,),
@@ -103,6 +133,15 @@ class TestGeneticLearner:
         a = GeneticCostLearner(cluster, records, seed=5).fit(12, 8)
         b = GeneticCostLearner(cluster, records, seed=5).fit(12, 8)
         assert a.loss == b.loss
+
+    def test_golden_fit(self):
+        records = LogGenerator().generate()[:40]
+        fit = GeneticCostLearner(VirtualCluster(), records, seed=7).fit(
+            population_size=8, generations=3)
+        assert {key: (p.alpha, p.beta, p.delta)
+                for key, p in fit.params.items()} == GOLDEN_FIT_PARAMS
+        assert fit.loss == GOLDEN_FIT_LOSS
+        assert fit.history == [GOLDEN_FIT_LOSS] * 3
 
     def test_empty_log_rejected(self):
         with pytest.raises(ValueError):
