@@ -29,8 +29,9 @@ loop online: committed job traces feed a bounded calibration corpus and
 a genetic refit republishes cost parameters to every worker once enough
 (or sufficiently drifted) samples accumulate.  ``learn`` is the offline
 variant: it generates (or loads) execution logs, fits the cost model
-off-line and writes the learned parameters to a JSON file that
-``cost_params`` in a job document or ``load_params`` can consume.
+off-line and writes the learned parameters to a JSON file;
+``load_params`` reads it back for ``RheemContext(cost_params=...)`` or
+``publish_cost_params``.
 ``lint`` executes a Python or RheemLatin script
 under the static analyzer and prints every diagnostic raised against the
 plans it builds; the exit status is 1 when any error-severity diagnostic

@@ -22,12 +22,13 @@ the same report.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ..core import operators as ops
 from ..core.fingerprint import PlanFingerprints
 from ..core.operators import EstimationContext, Operator
-from .diagnostics import Diagnostic, LintReport, Severity
+from ..core.plan import PlanValidationError, RheemPlan, topological_order
+from .diagnostics import Diagnostic, LintReport
 from .rules import AnalysisContext, Rule, run_rules
 from .typeflow import infer_types
 from .udfs import introspect_plan_udfs
@@ -35,55 +36,9 @@ from .udfs import introspect_plan_udfs
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.channels import ChannelConversionGraph
     from ..core.mappings import MappingRegistry
-    from ..core.plan import RheemPlan
 
 #: Confidence decay applied to estimates flowing through impure UDFs.
 IMPURE_UDF_CONFIDENCE = 0.8
-
-
-def _traverse(sinks: list[Operator]) -> tuple[list[Operator],
-                                              Optional[Diagnostic]]:
-    """Iterative post-order DFS from ``sinks`` (producers first).
-
-    Returns the topological order and, if a cycle is found, an RP102
-    diagnostic anchored at the operator closing the cycle (order is then
-    partial).
-    """
-    order: list[Operator] = []
-    state: dict[int, int] = {}  # 0 = visiting, 1 = done
-    for root in sinks:
-        stack: list[tuple[Operator, Iterable]] = []
-        if state.get(root.id) == 1:
-            continue
-        state[root.id] = 0
-        stack.append((root, iter(list(root.inputs) + list(root.side_inputs))))
-        while stack:
-            op, children = stack[-1]
-            advanced = False
-            for ref in children:
-                if ref is None:
-                    continue
-                mark = state.get(ref.op.id)
-                if mark == 1:
-                    continue
-                if mark == 0:
-                    return order, Diagnostic(
-                        rule_id="RP102", severity=Severity.ERROR,
-                        message=f"cycle detected through {ref.op.name} "
-                                f"<#{ref.op.id}>; feedback edges are only "
-                                f"legal inside loop bodies",
-                        op_id=ref.op.id, op_name=ref.op.name,
-                        hint="express the iteration with a loop operator")
-                state[ref.op.id] = 0
-                stack.append((ref.op, iter(list(ref.op.inputs)
-                                           + list(ref.op.side_inputs))))
-                advanced = True
-                break
-            if not advanced:
-                state[op.id] = 1
-                order.append(op)
-                stack.pop()
-    return order, None
 
 
 def _with_loop_bodies(ordered: list[Operator]) -> list[Operator]:
@@ -130,9 +85,10 @@ class PlanAnalyzer:
     def analyze(self, plan: "RheemPlan") -> LintReport:
         """Run all passes; the report is also attached to ``plan``."""
         report = LintReport()
-        ordered, cycle = _traverse(list(plan.sinks))
-        if cycle is not None:
-            report.add(cycle)
+        try:
+            ordered = topological_order(list(plan.sinks))
+        except PlanValidationError as cycle:  # RP102
+            report.extend(cycle.diagnostics)
             report.sort()
             plan.diagnostics = report
             return report

@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 from ..simulation.cluster import VirtualCluster
+from ..simulation.profiles import PlatformProfile
 from .cardinality import CardinalityEstimate
 
 
@@ -75,6 +77,14 @@ class OperatorCostParams:
     beta: float = 0.0
     delta: float = 0.0
 
+    def seconds(self, profile: PlatformProfile, cin: float, cout: float,
+                work: float = 1.0) -> float:
+        """Simulated seconds of one operator run on ``profile``: the one
+        price the engines charge, the optimizer estimates and the learner
+        fits."""
+        return self.delta + profile.cpu_seconds(
+            self.alpha * cin + self.beta * cout, work)
+
 
 #: Per-operator-kind default parameters, shared by the engines (which charge
 #: simulated time with them) and the cost model (which predicts it).  Binary
@@ -112,6 +122,13 @@ def kind_params(op_kind: str) -> OperatorCostParams:
     return KIND_PARAM_DEFAULTS.get(op_kind, _UNLISTED_KIND_PARAMS)
 
 
+def params_for(params: Mapping[str, OperatorCostParams], platform: str,
+               op_kind: str) -> OperatorCostParams:
+    """The learned ``"<platform>.<op_kind>"`` entry, else the kind default."""
+    p = params.get(f"{platform}.{op_kind}")
+    return p if p is not None else kind_params(op_kind)
+
+
 class CostModel:
     """Estimates execution-operator costs from cardinalities.
 
@@ -119,7 +136,7 @@ class CostModel:
         cluster: Supplies per-platform unit costs (tuple cost, parallelism,
             overheads).
         params: Optional learned parameters keyed ``"<platform>.<op_kind>"``;
-            missing keys fall back to :attr:`default_params`.
+            missing keys fall back to the kind defaults (:func:`params_for`).
     """
 
     def __init__(
@@ -133,12 +150,6 @@ class CostModel:
         #: (:meth:`RheemContext.publish_cost_params`); part of the
         #: execution-plan cache key so stale plans can never be replayed.
         self.version = 0
-
-    def params_for(self, platform: str, op_kind: str) -> OperatorCostParams:
-        key = f"{platform}.{op_kind}"
-        if key in self.params:
-            return self.params[key]
-        return kind_params(op_kind)
 
     def operator_cost(
         self,
@@ -154,22 +165,9 @@ class CostModel:
         sort's n-log-n fudge, PageRank's iteration count...).
         """
         profile = self.cluster.profile(platform)
-        p = self.params_for(platform, op_kind)
-
-        def seconds(ci: float, co: float) -> float:
-            units = p.alpha * ci + p.beta * co
-            return p.delta + profile.cpu_seconds(units, work)
-
+        p = params_for(self.params, platform, op_kind)
         return CostEstimate(
-            seconds(cin.lower, cout.lower),
-            seconds(cin.upper, cout.upper),
+            p.seconds(profile, cin.lower, cout.lower, work),
+            p.seconds(profile, cin.upper, cout.upper, work),
             min(cin.confidence, cout.confidence),
         )
-
-    def stage_overhead(self, platform: str) -> float:
-        """Per-stage dispatch cost of a platform."""
-        return self.cluster.profile(platform).stage_overhead_s
-
-    def platform_startup(self, platform: str) -> float:
-        """One-off start-up cost of touching a platform in a job."""
-        return self.cluster.profile(platform).startup_s

@@ -859,7 +859,7 @@ class Optimizer:
                     fresh = sorted(option_platforms - partial.platforms)
                     started = touched[option_platforms] = (
                         tuple(CostEstimate.fixed(
-                            self.cost_model.platform_startup(p)
+                            self.cost_model.cluster.profile(p).startup_s
                             * self.objective.weight(p)).lower
                             for p in fresh) if include_startup else (),
                         partial.platforms | option_platforms)

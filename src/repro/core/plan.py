@@ -65,10 +65,6 @@ def topological_order(roots: Sequence[Operator]) -> list[Operator]:
     for root in roots:
         if state.get(root.id) == 1:
             continue
-        if state.get(root.id) == 0:
-            raise PlanValidationError(
-                f"cycle detected at {root}",
-                [_structural("RP102", f"cycle detected at {root}", root)])
         state[root.id] = 0
         stack: list[tuple[Operator, Iterator[InputRef | None]]] = [
             (root, iter(list(root.inputs) + list(root.side_inputs)))]
@@ -82,10 +78,12 @@ def topological_order(roots: Sequence[Operator]) -> list[Operator]:
                 if mark == 1:
                     continue
                 if mark == 0:
-                    raise PlanValidationError(
-                        f"cycle detected at {ref.op}",
-                        [_structural("RP102",
-                                     f"cycle detected at {ref.op}", ref.op)])
+                    raise PlanValidationError.from_diagnostics([_structural(
+                        "RP102",
+                        f"cycle detected through {ref.op.name} "
+                        f"<#{ref.op.id}>; feedback edges are only legal "
+                        f"inside loop bodies", ref.op,
+                        hint="express the iteration with a loop operator")])
                 state[ref.op.id] = 0
                 stack.append((ref.op, iter(list(ref.op.inputs)
                                            + list(ref.op.side_inputs))))

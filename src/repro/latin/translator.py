@@ -94,11 +94,18 @@ class Interpreter:
         except KeyError:
             raise LatinSyntaxError(f"unknown dataset {name!r}", line) from None
 
-    def _lambda(self, code: str, params: str) -> Callable:
+    def _lambda(self, code: str, params: str, line: int) -> Callable:
+        """``lambda <params>: <code>``, the block parsed as the body alone
+        (the REST path's parser), so it cannot close the lambda early."""
+        # Imported here: repro.api imports this module for resolve_platform.
+        from ..api.serde import _lambda_code
+
         try:
-            return eval(f"lambda {params}: ({code})", dict(self.env))
-        except SyntaxError as exc:
-            raise LatinSyntaxError(f"bad code block {code!r}: {exc}", 0) from exc
+            compiled = _lambda_code(params, code)
+        except (SyntaxError, ValueError) as exc:  # ValueError: a NUL byte
+            raise LatinSyntaxError(f"bad code block {code!r}: {exc}",
+                                   line) from exc
+        return eval(compiled, dict(self.env))
 
     def _build(self, op: OpExpr, line: int) -> DataQuanta:
         handler = self._handlers.get(op.keyword)
@@ -126,7 +133,7 @@ class Interpreter:
             src = self._dataset(op.sources[0], line)
             # Broadcast values arrive as extra arguments: the code block may
             # reference them as bc[0], bc[1], ...
-            fn = self._lambda(op.codes[0], "x, *bc")
+            fn = self._lambda(op.codes[0], "x, *bc", line)
             method = {"map": src.map, "flatmap": src.flat_map,
                       "filter": src.filter}[kw]
             return method(fn, broadcasts=broadcasts)
@@ -143,23 +150,23 @@ class Interpreter:
             return self._dataset(op.sources[0], line).count()
         if kw == "sort":
             return self._dataset(op.sources[0], line).sort(
-                key=self._lambda(op.codes[0], "x"))
+                key=self._lambda(op.codes[0], "x", line))
         if kw == "group":
             return self._dataset(op.sources[0], line).group_by(
-                self._lambda(op.codes[0], "x"))
+                self._lambda(op.codes[0], "x", line))
         if kw == "reduce":
             return self._dataset(op.sources[0], line).reduce(
-                self._lambda(op.codes[0], "a, b"))
+                self._lambda(op.codes[0], "a, b", line))
         if kw == "reduceby":
             return self._dataset(op.sources[0], line).reduce_by_key(
-                self._lambda(op.codes[0], "x"),
-                self._lambda(op.codes[1], "a, b"))
+                self._lambda(op.codes[0], "x", line),
+                self._lambda(op.codes[1], "a, b", line))
         if kw == "join":
             left = self._dataset(op.sources[0], line)
             right = self._dataset(op.sources[1], line)
             return left.join(right,
-                             self._lambda(op.codes[0], "x"),
-                             self._lambda(op.codes[1], "x"))
+                             self._lambda(op.codes[0], "x", line),
+                             self._lambda(op.codes[1], "x", line))
         if kw == "union":
             return self._dataset(op.sources[0], line).union(
                 self._dataset(op.sources[1], line))

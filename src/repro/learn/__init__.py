@@ -6,7 +6,6 @@ from .calibration import (
     CostCalibrator,
     observation_from_json,
     observation_to_json,
-    predict_stage_with_defaults,
 )
 from .generator import GeneratorConfig, LogGenerator, TOPOLOGIES
 from .genetic import FitResult, GeneticCostLearner, predict_stage
@@ -29,7 +28,6 @@ __all__ = [
     "observation_from_json",
     "observation_to_json",
     "predict_stage",
-    "predict_stage_with_defaults",
     "corpus_loss",
     "relative_loss",
     "stage_weights",

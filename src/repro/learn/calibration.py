@@ -30,35 +30,11 @@ from typing import Callable, Iterable, Mapping
 
 from ..concurrency import OrderedLock
 from ..core.channels import volume_band
-from ..core.cost import OperatorCostParams, kind_params
+from ..core.cost import OperatorCostParams
 from ..core.monitor import OperatorObservation, StageObservation
 from ..simulation.cluster import VirtualCluster
 from ..trace import NO_TRACER, MetricsRegistry, Tracer
-from .genetic import GeneticCostLearner
-
-
-def predict_stage_with_defaults(
-    record: StageObservation,
-    params: Mapping[str, OperatorCostParams],
-    cluster: VirtualCluster,
-) -> float:
-    """Model prediction of one stage's runtime, with default fallback.
-
-    Unlike :func:`~repro.learn.genetic.predict_stage` (which skips
-    operators absent from ``params`` — correct while *fitting* only the
-    keys under study), drift measurement needs a prediction for every
-    stage, so missing keys fall back to the engineering-prior kind
-    defaults exactly as :meth:`CostModel.params_for` does.
-    """
-    total = record.known_seconds
-    for obs in record.operators:
-        p = params.get(f"{obs.platform}.{obs.op_kind}")
-        if p is None:
-            p = kind_params(obs.op_kind)
-        profile = cluster.profile(obs.platform)
-        units = p.alpha * obs.cin + p.beta * obs.cout
-        total += p.delta + profile.cpu_seconds(units, obs.work)
-    return total
+from .genetic import GeneticCostLearner, predict_stage
 
 
 # --------------------------------------------------------------- wire format
@@ -249,7 +225,7 @@ class CostCalibrator:
 
     def _relative_error(self, obs: StageObservation,
                         params: Mapping[str, OperatorCostParams]) -> float:
-        predicted = predict_stage_with_defaults(obs, params, self.cluster)
+        predicted = predict_stage(obs, params, self.cluster)
         observed = obs.duration_s
         scale = max(abs(observed), abs(predicted), 1e-9)
         return abs(observed - predicted) / scale

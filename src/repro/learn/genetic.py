@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
-from ..core.cost import OperatorCostParams
+from ..core.cost import OperatorCostParams, kind_params, params_for
 from ..core.monitor import StageObservation
 from ..simulation.cluster import VirtualCluster
 from ..trace import MetricsRegistry
@@ -24,18 +24,20 @@ from .loss import corpus_loss
 
 def predict_stage(
     record: StageObservation,
-    params: dict[str, OperatorCostParams],
+    params: Mapping[str, OperatorCostParams],
     cluster: VirtualCluster,
 ) -> float:
-    """Model prediction of one stage's runtime from its observations."""
+    """Model prediction of one stage's runtime from its observations.
+
+    Operators without a ``params`` entry are priced with their kind
+    defaults (:func:`~repro.core.cost.params_for`).  While fitting, every
+    key of the corpus is in the genome, so the fallback never fires.
+    """
     total = record.known_seconds
     for obs in record.operators:
-        p = params.get(f"{obs.platform}.{obs.op_kind}")
-        if p is None:
-            continue
-        profile = cluster.profile(obs.platform)
-        units = p.alpha * obs.cin + p.beta * obs.cout
-        total += p.delta + profile.cpu_seconds(units, obs.work)
+        p = params_for(params, obs.platform, obs.op_kind)
+        total += p.seconds(cluster.profile(obs.platform), obs.cin, obs.cout,
+                           obs.work)
     return total
 
 
@@ -135,8 +137,6 @@ class GeneticCostLearner:
         population = [self._random_genome() for __ in range(population_size)]
         # Seed one individual at the engineering prior (the uniform kind
         # defaults) so the fit can only improve on the hand-written model.
-        from ..core.cost import kind_params
-
         prior = []
         for key in self.keys:
             p = kind_params(key.split(".", 1)[1])

@@ -190,15 +190,16 @@ def charge_operator(
 ) -> None:
     """Charge an operator's simulated time using the shared kind parameters.
 
-    Engines charge exactly what the (default) cost model predicts, so a
-    perfectly calibrated optimizer is the baseline and the learned model can
-    be evaluated against it.  ``kind`` overrides ``exec_op.op_kind`` when
+    Engines charge the price the (default) cost model predicts,
+    :meth:`OperatorCostParams.seconds`, so a calibrated optimizer is the
+    baseline and the learned model can be evaluated against it; the
+    operators that never call this are listed in ``tests/test_learn.py``
+    (``ESTIMATE_ABOVE_CHARGE``).  ``kind`` overrides ``exec_op.op_kind`` when
     the run resolved the kind dynamically (see ``observed_op_kind``).
     """
     p = kind_params(kind if kind is not None else exec_op.op_kind)
-    profile = ctx.cluster.profile(exec_op.platform)
-    units = p.alpha * cin_sim + p.beta * cout_sim
-    seconds = p.delta + profile.cpu_seconds(units, exec_op.work())
+    seconds = p.seconds(ctx.cluster.profile(exec_op.platform), cin_sim,
+                        cout_sim, exec_op.work())
     ctx.meter.charge(seconds, exec_op.name, category="cpu")
 
 

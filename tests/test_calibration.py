@@ -29,7 +29,7 @@ from repro.learn import (
     observation_from_json,
     observation_to_json,
     params_from_json,
-    predict_stage_with_defaults,
+    predict_stage,
 )
 from repro.server import JobServer, make_wsgi_app
 from repro.simulation import VirtualCluster
@@ -221,9 +221,9 @@ class TestCostCalibrator:
 
     def test_predict_with_defaults_fills_missing_keys(self):
         record = _obs(duration=0.0, known=0.5)
-        # predict_stage would skip the missing key entirely; the drift
-        # path must fall back to the engineering prior instead.
-        assert predict_stage_with_defaults(
+        # The drift path prices a key the calibrator never fitted with
+        # the engineering prior instead of skipping it.
+        assert predict_stage(
             record, {}, VirtualCluster()) == pytest.approx(1.5)
 
 

@@ -134,6 +134,18 @@ class TestInterpreter:
         with pytest.raises(LatinSyntaxError):
             run_script("x = frobnicate y;", RheemContext())
 
+    @pytest.mark.parametrize("block", ["x), 0 and (x", "x), boom(), (x"])
+    def test_code_block_cannot_escape_its_lambda(self, block):
+        ran = []
+        with pytest.raises(LatinSyntaxError, match="line 3:"):
+            run_script(f"""
+                d = load collection nums;
+                m = map d -> {{ {block} }};
+                dump m;
+            """, RheemContext(),
+                env={"nums": [1], "boom": lambda: ran.append(1)})
+        assert not ran
+
     def test_keyword_extension(self):
         ctx = RheemContext()
         interp = Interpreter(ctx, env={"nums": [3, 1, 2]})

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.cost import kind_params
+from repro.core.cost import OperatorCostParams, kind_params
 from repro.core.monitor import OperatorObservation, StageObservation
 from repro.learn import (
     GeneratorConfig,
@@ -56,10 +56,43 @@ class TestPrediction:
         # 1e6 records * 1e-6 s + known 0.5
         assert predict_stage(record, params, cluster) == pytest.approx(1.5)
 
-    def test_unknown_operator_contributes_nothing(self):
+    def test_missing_key_falls_back_to_kind_defaults(self):
         cluster = VirtualCluster()
-        record = _record("s", "pystreams", 0.0, [("map", 1e6, 1e6)], known=0.5)
-        assert predict_stage(record, {}, cluster) == 0.5
+        record = _record("s", "pystreams", 0.0,
+                         [("map", 1e6, 1e6), ("join", 1e6, 1e6)], known=0.5)
+        learned = {"pystreams.map": OperatorCostParams(0.0, 0.0, 3.0)}
+        # map from the learned entry (3 s), join from its kind default
+        # (alpha = beta = 1: 2e6 records * 1e-6 s) + known 0.5
+        assert predict_stage(record, learned, cluster) == pytest.approx(5.5)
+        assert predict_stage(record, {}, cluster) == pytest.approx(3.5)
+
+
+#: ``(platform, kind)`` pairs whose engine charge is NOT the default
+#: estimate: each makes every stage it runs in over-estimated.  The
+#: optimizer's estimate and the engines' charge are one function once
+#: this set is empty.
+ESTIMATE_ABOVE_CHARGE = {"pystreams.sink", "pystreams.cache",
+                         "flinklite.cache"}
+
+
+class TestEstimateMatchesCharge:
+    """On the generator's log, the default prediction of a stage is what
+    the engines charged for it, except where a pinned pair runs."""
+
+    def test_default_prediction_reproduces_the_charge(self):
+        cluster = VirtualCluster()
+        pinned = 0
+        for obs in LogGenerator().generate():
+            predicted = predict_stage(obs, {}, cluster)
+            keys = {f"{o.platform}.{o.op_kind}" for o in obs.operators}
+            if keys & ESTIMATE_ABOVE_CHARGE:
+                pinned += 1
+                assert predicted > obs.duration_s, obs.stage_id
+            else:
+                # Exact but for summation order (a few Spark/Flink stages).
+                assert predicted == pytest.approx(obs.duration_s,
+                                                  rel=1e-12), obs.stage_id
+        assert pinned == 144
 
 
 class TestGenerator:
@@ -159,7 +192,6 @@ class TestGeneticLearner:
 
 class TestPersistence:
     def test_json_roundtrip(self, tmp_path):
-        from repro.core.cost import OperatorCostParams
         from repro.learn import load_params, params_from_json, \
             params_to_json, save_params
 
@@ -179,7 +211,6 @@ class TestPersistence:
 
     def test_loaded_params_drive_a_context(self, tmp_path):
         from repro import RheemContext
-        from repro.core.cost import OperatorCostParams
         from repro.learn import load_params, save_params
 
         save_params({"pystreams.map": OperatorCostParams(0.0, 0.0, 42.0)},
