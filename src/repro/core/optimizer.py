@@ -13,8 +13,9 @@ Pipeline:
    only the cheapest survives per signature ``(open output channels,
    platforms already started)`` — the paper's lemma that a dominated
    subplan with identical boundary channels can never be part of the
-   optimum (platform start-up costs are in the signature, so they cannot
-   break dominance).
+   optimum.  Across platform sets of one boundary, a plan goes when
+   another is cheaper on both bounds by the start-ups it has not paid
+   yet, so start-up costs cannot break dominance either.
 
 Loops are enumerated recursively: the loop body is itself enumerated (its
 placeholder inputs may materialize as any data channel), and each surviving
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from ..platforms.base import ExecutionOperator
 from ..trace import NO_TRACER, MetricsRegistry
@@ -290,7 +291,8 @@ class PartialPlan:
             else self._materialize("_conversions")
 
     def signature(self) -> tuple:
-        """The lossless-pruning key: (open boundary channels, platforms)."""
+        """The lossless-pruning key: (open boundary channels, platforms);
+        :meth:`Optimizer._across` compares plans across the second half."""
         if self._signature is None:
             open_sig = tuple(sorted(
                 (op_id, desc.name)
@@ -618,7 +620,8 @@ class Optimizer:
     def _loop_decisions(self, loop: LoopOperator,
                         cards: dict[int, CardinalityEstimate],
                         bprs: dict[int, float],
-                        paths: PathTable) -> list[LoopDecision]:
+                        paths: PathTable,
+                        across: bool = True) -> list[LoopDecision]:
         body_ops = loop.body.operators()
         output_op = loop.body.outputs[0].op
         phantom = {inp.id for inp in loop.body.inputs}
@@ -635,19 +638,22 @@ class Optimizer:
                     descs = [d for d in descs if d.reusable]
                 return [ChannelSourceDecision(d) for d in descs]
             if isinstance(op, LoopOperator):
-                return self._loop_decisions(op, cards, body_bprs, paths)
+                return self._loop_decisions(op, cards, body_bprs, paths,
+                                            across)
             return self._filter_alternatives(
                 op, self.registry.alternatives_for(op))
 
         # Platform start-up is a once-per-job cost: exclude it from the body
         # cost (which gets multiplied by the iteration count); the outer
         # enumeration charges it when the loop's platform set first appears.
+        # A body priced at zero iterations (here or in an enclosing loop)
+        # would drop plans by a start-up margin it no longer keeps.
+        iterations = loop.expected_iterations()
+        across = across and iterations > 0
         results = self._enumerate_ops(body_ops, cards, body_bprs,
                                       body_alternatives, paths,
                                       phantom_open=phantom,
-                                      include_startup=False)
-
-        iterations = loop.expected_iterations()
+                                      include_startup=False, across=across)
         decisions: list[LoopDecision] = []
         for partial in results:
             input_descs = [
@@ -683,6 +689,7 @@ class Optimizer:
         phantom_open: set[int],
         include_startup: bool = True,
         started: frozenset[str] = frozenset(),
+        across: bool = True,
     ) -> list[PartialPlan]:
         """Enumerate execution plans for ``ops`` (topologically ordered).
 
@@ -694,12 +701,13 @@ class Optimizer:
 
         Above :attr:`beam_threshold` operators the lossless frontier is
         additionally bounded to the :attr:`beam_width` cheapest signatures
-        after each operator step (beam search): on 100+-operator plans the
-        signature space — open channels × touched-platform subsets — grows
-        past what per-signature pruning alone can contain, and RHEEMix's
-        answer is to sample the plan space rather than enumerate it.  The
-        truncation order is deterministic (cost, then signature), so
-        repeated optimizations of the same plan pick the same winner.
+        after each operator step (beam search): on wide plans the open
+        channels alone can outgrow what lossless pruning contains, and
+        RHEEMix's answer is to sample the plan space rather than enumerate
+        it.  The truncation order is deterministic (cost, then signature),
+        so repeated optimizations of the same plan pick the same winner.
+        ``across=False`` (a body run zero times) compares within a
+        signature only.
         """
         beam = (self.beam_width
                 if (self.prune and self.beam_threshold is not None
@@ -731,7 +739,7 @@ class Optimizer:
 
             frontier = self._extend(op, options, frontier, cards, bprs,
                                     to_close, keep_open, include_startup,
-                                    paths, intern)
+                                    paths, intern, across)
             if not frontier:
                 raise OptimizationError(f"no executable plan at operator {op}")
             if beam is not None and len(frontier) > beam:
@@ -773,6 +781,7 @@ class Optimizer:
         include_startup: bool,
         paths: PathTable,
         intern: dict[tuple, tuple],
+        across: bool = True,
     ) -> list[PartialPlan]:
         """One DP step: every frontier plan x every option of ``op``.
 
@@ -788,10 +797,11 @@ class Optimizer:
         (conversions by slot — 0.0 where none is needed — broadcast
         conversions, operator, start-ups, stage dispatch; never pre-summed,
         so totals are bit-for-bit those of chained ``CostEstimate.plus``),
-        one signature probe and the incumbent comparison; only survivors
-        become a validated ``CostEstimate`` and a ``PartialPlan``.  With
-        pruning on, first-seen wins ties: an incumbent is replaced only by
-        a strictly cheaper plan, so cache-on/off runs tie-break alike.
+        one signature probe, the incumbent comparison and :meth:`_across`;
+        only survivors become a validated ``CostEstimate`` and a
+        ``PartialPlan``.  With pruning on, first-seen wins ties: a survivor
+        is replaced or dropped only by a strictly cheaper plan, so
+        cache-on/off runs tie-break alike.
         """
         prepared = [p for p in (self._prepare(op, option, cards, bprs)
                                 for option in options) if p is not None]
@@ -801,10 +811,11 @@ class Optimizer:
         edges += [(-(slot + 1), ref.op.id)
                   for slot, ref in enumerate(op.side_inputs)]
         best: dict[tuple, PartialPlan] = {}
+        # open signature -> platform set -> the survivor of ``best``
+        groups: dict[tuple, dict[frozenset[str], PartialPlan]] = {}
         unpruned: list[PartialPlan] = []
-        # started platforms -> option platforms -> (start-ups, union)
-        touch: dict[frozenset[str], dict[
-            frozenset[str], tuple[tuple[float, ...], frozenset[str]]]] = {}
+        # started platforms -> added platforms -> :meth:`_touch`
+        touch: dict[frozenset[str], dict[frozenset[str], tuple]] = {}
         dominance = prune and prepared and all(
             isinstance(p.option, LoopDecision) for p in prepared)
         # input channel names -> (wired options, wirings, dominated)
@@ -852,17 +863,9 @@ class Optimizer:
                     upper += term
                 lower += cost_lower
                 upper += cost_upper
-                # Platform start-up: first touch of each platform, in name
-                # order (a sum must not depend on set order).
-                started = touched.get(option_platforms)
-                if started is None:
-                    fresh = sorted(option_platforms - partial.platforms)
-                    started = touched[option_platforms] = (
-                        tuple(CostEstimate.fixed(
-                            self.cost_model.cluster.profile(p).startup_s
-                            * self.objective.weight(p)).lower
-                            for p in fresh) if include_startup else (),
-                        partial.platforms | option_platforms)
+                started = touched.get(option_platforms) or self._touch(
+                    touch, partial.platforms, option_platforms,
+                    include_startup)
                 for startup in started[0]:
                     lower += startup
                     upper += startup
@@ -875,16 +878,28 @@ class Optimizer:
                         partial.open_channels, to_close, keep_open, op_id,
                         out_desc, intern)
                 enumerated += 1
-                sig = (opened[1], started[1])
+                platforms = started[1]
+                sig = (opened[1], platforms)
                 if prune:
                     # CostEstimate.geometric_mean, on the bare floats.
                     gm = ((lower + upper) / 2 if lower <= 0
                           else math.sqrt(lower * upper))
-                    incumbent = best.get(sig)
-                    if incumbent is not None:
-                        pruned += 1  # this candidate or the incumbent
-                        if incumbent.gm <= gm:
-                            continue
+                    group = groups.setdefault(opened[1], {})
+                    incumbent = group.get(platforms)
+                    if incumbent is not None and incumbent.gm <= gm:
+                        pruned += 1
+                        continue
+                    beaten = self._across(group, platforms, lower, upper,
+                                          touch, include_startup) \
+                        if across else []
+                    if beaten is None:
+                        pruned += 1
+                        dominated += 1
+                        continue
+                    for theirs in beaten:
+                        del group[theirs], best[opened[1], theirs]
+                    pruned += len(beaten) + (incumbent is not None)
+                    dominated += len(beaten)
                 extended = PartialPlan(
                     cost=CostEstimate(lower, upper,
                                       min(base.confidence, confidence)),
@@ -896,7 +911,7 @@ class Optimizer:
                 )
                 extended._signature = sig
                 if prune:
-                    best[sig] = extended
+                    best[sig] = group[platforms] = extended
                 else:
                     unpruned.append(extended)
         self.stats["plans_enumerated"] += enumerated
@@ -904,6 +919,47 @@ class Optimizer:
         self.stats["conversion_paths_solved"] += wirings
         self.stats["plans_dominated"] += dominated
         return list(best.values()) if prune else unpruned
+
+    def _touch(self, touch: dict, have: frozenset[str], add: frozenset[str],
+               include_startup: bool
+               ) -> tuple[tuple[float, ...], frozenset[str], float]:
+        """``(start-ups charged, have | add, S)``, memoized in ``touch``:
+        the weighted start-up of each platform of ``add - have`` in name
+        order (a sum must not depend on set order), charged only with
+        ``include_startup``; ``S`` is their sum."""
+        row = touch.setdefault(have, {})
+        hit = row.get(add)
+        if hit is None:
+            startups = tuple(CostEstimate.fixed(
+                self.cost_model.cluster.profile(p).startup_s
+                * self.objective.weight(p)).lower for p in sorted(add - have))
+            hit = row[add] = (startups if include_startup else (),
+                              have | add, math.fsum(startups))
+        return hit
+
+    def _across(self, group: dict[frozenset[str], PartialPlan],
+                platforms: frozenset[str], lower: float, upper: float,
+                touch: dict, include_startup: bool) -> list | None:
+        """Dominance across the platform sets of one open signature:
+        ``None`` when a survivor of ``group`` is <= the candidate on both
+        bounds, else the survivors the candidate beats strictly.  Each side
+        first adds ``S`` of the platforms only the other has started — the
+        most a completion can charge it more (``started`` ones cancel); a
+        dominator needs ``lower > 0``, as in :meth:`_undominated`."""
+        beaten = []
+        for theirs, plan in group.items():
+            if theirs == platforms:
+                continue
+            mine = self._touch(touch, theirs, platforms, include_startup)[2]
+            rival = self._touch(touch, platforms, theirs, include_startup)[2]
+            low, high = plan.cost.lower, plan.cost.upper
+            if low > 0 and self._beaten(
+                    (lower, upper), ((low + mine, high + mine),)):
+                return None
+            if lower > 0 and self._beaten(
+                    (low, high), ((lower + rival, upper + rival),), True):
+                beaten.append(theirs)
+        return beaten
 
     def _wire(self, op_id: int, prepared: list[_Prepared], haves: list,
               paths: PathTable, cards: dict[int, CardinalityEstimate],
@@ -996,12 +1052,14 @@ class Optimizer:
         return survivors, skipped, skipped_wirings
 
     @staticmethod
-    def _beaten(terms: list[float], dominators: list[list[float]]) -> bool:
-        """Whether some vector in ``dominators`` is <= ``terms`` everywhere."""
+    def _beaten(terms: Sequence[float], dominators: Iterable[Sequence[float]],
+                strict: bool = False) -> bool:
+        """Whether some vector in ``dominators`` is <= ``terms`` everywhere
+        (< with ``strict``)."""
         for other in dominators:
             for mine, theirs in zip(terms, other):
-                if not theirs <= mine:  # NaN never dominates
-                    break
+                if not (theirs < mine if strict else theirs <= mine):
+                    break  # NaN never dominates
             else:
                 return True
         return False

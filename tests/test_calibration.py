@@ -477,6 +477,8 @@ class TestBeamEnumeration:
     def test_wide_plan_engages_the_beam_and_stays_fast(self, beam_ctx):
         plan = _chain_plan(beam_ctx, 100)
         optimizer = beam_ctx.optimizer()
+        # Cross-set dominance keeps this chain's frontier at <= 13 plans.
+        optimizer.beam_width = 8
         start = time.perf_counter()
         best, __ = optimizer.pick_best(plan)
         elapsed = time.perf_counter() - start
@@ -499,6 +501,7 @@ class TestBeamEnumeration:
         # beam truncates; a chain's optimum survives easily).
         plan = _chain_plan(beam_ctx, 60)
         beamed = beam_ctx.optimizer()
+        beamed.beam_width = 8
         best_beam, __ = beamed.pick_best(plan)
         lossless = beam_ctx.optimizer()
         lossless.beam_threshold = None

@@ -1,10 +1,12 @@
-"""Dominated loop decisions: skipped without changing what enumeration picks.
+"""Dominated plans: dropped without changing what enumeration picks.
 
 ``Optimizer._extend`` drops a ``LoopDecision`` beaten on every cost term
 (conversion per input slot, ``lower``, ``upper``) by an *earlier* option
-of its (output channel, platform set) group.  The unit tests drive one
-``_extend`` step over hand-built options with a pre-filled conversion
-table; the property test holds whole loop plans to the unpruned optimum.
+of its (output channel, platform set) group, and a partial plan beaten on
+both bounds, plus the start-ups it has paid and the other has not, by a
+plan of its open signature on another platform set.  The unit tests drive
+one ``_extend`` step over hand-built options with a pre-filled conversion
+table; the property tests hold whole plans to the unpruned optimum.
 """
 
 from types import SimpleNamespace
@@ -15,7 +17,13 @@ from hypothesis import given, settings, strategies as st
 from repro import RheemContext
 from repro.core.channels import ChannelDescriptor, ConversionPath
 from repro.core.cost import CostEstimate
-from repro.core.optimizer import LoopDecision, Optimizer, PartialPlan
+from repro.core.objectives import monetary
+from repro.core.optimizer import (
+    LoopDecision,
+    Optimizer,
+    PartialPlan,
+    ReuseProbe,
+)
 from test_enumeration_golden import _describe
 
 HAVE = ChannelDescriptor("pystreams.collection", "pystreams", True)
@@ -33,21 +41,25 @@ def _option(lower, upper, want=HAVE, out=HAVE,
                         cost=CostEstimate(lower, upper))
 
 
-def _step(options):
+def _step(options, cost=(1.0, 2.0), started=(), objective=None,
+          across=True):
     """One loop step from a single partial holding ``HAVE``: the frontier
-    (winner first) and the step's counters."""
-    optimizer = RheemContext().optimizer()
+    (winner first) and the step's counters.  The step runs as in a loop
+    body: no start-up is charged, but it still sets the margin."""
+    optimizer = RheemContext().optimizer(objective=objective)
     op = SimpleNamespace(
         id=8, inputs=[SimpleNamespace(op=SimpleNamespace(id=PRODUCER))],
         side_inputs=[])
-    partial = PartialPlan(cost=CostEstimate(1.0, 2.0),
-                          open_channels={PRODUCER: HAVE})
+    partial = PartialPlan(cost=CostEstimate(*cost),
+                          open_channels={PRODUCER: HAVE},
+                          platforms=frozenset(started))
     paths = {(HAVE.name, RDD.name, PRODUCER): ConversionPath([], 0.5),
              (HAVE.name, DATASET.name, PRODUCER): ConversionPath([], 0.25),
              (HAVE.name, NOWHERE.name, PRODUCER): None}
     frontier = optimizer._extend(
         op, options, [partial], cards={}, bprs={}, to_close={PRODUCER},
-        keep_open=True, include_startup=False, paths=paths, intern={})
+        keep_open=True, include_startup=False, paths=paths, intern={},
+        across=across)
     frontier.sort(key=lambda p: p.gm)
     return [p.decisions[8] for p in frontier], optimizer.stats
 
@@ -113,6 +125,127 @@ class TestDominanceRule:
         assert stats["plans_dominated"] == 0
 
 
+SPARK, FLINK = ("sparklite",), ("flinklite",)  # start-ups 6.0 s, 4.5 s
+
+
+class TestAcrossPlatformSets:
+    """The partial holds (1, 2); each option adds its own interval."""
+
+    def test_the_margin_is_what_the_survivor_has_not_started(self):
+        # (2, 5) + S(sparklite) = (8, 11): an equal later plan goes.
+        cheap, dear = _option(1.0, 3.0), _option(7.0, 9.0, platforms=SPARK)
+        chosen, stats = _step([cheap, dear])
+        assert chosen == [cheap]
+        assert (stats["plans_enumerated"], stats["plans_pruned"],
+                stats["plans_dominated"]) == (2, 1, 1)
+        close = _option(6.9, 9.0, platforms=SPARK)
+        assert _step([cheap, close])[0] == [cheap, close]
+        # Only the platforms the survivor lacks count: flinklite's 4.5 s.
+        spark = _option(1.0, 3.0, platforms=SPARK)
+        both = _option(5.5, 7.5, platforms=SPARK + FLINK)
+        assert _step([spark, both])[0] == [spark]
+        assert _step([spark, _option(5.4, 7.5, platforms=SPARK + FLINK)]
+                     )[1]["plans_dominated"] == 0
+
+    def test_zero_start_up_platforms_collapse(self):
+        py = _option(1.0, 3.0)
+        chosen, stats = _step([py, _option(1.0, 3.0, platforms=("jgraph",)),
+                               _option(1.0, 3.0,
+                                       platforms=("pystreams", "jgraph"))])
+        assert chosen == [py] and stats["plans_dominated"] == 2
+        # A later plan cheaper on both bounds drops the earlier one.
+        jgraph = _option(0.5, 2.5, platforms=("jgraph",))
+        chosen, stats = _step([py, jgraph])
+        assert chosen == [jgraph] and stats["plans_dominated"] == 1
+        # Cheaper on one bound only: both stay.
+        assert len(_step([py, _option(0.5, 3.5, platforms=("jgraph",))]
+                         )[0]) == 2
+
+    def test_a_zero_lower_bound_never_dominates(self):
+        # Both totals are [0, 3]: equal on every bound, yet both stay.
+        chosen, stats = _step([_option(0.0, 1.0),
+                               _option(0.0, 1.0, platforms=("jgraph",))],
+                              cost=(0.0, 2.0))
+        assert len(chosen) == 2 and stats["plans_dominated"] == 0
+
+    def test_a_later_tie_never_drops_an_earlier_plan(self):
+        # (8, 11) first; the later (2, 5) + S(sparklite) ties it exactly.
+        dear, cheap = _option(7.0, 9.0, platforms=SPARK), _option(1.0, 3.0)
+        chosen, stats = _step([dear, cheap])
+        assert chosen == [cheap, dear] and stats["plans_dominated"] == 0
+        # A strictly cheaper later plan does drop it.
+        dearer = _option(7.5, 9.5, platforms=SPARK)
+        chosen, stats = _step([dearer, cheap])
+        assert chosen == [cheap] and stats["plans_dominated"] == 1
+        assert stats["plans_pruned"] == 1
+
+    def test_a_resume_cancels_the_started_platforms(self):
+        # sparklite runs already: it is in both plans, so no margin.
+        py, spark = _option(1.0, 3.0), _option(1.0, 3.0, platforms=SPARK)
+        chosen, stats = _step([py, spark], started=SPARK)
+        assert chosen == [py] and stats["plans_dominated"] == 1
+        assert len(_step([py, spark])[0]) == 2
+        # A whole resumed plan keeps the unpruned optimum.
+        ctx = RheemContext()
+        plan = _loop_plan(ctx, "repeat", ["double", "sort"], 30, 20_000.0,
+                          False)
+        costs = []
+        for prune in (True, False):
+            optimizer = ctx.optimizer()
+            optimizer.prune = prune
+            best, __ = optimizer.pick_best(plan, reuse=ReuseProbe(
+                roots={}, needed=set(), started=frozenset(SPARK)))
+            costs.append((repr(best.cost.lower), repr(best.cost.upper)))
+        assert costs[0] == costs[1]
+
+    def test_monetary_weights_the_margin(self):
+        # flinklite's 4.5 s cost 4.5 * 9.60 / 3600 = $0.012.
+        py, flink = _option(1.0, 3.0), _option(1.02, 3.02, platforms=FLINK)
+        chosen, __ = _step([py, flink], objective=monetary())
+        assert chosen == [py]
+        assert len(_step([py, flink])[0]) == 2
+
+    def test_no_drop_in_a_body_run_zero_times(self):
+        cheap, dear = _option(1.0, 3.0), _option(7.0, 9.0, platforms=SPARK)
+        chosen, stats = _step([cheap, dear], across=False)
+        assert chosen == [cheap, dear] and stats["plans_dominated"] == 0
+
+        def body_frontiers(expected, nested=1):
+            """Platform sets of the body plans a loop keeps, per loop."""
+            ctx = RheemContext()
+            data = ctx.load_collection(list(range(40)), sim_factor=1e6)
+
+            def body(state):
+                return state.map(lambda x: x * 2 % 97).distinct()
+
+            def loop(state):
+                return state.do_while(lambda records: False, body,
+                                      expected=nested)
+
+            out = data.do_while(lambda records: False, loop,
+                                expected=expected)
+            seen = []
+            decide = Optimizer._loop_decisions
+
+            def spy(self, *args, **kwargs):
+                decisions = decide(self, *args, **kwargs)
+                seen.append(sorted(sorted(d.platforms) for d in decisions))
+                return decisions
+
+            with mock.patch.object(Optimizer, "_loop_decisions", spy):
+                ctx.optimizer().pick_best(out.to_plan())
+            return seen
+
+        with mock.patch.object(Optimizer, "_across",
+                               lambda *args: []):
+            within_only = body_frontiers(0)
+        # A body run zero times, and a body nested in it, keep every plan.
+        assert body_frontiers(0) == within_only
+        once, inner_zero = body_frontiers(1), body_frontiers(1, nested=0)
+        assert len(once[0]) < len(within_only[0])
+        assert len(inner_zero[0]) == len(within_only[0])
+
+
 # A loop body is a short chain of steps over the loop variable.
 body_steps = st.lists(st.sampled_from(["double", "even", "distinct",
                                        "sort", "sample"]),
@@ -175,12 +308,15 @@ class TestLosslessLoops:
         assert (repr(best.cost.lower), repr(best.cost.upper)) == (
             repr(reference.cost.lower), repr(reference.cost.upper))
         # Against the same step with nothing skipped: the same counters,
-        # down to the skipped candidates, and the same decisions.
+        # down to the skipped candidates, and the same decisions.  Walked,
+        # a skipped candidate is pruned by its signature's incumbent or,
+        # counted as dominated, across platform sets.
         with mock.patch.object(Optimizer, "_undominated",
                                lambda self, prepared, *args:
                                (prepared, 0, 0)):
             undropped, every = optimum()
-        assert every["plans_dominated"] == 0
-        assert {**stats, "plans_dominated": 0} == every
+        assert every["plans_dominated"] <= stats["plans_dominated"]
+        assert {**stats, "plans_dominated": 0} \
+            == {**every, "plans_dominated": 0}
         assert _describe(plan.operators(), best) \
             == _describe(plan.operators(), undropped)
