@@ -5,8 +5,11 @@ the enumeration inner loop was restructured (``python
 tests/test_enumeration_golden.py`` with ``PYTHONPATH`` on that commit's
 ``src`` prints a fresh table), so a pass means the restructured loop still
 enumerates, prunes, wires and chooses exactly what the old one did — down
-to the last bit of the cost interval.  CI runs this module under two
-``PYTHONHASHSEED`` values: the chosen plan must not depend on set order.
+to the last bit of the cost interval.  The counters were re-recorded
+once since, when plans of one boundary began to be compared across
+platform sets; every cost interval and chosen plan stayed as recorded.
+CI runs this module under two ``PYTHONHASHSEED`` values: the chosen
+plan must not depend on set order.
 """
 
 import json
