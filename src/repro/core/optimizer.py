@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from ..platforms.base import ExecutionOperator
 from ..trace import NO_TRACER, MetricsRegistry
@@ -722,6 +722,8 @@ class Optimizer:
         # Signature tuples recur across every operator step; interning them
         # makes the dict probes below mostly pointer comparisons.
         intern: dict[tuple, tuple] = {}
+        # started platforms -> added platforms -> :meth:`_touch`
+        touch: dict[frozenset[str], dict[frozenset[str], tuple]] = {}
 
         for op in ops:
             options = alternatives(op)
@@ -739,7 +741,7 @@ class Optimizer:
 
             frontier = self._extend(op, options, frontier, cards, bprs,
                                     to_close, keep_open, include_startup,
-                                    paths, intern, across)
+                                    paths, intern, touch, across)
             if not frontier:
                 raise OptimizationError(f"no executable plan at operator {op}")
             if beam is not None and len(frontier) > beam:
@@ -781,6 +783,7 @@ class Optimizer:
         include_startup: bool,
         paths: PathTable,
         intern: dict[tuple, tuple],
+        touch: dict[frozenset[str], dict[frozenset[str], tuple]],
         across: bool = True,
     ) -> list[PartialPlan]:
         """One DP step: every frontier plan x every option of ``op``.
@@ -791,8 +794,9 @@ class Optimizer:
         each option's wiring once per distinct input channels
         (:meth:`_wire`; :meth:`_undominated` filters it for loop decisions),
         the first-touch start-up terms once per (started, option) platform
-        sets, the copy-on-write open channels and their signature half
-        once per (parent's open signature, output channel) (:meth:`_open`).
+        sets of the enumeration (``touch``), the copy-on-write open channels
+        and their signature half once per (parent's open signature, output
+        channel) (:meth:`_open`).
         A candidate then costs float additions in a fixed operand order
         (conversions by slot — 0.0 where none is needed — broadcast
         conversions, operator, start-ups, stage dispatch; never pre-summed,
@@ -814,8 +818,6 @@ class Optimizer:
         # open signature -> platform set -> the survivor of ``best``
         groups: dict[tuple, dict[frozenset[str], PartialPlan]] = {}
         unpruned: list[PartialPlan] = []
-        # started platforms -> added platforms -> :meth:`_touch`
-        touch: dict[frozenset[str], dict[frozenset[str], tuple]] = {}
         dominance = prune and prepared and all(
             isinstance(p.option, LoopDecision) for p in prepared)
         # input channel names -> (wired options, wirings, dominated)
@@ -1052,7 +1054,7 @@ class Optimizer:
         return survivors, skipped, skipped_wirings
 
     @staticmethod
-    def _beaten(terms: Sequence[float], dominators: Iterable[Sequence[float]],
+    def _beaten(terms: Sequence[float], dominators: Sequence[Sequence[float]],
                 strict: bool = False) -> bool:
         """Whether some vector in ``dominators`` is <= ``terms`` everywhere
         (< with ``strict``)."""

@@ -59,7 +59,7 @@ def _step(options, cost=(1.0, 2.0), started=(), objective=None,
     frontier = optimizer._extend(
         op, options, [partial], cards={}, bprs={}, to_close={PRODUCER},
         keep_open=True, include_startup=False, paths=paths, intern={},
-        across=across)
+        touch={}, across=across)
     frontier.sort(key=lambda p: p.gm)
     return [p.decisions[8] for p in frontier], optimizer.stats
 
