@@ -784,7 +784,7 @@ class Optimizer:
         paths: PathTable,
         intern: dict[tuple, tuple],
         touch: dict[frozenset[str], dict[frozenset[str], tuple]],
-        across: bool = True,
+        across: bool,
     ) -> list[PartialPlan]:
         """One DP step: every frontier plan x every option of ``op``.
 
