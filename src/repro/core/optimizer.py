@@ -13,9 +13,8 @@ Pipeline:
    only the cheapest survives per signature ``(open output channels,
    platforms already started)`` — the paper's lemma that a dominated
    subplan with identical boundary channels can never be part of the
-   optimum.  Across platform sets of one boundary, a plan goes when
-   another is cheaper on both bounds by the start-ups it has not paid
-   yet, so start-up costs cannot break dominance either.
+   optimum.  Across platform sets, a plan cheaper on both bounds by the
+   start-ups it may still have to pay drops the other.
 
 Loops are enumerated recursively: the loop body is itself enumerated (its
 placeholder inputs may materialize as any data channel), and each surviving
@@ -646,8 +645,7 @@ class Optimizer:
         # Platform start-up is a once-per-job cost: exclude it from the body
         # cost (which gets multiplied by the iteration count); the outer
         # enumeration charges it when the loop's platform set first appears.
-        # A body priced at zero iterations (here or in an enclosing loop)
-        # would drop plans by a start-up margin it no longer keeps.
+        # A body run zero times (or inside one) keeps no start-up margin.
         iterations = loop.expected_iterations()
         across = across and iterations > 0
         results = self._enumerate_ops(body_ops, cards, body_bprs,
@@ -706,8 +704,6 @@ class Optimizer:
         RHEEMix's answer is to sample the plan space rather than enumerate
         it.  The truncation order is deterministic (cost, then signature),
         so repeated optimizations of the same plan pick the same winner.
-        ``across=False`` (a body run zero times) compares within a
-        signature only.
         """
         beam = (self.beam_width
                 if (self.prune and self.beam_threshold is not None
@@ -794,9 +790,8 @@ class Optimizer:
         each option's wiring once per distinct input channels
         (:meth:`_wire`; :meth:`_undominated` filters it for loop decisions),
         the first-touch start-up terms once per (started, option) platform
-        sets of the enumeration (``touch``), the copy-on-write open channels
-        and their signature half once per (parent's open signature, output
-        channel) (:meth:`_open`).
+        sets, the copy-on-write open channels and their signature half
+        once per (parent's open signature, output channel) (:meth:`_open`).
         A candidate then costs float additions in a fixed operand order
         (conversions by slot — 0.0 where none is needed — broadcast
         conversions, operator, start-ups, stage dispatch; never pre-summed,
@@ -804,8 +799,7 @@ class Optimizer:
         one signature probe, the incumbent comparison and :meth:`_across`;
         only survivors become a validated ``CostEstimate`` and a
         ``PartialPlan``.  With pruning on, first-seen wins ties: a survivor
-        is replaced or dropped only by a strictly cheaper plan, so
-        cache-on/off runs tie-break alike.
+        goes only for a strictly cheaper plan, so runs tie-break alike.
         """
         prepared = [p for p in (self._prepare(op, option, cards, bprs)
                                 for option in options) if p is not None]
@@ -814,8 +808,9 @@ class Optimizer:
         edges = [(slot, ref.op.id) for slot, ref in enumerate(op.inputs)]
         edges += [(-(slot + 1), ref.op.id)
                   for slot, ref in enumerate(op.side_inputs)]
+        # First-seen order, as unpruned: the next step's ties follow it.
         best: dict[tuple, PartialPlan] = {}
-        # open signature -> platform set -> the survivor of ``best``
+        # open signature -> platform set -> its survivor in ``best``
         groups: dict[tuple, dict[frozenset[str], PartialPlan]] = {}
         unpruned: list[PartialPlan] = []
         dominance = prune and prepared and all(
@@ -891,12 +886,11 @@ class Optimizer:
                     if incumbent is not None and incumbent.gm <= gm:
                         pruned += 1
                         continue
-                    beaten = self._across(group, platforms, lower, upper,
-                                          touch, include_startup) \
-                        if across else []
+                    beaten = self._across(
+                        group, platforms, lower, upper, touch,
+                        include_startup) if across else ()
                     if beaten is None:
-                        pruned += 1
-                        dominated += 1
+                        pruned, dominated = pruned + 1, dominated + 1
                         continue
                     for theirs in beaten:
                         del group[theirs], best[opened[1], theirs]
@@ -923,12 +917,10 @@ class Optimizer:
         return list(best.values()) if prune else unpruned
 
     def _touch(self, touch: dict, have: frozenset[str], add: frozenset[str],
-               include_startup: bool
-               ) -> tuple[tuple[float, ...], frozenset[str], float]:
+               include_startup: bool) -> tuple:
         """``(start-ups charged, have | add, S)``, memoized in ``touch``:
-        the weighted start-up of each platform of ``add - have`` in name
-        order (a sum must not depend on set order), charged only with
-        ``include_startup``; ``S`` is their sum."""
+        the weighted start-ups of ``add - have`` in name order (a sum must
+        not depend on set order), charged with ``include_startup``."""
         row = touch.setdefault(have, {})
         hit = row.get(add)
         if hit is None:
@@ -945,21 +937,29 @@ class Optimizer:
         """Dominance across the platform sets of one open signature:
         ``None`` when a survivor of ``group`` is <= the candidate on both
         bounds, else the survivors the candidate beats strictly.  Each side
-        first adds ``S`` of the platforms only the other has started — the
-        most a completion can charge it more (``started`` ones cancel); a
-        dominator needs ``lower > 0``, as in :meth:`_undominated`."""
+        adds the start-ups ``S`` it may pay and the other not: at top level,
+        where costs hold those paid, the other's; in a loop body, paid by
+        the job later, its own (``started`` ones cancel).  Completions add
+        ``S`` elsewhere in their float sums, so a margin pads by 2**-30: a
+        tie across a start-up keeps both.  Dominators need ``lower > 0``."""
+        def padded(low, high, margin):
+            pad = 1 + 2 ** -30 if margin else 1.0
+            return [((low + margin) * pad, (high + margin) * pad)]
+
         beaten = []
         for theirs, plan in group.items():
             if theirs == platforms:
                 continue
             mine = self._touch(touch, theirs, platforms, include_startup)[2]
             rival = self._touch(touch, platforms, theirs, include_startup)[2]
+            if not include_startup:
+                mine, rival = rival, mine
             low, high = plan.cost.lower, plan.cost.upper
-            if low > 0 and self._beaten(
-                    (lower, upper), ((low + mine, high + mine),)):
+            if low > 0 and self._beaten((lower, upper),
+                                        padded(low, high, mine)):
                 return None
             if lower > 0 and self._beaten(
-                    (low, high), ((lower + rival, upper + rival),), True):
+                    (low, high), padded(lower, upper, rival), True):
                 beaten.append(theirs)
         return beaten
 

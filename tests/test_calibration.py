@@ -489,9 +489,12 @@ class TestBeamEnumeration:
     def test_beam_is_deterministic(self, beam_ctx):
         plan = _chain_plan(beam_ctx, 60)
         a = beam_ctx.optimizer()
+        a.beam_width = 8  # narrow enough to truncate, as above
         best_a, __ = a.pick_best(plan)
         b = beam_ctx.optimizer()
+        b.beam_width = 8
         best_b, __ = b.pick_best(plan)
+        assert a.stats["plans_beam_dropped"] > 0
         assert best_a.cost.geometric_mean == best_b.cost.geometric_mean
         assert a.stats == b.stats
 

@@ -3,15 +3,16 @@
 ``Optimizer._extend`` drops a ``LoopDecision`` beaten on every cost term
 (conversion per input slot, ``lower``, ``upper``) by an *earlier* option
 of its (output channel, platform set) group, and a partial plan beaten on
-both bounds, plus the start-ups it has paid and the other has not, by a
-plan of its open signature on another platform set.  The unit tests drive
-one ``_extend`` step over hand-built options with a pre-filled conversion
-table; the property tests hold whole plans to the unpruned optimum.
-"""
+both bounds, plus the start-ups a completion may still charge it and not
+the other, by a plan of its open signature on another platform set.  The
+unit tests drive one ``_extend`` step over hand-built options with a
+pre-filled conversion table; the property tests hold whole plans to the
+unpruned optimum."""
 
 from types import SimpleNamespace
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import RheemContext
@@ -42,10 +43,11 @@ def _option(lower, upper, want=HAVE, out=HAVE,
 
 
 def _step(options, cost=(1.0, 2.0), started=(), objective=None,
-          across=True):
-    """One loop step from a single partial holding ``HAVE``: the frontier
+          across=False, top=False):
+    """One step from a single partial holding ``HAVE``: the frontier
     (winner first) and the step's counters.  The step runs as in a loop
-    body: no start-up is charged, but it still sets the margin."""
+    body, or with ``top`` as a top-level step that charges start-ups;
+    ``across`` adds the comparison across platform sets."""
     optimizer = RheemContext().optimizer(objective=objective)
     op = SimpleNamespace(
         id=8, inputs=[SimpleNamespace(op=SimpleNamespace(id=PRODUCER))],
@@ -58,7 +60,7 @@ def _step(options, cost=(1.0, 2.0), started=(), objective=None,
              (HAVE.name, NOWHERE.name, PRODUCER): None}
     frontier = optimizer._extend(
         op, options, [partial], cards={}, bprs={}, to_close={PRODUCER},
-        keep_open=True, include_startup=False, paths=paths, intern={},
+        keep_open=True, include_startup=top, paths=paths, intern={},
         touch={}, across=across)
     frontier.sort(key=lambda p: p.gm)
     return [p.decisions[8] for p in frontier], optimizer.stats
@@ -128,63 +130,101 @@ class TestDominanceRule:
 SPARK, FLINK = ("sparklite",), ("flinklite",)  # start-ups 6.0 s, 4.5 s
 
 
-class TestAcrossPlatformSets:
-    """The partial holds (1, 2); each option adds its own interval."""
+def _across(options, **kwargs):
+    return _step(options, across=True, **kwargs)
 
-    def test_the_margin_is_what_the_survivor_has_not_started(self):
-        # (2, 5) + S(sparklite) = (8, 11): an equal later plan goes.
-        cheap, dear = _option(1.0, 3.0), _option(7.0, 9.0, platforms=SPARK)
-        chosen, stats = _step([cheap, dear])
+
+class TestAcrossPlatformSets:
+    """The partial holds (1, 2); each option adds its own interval and, at
+    top level, the start-ups of the platforms it touches first."""
+
+    def test_at_top_level_the_margin_is_what_only_the_other_has_paid(self):
+        # (2, 5) + S(sparklite) = (8, 11) beats (8.5, 11.5).
+        cheap, dear = _option(1.0, 3.0), _option(1.5, 3.5, platforms=SPARK)
+        chosen, stats = _across([cheap, dear], top=True)
         assert chosen == [cheap]
         assert (stats["plans_enumerated"], stats["plans_pruned"],
                 stats["plans_dominated"]) == (2, 1, 1)
-        close = _option(6.9, 9.0, platforms=SPARK)
-        assert _step([cheap, close])[0] == [cheap, close]
+        close = _option(0.9, 3.5, platforms=SPARK)
+        assert _across([cheap, close], top=True)[0] == [cheap, close]
         # Only the platforms the survivor lacks count: flinklite's 4.5 s.
-        spark = _option(1.0, 3.0, platforms=SPARK)
-        both = _option(5.5, 7.5, platforms=SPARK + FLINK)
-        assert _step([spark, both])[0] == [spark]
-        assert _step([spark, _option(5.4, 7.5, platforms=SPARK + FLINK)]
-                     )[1]["plans_dominated"] == 0
+        spark = _option(1.0, 3.0, platforms=SPARK)  # (8, 11)
+        both = _option(1.5, 3.5, platforms=SPARK + FLINK)  # (13, 16)
+        assert _across([spark, both], top=True)[0] == [spark]
+        assert _across([spark, _option(0.9, 3.5, platforms=SPARK + FLINK)],
+                       top=True)[1]["plans_dominated"] == 0
+
+    def test_in_a_body_the_margin_is_what_only_the_survivor_owes(self):
+        # The job pays a body's start-ups later: an equal sparklite body
+        # plan owes 6 s more, so it may not drop the pystreams one ...
+        spark, py = _option(1.0, 3.0, platforms=SPARK), _option(1.0, 3.0)
+        chosen, stats = _across([spark, py])
+        assert chosen == [spark, py] and stats["plans_dominated"] == 0
+        # ... and a pystreams plan owes nothing: it drops any dearer one,
+        # however little dearer, and a strictly cheaper later one goes
+        # ahead of the sparklite plan.
+        chosen, stats = _across([py, spark])
+        assert chosen == [py] and stats["plans_dominated"] == 1
+        assert _across([py, _option(1.5, 3.5, platforms=SPARK)])[0] == [py]
+        cheaper = _option(0.9, 2.9)
+        chosen, stats = _across([spark, cheaper])
+        assert chosen == [cheaper] and stats["plans_dominated"] == 1
+        # A sparklite plan cheaper by more than the 6 s it owes wins.
+        chosen, __ = _across([_option(8.0, 10.0), spark])
+        assert chosen == [spark]
+        # Within the platform sets of one loop decision's group, too.
+        flink = _option(2.0, 4.0, platforms=("pystreams", "flinklite"))
+        assert _across([_option(1.0, 3.0), flink])[0] != [flink]
+        assert flink not in _across([_option(1.0, 3.0), flink])[0]
 
     def test_zero_start_up_platforms_collapse(self):
-        py = _option(1.0, 3.0)
-        chosen, stats = _step([py, _option(1.0, 3.0, platforms=("jgraph",)),
-                               _option(1.0, 3.0,
-                                       platforms=("pystreams", "jgraph"))])
-        assert chosen == [py] and stats["plans_dominated"] == 2
-        # A later plan cheaper on both bounds drops the earlier one.
-        jgraph = _option(0.5, 2.5, platforms=("jgraph",))
-        chosen, stats = _step([py, jgraph])
-        assert chosen == [jgraph] and stats["plans_dominated"] == 1
-        # Cheaper on one bound only: both stay.
-        assert len(_step([py, _option(0.5, 3.5, platforms=("jgraph",))]
-                         )[0]) == 2
+        for top in (False, True):
+            py = _option(1.0, 3.0)
+            chosen, stats = _across(
+                [py, _option(1.0, 3.0, platforms=("jgraph",)),
+                 _option(1.0, 3.0, platforms=("pystreams", "jgraph"))],
+                top=top)
+            assert chosen == [py] and stats["plans_dominated"] == 2
+            # A later plan cheaper on both bounds drops the earlier one.
+            jgraph = _option(0.5, 2.5, platforms=("jgraph",))
+            chosen, stats = _across([py, jgraph], top=top)
+            assert chosen == [jgraph] and stats["plans_dominated"] == 1
+            # Cheaper on one bound only: both stay.
+            assert len(_across([py, _option(0.5, 3.5, platforms=("jgraph",))],
+                               top=top)[0]) == 2
 
     def test_a_zero_lower_bound_never_dominates(self):
         # Both totals are [0, 3]: equal on every bound, yet both stay.
-        chosen, stats = _step([_option(0.0, 1.0),
-                               _option(0.0, 1.0, platforms=("jgraph",))],
-                              cost=(0.0, 2.0))
+        chosen, stats = _across([_option(0.0, 1.0),
+                                 _option(0.0, 1.0, platforms=("jgraph",))],
+                                cost=(0.0, 2.0))
         assert len(chosen) == 2 and stats["plans_dominated"] == 0
 
     def test_a_later_tie_never_drops_an_earlier_plan(self):
+        # Free start-ups: the earlier plan drops the tying later one.
+        jgraph = _option(1.0, 3.0, platforms=("jgraph",))
+        py = _option(1.0, 3.0)
+        chosen, stats = _across([jgraph, py])
+        assert chosen == [jgraph] and stats["plans_dominated"] == 1
         # (8, 11) first; the later (2, 5) + S(sparklite) ties it exactly.
-        dear, cheap = _option(7.0, 9.0, platforms=SPARK), _option(1.0, 3.0)
-        chosen, stats = _step([dear, cheap])
+        # Across a start-up a tie keeps both: the completions charge it at
+        # other points of their float sums, so either may round lower.
+        dear, cheap = _option(1.0, 3.0, platforms=SPARK), _option(1.0, 3.0)
+        chosen, stats = _across([dear, cheap], top=True)
         assert chosen == [cheap, dear] and stats["plans_dominated"] == 0
+        assert len(_across([cheap, dear], top=True)[0]) == 2
         # A strictly cheaper later plan does drop it.
-        dearer = _option(7.5, 9.5, platforms=SPARK)
-        chosen, stats = _step([dearer, cheap])
+        dearer = _option(1.5, 3.5, platforms=SPARK)
+        chosen, stats = _across([dearer, cheap], top=True)
         assert chosen == [cheap] and stats["plans_dominated"] == 1
         assert stats["plans_pruned"] == 1
 
     def test_a_resume_cancels_the_started_platforms(self):
         # sparklite runs already: it is in both plans, so no margin.
         py, spark = _option(1.0, 3.0), _option(1.0, 3.0, platforms=SPARK)
-        chosen, stats = _step([py, spark], started=SPARK)
+        chosen, stats = _across([py, spark], started=SPARK, top=True)
         assert chosen == [py] and stats["plans_dominated"] == 1
-        assert len(_step([py, spark])[0]) == 2
+        assert len(_across([py, spark], top=True)[0]) == 2
         # A whole resumed plan keeps the unpruned optimum.
         ctx = RheemContext()
         plan = _loop_plan(ctx, "repeat", ["double", "sort"], 30, 20_000.0,
@@ -199,16 +239,43 @@ class TestAcrossPlatformSets:
         assert costs[0] == costs[1]
 
     def test_monetary_weights_the_margin(self):
-        # flinklite's 4.5 s cost 4.5 * 9.60 / 3600 = $0.012.
-        py, flink = _option(1.0, 3.0), _option(1.02, 3.02, platforms=FLINK)
-        chosen, __ = _step([py, flink], objective=monetary())
-        assert chosen == [py]
-        assert len(_step([py, flink])[0]) == 2
+        # flinklite's 4.5 s cost 4.5 * 9.60 / 3600 = $0.012: a later plan
+        # cheaper by $0.05 pays it off, but not 4.5 s of time.
+        py, flink = _option(1.0, 3.0), _option(0.95, 2.95, platforms=FLINK)
+        chosen, __ = _across([py, flink], objective=monetary(), top=True)
+        assert chosen == [flink]
+        assert len(_across([py, flink], top=True)[0]) == 2
+        # In a body the survivor owes it: $0.012 under $0.02 of savings.
+        flink = _option(0.98, 2.98, platforms=FLINK)
+        chosen, __ = _across([flink, py], objective=monetary())
+        assert chosen == [flink]
+        assert len(_across([flink, py])[0]) == 2
+
+    @pytest.mark.parametrize("iterations", [1, 2])
+    @pytest.mark.parametrize("steps", [["double", "even", "double"],
+                                       ["sort", "distinct"],
+                                       ["double", "even", "sort"]])
+    def test_a_body_detour_through_a_cold_platform_keeps_the_optimum(
+            self, steps, iterations):
+        # At 200k records a body step may detour through sparklite; no
+        # outer operator does, so the job pays its start-up for the body.
+        ctx = RheemContext()
+        plan = _loop_plan(ctx, "repeat", steps, iterations, 200_000.0,
+                          False)
+        allowed = {"pystreams", "sparklite", "driver"}
+        costs = []
+        for prune in (True, False):
+            optimizer = ctx.optimizer(allowed_platforms=allowed)
+            optimizer.prune = prune
+            best, __ = optimizer.pick_best(plan)
+            costs.append((repr(best.cost.lower), repr(best.cost.upper)))
+        assert costs[0] == costs[1]
 
     def test_no_drop_in_a_body_run_zero_times(self):
-        cheap, dear = _option(1.0, 3.0), _option(7.0, 9.0, platforms=SPARK)
-        chosen, stats = _step([cheap, dear], across=False)
-        assert chosen == [cheap, dear] and stats["plans_dominated"] == 0
+        spark, py = _option(1.5, 3.5, platforms=SPARK), _option(1.0, 3.0)
+        chosen, stats = _step([spark, py])
+        assert chosen == [py, spark] and stats["plans_dominated"] == 0
+        assert _across([spark, py])[0] == [py]
 
         def body_frontiers(expected, nested=1):
             """Platform sets of the body plans a loop keeps, per loop."""
