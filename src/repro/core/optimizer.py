@@ -9,12 +9,14 @@ Pipeline:
    supplies minimum-cost conversion paths between the producing and the
    required channel types.
 4. **Plan enumeration** — a dynamic program over the plan in topological
-   order.  Partial plans covering the same prefix are *pruned losslessly*:
-   only the cheapest survives per signature ``(open output channels,
-   platforms already started)`` — the paper's lemma that a dominated
+   order, one frontier per connected component of the operators seen so
+   far; two components' frontiers are joined (cross product) at the
+   operator where they meet.  Partial plans with the same open output
+   channels are *pruned losslessly* — the paper's lemma that a dominated
    subplan with identical boundary channels can never be part of the
-   optimum.  Across platform sets, a plan cheaper on both bounds by the
-   start-ups it may still have to pay drops the other.
+   optimum: a plan goes when another is no dearer on both cost bounds,
+   plus the platform start-ups only that other one still owes.  Start-ups
+   are charged once per complete plan.
 
 Loops are enumerated recursively: the loop body is itself enumerated (its
 placeholder inputs may materialize as any data channel), and each surviving
@@ -24,6 +26,7 @@ at ``iterations x body cost`` plus per-iteration feedback conversion.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
@@ -217,20 +220,21 @@ class _Wired(NamedTuple):
 
 
 class PartialPlan:
-    """A costed assignment of decisions to a prefix of the plan.
+    """A costed assignment of decisions to a set of the plan's operators.
 
     Stored as a *delta chain*: each extension records only the decision and
-    conversions it added over ``parent``, so the enumeration's hot loop
-    never copies dictionaries.  The full ``decisions``/``conversions``
-    mappings materialize lazily — in practice only for the handful of
-    winners that reach plan construction.  ``open_channels`` stays a real
-    dict (it is read on every extension) but is shared: with the parent
-    whenever an operator neither closes nor opens a channel, and with
-    every sibling plan of one DP step that yields the same open
-    signature.  It is never mutated after construction.
+    conversions it added over ``parent``, and a plan that joins two
+    components' plans records nothing but its second parent, ``joined`` —
+    so the enumeration's hot loop never copies dictionaries.  The full
+    ``decisions``/``conversions`` mappings materialize lazily — in practice
+    only for the handful of winners that reach plan construction.
+    ``open_channels`` stays a real dict (it is read on every extension) but
+    is shared: with the parent whenever an operator neither closes nor
+    opens a channel, and with every sibling plan of one DP step that yields
+    the same open signature.  It is never mutated after construction.
     """
 
-    __slots__ = ("cost", "gm", "open_channels", "platforms", "parent",
+    __slots__ = ("cost", "open_channels", "platforms", "parent", "joined",
                  "_decision_delta", "_conversion_delta", "_decisions",
                  "_conversions", "_signature")
 
@@ -244,13 +248,13 @@ class PartialPlan:
         parent: "PartialPlan | None" = None,
         decision_delta: tuple[int, Decision] | None = None,
         conversion_delta: tuple = (),
+        joined: "PartialPlan | None" = None,
     ) -> None:
         self.cost = cost if cost is not None else CostEstimate.zero()
-        #: Scalar plan-comparison key, computed once per candidate.
-        self.gm = self.cost.geometric_mean
         self.open_channels = open_channels if open_channels is not None else {}
         self.platforms = platforms
         self.parent = parent
+        self.joined = joined
         self._decision_delta = decision_delta
         self._conversion_delta = conversion_delta
         # Chain roots (and explicitly-constructed plans) are materialized.
@@ -261,19 +265,27 @@ class PartialPlan:
         self._signature: tuple | None = None
 
     def _materialize(self, attr: str) -> dict:
-        chain: list[PartialPlan] = []
-        node: PartialPlan | None = self
-        while getattr(node, attr) is None:
-            chain.append(node)  # type: ignore[arg-type]
-            node = node.parent  # type: ignore[union-attr]
-        merged = dict(getattr(node, attr))
-        for part in reversed(chain):
-            if attr == "_decisions":
-                if part._decision_delta is not None:
-                    merged[part._decision_delta[0]] = part._decision_delta[1]
+        # Every operator is decided once, by one node, so the deltas of the
+        # ancestors merge in any order; this one is oldest first.
+        nodes: list[PartialPlan] = []
+        stack: list[PartialPlan] = [self]
+        while stack:
+            node = stack.pop()
+            nodes.append(node)
+            if getattr(node, attr) is None:
+                stack.append(node.parent)  # type: ignore[arg-type]
+                if node.joined is not None:
+                    stack.append(node.joined)
+        merged: dict = {}
+        for node in reversed(nodes):
+            done = getattr(node, attr)
+            if done is not None:
+                merged.update(done)
+            elif attr == "_decisions":
+                if node._decision_delta is not None:
+                    merged[node._decision_delta[0]] = node._decision_delta[1]
             else:
-                for key, path in part._conversion_delta:
-                    merged[key] = path
+                merged.update(node._conversion_delta)
         setattr(self, attr, merged)
         return merged
 
@@ -290,8 +302,8 @@ class PartialPlan:
             else self._materialize("_conversions")
 
     def signature(self) -> tuple:
-        """The lossless-pruning key: (open boundary channels, platforms);
-        :meth:`Optimizer._across` compares plans across the second half."""
+        """(open boundary channels, platforms): plans are compared within
+        the first half (:meth:`Optimizer._admit`)."""
         if self._signature is None:
             open_sig = tuple(sorted(
                 (op_id, desc.name)
@@ -342,22 +354,10 @@ class Optimizer:
         self.analysis = True
         self.tracer = tracer or NO_TRACER
         self.metrics = metrics or MetricsRegistry()
-        #: Beam-search engagement threshold (RHEEMix plan-space sampling):
-        #: plans with MORE operators than this bound the per-operator
-        #: frontier to :attr:`beam_width` cheapest survivors.  At or below
-        #: the threshold enumeration is the bit-for-bit identical lossless
-        #: DP — the beam path is never entered, so small plans cannot be
-        #: affected.  ``None`` disables the beam entirely.
-        self.beam_threshold: int | None = 48
-        #: Frontier bound once the beam engages.  Survivors are ranked by
-        #: (cost gm, signature) so the truncation is deterministic and
-        #: ties break exactly like the lossless first-seen rule.
-        self.beam_width = 24
         #: Per-phase counters of the last :meth:`pick_best` run.
         self.stats: dict[str, int] = dict.fromkeys(
             ("plans_enumerated", "plans_pruned", "conversion_paths_solved",
-             "conversion_paths_distinct", "plans_beam_dropped",
-             "plans_dominated"), 0)
+             "conversion_paths_distinct"), 0)
         self._fingerprints: PlanFingerprints | None = None
 
     # ----------------------------------------------------------- public API
@@ -453,7 +453,17 @@ class Optimizer:
                           self.stats["conversion_paths_solved"])
         if not results:
             raise OptimizationError("enumeration produced no executable plan")
-        best = min(results, key=lambda p: p.cost.geometric_mean)
+
+        def charged(partial: PartialPlan) -> PartialPlan:
+            """``partial`` plus the start-ups of its unstarted platforms."""
+            owed = self._startups(partial.platforms - reuse.started)
+            return PartialPlan(
+                cost=partial.cost.plus(CostEstimate.fixed(owed)),
+                open_channels=partial.open_channels,
+                platforms=partial.platforms, parent=partial)
+
+        best = min(map(charged, results),
+                   key=lambda p: p.cost.geometric_mean)
         return best, cards
 
     # -------------------------------------------------------- result reuse
@@ -642,16 +652,14 @@ class Optimizer:
             return self._filter_alternatives(
                 op, self.registry.alternatives_for(op))
 
-        # Platform start-up is a once-per-job cost: exclude it from the body
-        # cost (which gets multiplied by the iteration count); the outer
-        # enumeration charges it when the loop's platform set first appears.
-        # A body run zero times (or inside one) keeps no start-up margin.
+        # The job pays the start-ups of the body's platforms once, through
+        # ``LoopDecision.platforms``.  A body run zero times (or inside
+        # one) costs nothing but them, so it compares no two platform sets.
         iterations = loop.expected_iterations()
         across = across and iterations > 0
         results = self._enumerate_ops(body_ops, cards, body_bprs,
                                       body_alternatives, paths,
-                                      phantom_open=phantom,
-                                      include_startup=False, across=across)
+                                      phantom_open=phantom, across=across)
         decisions: list[LoopDecision] = []
         for partial in results:
             input_descs = [
@@ -685,41 +693,40 @@ class Optimizer:
         alternatives: Callable[[Operator], list],
         paths: PathTable,
         phantom_open: set[int],
-        include_startup: bool = True,
         started: frozenset[str] = frozenset(),
         across: bool = True,
     ) -> list[PartialPlan]:
         """Enumerate execution plans for ``ops`` (topologically ordered).
 
-        Returns the surviving partial plans covering ALL operators; with
-        pruning enabled, one per boundary signature (lossless).  Operators
-        in ``phantom_open`` keep their output channel in the signature even
-        with no uncovered consumer (loop inputs/outputs).  Platforms in
-        ``started`` are running already: no plan pays their start-up.
+        Returns the surviving partial plans covering ALL operators, with no
+        start-up charged: :meth:`pick_best` adds those of a complete plan,
+        and a loop's job those of its body.  Operators in ``phantom_open``
+        keep their output channel in the signature even with no uncovered
+        consumer (loop inputs/outputs).  Platforms in ``started`` are
+        running already: no plan pays their start-up.
 
-        Above :attr:`beam_threshold` operators the lossless frontier is
-        additionally bounded to the :attr:`beam_width` cheapest signatures
-        after each operator step (beam search): on wide plans the open
-        channels alone can outgrow what lossless pruning contains, and
-        RHEEMix's answer is to sample the plan space rather than enumerate
-        it.  The truncation order is deterministic (cost, then signature),
-        so repeated optimizations of the same plan pick the same winner.
+        Each connected component of the operators seen so far keeps a
+        frontier of its own, keyed by its own open channels, so branches
+        that have not met yet never multiply each other.  An operator that
+        reads from several components first joins their frontiers
+        (:meth:`_join`); the components left apart at the end are joined
+        too.
         """
-        beam = (self.beam_width
-                if (self.prune and self.beam_threshold is not None
-                    and len(ops) > self.beam_threshold)
-                else None)
         consumer_counts = self._consumer_counts(ops)
         remaining = dict(consumer_counts)
-        frontier: list[PartialPlan] = [PartialPlan(platforms=started)]
-        # A loop body is enumerated from inside the outer loop below, so
-        # the size is summed locally and added once (never reset here).
-        size = 1
+        # component -> its frontier, under the component's latest operator
+        frontiers: dict[int, list[PartialPlan]] = {}
+        # operator -> a later operator of its component (union-find)
+        owner: dict[int, int] = {}
         # Signature tuples recur across every operator step; interning them
         # makes the dict probes below mostly pointer comparisons.
         intern: dict[tuple, tuple] = {}
-        # started platforms -> added platforms -> :meth:`_touch`
+        # platforms -> added platforms -> :meth:`_touch`
         touch: dict[frozenset[str], dict[frozenset[str], tuple]] = {}
+
+        def joined(parts: list[list[PartialPlan]]) -> list[PartialPlan]:
+            return functools.reduce(lambda mine, theirs: self._join(
+                mine, theirs, intern, touch, across), parts)
 
         for op in ops:
             options = alternatives(op)
@@ -728,35 +735,29 @@ class Optimizer:
             for ref in list(op.inputs) + list(op.side_inputs):
                 if ref is not None and ref.op.id in remaining:
                     consumed[ref.op.id] = consumed.get(ref.op.id, 0) + 1
+            parts: list[list[PartialPlan]] = []
+            owner[op.id] = op.id
             for pid, k in consumed.items():
                 remaining[pid] -= k
                 if remaining[pid] <= 0 and pid not in phantom_open:
                     to_close.add(pid)
+                while owner[pid] != pid:
+                    pid = owner[pid]
+                if pid in frontiers:
+                    parts.append(frontiers.pop(pid))
+                    owner[pid] = op.id
+            if not parts:
+                self.last_enumeration_size += 1  # an empty root plan
+                parts.append([PartialPlan(platforms=started)])
             keep_open = (consumer_counts.get(op.id, 0) > 0
                          or op.id in phantom_open)
-
-            frontier = self._extend(op, options, frontier, cards, bprs,
-                                    to_close, keep_open, include_startup,
-                                    paths, intern, touch, across)
+            frontier = self._extend(op, options, joined(parts), cards, bprs,
+                                    to_close, keep_open, paths, intern, touch,
+                                    across)
             if not frontier:
                 raise OptimizationError(f"no executable plan at operator {op}")
-            if beam is not None and len(frontier) > beam:
-                frontier.sort(key=self._beam_rank)
-                self.stats["plans_beam_dropped"] += len(frontier) - beam
-                del frontier[beam:]
-            size += len(frontier)
-        self.last_enumeration_size += size
-        return frontier
-
-    @staticmethod
-    def _beam_rank(partial: PartialPlan) -> tuple:
-        """Deterministic beam order: cheapest first, signature-tie-broken.
-
-        The signature tail makes equal-cost survivors sort identically
-        across runs and cache states (frozensets have no stable iteration
-        order, so platforms are sorted into a tuple)."""
-        open_sig, platforms = partial.signature()
-        return (partial.gm, open_sig, tuple(sorted(platforms)))
+            frontiers[op.id] = frontier
+        return joined(list(frontiers.values()))
 
     @staticmethod
     def _consumer_counts(ops: Sequence[Operator]) -> dict[int, int]:
@@ -776,7 +777,6 @@ class Optimizer:
         bprs: dict[int, float],
         to_close: set[int],
         keep_open: bool,
-        include_startup: bool,
         paths: PathTable,
         intern: dict[tuple, tuple],
         touch: dict[frozenset[str], dict[frozenset[str], tuple]],
@@ -789,17 +789,16 @@ class Optimizer:
         once per (channel pair, producer) of the enumeration (``paths``),
         each option's wiring once per distinct input channels
         (:meth:`_wire`; :meth:`_undominated` filters it for loop decisions),
-        the first-touch start-up terms once per (started, option) platform
-        sets, the copy-on-write open channels and their signature half
-        once per (parent's open signature, output channel) (:meth:`_open`).
-        A candidate then costs float additions in a fixed operand order
-        (conversions by slot — 0.0 where none is needed — broadcast
-        conversions, operator, start-ups, stage dispatch; never pre-summed,
-        so totals are bit-for-bit those of chained ``CostEstimate.plus``),
-        one signature probe, the incumbent comparison and :meth:`_across`;
-        only survivors become a validated ``CostEstimate`` and a
-        ``PartialPlan``.  With pruning on, first-seen wins ties: a survivor
-        goes only for a strictly cheaper plan, so runs tie-break alike.
+        the platform-set union once per (parent's, option)
+        platform sets (:meth:`_touch`), the copy-on-write open channels and
+        their signature half once per (parent's open signature, output
+        channel) (:meth:`_open`).  A candidate then costs float additions
+        in a fixed operand order (conversions by slot — 0.0 where none is
+        needed — broadcast conversions, operator, stage dispatch; never
+        pre-summed, so totals are bit-for-bit those of chained
+        ``CostEstimate.plus``) and the comparison with its open signature's
+        survivors (:meth:`_admit`); only survivors become a validated
+        ``CostEstimate`` and a ``PartialPlan``.
         """
         prepared = [p for p in (self._prepare(op, option, cards, bprs)
                                 for option in options) if p is not None]
@@ -808,18 +807,15 @@ class Optimizer:
         edges = [(slot, ref.op.id) for slot, ref in enumerate(op.inputs)]
         edges += [(-(slot + 1), ref.op.id)
                   for slot, ref in enumerate(op.side_inputs)]
-        # First-seen order, as unpruned: the next step's ties follow it.
-        best: dict[tuple, PartialPlan] = {}
-        # open signature -> platform set -> its survivor in ``best``
-        groups: dict[tuple, dict[frozenset[str], PartialPlan]] = {}
-        unpruned: list[PartialPlan] = []
-        dominance = prune and prepared and all(
+        # open signature -> its survivors, first seen first
+        groups: dict[tuple, list[PartialPlan]] = {}
+        shortcut = prune and prepared and all(
             isinstance(p.option, LoopDecision) for p in prepared)
-        # input channel names -> (wired options, wirings, dominated)
+        # input channel names -> (reachable wired options, wirings, skipped)
         walks: dict[tuple, tuple[list[_Wired], int, int]] = {}
         # parent's open signature -> (walk, output name -> :meth:`_open`)
         boundaries: dict[tuple, tuple[tuple, dict]] = {}
-        enumerated = pruned = wirings = dominated = 0
+        enumerated = wirings = 0
         for partial in frontier:
             base = partial.cost
             touched = touch.setdefault(partial.platforms, {})
@@ -835,7 +831,7 @@ class Optimizer:
                     wired = self._wire(op_id, prepared, haves, paths, cards,
                                        bprs)
                     kept, skipped, tries = (
-                        self._undominated(wired) if dominance
+                        self._undominated(wired) if shortcut
                         else (wired, 0, 0))
                     reached = []
                     for entry in kept:
@@ -846,10 +842,8 @@ class Optimizer:
                 boundary = boundaries[open_sig] = (walk, {})
             (reached, walked, skipped), outs = boundary
             # Each skipped candidate would have been enumerated, wired and
-            # then pruned by the incumbent its dominator left.
+            # then pruned by the plan its dominator left.
             enumerated += skipped
-            pruned += skipped
-            dominated += skipped
             wirings += walked
             for prep, conv_delta, terms, __, new_stage in reached:
                 (option, __, out_desc, option_platforms, __, cost_lower,
@@ -860,12 +854,6 @@ class Optimizer:
                     upper += term
                 lower += cost_lower
                 upper += cost_upper
-                started = touched.get(option_platforms) or self._touch(
-                    touch, partial.platforms, option_platforms,
-                    include_startup)
-                for startup in started[0]:
-                    lower += startup
-                    upper += startup
                 if new_stage:
                     lower += overhead
                     upper += overhead
@@ -875,93 +863,134 @@ class Optimizer:
                         partial.open_channels, to_close, keep_open, op_id,
                         out_desc, intern)
                 enumerated += 1
-                platforms = started[1]
-                sig = (opened[1], platforms)
-                if prune:
-                    # CostEstimate.geometric_mean, on the bare floats.
-                    gm = ((lower + upper) / 2 if lower <= 0
-                          else math.sqrt(lower * upper))
-                    group = groups.setdefault(opened[1], {})
-                    incumbent = group.get(platforms)
-                    if incumbent is not None and incumbent.gm <= gm:
-                        pruned += 1
-                        continue
-                    beaten = self._across(
-                        group, platforms, lower, upper, touch,
-                        include_startup) if across else ()
-                    if beaten is None:
-                        pruned, dominated = pruned + 1, dominated + 1
-                        continue
-                    for theirs in beaten:
-                        del group[theirs], best[opened[1], theirs]
-                    pruned += len(beaten) + (incumbent is not None)
-                    dominated += len(beaten)
+                platforms = (touched.get(option_platforms) or self._touch(
+                    touch, partial.platforms, option_platforms))[0]
+                group = groups.setdefault(opened[1], [])
+                if prune and not self._admit(group, platforms, lower, upper,
+                                             touch, across):
+                    continue
                 extended = PartialPlan(
                     cost=CostEstimate(lower, upper,
                                       min(base.confidence, confidence)),
                     open_channels=opened[0],
-                    platforms=started[1],
+                    platforms=platforms,
                     parent=partial,
                     decision_delta=(op_id, option),
                     conversion_delta=conv_delta,
                 )
-                extended._signature = sig
-                if prune:
-                    best[sig] = group[platforms] = extended
-                else:
-                    unpruned.append(extended)
-        self.stats["plans_enumerated"] += enumerated
-        self.stats["plans_pruned"] += pruned
+                extended._signature = (opened[1], platforms)
+                group.append(extended)
         self.stats["conversion_paths_solved"] += wirings
-        self.stats["plans_dominated"] += dominated
-        return list(best.values()) if prune else unpruned
+        return self._survivors(groups, enumerated)
 
-    def _touch(self, touch: dict, have: frozenset[str], add: frozenset[str],
-               include_startup: bool) -> tuple:
-        """``(start-ups charged, have | add, S)``, memoized in ``touch``:
-        the weighted start-ups of ``add - have`` in name order (a sum must
-        not depend on set order), charged with ``include_startup``."""
+    def _join(self, left: list[PartialPlan], right: list[PartialPlan],
+              intern: dict[tuple, tuple],
+              touch: dict[frozenset[str], dict[frozenset[str], tuple]],
+              across: bool) -> list[PartialPlan]:
+        """The frontiers of two components joined: their cross product,
+        pruned like a step.  A joined plan adds the two intervals, holds
+        both halves' open channels and platforms, and points at both halves
+        (:class:`PartialPlan`), copying none of their decisions."""
+        groups: dict[tuple, list[PartialPlan]] = {}
+        # (left open signature, right open signature) -> (channels, theirs)
+        opens: dict[tuple, tuple[dict, tuple]] = {}
+        for mine in left:
+            mine_sig, mine_cost = mine.signature()[0], mine.cost
+            for theirs in right:
+                theirs_sig, theirs_cost = theirs.signature()[0], theirs.cost
+                opened = opens.get((mine_sig, theirs_sig))
+                if opened is None:
+                    both = tuple(sorted(mine_sig + theirs_sig))
+                    opened = opens[mine_sig, theirs_sig] = (
+                        {**mine.open_channels, **theirs.open_channels},
+                        intern.setdefault(both, both))
+                lower = mine_cost.lower + theirs_cost.lower
+                upper = mine_cost.upper + theirs_cost.upper
+                platforms = self._touch(touch, mine.platforms,
+                                        theirs.platforms)[0]
+                group = groups.setdefault(opened[1], [])
+                if self.prune and not self._admit(group, platforms, lower,
+                                                  upper, touch, across):
+                    continue
+                joined = PartialPlan(
+                    cost=CostEstimate(lower, upper, min(
+                        mine_cost.confidence, theirs_cost.confidence)),
+                    open_channels=opened[0], platforms=platforms,
+                    parent=mine, joined=theirs)
+                joined._signature = (opened[1], platforms)
+                group.append(joined)
+        return self._survivors(groups, len(left) * len(right))
+
+    def _survivors(self, groups: dict[tuple, list[PartialPlan]],
+                   enumerated: int) -> list[PartialPlan]:
+        """The frontier of one step or join, counted: every candidate not
+        in it was pruned, on arrival or by a later one."""
+        frontier = [plan for group in groups.values() for plan in group]
+        self.last_enumeration_size += len(frontier)
+        self.stats["plans_enumerated"] += enumerated
+        self.stats["plans_pruned"] += enumerated - len(frontier)
+        return frontier
+
+    def _touch(self, touch: dict, have: frozenset[str],
+               add: frozenset[str]) -> tuple:
+        """``(have | add, S)``, memoized in ``touch``: ``S`` is what the
+        start-ups of ``add - have`` weigh (:meth:`_startups`)."""
         row = touch.setdefault(have, {})
         hit = row.get(add)
         if hit is None:
-            startups = tuple(CostEstimate.fixed(
-                self.cost_model.cluster.profile(p).startup_s
-                * self.objective.weight(p)).lower for p in sorted(add - have))
-            hit = row[add] = (startups if include_startup else (),
-                              have | add, math.fsum(startups))
+            hit = row[add] = (have | add, self._startups(add - have))
         return hit
 
-    def _across(self, group: dict[frozenset[str], PartialPlan],
-                platforms: frozenset[str], lower: float, upper: float,
-                touch: dict, include_startup: bool) -> list | None:
-        """Dominance across the platform sets of one open signature:
-        ``None`` when a survivor of ``group`` is <= the candidate on both
-        bounds, else the survivors the candidate beats strictly.  Each side
-        adds the start-ups ``S`` it may pay and the other not: at top level,
-        where costs hold those paid, the other's; in a loop body, paid by
-        the job later, its own (``started`` ones cancel).  Completions add
-        ``S`` elsewhere in their float sums, so a margin pads by 2**-30: a
-        tie across a start-up keeps both.  Dominators need ``lower > 0``."""
-        def padded(low, high, margin):
+    def _startups(self, platforms: frozenset[str]) -> float:
+        """The objective-weighted start-ups of ``platforms``, summed in name
+        order (a sum must not depend on set order)."""
+        return math.fsum(CostEstimate.fixed(
+            self.cost_model.cluster.profile(p).startup_s
+            * self.objective.weight(p)).lower for p in sorted(platforms))
+
+    def _admit(self, group: list[PartialPlan], platforms: frozenset[str],
+               lower: float, upper: float, touch: dict,
+               across: bool) -> bool:
+        """The pruning rule: whether a candidate survives the plans of its
+        open signature, ``group``, from which it removes those it beats.
+
+        Plan A beats plan B when A, plus the start-ups ``S`` of the
+        platforms only A touches, is <= B on both bounds: any completion
+        adds the same operator, conversion and dispatch terms to both, and
+        a complete plan pays each start-up once, so A's completion costs B's
+        plus at most ``S``.  Within one platform set ``S`` is 0, and the
+        group keeps the Pareto set of (lower, upper).  Without ``across``,
+        plans of two platform sets are never compared.  Ties keep the
+        first seen: a survivor drops a candidate on <=, a candidate drops a
+        survivor only when strictly cheaper.  A dominator needs
+        ``lower > 0``: at a zero lower bound the geometric mean jumps to
+        the midpoint.  ``S`` enters a complete plan's float sum elsewhere
+        than here, so a nonzero margin pads by 2**-30: a tie across a
+        start-up keeps both plans."""
+        def padded(low: float, high: float, margin: float) -> list:
             pad = 1 + 2 ** -30 if margin else 1.0
             return [((low + margin) * pad, (high + margin) * pad)]
 
         beaten = []
-        for theirs, plan in group.items():
+        for i, plan in enumerate(group):
+            theirs = plan.platforms
             if theirs == platforms:
+                it_owes = i_owe = 0.0
+            elif not across:
                 continue
-            mine = self._touch(touch, theirs, platforms, include_startup)[2]
-            rival = self._touch(touch, platforms, theirs, include_startup)[2]
-            if not include_startup:
-                mine, rival = rival, mine
+            else:
+                it_owes = self._touch(touch, platforms, theirs)[1]
+                i_owe = self._touch(touch, theirs, platforms)[1]
             low, high = plan.cost.lower, plan.cost.upper
             if low > 0 and self._beaten((lower, upper),
-                                        padded(low, high, mine)):
-                return None
+                                        padded(low, high, it_owes)):
+                return False
             if lower > 0 and self._beaten(
-                    (low, high), padded(lower, upper, rival), True):
-                beaten.append(theirs)
-        return beaten
+                    (low, high), padded(lower, upper, i_owe), True):
+                beaten.append(i)
+        for i in reversed(beaten):
+            del group[i]
+        return True
 
     def _wire(self, op_id: int, prepared: list[_Prepared], haves: list,
               paths: PathTable, cards: dict[int, CardinalityEstimate],
@@ -1017,23 +1046,21 @@ class Optimizer:
 
     def _undominated(self, wired: Iterator[_Wired]
                      ) -> tuple[list[_Wired], int, int]:
-        """The wired loop decisions that can still win from their inputs.
+        """The wired loop decisions worth enumerating from their inputs.
 
-        Options of one (output channel, platform set) group give one
-        signature from one partial plan.  An option's cost terms are its
-        wiring's ``terms`` (conversion cost per input slot, 0.0 where no
-        conversion is needed), then its own ``lower`` and ``upper``; a loop
-        opens no stage, so no dispatch overhead applies.  :meth:`_extend`
-        adds each term to the partial's interval in this order, and float
-        addition, product and square root are monotone, so an option ≥ an
-        *earlier* option of its group on every term has a geometric mean ≥
-        the earlier one's and loses to it (or to what beat it) under
-        first-seen-wins.  A later option never drops an earlier one: after
-        rounding it may only tie, and a tie keeps the earlier.  The
-        dominator's own ``lower`` must be positive — at a zero lower bound
-        the geometric mean jumps to the midpoint of the interval, which is
-        not monotone.  An unwired option neither dominates nor is dropped.
-        Returns the survivors in order, the number dropped, their wirings.
+        It skips work and is not a rule: every option it drops, the rule
+        of :meth:`_admit` would drop too.  Options of one (output channel,
+        platform set) group give one signature and one platform set from
+        one partial plan.  An option's cost terms are its wiring's
+        ``terms`` (conversion cost per input slot, 0.0 where none is
+        needed), then its own ``lower`` and ``upper``; a loop opens no
+        stage.  :meth:`_extend` adds each term to the partial's interval in
+        this order, and float addition is monotone, so an option >= an
+        *earlier* option of its group on every term yields a plan the
+        earlier one's plan (or what beat it) drops on both bounds.  The
+        dominator's own ``lower`` must be positive, as in the rule.  An
+        unwired option neither dominates nor is dropped.  Returns the
+        survivors in order, the number dropped, and their wirings.
         """
         dominators: dict[tuple, list[list[float]]] = {}
         survivors: list[_Wired] = []
@@ -1152,44 +1179,59 @@ class Optimizer:
     # --------------------------------------------------- plan construction
     def _build_execution_plan(self, plan: RheemPlan,
                               best: PartialPlan) -> ExecutionPlan:
+        # A reuse root's upstream cone was pruned out of the enumeration,
+        # so there is nothing to build above it.
+        build, ordered = self._task_builder(
+            best, lambda op, d: CachedResultExec(op, d.channel))
+        sink_tasks = [build(sink) for sink in plan.sinks]
+        return ExecutionPlan(ordered, sink_tasks)
+
+    def _build_loop_impl(self, decision: LoopDecision) -> LoopImplementation:
+        loop = decision.loop
+        build, ordered = self._task_builder(
+            decision.body, lambda op, d: LoopBodySource(op, d.descriptor))
+        output_task = build(loop.body.outputs[0].op)
+        input_tasks = [build(inp) for inp in loop.body.inputs]
+        return LoopImplementation(loop, ExecutionPlan(ordered, [output_task]),
+                                  input_tasks, decision.feedback)
+
+    def _task_builder(self, partial: PartialPlan,
+                      source: Callable[[Operator, Any], ExecutionOperator]
+                      ) -> tuple[Callable[[Operator], ExecutionTask],
+                                 list[ExecutionTask]]:
+        """``build(op)``, which adds the tasks of ``op`` and its producers
+        to ``ordered`` once, by ``partial``'s decisions; ``source`` makes
+        the operator of a ``ChannelSourceDecision``."""
         tasks: dict[int, ExecutionTask] = {}
         ordered: list[ExecutionTask] = []
 
         def build(op: Operator) -> ExecutionTask:
             if op.id in tasks:
                 return tasks[op.id]
-            decision = best.decisions[op.id]
-            if isinstance(decision, CachedResultDecision):
-                # A reuse root: its upstream cone was pruned out of the
-                # enumeration, so there is nothing to build above it.
-                task = ExecutionTask(CachedResultExec(op, decision.channel),
-                                     [], [])
+            decision = partial.decisions[op.id]
+            if isinstance(decision, ChannelSourceDecision):
+                task = ExecutionTask(source(op, decision), [], [])
                 ordered.append(task)
                 tasks[op.id] = task
                 return task
-            inputs = [
-                TaskInput(build(ref.op),
-                          best.conversions.get((ref.op.id, op.id, slot),
-                                               ConversionPath([], 0.0)))
-                for slot, ref in enumerate(op.inputs)
-            ]
-            broadcasts = [
-                TaskInput(build(ref.op),
-                          best.conversions.get((ref.op.id, op.id, -(slot + 1)),
-                                               ConversionPath([], 0.0)))
-                for slot, ref in enumerate(op.side_inputs)
-            ]
+            def wired(ref, slot: int) -> TaskInput:
+                return TaskInput(build(ref.op), partial.conversions.get(
+                    (ref.op.id, op.id, slot), ConversionPath([], 0.0)))
+
+            inputs = [wired(ref, slot) for slot, ref in enumerate(op.inputs)]
+            broadcasts = [wired(ref, -(slot + 1))
+                          for slot, ref in enumerate(op.side_inputs)]
             if isinstance(decision, LoopDecision):
-                impl = self._build_loop_impl(decision)
-                task = ExecutionTask(impl, inputs, broadcasts)
+                task = ExecutionTask(self._build_loop_impl(decision), inputs,
+                                     broadcasts)
                 ordered.append(task)
             else:
-                task = self._append_chain(decision, inputs, broadcasts, ordered)
+                task = self._append_chain(decision, inputs, broadcasts,
+                                          ordered)
             tasks[op.id] = task
             return task
 
-        sink_tasks = [build(sink) for sink in plan.sinks]
-        return ExecutionPlan(ordered, sink_tasks)
+        return build, ordered
 
     @staticmethod
     def _append_chain(decision: ExecutionAlternative,
@@ -1203,53 +1245,6 @@ class Optimizer:
                                  [TaskInput(task, ConversionPath([], 0.0))], [])
             ordered.append(task)
         return task
-
-    def _build_loop_impl(self, decision: LoopDecision) -> LoopImplementation:
-        loop = decision.loop
-        body_partial = decision.body
-        tasks: dict[int, ExecutionTask] = {}
-        ordered: list[ExecutionTask] = []
-        input_tasks: list[ExecutionTask | None] = [None] * len(loop.body.inputs)
-
-        def build(op: Operator) -> ExecutionTask:
-            if op.id in tasks:
-                return tasks[op.id]
-            d = body_partial.decisions[op.id]
-            if isinstance(d, ChannelSourceDecision):
-                task = ExecutionTask(LoopBodySource(op, d.descriptor), [], [])
-                ordered.append(task)
-                tasks[op.id] = task
-                input_tasks[op.index] = task
-                return task
-            inputs = [
-                TaskInput(build(ref.op),
-                          body_partial.conversions.get(
-                              (ref.op.id, op.id, slot),
-                              ConversionPath([], 0.0)))
-                for slot, ref in enumerate(op.inputs)
-            ]
-            broadcasts = [
-                TaskInput(build(ref.op),
-                          body_partial.conversions.get(
-                              (ref.op.id, op.id, -(slot + 1)),
-                              ConversionPath([], 0.0)))
-                for slot, ref in enumerate(op.side_inputs)
-            ]
-            if isinstance(d, LoopDecision):
-                task = ExecutionTask(self._build_loop_impl(d), inputs,
-                                     broadcasts)
-                ordered.append(task)
-            else:
-                task = self._append_chain(d, inputs, broadcasts, ordered)
-            tasks[op.id] = task
-            return task
-
-        output_task = build(loop.body.outputs[0].op)
-        for inp in loop.body.inputs:
-            build(inp)
-        body_plan = ExecutionPlan(ordered, [output_task])
-        return LoopImplementation(loop, body_plan, input_tasks,
-                                  decision.feedback)
 
 
 class CachedResultExec(ExecutionOperator):

@@ -3,9 +3,8 @@
 Covers the :mod:`repro.learn.calibration` pieces (bounded corpus, drift
 tracking, refit triggers), the cost-pipeline bugfixes that ride along
 (no-op cost publications, strict ``params_from_json`` validation,
-calibration hygiene for sniffed/fault-injected runs), the end-to-end
-self-tuning path on both job-server backends, and the beam-search
-enumeration fallback for very wide plans.
+calibration hygiene for sniffed/fault-injected runs), and the end-to-end
+self-tuning path on both job-server backends.
 """
 
 import json
@@ -445,70 +444,3 @@ class TestServerCalibrationProcess:
             assert counters["calibration.samples"] >= 2
         finally:
             server.shutdown()
-
-
-# ======================================================= beam enumeration
-def _chain_plan(ctx, n, path="hdfs://beam/x.txt"):
-    dq = ctx.read_text_file(path).map(lambda line: line, name="m0")
-    for i in range(1, n):
-        dq = dq.map(lambda x: x, name=f"m{i}")
-    return dq.to_plan()
-
-
-class TestBeamEnumeration:
-    @pytest.fixture()
-    def beam_ctx(self):
-        ctx = RheemContext()
-        ctx.vfs.write("hdfs://beam/x.txt", ["a"] * 100, sim_factor=2_000.0)
-        return ctx
-
-    def test_small_plans_are_bit_for_bit_unaffected(self, beam_ctx):
-        plan = _chain_plan(beam_ctx, 12)
-        default = beam_ctx.optimizer()
-        best_default, __ = default.pick_best(plan)
-        lossless = beam_ctx.optimizer()
-        lossless.beam_threshold = None
-        best_lossless, __ = lossless.pick_best(plan)
-        assert best_default.cost.geometric_mean == \
-            best_lossless.cost.geometric_mean
-        assert default.stats == lossless.stats
-        assert default.stats["plans_beam_dropped"] == 0
-
-    def test_wide_plan_engages_the_beam_and_stays_fast(self, beam_ctx):
-        plan = _chain_plan(beam_ctx, 100)
-        optimizer = beam_ctx.optimizer()
-        # Cross-set dominance keeps this chain's frontier at <= 13 plans.
-        optimizer.beam_width = 8
-        start = time.perf_counter()
-        best, __ = optimizer.pick_best(plan)
-        elapsed = time.perf_counter() - start
-        assert optimizer.stats["plans_beam_dropped"] > 0
-        assert elapsed < 5.0
-        assert best.cost.geometric_mean > 0
-
-    def test_beam_is_deterministic(self, beam_ctx):
-        plan = _chain_plan(beam_ctx, 60)
-        a = beam_ctx.optimizer()
-        a.beam_width = 8  # narrow enough to truncate, as above
-        best_a, __ = a.pick_best(plan)
-        b = beam_ctx.optimizer()
-        b.beam_width = 8
-        best_b, __ = b.pick_best(plan)
-        assert a.stats["plans_beam_dropped"] > 0
-        assert best_a.cost.geometric_mean == best_b.cost.geometric_mean
-        assert a.stats == b.stats
-
-    def test_beam_matches_lossless_optimum_mid_size(self, beam_ctx):
-        # Just above the threshold the beam still finds the lossless
-        # optimum on chain topologies (signature diversity is what the
-        # beam truncates; a chain's optimum survives easily).
-        plan = _chain_plan(beam_ctx, 60)
-        beamed = beam_ctx.optimizer()
-        beamed.beam_width = 8
-        best_beam, __ = beamed.pick_best(plan)
-        lossless = beam_ctx.optimizer()
-        lossless.beam_threshold = None
-        best_full, __ = lossless.pick_best(plan)
-        assert beamed.stats["plans_beam_dropped"] > 0
-        assert best_beam.cost.geometric_mean == pytest.approx(
-            best_full.cost.geometric_mean)

@@ -3,7 +3,9 @@
 from hypothesis import given, settings, strategies as st
 
 from repro import RheemContext
+from repro.core.channels import PY_COLLECTION, Conversion
 from repro.core.objectives import monetary
+from repro.platforms.flinklite import FLINK, FLINK_DATASET
 
 # Each step is (verb, parameter); pipelines are arbitrary sequences.
 steps = st.lists(
@@ -30,6 +32,29 @@ loop_steps = st.lists(
     ]),
     max_size=3,
 )
+
+# Tree shapes, whose branches keep frontiers of their own until they meet:
+# balanced union trees of (collection -> map -> filter) branches, then a
+# distinct, and two branches meeting at a join.  The unpruned oracle takes
+# the full cross product where they meet (four branches: ~246k plans), so
+# trees stay at three branches over pystreams and flinklite.
+trees = st.sampled_from([("tree", 2), ("tree", 3), ("join", None)])
+
+
+def _tree(ctx, shape, branches, sim_factor):
+    level = [ctx.load_collection(list(range(i, 60 + i)),
+                                 sim_factor=sim_factor)
+             .map(lambda x, __i=i: x * (__i + 2))
+             .filter(lambda x, __i=i: x % (__i + 3) != 0)
+             for i in range(branches or 2)]
+    if shape == "join":
+        left, right = (dq.map(lambda x: (x % 7, x)) for dq in level)
+        return left.join(right, lambda t: t[0], lambda t: t[0]) \
+            .map(lambda pair: pair[0][1] + pair[1][1])
+    while len(level) > 1:
+        level = [level[i].union(level[i + 1]) if i + 1 < len(level)
+                 else level[i] for i in range(0, len(level), 2)]
+    return level[0].distinct()
 
 
 def _build(ctx, pipeline, sim_factor):
@@ -73,15 +98,31 @@ class TestRandomPipelines:
             outputs.append(sorted(out, key=repr))
         assert outputs[0] == outputs[1] == outputs[2]
 
-    @given(st.one_of(steps, loop_steps), st.sampled_from([1.0, 50_000.0]),
-           st.sampled_from([None, monetary()]))
-    @settings(max_examples=20)
-    def test_pruning_is_lossless(self, pipeline, sim_factor, objective):
+    @given(st.one_of(steps, loop_steps, trees),
+           st.sampled_from([1.0, 50_000.0]),
+           st.sampled_from([None, monetary()]),
+           st.sampled_from([None, 0.02, 1.0]))
+    @settings(max_examples=25)
+    def test_pruning_is_lossless(self, shape, sim_factor, objective,
+                                 overhead):
         ctx = RheemContext()
-        plan = _build(ctx, pipeline, sim_factor).to_plan()
-        pruned = ctx.optimizer(objective=objective)
+        if overhead is not None:
+            # Beside flinklite's conversion priced per record, one with a
+            # fixed overhead: a plan that converts early gets a narrow
+            # interval, one that stays on pystreams a wide one.
+            ctx.graph.register_conversion(Conversion(
+                PY_COLLECTION, FLINK_DATASET, FLINK.from_collection,
+                mb_per_s=1e9, overhead_s=overhead, name="flink-fixed"))
+        allowed = None
+        if isinstance(shape, tuple):
+            plan = _tree(ctx, *shape, sim_factor).to_plan()
+            allowed = {"pystreams", "flinklite", "driver"}
+        else:
+            plan = _build(ctx, shape, sim_factor).to_plan()
+        pruned = ctx.optimizer(objective=objective,
+                               allowed_platforms=allowed)
         best_pruned, __ = pruned.pick_best(plan)
-        full = ctx.optimizer(objective=objective)
+        full = ctx.optimizer(objective=objective, allowed_platforms=allowed)
         full.prune = False
         best_full, __ = full.pick_best(plan)
         # Bit for bit: the unpruned optimum's interval, not a near one.
