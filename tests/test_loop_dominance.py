@@ -172,8 +172,7 @@ class TestAcrossPlatformSets:
     step charges a start-up: a complete plan pays each of its platforms'
     once, so a survivor owes those of the platforms only it touches."""
 
-    def test_at_top_level_too_the_margin_is_what_only_the_survivor_owes(
-            self):
+    def test_top_level_margin_is_what_the_survivor_owes(self):
         # (2, 5) owes nothing beyond (2.5, 5.5) on sparklite: it drops it.
         cheap, dear = _option(1.0, 3.0), _option(1.5, 3.5, platforms=SPARK)
         chosen, stats = _across([cheap, dear])
