@@ -418,14 +418,16 @@ def _unstable_fingerprint(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     if ctx.fingerprints is None:
         return
     for op in ctx.ordered:
-        attr = ctx.fingerprints.unstable.get(op.id)
-        if attr is not None:
+        found = ctx.fingerprints.unstable.get(op.id)
+        if found is not None:
+            attr, read = found
+            what = (f"reads {read}" if read else
+                    "cannot be fingerprinted stably (object addresses, "
+                    "open handles, ...)")
             yield _diag(
                 "RP014", op,
-                f"attribute {attr!r} cannot be fingerprinted stably "
-                f"(object addresses, open handles, ...); this plan is "
-                f"invisible to the plan cache and to cross-job result "
-                f"reuse",
+                f"attribute {attr!r} {what}; this plan is invisible to the "
+                f"plan cache and to cross-job result reuse",
                 hint="replace the value with picklable/canonical data, "
                      "or accept the deliberate cache opt-out")
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from types import CodeType, ModuleType
 
 from ..core import operators as ops
-from ..core.udf import Udf
+from ..core.udf import Udf, reads
 
 #: Modules whose use inside a UDF marks it nondeterministic.
 NONDETERMINISTIC_MODULES = {"random", "time", "uuid", "secrets"}
@@ -69,34 +69,6 @@ def _resolves_nondeterministic(name: str, globals_ns: dict) -> bool:
     return target is None and name in NONDETERMINISTIC_NAMES
 
 
-def _scan_code(code: CodeType, globals_ns: dict, report: UdfReport,
-               depth: int = 3) -> None:
-    """Walk one code object (and nested lambdas/comprehensions).
-
-    ``dis`` is opened only where a finding is possible: a nondeterministic
-    load needs its name in ``co_names`` (which holds attribute names too:
-    the filter errs towards the walk), a global write its opcode at an even
-    offset of the wordcode.  The verdict follows ``globals_ns``: none is kept.
-    """
-    opcodes = code.co_code[::2]
-    if (_STORE_GLOBAL in opcodes or _DELETE_GLOBAL in opcodes
-            or any(_resolves_nondeterministic(name, globals_ns)
-                   for name in code.co_names)):
-        for instr in dis.get_instructions(code):
-            if instr.opname in ("LOAD_GLOBAL", "LOAD_NAME"):
-                name = instr.argval
-                if _resolves_nondeterministic(name, globals_ns):
-                    if name not in report.nondeterministic_calls:
-                        report.nondeterministic_calls.append(name)
-            elif instr.opname in ("STORE_GLOBAL", "DELETE_GLOBAL"):
-                if instr.argval not in report.global_writes:
-                    report.global_writes.append(instr.argval)
-    if depth > 0:
-        for const in code.co_consts:
-            if isinstance(const, CodeType):
-                _scan_code(const, globals_ns, report, depth - 1)
-
-
 def introspect_udf(udf) -> UdfReport:
     """Analyze one UDF (a :class:`Udf` or any plain callable); results are
     cached on the instance."""
@@ -107,17 +79,29 @@ def introspect_udf(udf) -> UdfReport:
     name = udf.name if isinstance(udf, Udf) else getattr(
         fn, "__name__", repr(fn))
     report = UdfReport(name=name)
-    code = getattr(fn, "__code__", None)
-    if code is not None:
-        closure = getattr(fn, "__closure__", None) or ()
-        for var, cell in zip(code.co_freevars, closure):
-            try:
-                value = cell.cell_contents
-            except ValueError:  # empty cell
-                continue
-            if isinstance(value, _MUTABLE_TYPES):
-                report.mutable_captures.append(var)
-        _scan_code(code, getattr(fn, "__globals__", {}), report)
+    codes: list[tuple[object, dict]] = []  # each with its names' values
+    for kind, var, value in reads(fn):
+        if kind == "closure" and isinstance(value, _MUTABLE_TYPES):
+            report.mutable_captures.append(var)
+        elif kind == "code":
+            codes.append((value, {}))
+        elif kind in ("global", "unbound"):
+            codes[-1][1][var] = value
+    # ``dis`` opens only where a finding is possible: a nondeterministic load
+    # needs its name among ``names``, a global write its opcode.
+    for code, names in codes:
+        opcodes = code.co_code[::2] if isinstance(code, CodeType) else b""
+        if not (_STORE_GLOBAL in opcodes or _DELETE_GLOBAL in opcodes or any(
+                _resolves_nondeterministic(n, names) for n in names)):
+            continue  # (UNREADABLE code comes with no names: skipped)
+        for instr in dis.get_instructions(code):
+            if instr.opname in ("LOAD_GLOBAL", "LOAD_NAME"):
+                if _resolves_nondeterministic(instr.argval, names) and \
+                        instr.argval not in report.nondeterministic_calls:
+                    report.nondeterministic_calls.append(instr.argval)
+            elif instr.opname in ("STORE_GLOBAL", "DELETE_GLOBAL"):
+                if instr.argval not in report.global_writes:
+                    report.global_writes.append(instr.argval)
     try:
         udf._introspection = report
     except AttributeError:  # pragma: no cover - exotic callables

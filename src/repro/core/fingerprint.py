@@ -8,26 +8,27 @@ structurally identical *and* all their parameters — including UDF code —
 agree, so reusing a cached execution plan for a matching fingerprint is
 behaviour-preserving.
 
-UDFs are tokenized from their code objects (bytecode, constants, names,
-defaults, closure cell contents), never from their memory addresses: the
-same ``lambda`` re-created for a resubmitted REST document hashes
-identically.  Anything the tokenizer cannot prove stable — objects whose
-only identity is their address, exotic callables, over-deep structures —
-poisons the fingerprint and :func:`plan_fingerprint` returns ``None``,
-which callers must treat as "do not cache".  Unstable input can therefore
-never produce a false cache hit, only a conservative miss.
+A UDF is tokenized from what :func:`~repro.core.udf.reads` says it reads
+(DESIGN.md §"Execution-plan cache"), never from memory addresses: the same
+``lambda`` re-created for a resubmitted REST document hashes identically, a
+rebound global constant or helper does not.  Anything the tokenizer cannot
+prove stable — objects whose only identity is their address, exotic
+callables, over-deep structures — poisons the fingerprint and
+:func:`plan_fingerprint` returns ``None``, which callers must treat as "do
+not cache".  Unstable input can never produce a false hit, only a miss.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import inspect
-from types import CodeType
+from types import CodeType, MethodType, ModuleType
 from typing import TYPE_CHECKING, Any
 
+import numpy as np
+
 from .operators import LoopOperator, Operator
-from .udf import Udf
+from .udf import Udf, reads
 
 if TYPE_CHECKING:  # pragma: no cover
     from .plan import RheemPlan
@@ -44,12 +45,17 @@ _MAX_DEPTH = 24
 
 
 class _Fingerprinter:
-    """Turns values into stable, primitive-only token trees."""
+    """Turns values into stable, primitive-only token trees.  One serves a
+    :class:`PlanFingerprints` pass: what UDFs read is tokenized once per
+    pass (memo by ``id``) unless it holds a recursion."""
 
     def __init__(self) -> None:
         self.stable = True
+        self.culprit: str | None = None  # the first unstable value read
+        self._memo: dict[int, tuple] = {}  # id -> (value, token)
+        self._walking: list[int] = []  # ids of the functions being walked
+        self._backs = 0  # back-references made so far
 
-    # ------------------------------------------------------------ values
     def token(self, value: Any, depth: int = 0) -> tuple:
         if depth > _MAX_DEPTH:
             self.stable = False
@@ -73,50 +79,63 @@ class _Fingerprinter:
         if isinstance(value, Udf):
             return ("udf", self.token(value.fn, depth + 1),
                     value.selectivity, value.cpu_weight, value.name)
-        if isinstance(value, CodeType):
-            return self._code(value, depth)
-        if callable(value):
-            return self._callable(value, depth)
+        if isinstance(value, CodeType):  # nested code follows in the walk
+            return ("code", value.co_code, value.co_varnames,
+                    value.co_freevars, value.co_argcount, tuple(
+                        ("code",) if isinstance(c, CodeType)
+                        else self.token(c, depth + 1)
+                        for c in value.co_consts))
+        if isinstance(value, np.ndarray) and not value.dtype.hasobject:
+            return ("ndarray", value.dtype.str, value.shape,
+                    hashlib.sha256(value.tobytes()).hexdigest())
+        if isinstance(value, ModuleType):
+            return ("module", value.__name__)
+        if isinstance(value, functools.partial):
+            return ("partial", self.token(value.func, depth + 1),
+                    self.token(list(value.args), depth + 1),
+                    self.token(value.keywords, depth + 1))
+        if isinstance(value, MethodType):
+            return ("method", self.token(value.__func__, depth + 1),
+                    self.token(value.__self__, depth + 1))
+        if hasattr(value, "__code__"):
+            return self._function(value, depth)
+        if callable(value) and hasattr(value, "__qualname__"):
+            # Classes, builtins and method descriptors (len, str.split) are
+            # named; a builtin bound to an object ({}.get) adds the object.
+            owner = getattr(value, "__self__", None)
+            if isinstance(owner, ModuleType):
+                owner = None
+            return ("named", getattr(value, "__module__", None),
+                    value.__qualname__, self.token(owner, depth + 1))
         self.stable = False
         return ("unstable", id(value))
 
-    # --------------------------------------------------------- callables
-    def _callable(self, fn: Any, depth: int) -> tuple:
-        if isinstance(fn, functools.partial):
-            return ("partial", self.token(fn.func, depth + 1),
-                    self.token(list(fn.args), depth + 1),
-                    self.token(fn.keywords, depth + 1))
-        if inspect.ismethod(fn):
-            return ("method", self.token(fn.__func__, depth + 1),
-                    self.token(fn.__self__, depth + 1))
-        code = getattr(fn, "__code__", None)
-        if code is None:
-            # Builtins and method descriptors (str.split, operator.add...)
-            # are singletons identified by module + qualified name.
-            module = getattr(fn, "__module__", None)
-            qualname = getattr(fn, "__qualname__", None)
-            if qualname is None:
-                self.stable = False
-                return ("unstable-callable", id(fn))
-            return ("builtin", module, qualname)
-        cells: tuple = ()
-        closure = getattr(fn, "__closure__", None)
-        if closure:
-            try:
-                cells = tuple(self.token(cell.cell_contents, depth + 1)
-                              for cell in closure)
-            except ValueError:  # empty cell
-                self.stable = False
-                cells = ("empty-cell",)
-        return ("fn", self._code(code, depth),
-                self.token(getattr(fn, "__defaults__", None), depth + 1),
-                self.token(getattr(fn, "__kwdefaults__", None), depth + 1),
-                cells)
+    def _function(self, fn: Any, depth: int) -> tuple:
+        if id(fn) in self._walking:  # recursion: name it by distance
+            self._backs += 1
+            return ("back", self._walking[::-1].index(id(fn)))
+        self._walking.append(id(fn))
+        token = ("fn", tuple(self._read(kind, name, value, depth + 1)
+                             for kind, name, value in reads(fn)))
+        self._walking.pop()
+        return token
 
-    def _code(self, code: CodeType, depth: int) -> tuple:
-        consts = tuple(self.token(c, depth + 1) for c in code.co_consts)
-        return ("code", code.co_code, consts, code.co_names,
-                code.co_varnames, code.co_freevars, code.co_argcount)
+    def _read(self, kind: str, name: str | None, value: Any,
+              depth: int) -> tuple:
+        memo = self._memo.get(id(value))
+        if memo is not None:
+            return kind, name, memo[1]
+        stable, backs, self.stable = self.stable, self._backs, True
+        token = self.token(value, depth)
+        if token[0] == "fn":  # a helper is repr'd once, not per reader
+            token = ("fn", _sha(token))
+        if not self.stable:
+            self.culprit = self.culprit or name and \
+                f"{kind} {name!r} ({type(value).__name__})"
+        elif self._backs == backs:  # its token means the same anywhere
+            self._memo[id(value)] = (value, token)
+        self.stable = stable and self.stable
+        return kind, name, token
 
 
 def _wiring(op: Operator, address: dict[int, Any]) -> tuple:
@@ -150,12 +169,14 @@ class PlanFingerprints:
         subplans: Top-level operator id -> Merkle digest of the computation
             rooted there; an unstable upstream cone leaves the id out.
         unstable: Operator id (body operators too) -> its first attribute,
-            in sorted order, that did not tokenize stably.
+            in sorted order, that did not tokenize stably, and what its UDF
+            read that did not (``"global 'rng' (Random)"``) or ``None``.
     """
 
     def __init__(self, plan: "RheemPlan") -> None:
         self.plan = plan
-        self.unstable: dict[int, str] = {}
+        self.unstable: dict[int, tuple[str, str | None]] = {}
+        self._fp = _Fingerprinter()
         self.subplans: dict[int, str] = {}
         self.unstable_op: Operator | None = None
         for op in plan.operators():
@@ -195,14 +216,15 @@ class PlanFingerprints:
                     tuple(index[inp.id] for inp in op.body.inputs),
                     tuple((index[ref.op.id], ref.output_index)
                           for ref in op.body.outputs))
-        fp = _Fingerprinter()
+        fp = self._fp
         values = op.__dict__
         attrs = []
         for key in sorted(values):
             if key not in _SKIP_ATTRS:
+                fp.stable, fp.culprit = True, None
                 attrs.append((key, fp.token(values[key])))
                 if not fp.stable:  # the first; the rest is moot
-                    self.unstable[op.id] = key
+                    self.unstable[op.id] = key, fp.culprit
                     return None
         if body and any(own is None for own, __ in body[0]):
             return None
@@ -210,26 +232,6 @@ class PlanFingerprints:
 
 
 def plan_fingerprint(plan: "RheemPlan") -> str | None:
-    """Digest of ``plan``'s structure and parameters; ``None`` if unstable.
-
-    The digest covers loop bodies, so a loop's fingerprint pins its body
-    operators, feedback wiring, and iteration bounds.  ``None`` means some
-    operator attribute could not be tokenized reproducibly — the caller
-    must skip caching for this plan.
-    """
+    """Digest of ``plan``'s structure and parameters, loop bodies included;
+    ``None`` if unstable, and the caller must skip caching this plan."""
     return PlanFingerprints(plan).digest
-
-
-def subplan_fingerprints(plan: "RheemPlan") -> dict[int, str]:
-    """Merkle digest of the *computation rooted at each operator*.
-
-    Returns ``{operator id -> digest}`` for every top-level operator of
-    ``plan`` whose upstream cone tokenizes stably.  An operator's digest
-    combines its own token (attributes plus, for loops, the body's
-    structure) with the digests of its data and broadcast producers, so
-    two operators share a digest exactly when they compute the same
-    function of the same fingerprinted sources — across plans and across
-    submissions.  Instability poisons transitively: an unstable UDF takes
-    its whole downstream chain out of the map (a conservative miss).
-    """
-    return PlanFingerprints(plan).subplans

@@ -12,7 +12,7 @@ Entries are keyed by
 ``(subplan fingerprint, source-cardinality bands, cost-model version)``
 
 * the **subplan fingerprint**
-  (:func:`~repro.core.fingerprint.subplan_fingerprints`) is a Merkle
+  (:attr:`~repro.core.fingerprint.PlanFingerprints.subplans`) is a Merkle
   digest of the computation rooted at the operator — structure, every
   parameter including UDF bytecode, and the whole upstream cone; unstable
   attributes poison the digest transitively, so an unkeyable subplan can

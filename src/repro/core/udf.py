@@ -7,7 +7,14 @@ optimizer falls back to per-operator defaults when they are absent.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from types import CodeType
+from typing import Any, Callable, Iterator
+
+#: Levels of code nested in a function's own that :func:`reads` descends.
+MAX_NESTING = 3
+#: What :func:`reads` yields for an empty closure cell or code nested
+#: deeper than :data:`MAX_NESTING`: no digest can be made of it.
+UNREADABLE = object()
 
 
 class Udf:
@@ -51,3 +58,35 @@ def as_udf(fn: Callable[..., Any] | Udf) -> Udf:
     if isinstance(fn, Udf):
         return fn
     return Udf(fn)
+
+
+def reads(fn: Callable[..., Any]) -> Iterator[tuple[str, Any, Any]]:
+    """What the Python function ``fn`` reads besides its arguments (the
+    plan digest and the purity scan both ask this), as ``(kind, name,
+    value)``: its ``defaults`` and ``kwdefaults``, a ``closure`` per cell,
+    then for its code and each code object nested in it (pre-order) the
+    ``code`` followed by each of its ``co_names``: a ``global`` if
+    ``fn.__globals__`` binds it, else ``unbound`` (None).  ``co_names``
+    holds attribute names too: a superset of what the code loads."""
+    code = getattr(fn, "__code__", None)
+    if code is None:  # a builtin
+        return
+    yield "defaults", None, fn.__defaults__
+    yield "kwdefaults", None, fn.__kwdefaults__
+    for var, cell in zip(code.co_freevars, fn.__closure__ or ()):
+        try:
+            yield "closure", var, cell.cell_contents
+        except ValueError:  # not assigned yet
+            yield "closure", var, UNREADABLE
+    namespace, stack = fn.__globals__, [(code, 0)]
+    while stack:
+        code, level = stack.pop()
+        if level > MAX_NESTING:
+            yield "code", None, UNREADABLE
+            continue
+        yield "code", None, code
+        for name in code.co_names:
+            yield (("global", name, namespace[name]) if name in namespace
+                   else ("unbound", name, None))
+        stack += [(const, level + 1) for const in reversed(code.co_consts)
+                  if isinstance(const, CodeType)]

@@ -198,6 +198,15 @@ class TestRules:
             invariants=[inv])
         assert "RP013" in analyze_plan(dq.to_plan()).rule_ids()
 
+    def test_unstable_global_is_named(self, ctx):
+        namespace = {"rng": random.Random(7)}
+        exec("def jitter(x):\n    return x + rng.random()", namespace)
+        plan = ctx.load_collection([1, 2]).map(namespace["jitter"]).to_plan()
+        [found] = [d for d in analyze_plan(plan).diagnostics
+                   if d.rule_id == "RP014"]
+        assert found.message.startswith(
+            "attribute 'udf' reads global 'rng' (Random);")
+
     def test_suppression_is_per_operator(self, ctx):
         left = ctx.load_collection([1, 2])
         right = ctx.load_collection([3, 4])

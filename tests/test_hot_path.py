@@ -22,7 +22,7 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
-from types import CodeType
+from types import CodeType, FunctionType
 
 import pytest
 from hypothesis import given
@@ -34,14 +34,14 @@ from repro.analysis.diagnostics import LintReport
 from repro.analysis.udfs import (
     UdfReport,
     _resolves_nondeterministic,
-    _scan_code,
+    introspect_udf,
 )
 from repro.api import PlanDocumentError, RheemService, build_quanta
 from repro.core import fingerprint
 from repro.core import operators as ops
 from repro.core.execution import ExecutionPlan
 from repro.core.executor import Executor
-from repro.core.fingerprint import plan_fingerprint, subplan_fingerprints
+from repro.core.fingerprint import PlanFingerprints, plan_fingerprint
 from repro.core.mappings import (
     ExecutionAlternative,
     MappingRegistry,
@@ -449,7 +449,7 @@ class TestCacheStateIndependence:
 
 # --------------------------------------- (iii) the purity scan's filter
 def _reference_scan(code, globals_ns, report, depth=3):
-    """The unconditional ``dis`` walk ``_scan_code`` must agree with."""
+    """The unconditional ``dis`` walk ``introspect_udf`` must agree with."""
     for instr in dis.get_instructions(code):
         if instr.opname in ("LOAD_GLOBAL", "LOAD_NAME"):
             name = instr.argval
@@ -504,11 +504,9 @@ class TestPurityScan:
         namespace = {"random": random, "time": time, "choice": choice,
                      **{f"n{i}": i for i in range(300)}}
         exec(source, namespace)
-        code = namespace["udf"].__code__
-        got, want = UdfReport("udf"), UdfReport("udf")
-        _scan_code(code, namespace, got)
-        _reference_scan(code, namespace, want)
-        assert got == want, source
+        want = UdfReport("udf")
+        _reference_scan(namespace["udf"].__code__, namespace, want)
+        assert introspect_udf(namespace["udf"]) == want, source
 
     def test_the_verdict_follows_the_globals_of_the_moment(self):
         code = compile("lambda x: clock()", "<udf>", "eval").co_consts[0]
@@ -516,8 +514,7 @@ class TestPurityScan:
 
         for namespace, flagged in (({"clock": time.time}, ["clock"]),
                                    ({"clock": len}, [])):
-            report = UdfReport("udf")
-            _scan_code(code, namespace, report)
+            report = introspect_udf(FunctionType(code, namespace, "udf"))
             assert report.nondeterministic_calls == flagged
 
 
@@ -664,7 +661,7 @@ def _digests() -> dict:
     out = {}
     for name, build in _TABLE1.items():
         plan = build(RheemContext()).to_plan()
-        subplans = subplan_fingerprints(plan)
+        subplans = PlanFingerprints(plan).subplans
         out[name] = [plan_fingerprint(plan),
                      [subplans.get(op.id) for op in plan.operators()]]
     return out
