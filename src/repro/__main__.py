@@ -75,7 +75,7 @@ def _context_from_options(no_cache: bool, no_reuse: bool,
     method)."""
     ctx = RheemContext()
     if no_cache:
-        ctx.plan_cache.enabled = False
+        ctx.plan_cache.capacity = 0
     if no_reuse:
         ctx.result_store.enabled = False
     if abstracts:

@@ -52,8 +52,9 @@ class RheemContext:
             :mod:`repro.learn`); ``None`` uses the calibrated defaults.
         config: Job configuration (e.g. ``{"seed": 7}``): ``seed``,
             ``result_reuse``, ``reuse_budget_mb``, ``reuse_min_benefit``,
-            ``plan_cache``, ``plan_cache_size``.  Any other key is a
-            ``ValueError`` — a key nobody reads changes nothing, silently.
+            ``plan_cache_size`` (0 turns the plan cache off).  Any other
+            key is a ``ValueError`` — a key nobody reads changes nothing,
+            silently.
         tracer: A :class:`~repro.trace.Tracer` to receive optimizer and
             executor spans; defaults to the no-op tracer (call
             :meth:`enable_tracing` to install a recording one).
@@ -76,7 +77,7 @@ class RheemContext:
         self.graph = ChannelConversionGraph()
         self.config = {"seed": 42, "result_reuse": True,
                        "reuse_budget_mb": 256.0, "reuse_min_benefit": 0.005,
-                       "plan_cache": True, "plan_cache_size": 64}
+                       "plan_cache_size": 64}
         for key in config or {}:
             if key not in self.config:
                 raise ValueError(
@@ -98,7 +99,6 @@ class RheemContext:
         self.plan_cache = ExecutionPlanCache(
             capacity=int(self.config["plan_cache_size"]),
             metrics=self.metrics)
-        self.plan_cache.enabled = bool(self.config["plan_cache"])
         # Cross-job intermediate-result store (result reuse): committed
         # stage outputs whose recompute-cost/byte ratio clears the
         # admission threshold are kept and offered to later submissions

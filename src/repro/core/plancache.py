@@ -63,7 +63,6 @@ class ExecutionPlanCache:
                  metrics: "MetricsRegistry | None" = None) -> None:
         self.capacity = capacity
         self.metrics = metrics
-        self.enabled = True
         self.stats: dict[str, int] = dict.fromkeys(PLAN_CACHE_STAT_NAMES, 0)
         self._entries: OrderedDict[tuple, tuple] = OrderedDict()
 
@@ -83,12 +82,12 @@ class ExecutionPlanCache:
         """Cache key for ``plan`` under the given optimizer configuration.
 
         ``fingerprints`` is the caller's tokenization pass over ``plan``,
-        if it has one.  Returns ``None`` — meaning "do not cache" — when
-        caching is disabled or the plan cannot be fingerprinted stably.
+        if it has one.  Returns ``None`` — meaning "do not cache" — when the
+        capacity is 0 or the plan cannot be fingerprinted stably.
         """
         from .fingerprint import plan_fingerprint
 
-        if not self.enabled or self.capacity <= 0:
+        if self.capacity <= 0:
             return None
         fingerprint = (fingerprints.digest if fingerprints is not None
                        else plan_fingerprint(plan))

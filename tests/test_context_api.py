@@ -67,22 +67,19 @@ class TestContextSetup:
             RheemContext(config={key: 4})
         assert repr(key) in str(refused.value)
         for accepted in ("seed", "result_reuse", "reuse_budget_mb",
-                         "reuse_min_benefit", "plan_cache",
-                         "plan_cache_size"):
+                         "reuse_min_benefit", "plan_cache_size"):
             assert accepted in str(refused.value)
 
     def test_every_accepted_config_key_is_read(self):
         ctx = RheemContext(config={
             "seed": 7, "result_reuse": False, "reuse_budget_mb": 8.0,
-            "reuse_min_benefit": 0.5, "plan_cache": False,
-            "plan_cache_size": 3})
+            "reuse_min_benefit": 0.5, "plan_cache_size": 3})
         assert ctx.config["seed"] == 7
         assert not ctx.result_store.enabled
         assert (ctx.result_store.budget_mb,
                 ctx.result_store.min_benefit) == (8.0, 0.5)
-        assert not ctx.plan_cache.enabled
         assert ctx.plan_cache.capacity == 3
-        assert len(ctx.config) == 6
+        assert len(ctx.config) == 5
 
 
 class TestFluentVerbs:

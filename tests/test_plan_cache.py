@@ -103,11 +103,18 @@ class TestExecutionPlanCache:
         assert ctx.plan_cache.stats["hits"] == 0
 
     def test_config_flag_disables_cache(self):
-        ctx = RheemContext(config={"plan_cache": False})
+        ctx = RheemContext(config={"plan_cache_size": 0})
         ctx.execute(ctx.load_collection([1, 2]).map(str).to_plan())
         ctx.execute(ctx.load_collection([1, 2]).map(str).to_plan())
         assert len(ctx.plan_cache) == 0
         assert ctx.plan_cache.stats["hits"] == 0
+
+    def test_cli_flag_sets_the_capacity_to_zero(self):
+        from repro.__main__ import _context_from_options
+
+        ctx = _context_from_options(True, False, 0.0, 0.0)
+        assert ctx.plan_cache.capacity == 0
+        assert ctx.result_store.enabled  # --no-cache leaves reuse alone
 
     def test_publishing_cost_params_flushes(self, ctx):
         ctx.execute(_wordcount_plan(ctx))
@@ -163,7 +170,7 @@ class TestLosslessness:
 
     def test_end_to_end_results_match_with_caches_off(self):
         on = RheemContext()
-        off = RheemContext(config={"plan_cache": False})
+        off = RheemContext(config={"plan_cache_size": 0})
         out_on = on.execute(_wordcount_plan(on))
         out_off = off.execute(_wordcount_plan(off))
         assert sorted(out_on.output) == sorted(out_off.output)

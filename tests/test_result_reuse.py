@@ -180,7 +180,7 @@ class TestTogglesAndExposure:
                                   abstracts=0.0, pagelinks=0.0)
         ctx = _build_context(args)
         assert not ctx.result_store.enabled
-        assert ctx.plan_cache.enabled  # --no-reuse leaves caching alone
+        assert ctx.plan_cache.capacity > 0  # --no-reuse leaves it alone
 
     def test_metrics_endpoint_exposes_intermediate_counters(self):
         import json
