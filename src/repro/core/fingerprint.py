@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from types import CodeType, MethodType, ModuleType
+from types import CodeType, FunctionType, MethodType, ModuleType
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -76,20 +76,18 @@ class _Fingerprinter:
             return ("dict", tuple(
                 (self.token(k, depth + 1), self.token(v, depth + 1))
                 for k, v in pairs))
+        if isinstance(value, type):  # named, never read
+            return ("class", value.__module__, value.__qualname__)
         if isinstance(value, Udf):
             return ("udf", self.token(value.fn, depth + 1),
                     value.selectivity, value.cpu_weight, value.name)
+        if isinstance(value, FunctionType):
+            return self._function(value, depth)
         if isinstance(value, CodeType):  # nested code follows in the walk
             return ("code", value.co_code, value.co_varnames,
-                    value.co_freevars, value.co_argcount, tuple(
-                        ("code",) if isinstance(c, CodeType)
-                        else self.token(c, depth + 1)
-                        for c in value.co_consts))
-        if isinstance(value, np.ndarray) and not value.dtype.hasobject:
-            return ("ndarray", value.dtype.str, value.shape,
-                    hashlib.sha256(value.tobytes()).hexdigest())
-        if isinstance(value, ModuleType):
-            return ("module", value.__name__)
+                    value.co_freevars, value.co_argcount,
+                    tuple(("code",) if isinstance(c, CodeType) else
+                          self.token(c, depth + 1) for c in value.co_consts))
         if isinstance(value, functools.partial):
             return ("partial", self.token(value.func, depth + 1),
                     self.token(list(value.args), depth + 1),
@@ -97,16 +95,17 @@ class _Fingerprinter:
         if isinstance(value, MethodType):
             return ("method", self.token(value.__func__, depth + 1),
                     self.token(value.__self__, depth + 1))
-        if hasattr(value, "__code__"):
-            return self._function(value, depth)
+        if isinstance(value, np.ndarray) and not value.dtype.hasobject:
+            return ("ndarray", value.dtype.str, value.shape,
+                    hashlib.sha256(value.tobytes()).hexdigest())
+        if isinstance(value, ModuleType):
+            return ("module", value.__name__)
         if callable(value) and hasattr(value, "__qualname__"):
-            # Classes, builtins and method descriptors (len, str.split) are
-            # named; a builtin bound to an object ({}.get) adds the object.
-            owner = getattr(value, "__self__", None)
-            if isinstance(owner, ModuleType):
-                owner = None
+            # Builtins and method descriptors (len, str.split) are named; a
+            # builtin bound to an object ({}.get) adds the object.
             return ("named", getattr(value, "__module__", None),
-                    value.__qualname__, self.token(owner, depth + 1))
+                    value.__qualname__,
+                    self.token(getattr(value, "__self__", None), depth + 1))
         self.stable = False
         return ("unstable", id(value))
 

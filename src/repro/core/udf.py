@@ -7,7 +7,7 @@ optimizer falls back to per-operator defaults when they are absent.
 
 from __future__ import annotations
 
-from types import CodeType
+from types import CodeType, FunctionType
 from typing import Any, Callable, Iterator
 
 #: Levels of code nested in a function's own that :func:`reads` descends.
@@ -63,22 +63,23 @@ def as_udf(fn: Callable[..., Any] | Udf) -> Udf:
 def reads(fn: Callable[..., Any]) -> Iterator[tuple[str, Any, Any]]:
     """What the Python function ``fn`` reads besides its arguments (the
     plan digest and the purity scan both ask this), as ``(kind, name,
-    value)``: its ``defaults`` and ``kwdefaults``, a ``closure`` per cell,
-    then for its code and each code object nested in it (pre-order) the
-    ``code`` followed by each of its ``co_names``: a ``global`` if
-    ``fn.__globals__`` binds it, else ``unbound`` (None).  ``co_names``
-    holds attribute names too: a superset of what the code loads."""
-    code = getattr(fn, "__code__", None)
-    if code is None:  # a builtin
+    value)``: its ``defaults`` and ``kwdefaults`` if any, a ``closure``
+    per cell, then for its code and each code object nested in it
+    (pre-order) the ``code`` followed by each of its ``co_names``: a
+    ``global`` if ``fn.__globals__`` binds it, else ``unbound`` (None).
+    ``co_names`` holds attribute names too: a superset of what is loaded."""
+    if not isinstance(fn, FunctionType):  # a builtin or callable object
         return
-    yield "defaults", None, fn.__defaults__
-    yield "kwdefaults", None, fn.__kwdefaults__
-    for var, cell in zip(code.co_freevars, fn.__closure__ or ()):
+    for kind, value in (("defaults", fn.__defaults__),
+                        ("kwdefaults", fn.__kwdefaults__)):
+        if value is not None:
+            yield kind, None, value
+    for var, cell in zip(fn.__code__.co_freevars, fn.__closure__ or ()):
         try:
             yield "closure", var, cell.cell_contents
         except ValueError:  # not assigned yet
             yield "closure", var, UNREADABLE
-    namespace, stack = fn.__globals__, [(code, 0)]
+    namespace, stack = fn.__globals__, [(fn.__code__, 0)]
     while stack:
         code, level = stack.pop()
         if level > MAX_NESTING:
