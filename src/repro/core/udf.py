@@ -10,11 +10,10 @@ from __future__ import annotations
 from types import CodeType, FunctionType
 from typing import Any, Callable, Iterator
 
-#: Levels of code nested in a function's own that :func:`reads` descends.
-MAX_NESTING = 3
-#: What :func:`reads` yields for an empty closure cell or code nested
-#: deeper than :data:`MAX_NESTING`: no digest can be made of it.
-UNREADABLE = object()
+#: :func:`reads` descends this many levels of code nested in a function's
+#: own; past them, and for an empty closure cell, it yields ``UNREADABLE``,
+#: of which no digest can be made.
+MAX_NESTING, UNREADABLE = 3, object()
 
 
 class Udf:
@@ -61,13 +60,14 @@ def as_udf(fn: Callable[..., Any] | Udf) -> Udf:
 
 
 def reads(fn: Callable[..., Any]) -> Iterator[tuple[str, Any, Any]]:
-    """What the Python function ``fn`` reads besides its arguments (the
-    plan digest and the purity scan both ask this), as ``(kind, name,
-    value)``: its ``defaults`` and ``kwdefaults`` if any, a ``closure``
-    per cell, then for its code and each code object nested in it
-    (pre-order) the ``code`` followed by each of its ``co_names``: a
+    """What the Python function ``fn``, or a bound method's function, reads
+    besides its arguments (the plan digest and the purity scan both ask),
+    as ``(kind, name, value)``: ``defaults`` and ``kwdefaults`` if any, a
+    ``closure`` per cell, then for its code and each code object nested
+    in it (pre-order) the ``code`` followed by each of its ``co_names``: a
     ``global`` if ``fn.__globals__`` binds it, else ``unbound`` (None).
     ``co_names`` holds attribute names too: a superset of what is loaded."""
+    fn = getattr(fn, "__func__", fn)
     if not isinstance(fn, FunctionType):  # a builtin or callable object
         return
     for kind, value in (("defaults", fn.__defaults__),

@@ -89,6 +89,14 @@ class TestUdfIntrospection:
         report = introspect_udf(track)
         assert report.mutable_captures
 
+    def test_a_bound_method_is_scanned_through_its_function(self):
+        class Jitter:
+            def apply(self, x):
+                return x + random.random()
+
+        report = introspect_udf(Jitter().apply)
+        assert report.nondeterministic_calls == ["random"]
+
     def test_global_write_is_detected(self):
         src = "def bump(x):\n    global counter\n    counter = x\n    return x"
         env = {}
