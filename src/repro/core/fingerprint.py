@@ -83,11 +83,10 @@ class _Fingerprinter:
                     value.selectivity, value.cpu_weight, value.name)
         if isinstance(value, FunctionType):
             return self._function(value, depth)
-        if isinstance(value, CodeType):  # nested code follows in the walk
-            return ("code", value.co_code, value.co_varnames,
-                    value.co_freevars, value.co_argcount,
-                    tuple(("code",) if isinstance(c, CodeType) else
-                          self.token(c, depth + 1) for c in value.co_consts))
+        if isinstance(value, CodeType):
+            token, stable = _code_token(value)
+            self.stable = self.stable and stable
+            return token
         if isinstance(value, functools.partial):
             return ("partial", self.token(value.func, depth + 1),
                     self.token(list(value.args), depth + 1),
@@ -135,6 +134,18 @@ class _Fingerprinter:
             self._memo[id(value)] = (value, token)
         self.stable = stable and self.stable
         return kind, name, token
+
+
+@functools.lru_cache(maxsize=4096)
+def _code_token(code: CodeType) -> tuple[tuple, bool]:
+    """A code object's token, and whether its constants tokenize stably:
+    shared across passes (code is immutable).  Nested code objects follow
+    in the walk; a placeholder stands in for them among the constants."""
+    fp = _Fingerprinter()
+    return ("code", code.co_code, code.co_varnames, code.co_freevars,
+            code.co_argcount, tuple(("code",) if isinstance(c, CodeType)
+                                    else fp.token(c, 1)
+                                    for c in code.co_consts)), fp.stable
 
 
 def _wiring(op: Operator, address: dict[int, Any]) -> tuple:
