@@ -90,10 +90,12 @@ def introspect_udf(udf) -> UdfReport:
     # ``dis`` opens only where a finding is possible: a nondeterministic load
     # needs its name among ``names``, a global write its opcode.
     for code, names in codes:
-        opcodes = code.co_code[::2] if isinstance(code, CodeType) else b""
+        if not isinstance(code, CodeType):  # UNREADABLE: nested too deep
+            continue
+        opcodes = code.co_code[::2]
         if not (_STORE_GLOBAL in opcodes or _DELETE_GLOBAL in opcodes or any(
                 _resolves_nondeterministic(n, names) for n in names)):
-            continue  # (UNREADABLE code comes with no names: skipped)
+            continue
         for instr in dis.get_instructions(code):
             if instr.opname in ("LOAD_GLOBAL", "LOAD_NAME"):
                 if _resolves_nondeterministic(instr.argval, names) and \
