@@ -489,9 +489,13 @@ class Executor:
                       self._convert(env[producer], path, ctx, cache, producer)
                       for producer, path in prepared.broadcasts]
         op = task.operator
+        logical_id = prepared.logical_id
         if prepared.kind == _LOOP:
-            return self._run_loop(job, op, inputs, ctx, label, start,
-                                  completed)
+            out = self._run_loop(job, op, inputs, ctx, label, start,
+                                 completed)
+            if logical_id in job.sniffers:  # the loop's output, once
+                sniffs.append((job.sniffers[logical_id], op, out))
+            return out
         out = op.execute(inputs, broadcasts, ctx)
         cin = sum([ch.sim_cardinality for ch in inputs
                    if ch.actual_count is not None])
@@ -502,7 +506,6 @@ class Executor:
             op.platform, op.observed_op_kind(inputs, ctx), op.work(),
             cin, out.sim_cardinality if measured else 0.0,
             getattr(logical, "id", None), getattr(logical, "name", "")))
-        logical_id = prepared.logical_id
         if (logical_id in job.sniffers and measured
                 and not isinstance(op, CachedResultExec)):
             # A held channel flowed past its sniffers when it was

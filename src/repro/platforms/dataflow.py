@@ -217,9 +217,12 @@ class DataflowOperator(ExecutionOperator):
     # ------------------------------------------------------------- plumbing
     def execute(self, inputs: Sequence[Channel], broadcasts: Sequence[Channel],
                 ctx) -> Channel:
-        # UDFs take their broadcast values as plain lists.
-        return self._run(inputs, [records_of(b.payload) for b in broadcasts],
-                         ctx)
+        # UDFs take their broadcast values as plain lists, also where the
+        # broadcast channel is the engine's own dataset (graphlite).
+        return self._run(inputs, [
+            _record_list(self.engine.parts(b.payload))
+            if b.descriptor == self.engine.dataset else records_of(b.payload)
+            for b in broadcasts], ctx)
 
     def _run(self, inputs: Sequence[Channel], bvals: list[Any], ctx) -> Channel:
         raise NotImplementedError
