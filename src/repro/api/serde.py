@@ -35,6 +35,7 @@ from types import CodeType
 from typing import Any, Callable
 
 from ..core.context import DataQuanta, RheemContext
+from ..core.operators import Join, Sample
 from ..latin.translator import resolve_platform
 
 #: Distinct UDF sources whose compiled code is kept, most recent first.
@@ -60,6 +61,36 @@ def typed(value: Any, expected: type, what: str) -> Any:
         raise PlanDocumentError(f"{what} must be a {expected.__name__}, "
                                 f"not {type(value).__name__}")
     return value
+
+
+#: The optional fields of an operator entry: field -> (JSON type, the least
+#: number or the allowed strings).  Null means absent.
+FIELDS = {
+    "data": (list, None), "broadcasts": (list, None),
+    "projection": (list, None), "path": (str, None), "table": (str, None),
+    "env": (str, None), "platform": (str, None), "descending": (bool, None),
+    "sim_factor": (Real, 0), "bytes_per_record": (Real, 0),
+    "size": (int, 0), "fraction": (Real, 0), "selectivity": (Real, 0),
+    "sim_groups": (Real, 0), "method": (str, Sample.METHODS),
+    "sim_mode": (str, Join.SIM_MODES), "iterations": (int, 1),
+    "damping": (Real, 0),
+}
+
+
+def _check_fields(spec: dict, name: str) -> None:
+    """Raise a :class:`PlanDocumentError` on a bad one of :data:`FIELDS`."""
+    for key, (expected, allowed) in FIELDS.items():
+        value = spec.get(key)
+        if value is None:
+            continue
+        what = f"operator {name!r} field {key!r}"
+        if isinstance(value, bool) != (expected is bool) \
+                or not isinstance(value, expected):
+            raise PlanDocumentError(f"{what} must be a {expected.__name__}, "
+                                    f"not {type(value).__name__}")
+        if (value not in allowed if isinstance(allowed, tuple)
+                else allowed is not None and not value >= allowed):
+            raise PlanDocumentError(f"{what} cannot be {value!r}")
 
 
 @functools.lru_cache(maxsize=MAX_COMPILED_UDFS)
@@ -112,6 +143,7 @@ def build_quanta(
         typed(spec, dict, "an 'operators' entry")
         name = typed(_field(spec, "name"), str, "operator 'name'")
         kind = _field(spec, "kind")
+        _check_fields(spec, name)
         broadcasts = [dataset(b) for b in spec.get("broadcasts", [])]
         if kind == "textfile_source":
             dq = ctx.read_text_file(_field(spec, "path"))
@@ -175,13 +207,10 @@ def build_quanta(
                 sim_mode=spec.get("sim_mode", "linear"))
         elif kind == "pagerank":
             edges = dataset(_field(spec, "input"))
-            iterations = typed(spec.get("iterations", 10), int,
-                               f"operator {name!r} field 'iterations'")
-            damping = typed(spec.get("damping", 0.85), Real,
-                            f"operator {name!r} field 'damping'")
             try:
-                dq = edges.pagerank(iterations=iterations, damping=damping)
-            except ValueError as exc:  # a bool, or out of range
+                dq = edges.pagerank(iterations=spec.get("iterations", 10),
+                                    damping=spec.get("damping", 0.85))
+            except ValueError as exc:  # mis-typed or out of range
                 raise PlanDocumentError(f"operator {name!r}: {exc}") from None
         else:
             raise PlanDocumentError(f"unknown operator kind {kind!r}")

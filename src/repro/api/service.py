@@ -71,8 +71,10 @@ class RheemService:
             kwargs: dict[str, Any] = {}
             platforms = execution.get("platforms")
             if platforms:
+                what = "'execution' field 'platforms'"
                 kwargs["allowed_platforms"] = {
-                    resolve_platform(p) for p in platforms} | {"driver"}
+                    resolve_platform(typed(p, str, what))
+                    for p in typed(platforms, list, what)} | {"driver"}
             if execution.get("objective") == "monetary":
                 kwargs["objective"] = monetary()
             if execution.get("progressive"):

@@ -18,6 +18,7 @@ import time
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro import RheemContext
 from repro.api import RheemService
@@ -52,13 +53,33 @@ SLOW_DOC = {**WORDCOUNT_DOC, "operators": [
 SLOW_ENV = {"nap": lambda x: (time.sleep(0.05), x)[1]}
 
 
-def _pagerank_doc(**params):
-    """A document ranking a three-edge graph with PageRank ``params``."""
-    return {"operators": [
-        {"name": "edges", "kind": "collection_source",
-         "data": [[0, 1], [1, 2], [2, 0]]},
-        {"name": "ranks", "kind": "pagerank", "input": "edges", **params}],
-        "sink": {"name": "ranks"}}
+NUMS = {"name": "nums", "kind": "collection_source", "data": [[1, 2], [3, 4]]}
+#: Right values for every field an entry of any kind needs.
+ENTRY = {"name": "op", "input": "nums", "left": "nums", "right": "nums",
+         "expr": "x", "key": "x[0]", "left_key": "x[0]", "right_key": "x[0]",
+         "size": 1}
+_COUNT = lambda v: type(v) in (int, float) and v >= 0
+#: Each optional field: the entry kind carrying it, its type or right values.
+FIELDS = {
+    "data": ("collection_source", list), "env": ("collection_source", str),
+    "sim_factor": ("collection_source", _COUNT), "platform": ("map", str),
+    "path": ("textfile_source", str), "table": ("table_source", str),
+    "projection": ("table_source", list), "broadcasts": ("map", list),
+    "bytes_per_record": ("map", _COUNT), "fraction": ("sample", _COUNT),
+    "size": ("sample", lambda v: type(v) is int and v >= 0),
+    "method": ("sample", lambda v: v in (
+        "random", "random_jump", "shuffled_partition", "first")),
+    "descending": ("sort", bool), "sim_groups": ("groupby", _COUNT),
+    "selectivity": ("join", _COUNT),
+    "sim_mode": ("join", lambda v: v in ("linear", "product")),
+    "iterations": ("pagerank", lambda v: type(v) is int and v >= 1),
+    "damping": ("pagerank", lambda v: type(v) in (int, float) and 0 <= v <= 1),
+    # Not an entry's: the document's "execution" carries it.
+    "platforms": (None, lambda v: not v or type(v) is list and all(
+        type(p) is str for p in v)),
+}
+_JSON = st.one_of(st.booleans(), st.integers(-9, 9), st.floats(-9, 9),
+                  st.text(max_size=5), st.lists(st.integers(), max_size=2))
 
 
 def _ctx():
@@ -588,18 +609,40 @@ class TestWsgiFrontend:
         ("'sink'", {"sink": ["counts"]}),
         ("'execution'", {"execution": "fast"}),
         ("'name'", {"operators": [
-            {**WORDCOUNT_DOC["operators"][0], "name": ["lines"]}]}),
-        *[(f"'{key}'", _pagerank_doc(**{key: value})) for key, value in [
-            ("iterations", "10"), ("iterations", 2.5), ("iterations", True),
-            ("damping", "x"), ("damping", 7), ("damping", -1)]]])
+            {**WORDCOUNT_DOC["operators"][0], "name": ["lines"]}]})])
     def test_a_misshaped_document_is_a_plan_document_error(
             self, app, field, override):
-        # Each answered a Python exception name (TypeError, AttributeError),
-        # or — a bool iteration count, a damping outside [0, 1] — ranks.
+        # Each answered a Python exception name (TypeError, AttributeError).
         body = json.dumps({**WORDCOUNT_DOC, **override}).encode()
         payload = self._refused(app, 400, body=body)
         assert payload["kind"] == "PlanDocumentError"
         assert field in payload["error"]
+
+    def test_a_mistyped_field_is_a_plan_document_error(self):
+        # Each failed where it was used, as a TypeError or the like, or ran.
+        cases = st.sampled_from(sorted(FIELDS)).flatmap(
+            lambda field: st.tuples(st.just(field), _JSON.filter(
+                lambda v, right=FIELDS[field][1]: not (
+                    type(v) is right if isinstance(right, type)
+                    else right(v)))))
+        with JobServer(_ctx(), workers=1) as server:
+            app = make_wsgi_app(server)
+
+            @given(cases)
+            def check(case):
+                field, value = case
+                kind = FIELDS[field][0]
+                doc = ({"operators": [NUMS, {**ENTRY, "kind": kind,
+                                             field: value}],
+                        "sink": {"name": "op"}} if kind else
+                       {"operators": [NUMS], "sink": {"name": "nums"},
+                        "execution": {field: value}})
+                error = self._refused(app, 400, body=json.dumps(doc).encode())
+                assert error["kind"] == "PlanDocumentError"
+                assert repr(field) in error["error"]
+                assert kind is None or "operator 'op'" in error["error"]
+
+            check()
 
     def test_bad_query_values_carry_a_kind(self, app):
         body = json.dumps(WORDCOUNT_DOC).encode()
