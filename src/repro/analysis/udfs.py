@@ -70,11 +70,8 @@ def _resolves_nondeterministic(name: str, globals_ns: dict) -> bool:
 
 
 def introspect_udf(udf) -> UdfReport:
-    """Analyze one UDF (a :class:`Udf` or any plain callable); results are
-    cached on the instance."""
-    cached = getattr(udf, "_introspection", None)
-    if cached is not None:
-        return cached
+    """Analyze one UDF (a :class:`Udf` or any plain callable) as it reads
+    now: a rebound global changes the verdict."""
     fn = udf.fn if isinstance(udf, Udf) else udf
     name = udf.name if isinstance(udf, Udf) else getattr(
         fn, "__name__", repr(fn))
@@ -104,10 +101,6 @@ def introspect_udf(udf) -> UdfReport:
             elif instr.opname in ("STORE_GLOBAL", "DELETE_GLOBAL"):
                 if instr.argval not in report.global_writes:
                     report.global_writes.append(instr.argval)
-    try:
-        udf._introspection = report
-    except AttributeError:  # pragma: no cover - exotic callables
-        pass
     return report
 
 

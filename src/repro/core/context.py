@@ -51,10 +51,9 @@ class RheemContext:
         cost_params: Learned cost-model parameters (from
             :mod:`repro.learn`); ``None`` uses the calibrated defaults.
         config: Job configuration (e.g. ``{"seed": 7}``): ``seed``,
-            ``result_reuse``, ``reuse_budget_mb``, ``reuse_min_benefit``,
-            ``plan_cache_size`` (0 turns the plan cache off).  Any other
-            key is a ``ValueError`` — a key nobody reads changes nothing,
-            silently.
+            ``result_reuse``, ``plan_cache_size`` (0 turns the plan cache
+            off).  Any other key is a ``ValueError`` — a key nobody reads
+            changes nothing, silently.
         tracer: A :class:`~repro.trace.Tracer` to receive optimizer and
             executor spans; defaults to the no-op tracer (call
             :meth:`enable_tracing` to install a recording one).
@@ -76,7 +75,6 @@ class RheemContext:
         self.metrics = MetricsRegistry()
         self.graph = ChannelConversionGraph()
         self.config = {"seed": 42, "result_reuse": True,
-                       "reuse_budget_mb": 256.0, "reuse_min_benefit": 0.005,
                        "plan_cache_size": 64}
         for key in config or {}:
             if key not in self.config:
@@ -103,10 +101,7 @@ class RheemContext:
         # stage outputs whose recompute-cost/byte ratio clears the
         # admission threshold are kept and offered to later submissions
         # as zero-cost source alternatives.
-        self.result_store = IntermediateResultStore(
-            budget_mb=float(self.config["reuse_budget_mb"]),
-            min_benefit=float(self.config["reuse_min_benefit"]),
-            metrics=self.metrics)
+        self.result_store = IntermediateResultStore(metrics=self.metrics)
         self.result_store.enabled = bool(self.config["result_reuse"])
 
     def enable_tracing(self) -> Tracer:

@@ -27,6 +27,13 @@ from ..simulation.profiles import PlatformProfile
 from .cardinality import CardinalityEstimate
 
 
+def geometric_mean(lower: float, upper: float) -> float:
+    """What plans compare by: the bounds' geometric mean (0: midpoint)."""
+    if lower <= 0:
+        return (lower + upper) / 2
+    return math.sqrt(lower * upper)
+
+
 @dataclass(frozen=True)
 class CostEstimate:
     """Simulated-seconds interval with a confidence."""
@@ -50,9 +57,7 @@ class CostEstimate:
     @property
     def geometric_mean(self) -> float:
         """Scalar used to compare plans (paper: geometric mean of bounds)."""
-        if self.lower <= 0:
-            return (self.lower + self.upper) / 2
-        return math.sqrt(self.lower * self.upper)
+        return geometric_mean(self.lower, self.upper)
 
     def plus(self, other: "CostEstimate") -> "CostEstimate":
         return CostEstimate(

@@ -41,7 +41,7 @@ from .channels import (
     ConversionPath,
     volume_band,
 )
-from .cost import CostEstimate, CostModel
+from .cost import CostEstimate, CostModel, geometric_mean
 from .execution import (
     DRIVER_PLATFORM,
     ExecutionPlan,
@@ -349,9 +349,6 @@ class Optimizer:
         #: (exposed for the pruning ablation benchmark).
         self.last_enumeration_size = 0
         self.prune = True
-        #: Static analysis gate: lint every plan before enumeration, abort
-        #: on error-level findings (set False to optimize unchecked).
-        self.analysis = True
         self.tracer = tracer or NO_TRACER
         self.metrics = metrics or MetricsRegistry()
         #: Per-phase counters of the last :meth:`pick_best` run.
@@ -406,16 +403,15 @@ class Optimizer:
         with self.tracer.span("optimizer.estimate") as estimate_span:
             # The analyzer estimated with this very context, best-effort:
             # only a failed estimate is redone (and raises).
-            if report is not None and report.cardinalities is not None:
+            if report.cardinalities is not None:
                 cards = dict(report.cardinalities)
             else:
                 cards = plan.estimate_cardinalities(self.estimation_ctx)
-            if report is not None:
-                for op_id, penalty in report.confidence_penalties.items():
-                    est = cards.get(op_id)
-                    if est is not None:
-                        cards[op_id] = CardinalityEstimate(
-                            est.lower, est.upper, est.confidence * penalty)
+            for op_id, penalty in report.confidence_penalties.items():
+                est = cards.get(op_id)
+                if est is not None:
+                    cards[op_id] = CardinalityEstimate(
+                        est.lower, est.upper, est.confidence * penalty)
             estimate_span.set("operators_estimated", len(cards))
         if reuse is None:
             reuse = ReuseProbe(roots={}, needed=set())
@@ -454,17 +450,22 @@ class Optimizer:
         if not results:
             raise OptimizationError("enumeration produced no executable plan")
 
-        def charged(partial: PartialPlan) -> PartialPlan:
-            """``partial`` plus the start-ups of its unstarted platforms."""
-            owed = self._startups(partial.platforms - reuse.started)
-            return PartialPlan(
-                cost=partial.cost.plus(CostEstimate.fixed(owed)),
-                open_channels=partial.open_channels,
-                platforms=partial.platforms, parent=partial)
+        owed: dict[frozenset[str], float] = {}
 
-        best = min(map(charged, results),
-                   key=lambda p: p.cost.geometric_mean)
-        return best, cards
+        def startups(partial: PartialPlan) -> float:
+            """``partial``'s unpaid start-ups, priced once per set."""
+            price = owed.get(partial.platforms)
+            if price is None:
+                price = owed[partial.platforms] = self._startups(
+                    partial.platforms - reuse.started)
+            return price
+
+        best = min(results, key=lambda p: geometric_mean(
+            p.cost.lower + startups(p), p.cost.upper + startups(p)))
+        return PartialPlan(
+            cost=best.cost.plus(CostEstimate.fixed(startups(best))),
+            open_channels=best.open_channels, platforms=best.platforms,
+            parent=best), cards
 
     # -------------------------------------------------------- result reuse
     def probe_reuse(self, plan: RheemPlan, store: IntermediateResultStore,
@@ -528,9 +529,7 @@ class Optimizer:
 
     # ------------------------------------------------------ static analysis
     def _analyze(self, plan: RheemPlan):
-        """Lint ``plan`` pre-enumeration; None when analysis is disabled."""
-        if not self.analysis:
-            return None
+        """Lint ``plan`` pre-enumeration."""
         from ..analysis.collector import notify_report
         from ..analysis.engine import PlanAnalyzer
 

@@ -3,6 +3,7 @@ structural validation and the surfaces that expose diagnostics (optimizer,
 CLI, REST, studio)."""
 
 import random
+import time
 
 import pytest
 
@@ -27,6 +28,9 @@ from repro.core import operators as ops
 from repro.core.optimizer import OptimizationError, PlanAnalysisError
 from repro.core.plan import PlanValidationError, RheemPlan, topological_order
 from repro.core.udf import Udf
+
+
+clock = time.time  # a global a UDF calls; a test rebinds it
 
 
 @pytest.fixture
@@ -96,6 +100,12 @@ class TestUdfIntrospection:
 
         report = introspect_udf(Jitter().apply)
         assert report.nondeterministic_calls == ["random"]
+
+    def test_the_verdict_follows_a_rebound_global(self, monkeypatch):
+        udf = Udf(lambda x: clock())
+        assert introspect_udf(udf).nondeterministic_calls == ["clock"]
+        monkeypatch.setitem(globals(), "clock", len)
+        assert introspect_udf(udf).clean
 
     def test_global_write_is_detected(self):
         src = "def bump(x):\n    global counter\n    counter = x\n    return x"
@@ -276,16 +286,6 @@ class TestOptimizerIntegration:
         dq = ctx.load_collection([1, 2]).map(lambda x: x * random.random())
         result = dq.execute()
         assert "RP009" in {d.rule_id for d in result.diagnostics}
-
-    def test_analysis_can_be_disabled(self, ctx):
-        def shout(s: str) -> str:
-            return s.upper()
-
-        plan = ctx.load_collection([1, 2]).map(shout).to_plan()
-        optimizer = ctx.optimizer()
-        optimizer.analysis = False
-        best, __ = optimizer.pick_best(plan)  # no PlanAnalysisError
-        assert best is not None
 
 
 # ----------------------------------------------------------- surfaces

@@ -58,7 +58,8 @@ class TestContextSetup:
 
     @pytest.mark.parametrize("key", [
         "stage_paralelism",                                     # a typo
-        "stage_parallelism", "stage_parallelism_cap", "stage_wall_s"])
+        "stage_parallelism", "stage_parallelism_cap", "stage_wall_s",
+        "reuse_budget_mb", "reuse_min_benefit"])  # store defaults now
     def test_config_key_nobody_reads_is_an_error(self, key):
         """Accepted and ignored on the parent: a misspelt key — or one of
         the three the lane scheduler took with it — changed nothing,
@@ -66,20 +67,16 @@ class TestContextSetup:
         with pytest.raises(ValueError) as refused:
             RheemContext(config={key: 4})
         assert repr(key) in str(refused.value)
-        for accepted in ("seed", "result_reuse", "reuse_budget_mb",
-                         "reuse_min_benefit", "plan_cache_size"):
+        for accepted in ("seed", "result_reuse", "plan_cache_size"):
             assert accepted in str(refused.value)
 
     def test_every_accepted_config_key_is_read(self):
         ctx = RheemContext(config={
-            "seed": 7, "result_reuse": False, "reuse_budget_mb": 8.0,
-            "reuse_min_benefit": 0.5, "plan_cache_size": 3})
+            "seed": 7, "result_reuse": False, "plan_cache_size": 3})
         assert ctx.config["seed"] == 7
         assert not ctx.result_store.enabled
-        assert (ctx.result_store.budget_mb,
-                ctx.result_store.min_benefit) == (8.0, 0.5)
         assert ctx.plan_cache.capacity == 3
-        assert len(ctx.config) == 5
+        assert len(ctx.config) == 3
 
 
 class TestFluentVerbs:
