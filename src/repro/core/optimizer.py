@@ -452,18 +452,19 @@ class Optimizer:
 
         owed: dict[frozenset[str], float] = {}
 
-        def startups(partial: PartialPlan) -> float:
-            """``partial``'s unpaid start-ups, priced once per set."""
-            price = owed.get(partial.platforms)
-            if price is None:
-                price = owed[partial.platforms] = self._startups(
+        def charged(partial: PartialPlan) -> float:
+            """``partial``'s mean cost with its unpaid start-ups, which
+            are priced once per platform set."""
+            startups = owed.get(partial.platforms)
+            if startups is None:
+                startups = owed[partial.platforms] = self._startups(
                     partial.platforms - reuse.started)
-            return price
+            return geometric_mean(partial.cost.lower + startups,
+                                  partial.cost.upper + startups)
 
-        best = min(results, key=lambda p: geometric_mean(
-            p.cost.lower + startups(p), p.cost.upper + startups(p)))
+        best = min(results, key=charged)
         return PartialPlan(
-            cost=best.cost.plus(CostEstimate.fixed(startups(best))),
+            cost=best.cost.plus(CostEstimate.fixed(owed[best.platforms])),
             open_channels=best.open_channels, platforms=best.platforms,
             parent=best), cards
 
