@@ -31,8 +31,6 @@ from repro.core.batch import (
     run_sort,
     sort_order,
 )
-from repro.core.channels import PY_COLLECTION, Channel
-from repro.core.resultstore import IntermediateResultStore
 from repro.workloads import graphs, tpch
 from repro.workloads.graphs import community_edges, parse_edge, parse_edges
 from repro.workloads.tpch import (
@@ -760,65 +758,3 @@ class TestParseEdges:
             assert _edges_parsed(lambda __: out, lines) == \
                 _edges_parsed(_per_edge, lines)
         assert calls == []
-
-
-class TestPayloadBoundaries:
-    """Where a batch stops being a batch — and where it need not."""
-
-    @staticmethod
-    def _tripled(ctx):
-        return ctx.load_collection([1, 2, 3]).map(
-            lambda x: x * 3, batch_udf=lambda b: (b.col(0) * 3).tolist()
-        ).with_target_platform("pystreams")
-
-    def test_sinks_hand_out_plain_lists(self, ctx):
-        result = self._tripled(ctx).execute()
-        assert type(result.output) is list and result.output == [3, 6, 9]
-        self._tripled(ctx).write_text_file("file://bp/out.txt")
-        assert ctx.vfs.read("file://bp/out.txt").records == ["3", "6", "9"]
-
-    @pytest.mark.parametrize("scheme", ["hdfs", "file"])
-    def test_collection_to_file_conversions_write_records(self, ctx, scheme):
-        from repro.core.channels import HDFS_FILE, LOCAL_FILE
-        from repro.core.execution import ExecutionContext
-
-        target = HDFS_FILE if scheme == "hdfs" else LOCAL_FILE
-        batch = RecordBatch.from_records([{"a": 1}, {"a": 2}])
-        channel = Channel(PY_COLLECTION, batch, 1.0, 8.0, len(batch))
-        conversion, = [
-            c for c in ctx.graph.conversions_from(PY_COLLECTION.name)
-            if c.target == target]
-        out = conversion.apply(channel, ExecutionContext(ctx.cluster))
-        records = ctx.vfs.read(out.payload).records
-        assert type(records) is list and records == [{"a": 1}, {"a": 2}]
-
-    def test_detached_shares_the_immutable_batch(self):
-        batch = RecordBatch.from_records([1, 2, 3])
-        channel = Channel(PY_COLLECTION, batch, 1.0, 8.0, 3)
-        assert channel.detached().payload is batch
-        rows = [1, 2, 3]
-        copy = Channel(PY_COLLECTION, rows, 1.0, 8.0, 3).detached().payload
-        assert copy == rows and copy is not rows
-
-    def test_the_result_store_serves_a_batch_to_a_row_operator(self, ctx):
-        ctx.result_store = IntermediateResultStore(min_benefit=0.0,
-                                                   metrics=ctx.metrics)
-        ctx.vfs.write("hdfs://bp/r.txt", [f"{i} {i % 7}" for i in range(300)],
-                      sim_factor=1e3)
-
-        def parsed():
-            return ctx.read_text_file("hdfs://bp/r.txt").map(
-                lambda line: tuple(map(int, line.split())),
-                batch_udf=lambda b: [tuple(map(int, line.split()))
-                                     for line in b.to_records()],
-                name="parse").with_target_platform("pystreams")
-
-        first = parsed().execute()
-        stored = [entry.channel.payload
-                  for entry in ctx.result_store._entries.values()]
-        assert any(isinstance(p, RecordBatch) for p in stored)
-        # A row operator (distinct has no columnar kernel) over the same
-        # prefix is served from the store and reads the same records.
-        second = parsed().distinct(lambda t: t[1]).execute()
-        assert ctx.result_store.stats["hits"] >= 1
-        assert second.output == first.output[:7]

@@ -24,6 +24,7 @@ from repro.core.batch import RecordBatch
 from repro.core.channels import Channel, PY_COLLECTION
 from repro.core.executor import Sniffer
 from repro.core.faults import FaultInjector
+from repro.core.resultstore import IntermediateResultStore
 from repro.workloads import TpchLite, write_community
 from conftest import declared_wordcount, stripped
 
@@ -307,8 +308,9 @@ class TestPayloadBoundaries:
         copy = Channel(PY_COLLECTION, rows, 1.0, 8.0, 3).detached().payload
         assert copy == rows and copy is not rows
 
-    def test_the_result_store_serves_a_batch_to_a_row_operator(self):
-        ctx = RheemContext(config={"reuse_min_benefit": 0.0})
+    def test_the_result_store_serves_a_batch_to_a_row_operator(self, ctx):
+        ctx.result_store = IntermediateResultStore(min_benefit=0.0,
+                                                   metrics=ctx.metrics)
         ctx.vfs.write("hdfs://bp/r.txt", [f"{i} {i % 7}" for i in range(300)],
                       sim_factor=1e3)
 

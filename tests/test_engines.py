@@ -199,6 +199,78 @@ class TestPgresEngine:
         assert table.bytes_for_projection(None) == 80.0
 
 
+class TestEngineEquivalence:
+    """The same logical pipeline must produce identical results on every
+    platform able to run it (the substance behind platform independence)."""
+
+    PLATFORMS = ("pystreams", "sparklite", "flinklite")
+
+    def _run(self, ctx_factory, platform, pipeline):
+        ctx = ctx_factory()
+        return pipeline(ctx).collect(
+            allowed_platforms={platform, "driver"})
+
+    @given(st.lists(st.integers(-100, 100), min_size=1, max_size=40))
+    def test_map_filter_distinct_sort(self, values):
+        def factory():
+            from repro import RheemContext
+            return RheemContext()
+
+        def pipeline(ctx):
+            return (ctx.load_collection(values)
+                    .map(lambda x: x * 2)
+                    .filter(lambda x: x >= 0)
+                    .distinct()
+                    .sort())
+
+        results = [self._run(factory, p, pipeline) for p in self.PLATFORMS]
+        assert results[0] == results[1] == results[2]
+
+    @given(st.lists(st.integers(0, 20), min_size=1, max_size=40))
+    def test_reduce_by_key(self, values):
+        def factory():
+            from repro import RheemContext
+            return RheemContext()
+
+        def pipeline(ctx):
+            return (ctx.load_collection(values)
+                    .map(lambda x: (x % 4, x))
+                    .reduce_by_key(lambda t: t[0],
+                                   lambda a, b: (a[0], a[1] + b[1])))
+
+        results = [sorted(self._run(factory, p, pipeline))
+                   for p in self.PLATFORMS]
+        assert results[0] == results[1] == results[2]
+
+    def test_join_and_union_across_platforms(self):
+        left = [(i, f"l{i}") for i in range(10)]
+        right = [(i % 5, f"r{i}") for i in range(10)]
+
+        def pipeline(ctx):
+            a = ctx.load_collection(left)
+            b = ctx.load_collection(right)
+            return a.join(b, lambda t: t[0], lambda t: t[0])
+
+        from repro import RheemContext
+        results = [sorted(self._run(RheemContext, p, pipeline))
+                   for p in self.PLATFORMS]
+        assert results[0] == results[1] == results[2]
+        assert len(results[0]) == 10  # keys 0-4 match twice each
+
+    def test_global_reduce_and_count(self):
+        from repro import RheemContext
+        for platform in self.PLATFORMS:
+            ctx = RheemContext()
+            total = (ctx.load_collection(list(range(50)))
+                     .reduce(lambda a, b: a + b)
+                     .collect(allowed_platforms={platform, "driver"}))
+            assert total == [sum(range(50))]
+            ctx = RheemContext()
+            n = (ctx.load_collection(list(range(50))).count()
+                 .collect(allowed_platforms={platform, "driver"}))
+            assert n == [50]
+
+
 # ---------------------------------------------------------------------------
 # Golden binding table, captured from the tree before each engine was bound
 # by engine value: (engine, logical operator name, [(op_kind,

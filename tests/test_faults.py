@@ -74,6 +74,15 @@ class TestStageRetries:
         with pytest.raises(PlatformFailure):
             task.execute(fault_injector=injector, max_stage_retries=1)
 
+    def test_chaos_run_still_correct(self):
+        # Probabilistic crashes everywhere; generous retry budget.
+        ctx = RheemContext()
+        injector = FaultInjector(probability=0.6, seed=7)
+        result = _task(ctx).execute(fault_injector=injector,
+                                    max_stage_retries=25)
+        assert dict(result.output) == {"a": 1, "b": 2}
+        assert injector.injected > 0
+
     def test_loop_body_stages_retry_too(self):
         ctx = RheemContext()
         data = ctx.load_collection([1, 2]).cache()

@@ -1,12 +1,12 @@
 """One set of record kernels under every engine (``repro.core.kernels``).
 
 (i) each kernel equals a naive specification loop written here, order
-included; (ii) a shuffle's output and simulated runtime do not follow the
-hash seed, declared or stripped (that every operator agrees across
-engines and layouts is ``test_oracle.py``'s); (iii) a raising UDF —
-``StopIteration`` included — fails the job, never shortens it; (iv) no
-engine enters ``Udf.__call__`` per record; (v) UDFs are bound per
-execution, not per operator instance.
+included; (ii) every kernel-backed logical operator agrees across the
+engines through the public API, and its plan with columnar declarations
+(and record batches for input) agrees with the same plan stripped of
+them; (iii) a raising UDF — ``StopIteration`` included — fails the job,
+never shortens it; (iv) no engine enters ``Udf.__call__`` per record;
+(v) UDFs are bound per execution, not per operator instance.
 
 Shuffle placement follows ``hash()``: CI runs this module under
 ``PYTHONHASHSEED`` 0 and 1, so nothing here may depend on it.
@@ -17,12 +17,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro import RheemContext
 from repro.core import kernels
-from repro.core.batch import fold_by_key_columns
+from repro.core.batch import RecordBatch, fold_by_key_columns
 from repro.core.udf import Udf
 from conftest import stripped
 
@@ -168,11 +169,12 @@ class TestKernelsMatchSpecification:
         assert kernels.hash_join(bucket, bucket, left, right) == expected
 
 
-# ------------------------------------- (ii) shuffles follow no hash seed
+# ------------------------- (ii) engines agree; declared equals stripped
 # One engine per payload layout: pystreams' one partition, sparklite's 40
 # hash-placed partitions, pgres' relations.  flinklite is sparklite's
 # layout: the same shared operator classes at the same partition count.
 ENGINES = ("pystreams", "sparklite", "pgres")
+PARTITIONED = ("sparklite",)
 
 PAIRS = [(i % 7, f"w{i % 5}") for i in range(40)]
 OTHER = [(i % 9, f"v{i % 4}") for i in range(30)]
@@ -197,21 +199,57 @@ def _word_sums(batch):
     return [(total, word) for word, total in sums.to_records()]
 
 
-#: The shuffling operators, each with its canonical output: round-robin
-#: partitioning and the shuffle leave record order open.
-SHUFFLES = {
-    "distinct": (lambda c, pin: pin(src(c, pin, PAIRS).distinct()), by_repr),
+#: name -> (plan builder, engines that map the pinned operator, canonical
+#: form for the partitioned engines — where round-robin partitioning and
+#: the shuffle leave record order (and which duplicate survives) open).
+#: Every operator with a columnar kernel declares it.
+OPERATORS = {
+    "map": (lambda c, pin: pin(src(c, pin, PAIRS).map(
+        lambda t: (t[1], t[0] * 2),
+        batch_udf=lambda b: RecordBatch.from_tuple_columns(
+            (b.col(1), np.asarray(b.col(0)) * 2)))),
+        ENGINES, by_repr),
+    "flat_map": (lambda c, pin: pin(src(c, pin, PAIRS).flat_map(
+        lambda t: [t[1]] * (t[0] % 3),
+        batch_udf=lambda b: [w for n, w in b.to_records()
+                             for __ in range(n % 3)])),
+        ENGINES[:2], by_repr),
+    "filter": (lambda c, pin: pin(src(c, pin, PAIRS).filter(
+        lambda t: t[0] % 2,
+        batch_udf=lambda b: np.asarray(b.col(0)) % 2 == 1)),
+        ENGINES, by_repr),
+    "distinct": (lambda c, pin: pin(src(c, pin, PAIRS).distinct()),
+                 ENGINES, by_repr),
+    "distinct_rows": (lambda c, pin: pin(src(c, pin, ROWS).distinct()),
+                      ENGINES, by_repr),
+    "distinct_by_key": (lambda c, pin: pin(src(c, pin, PAIRS)
+                                           .distinct(lambda t: t[0])),
+                        ENGINES, lambda out: sorted(t[0] for t in out)),
+    # 40 records over 35 keys: ties must keep their input order.
+    "sort": (lambda c, pin: pin(src(c, pin, PAIRS).sort(
+        lambda t: t[0] * 5 + int(t[1][1:]),
+        batch_key=lambda b: np.asarray(b.col(0)) * 5 + np.array(
+            [int(w[1:]) for w in b.col(1).tolist()]))),
+        ENGINES, list),
     "group_by": (lambda c, pin: pin(src(c, pin, PAIRS)
                                     .group_by(lambda t: t[0])),
-                 lambda out: sorted((k, sorted(m)) for k, m in out)),
-    "intersect_rows": (lambda c, pin: pin(src(c, pin, ROWS).intersect(
-        src(c, pin, OTHER_ROWS))), by_repr),
-    "join": (lambda c, pin: pin(src(c, pin, PAIRS).join(
-        src(c, pin, OTHER), lambda t: t[0], lambda t: t[0],
-        left_key_column=0, right_key_column=0)), by_repr),
+                 ENGINES, lambda out: sorted((k, sorted(m)) for k, m in out)),
     "reduce_by_key": (lambda c, pin: pin(src(c, pin, PAIRS).reduce_by_key(
         lambda t: t[1], lambda a, b: (a[0] + b[0], a[1]),
-        batch_impl=_word_sums)), by_repr),
+        batch_impl=_word_sums)),
+        ENGINES, by_repr),
+    "reduce": (lambda c, pin: pin(src(c, pin, list(range(40)))
+                                  .reduce(lambda a, b: a + b)),
+               ENGINES, list),
+    "join": (lambda c, pin: pin(src(c, pin, PAIRS).join(
+        src(c, pin, OTHER), lambda t: t[0], lambda t: t[0],
+        left_key_column=0, right_key_column=0)),
+        ENGINES, by_repr),
+    "intersect": (lambda c, pin: pin(src(c, pin, PAIRS).intersect(
+        src(c, pin, [(i % 3, f"w{i % 5}") for i in range(30)]))),
+        ENGINES, by_repr),
+    "intersect_rows": (lambda c, pin: pin(src(c, pin, ROWS).intersect(
+        src(c, pin, OTHER_ROWS))), ENGINES, by_repr),
 }
 
 
@@ -223,14 +261,37 @@ def run(build, engine, declared):
     return result
 
 
+@pytest.mark.parametrize("name", sorted(OPERATORS))
+def test_engines_and_planes_agree(name, batches):
+    build, engines, canonical = OPERATORS[name]
+    reference = run(build, "pystreams", False).output
+    assert reference, "a vacuous comparison"
+    for engine in engines:
+        del batches[:]
+        reference_run = run(build, engine, False)
+        assert not batches, "a stripped plan built a record batch"
+        declared = run(build, engine, True)
+        assert batches, "a vacuous comparison: no kernel saw a batch"
+        assert declared.output == reference_run.output, engine
+        assert type(declared.output) is list
+        assert declared.runtime == reference_run.runtime, engine
+        if engine in PARTITIONED:
+            assert canonical(reference_run.output) == canonical(reference), \
+                engine
+        else:
+            assert reference_run.output == reference, engine
+
+
 _SHUFFLES = """
 import sys
 sys.path[:0] = {path!r}
-from test_kernels import SHUFFLES, run
-for name, (build, canonical) in SHUFFLES.items():
-    for declared in (False, True):
-        result = run(build, "sparklite", declared)
-        print(name, result.runtime, canonical(result.output))
+from test_kernels import OPERATORS, PARTITIONED, run
+for name in "distinct group_by intersect_rows join reduce_by_key".split():
+    build, __, canonical = OPERATORS[name]
+    for engine in PARTITIONED:
+        for declared in (False, True):
+            result = run(build, engine, declared)
+            print(name, engine, result.runtime, canonical(result.output))
 """
 
 

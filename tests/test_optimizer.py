@@ -167,7 +167,6 @@ class TestLosslessPruning:
                 .to_plan())
 
     def test_pruning_preserves_the_optimum(self, ctx):
-        # The unpruned enumeration is the slow one: it runs once.
         plan = self._plan(ctx)
         pruned_opt = ctx.optimizer()
         best_pruned, __ = pruned_opt.pick_best(plan)
@@ -176,6 +175,14 @@ class TestLosslessPruning:
         best_full, __ = full_opt.pick_best(plan)
         assert best_pruned.cost.geometric_mean == pytest.approx(
             best_full.cost.geometric_mean)
+
+    def test_pruning_shrinks_the_enumeration(self, ctx):
+        plan = self._plan(ctx)
+        pruned_opt = ctx.optimizer()
+        pruned_opt.pick_best(plan)
+        full_opt = ctx.optimizer()
+        full_opt.prune = False
+        full_opt.pick_best(plan)
         assert pruned_opt.last_enumeration_size < full_opt.last_enumeration_size
 
 

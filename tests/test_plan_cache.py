@@ -163,3 +163,15 @@ class TestExecutionPlanCache:
         counters = second["trace"]["metrics"]["counters"]
         assert (counters.get("intermediate.hits", 0)
                 + counters.get("plan_cache.hits", 0)) >= 1
+
+
+class TestLosslessness:
+    """The plan cache on and off must run cost-identical plans."""
+
+    def test_end_to_end_results_match_with_caches_off(self):
+        on = RheemContext()
+        off = RheemContext(config={"plan_cache_size": 0})
+        out_on = on.execute(_wordcount_plan(on))
+        out_off = off.execute(_wordcount_plan(off))
+        assert sorted(out_on.output) == sorted(out_off.output)
+        assert out_on.runtime == pytest.approx(out_off.runtime)

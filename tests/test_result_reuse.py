@@ -13,7 +13,7 @@ bounded by a benefit-ranked byte budget.
 import argparse
 
 import pytest
-from conftest import wordcount
+from conftest import declared_wordcount, wordcount
 
 from repro import RheemContext
 from repro.core.channels import Channel
@@ -50,6 +50,25 @@ class TestWarmResubmission:
         _run(ctx)
         after = ctx.plan_cache.stats["hits"] + ctx.plan_cache.stats["misses"]
         assert after == lookups  # the warm run never consulted it
+
+    @pytest.mark.parametrize("declared", [False, True])
+    def test_results_are_bit_for_bit_with_reuse_on_and_off(self, declared):
+        # Declared, the stored channel holds a record batch.
+        build = declared_wordcount if declared else wordcount
+        outputs = []
+        for result_reuse in (True, False):
+            ctx = RheemContext(config={"result_reuse": result_reuse})
+            cold = build(ctx, _corpus(ctx)).execute()
+            warm = build(ctx, _corpus(ctx)).execute()
+            assert warm.output == cold.output
+            if result_reuse:
+                assert ctx.result_store.stats["hits"] >= 1
+            else:
+                assert ctx.result_store.stats["hits"] == 0
+                assert len(ctx.result_store) == 0
+            outputs.append(warm.output)
+        assert outputs[0] == outputs[1]
+        assert type(outputs[0]) is list
 
 
 class TestInvalidationAndBypass:

@@ -80,6 +80,18 @@ class TestFingerprint:
 
 
 class TestProcessBackend:
+    def test_results_match_thread_backend_bit_for_bit(self, server):
+        docs = [_doc(i * 100) for i in range(6)]
+        with JobServer(RheemContext(), workers=2) as thread_server:
+            expected = [thread_server.submit_sync(d, timeout=60)
+                        for d in docs]
+        actual = [server.submit_sync(d, timeout=60) for d in docs]
+        for ref, got in zip(expected, actual):
+            assert got["status"] == "ok"
+            assert got["output"] == ref["output"]
+            assert got["runtime"] == ref["runtime"]
+            assert got["platforms"] == ref["platforms"]
+
     def test_sticky_routing_same_plan_same_shard(self, server):
         doc = _doc(4200)
         jobs = []
