@@ -128,7 +128,8 @@ def build_quanta(
 
     Raises:
         PlanDocumentError: On unknown kinds, missing or mis-typed fields,
-            malformed UDF expressions or dangling dataset references.
+            arguments an operator refuses, malformed UDF expressions or
+            dangling dataset references.
     """
     env = dict(env or {})
     datasets: dict[str, DataQuanta] = {}
@@ -144,81 +145,92 @@ def build_quanta(
         name = typed(_field(spec, "name"), str, "operator 'name'")
         kind = _field(spec, "kind")
         _check_fields(spec, name)
-        broadcasts = [dataset(b) for b in spec.get("broadcasts", [])]
-        if kind == "textfile_source":
-            dq = ctx.read_text_file(_field(spec, "path"))
-        elif kind == "collection_source":
-            data = spec.get("data")
-            if data is None:
-                data = env[_field(spec, "env")]
-            dq = ctx.load_collection(
-                data, sim_factor=spec.get("sim_factor", 1.0),
-                bytes_per_record=spec.get("bytes_per_record", 100.0))
-        elif kind == "table_source":
-            dq = ctx.read_table(_field(spec, "table"),
-                                spec.get("projection"))
-        elif kind in ("map", "flatmap", "filter"):
-            fn = _compile(spec, "expr", "x, *bc", env)
-            src = dataset(_field(spec, "input"))
-            if kind == "filter":
-                dq = src.filter(fn, broadcasts=broadcasts)
-            else:
-                method = src.map if kind == "map" else src.flat_map
-                dq = method(fn, broadcasts=broadcasts,
-                            bytes_per_record=spec.get("bytes_per_record"))
-        elif kind == "sample":
-            dq = dataset(_field(spec, "input")).sample(
-                size=spec.get("size"), fraction=spec.get("fraction"),
-                method=spec.get("method", "random"), broadcasts=broadcasts)
-        elif kind == "distinct":
-            dq = dataset(_field(spec, "input")).distinct()
-        elif kind == "sort":
-            dq = dataset(_field(spec, "input")).sort(
-                key=(_compile(spec, "key", "x", env)
-                     if spec.get("key") is not None else None),
-                descending=spec.get("descending", False))
-        elif kind == "groupby":
-            dq = dataset(_field(spec, "input")).group_by(
-                _compile(spec, "key", "x", env),
-                sim_groups=spec.get("sim_groups"))
-        elif kind == "reduceby":
-            dq = dataset(_field(spec, "input")).reduce_by_key(
-                _compile(spec, "key", "x", env),
-                _compile(spec, "reducer", "a, b", env),
-                sim_groups=spec.get("sim_groups"))
-        elif kind == "reduce":
-            dq = dataset(_field(spec, "input")).reduce(
-                _compile(spec, "reducer", "a, b", env))
-        elif kind == "count":
-            dq = dataset(_field(spec, "input")).count()
-        elif kind == "cache":
-            dq = dataset(_field(spec, "input")).cache()
-        elif kind in ("union", "intersect"):
-            left = dataset(_field(spec, "left"))
-            right = dataset(_field(spec, "right"))
-            dq = left.union(right) if kind == "union" \
-                else left.intersect(right)
-        elif kind == "join":
-            dq = dataset(_field(spec, "left")).join(
-                dataset(_field(spec, "right")),
-                _compile(spec, "left_key", "x", env),
-                _compile(spec, "right_key", "x", env),
-                selectivity=spec.get("selectivity"),
-                sim_mode=spec.get("sim_mode", "linear"))
-        elif kind == "pagerank":
-            edges = dataset(_field(spec, "input"))
-            try:
-                dq = edges.pagerank(iterations=spec.get("iterations", 10),
-                                    damping=spec.get("damping", 0.85))
-            except ValueError as exc:  # mis-typed or out of range
-                raise PlanDocumentError(f"operator {name!r}: {exc}") from None
-        else:
-            raise PlanDocumentError(f"unknown operator kind {kind!r}")
-        if spec.get("platform"):
-            dq.with_target_platform(resolve_platform(spec["platform"]))
+        try:
+            dq = _operator(ctx, spec, kind, dataset, env)
+        except PlanDocumentError:
+            raise
+        except ValueError as exc:  # e.g. both or neither of size / fraction
+            raise PlanDocumentError(f"operator {name!r}: {exc}") from None
         datasets[name] = dq
 
     sink = document.get("sink")
     if not sink:
         raise PlanDocumentError("document needs a 'sink' entry")
     return dataset(_field(typed(sink, dict, "'sink'"), "name"))
+
+
+def _operator(ctx: RheemContext, spec: dict, kind: Any,
+              dataset: Callable[[str], DataQuanta],
+              env: dict[str, Any]) -> DataQuanta:
+    """The DataQuanta of one operator entry, whose fields are checked."""
+    broadcasts = [dataset(b) for b in spec.get("broadcasts", [])]
+    if kind == "textfile_source":
+        dq = ctx.read_text_file(_field(spec, "path"))
+    elif kind == "collection_source":
+        data = spec.get("data")
+        if data is None:
+            data = env[_field(spec, "env")]
+        dq = ctx.load_collection(
+            data, sim_factor=spec.get("sim_factor", 1.0),
+            bytes_per_record=spec.get("bytes_per_record", 100.0))
+    elif kind == "table_source":
+        dq = ctx.read_table(_field(spec, "table"),
+                            spec.get("projection"))
+    elif kind in ("map", "flatmap", "filter"):
+        fn = _compile(spec, "expr", "x, *bc", env)
+        src = dataset(_field(spec, "input"))
+        if kind == "filter":
+            dq = src.filter(fn, broadcasts=broadcasts)
+        else:
+            method = src.map if kind == "map" else src.flat_map
+            dq = method(fn, broadcasts=broadcasts,
+                        bytes_per_record=spec.get("bytes_per_record"))
+    elif kind == "sample":
+        dq = dataset(_field(spec, "input")).sample(
+            size=spec.get("size"), fraction=spec.get("fraction"),
+            method=spec.get("method", "random"), broadcasts=broadcasts)
+    elif kind == "distinct":
+        dq = dataset(_field(spec, "input")).distinct()
+    elif kind == "sort":
+        dq = dataset(_field(spec, "input")).sort(
+            key=(_compile(spec, "key", "x", env)
+                 if spec.get("key") is not None else None),
+            descending=spec.get("descending", False))
+    elif kind == "groupby":
+        dq = dataset(_field(spec, "input")).group_by(
+            _compile(spec, "key", "x", env),
+            sim_groups=spec.get("sim_groups"))
+    elif kind == "reduceby":
+        dq = dataset(_field(spec, "input")).reduce_by_key(
+            _compile(spec, "key", "x", env),
+            _compile(spec, "reducer", "a, b", env),
+            sim_groups=spec.get("sim_groups"))
+    elif kind == "reduce":
+        dq = dataset(_field(spec, "input")).reduce(
+            _compile(spec, "reducer", "a, b", env))
+    elif kind == "count":
+        dq = dataset(_field(spec, "input")).count()
+    elif kind == "cache":
+        dq = dataset(_field(spec, "input")).cache()
+    elif kind in ("union", "intersect"):
+        left = dataset(_field(spec, "left"))
+        right = dataset(_field(spec, "right"))
+        dq = left.union(right) if kind == "union" \
+            else left.intersect(right)
+    elif kind == "join":
+        dq = dataset(_field(spec, "left")).join(
+            dataset(_field(spec, "right")),
+            _compile(spec, "left_key", "x", env),
+            _compile(spec, "right_key", "x", env),
+            selectivity=spec.get("selectivity"),
+            sim_mode=spec.get("sim_mode", "linear"))
+    elif kind == "pagerank":
+        edges = dataset(_field(spec, "input"))
+        dq = edges.pagerank(iterations=spec.get("iterations", 10),
+                            damping=spec.get("damping", 0.85))
+    else:
+        raise PlanDocumentError(f"unknown operator kind {kind!r}")
+    if spec.get("platform"):
+        dq.with_target_platform(resolve_platform(spec["platform"]))
+    return dq
+

@@ -375,7 +375,7 @@ class Sample(Operator):
                  name: str = "sample") -> None:
         super().__init__(name)
         if (size is None) == (fraction is None):
-            raise ValueError("exactly one of size / fraction is required")
+            raise ValueError("exactly one of 'size' / 'fraction' is required")
         if method not in self.METHODS:
             raise ValueError(f"unknown sample method {method!r}")
         self.size = size

@@ -225,13 +225,12 @@ class PartialPlan:
     Stored as a *delta chain*: each extension records only the decision and
     conversions it added over ``parent``, and a plan that joins two
     components' plans records nothing but its second parent, ``joined`` —
-    so the enumeration's hot loop never copies dictionaries.  The full
+    so the enumeration's hot loop never copies a decision.  The full
     ``decisions``/``conversions`` mappings materialize lazily — in practice
     only for the handful of winners that reach plan construction.
-    ``open_channels`` stays a real dict (it is read on every extension) but
-    is shared: with the parent whenever an operator neither closes nor
-    opens a channel, and with every sibling plan of one DP step that yields
-    the same open signature.  It is never mutated after construction.
+    ``open_channels`` stays a real dict (it is read on every extension),
+    shared with the parent whenever an operator neither closes nor opens a
+    channel and copied otherwise.  It is never mutated after construction.
     """
 
     __slots__ = ("cost", "open_channels", "platforms", "parent", "joined",
@@ -718,15 +717,12 @@ class Optimizer:
         frontiers: dict[int, list[PartialPlan]] = {}
         # operator -> a later operator of its component (union-find)
         owner: dict[int, int] = {}
-        # Signature tuples recur across every operator step; interning them
-        # makes the dict probes below mostly pointer comparisons.
-        intern: dict[tuple, tuple] = {}
         # platforms -> added platforms -> :meth:`_touch`
         touch: dict[frozenset[str], dict[frozenset[str], tuple]] = {}
 
         def joined(parts: list[list[PartialPlan]]) -> list[PartialPlan]:
             return functools.reduce(lambda mine, theirs: self._join(
-                mine, theirs, intern, touch, across), parts)
+                mine, theirs, touch, across), parts)
 
         for op in ops:
             options = alternatives(op)
@@ -752,8 +748,7 @@ class Optimizer:
             keep_open = (consumer_counts.get(op.id, 0) > 0
                          or op.id in phantom_open)
             frontier = self._extend(op, options, joined(parts), cards, bprs,
-                                    to_close, keep_open, paths, intern, touch,
-                                    across)
+                                    to_close, keep_open, paths, touch, across)
             if not frontier:
                 raise OptimizationError(f"no executable plan at operator {op}")
             frontiers[op.id] = frontier
@@ -778,25 +773,20 @@ class Optimizer:
         to_close: set[int],
         keep_open: bool,
         paths: PathTable,
-        intern: dict[tuple, tuple],
         touch: dict[frozenset[str], dict[frozenset[str], tuple]],
         across: bool,
     ) -> list[PartialPlan]:
         """One DP step: every frontier plan x every option of ``op``.
 
-        Nothing is derived more often than it can change: what depends on
-        the option alone is prepared once (:meth:`_prepare`), a conversion
-        once per (channel pair, producer) of the enumeration (``paths``),
-        each option's wiring once per distinct input channels
-        (:meth:`_wire`; :meth:`_undominated` filters it for loop decisions),
-        the platform-set union once per (parent's, option)
-        platform sets (:meth:`_touch`), the copy-on-write open channels and
-        their signature half once per (parent's open signature, output
-        channel) (:meth:`_open`).  A candidate then costs float additions
-        in a fixed operand order (conversions by slot — 0.0 where none is
-        needed — broadcast conversions, operator, stage dispatch; never
-        pre-summed, so totals are bit-for-bit those of chained
-        ``CostEstimate.plus``) and the comparison with its open signature's
+        What depends on the option alone is prepared once
+        (:meth:`_prepare`), and a conversion once per (channel pair,
+        producer) of the enumeration (``paths``).  Each plan then wires
+        every option to its open channels (:meth:`_wire`); a candidate
+        costs float additions in a fixed operand order (conversions by
+        slot — 0.0 where none is needed — broadcast conversions, operator,
+        stage dispatch; never pre-summed, so totals are bit-for-bit those
+        of chained ``CostEstimate.plus``), its open channels
+        (:meth:`_open`) and the comparison with its open signature's
         survivors (:meth:`_admit`); only survivors become a validated
         ``CostEstimate`` and a ``PartialPlan``.
         """
@@ -809,82 +799,50 @@ class Optimizer:
                   for slot, ref in enumerate(op.side_inputs)]
         # open signature -> its survivors, first seen first
         groups: dict[tuple, list[PartialPlan]] = {}
-        shortcut = prune and prepared and all(
-            isinstance(p.option, LoopDecision) for p in prepared)
-        # input channel names -> (reachable wired options, wirings, skipped)
-        walks: dict[tuple, tuple[list[_Wired], int, int]] = {}
-        # parent's open signature -> (walk, output name -> :meth:`_open`)
-        boundaries: dict[tuple, tuple[tuple, dict]] = {}
         enumerated = wirings = 0
         for partial in frontier:
             base = partial.cost
-            touched = touch.setdefault(partial.platforms, {})
-            open_sig = partial.signature()[0]
-            boundary = boundaries.get(open_sig)
-            if boundary is None:
-                haves = [(slot, producer, partial.open_channels.get(producer))
-                         for slot, producer in edges]
-                names = tuple(None if have is None else have.name
-                              for __, __, have in haves)
-                walk = walks.get(names)
-                if walk is None:
-                    wired = self._wire(op_id, prepared, haves, paths, cards,
-                                       bprs)
-                    kept, skipped, tries = (
-                        self._undominated(wired) if shortcut
-                        else (wired, 0, 0))
-                    reached = []
-                    for entry in kept:
-                        tries += entry.wirings
-                        if entry.terms is not None:
-                            reached.append(entry)
-                    walk = walks[names] = (reached, tries, skipped)
-                boundary = boundaries[open_sig] = (walk, {})
-            (reached, walked, skipped), outs = boundary
-            # Each skipped candidate would have been enumerated, wired and
-            # then pruned by the plan its dominator left.
-            enumerated += skipped
-            wirings += walked
-            for prep, conv_delta, terms, __, new_stage in reached:
-                (option, __, out_desc, option_platforms, __, cost_lower,
-                 cost_upper, confidence, overhead) = prep
+            haves = [(slot, producer, partial.open_channels.get(producer))
+                     for slot, producer in edges]
+            for prep, conv_delta, terms, tried, new_stage in self._wire(
+                    op_id, prepared, haves, paths, cards, bprs):
+                wirings += tried
+                if terms is None:
+                    continue
                 lower, upper = base.lower, base.upper
                 for term in terms:  # 0.0 where a slot needs no conversion
                     lower += term
                     upper += term
-                lower += cost_lower
-                upper += cost_upper
+                lower += prep.lower
+                upper += prep.upper
                 if new_stage:
-                    lower += overhead
-                    upper += overhead
-                opened = outs.get(out_desc.name)
-                if opened is None:
-                    opened = outs[out_desc.name] = self._open(
-                        partial.open_channels, to_close, keep_open, op_id,
-                        out_desc, intern)
+                    lower += prep.overhead
+                    upper += prep.overhead
                 enumerated += 1
-                platforms = (touched.get(option_platforms) or self._touch(
-                    touch, partial.platforms, option_platforms))[0]
-                group = groups.setdefault(opened[1], [])
+                channels, open_sig = self._open(
+                    partial.open_channels, to_close, keep_open, op_id,
+                    prep.out_desc)
+                platforms = self._touch(touch, partial.platforms,
+                                        prep.platforms)[0]
+                group = groups.setdefault(open_sig, [])
                 if prune and not self._admit(group, platforms, lower, upper,
                                              touch, across):
                     continue
                 extended = PartialPlan(
                     cost=CostEstimate(lower, upper,
-                                      min(base.confidence, confidence)),
-                    open_channels=opened[0],
+                                      min(base.confidence, prep.confidence)),
+                    open_channels=channels,
                     platforms=platforms,
                     parent=partial,
-                    decision_delta=(op_id, option),
+                    decision_delta=(op_id, prep.option),
                     conversion_delta=conv_delta,
                 )
-                extended._signature = (opened[1], platforms)
+                extended._signature = (open_sig, platforms)
                 group.append(extended)
         self.stats["conversion_paths_solved"] += wirings
         return self._survivors(groups, enumerated)
 
     def _join(self, left: list[PartialPlan], right: list[PartialPlan],
-              intern: dict[tuple, tuple],
               touch: dict[frozenset[str], dict[frozenset[str], tuple]],
               across: bool) -> list[PartialPlan]:
         """The frontiers of two components joined: their cross product,
@@ -900,10 +858,9 @@ class Optimizer:
                 theirs_sig, theirs_cost = theirs.signature()[0], theirs.cost
                 opened = opens.get((mine_sig, theirs_sig))
                 if opened is None:
-                    both = tuple(sorted(mine_sig + theirs_sig))
                     opened = opens[mine_sig, theirs_sig] = (
                         {**mine.open_channels, **theirs.open_channels},
-                        intern.setdefault(both, both))
+                        tuple(sorted(mine_sig + theirs_sig)))
                 lower = mine_cost.lower + theirs_cost.lower
                 upper = mine_cost.upper + theirs_cost.upper
                 platforms = self._touch(touch, mine.platforms,
@@ -967,9 +924,11 @@ class Optimizer:
         the midpoint.  ``S`` enters a complete plan's float sum elsewhere
         than here, so a nonzero margin pads by 2**-30: a tie across a
         start-up keeps both plans."""
-        def padded(low: float, high: float, margin: float) -> list:
-            pad = 1 + 2 ** -30 if margin else 1.0
-            return [((low + margin) * pad, (high + margin) * pad)]
+        def padded(low: float, high: float, margin: float) -> tuple:
+            if not margin:
+                return low, high
+            pad = 1 + 2 ** -30
+            return (low + margin) * pad, (high + margin) * pad
 
         beaten = []
         for i, plan in enumerate(group):
@@ -982,11 +941,11 @@ class Optimizer:
                 it_owes = self._touch(touch, platforms, theirs)[1]
                 i_owe = self._touch(touch, theirs, platforms)[1]
             low, high = plan.cost.lower, plan.cost.upper
-            if low > 0 and self._beaten((lower, upper),
-                                        padded(low, high, it_owes)):
+            their_low, their_high = padded(low, high, it_owes)
+            if low > 0 and their_low <= lower and their_high <= upper:
                 return False
-            if lower > 0 and self._beaten(
-                    (low, high), padded(lower, upper, i_owe), True):
+            my_low, my_high = padded(lower, upper, i_owe)
+            if lower > 0 and my_low < low and my_high < high:
                 beaten.append(i)
         for i in reversed(beaten):
             del group[i]
@@ -1031,67 +990,18 @@ class Optimizer:
 
     @staticmethod
     def _open(open_channels: dict[int, ChannelDescriptor], to_close: set[int],
-              keep_open: bool, op_id: int, out_desc: ChannelDescriptor,
-              intern: dict[tuple, tuple]) -> tuple[dict, tuple]:
+              keep_open: bool, op_id: int, out_desc: ChannelDescriptor
+              ) -> tuple[dict, tuple]:
         """The open channels after ``op_id``, copy-on-write, and their
-        interned signature half."""
+        signature half."""
         channels = open_channels
         if to_close or keep_open:
             channels = {i: desc for i, desc in open_channels.items()
                         if i not in to_close}
             if keep_open:
                 channels[op_id] = out_desc
-        open_sig = tuple(sorted((i, desc.name) for i, desc in channels.items()))
-        return channels, intern.setdefault(open_sig, open_sig)
-
-    def _undominated(self, wired: Iterator[_Wired]
-                     ) -> tuple[list[_Wired], int, int]:
-        """The wired loop decisions worth enumerating from their inputs.
-
-        It skips work and is not a rule: every option it drops, the rule
-        of :meth:`_admit` would drop too.  Options of one (output channel,
-        platform set) group give one signature and one platform set from
-        one partial plan.  An option's cost terms are its wiring's
-        ``terms`` (conversion cost per input slot, 0.0 where none is
-        needed), then its own ``lower`` and ``upper``; a loop opens no
-        stage.  :meth:`_extend` adds each term to the partial's interval in
-        this order, and float addition is monotone, so an option >= an
-        *earlier* option of its group on every term yields a plan the
-        earlier one's plan (or what beat it) drops on both bounds.  The
-        dominator's own ``lower`` must be positive, as in the rule.  An
-        unwired option neither dominates nor is dropped.  Returns the
-        survivors in order, the number dropped, and their wirings.
-        """
-        dominators: dict[tuple, list[list[float]]] = {}
-        survivors: list[_Wired] = []
-        skipped = skipped_wirings = 0
-        for entry in wired:
-            prep = entry.prep
-            if entry.terms is not None:
-                terms = [*entry.terms, prep.lower, prep.upper]
-                group = dominators.setdefault(
-                    (prep.out_desc.name, prep.platforms), [])
-                if self._beaten(terms, group):
-                    skipped += 1
-                    skipped_wirings += entry.wirings
-                    continue
-                if prep.lower > 0:
-                    group.append(terms)
-            survivors.append(entry)
-        return survivors, skipped, skipped_wirings
-
-    @staticmethod
-    def _beaten(terms: Sequence[float], dominators: Sequence[Sequence[float]],
-                strict: bool = False) -> bool:
-        """Whether some vector in ``dominators`` is <= ``terms`` everywhere
-        (< with ``strict``)."""
-        for other in dominators:
-            for mine, theirs in zip(terms, other):
-                if not (theirs < mine if strict else theirs <= mine):
-                    break  # NaN never dominates
-            else:
-                return True
-        return False
+        return channels, tuple(sorted(
+            (i, desc.name) for i, desc in channels.items()))
 
     def _prepare(self, op: Operator, option: Decision,
                  cards: dict[int, CardinalityEstimate],

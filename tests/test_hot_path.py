@@ -48,7 +48,7 @@ from repro.core.mappings import (
     NoMappingError,
     OperatorMapping,
 )
-from repro.core.optimizer import Optimizer, PlanAnalysisError
+from repro.core.optimizer import PlanAnalysisError
 from repro.core.plan import RheemPlan
 from repro.platforms.base import ExecutionOperator
 
@@ -216,45 +216,6 @@ class TestCountGuards:
         # The body's maps and the job's source and sink, each once.
         assert len(fractions) >= 3
         assert set(fractions.values()) == {1}
-
-    def test_enumeration_wires_and_opens_once_per_distinct_boundary(
-            self, monkeypatch):
-        """The golden Q5 row (867 candidates): one wiring walk per
-        distinct input channels and one open-channel build per distinct
-        (parent's open signature, output channel), each per DP step —
-        per candidate, these were 28,393 walks and 28,190 builds."""
-        ctx = RheemContext()
-        plan = _q5(ctx).to_plan()
-        steps, walks, opens = [0], [], []
-        extend, wire, open_ = (Optimizer._extend, Optimizer._wire,
-                               Optimizer._open)
-
-        def counted_extend(self, *args, **kwargs):
-            steps[0] += 1
-            return extend(self, *args, **kwargs)
-
-        def counted_wire(self, op_id, prepared, haves, *args):
-            walks.append((steps[0], len(prepared), tuple(
-                None if have is None else have.name
-                for __, __, have in haves)))
-            return wire(self, op_id, prepared, haves, *args)
-
-        def counted_open(channels, to_close, keep_open, op_id, out_desc,
-                         intern):
-            opens.append((steps[0], out_desc.name, tuple(sorted(
-                (i, desc.name) for i, desc in channels.items()))))
-            return open_(channels, to_close, keep_open, op_id, out_desc,
-                         intern)
-
-        monkeypatch.setattr(Optimizer, "_extend", counted_extend)
-        monkeypatch.setattr(Optimizer, "_wire", counted_wire)
-        monkeypatch.setattr(Optimizer, "_open", staticmethod(counted_open))
-        optimizer = ctx.optimizer()
-        optimizer.pick_best(plan)
-        assert optimizer.stats["plans_enumerated"] == 867
-        assert len(set(walks)) == len(walks) == 147
-        assert sum(options for __, options, __ in walks) == 631
-        assert len(set(opens)) == len(opens) == 610
 
     def test_a_failed_estimate_still_raises_from_pick_best(self, ctx):
         class Boom(ops.Map):

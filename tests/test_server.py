@@ -53,13 +53,13 @@ SLOW_DOC = {**WORDCOUNT_DOC, "operators": [
 SLOW_ENV = {"nap": lambda x: (time.sleep(0.05), x)[1]}
 
 
-def _pagerank_doc(**params):
-    """A document ranking a three-edge graph with PageRank ``params``."""
+def _edges_doc(kind, **params):
+    """A document with one ``kind`` entry of ``params`` over three edges."""
     return {"operators": [
         {"name": "edges", "kind": "collection_source",
          "data": [[0, 1], [1, 2], [2, 0]]},
-        {"name": "ranks", "kind": "pagerank", "input": "edges", **params}],
-        "sink": {"name": "ranks"}}
+        {"name": "out", "kind": kind, "input": "edges", **params}],
+        "sink": {"name": "out"}}
 
 
 NUMS = {"name": "nums", "kind": "collection_source", "data": [[1, 2], [3, 4]]}
@@ -619,13 +619,17 @@ class TestWsgiFrontend:
         ("'execution'", {"execution": "fast"}),
         ("'name'", {"operators": [
             {**WORDCOUNT_DOC["operators"][0], "name": ["lines"]}]}),
-        *[(f"'{key}'", _pagerank_doc(**{key: value})) for key, value in [
-            ("iterations", "10"), ("iterations", 2.5), ("iterations", True),
-            ("damping", "x"), ("damping", 7), ("damping", -1)]]])
+        *[(f"'{key}'", _edges_doc("pagerank", **{key: value}))
+          for key, value in [
+              ("iterations", "10"), ("iterations", 2.5), ("iterations", True),
+              ("damping", "x"), ("damping", 7), ("damping", -1)]],
+        ("'size'", _edges_doc("sample")),
+        ("'fraction'", _edges_doc("sample", size=1, fraction=0.5))])
     def test_a_misshaped_document_is_a_plan_document_error(
             self, app, field, override):
-        # Each answered a Python exception name (TypeError, AttributeError),
-        # or — a bool iteration count, a damping outside [0, 1] — ranks.
+        # Each answered a Python exception name (TypeError, AttributeError,
+        # a sample's ValueError), or — a bool iteration count, a damping
+        # outside [0, 1] — ranks.
         body = json.dumps({**WORDCOUNT_DOC, **override}).encode()
         payload = self._refused(app, 400, body=body)
         assert payload["kind"] == "PlanDocumentError"
