@@ -143,6 +143,8 @@ def build_quanta(
     for spec in typed(document.get("operators", []), list, "'operators'"):
         typed(spec, dict, "an 'operators' entry")
         name = typed(_field(spec, "name"), str, "operator 'name'")
+        if name in datasets:
+            raise PlanDocumentError(f"two operators are named {name!r}")
         kind = _field(spec, "kind")
         _check_fields(spec, name)
         try:
@@ -169,7 +171,11 @@ def _operator(ctx: RheemContext, spec: dict, kind: Any,
     elif kind == "collection_source":
         data = spec.get("data")
         if data is None:
-            data = env[_field(spec, "env")]
+            key = _field(spec, "env")
+            if key not in env:
+                raise PlanDocumentError(f"operator {spec['name']!r} field "
+                                        f"'env': no env entry {key!r}")
+            data = env[key]
         dq = ctx.load_collection(
             data, sim_factor=spec.get("sim_factor", 1.0),
             bytes_per_record=spec.get("bytes_per_record", 100.0))

@@ -75,9 +75,15 @@ class RheemService:
                 kwargs["allowed_platforms"] = {
                     resolve_platform(typed(p, str, what))
                     for p in typed(platforms, list, what)} | {"driver"}
-            if execution.get("objective") == "monetary":
+            objective = execution.get("objective")
+            if objective == "monetary":
                 kwargs["objective"] = monetary()
-            if execution.get("progressive"):
+            elif objective not in (None, "runtime"):
+                raise PlanDocumentError(
+                    f"'execution' field 'objective' cannot be {objective!r}")
+            progressive = execution.get("progressive")
+            if progressive is not None and typed(
+                    progressive, bool, "'execution' field 'progressive'"):
                 kwargs["progressive"] = True
             result = quanta.execute(tracer=tracer, cancel_check=cancel_check,
                                     **kwargs)

@@ -249,91 +249,44 @@ class ConversionTree:
         return out
 
 
-#: A graph registry: channel name -> descriptor and channel name ->
-#: outgoing conversions, both in registration order.  Never mutated once
-#: bound to :attr:`ChannelConversionGraph._snapshot`.
-_Snapshot = tuple[dict[str, ChannelDescriptor],
-                  dict[str, tuple[Conversion, ...]]]
-
-
-def _search(snapshot: _Snapshot, source: str, sim_records: float,
-            bytes_per_record: float) -> dict[str, ConversionPath]:
-    """One Dijkstra row from ``source`` over ``snapshot`` (see
-    :meth:`ChannelConversionGraph.paths_from`)."""
-    descriptors, edges = snapshot
-    found: dict[str, ConversionPath] = {}
-    dist: dict[str, float] = {source: 0.0}
-    back: dict[str, tuple[str, Conversion]] = {}
-    heap: list[tuple[float, str]] = [(0.0, source)]
-    while heap:
-        d, node = heapq.heappop(heap)
-        if node in found:
-            continue
-        if node in back:  # its predecessor was popped before it
-            prev, conv = back[node]
-            found[node] = ConversionPath(found[prev].steps + [conv], d)
-        else:
-            found[node] = ConversionPath([], 0.0)
-        for conv in edges.get(node, ()):
-            nd = d + conv.estimate_cost(sim_records, bytes_per_record)
-            if nd < dist.get(conv.target.name, float("inf")):
-                dist[conv.target.name] = nd
-                back[conv.target.name] = (node, conv)
-                heapq.heappush(heap, (nd, conv.target.name))
-    return {name: found[name] for name in descriptors if name in found}
-
-
 class ChannelConversionGraph:
     """Registry of channels and conversions, searched exactly on demand.
 
-    The job server's worker threads search one graph, and a platform
-    plugged into a live context registers while they do, so the registry
-    is one immutable snapshot: channel name -> descriptor and channel name ->
-    tuple of outgoing conversions, both in registration order.  A
-    registration builds the next snapshot and rebinds it in a single
-    assignment; a search reads whichever snapshot is current when it
-    starts and takes no lock.  Registrations are not serialized against
-    each other: they come from one thread at a time (context setup).
+    Channel name -> descriptor and channel name -> outgoing conversions,
+    both in registration order.
     """
 
     def __init__(self) -> None:
-        self._snapshot: _Snapshot = ({}, {})
+        self._descriptors: dict[str, ChannelDescriptor] = {}
+        self._edges: dict[str, list[Conversion]] = {}
         self.register_channel(HDFS_FILE)
         self.register_channel(LOCAL_FILE)
 
     # ------------------------------------------------------------- registry
     def register_channel(self, desc: ChannelDescriptor) -> None:
-        self._publish((desc,))
+        existing = self._descriptors.get(desc.name)
+        if existing is not None and existing != desc:
+            raise ValueError(
+                f"conflicting descriptor registration for {desc.name}")
+        self._descriptors[desc.name] = desc
+        self._edges.setdefault(desc.name, [])
 
     def register_conversion(self, conv: Conversion) -> None:
-        self._publish((conv.source, conv.target), conv)
-
-    def _publish(self, channels: tuple[ChannelDescriptor, ...],
-                 conv: Conversion | None = None) -> None:
-        """Build the next snapshot from the current one and rebind it."""
-        descriptors, edges = dict(self._snapshot[0]), dict(self._snapshot[1])
-        for desc in channels:
-            existing = descriptors.get(desc.name)
-            if existing is not None and existing != desc:
-                raise ValueError(
-                    f"conflicting descriptor registration for {desc.name}")
-            descriptors[desc.name] = desc
-            edges.setdefault(desc.name, ())
-        if conv is not None:
-            edges[conv.source.name] += (conv,)
-        self._snapshot = (descriptors, edges)
+        self.register_channel(conv.source)
+        self.register_channel(conv.target)
+        self._edges[conv.source.name].append(conv)
 
     def descriptor(self, name: str) -> ChannelDescriptor:
         try:
-            return self._snapshot[0][name]
+            return self._descriptors[name]
         except KeyError:
             raise ChannelConversionError(f"unknown channel {name!r}") from None
 
     def descriptors(self) -> list[ChannelDescriptor]:
-        return list(self._snapshot[0].values())
+        return list(self._descriptors.values())
 
     def conversions_from(self, name: str) -> list[Conversion]:
-        return list(self._snapshot[1].get(name, ()))
+        return list(self._edges.get(name, ()))
 
     # ------------------------------------------------------------ searching
     def paths_from(
@@ -344,15 +297,41 @@ class ChannelConversionGraph:
     ) -> dict[str, ConversionPath]:
         """Cheapest chains from ``source`` to EVERY channel it reaches.
 
-        One exact Dijkstra for the requested volume over the current
-        snapshot.  The row is keyed by channel name in registration order
-        (never set order) and holds ``source`` itself with the empty path;
-        an absent key means unreachable.  Equal-cost chains tie-break on
-        the channel name, so the answer depends on nothing but the graph
-        and the arguments.
+        One exact Dijkstra for the requested volume.  The row is keyed by
+        channel name in registration order (never set order) and holds
+        ``source`` itself with the empty path; an absent key means
+        unreachable.  Equal-cost chains tie-break on the channel name, so
+        the answer depends on nothing but the graph and the arguments.
         """
-        return _search(self._snapshot, source.name, sim_records,
-                       bytes_per_record)
+        return self._search(source.name, sim_records, bytes_per_record)
+
+    def _search(self, source: str, sim_records: float,
+                bytes_per_record: float) -> dict[str, ConversionPath]:
+        """One Dijkstra row from the channel named ``source`` (see
+        :meth:`paths_from`)."""
+        found: dict[str, ConversionPath] = {}
+        dist: dict[str, float] = {source: 0.0}
+        back: dict[str, tuple[str, Conversion]] = {}
+        heap: list[tuple[float, str]] = [(0.0, source)]
+        while heap:
+            d, node = heapq.heappop(heap)
+            if node in found:
+                continue
+            if node in back:  # its predecessor was popped before it
+                prev, conv = back[node]
+                found[node] = ConversionPath(found[prev].steps + [conv], d)
+            else:
+                found[node] = ConversionPath([], 0.0)
+            for conv in self._edges.get(node, ()):
+                nd = d + conv.estimate_cost(sim_records, bytes_per_record)
+                if nd < dist.get(conv.target.name, float("inf")):
+                    dist[conv.target.name] = nd
+                    back[conv.target.name] = (node, conv)
+                    heapq.heappush(heap, (nd, conv.target.name))
+        # Over a copy of the names, taken in one call: a channel registered
+        # meanwhile must not change the dict under the loop.
+        return {name: found[name] for name in list(self._descriptors)
+                if name in found}
 
     def cheapest_path(
         self,
@@ -401,23 +380,19 @@ class ChannelConversionGraph:
                                       bytes_per_record)
             return ConversionTree(source, {names[0]: path}, path.cost)
 
-        # One snapshot for the whole all-pairs table, so a concurrent
-        # registration cannot show the DP half a graph.  Channels the
-        # source cannot reach can never join the tree: only its row's keys
-        # enter the Steiner DP, and an unreachable target fails fast
-        # instead of iterating through the tables.
-        snapshot = self._snapshot
-        nodes = list(_search(snapshot, source.name, sim_records,
-                             bytes_per_record))
+        # Channels the source cannot reach can never join the tree: only
+        # its row's keys enter the Steiner DP, and an unreachable target
+        # fails fast instead of iterating through the tables.
+        nodes = list(self._search(source.name, sim_records,
+                                  bytes_per_record))
         missing = [n for n in names if n not in nodes]
         if missing:
             raise ChannelConversionError(
                 f"no conversion tree from {source.name} to {names}"
                 f" (unreachable: {missing})")
-        paths = {start: _search(snapshot, start, sim_records,
-                                bytes_per_record)
+        paths = {start: self._search(start, sim_records, bytes_per_record)
                  for start in nodes}
-        reusable = [n for n in nodes if snapshot[0][n].reusable]
+        reusable = [n for n in nodes if self._descriptors[n].reusable]
 
         full = (1 << len(names)) - 1
         index = {name: i for i, name in enumerate(names)}

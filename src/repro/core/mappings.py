@@ -137,19 +137,17 @@ class MappingRegistry:
     def __init__(self) -> None:
         self._mappings: list[OperatorMapping] = []
         #: Operator type -> the mappings of it and of its bases, in
-        #: registration order; filled on first lookup.  Registration drops
-        #: it by rebinding a fresh dict AFTER the append: worker threads
-        #: look up while ``custom_operator`` registers, and a lookup that
-        #: raced the append wrote into the dict that was dropped.
+        #: registration order; filled on first lookup, emptied by a
+        #: registration.
         self._by_type: dict[type, list[OperatorMapping]] = {}
 
     def register(self, mapping: OperatorMapping) -> None:
         self._mappings.append(mapping)
-        self._by_type = {}
+        self._by_type.clear()
 
     def register_all(self, mappings: Sequence[OperatorMapping]) -> None:
         self._mappings.extend(mappings)
-        self._by_type = {}
+        self._by_type.clear()
 
     def alternatives_for(self, op: Operator) -> list[ExecutionAlternative]:
         """All execution alternatives for ``op``, honouring a pinned
@@ -158,10 +156,10 @@ class MappingRegistry:
         Raises:
             NoMappingError: If no alternative exists.
         """
-        by_type, op_type = self._by_type, type(op)
-        candidates = by_type.get(op_type)
+        op_type = type(op)
+        candidates = self._by_type.get(op_type)
         if candidates is None:
-            candidates = by_type[op_type] = [
+            candidates = self._by_type[op_type] = [
                 m for m in self._mappings
                 if issubclass(op_type, m.operator_type)]
         alts = [m.build(op) for m in candidates

@@ -209,33 +209,19 @@ class _Prepared(NamedTuple):
     overhead: float  # stage dispatch, charged when no input is co-located
 
 
-class _Wired(NamedTuple):
-    """One option wired to one tuple of input channels (``_wire``)."""
-
-    prep: _Prepared
-    conversions: tuple  # ((producer, consumer, slot), path) per conversion
-    terms: list[float] | None  # per slot, 0.0 if unconverted; None: unwired
-    wirings: int  # conversions looked up, an unreachable one included
-    new_stage: bool  # no data input arrives from the option's platform
-
-
 class PartialPlan:
     """A costed assignment of decisions to a set of the plan's operators.
 
-    Stored as a *delta chain*: each extension records only the decision and
-    conversions it added over ``parent``, and a plan that joins two
-    components' plans records nothing but its second parent, ``joined`` —
-    so the enumeration's hot loop never copies a decision.  The full
-    ``decisions``/``conversions`` mappings materialize lazily — in practice
-    only for the handful of winners that reach plan construction.
-    ``open_channels`` stays a real dict (it is read on every extension),
-    shared with the parent whenever an operator neither closes nor opens a
-    channel and copied otherwise.  It is never mutated after construction.
+    A plain value: no slot changes after construction, so plans share
+    dicts freely — an extension shares its parent's ``conversions`` when
+    it adds none, and its ``open_channels`` when the operator neither
+    closes nor opens a channel.  ``open_sig`` holds the sorted
+    ``(operator id, channel name)`` pairs of ``open_channels``: plans are
+    compared only with plans of the same one (:meth:`Optimizer._admit`).
     """
 
-    __slots__ = ("cost", "open_channels", "platforms", "parent", "joined",
-                 "_decision_delta", "_conversion_delta", "_decisions",
-                 "_conversions", "_signature")
+    __slots__ = ("cost", "decisions", "conversions", "open_channels",
+                 "open_sig", "platforms")
 
     def __init__(
         self,
@@ -244,71 +230,17 @@ class PartialPlan:
         conversions: dict[tuple[int, int, int], ConversionPath] | None = None,
         open_channels: dict[int, ChannelDescriptor] | None = None,
         platforms: frozenset[str] = frozenset(),
-        parent: "PartialPlan | None" = None,
-        decision_delta: tuple[int, Decision] | None = None,
-        conversion_delta: tuple = (),
-        joined: "PartialPlan | None" = None,
+        open_sig: tuple | None = None,
     ) -> None:
         self.cost = cost if cost is not None else CostEstimate.zero()
+        #: Operator id -> chosen decision.
+        self.decisions = decisions if decisions is not None else {}
+        #: (producer, consumer, slot) -> conversion path.
+        self.conversions = conversions if conversions is not None else {}
         self.open_channels = open_channels if open_channels is not None else {}
+        self.open_sig = open_sig if open_sig is not None else tuple(sorted(
+            (i, desc.name) for i, desc in self.open_channels.items()))
         self.platforms = platforms
-        self.parent = parent
-        self.joined = joined
-        self._decision_delta = decision_delta
-        self._conversion_delta = conversion_delta
-        # Chain roots (and explicitly-constructed plans) are materialized.
-        self._decisions = (dict(decisions) if decisions is not None
-                           else {} if parent is None else None)
-        self._conversions = (dict(conversions) if conversions is not None
-                             else {} if parent is None else None)
-        self._signature: tuple | None = None
-
-    def _materialize(self, attr: str) -> dict:
-        # Every operator is decided once, by one node, so the deltas of the
-        # ancestors merge in any order; this one is oldest first.
-        nodes: list[PartialPlan] = []
-        stack: list[PartialPlan] = [self]
-        while stack:
-            node = stack.pop()
-            nodes.append(node)
-            if getattr(node, attr) is None:
-                stack.append(node.parent)  # type: ignore[arg-type]
-                if node.joined is not None:
-                    stack.append(node.joined)
-        merged: dict = {}
-        for node in reversed(nodes):
-            done = getattr(node, attr)
-            if done is not None:
-                merged.update(done)
-            elif attr == "_decisions":
-                if node._decision_delta is not None:
-                    merged[node._decision_delta[0]] = node._decision_delta[1]
-            else:
-                merged.update(node._conversion_delta)
-        setattr(self, attr, merged)
-        return merged
-
-    @property
-    def decisions(self) -> dict[int, Decision]:
-        """Operator id -> chosen decision (materialized lazily)."""
-        return self._decisions if self._decisions is not None \
-            else self._materialize("_decisions")
-
-    @property
-    def conversions(self) -> dict[tuple[int, int, int], ConversionPath]:
-        """(producer, consumer, slot) -> conversion path (lazy)."""
-        return self._conversions if self._conversions is not None \
-            else self._materialize("_conversions")
-
-    def signature(self) -> tuple:
-        """(open boundary channels, platforms): plans are compared within
-        the first half (:meth:`Optimizer._admit`)."""
-        if self._signature is None:
-            open_sig = tuple(sorted(
-                (op_id, desc.name)
-                for op_id, desc in self.open_channels.items()))
-            self._signature = (open_sig, self.platforms)
-        return self._signature
 
 
 class Optimizer:
@@ -464,8 +396,9 @@ class Optimizer:
         best = min(results, key=charged)
         return PartialPlan(
             cost=best.cost.plus(CostEstimate.fixed(owed[best.platforms])),
+            decisions=best.decisions, conversions=best.conversions,
             open_channels=best.open_channels, platforms=best.platforms,
-            parent=best), cards
+            open_sig=best.open_sig), cards
 
     # -------------------------------------------------------- result reuse
     def probe_reuse(self, plan: RheemPlan, store: IntermediateResultStore,
@@ -804,7 +737,7 @@ class Optimizer:
             base = partial.cost
             haves = [(slot, producer, partial.open_channels.get(producer))
                      for slot, producer in edges]
-            for prep, conv_delta, terms, tried, new_stage in self._wire(
+            for prep, added, terms, tried, new_stage in self._wire(
                     op_id, prepared, haves, paths, cards, bprs):
                 wirings += tried
                 if terms is None:
@@ -828,17 +761,14 @@ class Optimizer:
                 if prune and not self._admit(group, platforms, lower, upper,
                                              touch, across):
                     continue
-                extended = PartialPlan(
+                group.append(PartialPlan(
                     cost=CostEstimate(lower, upper,
                                       min(base.confidence, prep.confidence)),
-                    open_channels=channels,
-                    platforms=platforms,
-                    parent=partial,
-                    decision_delta=(op_id, prep.option),
-                    conversion_delta=conv_delta,
-                )
-                extended._signature = (open_sig, platforms)
-                group.append(extended)
+                    decisions={**partial.decisions, op_id: prep.option},
+                    conversions=({**partial.conversions, **added} if added
+                                 else partial.conversions),
+                    open_channels=channels, platforms=platforms,
+                    open_sig=open_sig))
         self.stats["conversion_paths_solved"] += wirings
         return self._survivors(groups, enumerated)
 
@@ -846,16 +776,16 @@ class Optimizer:
               touch: dict[frozenset[str], dict[frozenset[str], tuple]],
               across: bool) -> list[PartialPlan]:
         """The frontiers of two components joined: their cross product,
-        pruned like a step.  A joined plan adds the two intervals, holds
-        both halves' open channels and platforms, and points at both halves
-        (:class:`PartialPlan`), copying none of their decisions."""
+        pruned like a step.  A joined plan adds the two intervals and holds
+        both halves' decisions, conversions, open channels and platforms;
+        the halves cover disjoint operators, so no entry is overwritten."""
         groups: dict[tuple, list[PartialPlan]] = {}
         # (left open signature, right open signature) -> (channels, theirs)
         opens: dict[tuple, tuple[dict, tuple]] = {}
         for mine in left:
-            mine_sig, mine_cost = mine.signature()[0], mine.cost
+            mine_sig, mine_cost = mine.open_sig, mine.cost
             for theirs in right:
-                theirs_sig, theirs_cost = theirs.signature()[0], theirs.cost
+                theirs_sig, theirs_cost = theirs.open_sig, theirs.cost
                 opened = opens.get((mine_sig, theirs_sig))
                 if opened is None:
                     opened = opens[mine_sig, theirs_sig] = (
@@ -869,13 +799,13 @@ class Optimizer:
                 if self.prune and not self._admit(group, platforms, lower,
                                                   upper, touch, across):
                     continue
-                joined = PartialPlan(
+                group.append(PartialPlan(
                     cost=CostEstimate(lower, upper, min(
                         mine_cost.confidence, theirs_cost.confidence)),
+                    decisions={**mine.decisions, **theirs.decisions},
+                    conversions={**mine.conversions, **theirs.conversions},
                     open_channels=opened[0], platforms=platforms,
-                    parent=mine, joined=theirs)
-                joined._signature = (opened[1], platforms)
-                group.append(joined)
+                    open_sig=opened[1]))
         return self._survivors(groups, len(left) * len(right))
 
     def _survivors(self, groups: dict[tuple, list[PartialPlan]],
@@ -953,16 +883,24 @@ class Optimizer:
 
     def _wire(self, op_id: int, prepared: list[_Prepared], haves: list,
               paths: PathTable, cards: dict[int, CardinalityEstimate],
-              bprs: dict[int, float]) -> Iterator[_Wired]:
+              bprs: dict[int, float]) -> Iterator[tuple]:
         """Every option wired to ``haves``: ``(slot, producer, channel)``
         per data input, then per side input; a ``None`` channel (producer
-        out of scope) leaves every option unwired.  A generator: an entry
-        a consumer drops is freed before the next one is walked."""
+        out of scope) leaves every option unwired.
+
+        Yields ``(prep, conversions, terms, wirings, new_stage)`` per
+        option: the conversions it adds, ``(producer, consumer, slot) ->
+        path``; per slot its cost term, 0.0 if unconverted (``None``:
+        unwired); the conversions looked up, an unreachable one included;
+        and whether no data input arrives from the option's platform.  A
+        generator: an entry a consumer drops is freed before the next one
+        is walked."""
         for prep in prepared:
             # Stage dispatch: a new stage starts when no data input
             # arrives from the same platform (the executor's stage cut).
             new_stage = prep.platform is not None
-            conversions, tried = [], 0
+            conversions: dict[tuple[int, int, int], ConversionPath] = {}
+            tried = 0
             terms: list[float] | None = []
             for (slot, producer, have), want in zip(haves, prep.wants):
                 if have is None:
@@ -982,11 +920,9 @@ class Optimizer:
                 if path is None:
                     terms = None  # unreachable channel
                     break
-                conversions.append(((producer, op_id, slot), path))
+                conversions[producer, op_id, slot] = path
                 terms.append(path.cost)
-            # Skips the NamedTuple's own __new__, a Python call per option.
-            yield tuple.__new__(_Wired, (prep, tuple(conversions), terms,
-                                         tried, new_stage))
+            yield prep, conversions, terms, tried, new_stage
 
     @staticmethod
     def _open(open_channels: dict[int, ChannelDescriptor], to_close: set[int],

@@ -1,4 +1,5 @@
-"""Every code reference in DESIGN.md and README.md names what exists.
+"""Every code reference in DESIGN.md, README.md and EXPERIMENTS.md names
+what exists.
 
 A reference is a source path in backticks (``core/optimizer.py``,
 ``tests/test_x.py::TestY``, ``workloads/graphs.py:parse_edges``) or a
@@ -17,7 +18,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-DOCS = ("DESIGN.md", "README.md")
+DOCS = ("DESIGN.md", "README.md", "EXPERIMENTS.md")
 TREES = ("src", "tests", "benchmarks", "examples", "scripts", "perfbench")
 
 SPAN = re.compile(r"`([^`\n]+)`")

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from repro import RheemContext
 from repro.core.channels import PY_COLLECTION, Conversion
 from repro.core.objectives import monetary
+from repro.core.optimizer import LoopDecision
 from repro.platforms.flinklite import FLINK, FLINK_DATASET
 
 # Each step is (verb, parameter); pipelines are arbitrary sequences.
@@ -86,6 +87,21 @@ def _build(ctx, pipeline, sim_factor):
     return dq
 
 
+def _decides_each_operator_once(partial, ops):
+    """``partial`` decides exactly ``ops`` (a loop body its own operators)
+    and converts only along their edges."""
+    assert set(partial.decisions) == {op.id for op in ops}
+    edges = {(ref.op.id, op.id, slot) for op in ops
+             for slot, ref in enumerate(op.inputs)}
+    edges |= {(ref.op.id, op.id, -(slot + 1)) for op in ops
+              for slot, ref in enumerate(op.side_inputs)}
+    assert set(partial.conversions) <= edges
+    for op in ops:
+        decision = partial.decisions[op.id]
+        if isinstance(decision, LoopDecision):
+            _decides_each_operator_once(decision.body, op.body.operators())
+
+
 class TestRandomPipelines:
     @given(steps, st.sampled_from([1.0, 10_000.0]))
     @settings(max_examples=25)
@@ -132,6 +148,8 @@ class TestRandomPipelines:
         assert (repr(best_pruned.cost.lower), repr(best_pruned.cost.upper)) \
             == (repr(best_full.cost.lower), repr(best_full.cost.upper))
         assert pruned.last_enumeration_size <= full.last_enumeration_size
+        for best in (best_pruned, best_full):
+            _decides_each_operator_once(best, plan.operators())
 
     @given(steps, st.sampled_from([1.0, 50_000.0]))
     @settings(max_examples=20)

@@ -86,6 +86,8 @@ FIELDS = {
     # Not an entry's: the document's "execution" carries it.
     "platforms": (None, lambda v: not v or type(v) is list and all(
         type(p) is str for p in v)),
+    "objective": (None, lambda v: v in ("runtime", "monetary")),
+    "progressive": (None, bool),
 }
 _JSON = st.one_of(st.booleans(), st.integers(-9, 9), st.floats(-9, 9),
                   st.text(max_size=5), st.lists(st.integers(), max_size=2))
@@ -624,12 +626,20 @@ class TestWsgiFrontend:
               ("iterations", "10"), ("iterations", 2.5), ("iterations", True),
               ("damping", "x"), ("damping", 7), ("damping", -1)]],
         ("'size'", _edges_doc("sample")),
-        ("'fraction'", _edges_doc("sample", size=1, fraction=0.5))])
+        ("'fraction'", _edges_doc("sample", size=1, fraction=0.5)),
+        ("named 'a'", {"operators": [
+            {"name": "a", "kind": "collection_source", "data": [1]},
+            {"name": "a", "kind": "collection_source", "data": [2]}],
+            "sink": {"name": "a"}}),
+        ("'env'", {"operators": [
+            {"name": "a", "kind": "collection_source", "env": "nope"}],
+            "sink": {"name": "a"}})])
     def test_a_misshaped_document_is_a_plan_document_error(
             self, app, field, override):
         # Each answered a Python exception name (TypeError, AttributeError,
-        # a sample's ValueError), or — a bool iteration count, a damping
-        # outside [0, 1] — ranks.
+        # a sample's ValueError, a missing env entry's KeyError), or — a
+        # bool iteration count, a damping outside [0, 1], a second entry
+        # shadowing the first — ran.
         body = json.dumps({**WORDCOUNT_DOC, **override}).encode()
         payload = self._refused(app, 400, body=body)
         assert payload["kind"] == "PlanDocumentError"

@@ -110,8 +110,7 @@ def _grouping_doc(i: int) -> dict:
 
 
 def _join_doc(i: int) -> dict:
-    # Unique two-source join per job: exercises channel conversions and
-    # the Steiner memo tables concurrently.
+    # Unique two-source join per job: exercises channel conversions.
     left = [[k, k + i] for k in range(8)]
     right = [[k, k * i] for k in range(0, 8, 2)]
     return {
