@@ -1,4 +1,5 @@
-"""JSON plan (de)serialization for the REST interface.
+"""The plan vocabulary both front ends share: JSON job documents for the
+REST interface and RheemLatin statements.
 
 The paper lists REST among Rheem's APIs; REST clients cannot ship compiled
 UDFs, so — like RheemLatin — the JSON format carries UDFs as Python
@@ -22,7 +23,14 @@ looks like::
                     "objective": "runtime"}
     }
 
-Operator ``kind``s mirror the fluent API; ``platform`` pins accept the
+One table, :data:`KINDS`, declares every operator ``kind``: the fluent-API
+method it calls, its dataset, UDF and other fields, typed.  Both front
+ends build operators through :func:`build_operator`: a RheemLatin keyword
+is the kind's name, but for ``load``, ``load table``, ``load collection``
+and ``group``, and the loop ``repeat`` is Latin-only.  The vocabulary is
+closed at every level: an unknown kind, or a key the document, its sink,
+its ``execution`` block or the kind does not declare, is a
+:class:`PlanDocumentError` naming it.  ``platform`` pins accept the
 paper's platform names (``Spark``, ``JavaStreams``, ...).
 """
 
@@ -32,27 +40,94 @@ import ast
 import functools
 from numbers import Real
 from types import CodeType
-from typing import Any, Callable
+from typing import Any, NamedTuple
 
 from ..core.context import DataQuanta, RheemContext
 from ..core.operators import Join, Sample
-from ..latin.translator import resolve_platform
 
 #: Distinct UDF sources whose compiled code is kept, most recent first.
 MAX_COMPILED_UDFS = 4096
+
+#: Paper platform names -> simulated platform names (the others: lowered).
+PLATFORM_ALIASES = {
+    "javastreams": "pystreams", "spark": "sparklite", "flink": "flinklite",
+    "postgres": "pgres", "postgresql": "pgres", "giraph": "graphlite"}
+
+#: The keys of a job document (``tenant`` / ``priority`` are the server's).
+DOCUMENT_KEYS = {"operators", "sink", "execution", "tenant", "priority"}
+#: The fields of its ``execution`` block, typed as :data:`KINDS` types them.
+EXECUTION_FIELDS = {"platforms": (list, None),
+                    "objective": (str, ("runtime", "monetary")),
+                    "progressive": (bool, None)}
+
+
+def resolve_platform(name: str) -> str:
+    """Map a user-facing platform name to an engine name."""
+    return PLATFORM_ALIASES.get(name.lower(), name.lower())
 
 
 class PlanDocumentError(ValueError):
     """Raised when a JSON job document is malformed."""
 
 
-def _field(spec: dict, key: str) -> Any:
-    try:
-        return spec[key]
-    except KeyError:
-        raise PlanDocumentError(
-            f"operator {spec.get('name', '?')!r} misses field {key!r}"
-        ) from None
+class Kind(NamedTuple):
+    """One row of :data:`KINDS`: an entry calls ``method`` on its first
+    dataset (a source: on the context) with the other datasets and the
+    compiled UDFs in order, and the remaining fields by keyword."""
+
+    method: str
+    inputs: tuple[str, ...]
+    udfs: dict[str, str]  # field -> the lambda's parameters
+    fields: dict[str, tuple[type, Any]]  # every field the kind declares
+    needs: tuple[str, ...]  # fields an entry must carry
+
+
+#: A field's JSON type and its least number or allowed strings.
+_STR, _LIST, _BOOL = (str, None), (list, None), (bool, None)
+_COUNT, _UNARY = (Real, 0), {"expr": "x, *bc"}
+
+
+def _kind(method: str, /, inputs: tuple[str, ...] = ("input",),
+          udfs: dict[str, str] | None = None,
+          needs: tuple[str, ...] | None = None, **fields) -> Kind:
+    udfs = udfs or {}
+    return Kind(method, inputs, udfs, dict.fromkeys(
+        ("name", "kind", "platform", *inputs, *udfs), _STR) | fields,
+        ("name", *inputs, *udfs) if needs is None else ("name", *needs))
+
+
+#: Operator kind -> its row; both front ends build operators from it.
+KINDS = {
+    "textfile_source": _kind("read_text_file", (), needs=("path",),
+                             path=_STR),
+    "collection_source": _kind(
+        "load_collection", (), needs=("data",), data=_LIST, env=_STR,
+        sim_factor=_COUNT, bytes_per_record=_COUNT),
+    "table_source": _kind("read_table", (), needs=("table",), table=_STR,
+                          projection=_LIST),
+    "map": _kind("map", udfs=_UNARY, broadcasts=_LIST,
+                 bytes_per_record=_COUNT),
+    "flatmap": _kind("flat_map", udfs=_UNARY, broadcasts=_LIST,
+                     bytes_per_record=_COUNT),
+    "filter": _kind("filter", udfs=_UNARY, broadcasts=_LIST),
+    "sample": _kind("sample", size=(int, 0), fraction=_COUNT,
+                    method=(str, Sample.METHODS), broadcasts=_LIST),
+    "distinct": _kind("distinct"),
+    "sort": _kind("sort", udfs={"key": "x"}, needs=("input",),
+                  descending=_BOOL),
+    "groupby": _kind("group_by", udfs={"key": "x"}, sim_groups=_COUNT),
+    "reduceby": _kind("reduce_by_key", udfs={"key": "x", "reducer": "a, b"},
+                      sim_groups=_COUNT),
+    "reduce": _kind("reduce", udfs={"reducer": "a, b"}),
+    "count": _kind("count"),
+    "cache": _kind("cache"),
+    "union": _kind("union", ("left", "right")),
+    "intersect": _kind("intersect", ("left", "right")),
+    "join": _kind("join", ("left", "right"),
+                  {"left_key": "x", "right_key": "x"}, selectivity=_COUNT,
+                  sim_mode=(str, Join.SIM_MODES)),
+    "pagerank": _kind("pagerank", iterations=(int, 1), damping=_COUNT),
+}
 
 
 def typed(value: Any, expected: type, what: str) -> Any:
@@ -63,34 +138,28 @@ def typed(value: Any, expected: type, what: str) -> Any:
     return value
 
 
-#: The optional fields of an operator entry: field -> (JSON type, the least
-#: number or the allowed strings).  Null means absent.
-FIELDS = {
-    "data": (list, None), "broadcasts": (list, None),
-    "projection": (list, None), "path": (str, None), "table": (str, None),
-    "env": (str, None), "platform": (str, None), "descending": (bool, None),
-    "sim_factor": (Real, 0), "bytes_per_record": (Real, 0),
-    "size": (int, 0), "fraction": (Real, 0), "selectivity": (Real, 0),
-    "sim_groups": (Real, 0), "method": (str, Sample.METHODS),
-    "sim_mode": (str, Join.SIM_MODES), "iterations": (int, 1),
-    "damping": (Real, 0),
-}
-
-
-def _check_fields(spec: dict, name: str) -> None:
-    """Raise a :class:`PlanDocumentError` on a bad one of :data:`FIELDS`."""
-    for key, (expected, allowed) in FIELDS.items():
-        value = spec.get(key)
+def checked(mapping: dict, fields: dict[str, tuple[type, Any]],
+            what: str) -> dict:
+    """The non-null values of the dict ``mapping``, each checked against
+    its type and bound in ``fields``; a key ``fields`` lacks is refused."""
+    values = {}
+    for key, value in typed(mapping, dict, what).items():
+        if key not in fields:
+            raise PlanDocumentError(f"{what} has no field {key!r}")
         if value is None:
             continue
-        what = f"operator {name!r} field {key!r}"
+        expected, allowed = fields[key]
         if isinstance(value, bool) != (expected is bool) \
                 or not isinstance(value, expected):
-            raise PlanDocumentError(f"{what} must be a {expected.__name__}, "
-                                    f"not {type(value).__name__}")
+            raise PlanDocumentError(f"{what} field {key!r} must be a "
+                                    f"{expected.__name__}, not "
+                                    f"{type(value).__name__}")
         if (value not in allowed if isinstance(allowed, tuple)
                 else allowed is not None and not value >= allowed):
-            raise PlanDocumentError(f"{what} cannot be {value!r}")
+            raise PlanDocumentError(f"{what} field {key!r} cannot be "
+                                    f"{value!r}")
+        values[key] = value
+    return values
 
 
 @functools.lru_cache(maxsize=MAX_COMPILED_UDFS)
@@ -106,17 +175,59 @@ def _lambda_code(params: str, expr: str) -> CodeType:
     return compile(tree, "<string>", "eval")
 
 
-def _compile(spec: dict, key: str, params: str,
-             env: dict[str, Any]) -> Callable:
-    """The UDF ``spec[key]`` denotes, over its own copy of ``env``."""
-    expr = _field(spec, key)
+def _dataset(datasets: dict[str, DataQuanta], name: Any) -> DataQuanta:
     try:
-        code = _lambda_code(params, typed(expr, str, "a UDF source"))
-    except (SyntaxError, ValueError) as exc:  # not a str; a NUL byte in it
-        raise PlanDocumentError(
-            f"operator {spec.get('name', '?')!r} field {key!r}: bad "
-            f"expression {expr!r}: {exc}") from exc
-    return eval(code, dict(env))
+        return datasets[typed(name, str, "a dataset reference")]
+    except KeyError:
+        raise PlanDocumentError(f"unknown dataset {name!r}") from None
+
+
+def build_operator(ctx: RheemContext, spec: dict,
+                   datasets: dict[str, DataQuanta],
+                   env: dict[str, Any]) -> DataQuanta:
+    """The DataQuanta of one operator entry, checked against its row.
+
+    ``datasets`` maps the names built so far; each UDF closes over its
+    own copy of ``env``, where an ``env`` field names a collection.
+    Raises a :class:`PlanDocumentError` on what the row or operator refuses.
+    """
+    what = f"operator {spec.get('name', '?')!r}"
+    kind = spec.get("kind")
+    row = KINDS.get(kind) if isinstance(kind, str) else None
+    if row is None:
+        raise PlanDocumentError(f"{what}: unknown operator kind {kind!r}")
+    values = checked(spec, row.fields, what)
+    key = values.pop("env", None)
+    if key is not None and "data" not in values:
+        if key not in env:
+            raise PlanDocumentError(f"{what} field 'env': no env entry "
+                                    f"{key!r}")
+        values["data"] = env[key]
+    for key in row.needs:
+        if key not in values:
+            raise PlanDocumentError(f"{what} misses field {key!r}")
+    args = [_dataset(datasets, values.pop(key)) for key in row.inputs]
+    for key, params in row.udfs.items():
+        if key in values:
+            expr = values.pop(key)
+            try:
+                args.append(eval(_lambda_code(params, expr), dict(env)))
+            except (SyntaxError, ValueError) as exc:  # ValueError: a NUL
+                raise PlanDocumentError(f"{what} field {key!r}: bad "
+                                        f"expression {expr!r}: {exc}") from exc
+    if "broadcasts" in values:
+        values["broadcasts"] = [_dataset(datasets, name)
+                                for name in values["broadcasts"]]
+    del values["name"], values["kind"]
+    platform = values.pop("platform", None)
+    try:
+        dq = getattr(args.pop(0) if row.inputs else ctx,
+                     row.method)(*args, **values)
+    except ValueError as exc:  # e.g. both or neither of size / fraction
+        raise PlanDocumentError(f"{what}: {exc}") from None
+    if platform:
+        dq.with_target_platform(resolve_platform(platform))
+    return dq
 
 
 def build_quanta(
@@ -126,117 +237,23 @@ def build_quanta(
 ) -> DataQuanta:
     """Materialize the document's dataflow; returns the sink's DataQuanta.
 
-    Raises:
-        PlanDocumentError: On unknown kinds, missing or mis-typed fields,
-            arguments an operator refuses, malformed UDF expressions or
-            dangling dataset references.
+    Raises a :class:`PlanDocumentError` on an undeclared key, two entries
+    of one name, a dangling name or what :func:`build_operator` refuses.
     """
     env = dict(env or {})
     datasets: dict[str, DataQuanta] = {}
-
-    def dataset(name: str) -> DataQuanta:
-        try:
-            return datasets[typed(name, str, "a dataset reference")]
-        except KeyError:
-            raise PlanDocumentError(f"unknown dataset {name!r}") from None
-
+    for key in document:
+        if key not in DOCUMENT_KEYS:
+            raise PlanDocumentError(f"the document has no field {key!r}")
     for spec in typed(document.get("operators", []), list, "'operators'"):
-        typed(spec, dict, "an 'operators' entry")
-        name = typed(_field(spec, "name"), str, "operator 'name'")
-        if name in datasets:
-            raise PlanDocumentError(f"two operators are named {name!r}")
-        kind = _field(spec, "kind")
-        _check_fields(spec, name)
-        try:
-            dq = _operator(ctx, spec, kind, dataset, env)
-        except PlanDocumentError:
-            raise
-        except ValueError as exc:  # e.g. both or neither of size / fraction
-            raise PlanDocumentError(f"operator {name!r}: {exc}") from None
-        datasets[name] = dq
+        dq = build_operator(ctx, typed(spec, dict, "an 'operators' entry"),
+                            datasets, env)
+        if spec["name"] in datasets:
+            raise PlanDocumentError(
+                f"two operators are named {spec['name']!r}")
+        datasets[spec["name"]] = dq
 
-    sink = document.get("sink")
-    if not sink:
+    sink = checked(document.get("sink", {}), {"name": _STR}, "'sink'")
+    if "name" not in sink:
         raise PlanDocumentError("document needs a 'sink' entry")
-    return dataset(_field(typed(sink, dict, "'sink'"), "name"))
-
-
-def _operator(ctx: RheemContext, spec: dict, kind: Any,
-              dataset: Callable[[str], DataQuanta],
-              env: dict[str, Any]) -> DataQuanta:
-    """The DataQuanta of one operator entry, whose fields are checked."""
-    broadcasts = [dataset(b) for b in spec.get("broadcasts", [])]
-    if kind == "textfile_source":
-        dq = ctx.read_text_file(_field(spec, "path"))
-    elif kind == "collection_source":
-        data = spec.get("data")
-        if data is None:
-            key = _field(spec, "env")
-            if key not in env:
-                raise PlanDocumentError(f"operator {spec['name']!r} field "
-                                        f"'env': no env entry {key!r}")
-            data = env[key]
-        dq = ctx.load_collection(
-            data, sim_factor=spec.get("sim_factor", 1.0),
-            bytes_per_record=spec.get("bytes_per_record", 100.0))
-    elif kind == "table_source":
-        dq = ctx.read_table(_field(spec, "table"),
-                            spec.get("projection"))
-    elif kind in ("map", "flatmap", "filter"):
-        fn = _compile(spec, "expr", "x, *bc", env)
-        src = dataset(_field(spec, "input"))
-        if kind == "filter":
-            dq = src.filter(fn, broadcasts=broadcasts)
-        else:
-            method = src.map if kind == "map" else src.flat_map
-            dq = method(fn, broadcasts=broadcasts,
-                        bytes_per_record=spec.get("bytes_per_record"))
-    elif kind == "sample":
-        dq = dataset(_field(spec, "input")).sample(
-            size=spec.get("size"), fraction=spec.get("fraction"),
-            method=spec.get("method", "random"), broadcasts=broadcasts)
-    elif kind == "distinct":
-        dq = dataset(_field(spec, "input")).distinct()
-    elif kind == "sort":
-        dq = dataset(_field(spec, "input")).sort(
-            key=(_compile(spec, "key", "x", env)
-                 if spec.get("key") is not None else None),
-            descending=spec.get("descending", False))
-    elif kind == "groupby":
-        dq = dataset(_field(spec, "input")).group_by(
-            _compile(spec, "key", "x", env),
-            sim_groups=spec.get("sim_groups"))
-    elif kind == "reduceby":
-        dq = dataset(_field(spec, "input")).reduce_by_key(
-            _compile(spec, "key", "x", env),
-            _compile(spec, "reducer", "a, b", env),
-            sim_groups=spec.get("sim_groups"))
-    elif kind == "reduce":
-        dq = dataset(_field(spec, "input")).reduce(
-            _compile(spec, "reducer", "a, b", env))
-    elif kind == "count":
-        dq = dataset(_field(spec, "input")).count()
-    elif kind == "cache":
-        dq = dataset(_field(spec, "input")).cache()
-    elif kind in ("union", "intersect"):
-        left = dataset(_field(spec, "left"))
-        right = dataset(_field(spec, "right"))
-        dq = left.union(right) if kind == "union" \
-            else left.intersect(right)
-    elif kind == "join":
-        dq = dataset(_field(spec, "left")).join(
-            dataset(_field(spec, "right")),
-            _compile(spec, "left_key", "x", env),
-            _compile(spec, "right_key", "x", env),
-            selectivity=spec.get("selectivity"),
-            sim_mode=spec.get("sim_mode", "linear"))
-    elif kind == "pagerank":
-        edges = dataset(_field(spec, "input"))
-        dq = edges.pagerank(iterations=spec.get("iterations", 10),
-                            damping=spec.get("damping", 0.85))
-    else:
-        raise PlanDocumentError(f"unknown operator kind {kind!r}")
-    if spec.get("platform"):
-        dq.with_target_platform(resolve_platform(spec["platform"]))
-    return dq
-
+    return _dataset(datasets, sink["name"])

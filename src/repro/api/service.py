@@ -16,10 +16,16 @@ from ..core.context import RheemContext
 from ..core.objectives import monetary, price_of
 from ..core.optimizer import OptimizationError
 from ..core.plan import PlanValidationError
-from ..latin.translator import resolve_platform
 from ..simulation.cluster import SimulatedOutOfMemory
 from ..trace import NullTracer, Tracer, trace_block
-from .serde import PlanDocumentError, build_quanta, typed
+from .serde import (
+    EXECUTION_FIELDS,
+    PlanDocumentError,
+    build_quanta,
+    checked,
+    resolve_platform,
+    typed,
+)
 
 
 class RheemService:
@@ -66,24 +72,18 @@ class RheemService:
         tracer = tracer if tracer is not None else Tracer()
         try:
             quanta = build_quanta(self.ctx, document, self.env)
-            execution = typed(document.get("execution", {}), dict,
-                              "'execution'")
+            execution = checked(document.get("execution", {}),
+                                EXECUTION_FIELDS, "'execution'")
             kwargs: dict[str, Any] = {}
-            platforms = execution.get("platforms")
-            if platforms:
-                what = "'execution' field 'platforms'"
-                kwargs["allowed_platforms"] = {
-                    resolve_platform(typed(p, str, what))
-                    for p in typed(platforms, list, what)} | {"driver"}
-            objective = execution.get("objective")
-            if objective == "monetary":
+            what = "'execution' field 'platforms'"
+            for name in execution.get("platforms", ()):
+                engine = resolve_platform(typed(name, str, what))
+                if engine not in {p.name for p in self.ctx.platforms}:
+                    raise PlanDocumentError(f"{what}: no platform {name!r}")
+                kwargs.setdefault("allowed_platforms", {"driver"}).add(engine)
+            if execution.get("objective") == "monetary":
                 kwargs["objective"] = monetary()
-            elif objective not in (None, "runtime"):
-                raise PlanDocumentError(
-                    f"'execution' field 'objective' cannot be {objective!r}")
-            progressive = execution.get("progressive")
-            if progressive is not None and typed(
-                    progressive, bool, "'execution' field 'progressive'"):
+            if execution.get("progressive"):
                 kwargs["progressive"] = True
             result = quanta.execute(tracer=tracer, cancel_check=cancel_check,
                                     **kwargs)

@@ -1,13 +1,9 @@
 """RheemLatin: the PigLatin-inspired data-flow language (Section 5)."""
 
+from ..api.serde import PLATFORM_ALIASES, resolve_platform
 from .lexer import LatinSyntaxError, Token, tokenize
 from .parser import Assign, Dump, OpExpr, Store, parse
-from .translator import (
-    Interpreter,
-    PLATFORM_ALIASES,
-    resolve_platform,
-    run_script,
-)
+from .translator import Interpreter, run_script
 
 __all__ = [
     "LatinSyntaxError",

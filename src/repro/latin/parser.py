@@ -136,7 +136,7 @@ def _parse_operation(stream: _TokenStream, line: int) -> OpExpr:
             op.options["table"] = stream.next("string", "table name").value
         elif stream.accept("ident", "collection"):
             op.keyword = "load_collection"
-            op.options["name"] = stream.next("ident", "environment name").value
+            op.options["env"] = stream.next("ident", "environment name").value
         else:
             op.options["path"] = stream.next("string", "path").value
     elif keyword in ("map", "flatmap", "filter", "reduce"):

@@ -1,5 +1,10 @@
 """Translates RheemLatin statements into Rheem plans and runs them.
 
+A statement is built as the job-document entry it spells (a keyword is its
+kind, but for :data:`LATIN_SPELLINGS`) from the operator table both front
+ends share, :data:`repro.api.serde.KINDS`; what the table refuses is a
+:class:`LatinSyntaxError` naming the line.  ``repeat`` is Latin-only.
+
 Code blocks (``{...}``) are Python expressions: unary operators see the
 record as ``x``; reducers see ``a`` and ``b``.  Names from the caller's
 ``env`` (functions, constants, collections) are in scope — the analog of
@@ -14,31 +19,18 @@ vocabulary.
 
 from __future__ import annotations
 
-import re
 from typing import Any, Callable
 
+from ..api import serde
 from ..core.context import DataQuanta, RheemContext
 from .lexer import LatinSyntaxError
-from .parser import Assign, Dump, OpExpr, Statement, Store, parse
+from .parser import Assign, OpExpr, Statement, Store, parse
 
-#: Paper platform names -> simulated platform names.
-PLATFORM_ALIASES = {
-    "javastreams": "pystreams",
-    "spark": "sparklite",
-    "flink": "flinklite",
-    "postgres": "pgres",
-    "postgresql": "pgres",
-    "giraph": "graphlite",
-    "graphchi": "graphchi",
-    "jgraph": "jgraph",
-}
-
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-
-def resolve_platform(name: str) -> str:
-    """Map a user-facing platform name to an engine name."""
-    return PLATFORM_ALIASES.get(name.lower(), name.lower())
+#: The keywords that spell a kind of :data:`~repro.api.serde.KINDS`
+#: differently; every other keyword but ``repeat`` is the kind's name.
+LATIN_SPELLINGS = {"load": "textfile_source", "load_table": "table_source",
+                   "load_collection": "collection_source",
+                   "group": "groupby"}
 
 
 class Interpreter:
@@ -53,7 +45,9 @@ class Interpreter:
         #: Full :class:`ExecutionResult` per executed sink, in script order
         #: (``repro trace`` reads the critical-path trackers off these).
         self.executions: list[Any] = []
-        self._handlers: dict[str, Callable[[OpExpr, int], DataQuanta]] = {}
+        #: Keywords outside the operator table: ``repeat``, registered ones.
+        self._handlers: dict[str, Callable[[OpExpr, int], DataQuanta]] = {
+            "repeat": self._build_repeat}
 
     def register_keyword(
         self, keyword: str,
@@ -75,17 +69,14 @@ class Interpreter:
                            **execute_kwargs) -> None:
         if isinstance(statement, Assign):
             self.datasets[statement.name] = self._build(
-                statement.op, statement.line)
-        elif isinstance(statement, Store):
-            dq = self._dataset(statement.source, statement.line)
-            result = dq.write_text_file(statement.path, **execute_kwargs)
-            self.executions.append(result)
-            self.results[statement.source] = result.output
-        elif isinstance(statement, Dump):
-            dq = self._dataset(statement.source, statement.line)
-            result = dq.execute(**execute_kwargs)
-            self.executions.append(result)
-            self.results[statement.source] = result.output
+                statement.name, statement.op, statement.line)
+            return
+        dq = self._dataset(statement.source, statement.line)
+        result = (dq.write_text_file(statement.path, **execute_kwargs)
+                  if isinstance(statement, Store)
+                  else dq.execute(**execute_kwargs))
+        self.executions.append(result)
+        self.results[statement.source] = result.output
 
     # ------------------------------------------------------------- building
     def _dataset(self, name: str, line: int) -> DataQuanta:
@@ -94,91 +85,31 @@ class Interpreter:
         except KeyError:
             raise LatinSyntaxError(f"unknown dataset {name!r}", line) from None
 
-    def _lambda(self, code: str, params: str, line: int) -> Callable:
-        """``lambda <params>: <code>``, the block parsed as the body alone
-        (the REST path's parser), so it cannot close the lambda early."""
-        # Imported here: repro.api imports this module for resolve_platform.
-        from ..api.serde import _lambda_code
-
-        try:
-            compiled = _lambda_code(params, code)
-        except (SyntaxError, ValueError) as exc:  # ValueError: a NUL byte
-            raise LatinSyntaxError(f"bad code block {code!r}: {exc}",
-                                   line) from exc
-        return eval(compiled, dict(self.env))
-
-    def _build(self, op: OpExpr, line: int) -> DataQuanta:
+    def _build(self, name: str, op: OpExpr, line: int) -> DataQuanta:
         handler = self._handlers.get(op.keyword)
-        if handler is not None:
-            dq = handler(op, line)
-        else:
-            dq = self._build_builtin(op, line)
+        dq = (handler(op, line) if handler is not None
+              else self._build_builtin(name, op, line))
         if op.platform is not None:
-            dq.with_target_platform(resolve_platform(op.platform))
+            dq.with_target_platform(serde.resolve_platform(op.platform))
         return dq
 
-    def _build_builtin(self, op: OpExpr, line: int) -> DataQuanta:
-        broadcasts = [self._dataset(b, line) for b in op.broadcasts]
-        kw = op.keyword
-        if kw == "load":
-            return self.ctx.read_text_file(op.options["path"])
-        if kw == "load_table":
-            return self.ctx.read_table(op.options["table"])
-        if kw == "load_collection":
-            name = op.options["name"]
-            if name not in self.env:
-                raise LatinSyntaxError(f"no collection {name!r} in env", line)
-            return self.ctx.load_collection(self.env[name])
-        if kw in ("map", "flatmap", "filter"):
-            src = self._dataset(op.sources[0], line)
-            # Broadcast values arrive as extra arguments: the code block may
-            # reference them as bc[0], bc[1], ...
-            fn = self._lambda(op.codes[0], "x, *bc", line)
-            method = {"map": src.map, "flatmap": src.flat_map,
-                      "filter": src.filter}[kw]
-            return method(fn, broadcasts=broadcasts)
-        if kw == "sample":
-            src = self._dataset(op.sources[0], line)
-            return src.sample(size=op.options["size"],
-                              method=op.options.get("method", "random"),
-                              broadcasts=broadcasts)
-        if kw == "distinct":
-            return self._dataset(op.sources[0], line).distinct()
-        if kw == "cache":
-            return self._dataset(op.sources[0], line).cache()
-        if kw == "count":
-            return self._dataset(op.sources[0], line).count()
-        if kw == "sort":
-            return self._dataset(op.sources[0], line).sort(
-                key=self._lambda(op.codes[0], "x", line))
-        if kw == "group":
-            return self._dataset(op.sources[0], line).group_by(
-                self._lambda(op.codes[0], "x", line))
-        if kw == "reduce":
-            return self._dataset(op.sources[0], line).reduce(
-                self._lambda(op.codes[0], "a, b", line))
-        if kw == "reduceby":
-            return self._dataset(op.sources[0], line).reduce_by_key(
-                self._lambda(op.codes[0], "x", line),
-                self._lambda(op.codes[1], "a, b", line))
-        if kw == "join":
-            left = self._dataset(op.sources[0], line)
-            right = self._dataset(op.sources[1], line)
-            return left.join(right,
-                             self._lambda(op.codes[0], "x", line),
-                             self._lambda(op.codes[1], "x", line))
-        if kw == "union":
-            return self._dataset(op.sources[0], line).union(
-                self._dataset(op.sources[1], line))
-        if kw == "intersect":
-            return self._dataset(op.sources[0], line).intersect(
-                self._dataset(op.sources[1], line))
-        if kw == "pagerank":
-            return self._dataset(op.sources[0], line).pagerank(
-                iterations=op.options.get("iterations", 10))
-        if kw == "repeat":
-            return self._build_repeat(op, line)
-        raise LatinSyntaxError(f"unknown operation {op.keyword!r}", line)
+    def _build_builtin(self, name: str, op: OpExpr,
+                       line: int) -> DataQuanta:
+        """The statement built as the job-document entry it spells."""
+        kind = LATIN_SPELLINGS.get(op.keyword, op.keyword)
+        row = serde.KINDS.get(kind)
+        if row is None:
+            raise LatinSyntaxError(f"unknown operation {op.keyword!r}", line)
+        entry = {"name": name, "kind": kind, **op.options}
+        entry.update(zip(row.inputs, op.sources))
+        entry.update(zip(row.udfs, op.codes))
+        if op.broadcasts:
+            entry["broadcasts"] = op.broadcasts
+        try:
+            return serde.build_operator(self.ctx, entry, self.datasets,
+                                        self.env)
+        except serde.PlanDocumentError as exc:
+            raise LatinSyntaxError(str(exc), line) from None
 
     # ---------------------------------------------------------------- loops
     def _build_repeat(self, op: OpExpr, line: int) -> DataQuanta:
@@ -217,7 +148,7 @@ class Interpreter:
                 if not isinstance(s, Assign):
                     raise LatinSyntaxError(
                         "repeat blocks may only contain assignments", s.line)
-                self.datasets[s.name] = self._build(s.op, s.line)
+                self.datasets[s.name] = self._build(s.name, s.op, s.line)
             out = self.datasets[loop_var]
             self.datasets.clear()
             self.datasets.update(saved)

@@ -27,6 +27,7 @@ import json
 from typing import Any, Callable, Iterable
 from urllib.parse import parse_qs
 
+from ..api.serde import PlanDocumentError
 from .jobs import JobState
 from .server import JobServer
 
@@ -123,16 +124,11 @@ def make_wsgi_app(server: JobServer) -> WsgiApp:
                 return refuse("bad deadline_s")
         # The envelope: query string, then header, then the document's.
         tenant = (query["tenant"][0] if "tenant" in query
-                  else environ.get("HTTP_X_TENANT")
-                  or document.get("tenant", "default"))
-        if not isinstance(tenant, str):
-            return refuse("bad tenant")
+                  else environ.get("HTTP_X_TENANT") or None)
         try:
             priority = (int(query["priority"][0]) if "priority" in query
-                        else document.get("priority", 0))
+                        else None)
         except ValueError:
-            return refuse("bad priority")
-        if type(priority) is not int:
             return refuse("bad priority")
 
         try:
@@ -140,6 +136,8 @@ def make_wsgi_app(server: JobServer) -> WsgiApp:
                                 tenant=tenant, priority=priority)
         except RecursionError as exc:  # nested just short of the parser's
             return refuse(f"bad JSON: {exc}")
+        except PlanDocumentError as exc:  # the document's tenant / priority
+            return refuse(str(exc))
         if job.state is JobState.REJECTED:
             assert job.response is not None
             return _reply(start_response, _response_code(job.response),

@@ -39,6 +39,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable
 
+from ..api.serde import PlanDocumentError
 from ..concurrency import OrderedLock
 from ..core.context import RheemContext
 from ..learn.calibration import CostCalibrator, observation_from_json
@@ -226,17 +227,22 @@ class JobServer:
 
         ``tenant`` and ``priority`` default to the document's own
         ``tenant``/``priority`` envelope fields (themselves defaulting to
-        ``"default"``/``0``); neither participates in the routing
-        fingerprint, so tenants submitting the same plan share its home
-        shard's warm caches.
+        ``"default"``/``0``; a field that is not a ``str`` / an ``int`` is
+        a :class:`~repro.api.PlanDocumentError`); neither participates in
+        the routing fingerprint, so tenants submitting the same plan share
+        its home shard's warm caches.
         """
         now = time.monotonic()
         if deadline_s is None:
             deadline_s = self.default_deadline_s
         if tenant is None:
-            tenant = str(document.get("tenant", "default"))
+            tenant = document.get("tenant", "default")
+            if not isinstance(tenant, str):
+                raise PlanDocumentError("bad tenant")
         if priority is None:
-            priority = int(document.get("priority", 0))
+            priority = document.get("priority", 0)
+            if type(priority) is not int:
+                raise PlanDocumentError("bad priority")
         fingerprint = self._shards.fingerprint(document)
         with self._lock:
             job_id = f"job-{next(self._ids)}"

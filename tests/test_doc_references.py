@@ -1,5 +1,5 @@
 """Every code reference in DESIGN.md, README.md and EXPERIMENTS.md names
-what exists.
+what exists, and every CHANGES.md entry from PR 46 on is short.
 
 A reference is a source path in backticks (``core/optimizer.py``,
 ``tests/test_x.py::TestY``, ``workloads/graphs.py:parse_edges``) or a
@@ -8,6 +8,9 @@ from the repository root, from ``src/`` or from ``src/repro/``; a bare
 file name anywhere in the tree.  Each name after ``::`` or ``:`` must be
 a ``def``, ``class`` or top-level assignment in that file, and a member
 must occur in its class's body.
+
+A CHANGES.md entry is a PR's ``PR <n>`` lines plus the ``FOUND:`` /
+``MENDED:`` lines that follow them; older entries are exempt.
 """
 
 import re
@@ -24,6 +27,8 @@ TREES = ("src", "tests", "benchmarks", "examples", "scripts", "perfbench")
 SPAN = re.compile(r"`([^`\n]+)`")
 PATH = re.compile(r"([\w./-]+\.py)((?:::?\w+)*)")
 MEMBER = re.compile(r"^([A-Z]\w*[a-z]\w*)\.(\w+)")
+#: The bytes a CHANGES.md entry may hold, from :data:`FIRST_SIZED_PR` on.
+ENTRY_BYTES, FIRST_SIZED_PR = 1536, 46
 
 
 @cache
@@ -93,3 +98,30 @@ def test_a_stale_reference_is_caught():
     assert stale_references(text) == [
         "Optimizer.beam_threshold", "core/optimizer.py::_beam_rank",
         "core/beam.py"]
+
+
+def oversized_entries(text: str) -> dict[int, int]:
+    """PR -> bytes of each CHANGES.md entry, from :data:`FIRST_SIZED_PR`
+    on, longer than :data:`ENTRY_BYTES`."""
+    sizes: dict[int, int] = {}
+    pr = None
+    for line in text.splitlines(keepends=True):
+        head = re.match(r"PR (\d+)\b", line)
+        if head is not None:
+            pr = int(head.group(1))
+        elif not line.startswith(("FOUND:", "MENDED:")):
+            pr = None
+        if pr is not None:
+            sizes[pr] = sizes.get(pr, 0) + len(line.encode())
+    return {pr: size for pr, size in sizes.items()
+            if pr >= FIRST_SIZED_PR and size > ENTRY_BYTES}
+
+
+def test_every_changes_entry_from_pr_46_on_is_short():
+    assert oversized_entries((ROOT / "CHANGES.md").read_text()) == {}
+
+
+def test_a_long_entry_is_caught():
+    text = ("PR 45: " + "x" * 2000 + "\nPR 46: short\nFOUND: " + "y" * 1600
+            + "\nPR 47, tests: a\nPR 47: b\n")
+    assert oversized_entries(text) == {46: 1621}

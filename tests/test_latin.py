@@ -3,6 +3,8 @@
 import pytest
 
 from repro import RheemContext
+from repro.api.serde import KINDS, build_quanta
+from repro.core.fingerprint import plan_fingerprint
 from repro.latin import (
     Assign,
     Dump,
@@ -14,6 +16,7 @@ from repro.latin import (
     run_script,
     tokenize,
 )
+from repro.latin.translator import LATIN_SPELLINGS
 
 
 class TestLexer:
@@ -130,9 +133,17 @@ class TestInterpreter:
         with pytest.raises(LatinSyntaxError):
             run_script("x = distinct ghost;", RheemContext())
 
-    def test_unknown_keyword_reported(self):
-        with pytest.raises(LatinSyntaxError):
-            run_script("x = frobnicate y;", RheemContext())
+    @pytest.mark.parametrize("script, match", [
+        ("x = frobnicate y;", "line 1: unknown operation 'frobnicate'"),
+        # A field the operator table refuses is named with its line too.
+        ("d = load collection nums;\nx = sample d 1 method 'bogus';",
+         "line 2: operator 'x' field 'method' cannot be 'bogus'"),
+        ("d = load collection nums;\nx = pagerank d iterations 0;",
+         "line 2: operator 'x' field 'iterations' cannot be 0")],
+        ids=["keyword", "method", "iterations"])
+    def test_unknown_keyword_reported(self, script, match):
+        with pytest.raises(LatinSyntaxError, match=match):
+            run_script(script, RheemContext(), env={"nums": [1]})
 
     @pytest.mark.parametrize("block", ["x), 0 and (x", "x), boom(), (x"])
     def test_code_block_cannot_escape_its_lambda(self, block):
@@ -251,3 +262,56 @@ class TestMoreStatements:
             dump names;
         """, ctx)
         assert results["names"] == ["ada"]
+
+
+#: Each operator kind: a RheemLatin statement over the datasets ``d`` and
+#: ``e``, and the job-document entry that spells the same operator.
+SPELLINGS = {
+    "textfile_source": ("load 'hdfs://f'", {"path": "hdfs://f"}),
+    "collection_source": ("load collection nums", {"env": "nums"}),
+    "table_source": ("load table 'users'", {"table": "users"}),
+    "map": ("map d -> { x + 1 } with platform 'Spark'",
+            {"input": "d", "expr": "x + 1", "platform": "Spark"}),
+    "flatmap": ("flatmap d -> { [x, x] }", {"input": "d", "expr": "[x, x]"}),
+    "filter": ("filter d -> { x in bc } with broadcast e",
+               {"input": "d", "expr": "x in bc", "broadcasts": ["e"]}),
+    "sample": ("sample d 1 method 'first'",
+               {"input": "d", "size": 1, "method": "first"}),
+    "distinct": ("distinct d", {"input": "d"}),
+    "sort": ("sort d by { -x }", {"input": "d", "key": "-x"}),
+    "groupby": ("group d by { x % 2 }", {"input": "d", "key": "x % 2"}),
+    "reduceby": ("reduceby d by { x % 2 } with { a + b }",
+                 {"input": "d", "key": "x % 2", "reducer": "a + b"}),
+    "reduce": ("reduce d -> { a + b }", {"input": "d", "reducer": "a + b"}),
+    "count": ("count d", {"input": "d"}),
+    "cache": ("cache d", {"input": "d"}),
+    "union": ("union d, e", {"left": "d", "right": "e"}),
+    "intersect": ("intersect d, e", {"left": "d", "right": "e"}),
+    "join": ("join d by { x }, e by { -x }",
+             {"left": "d", "right": "e", "left_key": "x", "right_key": "-x"}),
+    "pagerank": ("pagerank d iterations 3", {"input": "d", "iterations": 3}),
+}
+
+
+class TestSharedVocabulary:
+    def test_each_kind_is_one_plan_in_both_front_ends(self):
+        # A kind without a Latin spelling would be a vocabulary of its own.
+        assert set(SPELLINGS) == set(KINDS)
+        ctx = RheemContext()
+        ctx.vfs.write("hdfs://f", ["a b"], sim_factor=1.0)
+        ctx.pgres.create_table("users", ["name"], [{"name": "ada"}])
+        env = {"nums": [1, 2, 3], "more": [2, 5]}
+        for kind, (statement, entry) in SPELLINGS.items():
+            op = parse(f"out = {statement};")[0].op
+            assert LATIN_SPELLINGS.get(op.keyword, op.keyword) == kind
+            interp = Interpreter(ctx, env)
+            interp.run("d = load collection nums; e = load collection more;"
+                       f" out = {statement};")
+            latin = plan_fingerprint(interp.datasets["out"].to_plan())
+            document = build_quanta(ctx, {"operators": [
+                {"name": "d", "kind": "collection_source", "env": "nums"},
+                {"name": "e", "kind": "collection_source", "env": "more"},
+                {"name": "out", "kind": kind, **entry}],
+                "sink": {"name": "out"}}, env)
+            assert latin is not None
+            assert latin == plan_fingerprint(document.to_plan()), kind

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro import RheemContext
-from repro.api import RheemService
+from repro.api import PlanDocumentError, RheemService
 from repro.core.executor import JobCancelled
 from repro.server import AdmissionError, JobServer, JobState, make_wsgi_app
 from repro.server import http as http_module
@@ -63,10 +63,17 @@ def _edges_doc(kind, **params):
 
 
 NUMS = {"name": "nums", "kind": "collection_source", "data": [[1, 2], [3, 4]]}
-#: Right values for every field an entry of any kind needs.
-ENTRY = {"name": "op", "input": "nums", "left": "nums", "right": "nums",
-         "expr": "x", "key": "x[0]", "left_key": "x[0]", "right_key": "x[0]",
-         "size": 1}
+#: Right values for the fields an entry of each kind needs.
+ENTRY = {"collection_source": {"data": [1]},
+         "textfile_source": {"path": "hdfs://srv/x.txt"},
+         "table_source": {"table": "region"},
+         "map": {"input": "nums", "expr": "x"},
+         "sample": {"input": "nums", "size": 1},
+         "sort": {"input": "nums"},
+         "groupby": {"input": "nums", "key": "x[0]"},
+         "join": {"left": "nums", "right": "nums", "left_key": "x[0]",
+                  "right_key": "x[0]"},
+         "pagerank": {"input": "nums"}}
 _COUNT = lambda v: type(v) in (int, float) and v >= 0
 #: Each optional field: the entry kind carrying it, its type or right values.
 FIELDS = {
@@ -603,7 +610,8 @@ class TestWsgiFrontend:
 
     @pytest.mark.parametrize("envelope", [
         {"priority": "high"}, {"priority": [1]}, {"priority": None},
-        {"priority": 1.5}, {"tenant": 7}, {"tenant": ["a"]}])
+        {"priority": 1.5}, {"tenant": 7}, {"tenant": ["a"]},
+        {"priority": True}])
     def test_envelope_field_of_the_wrong_type_is_a_400(self, app, envelope):
         body = json.dumps({**WORDCOUNT_DOC, **envelope}).encode()
         error = self._refused(app, 400, body=body)["error"]
@@ -611,6 +619,11 @@ class TestWsgiFrontend:
         # The query string wins over the document, so it can repair it.
         status, __ = self._call(app, body=body, qs="tenant=t&priority=2")
         assert status == "200 OK"
+        # JobServer.submit refuses the document's field as the app does,
+        # rather than coerce it (1.5 or True to 1, ["a"] to "['a']").
+        with JobServer(_ctx(), workers=1) as server:
+            with pytest.raises(PlanDocumentError, match=error):
+                server.submit({**WORDCOUNT_DOC, **envelope})
 
     @pytest.mark.parametrize("field, override", [
         ("'operators'", {"operators": {"a": 1}}),
@@ -633,13 +646,25 @@ class TestWsgiFrontend:
             "sink": {"name": "a"}}),
         ("'env'", {"operators": [
             {"name": "a", "kind": "collection_source", "env": "nope"}],
-            "sink": {"name": "a"}})])
+            "sink": {"name": "a"}}),
+        ("'operatorz'", {"operatorz": []}),
+        ("'objectiv'", {"execution": {"objectiv": "monetary"}}),
+        ("'exprr'", {"operators": [
+            WORDCOUNT_DOC["operators"][0],
+            {**WORDCOUNT_DOC["operators"][1], "exprr": "x"},
+            *WORDCOUNT_DOC["operators"][2:]]}),
+        ("'bytes_per_record'", _edges_doc("filter", expr="x",
+                                          bytes_per_record=8)),
+        ("'broadcasts'", _edges_doc("distinct", broadcasts=["edges"])),
+        ("'Nope'", {"execution": {"platforms": ["Nope"]}}),
+        ("'format'", {"sink": {"name": "counts", "format": "csv"}})])
     def test_a_misshaped_document_is_a_plan_document_error(
             self, app, field, override):
         # Each answered a Python exception name (TypeError, AttributeError,
-        # a sample's ValueError, a missing env entry's KeyError), or — a
-        # bool iteration count, a damping outside [0, 1], a second entry
-        # shadowing the first — ran.
+        # a sample's ValueError, a missing env entry's KeyError), an
+        # unknown platform's OptimizationError, or — a bool iteration
+        # count, a damping outside [0, 1], a second entry shadowing the
+        # first, a key no level of the document declares — ran.
         body = json.dumps({**WORDCOUNT_DOC, **override}).encode()
         payload = self._refused(app, 400, body=body)
         assert payload["kind"] == "PlanDocumentError"
@@ -659,8 +684,8 @@ class TestWsgiFrontend:
             def check(case):
                 field, value = case
                 kind = FIELDS[field][0]
-                doc = ({"operators": [NUMS, {**ENTRY, "kind": kind,
-                                             field: value}],
+                doc = ({"operators": [NUMS, {"name": "op", **ENTRY[kind],
+                                             "kind": kind, field: value}],
                         "sink": {"name": "op"}} if kind else
                        {"operators": [NUMS], "sink": {"name": "nums"},
                         "execution": {field: value}})
