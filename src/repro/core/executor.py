@@ -28,6 +28,7 @@ The executor also implements:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -120,7 +121,9 @@ _SOURCE, _LOOP, _OPERATOR = range(3)
 @dataclass(slots=True)
 class _Task:
     """A prepared task: input edges as ``(producer id, path or None)``;
-    ``crossing``: its output occupies its platform's memory at commit."""
+    ``crossing``: its output occupies its platform's memory at commit;
+    ``chain``: the chain it ends, itself last, and whose inputs it reads
+    (empty: none)."""
 
     task: ExecutionTask
     kind: int
@@ -128,6 +131,7 @@ class _Task:
     broadcasts: list[tuple[int, ConversionPath | None]]
     crossing: bool
     logical_id: int | None
+    chain: list["_Task"] = field(default_factory=list)
 
 
 @dataclass(slots=True)
@@ -248,7 +252,7 @@ class Executor:
         store = self.result_store
         stages = self._prepare(plan, stage_breaks, (
             getattr(plan, "reuse_keys", {}) if publish_results
-            and store is not None and store.enabled else {}))
+            and store is not None and store.enabled else {}), job.sniffers)
         # This run's records are those from ``first`` on; none of its
         # stages starts before the runs the ledger already holds.
         first = committed = len(ledger.records)
@@ -312,13 +316,20 @@ class Executor:
             if stage_of.get(ti.producer.id) != stage_of.get(task.id)}
 
     def _prepare(self, plan: ExecutionPlan, breaks: set[int],
-                 reuse_keys: dict[int, tuple]) -> list[_Stage]:
+                 reuse_keys: dict[int, tuple], sniffed) -> list[_Stage]:
         """Cut ``plan`` into stages and fix what no run of them changes.
         A stage offers the result store the reuse candidates (the *final*
         task of each reuse-keyed logical operator) it materializes at its
-        boundary, then its last in-stage one (typically a sink's input)."""
+        boundary, then its last in-stage one (typically a sink's input).
+        A crossing, twice-read, offered or ``sniffed`` output (logical
+        ids) ends a chain (:meth:`_chains`)."""
         stages = plan.build_stages(break_after=breaks)
         crossing = self._crossing_ids(plan, stages)
+        consumers = Counter(ti.producer.id for task in plan.tasks
+                            for ti in task.inputs + task.broadcast_inputs)
+        ends = crossing | {task_id for task_id, n in consumers.items()
+                           if n > 1} | {task.id for task in plan.tasks
+                                        if task.logical_id in sniffed}
         profiles = self.cluster.profiles
         position = {stage.id: i for i, stage in enumerate(stages)}
         final = {task.logical_id: task.id for task in plan.tasks
@@ -349,9 +360,33 @@ class Executor:
             offers += [(t.id, keyed[t.id]) for t in stage.tasks
                        if t.id in keyed and t.id not in crossing][-1:]
             prepared.append(_Stage(
-                stage, [position[d] for d in stage.dependencies], tasks,
+                stage, [position[d] for d in stage.dependencies],
+                self._chains(tasks, ends | {t for t, __ in offers}),
                 profile, dispatch_s, offers))
         return prepared
+
+    @staticmethod
+    def _chains(tasks: list[_Task], ends: set[int]) -> list[_Task]:
+        """Link one stage's ``tasks`` in one scan: a ``chain_link`` member
+        or fold with one input and no broadcasts extends the chain of a
+        producer whose output is not one of ``ends`` over an edge with no
+        conversion; a member starts one.  Returns the tasks to dispatch."""
+        chains: dict[int, list[_Task]] = {}
+        for t in tasks:
+            link = (t.task.operator.chain_link() if t.kind == _OPERATOR
+                    and len(t.inputs) == 1 and not t.broadcasts else None)
+            if link is None:
+                continue
+            producer, path = t.inputs[0]
+            chain = chains.pop(producer, None) if path is None else None
+            if chain is None and link == "member":
+                chain = []
+            if chain is not None:
+                chain.append(t)
+                t.chain, t.inputs = chain, chain[0].inputs
+            if link == "member" and t.task.id not in ends:
+                chains[t.task.id] = chain
+        return [t for t in tasks if not t.chain or t.chain[-1] is t]
 
     # -------------------------------------------------------------- stages
     def _run_stages(self, job: _Job, stages: list[_Stage], prefix: str,
@@ -496,16 +531,24 @@ class Executor:
             if logical_id in job.sniffers:  # the loop's output, once
                 sniffs.append((job.sniffers[logical_id], op, out))
             return out
-        out = op.execute(inputs, broadcasts, ctx)
-        cin = sum([ch.sim_cardinality for ch in inputs
-                   if ch.actual_count is not None])
-        measured = out.actual_count is not None
-        # Only a measured output tells the monitor a cardinality.
-        logical = op.logical if measured else None
-        observations.append(OperatorObservation(
-            op.platform, op.observed_op_kind(inputs, ctx), op.work(),
-            cin, out.sim_cardinality if measured else 0.0,
-            getattr(logical, "id", None), getattr(logical, "name", "")))
+        if prepared.chain:
+            # Only the chain's last output reaches ``env``; each member
+            # is observed as if it ran alone.
+            head, *rest = ops = [t.task.operator for t in prepared.chain]
+            outs = head.run_chain(rest, inputs[0], ctx)
+            runs = zip(ops, [inputs, *([out] for out in outs)], outs)
+        else:
+            runs = [(op, inputs, op.execute(inputs, broadcasts, ctx))]
+        for op, inputs, out in runs:
+            cin = sum([ch.sim_cardinality for ch in inputs
+                       if ch.actual_count is not None])
+            measured = out.actual_count is not None
+            # Only a measured output tells the monitor a cardinality.
+            logical = op.logical if measured else None
+            observations.append(OperatorObservation(
+                op.platform, op.observed_op_kind(inputs, ctx), op.work(),
+                cin, out.sim_cardinality if measured else 0.0,
+                getattr(logical, "id", None), getattr(logical, "name", "")))
         if (logical_id in job.sniffers and measured
                 and not isinstance(op, CachedResultExec)):
             # A held channel flowed past its sniffers when it was
@@ -540,7 +583,7 @@ class Executor:
         inside the driver stage ``label``'s attempt, started at ``start``."""
         loop = impl.logical
         channels = list(inputs)
-        body = self._prepare(impl.body_plan, frozenset(), {})
+        body = self._prepare(impl.body_plan, frozenset(), {}, job.sniffers)
         primed = [(task.id, k) for k, task in enumerate(impl.body_input_tasks)
                   if task is not None]
         # The first iteration chains after the driver attempt's start,

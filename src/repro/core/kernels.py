@@ -15,6 +15,12 @@ later jobs, and broadcast values differ per execution.
 The loops are comprehensions, not ``map`` / ``filter``: a UDF raising
 ``StopIteration`` must fail the job, and ``list(map(f, xs))`` would end the
 output there without an error (``functools.reduce`` propagates it).
+
+A chain of narrow operators (``DFNarrow.run_chain``) runs these same loops
+over blocks of 64 records and folds each block into one accumulator per
+partition (:func:`fold_into`), so no operator's full output is built and
+freed.  Operators hand each other lists, never generators: a UDF's
+``StopIteration`` inside a generator would surface as a ``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -115,11 +121,17 @@ def group_by_key(key: Fn, records: Iterable[Any]
 def fold_by_key(key: Fn, reducer: Reducer, records: Iterable[Any]
                 ) -> list[Any]:
     """One left-folded aggregate per key, in first-occurrence key order."""
-    acc: dict[Any, Any] = {}
+    return list(fold_into({}, key, reducer, records).values())
+
+
+def fold_into(acc: dict[Any, Any], key: Fn, reducer: Reducer,
+              records: Iterable[Any]) -> dict[Any, Any]:
+    """Left-fold ``records`` into ``acc`` (key -> aggregate so far) and
+    return it."""
     for x in records:
         k = key(x)
         acc[k] = x if k not in acc else reducer(acc[k], x)
-    return list(acc.values())
+    return acc
 
 
 def fold_groups(reducer: Reducer,

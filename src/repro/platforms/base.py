@@ -68,6 +68,10 @@ class ExecutionOperator:
         """Run the operator; charge ``ctx.meter``; return the output channel."""
         raise NotImplementedError
 
+    def chain_link(self) -> str | None:
+        """``"member"``, ``"fold"`` or ``None``: ``Executor._chains``."""
+        return None
+
     # -- cost --------------------------------------------------------------
     def work(self) -> float:
         """Per-record work factor for the cost model."""

@@ -53,7 +53,7 @@ from ..core.batch import (RecordBatch, batch_keys, records_of, run_filter,
                           run_sort)
 from ..core.channels import (Channel, ChannelDescriptor, HDFS_FILE,
                              PY_COLLECTION)
-from ..core.kernels import (bind, distinct_records, fold_records,
+from ..core.kernels import (bind, distinct_records, fold_into, fold_records,
                             group_by_key, identity, intersect_records)
 from ..core.mappings import OperatorMapping
 from ..simulation.vfs import HDFS_SCHEME, LOCAL_SCHEME
@@ -62,6 +62,9 @@ from .base import (ExecutionOperator, _cin, _group_factor, _sample_seed,
 from .distributed import PartitionedDataset
 
 _tmp_counter = itertools.count(1)
+
+#: Input records a chain (:meth:`DFNarrow.run_chain`) streams at a time.
+BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -173,6 +176,12 @@ def _record_list(parts: list) -> list:
     return list(chain.from_iterable(parts))
 
 
+def _blocks(part) -> Iterable:
+    """The records of ``part``, :data:`BLOCK` at a time."""
+    records = records_of(part)
+    return (records[i:i + BLOCK] for i in range(0, len(records), BLOCK))
+
+
 def _shuffle(parts: list, n: int, key_fn, key_col=None) -> list:
     """Hash-partition ``parts`` by key into ``n``; batches stay batches.
 
@@ -233,20 +242,22 @@ class DataflowOperator(ExecutionOperator):
     def _width(self, ctx) -> int:
         return self.engine.width(ctx)
 
-    def _emit(self, template: Channel, parts: list, ctx,
+    def _emit(self, template: Channel, parts: list | None, ctx,
               cin: float,
               sim_factor: float | None = None,
-              bytes_per_record: float | None = None) -> Channel:
+              bytes_per_record: float | None = None,
+              count: int | None = None) -> Channel:
         # ``cin`` is threaded through the call (not instance state): one
         # operator instance re-executes across loop iterations, retries
         # and, through the plan cache, later jobs on the same context.
+        # A chained operator emits its ``count`` and no payload.
         out = Channel(
             self.engine.dataset,
-            self.engine.payload(parts),
+            None if parts is None else self.engine.payload(parts),
             template.sim_factor if sim_factor is None else sim_factor,
             (template.bytes_per_record if bytes_per_record is None
              else bytes_per_record),
-            sum(map(len, parts)),
+            sum(map(len, parts)) if count is None else count,
         )
         charge_operator(ctx, self, cin, out.sim_cardinality)
         return out
@@ -296,23 +307,70 @@ class DFCollectionSource(DataflowOperator):
         return out
 
 
-class DFMap(DataflowOperator):
+class DFNarrow(DataflowOperator):
+    """A record-wise operator, its ``kernel`` run over a partition or a
+    block; alone, it is a chain of one (:meth:`run_chain`)."""
+
+    def chain_link(self):
+        logical = self.logical
+        return None if (logical.batch_udf is not None or getattr(
+            logical, "column", None) is not None) else "member"
+
+    def _run(self, inputs, bvals, ctx):
+        return self.run_chain([], inputs[0], ctx, bvals)[-1]
+
+    def run_chain(self, rest: list, channel: Channel, ctx,
+                  bvals: Sequence[Any] = ()) -> list[Channel]:
+        """Run ``self``, the narrow operators of ``rest`` and the
+        ``DFReduceBy`` that may end them as one pass per partition: whole
+        alone, else :data:`BLOCK` records at a time into the partition's
+        one fold accumulator or output list.  Then each member charges
+        its count, in plan order.  Returns each one's output channel;
+        only the last has a payload."""
+        members = [self, *rest]
+        fold = members.pop() if isinstance(members[-1], DFReduceBy) else None
+        if fold is not None:
+            key, reducer = bind(fold.logical.key), bind(fold.logical.reducer)
+        counts = [0] * len(members)
+        parts = []
+        for part in self._parts(channel):
+            out: Any = [] if fold is None else {}
+            for block in _blocks(part) if rest else (part,):
+                for j, member in enumerate(members):
+                    block = member.kernel(block, bvals)
+                    counts[j] += len(block)
+                if fold is not None:
+                    fold_into(out, key, reducer, block)
+                elif rest:
+                    out += block
+                else:
+                    out = block
+            parts.append(out if fold is None else list(out.values()))
+        outputs = [channel]
+        for member, count in zip(members, counts):
+            outputs.append(member._emit(
+                outputs[-1], None, ctx, outputs[-1].sim_cardinality,
+                bytes_per_record=getattr(member.logical, "bytes_per_record",
+                                         None), count=count))
+        if fold is None:
+            outputs[-1].payload = self.engine.payload(parts)
+        else:
+            outputs.append(fold._run(outputs[-1:], (), ctx, parts))
+        return outputs[1:]
+
+
+class DFMap(DFNarrow):
     op_kind = "map"
 
-    def _run(self, inputs, bvals, ctx):
-        parts = [run_map(self.logical, p, bvals) for p in self._parts(inputs[0])]
-        return self._emit(inputs[0], parts, ctx, _cin(inputs),
-                          bytes_per_record=self.logical.bytes_per_record)
+    def kernel(self, payload, bvals):
+        return run_map(self.logical, payload, bvals)
 
 
-class DFFlatMap(DataflowOperator):
+class DFFlatMap(DFNarrow):
     op_kind = "flatmap"
 
-    def _run(self, inputs, bvals, ctx):
-        parts = [run_flat_map(self.logical, p, bvals)
-                 for p in self._parts(inputs[0])]
-        return self._emit(inputs[0], parts, ctx, _cin(inputs),
-                          bytes_per_record=self.logical.bytes_per_record)
+    def kernel(self, payload, bvals):
+        return run_flat_map(self.logical, payload, bvals)
 
 
 class DFMapPartitions(DataflowOperator):
@@ -340,13 +398,11 @@ class DFZipWithId(DataflowOperator):
         return self._emit(inputs[0], parts, ctx, _cin(inputs))
 
 
-class DFFilter(DataflowOperator):
+class DFFilter(DFNarrow):
     op_kind = "filter"
 
-    def _run(self, inputs, bvals, ctx):
-        parts = [run_filter(self.logical, p, bvals)
-                 for p in self._parts(inputs[0])]
-        return self._emit(inputs[0], parts, ctx, _cin(inputs))
+    def kernel(self, payload, bvals):
+        return run_filter(self.logical, payload, bvals)
 
 
 class DFSample(DataflowOperator):
@@ -470,9 +526,13 @@ class DFReduceBy(DataflowOperator):
         partial = min(cins[0], cout * profile.parallelism)
         return partial * bytes_in / 1e6
 
-    def _run(self, inputs, bvals, ctx):
+    def chain_link(self):
+        return "fold" if self.logical.batch_impl is None else None
+
+    def _run(self, inputs, bvals, ctx, combined=None):
         logical = self.logical
-        combined = [run_reduce(logical, p) for p in self._parts(inputs[0])]
+        if combined is None:  # else a chain folded the partitions
+            combined = [run_reduce(logical, p) for p in self._parts(inputs[0])]
         # Only the locally combined partial aggregates cross the network.
         partial_mb = (sum(map(len, combined)) * inputs[0].sim_factor
                       * inputs[0].bytes_per_record / 1e6)

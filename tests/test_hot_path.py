@@ -14,6 +14,7 @@ it under two ``PYTHONHASHSEED`` values.
 
 import builtins
 import dis
+import gc
 import json
 import os
 import random
@@ -31,6 +32,7 @@ from test_enumeration_golden import _crocopr, _q5, _sgd, _wordcount
 
 from repro import RheemContext
 from repro.analysis.diagnostics import LintReport
+from repro.apps import ML4all, sgd_hinge
 from repro.analysis.udfs import (
     UdfReport,
     _resolves_nondeterministic,
@@ -51,6 +53,8 @@ from repro.core.mappings import (
 from repro.core.optimizer import PlanAnalysisError
 from repro.core.plan import RheemPlan
 from repro.platforms.base import ExecutionOperator
+from repro.workloads import write_points
+from repro.workloads.text import zipf_lines
 
 
 # ------------------------------------------------------- (i) count guards
@@ -216,6 +220,64 @@ class TestCountGuards:
         # The body's maps and the job's source and sink, each once.
         assert len(fractions) >= 3
         assert set(fractions.values()) == {1}
+
+    def test_chains_are_found_once_per_prepared_stage(self, monkeypatch):
+        ctx = RheemContext()
+        spec = write_points(ctx, "hdfs://hot/points.csv", "higgs")
+        quanta = ML4all(ctx).training_quanta(
+            "hdfs://hot/points.csv", sgd_hinge(spec.dimensions),
+            iterations=30, sample_size=10)
+        plan, estimates = ctx.optimize(quanta.to_plan())
+        prepared, scans = [], []
+        prepare, chains = Executor._prepare, Executor._chains
+
+        def preparing(executor, *args):
+            stages = prepare(executor, *args)
+            prepared.append(len(stages))
+            return stages
+
+        def scanning(tasks, ends):
+            scans.append(len(tasks))
+            return chains(tasks, ends)
+
+        monkeypatch.setattr(Executor, "_prepare", preparing)
+        monkeypatch.setattr(Executor, "_chains", staticmethod(scanning))
+        result = ctx.executor().execute(plan, estimates)
+        assert len(result.tracker.records) > 60
+        # The job's plan and its loop body, each once; one scan per stage.
+        assert len(prepared) == 2
+        assert len(scans) == sum(prepared)
+
+    def test_a_chained_wordcount_collects_little_garbage(self):
+        """Blocks, not full lists per operator: 60k lines through
+        flat_map -> map -> reduce_by_key make ~24 collections, and ~790
+        when every operator builds its output."""
+        ctx = RheemContext(config={"result_reuse": False})
+        ctx.vfs.write("hdfs://hot/lines.txt", zipf_lines(60_000))
+        pin = lambda dq: dq.with_target_platform("flinklite")  # noqa: E731
+
+        def job():
+            return pin(pin(pin(ctx.read_text_file("hdfs://hot/lines.txt"))
+                           .flat_map(str.split)).map(lambda w: (w, 1))
+                       ).reduce_by_key(lambda t: t[0],
+                                       lambda a, b: (a[0], a[1] + b[1]))
+
+        flink = {"flinklite"}
+        job().execute(allowed_platforms=flink)  # warms the plan cache
+        collections = []
+
+        def counting(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        assert gc.isenabled()
+        gc.callbacks.append(counting)
+        try:
+            result = job().execute(allowed_platforms=flink)
+        finally:
+            gc.callbacks.remove(counting)
+        assert result.platforms == flink and len(result.output) == 500
+        assert len(collections) <= 100
 
     def test_a_failed_estimate_still_raises_from_pick_best(self, ctx):
         class Boom(ops.Map):

@@ -6,7 +6,9 @@ engines through the public API, and its plan with columnar declarations
 (and record batches for input) agrees with the same plan stripped of
 them; (iii) a raising UDF — ``StopIteration`` included — fails the job,
 never shortens it; (iv) no engine enters ``Udf.__call__`` per record;
-(v) UDFs are bound per execution, not per operator instance.
+(v) UDFs are bound per execution, not per operator instance; (vi) a chain
+of narrow operators charges and observes what its operators charge and
+observe one by one, and nothing downstream reads a chained intermediate.
 
 Shuffle placement follows ``hash()``: CI runs this module under
 ``PYTHONHASHSEED`` 0 and 1, so nothing here may depend on it.
@@ -23,9 +25,19 @@ from hypothesis import given, strategies as st
 
 from repro import RheemContext
 from repro.core import kernels
+from repro.core import operators as ops
 from repro.core.batch import RecordBatch, fold_by_key_columns
+from repro.core.execution import ExecutionContext
+from repro.core.executor import Sniffer
+from repro.core.monitor import OperatorObservation
+from repro.core.progressive import PausedJob
 from repro.core.udf import Udf
+from repro.platforms import builtin_platforms
+from repro.platforms.dataflow import DFNarrow
+from repro.simulation.clock import CostMeter
 from conftest import stripped
+from test_extensibility import TOYFLOW
+from test_progressive import _lookup_join_plan
 
 # ------------------------------------------------------------ (i) kernels
 ints = st.integers(-4, 4)
@@ -346,13 +358,17 @@ ROLES = {
         src(c, pin, OTHER), f, lambda t: t[0])),
     "join_right_key": lambda c, pin, f: pin(src(c, pin, OTHER).join(
         src(c, pin, PAIRS), lambda t: t[0], f)),
+    # The middle map of a flat_map -> map -> reduce_by_key chain.
+    "chained_map": lambda c, pin, f: pin(pin(pin(
+        src(c, pin, PAIRS).flat_map(lambda t: [t, t])).map(f))
+        .reduce_by_key(lambda v: v, lambda a, b: a)),
 }
 
 
 @pytest.mark.parametrize("exc_type", [ValueError, StopIteration])
 @pytest.mark.parametrize("role", sorted(ROLES))
 def test_raising_udf_fails_the_job(role, exc_type):
-    engines = ENGINES[:2] if role == "flat_map" else ENGINES
+    engines = ENGINES[:2] if role in ("flat_map", "chained_map") else ENGINES
     for engine in engines:
         for declared in (False, True):
             quanta = ROLES[role](
@@ -418,3 +434,194 @@ def test_cached_plan_binds_each_runs_own_broadcast(engine):
     # The second run replayed the first one's execution plan — the same
     # operator instances — and still saw its own broadcast value.
     assert ctx.plan_cache.stats["hits"] == 1
+
+
+# ------------------------------------------------------------- (vi) chains
+#: Every engine whose narrow operators are the shared dataflow ones.
+CHAIN_ENGINES = ("pystreams", "sparklite", "flinklite", "toyflow")
+
+#: name -> (plan builder, the longest chain it runs, stripped or declared):
+#: the declared source's columnar map ends a chain, its stripped twin
+#: joins one.
+CHAINS = {
+    "fold": (lambda c, pin: pin(pin(pin(pin(src(c, pin, PAIRS * 5)
+        .flat_map(lambda t: [t, (t[0] + 1, t[1])]))
+        .filter(lambda t: t[0] % 3))
+        .map(lambda t: (t[1], t[0])))
+        .reduce_by_key(lambda t: t[0], lambda a, b: (a[0], a[1] + b[1]))),
+        (5, 4)),
+    "no_fold": (lambda c, pin: pin(pin(src(c, pin, PAIRS * 5)
+        .map(lambda t: t[0] + 1)).map(lambda v: v * 2)), (3, 2)),
+}
+
+
+def _chain_context():
+    return RheemContext(platforms=builtin_platforms() + [TOYFLOW])
+
+
+@pytest.fixture
+def chained(monkeypatch) -> list:
+    """How many operators follow the first of each chain run."""
+    seen = []
+    run_chain = DFNarrow.run_chain
+
+    def counting(self, rest, *args, **kwargs):
+        seen.append(len(rest))
+        return run_chain(self, rest, *args, **kwargs)
+
+    monkeypatch.setattr(DFNarrow, "run_chain", counting)
+    return seen
+
+
+def one_by_one(ctx, plan):
+    """Each execution operator's ``execute`` in turn on one context: the
+    outputs, meter events and observations of operators that never
+    chain."""
+    ectx = ExecutionContext(ctx.cluster, CostMeter(), ctx.pgres)
+    outs, observations = {}, []
+    for task in plan.tasks:
+        inputs = [ti.conversion.apply(outs[ti.producer.id], ectx)
+                  if ti.conversion.steps else outs[ti.producer.id]
+                  for ti in task.inputs]
+        op = task.operator
+        out = op.execute(inputs, [], ectx)
+        observations.append(OperatorObservation(
+            op.platform, op.observed_op_kind(inputs, ectx), op.work(),
+            sum([ch.sim_cardinality for ch in inputs]), out.sim_cardinality,
+            op.logical.id, op.logical.name))
+        outs[task.id] = out
+    return ([outs[t.id].payload for t in plan.sink_tasks], ectx.meter.events,
+            observations)
+
+
+@pytest.mark.parametrize("declared", [False, True])
+@pytest.mark.parametrize("engine", CHAIN_ENGINES)
+@pytest.mark.parametrize("name", sorted(CHAINS))
+def test_a_chain_charges_what_its_operators_charge(name, engine, declared,
+                                                   chained):
+    build, lengths = CHAINS[name]
+    ctx = _chain_context()
+    quanta = build(ctx, lambda dq: dq.with_target_platform(engine))
+    plan, estimates = ctx.optimize(
+        (quanta if declared else stripped(quanta)).to_plan(),
+        allowed_platforms={engine})
+    result = ctx.executor().execute(plan, estimates)
+    assert max(chained) == lengths[declared] - 1, "a chain did not form"
+    outputs, events, observations = one_by_one(ctx, plan)
+
+    assert result.outputs == outputs
+    (record,) = result.tracker.records
+    overhead = [e for e in record.meter.events
+                if e.label in (f"{engine}.startup", f"{engine}.dispatch")]
+    assert record.meter.events == overhead + events
+    assert record.operators == observations
+    replay = CostMeter()
+    for event in overhead + events:
+        replay.charge(event.seconds, event.label, event.category)
+    assert result.runtime == replay.total
+
+
+def _wordcount_chain(ctx, engine):
+    """flat_map -> map -> filter -> reduce_by_key, pinned, and its
+    operators."""
+    pin = lambda dq: dq.with_target_platform(engine)  # noqa: E731
+    words = pin(ctx.load_collection([f"w{i % 7} w{i % 3}" for i in range(200)])
+                .flat_map(str.split))
+    pairs = pin(words.map(lambda w: (w, 1)))
+    kept = pin(pairs.filter(lambda t: t[0] != "w0"))
+    counts = pin(kept.reduce_by_key(lambda t: t[0],
+                                    lambda a, b: (a[0], a[1] + b[1])))
+    return counts, words.op, pairs.op, kept.op
+
+
+def _records(payload):
+    """A collection's records; a partitioned dataset's, concatenated."""
+    return payload if isinstance(payload, list) else payload.to_list()
+
+
+@pytest.mark.parametrize("engine", CHAIN_ENGINES)
+def test_a_sniffed_middle_operator_ends_the_chain(engine, chained):
+    ctx = _chain_context()
+    counts, __, pairs, __ = _wordcount_chain(ctx, engine)
+    plain = counts.execute(allowed_platforms={engine})
+    assert max(chained) == 3
+    del chained[:]
+    tapped = []
+    sniffed = counts.execute(allowed_platforms={engine},
+                             sniffers=[Sniffer(pairs.id, tapped.append)])
+    assert chained == [1, 1], "the chain did not end at the sniffer"
+    assert sorted(sniffed.output) == sorted(plain.output)
+    (payload,) = tapped
+    records = _records(payload)
+    assert sorted(set(records)) == [(f"w{i}", 1) for i in range(7)]
+    assert len(records) == 400
+
+
+@pytest.mark.parametrize("engine", CHAIN_ENGINES)
+def test_a_paused_job_inspects_a_middle_operators_payload(engine, chained):
+    ctx = _chain_context()
+    counts, words, pairs, __ = _wordcount_chain(ctx, engine)
+    paused = ctx.execute_paused(counts.to_plan(), break_after={pairs.id},
+                                allowed_platforms={engine})
+    assert chained == [1], "flat_map -> map did not chain"
+    assert len(_records(paused.inspect(pairs.id))) == 400
+    # The chain before the break is never materialized.
+    assert words.id not in paused.completed
+    assert all(channel.payload is not None
+               for channel in paused.materialized.values())
+    resumed = ctx.resume(paused, allowed_platforms={engine})
+    assert sorted(resumed.output) == sorted(
+        counts.execute(allowed_platforms={engine}).output)
+
+
+@pytest.mark.parametrize("engine", CHAIN_ENGINES)
+def test_an_output_read_twice_ends_the_chain(engine, chained):
+    ctx = _chain_context()
+    pin = lambda dq: dq.with_target_platform(engine)  # noqa: E731
+    base = pin(pin(ctx.load_collection(list(range(10)))
+                   .map(lambda x: x + 1)).map(lambda x: x * 10))
+    twice = pin(pin(base.map(lambda x: x + 2))
+                .union(pin(base.filter(lambda x: x > 50))))
+    result = twice.execute(allowed_platforms={engine})
+    assert sorted(result.output) == sorted(
+        [x * 10 + 12 for x in range(10)] + [60, 70, 80, 90, 100])
+    assert sorted(chained) == [0, 0, 1]
+
+
+def test_an_output_offered_to_the_store_ends_the_chain(monkeypatch,
+                                                      chained):
+    ctx = _chain_context()
+    counts, words, __, __ = _wordcount_chain(ctx, "pystreams")
+    plan, estimates = ctx.optimize(counts.to_plan(),
+                                   allowed_platforms={"pystreams"})
+    plan.reuse_keys = {words.id: ("words",)}
+    offered = []
+    monkeypatch.setattr(ctx.result_store, "offer",
+                        lambda key, channel, recompute_s:
+                        offered.append((key, len(channel.payload))))
+    ctx.executor().execute(plan, estimates, publish_results=True)
+    assert offered == [(("words",), 400)]
+    assert chained == [0, 2]
+
+
+def test_a_replan_after_a_chained_stage_resumes_from_payloads(monkeypatch,
+                                                              chained):
+    probes = []
+    reuse = PausedJob.reuse
+
+    def watching(job):
+        probe = reuse(job)
+        probes.append((max(chained, default=0), probe.roots))
+        return probe
+
+    monkeypatch.setattr(PausedJob, "reuse", watching)
+    ctx = RheemContext()
+    report = ctx.execute_progressive(_lookup_join_plan(ctx, 0.0001))
+    assert report.replans >= 1
+    # The first round ran a chain before its checkpoint paused it.
+    assert probes[1][0] >= 1
+    roots = [channel for __, found in probes for channel in found.values()]
+    assert roots and all(channel.payload is not None for channel in roots)
+    plain = RheemContext()
+    assert sorted(report.result.output) == sorted(
+        plain.execute(_lookup_join_plan(plain, 0.0001)).output)
