@@ -34,6 +34,15 @@ def geometric_mean(lower: float, upper: float) -> float:
     return math.sqrt(lower * upper)
 
 
+def fixed_seconds(seconds: float) -> float:
+    """One fixed cost term as a plain float, checked as
+    :meth:`CostEstimate.fixed` checks it: a negative term raises
+    ``ValueError``."""
+    if seconds < 0:
+        raise ValueError(f"invalid cost interval [{seconds}, {seconds}]")
+    return seconds
+
+
 @dataclass(frozen=True)
 class CostEstimate:
     """Simulated-seconds interval with a confidence."""

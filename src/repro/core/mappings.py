@@ -15,7 +15,7 @@ from typing import Callable, Sequence, TYPE_CHECKING
 
 from .cardinality import CardinalityEstimate
 from .channels import ChannelDescriptor
-from .cost import CostEstimate, CostModel
+from .cost import CostEstimate, CostModel, fixed_seconds
 from .operators import Operator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -63,33 +63,41 @@ class ExecutionAlternative:
 
     def cost(self, model: CostModel, cins: Sequence[CardinalityEstimate],
              cout: CardinalityEstimate, bytes_in: float = 100.0,
-             bytes_out: float = 100.0) -> CostEstimate:
-        """Cost of the chain; intermediate cardinalities approximate the
-        logical output cardinality."""
-        total = CostEstimate.zero()
+             bytes_out: float = 100.0, weight: float = 1.0) -> CostEstimate:
+        """Cost of the chain, times ``weight``; intermediate cardinalities
+        approximate the logical output cardinality.  Each operator adds its
+        own interval, shuffle and overhead terms as floats, in that order
+        (bit-for-bit a chain of ``CostEstimate.plus``)."""
+        lower = upper = 0.0
+        confidence = 1.0
         profile = model.cluster.profile(self.platform)
         for i, op in enumerate(self.ops):
             op_cins = list(cins) if i == 0 else [cout]
             if not op_cins:
                 op_cins = [cout]  # sources: reading cost tracks their output
-            override = op.cost_estimate(model, op_cins, cout)
-            if override is not None:
-                total = total.plus(override)
-            else:
+            own = op.cost_estimate(model, op_cins, cout)
+            if own is None:
                 cin = op_cins[0]
                 for extra in op_cins[1:]:
                     cin = cin.plus(extra)
-                total = total.plus(model.operator_cost(
-                    self.platform, op.op_kind, cin, cout, op.work()))
+                own = model.operator_cost(self.platform, op.op_kind, cin,
+                                          cout, op.work())
+            lower += own.lower
+            upper += own.upper
+            confidence = min(confidence, own.confidence)
             shuffle_mb = op.shuffled_mb(
                 profile, [c.geometric_mean for c in op_cins],
                 cout.geometric_mean, bytes_in if i == 0 else bytes_out,
                 bytes_out)
             if shuffle_mb:
-                total = total.plus(CostEstimate.fixed(
-                    shuffle_mb * profile.shuffle_cost_s_per_mb))
-            total = total.plus(CostEstimate.fixed(op.overhead_seconds(profile)))
-        return total
+                shuffle_s = fixed_seconds(
+                    shuffle_mb * profile.shuffle_cost_s_per_mb)
+                lower += shuffle_s
+                upper += shuffle_s
+            overhead = fixed_seconds(op.overhead_seconds(profile))
+            lower += overhead
+            upper += overhead
+        return CostEstimate(lower * weight, upper * weight, confidence)
 
     def __repr__(self) -> str:
         return f"Alt({'+'.join(op.name for op in self.ops)})"

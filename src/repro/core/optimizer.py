@@ -26,10 +26,11 @@ at ``iterations x body cost`` plus per-iteration feedback conversion.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from ..platforms.base import ExecutionOperator
 from ..trace import NO_TRACER, MetricsRegistry
@@ -41,7 +42,7 @@ from .channels import (
     ConversionPath,
     volume_band,
 )
-from .cost import CostEstimate, CostModel, geometric_mean
+from .cost import CostEstimate, CostModel, fixed_seconds, geometric_mean
 from .execution import (
     DRIVER_PLATFORM,
     ExecutionPlan,
@@ -712,16 +713,15 @@ class Optimizer:
         """One DP step: every frontier plan x every option of ``op``.
 
         What depends on the option alone is prepared once
-        (:meth:`_prepare`), and a conversion once per (channel pair,
-        producer) of the enumeration (``paths``).  Each plan then wires
-        every option to its open channels (:meth:`_wire`); a candidate
-        costs float additions in a fixed operand order (conversions by
-        slot — 0.0 where none is needed — broadcast conversions, operator,
+        (:meth:`_prepare`), the open signature a plan keeps past
+        ``to_close`` once per plan, and a conversion once per (channel
+        pair, producer) of the enumeration (``paths``).  A candidate is
+        then plain floats, added in a fixed operand order (the plan's
+        bounds, conversions by slot, broadcast conversions, operator,
         stage dispatch; never pre-summed, so totals are bit-for-bit those
-        of chained ``CostEstimate.plus``), its open channels
-        (:meth:`_open`) and the comparison with its open signature's
-        survivors (:meth:`_admit`); only survivors become a validated
-        ``CostEstimate`` and a ``PartialPlan``.
+        of chained ``CostEstimate.plus``), compared with its open
+        signature's survivors (:meth:`_admit`); only the step's survivors
+        become a validated ``CostEstimate`` and a ``PartialPlan``.
         """
         prepared = [p for p in (self._prepare(op, option, cards, bprs)
                                 for option in options) if p is not None]
@@ -730,47 +730,74 @@ class Optimizer:
         edges = [(slot, ref.op.id) for slot, ref in enumerate(op.inputs)]
         edges += [(-(slot + 1), ref.op.id)
                   for slot, ref in enumerate(op.side_inputs)]
-        # open signature -> its survivors, first seen first
-        groups: dict[tuple, list[PartialPlan]] = {}
+        # open signature -> its survivors' entries, first seen first:
+        # (lower, upper, platforms, plan, prep, conversions added)
+        groups: dict[tuple, list[tuple]] = {}
         enumerated = wirings = 0
         for partial in frontier:
-            base = partial.cost
+            base, have = partial.cost, partial.platforms
             haves = [(slot, producer, partial.open_channels.get(producer))
                      for slot, producer in edges]
-            for prep, added, terms, tried, new_stage in self._wire(
-                    op_id, prepared, haves, paths, cards, bprs):
-                wirings += tried
-                if terms is None:
-                    continue
-                lower, upper = base.lower, base.upper
-                for term in terms:  # 0.0 where a slot needs no conversion
-                    lower += term
-                    upper += term
-                lower += prep.lower
-                upper += prep.upper
-                if new_stage:
-                    lower += prep.overhead
-                    upper += prep.overhead
-                enumerated += 1
-                channels, open_sig = self._open(
-                    partial.open_channels, to_close, keep_open, op_id,
-                    prep.out_desc)
-                platforms = self._touch(touch, partial.platforms,
-                                        prep.platforms)[0]
-                group = groups.setdefault(open_sig, [])
-                if prune and not self._admit(group, platforms, lower, upper,
-                                             touch, across):
-                    continue
-                group.append(PartialPlan(
-                    cost=CostEstimate(lower, upper,
-                                      min(base.confidence, prep.confidence)),
-                    decisions={**partial.decisions, op_id: prep.option},
-                    conversions=({**partial.conversions, **added} if added
-                                 else partial.conversions),
-                    open_channels=channels, platforms=platforms,
-                    open_sig=open_sig))
+            sig = tuple(entry for entry in partial.open_sig
+                        if entry[0] not in to_close)
+            cut = bisect.bisect(sig, (op_id,))  # where ``op``'s entry goes
+            head, tail = sig[:cut], sig[cut:]
+            row = touch.setdefault(have, {})
+            for prep in prepared:
+                # Stage dispatch: a new stage starts when no data input
+                # arrives from the same platform (the executor's stage cut).
+                new_stage = prep.platform is not None
+                lower, upper, added = base.lower, base.upper, {}
+                for (slot, producer, chan), want in zip(haves, prep.wants):
+                    if chan is None:
+                        break  # producer out of scope: unwired
+                    if slot >= 0 and chan.platform == prep.platform:
+                        new_stage = False
+                    if chan.name == want.name:
+                        continue
+                    wirings += 1
+                    try:
+                        path = paths[chan.name, want.name, producer]
+                    except KeyError:
+                        path = self._path(paths, chan, want, producer, cards,
+                                          bprs)
+                    if path is None:
+                        break  # unreachable channel
+                    added[producer, op_id, slot] = path
+                    lower += path.cost
+                    upper += path.cost
+                else:  # every slot wired
+                    lower += prep.lower
+                    upper += prep.upper
+                    if new_stage:
+                        lower += prep.overhead
+                        upper += prep.overhead
+                    enumerated += 1
+                    platforms = (row.get(prep.platforms) or self._touch(
+                        touch, have, prep.platforms))[0]
+                    open_sig = (head + ((op_id, prep.out_desc.name),) + tail
+                                if keep_open else sig)
+                    group = groups.setdefault(open_sig, [])
+                    if not prune or self._admit(group, platforms, lower,
+                                                upper, touch, across):
+                        group.append((lower, upper, platforms, partial, prep,
+                                      added))
         self.stats["conversion_paths_solved"] += wirings
-        return self._survivors(groups, enumerated)
+
+        def build(sig, lower, upper, platforms, partial, prep, added):
+            channels = partial.open_channels
+            if to_close or keep_open:
+                channels = {i: desc for i, desc in channels.items()
+                            if i not in to_close}
+                if keep_open:
+                    channels[op_id] = prep.out_desc
+            return PartialPlan(
+                CostEstimate(lower, upper,
+                             min(partial.cost.confidence, prep.confidence)),
+                {**partial.decisions, op_id: prep.option},
+                {**partial.conversions, **added} if added
+                else partial.conversions, channels, platforms, sig)
+        return self._survivors(groups, enumerated, build)
 
     def _join(self, left: list[PartialPlan], right: list[PartialPlan],
               touch: dict[frozenset[str], dict[frozenset[str], tuple]],
@@ -779,40 +806,43 @@ class Optimizer:
         pruned like a step.  A joined plan adds the two intervals and holds
         both halves' decisions, conversions, open channels and platforms;
         the halves cover disjoint operators, so no entry is overwritten."""
-        groups: dict[tuple, list[PartialPlan]] = {}
-        # (left open signature, right open signature) -> (channels, theirs)
-        opens: dict[tuple, tuple[dict, tuple]] = {}
+        groups: dict[tuple, list[tuple]] = {}
+        sigs: dict[tuple, tuple] = {}  # (left, right signature) -> joined
         for mine in left:
-            mine_sig, mine_cost = mine.open_sig, mine.cost
+            mine_sig, mine_cost, have = (mine.open_sig, mine.cost,
+                                         mine.platforms)
+            row = touch.setdefault(have, {})
             for theirs in right:
-                theirs_sig, theirs_cost = theirs.open_sig, theirs.cost
-                opened = opens.get((mine_sig, theirs_sig))
-                if opened is None:
-                    opened = opens[mine_sig, theirs_sig] = (
-                        {**mine.open_channels, **theirs.open_channels},
-                        tuple(sorted(mine_sig + theirs_sig)))
-                lower = mine_cost.lower + theirs_cost.lower
-                upper = mine_cost.upper + theirs_cost.upper
-                platforms = self._touch(touch, mine.platforms,
-                                        theirs.platforms)[0]
-                group = groups.setdefault(opened[1], [])
-                if self.prune and not self._admit(group, platforms, lower,
-                                                  upper, touch, across):
-                    continue
-                group.append(PartialPlan(
-                    cost=CostEstimate(lower, upper, min(
-                        mine_cost.confidence, theirs_cost.confidence)),
-                    decisions={**mine.decisions, **theirs.decisions},
-                    conversions={**mine.conversions, **theirs.conversions},
-                    open_channels=opened[0], platforms=platforms,
-                    open_sig=opened[1]))
-        return self._survivors(groups, len(left) * len(right))
+                key = mine_sig, theirs.open_sig
+                sig = sigs.get(key)
+                if sig is None:
+                    sig = sigs[key] = tuple(sorted(key[0] + key[1]))
+                lower = mine_cost.lower + theirs.cost.lower
+                upper = mine_cost.upper + theirs.cost.upper
+                platforms = (row.get(theirs.platforms) or self._touch(
+                    touch, have, theirs.platforms))[0]
+                group = groups.setdefault(sig, [])
+                if not self.prune or self._admit(group, platforms, lower,
+                                                 upper, touch, across):
+                    group.append((lower, upper, platforms, mine, theirs))
 
-    def _survivors(self, groups: dict[tuple, list[PartialPlan]],
-                   enumerated: int) -> list[PartialPlan]:
-        """The frontier of one step or join, counted: every candidate not
-        in it was pruned, on arrival or by a later one."""
-        frontier = [plan for group in groups.values() for plan in group]
+        def build(sig, lower, upper, platforms, mine, theirs):
+            return PartialPlan(
+                CostEstimate(lower, upper, min(mine.cost.confidence,
+                                               theirs.cost.confidence)),
+                {**mine.decisions, **theirs.decisions},
+                {**mine.conversions, **theirs.conversions},
+                {**mine.open_channels, **theirs.open_channels}, platforms,
+                sig)
+        return self._survivors(groups, len(left) * len(right), build)
+
+    def _survivors(self, groups: dict[tuple, list[tuple]], enumerated: int,
+                   build: Callable[..., PartialPlan]) -> list[PartialPlan]:
+        """The frontier of one step or join, counted and built from each
+        surviving entry: every candidate not in it was pruned, on arrival
+        or by a later one."""
+        frontier = [build(sig, *entry)
+                    for sig, group in groups.items() for entry in group]
         self.last_enumeration_size += len(frontier)
         self.stats["plans_enumerated"] += enumerated
         self.stats["plans_pruned"] += enumerated - len(frontier)
@@ -820,26 +850,26 @@ class Optimizer:
 
     def _touch(self, touch: dict, have: frozenset[str],
                add: frozenset[str]) -> tuple:
-        """``(have | add, S)``, memoized in ``touch``: ``S`` is what the
+        """``(have | add, S)``, made on a miss of ``touch[have][add]``,
+        where callers look it up first, and kept there: ``S`` is what the
         start-ups of ``add - have`` weigh (:meth:`_startups`)."""
-        row = touch.setdefault(have, {})
-        hit = row.get(add)
-        if hit is None:
-            hit = row[add] = (have | add, self._startups(add - have))
+        hit = touch.setdefault(have, {})[add] = (have | add,
+                                                 self._startups(add - have))
         return hit
 
     def _startups(self, platforms: frozenset[str]) -> float:
         """The objective-weighted start-ups of ``platforms``, summed in name
         order (a sum must not depend on set order)."""
-        return math.fsum(CostEstimate.fixed(
+        return math.fsum(fixed_seconds(
             self.cost_model.cluster.profile(p).startup_s
-            * self.objective.weight(p)).lower for p in sorted(platforms))
+            * self.objective.weight(p)) for p in sorted(platforms))
 
-    def _admit(self, group: list[PartialPlan], platforms: frozenset[str],
+    def _admit(self, group: list[tuple], platforms: frozenset[str],
                lower: float, upper: float, touch: dict,
                across: bool) -> bool:
-        """The pruning rule: whether a candidate survives the plans of its
-        open signature, ``group``, from which it removes those it beats.
+        """The pruning rule: whether a candidate survives the entries of its
+        open signature, ``group`` — each ``(lower, upper, platforms, ...)``
+        — from which it removes those it beats.
 
         Plan A beats plan B when A, plus the start-ups ``S`` of the
         platforms only A touches, is <= B on both bounds: any completion
@@ -854,90 +884,31 @@ class Optimizer:
         the midpoint.  ``S`` enters a complete plan's float sum elsewhere
         than here, so a nonzero margin pads by 2**-30: a tie across a
         start-up keeps both plans."""
-        def padded(low: float, high: float, margin: float) -> tuple:
-            if not margin:
-                return low, high
-            pad = 1 + 2 ** -30
-            return (low + margin) * pad, (high + margin) * pad
-
-        beaten = []
-        for i, plan in enumerate(group):
-            theirs = plan.platforms
-            if theirs == platforms:
-                it_owes = i_owe = 0.0
-            elif not across:
-                continue
-            else:
-                it_owes = self._touch(touch, platforms, theirs)[1]
-                i_owe = self._touch(touch, theirs, platforms)[1]
-            low, high = plan.cost.lower, plan.cost.upper
-            their_low, their_high = padded(low, high, it_owes)
+        beaten, pad = [], 1 + 2 ** -30
+        owing = touch.setdefault(platforms, {})
+        for i, entry in enumerate(group):
+            low, high, theirs = entry[0], entry[1], entry[2]
+            their_low, their_high, my_low, my_high = low, high, lower, upper
+            if theirs != platforms:
+                if not across:
+                    continue
+                it_owes = (owing.get(theirs) or self._touch(
+                    touch, platforms, theirs))[1]
+                if it_owes:
+                    their_low = (low + it_owes) * pad
+                    their_high = (high + it_owes) * pad
+                i_owe = (touch.setdefault(theirs, {}).get(platforms)
+                         or self._touch(touch, theirs, platforms))[1]
+                if i_owe:
+                    my_low = (lower + i_owe) * pad
+                    my_high = (upper + i_owe) * pad
             if low > 0 and their_low <= lower and their_high <= upper:
                 return False
-            my_low, my_high = padded(lower, upper, i_owe)
             if lower > 0 and my_low < low and my_high < high:
                 beaten.append(i)
         for i in reversed(beaten):
             del group[i]
         return True
-
-    def _wire(self, op_id: int, prepared: list[_Prepared], haves: list,
-              paths: PathTable, cards: dict[int, CardinalityEstimate],
-              bprs: dict[int, float]) -> Iterator[tuple]:
-        """Every option wired to ``haves``: ``(slot, producer, channel)``
-        per data input, then per side input; a ``None`` channel (producer
-        out of scope) leaves every option unwired.
-
-        Yields ``(prep, conversions, terms, wirings, new_stage)`` per
-        option: the conversions it adds, ``(producer, consumer, slot) ->
-        path``; per slot its cost term, 0.0 if unconverted (``None``:
-        unwired); the conversions looked up, an unreachable one included;
-        and whether no data input arrives from the option's platform.  A
-        generator: an entry a consumer drops is freed before the next one
-        is walked."""
-        for prep in prepared:
-            # Stage dispatch: a new stage starts when no data input
-            # arrives from the same platform (the executor's stage cut).
-            new_stage = prep.platform is not None
-            conversions: dict[tuple[int, int, int], ConversionPath] = {}
-            tried = 0
-            terms: list[float] | None = []
-            for (slot, producer, have), want in zip(haves, prep.wants):
-                if have is None:
-                    terms = None
-                    break
-                if slot >= 0 and have.platform == prep.platform:
-                    new_stage = False
-                if have.name == want.name:
-                    terms.append(0.0)
-                    continue
-                tried += 1
-                try:
-                    path = paths[have.name, want.name, producer]
-                except KeyError:
-                    path = self._path(paths, have, want, producer, cards,
-                                      bprs)
-                if path is None:
-                    terms = None  # unreachable channel
-                    break
-                conversions[producer, op_id, slot] = path
-                terms.append(path.cost)
-            yield prep, conversions, terms, tried, new_stage
-
-    @staticmethod
-    def _open(open_channels: dict[int, ChannelDescriptor], to_close: set[int],
-              keep_open: bool, op_id: int, out_desc: ChannelDescriptor
-              ) -> tuple[dict, tuple]:
-        """The open channels after ``op_id``, copy-on-write, and their
-        signature half."""
-        channels = open_channels
-        if to_close or keep_open:
-            channels = {i: desc for i, desc in open_channels.items()
-                        if i not in to_close}
-            if keep_open:
-                channels[op_id] = out_desc
-        return channels, tuple(sorted(
-            (i, desc.name) for i, desc in channels.items()))
 
     def _prepare(self, op: Operator, option: Decision,
                  cards: dict[int, CardinalityEstimate],
@@ -946,7 +917,8 @@ class Optimizer:
 
         ``None`` drops the option for every plan (memory-infeasible, or no
         broadcast channel for a side input).  Cost operands are validated
-        here, once, as ``CostEstimate``s.
+        here, once: the option's weighted interval is one ``CostEstimate``,
+        its stage dispatch a checked float.
         """
         if isinstance(option, ChannelSourceDecision):
             return _Prepared(option, (), option.descriptor, frozenset(), None,
@@ -982,11 +954,11 @@ class Optimizer:
                 return None
             weight = self.objective.weight(platform)
             cost = option.cost(self.cost_model, cins, cards[op.id], bytes_in,
-                               bytes_out).times(weight)
-            overhead = CostEstimate.fixed(
+                               bytes_out, weight)
+            overhead = fixed_seconds(
                 profile.stage_overhead_s
                 * max(o.tasks_fraction(profile) for o in option.ops)
-                * weight).lower
+                * weight)
             bcast_desc = option.broadcast_descriptor()
         wants = [in_descs[slot] for slot in range(len(op.inputs))]
         if op.side_inputs:
@@ -1019,7 +991,7 @@ class Optimizer:
                     self.graph.paths_from(have, records, width)
             path = paths[key] = row.get(want.name)
             if path is not None:
-                CostEstimate.fixed(path.cost)  # validates: non-negative
+                fixed_seconds(path.cost)  # validates: non-negative
         return paths[key]
 
     # --------------------------------------------------- plan construction

@@ -9,6 +9,7 @@ record counts to the simulated clock.
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Sequence
 
@@ -31,10 +32,14 @@ def zipf_lines(
     if num_lines < 0:
         raise ValueError("num_lines must be >= 0")
     rng = random.Random(seed)
-    weights = [1.0 / (rank + 1) ** exponent for rank in range(vocabulary)]
+    # Accumulated once: ``weights=`` would redo it for every line, and
+    # ``choices`` draws the same words from either.
+    cum_weights = list(itertools.accumulate(
+        1.0 / (rank + 1) ** exponent for rank in range(vocabulary)))
     words = [f"w{rank}" for rank in range(vocabulary)]
     return [
-        " ".join(rng.choices(words, weights=weights, k=words_per_line))
+        " ".join(rng.choices(words, cum_weights=cum_weights,
+                             k=words_per_line))
         for __ in range(num_lines)
     ]
 

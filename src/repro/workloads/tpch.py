@@ -97,16 +97,19 @@ class TpchLite:
     def orders(self) -> list[dict]:
         """Orders referencing customers, spread over three order years."""
         rng = random.Random(self.seed + 3)
+        customers = self.actual_rows("customer")
         return [{"orderkey": i,
-                 "custkey": rng.randrange(self.actual_rows("customer")),
-                 "orderyear": rng.choice([1993, 1994, 1995])}
+                 "custkey": rng.randrange(customers),
+                 "orderyear": rng.choice((1993, 1994, 1995))}
                 for i in range(self.actual_rows("orders"))]
 
     def lineitem(self) -> list[dict]:
         """Line items referencing orders and suppliers, with prices."""
         rng = random.Random(self.seed + 4)
-        return [{"orderkey": rng.randrange(self.actual_rows("orders")),
-                 "suppkey": rng.randrange(self.actual_rows("supplier")),
+        orders = self.actual_rows("orders")
+        suppliers = self.actual_rows("supplier")
+        return [{"orderkey": rng.randrange(orders),
+                 "suppkey": rng.randrange(suppliers),
                  "extendedprice": round(rng.uniform(1_000.0, 90_000.0), 2),
                  "discount": round(rng.uniform(0.0, 0.1), 2)}
                 for i in range(self.actual_rows("lineitem"))]

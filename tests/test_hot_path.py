@@ -28,7 +28,13 @@ from types import CodeType, FunctionType
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from test_enumeration_golden import _crocopr, _q5, _sgd, _wordcount
+from test_enumeration_golden import (
+    _chain100,
+    _crocopr,
+    _q5,
+    _sgd,
+    _wordcount,
+)
 
 from repro import RheemContext
 from repro.analysis.diagnostics import LintReport
@@ -50,7 +56,7 @@ from repro.core.mappings import (
     NoMappingError,
     OperatorMapping,
 )
-from repro.core.optimizer import PlanAnalysisError
+from repro.core.optimizer import Optimizer, PartialPlan, PlanAnalysisError
 from repro.core.plan import RheemPlan
 from repro.platforms.base import ExecutionOperator
 from repro.workloads import write_points
@@ -278,6 +284,37 @@ class TestCountGuards:
             gc.callbacks.remove(counting)
         assert result.platforms == flink and len(result.output) == 500
         assert len(collections) <= 100
+
+    @pytest.mark.parametrize("build", [_chain100, _sgd])
+    def test_only_step_survivors_become_partial_plans(self, build,
+                                                      monkeypatch):
+        """A candidate is priced as floats: the partial plans built are
+        the ones a step or join keeps, the empty root plans and the one
+        ``pick_best`` returns (chain100 built 906 for 505 kept)."""
+        ctx = RheemContext()
+        plan = build(ctx).to_plan()
+        built, kept = [], []
+        init = PartialPlan.__init__
+
+        def counting(partial, *args, **kwargs):
+            init(partial, *args, **kwargs)
+            built.append(partial)
+
+        monkeypatch.setattr(PartialPlan, "__init__", counting)
+        for name in ("_extend", "_join"):
+            step = getattr(Optimizer, name)
+
+            def spy(self, *args, __step=step):
+                frontier = __step(self, *args)
+                kept.append(len(frontier))
+                return frontier
+            monkeypatch.setattr(Optimizer, name, spy)
+        optimizer = ctx.optimizer()
+        optimizer.pick_best(plan)
+        roots = sum(not partial.decisions for partial in built)
+        assert sum(kept) > 500
+        assert len(built) == sum(kept) + roots + 1
+        assert optimizer.last_enumeration_size == sum(kept) + roots
 
     def test_a_failed_estimate_still_raises_from_pick_best(self, ctx):
         class Boom(ops.Map):

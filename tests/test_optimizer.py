@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import RheemContext
 from repro.core import operators as ops
 from repro.core.cardinality import CardinalityEstimate
 from repro.core.cost import (
@@ -166,23 +167,28 @@ class TestLosslessPruning:
                 .sort()
                 .to_plan())
 
-    def test_pruning_preserves_the_optimum(self, ctx):
+    @pytest.fixture(scope="class")
+    def unpruned(self):
+        """The plan, and the optimizer that enumerated it unpruned with its
+        choice: the slow half of both tests, made once."""
+        ctx = RheemContext()
         plan = self._plan(ctx)
-        pruned_opt = ctx.optimizer()
-        best_pruned, __ = pruned_opt.pick_best(plan)
         full_opt = ctx.optimizer()
         full_opt.prune = False
         best_full, __ = full_opt.pick_best(plan)
+        return ctx, plan, full_opt, best_full
+
+    def test_pruning_preserves_the_optimum(self, unpruned):
+        ctx, plan, __, best_full = unpruned
+        pruned_opt = ctx.optimizer()
+        best_pruned, __ = pruned_opt.pick_best(plan)
         assert (repr(best_pruned.cost.lower), repr(best_pruned.cost.upper)) \
             == (repr(best_full.cost.lower), repr(best_full.cost.upper))
 
-    def test_pruning_shrinks_the_enumeration(self, ctx):
-        plan = self._plan(ctx)
+    def test_pruning_shrinks_the_enumeration(self, unpruned):
+        ctx, plan, full_opt, __ = unpruned
         pruned_opt = ctx.optimizer()
         pruned_opt.pick_best(plan)
-        full_opt = ctx.optimizer()
-        full_opt.prune = False
-        full_opt.pick_best(plan)
         assert pruned_opt.last_enumeration_size < full_opt.last_enumeration_size
 
 

@@ -3,8 +3,9 @@ the log generator's shapes over int and string records, each source behind
 ``map("x")`` declaring ``batch_udf=lambda b: b``, run by :func:`check`
 under every strategy against :func:`interpret` (one loop per operator over
 lists) or, where partitioning decides the output, the cold run.  Each
-merge shape's example set must draw every merge kind, and the intersect
-shape's an intersect whose left input repeats a record the right one holds
+merge shape's example set must draw every merge kind and a narrow operator
+read twice (:func:`narrow_read_twice`), and the intersect shape's an
+intersect whose left input repeats a record the right one holds
 (:func:`tally`).  CI runs it under two hash seeds: shuffles place records
 by ``hash(key) % n``.
 """
@@ -95,13 +96,18 @@ def convert(node, rtype, want):
         expr for expr, made in MAPS[rtype].items() if made == want), node)
 
 
+#: Narrow operators over ints, without a batch kernel: chain links.
+NARROW = (("map", "x // 2"), ("filter", FILTERS["int"]),
+          ("flat_map", FLAT_MAPS["int"][0]))
 #: The pipeline and iterative shapes, and the merge shape by its first merge.
 SHAPES = ("pipeline", "iterative", "join", "union", "intersect", "broadcast")
 
 
 @st.composite
 def plans(draw, shape):
-    """A plan in ``shape``; a merge's branches often share a source."""
+    """A plan in ``shape``; a merge's branch often reads the trunk's
+    source, or a narrow operator over the trunk that the merge reads too:
+    one node object, so one operator read twice."""
     first = draw(source())
     node, rtype = draw(steps(*first, most=4 if shape == "pipeline" else 2))
     if shape == "iterative":
@@ -112,9 +118,14 @@ def plans(draw, shape):
     elif shape != "pipeline":
         for kind in [shape] + draw(st.lists(st.sampled_from(SHAPES[2:]),
                                             max_size=2)):
-            branch = first if draw(st.booleans()) else draw(source())
+            left = convert(node, rtype, "int")
+            shared = draw(st.sampled_from(("narrow", "source", None)))
+            if shared == "narrow":
+                left = (*draw(st.sampled_from(NARROW)), left)
+            branch = {"source": first, "narrow": (left, "int")}.get(
+                shared) or draw(source())
             other = convert(*draw(steps(*branch, most=2)), "int")
-            node = (kind, None, convert(node, rtype, "int"), other)
+            node = (kind, None, left, other)
             rtype = "pair" if kind == "join" else "int"
     node, rtype = draw(steps(node, rtype, most=2))
     tail = draw(st.sampled_from((None, None, "sample", "zip", "group_by")))
@@ -210,14 +221,19 @@ READINGS = {
 }
 
 
-def build(ctx, node):
-    """The plan as a :class:`DataQuanta`."""
-    kind, arg, *children = node
-    if kind == "source":
-        return ctx.load_collection(list(arg[0]), sim_factor=arg[1],
-                                   bytes_per_record=100.0)
-    first, *others = [build(ctx, child) for child in children]
-    return READINGS[kind][0](first, arg, *others)
+def build(ctx, node, built=None):
+    """The plan as a :class:`DataQuanta`: a node object reached twice is
+    built once, into one operator read twice."""
+    built = {} if built is None else built
+    if id(node) not in built:
+        kind, arg, *children = node
+        if kind == "source":
+            built[id(node)] = ctx.load_collection(
+                list(arg[0]), sim_factor=arg[1], bytes_per_record=100.0)
+        else:
+            first, *others = [build(ctx, child, built) for child in children]
+            built[id(node)] = READINGS[kind][0](first, arg, *others)
+    return built[id(node)]
 
 
 def interpret(node):
@@ -230,10 +246,13 @@ def interpret(node):
 
 
 def document(node):
-    """The plan as a job document; None where it has a loop or a zip."""
-    operators = []
+    """The plan as a job document; None where it has a loop or a zip.  A
+    node object reached twice is one named operator."""
+    operators, named = [], {}
 
     def add(node):
+        if id(node) in named:
+            return named[id(node)]
         kind, arg, *children = node
         names = dict(zip(("input",) if len(children) == 1 else
                          ("left", "right"), map(add, children)))
@@ -245,7 +264,8 @@ def document(node):
         else:
             spec = {"kind": kind, **READINGS[kind][2](arg)}
         operators.append({"name": f"op{len(operators)}", **names, **spec})
-        return operators[-1]["name"]
+        named[id(node)] = operators[-1]["name"]
+        return named[id(node)]
 
     try:
         return {"operators": operators, "sink": {"name": add(node)}}
@@ -395,6 +415,22 @@ def tally(node, drawn):
             left.count(x) > 1 and x in right for x in left)
 
 
+def narrow_read_twice(node) -> bool:
+    """Whether an undeclared narrow operator of ``node`` (a map without a
+    batch kernel, a flat_map, a filter) feeds two inputs: a chain link
+    whose output must be materialized for its second reader."""
+    nodes, reads, stack = {}, Counter(), [node]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            for child in node[2:]:
+                reads[id(child)] += 1
+                stack.append(child)
+    return any(reads[key] > 1 and kind in ("map", "flat_map", "filter")
+               and arg != "x" for key, (kind, arg, *__) in nodes.items())
+
+
 @pytest.mark.parametrize("shape", SHAPES)
 def test_generated_plans_agree_under_every_strategy(shape, batches, servers):
     drawn = Counter()
@@ -405,6 +441,7 @@ def test_generated_plans_agree_under_every_strategy(shape, batches, servers):
     def run(data):
         plan = data.draw(plans(shape), label="plan")
         tally(plan, drawn)
+        drawn["narrow read twice"] += narrow_read_twice(plan)
         check(lambda ctx: build(ctx, plan), canonical(plan), batches,
               servers, interpret(plan),
               data.draw(st.integers(0, 20), label="pause_at"), document(plan))
@@ -414,6 +451,7 @@ def test_generated_plans_agree_under_every_strategy(shape, batches, servers):
     # change must not silently stop drawing a merge kind or a property.
     if shape in SHAPES[2:]:
         assert all(drawn[kind] for kind in SHAPES[2:]), drawn
+        assert drawn["narrow read twice"], drawn
     if shape == "intersect":
         assert drawn["held duplicate"], drawn
 

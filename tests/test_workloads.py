@@ -1,5 +1,7 @@
 """Tests for the synthetic workload generators."""
 
+import hashlib
+
 import pytest
 
 from repro import RheemContext
@@ -19,7 +21,8 @@ from repro.workloads import (
     write_tax,
     zipf_lines,
 )
-from repro.workloads.tpch import ACTUAL_ROWS, parse_row
+from repro.workloads.text import ACTUAL_LINES
+from repro.workloads.tpch import ACTUAL_ROWS, SF1_ROWS, parse_row
 
 
 class TestText:
@@ -180,3 +183,44 @@ class TestTpch:
         assert ctx.vfs.exists("file://tpch/nation.csv")
         assert ctx.pgres.has_table("customer")
         assert not ctx.pgres.has_table("lineitem")
+
+
+def _sha256(lines) -> str:
+    digest = hashlib.sha256()
+    for line in lines:
+        digest.update(line.encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+def _tpch_lines(gen: TpchLite):
+    """Every table's rows (``repr``), then its CSV lines."""
+    from repro.workloads.tpch import _to_csv
+    for table in SF1_ROWS:
+        rows = gen.table(table)
+        yield from map(repr, rows)
+        yield from (_to_csv(table, row) for row in rows)
+
+
+#: Generator output digests, recorded before the generators were made
+#: faster: a faster generator must draw the same data.
+PINNED = {
+    "zipf_lines(1500)": (
+        lambda: zipf_lines(ACTUAL_LINES),
+        "d1651b9a2203eab83909339167c581198eae71e7c55b7f1bb8ce59af4cf62fca"),
+    "zipf_lines(500, vocabulary=100, seed=1)": (
+        lambda: zipf_lines(500, vocabulary=100, seed=1),
+        "2ae707e1b38c0e62c522a9b75aab287ed503620aa470367078edbe853e2d9775"),
+    "TpchLite(0.05)": (
+        lambda: _tpch_lines(TpchLite(0.05)),
+        "9335773f49baa62d792842378275e29539b997f8feb08c021256cbab07c0e058"),
+    "TpchLite(0.1, actual_scale=50)": (
+        lambda: _tpch_lines(TpchLite(0.1, actual_scale=50)),
+        "7ce84ab7b7a25293a0ec360404f9402d1e2ad3decdbe1f6e544866628a32ee4e"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_generators_draw_the_pinned_data(name):
+    draw, expected = PINNED[name]
+    assert _sha256(draw()) == expected
