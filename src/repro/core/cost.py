@@ -34,15 +34,6 @@ def geometric_mean(lower: float, upper: float) -> float:
     return math.sqrt(lower * upper)
 
 
-def fixed_seconds(seconds: float) -> float:
-    """One fixed cost term as a plain float, checked as
-    :meth:`CostEstimate.fixed` checks it: a negative term raises
-    ``ValueError``."""
-    if seconds < 0:
-        raise ValueError(f"invalid cost interval [{seconds}, {seconds}]")
-    return seconds
-
-
 @dataclass(frozen=True)
 class CostEstimate:
     """Simulated-seconds interval with a confidence."""
@@ -81,6 +72,13 @@ class CostEstimate:
 
     def __str__(self) -> str:
         return f"[{self.lower:.3f}s..{self.upper:.3f}s]@{self.confidence:.0%}"
+
+
+def fixed_seconds(seconds: float) -> float:
+    """``CostEstimate.fixed(seconds).lower`` without building the estimate
+    where ``seconds`` is valid; any other term is left to the estimate's
+    own check to refuse."""
+    return seconds if seconds >= 0 else CostEstimate.fixed(seconds).lower
 
 
 @dataclass

@@ -742,7 +742,6 @@ class Optimizer:
                         if entry[0] not in to_close)
             cut = bisect.bisect(sig, (op_id,))  # where ``op``'s entry goes
             head, tail = sig[:cut], sig[cut:]
-            row = touch.setdefault(have, {})
             for prep in prepared:
                 # Stage dispatch: a new stage starts when no data input
                 # arrives from the same platform (the executor's stage cut).
@@ -773,8 +772,7 @@ class Optimizer:
                         lower += prep.overhead
                         upper += prep.overhead
                     enumerated += 1
-                    platforms = (row.get(prep.platforms) or self._touch(
-                        touch, have, prep.platforms))[0]
+                    platforms = self._touch(touch, have, prep.platforms)[0]
                     open_sig = (head + ((op_id, prep.out_desc.name),) + tail
                                 if keep_open else sig)
                     group = groups.setdefault(open_sig, [])
@@ -811,7 +809,6 @@ class Optimizer:
         for mine in left:
             mine_sig, mine_cost, have = (mine.open_sig, mine.cost,
                                          mine.platforms)
-            row = touch.setdefault(have, {})
             for theirs in right:
                 key = mine_sig, theirs.open_sig
                 sig = sigs.get(key)
@@ -819,8 +816,7 @@ class Optimizer:
                     sig = sigs[key] = tuple(sorted(key[0] + key[1]))
                 lower = mine_cost.lower + theirs.cost.lower
                 upper = mine_cost.upper + theirs.cost.upper
-                platforms = (row.get(theirs.platforms) or self._touch(
-                    touch, have, theirs.platforms))[0]
+                platforms = self._touch(touch, have, theirs.platforms)[0]
                 group = groups.setdefault(sig, [])
                 if not self.prune or self._admit(group, platforms, lower,
                                                  upper, touch, across):
@@ -850,19 +846,21 @@ class Optimizer:
 
     def _touch(self, touch: dict, have: frozenset[str],
                add: frozenset[str]) -> tuple:
-        """``(have | add, S)``, made on a miss of ``touch[have][add]``,
-        where callers look it up first, and kept there: ``S`` is what the
+        """``(have | add, S)``, memoized in ``touch``: ``S`` is what the
         start-ups of ``add - have`` weigh (:meth:`_startups`)."""
-        hit = touch.setdefault(have, {})[add] = (have | add,
-                                                 self._startups(add - have))
-        return hit
+        try:
+            return touch[have][add]
+        except KeyError:
+            hit = touch.setdefault(have, {})[add] = (
+                have | add, self._startups(add - have))
+            return hit
 
     def _startups(self, platforms: frozenset[str]) -> float:
         """The objective-weighted start-ups of ``platforms``, summed in name
         order (a sum must not depend on set order)."""
-        return math.fsum(fixed_seconds(
+        return math.fsum(CostEstimate.fixed(
             self.cost_model.cluster.profile(p).startup_s
-            * self.objective.weight(p)) for p in sorted(platforms))
+            * self.objective.weight(p)).lower for p in sorted(platforms))
 
     def _admit(self, group: list[tuple], platforms: frozenset[str],
                lower: float, upper: float, touch: dict,
@@ -885,20 +883,17 @@ class Optimizer:
         than here, so a nonzero margin pads by 2**-30: a tie across a
         start-up keeps both plans."""
         beaten, pad = [], 1 + 2 ** -30
-        owing = touch.setdefault(platforms, {})
         for i, entry in enumerate(group):
             low, high, theirs = entry[0], entry[1], entry[2]
             their_low, their_high, my_low, my_high = low, high, lower, upper
             if theirs != platforms:
                 if not across:
                     continue
-                it_owes = (owing.get(theirs) or self._touch(
-                    touch, platforms, theirs))[1]
+                it_owes = self._touch(touch, platforms, theirs)[1]
                 if it_owes:
                     their_low = (low + it_owes) * pad
                     their_high = (high + it_owes) * pad
-                i_owe = (touch.setdefault(theirs, {}).get(platforms)
-                         or self._touch(touch, theirs, platforms))[1]
+                i_owe = self._touch(touch, theirs, platforms)[1]
                 if i_owe:
                     my_low = (lower + i_owe) * pad
                     my_high = (upper + i_owe) * pad

@@ -9,6 +9,7 @@ from repro.core.cost import (
     CostEstimate,
     CostModel,
     OperatorCostParams,
+    fixed_seconds,
     kind_params,
 )
 from repro.core.mappings import NoMappingError
@@ -56,6 +57,9 @@ class TestCostModel:
         assert a.times(10).upper == 20
         with pytest.raises(ValueError):
             CostEstimate(2, 1)
+        assert fixed_seconds(3) == b.lower
+        with pytest.raises(ValueError, match=r"interval \[-1, -1\]"):
+            fixed_seconds(-1)
 
 
 class TestMappingsAndInflation:

@@ -4,10 +4,10 @@ the log generator's shapes over int and string records, each source behind
 under every strategy against :func:`interpret` (one loop per operator over
 lists) or, where partitioning decides the output, the cold run.  Each
 merge shape's example set must draw every merge kind and a narrow operator
-read twice (:func:`narrow_read_twice`), and the intersect shape's an
-intersect whose left input repeats a record the right one holds
-(:func:`tally`).  CI runs it under two hash seeds: shuffles place records
-by ``hash(key) % n``.
+read twice, once by a narrow link (:func:`narrow_read_twice`), and the
+intersect shape's an intersect whose left input repeats a record the
+right one holds (:func:`tally`).  CI runs it under two hash seeds:
+shuffles place records by ``hash(key) % n``.
 """
 
 import functools
@@ -96,7 +96,8 @@ def convert(node, rtype, want):
         expr for expr, made in MAPS[rtype].items() if made == want), node)
 
 
-#: Narrow operators over ints, without a batch kernel: chain links.
+#: Narrow operators over ints, without a batch kernel: chain links, and
+#: the only nodes a merge's branches share as one object (:func:`build`).
 NARROW = (("map", "x // 2"), ("filter", FILTERS["int"]),
           ("flat_map", FLAT_MAPS["int"][0]))
 #: The pipeline and iterative shapes, and the merge shape by its first merge.
@@ -106,8 +107,10 @@ SHAPES = ("pipeline", "iterative", "join", "union", "intersect", "broadcast")
 @st.composite
 def plans(draw, shape):
     """A plan in ``shape``; a merge's branch often reads the trunk's
-    source, or a narrow operator over the trunk that the merge reads too:
-    one node object, so one operator read twice."""
+    source (built anew: a second operator over the same data), or
+    continues, by a narrow operator, a narrow operator over the trunk
+    that the merge reads too (one node object, so one chain link read
+    twice)."""
     first = draw(source())
     node, rtype = draw(steps(*first, most=4 if shape == "pipeline" else 2))
     if shape == "iterative":
@@ -119,11 +122,13 @@ def plans(draw, shape):
         for kind in [shape] + draw(st.lists(st.sampled_from(SHAPES[2:]),
                                             max_size=2)):
             left = convert(node, rtype, "int")
-            shared = draw(st.sampled_from(("narrow", "source", None)))
-            if shared == "narrow":
+            shared = draw(st.sampled_from(("source", "narrow", "source",
+                                           None)))
+            if shared == "narrow":  # read by the merge and by a link
                 left = (*draw(st.sampled_from(NARROW)), left)
-            branch = {"source": first, "narrow": (left, "int")}.get(
-                shared) or draw(source())
+                branch = (*draw(st.sampled_from(NARROW)), left), "int"
+            else:
+                branch = first if shared else draw(source())
             other = convert(*draw(steps(*branch, most=2)), "int")
             node = (kind, None, left, other)
             rtype = "pair" if kind == "join" else "int"
@@ -222,18 +227,21 @@ READINGS = {
 
 
 def build(ctx, node, built=None):
-    """The plan as a :class:`DataQuanta`: a node object reached twice is
-    built once, into one operator read twice."""
+    """The plan as a :class:`DataQuanta`: a :data:`NARROW` node object
+    reached twice is built once, into one operator read twice; any other
+    node is built anew on each path (a shared source: two operators)."""
     built = {} if built is None else built
-    if id(node) not in built:
-        kind, arg, *children = node
-        if kind == "source":
-            built[id(node)] = ctx.load_collection(
-                list(arg[0]), sim_factor=arg[1], bytes_per_record=100.0)
-        else:
-            first, *others = [build(ctx, child, built) for child in children]
-            built[id(node)] = READINGS[kind][0](first, arg, *others)
-    return built[id(node)]
+    if id(node) in built:
+        return built[id(node)]
+    kind, arg, *children = node
+    if kind == "source":
+        return ctx.load_collection(list(arg[0]), sim_factor=arg[1],
+                                   bytes_per_record=100.0)
+    first, *others = [build(ctx, child, built) for child in children]
+    quanta = READINGS[kind][0](first, arg, *others)
+    if node[:2] in NARROW:
+        built[id(node)] = quanta
+    return quanta
 
 
 def interpret(node):
@@ -247,7 +255,7 @@ def interpret(node):
 
 def document(node):
     """The plan as a job document; None where it has a loop or a zip.  A
-    node object reached twice is one named operator."""
+    :data:`NARROW` node object reached twice is one named operator."""
     operators, named = [], {}
 
     def add(node):
@@ -264,8 +272,9 @@ def document(node):
         else:
             spec = {"kind": kind, **READINGS[kind][2](arg)}
         operators.append({"name": f"op{len(operators)}", **names, **spec})
-        named[id(node)] = operators[-1]["name"]
-        return named[id(node)]
+        if node[:2] in NARROW:
+            named[id(node)] = operators[-1]["name"]
+        return operators[-1]["name"]
 
     try:
         return {"operators": operators, "sink": {"name": add(node)}}
@@ -416,19 +425,20 @@ def tally(node, drawn):
 
 
 def narrow_read_twice(node) -> bool:
-    """Whether an undeclared narrow operator of ``node`` (a map without a
-    batch kernel, a flat_map, a filter) feeds two inputs: a chain link
-    whose output must be materialized for its second reader."""
-    nodes, reads, stack = {}, Counter(), [node]
+    """Whether a :data:`NARROW` node object of ``node`` feeds two inputs,
+    one of them a :data:`NARROW` link: a chain could run on through it,
+    but its output must be materialized for its other reader."""
+    nodes, readers, stack = {}, {}, [node]
     while stack:
         node = stack.pop()
         if id(node) not in nodes:
             nodes[id(node)] = node
             for child in node[2:]:
-                reads[id(child)] += 1
+                readers.setdefault(id(child), []).append(node)
                 stack.append(child)
-    return any(reads[key] > 1 and kind in ("map", "flat_map", "filter")
-               and arg != "x" for key, (kind, arg, *__) in nodes.items())
+    return any(node[:2] in NARROW and len(readers.get(key, ())) > 1
+               and any(reader[:2] in NARROW for reader in readers[key])
+               for key, node in nodes.items())
 
 
 @pytest.mark.parametrize("shape", SHAPES)
