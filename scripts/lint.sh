@@ -24,19 +24,11 @@ fi
 
 if command -v mypy >/dev/null 2>&1; then
     echo "==> mypy (strict: repro.analysis, repro.trace, repro.core incl." \
-         "repro.core.kernels, repro.server, repro.concurrency)"
+         "repro.core.kernels, repro.server)"
     mypy || failures=$((failures + 1))
 else
     echo "==> mypy not installed; SKIPPED (pip install -e .[lint])"
 fi
-
-# Always runs (it only needs the stdlib + the repo): the lock-registry
-# checker over src/repro/ — locks the registry does not know (RC001) and
-# per-run state written on shared execution operators (RC005).  Rank
-# order is asserted at run time, under REPRO_LOCK_CHECK in the tests.
-echo "==> concurrency lint (lock registry)"
-PYTHONPATH=src python -m repro lint --concurrency \
-    || failures=$((failures + 1))
 
 if [ "${1:-}" != "--fast" ]; then
     echo "==> plan lint over examples/"

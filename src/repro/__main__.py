@@ -221,35 +221,12 @@ def _cmd_learn(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint_concurrency() -> int:
-    from .analysis.locks import check_package
-    from .concurrency import LOCK_ORDER
-
-    findings = check_package()
-    for finding in findings:
-        print(finding.render())
-    print(f"concurrency: {len(LOCK_ORDER)} locks in the registry, "
-          f"{len(findings)} finding(s)")
-    return 1 if findings else 0
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     import runpy
 
     from .analysis.collector import collecting
     from .core.optimizer import PlanAnalysisError
     from .core.plan import PlanValidationError
-
-    if args.concurrency:
-        status = _cmd_lint_concurrency()
-        if args.script is None:
-            return status
-        if status:
-            return status
-    elif args.script is None:
-        print("repro lint: a script is required unless --concurrency is "
-              "given", file=sys.stderr)
-        return 2
 
     if not os.path.exists(args.script):
         print(f"repro lint: cannot read {args.script!r}: no such file",
@@ -361,17 +338,8 @@ def main(argv: list[str] | None = None) -> int:
     learn.add_argument("--seed", type=int, default=7,
                        help="GA random seed (default 7)")
     lint = sub.add_parser(
-        "lint", help="statically analyze the plans a script builds "
-                     "and/or the runtime's lock discipline")
-    lint.add_argument("script", nargs="?", default=None,
-                      help="path to a .py or .latin script (optional "
-                           "with --concurrency)")
-    lint.add_argument("--concurrency", action="store_true",
-                      help="check the repro source tree against the lock "
-                           "registry: locks it does not know (RC001) and "
-                           "per-run state written on shared execution "
-                           "operators (RC005); rank order is asserted at "
-                           "run time under REPRO_LOCK_CHECK")
+        "lint", help="statically analyze the plans a script builds")
+    lint.add_argument("script", help="path to a .py or .latin script")
     for p in (run, trace, serve, lint):
         p.add_argument("--abstracts", type=float, default=0.0,
                        help="seed hdfs://data/abstracts.txt at this percent")

@@ -32,9 +32,6 @@ __all__ = [
     "UdfReport",
     "LintCollector",
     "collecting",
-    "ConcurrencyFinding",
-    "check_package",
-    "check_source",
 ]
 
 _LAZY = {
@@ -50,10 +47,6 @@ _LAZY = {
     "UdfReport": ("udfs", "UdfReport"),
     "LintCollector": ("collector", "LintCollector"),
     "collecting": ("collector", "collecting"),
-    # The concurrency checker behind ``lint --concurrency`` (RC001, RC005).
-    "ConcurrencyFinding": ("locks", "ConcurrencyFinding"),
-    "check_package": ("locks", "check_package"),
-    "check_source": ("locks", "check_source"),
 }
 
 

@@ -195,6 +195,9 @@ Decision = ExecutionAlternative | ChannelSourceDecision | LoopDecision
 #: under (have, records, bytes/record) so each row is searched once.
 PathTable = dict[tuple[str, str | float, float], Any]
 
+#: A :data:`PathTable` miss (``None`` is an answer: unreachable).
+_UNSOLVED = object()
+
 
 class _Prepared(NamedTuple):
     """What :meth:`Optimizer._prepare` derives from an option alone."""
@@ -755,11 +758,8 @@ class Optimizer:
                     if chan.name == want.name:
                         continue
                     wirings += 1
-                    try:
-                        path = paths[chan.name, want.name, producer]
-                    except KeyError:
-                        path = self._path(paths, chan, want, producer, cards,
-                                          bprs)
+                    path = self._path(paths, chan, want, producer, cards,
+                                      bprs)
                     if path is None:
                         break  # unreachable channel
                     added[producer, op_id, slot] = path
@@ -976,18 +976,20 @@ class Optimizer:
         distinct (have, volume), a whole row at a time.
         """
         key = (have.name, want.name, producer)
-        if key not in paths:
-            records = cards[producer].geometric_mean
-            width = bprs.get(producer, PLANNING_BYTES_PER_RECORD)
-            row = paths.get((have.name, records, width))
-            if row is None:
-                self.stats["conversion_paths_distinct"] += 1
-                row = paths[have.name, records, width] = \
-                    self.graph.paths_from(have, records, width)
-            path = paths[key] = row.get(want.name)
-            if path is not None:
-                fixed_seconds(path.cost)  # validates: non-negative
-        return paths[key]
+        path = paths.get(key, _UNSOLVED)
+        if path is not _UNSOLVED:
+            return path
+        records = cards[producer].geometric_mean
+        width = bprs.get(producer, PLANNING_BYTES_PER_RECORD)
+        row = paths.get((have.name, records, width))
+        if row is None:
+            self.stats["conversion_paths_distinct"] += 1
+            row = paths[have.name, records, width] = \
+                self.graph.paths_from(have, records, width)
+        path = paths[key] = row.get(want.name)
+        if path is not None:
+            fixed_seconds(path.cost)  # validates: non-negative
+        return path
 
     # --------------------------------------------------- plan construction
     def _build_execution_plan(self, plan: RheemPlan,

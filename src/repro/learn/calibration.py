@@ -24,11 +24,11 @@ runs never contribute samples (the executor marks eligibility on the
 
 from __future__ import annotations
 
+import threading
 import time
 from collections import deque
 from typing import Callable, Iterable, Mapping
 
-from ..concurrency import OrderedLock
 from ..core.channels import volume_band
 from ..core.cost import OperatorCostParams
 from ..core.monitor import OperatorObservation, StageObservation
@@ -171,11 +171,11 @@ class CostCalibrator:
         self.metrics = metrics
         self.tracer = tracer if tracer is not None else NO_TRACER
         self.corpus = CalibrationCorpus(per_bucket)
-        # Rank 18 in the lock registry; publish runs with the corpus lock
-        # RELEASED, so other threads keep observing while a refit
-        # publishes (the broadcast takes server.pool and server.shard,
-        # ranks 12 and 15).
-        self._lock = OrderedLock("calibration.corpus", metrics)
+        # The calibration.corpus lock (order: repro.server.server).
+        # Publish runs with it RELEASED, so other threads keep observing
+        # while a refit publishes (the broadcast takes server.pool and
+        # server.shard, which come before it).
+        self._lock = threading.Lock()
         self.params: dict[str, OperatorCostParams] = dict(initial_params or {})
         self._pending = 0
         self._drift = 0.0
@@ -236,7 +236,8 @@ class CostCalibrator:
 
         Runs with the corpus lock released: observation ingestion keeps
         flowing while the GA grinds, and the publish callback is free to
-        take lower-ranked locks (the shard-pool broadcast).
+        take the locks ordered before the corpus lock (the shard-pool
+        broadcast).
         """
         if not samples:
             return None

@@ -29,18 +29,24 @@ chatty tenant cannot starve the rest of the pool.
 Dispatch is token-based: every admission enqueues one drain token into
 the worker pool, and each token loops *pick → run → account → re-pick*
 until no eligible job remains (:meth:`JobServer._drain`).
+
+Five plain, non-reentrant locks guard what threads share, and a thread
+takes them only in this order: ``server.jobs`` (:attr:`JobServer._lock`)
+→ ``server.pool`` (:attr:`ShardPool._lock`) → ``server.shard`` (one
+shard's ``_lock``) → ``calibration.corpus`` (:attr:`CostCalibrator._lock`)
+→ ``metrics`` (``repro.trace.metrics._METRICS_LOCK``).
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable
 
 from ..api.serde import PlanDocumentError
-from ..concurrency import OrderedLock
 from ..core.context import RheemContext
 from ..learn.calibration import CostCalibrator, observation_from_json
 from ..trace import NO_TRACER, MetricsRegistry, Tracer
@@ -149,7 +155,7 @@ class JobServer:
         self.tenant_quota = (None if tenant_quota is None
                              else max(1, int(tenant_quota)))
         self._tracing = bool(tracing)
-        # The server's own registry (server/lock instruments); each
+        # The server's own registry (server instruments); each
         # shard's context keeps its own, merged in by /metrics.
         self.metrics = MetricsRegistry()
         factory = context_factory or RheemContext
@@ -157,17 +163,17 @@ class JobServer:
 
         def make_shard(slot: int) -> Shard:
             if backend == "process":
-                return ProcessShard.spawn(slot, factory, env, self.metrics)
+                return ProcessShard.spawn(slot, factory, env)
             return InProcessShard(
-                slot, given if given is not None else factory(), env,
-                self.metrics)
+                slot, given if given is not None else factory(), env)
 
         self._shards = ShardPool(
             make_shard, self.workers if given is None else 1,
             metrics=self.metrics, respawn=respawn_shards)
-        # Outermost lock of the runtime (what it guards is declared in
-        # repro.concurrency.order).  Never held while a job executes.
-        self._lock = OrderedLock("server.jobs", self.metrics)
+        # server.jobs, the outermost lock: the job table, pending queue,
+        # per-tenant running counts, service-time EWMA and the
+        # accepting/cancelled flags.  Never held while a job executes.
+        self._lock = threading.Lock()
         self._jobs: dict[str, Job] = {}
         self._terminal: deque[str] = deque()  # job ids, oldest-finished first
         self._pending: list[Job] = []

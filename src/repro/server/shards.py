@@ -38,8 +38,8 @@ safe for concurrent callers without a lock of ours:
 * the ``itertools.count`` id counters (operator, execution-operator and
   task ids, dataflow temp-file serials): one ``next()`` is a single C
   call under the GIL, so ids stay unique across shards;
-* ``_METRICS_LOCK`` (:mod:`repro.trace.metrics`): a registered lock,
-  ``metrics``, innermost in :data:`repro.concurrency.order.LOCK_ORDER`.
+* ``_METRICS_LOCK`` (:mod:`repro.trace.metrics`): the innermost lock
+  of the order in :mod:`repro.server.server`'s docstring.
 """
 
 from __future__ import annotations
@@ -49,12 +49,12 @@ import itertools
 import json
 import multiprocessing
 import signal
+import threading
 import time
 from multiprocessing.connection import Connection
 from typing import Any, Callable, Protocol
 
 from ..api.service import RheemService
-from ..concurrency import OrderedLock
 from ..core.context import RheemContext
 from ..core.executor import JobCancelled
 from ..trace import (
@@ -187,15 +187,14 @@ class InProcessShard:
     pid = None
 
     def __init__(self, slot: int, ctx: RheemContext,
-                 env: dict[str, Any] | None = None,
-                 metrics: MetricsRegistry | None = None) -> None:
+                 env: dict[str, Any] | None = None) -> None:
         self.slot = slot
         self.ctx = ctx
         self.service = RheemService(ctx, env)
         self.alive = True
         self.inflight = 0
         self.jobs_run = 0
-        self._lock = OrderedLock("server.shard", metrics)
+        self._lock = threading.Lock()  # server.shard
 
     def run_job(self, job_id: str, document: dict[str, Any],
                 remaining_s: float | None, tracer: Tracer | NullTracer,
@@ -275,21 +274,19 @@ class ProcessShard:
     one request at a time, so its context runs one job at a time.
     """
 
-    def __init__(self, slot: int, process: Any, conn: Connection,
-                 metrics: MetricsRegistry | None = None) -> None:
+    def __init__(self, slot: int, process: Any, conn: Connection) -> None:
         self.slot = slot
         self.process = process
         self.alive = True
         self.inflight = 0
         self.jobs_run = 0
         self._conn = conn
-        self._lock = OrderedLock("server.shard", metrics)
+        self._lock = threading.Lock()  # server.shard
         self._requests = itertools.count(1)
 
     @classmethod
     def spawn(cls, slot: int, context_factory: Callable[[], Any],
-              env: dict[str, Any] | None = None,
-              metrics: MetricsRegistry | None = None) -> "ProcessShard":
+              env: dict[str, Any] | None = None) -> "ProcessShard":
         """Start the worker process of ``slot`` and return its handle.
 
         The worker builds its replica with ``context_factory``.  Workers
@@ -306,7 +303,7 @@ class ProcessShard:
         # The parent's copy of the child end must close so a dead child
         # reliably surfaces as EOF on the parent connection.
         child_conn.close()
-        return cls(slot, process, parent_conn, metrics)
+        return cls(slot, process, parent_conn)
 
     @property
     def pid(self) -> int | None:
@@ -439,7 +436,7 @@ class ShardPool:
         self.size = max(1, int(shards))
         self.respawn = respawn
         self._make_shard = make_shard
-        self._lock = OrderedLock("server.pool", self.metrics)
+        self._lock = threading.Lock()  # server.pool
         self._published: dict[str, Any] | None = None
         # Last-known registry snapshot per shard incarnation, so a
         # respawned shard never overwrites — or double-counts with — its
@@ -570,8 +567,9 @@ class ShardPool:
             self._last_metrics[f"{shard.slot}:{shard.pid}"] = snapshot
 
     def metrics_snapshot(self) -> dict[str, Any]:
-        """The server's registry (admission counters, queue gauges, lock
-        histograms) merged with every shard's, single-registry shape.
+        """The server's registry (admission counters, queue gauges, wait
+        and run histograms) merged with every shard's, single-registry
+        shape.
 
         A busy process shard answers after its current job; a dead shard
         contributes its last-known snapshot exactly once, so committed

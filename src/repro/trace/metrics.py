@@ -11,23 +11,22 @@ A registry can have several threads at once — the job server's own is
 written by every worker, a shard's is read by ``/metrics`` while the
 shard's job writes it — so every instrument update happens under one
 process-wide lock (``a += b`` on a float is not atomic at the bytecode
-level).  The lock is the *innermost*
-lock of the runtime (see ``DESIGN.md``, "Lock order"): no code path may
-acquire another lock while holding it, which makes it always safe to take.
+level).  The lock is the *innermost* lock of the runtime (the order
+is in :mod:`repro.server.server`'s docstring): no code path may acquire
+another lock while holding it, which makes it always safe to take.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from ..concurrency.runtime import OrderedLock
-
 #: Guards every instrument mutation and the registry's instrument tables.
-#: Innermost lock in the documented lock order: never acquire any other
-#: lock while holding it.
-_METRICS_LOCK = OrderedLock("metrics")
+#: Innermost lock of the runtime: never acquire any other lock while
+#: holding it.
+_METRICS_LOCK = threading.Lock()
 
 
 def _reset_metrics_lock_after_fork() -> None:
@@ -40,7 +39,7 @@ def _reset_metrics_lock_after_fork() -> None:
     global on every use, so swapping the global is sufficient.
     """
     global _METRICS_LOCK
-    _METRICS_LOCK = OrderedLock("metrics")
+    _METRICS_LOCK = threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):  # not on every platform

