@@ -88,7 +88,7 @@ LOCAL_FILE = ChannelDescriptor("vfs.local", None, True, in_memory=False)
 PY_COLLECTION = ChannelDescriptor("pystreams.collection", "pystreams", True)
 
 
-@dataclass
+@dataclass(slots=True)
 class Channel:
     """A channel *instance*: a descriptor plus a concrete payload.
 
@@ -175,6 +175,7 @@ class Conversion:
         self.mb_per_s = mb_per_s
         self.overhead_s = overhead_s
         self.name = name or f"{source.name}->{target.name}"
+        self.label = f"convert:{self.name}"
 
     def estimate_cost(self, sim_records: float, bytes_per_record: float) -> float:
         """Estimated simulated seconds to move the given data volume."""
@@ -190,11 +191,9 @@ class Conversion:
         if out.actual_count is not None:
             ctx.meter.charge(
                 self.estimate_cost(out.sim_cardinality, out.bytes_per_record),
-                f"convert:{self.name}",
-                category="net",
-            )
+                self.label, "net")
         else:
-            ctx.meter.charge(self.overhead_s, f"convert:{self.name}", category="net")
+            ctx.meter.charge(self.overhead_s, self.label, "net")
         return out
 
     def __repr__(self) -> str:

@@ -32,8 +32,8 @@ DRIVER_PLATFORM = "driver"
 class ExecutionContext:
     """Everything an execution operator may touch while running.
 
-    The executor swaps :attr:`meter` per stage so charges land on the right
-    stage record.
+    The executor makes one per prepared stage list and sets :attr:`meter`
+    per stage attempt so charges land on the right stage record.
     """
 
     cluster: VirtualCluster
@@ -46,6 +46,8 @@ class ExecutionContext:
     #: from here instead of mutating instance state, so crash-retried
     #: attempts of the same iteration see the same value.
     epoch: int = 0
+    #: ``charge_operator``'s lookups per operator, made at its first charge.
+    prices: dict = field(default_factory=dict)
 
     @property
     def vfs(self):

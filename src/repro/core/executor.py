@@ -5,16 +5,17 @@ topological order) on the calling thread, drives loops (pausing at loop
 heads to evaluate the condition), applies channel conversions at stage
 boundaries, and places every stage run on the simulated critical path: the
 inter-platform parallelism of independent stages is an overlap in
-*simulated* time, which is the time every figure reports.  Each stage
-attempt runs against scratch state that is committed only if the attempt
-survives, and every attempt — survived or wasted — is one record in the
-job's :class:`~repro.simulation.clock.StageLedger`.
+*simulated* time, which is the time every figure reports.  Under a fault
+injector each stage attempt runs against scratch state that is committed
+only if the attempt survives; every attempt — survived or wasted — is one
+record in the job's :class:`~repro.simulation.clock.StageLedger`.
 
 A plan is *prepared* once per ``execute``, and a loop body once per loop
 run: stage order, dependencies as list positions, each task's dispatch
-kind, crossing flag and conversion paths, each stage's dispatch charge.
-An iteration runs the kernels, charges the meters and appends one ledger
-record per stage; the job's metrics move once, when it ends.
+kind, crossing flag, conversion paths and observation constants, each
+stage's dispatch charge, and one context for its stages.  An iteration
+runs the kernels, charges the meters and appends one ledger record per
+stage; the job's metrics move once, when it ends.
 
 The executor also implements:
 
@@ -29,6 +30,7 @@ The executor also implements:
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -123,7 +125,7 @@ class _Task:
     """A prepared task: input edges as ``(producer id, path or None)``;
     ``crossing``: its output occupies its platform's memory at commit;
     ``chain``: the chain it ends, itself last, and whose inputs it reads
-    (empty: none)."""
+    (empty: none); ``observed``: its observation's constant fields."""
 
     task: ExecutionTask
     kind: int
@@ -131,20 +133,24 @@ class _Task:
     broadcasts: list[tuple[int, ConversionPath | None]]
     crossing: bool
     logical_id: int | None
+    observed: tuple
     chain: list["_Task"] = field(default_factory=list)
 
 
 @dataclass(slots=True)
 class _Stage:
     """A prepared stage: its dependencies' list positions, its profile
-    (``None``: no overhead charged), its dispatch charge and its offers."""
+    (``None``: no overhead charged), dispatch charge and label, offers,
+    shared context, and its tasks' logical ids if all are loop inputs."""
 
     stage: ExecutionStage
     deps: list[int]
     tasks: list[_Task]
     profile: Any
-    dispatch_s: float
+    dispatch: tuple[float, str]
     offers: list[tuple]
+    ctx: ExecutionContext
+    sources: list[int] | None
 
 
 @dataclass
@@ -287,8 +293,8 @@ class Executor:
                 if count:
                     self.metrics.counter(name).inc(count)
             self.metrics.histogram("monitor.stage_sim_seconds").observe_all(
-                r.duration for r in ledger.records[first:committed]
-                if r.survived)
+                [r.meter.total for r in ledger.records[first:committed]
+                 if r.survived])
 
         return ExecutionResult(
             outputs=[env[t.id].payload for t in plan.sink_tasks],
@@ -317,12 +323,12 @@ class Executor:
 
     def _prepare(self, plan: ExecutionPlan, breaks: set[int],
                  reuse_keys: dict[int, tuple], sniffed) -> list[_Stage]:
-        """Cut ``plan`` into stages and fix what no run of them changes.
-        A stage offers the result store the reuse candidates (the *final*
-        task of each reuse-keyed logical operator) it materializes at its
-        boundary, then its last in-stage one (typically a sink's input).
-        A crossing, twice-read, offered or ``sniffed`` output (logical
-        ids) ends a chain (:meth:`_chains`)."""
+        """Cut ``plan`` into stages, sharing one context, and fix what no
+        run of them changes.  A stage offers the result store the reuse
+        candidates (the *final* task of each reuse-keyed logical operator)
+        it materializes, at its boundary or read twice, then its last
+        other one (typically a sink's input).  A crossing, twice-read,
+        offered or ``sniffed`` output (logical ids) ends a chain."""
         stages = plan.build_stages(break_after=breaks)
         crossing = self._crossing_ids(plan, stages)
         consumers = Counter(ti.producer.id for task in plan.tasks
@@ -335,6 +341,7 @@ class Executor:
         final = {task.logical_id: task.id for task in plan.tasks
                  if task.logical_id in reuse_keys}
         keyed = {task_id: reuse_keys[lid] for lid, task_id in final.items()}
+        ctx = ExecutionContext(self.cluster, pgres=self.pgres, seed=self.seed)
 
         def edges(inputs) -> list[tuple[int, ConversionPath | None]]:
             return [(ti.producer.id, ti.conversion if ti.conversion.steps
@@ -348,7 +355,10 @@ class Executor:
                 else _OPERATOR, edges(task.inputs),
                 edges(task.broadcast_inputs),
                 task.id in crossing and task.platform in profiles,
-                task.logical_id) for task in stage.tasks]
+                task.logical_id, (task.platform, task.operator.work(),
+                                  task.logical_id, getattr(
+                                      task.operator.logical, "name", "")))
+                for task in stage.tasks]
             profile = (profiles.get(stage.platform)
                        if stage.platform != DRIVER_PLATFORM else None)
             dispatch_s = 0.0 if profile is None else (
@@ -356,13 +366,15 @@ class Executor:
                     (t.task.operator.tasks_fraction(profile) for t in tasks
                      if t.kind != _LOOP), default=1.0))
             offers = [(t.id, keyed[t.id]) for t in stage.tasks
-                      if t.id in keyed and t.id in crossing]
+                      if t.id in keyed and t.id in ends]
             offers += [(t.id, keyed[t.id]) for t in stage.tasks
-                       if t.id in keyed and t.id not in crossing][-1:]
+                       if t.id in keyed and t.id not in ends][-1:]
             prepared.append(_Stage(
                 stage, [position[d] for d in stage.dependencies],
                 self._chains(tasks, ends | {t for t, __ in offers}),
-                profile, dispatch_s, offers))
+                profile, (dispatch_s, f"{stage.platform}.dispatch"), offers,
+                ctx, None if any(t.kind != _SOURCE for t in tasks)
+                else [t.logical_id for t in tasks]))
         return prepared
 
     @staticmethod
@@ -397,18 +409,20 @@ class Executor:
         then ``commit(index, stage, record)``; returns the last end."""
         ends: list[float] = []
         for index, stage in enumerate(stages):
-            record = self._run_stage(
-                job, stage, prefix + stage.stage.id,
-                max([floor, *map(ends.__getitem__, stage.deps)]),
-                env, cache, completed, epoch)
-            ends.append(record.end)
+            start = floor
+            for dep in stage.deps:
+                if ends[dep] > start:
+                    start = ends[dep]
+            record = self._run_stage(job, stage, prefix + stage.stage.id,
+                                     start, env, cache, completed, epoch)
+            ends.append(record.start + record.meter.total)
             if commit is not None:
                 commit(index, stage, record)
         return ends[-1] if ends else floor
 
     def _run_stage(self, job: _Job, stage: _Stage, label, start, env,
                    cache, completed, epoch) -> StageRecord:
-        """Run one stage's attempts against scratch state, then commit.
+        """Run one stage's attempts, then commit; returns its record.
 
         The first attempt starts at ``start``; a retry on an injected
         platform failure (up to ``job.max_retries``) starts where the
@@ -416,10 +430,10 @@ class Executor:
         crashed one is wasted together with every record it nested (a
         loop driver's body runs).  An attempt that nested records starts
         its own where the last of them ends: a loop's driver stage closes
-        after its body's last stage.  Only the surviving attempt's state
-        is committed into ``env``, ``cache`` and ``completed`` — the job's
-        for a top-level stage, the enclosing attempt's scratch state for a
-        loop-body stage — so a crashed attempt leaves only its cost.
+        after its body's last stage.  Outputs go to ``env``, ``cache`` and
+        ``completed``; a job that can retry runs each attempt against
+        copies and commits the survivor's.  Without an injector, a stage of
+        loop inputs only records itself.  Spans open only while tracing.
         """
         if self.cancel_check is not None:
             # Stage boundary: the only cancellation point, deliberately
@@ -427,32 +441,38 @@ class Executor:
             # keeps every committed stage and abandons nothing half-done.
             self.cancel_check()
         ledger = job.ledger
+        retry = job.injector is not None
+        if stage.sources is not None and not retry:
+            job.stages, job.attempts = job.stages + 1, job.attempts + 1
+            completed.update(stage.sources)
+            return ledger.record(label, 0, DRIVER_PLATFORM, start, CostMeter())
         platform = stage.stage.platform
         profile = stage.profile
+        ctx = stage.ctx
+        ctx.epoch = epoch
+        tracer = self.tracer if self.tracer.enabled else None
+        stage_span = tracer and tracer.open(f"stage:{label}",
+                                            {"platform": platform})
         attempt = 0
-        with self.tracer.span(f"stage:{label}",
-                              platform=platform) as stage_span:
+        try:
             while True:
                 mark = len(ledger.records)
-                meter = CostMeter()
-                attempt_env = dict(env)
-                attempt_cache = dict(cache)
-                attempt_completed: set[int] = set()
+                ctx.meter = meter = CostMeter()
+                attempt_env, attempt_cache, attempt_completed = (
+                    (dict(env), dict(cache), set()) if retry
+                    else (env, cache, completed))
                 pending_sniffs: list[tuple[list[Sniffer], Any, Channel]] = []
                 observations: list[OperatorObservation] = []
-                # A fresh context per attempt: a crashed attempt's meter
-                # is thrown away with it.
-                ctx = ExecutionContext(self.cluster, meter, self.pgres,
-                                       self.seed, epoch)
-                with self.tracer.span(f"attempt{attempt}") as attempt_span:
+                span = tracer and tracer.open(f"attempt{attempt}", {})
+                failed = True
+                try:
                     if profile is not None:
                         if platform not in job.started:
                             meter.charge(profile.startup_s,
                                          f"{platform}.startup", "overhead")
                             self.metrics.counter(
                                 "executor.platform_startups").inc()
-                        meter.charge(stage.dispatch_s, f"{platform}.dispatch",
-                                     "overhead")
+                        meter.charge(*stage.dispatch, "overhead")
                     if platform != DRIVER_PLATFORM:
                         job.started.add(platform)
                     for task in stage.tasks:
@@ -462,10 +482,12 @@ class Executor:
                             attempt_completed)
                         if task.logical_id is not None:
                             attempt_completed.add(task.logical_id)
-                    failed = (job.injector is not None
-                              and job.injector.should_fail(label, attempt))
-                    attempt_span.set("failed", failed)
-                    attempt_span.set("sim_seconds", meter.total)
+                    failed = retry and job.injector.should_fail(label,
+                                                                attempt)
+                finally:
+                    if span:
+                        tracer.close(span, failed=failed,
+                                     sim_seconds=meter.total)
                 job.attempts += 1
                 begin = (ledger.records[-1].end if len(ledger.records) > mark
                          else start)
@@ -481,6 +503,9 @@ class Executor:
                 for wasted in ledger.records[mark:]:
                     wasted.survived = False
                 attempt += 1
+        finally:
+            if stage_span:
+                tracer.close(stage_span)
         # Commit the surviving attempt.  Within-stage outputs are pipelined:
         # only data materialized at a stage boundary occupies memory.
         for task in stage.tasks:
@@ -488,9 +513,10 @@ class Executor:
             if (task.crossing and out.actual_count is not None
                     and out.descriptor.in_memory):
                 self.cluster.check_memory(task.task.platform, out.sim_mb)
-        env.update(attempt_env)
-        cache.update(attempt_cache)
-        completed |= attempt_completed
+        if retry:
+            env.update(attempt_env)
+            cache.update(attempt_cache)
+            completed |= attempt_completed
         for sniffers, op, out in pending_sniffs:
             # A collection as a plain record list, whichever layout the
             # operator emitted; any other payload (a dataset, a path) as is.
@@ -502,8 +528,9 @@ class Executor:
                     meter.charge(sniff_profile.cpu_seconds(
                         out.sim_cardinality, sniffer.cost_factor),
                         f"sniffer[{op.name}]", category="cpu")
-        stage_span.set("attempts", attempt + 1)
-        stage_span.set("sim_seconds", meter.total)
+        if stage_span:
+            stage_span.attributes.update(attempts=attempt + 1,
+                                         sim_seconds=meter.total)
         job.stages += 1
         return ledger.record(label, attempt, platform, begin, meter,
                              observations)
@@ -513,9 +540,7 @@ class Executor:
                       start, observations, sniffs, completed) -> Channel:
         """Run one task of an attempt; returns its output channel."""
         task = prepared.task
-        if prepared.kind == _SOURCE:
-            if task.id not in env:
-                raise RuntimeError(f"loop input {task} was never primed")
+        if prepared.kind == _SOURCE:  # primed by the loop driver
             return env[task.id]
         inputs = [env[producer] if path is None else
                   self._convert(env[producer], path, ctx, cache, producer)
@@ -536,19 +561,20 @@ class Executor:
             # is observed as if it ran alone.
             head, *rest = ops = [t.task.operator for t in prepared.chain]
             outs = head.run_chain(rest, inputs[0], ctx)
-            runs = zip(ops, [inputs, *([out] for out in outs)], outs)
+            runs = zip(ops, [inputs, *([out] for out in outs)], outs,
+                       [t.observed for t in prepared.chain])
         else:
-            runs = [(op, inputs, op.execute(inputs, broadcasts, ctx))]
-        for op, inputs, out in runs:
+            runs = [(op, inputs, op.execute(inputs, broadcasts, ctx),
+                     prepared.observed)]
+        for op, inputs, out, (platform, work, lid, name) in runs:
             cin = sum([ch.sim_cardinality for ch in inputs
                        if ch.actual_count is not None])
             measured = out.actual_count is not None
             # Only a measured output tells the monitor a cardinality.
-            logical = op.logical if measured else None
             observations.append(OperatorObservation(
-                op.platform, op.observed_op_kind(inputs, ctx), op.work(),
-                cin, out.sim_cardinality if measured else 0.0,
-                getattr(logical, "id", None), getattr(logical, "name", "")))
+                platform, op.observed_op_kind(inputs, ctx), work, cin,
+                out.sim_cardinality if measured else 0.0,
+                lid if measured else None, name if measured else ""))
         if (logical_id in job.sniffers and measured
                 and not isinstance(op, CachedResultExec)):
             # A held channel flowed past its sniffers when it was
@@ -569,7 +595,8 @@ class Executor:
             if key in cache:
                 current = cache[key]
             else:
-                with self.tracer.span(f"convert:{step.name}"):
+                with (self.tracer.span(f"convert:{step.name}")
+                      if self.tracer.enabled else nullcontext()):
                     current = step.apply(current, ctx)
                 self.metrics.counter("executor.conversions").inc()
                 cache[key] = current
@@ -594,11 +621,11 @@ class Executor:
         # What this run's previous check saw, for a two-argument condition.
         pairwise = isinstance(loop, DoWhileLoop) and loop.takes_previous()
         previous = None
+        head = f"{label}.loop{impl.id}.it"
         for iteration in range(max_iterations):
             env = {task_id: channels[k] for task_id, k in primed}
-            chain = self._run_stages(
-                job, body, f"{label}.loop{impl.id}.it{iteration}.", chain,
-                env, {}, completed, iteration)
+            chain = self._run_stages(job, body, f"{head}{iteration}.", chain,
+                                     env, {}, completed, iteration)
             loop_var = env[impl.body_plan.sink_tasks[0].id]
             done = iteration + 1 >= max_iterations
             if isinstance(loop, DoWhileLoop) and not done:

@@ -200,11 +200,17 @@ def charge_operator(
     operators that never call this are listed in ``tests/test_learn.py``
     (``ESTIMATE_ABOVE_CHARGE``).  ``kind`` overrides ``exec_op.op_kind`` when
     the run resolved the kind dynamically (see ``observed_op_kind``).
+    Its lookups are made once per context (``ctx.prices``): per job, and
+    per loop run for a loop body.
     """
-    p = kind_params(kind if kind is not None else exec_op.op_kind)
-    seconds = p.seconds(ctx.cluster.profile(exec_op.platform), cin_sim,
-                        cout_sim, exec_op.work())
-    ctx.meter.charge(seconds, exec_op.name, category="cpu")
+    price = ctx.prices.get((exec_op, kind))
+    if price is None:
+        price = ctx.prices[exec_op, kind] = (
+            kind_params(kind if kind is not None else exec_op.op_kind),
+            ctx.cluster.profile(exec_op.platform), exec_op.work(),
+            exec_op.name)
+    p, profile, work, name = price
+    ctx.meter.charge(p.seconds(profile, cin_sim, cout_sim, work), name, "cpu")
 
 
 def _cin(inputs: Sequence[Channel]) -> float:

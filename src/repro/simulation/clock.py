@@ -38,26 +38,24 @@ class CostMeter:
     only when read.
     """
 
+    __slots__ = ("_events", "total")
+
     def __init__(self) -> None:
         self._events: list[tuple[str, float, str]] = []
-        self._total = 0.0
+        #: Total simulated seconds charged so far.
+        self.total = 0.0
 
     def charge(self, seconds: float, label: str, category: str = "cpu") -> None:
         """Charge ``seconds`` of simulated time."""
         if seconds < 0:
             raise ValueError(f"negative charge: {seconds!r} for {label}")
         self._events.append((label, seconds, category))
-        self._total += seconds
+        self.total += seconds
 
     def merge(self, other: "CostMeter") -> None:
         """Fold another meter's events into this one (sequential composition)."""
         self._events.extend(other._events)
-        self._total += other.total
-
-    @property
-    def total(self) -> float:
-        """Total simulated seconds charged so far."""
-        return self._total
+        self.total += other.total
 
     @property
     def events(self) -> list[CostEvent]:
@@ -72,10 +70,10 @@ class CostMeter:
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CostMeter(total={self._total:.4f}s, events={len(self._events)})"
+        return f"CostMeter(total={self.total:.4f}s, events={len(self._events)})"
 
 
-@dataclass
+@dataclass(slots=True)
 class StageRecord:
     """One run of one stage: an attempt, whether or not it survived.
 
@@ -138,4 +136,4 @@ class StageLedger:
     @property
     def makespan(self) -> float:
         """Simulated end-to-end runtime of everything recorded so far."""
-        return max((r.end for r in self.records), default=0.0)
+        return max([r.end for r in self.records], default=0.0)

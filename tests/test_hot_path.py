@@ -45,6 +45,7 @@ from repro.analysis.udfs import (
     introspect_udf,
 )
 from repro.api import PlanDocumentError, RheemService, build_quanta
+from repro.core import executor as executor_module
 from repro.core import fingerprint
 from repro.core import operators as ops
 from repro.core.execution import ExecutionPlan
@@ -58,7 +59,9 @@ from repro.core.mappings import (
 )
 from repro.core.optimizer import Optimizer, PartialPlan, PlanAnalysisError
 from repro.core.plan import RheemPlan
+from repro.platforms import base as platforms_base
 from repro.platforms.base import ExecutionOperator
+from repro.trace import NO_TRACER
 from repro.workloads import write_points
 from repro.workloads.text import zipf_lines
 
@@ -253,6 +256,57 @@ class TestCountGuards:
         # The job's plan and its loop body, each once; one scan per stage.
         assert len(prepared) == 2
         assert len(scans) == sum(prepared)
+
+    def test_a_warm_loop_body_stage_builds_only_its_meter(self,
+                                                          monkeypatch):
+        """Warm, untraced and without an injector, a loop-body stage run
+        builds its meter (and record) and no scaffolding: no context, no
+        copy of the attempt's state, no span, no charge lookup."""
+        ctx = RheemContext(config={"result_reuse": False})
+        spec = write_points(ctx, "hdfs://hot/points.csv", "higgs")
+
+        def job():
+            return ML4all(ctx).training_quanta(
+                "hdfs://hot/points.csv", sgd_hinge(spec.dimensions),
+                iterations=30, sample_size=10).execute()
+
+        job()  # warms the plan cache
+        calls = dict.fromkeys(("context", "meter", "dict", "set", "span",
+                               "kind_params"), 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name, module, attr in (
+                ("context", executor_module, "ExecutionContext"),
+                ("meter", executor_module, "CostMeter"),
+                ("kind_params", platforms_base, "kind_params")):
+            monkeypatch.setattr(module, attr,
+                                counting(name, getattr(module, attr)))
+        # The executor's own ``dict(...)`` / ``set(...)`` calls: copies.
+        monkeypatch.setattr(executor_module, "dict", counting("dict", dict),
+                            raising=False)
+        monkeypatch.setattr(executor_module, "set", counting("set", set),
+                            raising=False)
+        monkeypatch.setattr(NO_TRACER, "span", counting("span",
+                                                        NO_TRACER.span))
+        result = job()
+        records = result.tracker.records
+        body = [r for r in records if ".loop" in r.stage_id]
+        assert len(body) == 30 * 5 and result.output[0] is not None
+        # One context per prepared stage list: the job's and the body's.
+        assert calls["context"] == 2
+        # One meter per record, and nothing else per stage run.
+        assert calls["meter"] == len(records)
+        # Per job, not per stage run: the monitor's estimates and the
+        # started, completed and result platform sets.
+        assert (calls["dict"], calls["set"]) == (1, 3)
+        assert calls["span"] == 1  # the job's ``executor.run``
+        # Charges look their kind up once per operator per loop run.
+        assert calls["kind_params"] < 30
 
     def test_a_chained_wordcount_collects_little_garbage(self):
         """Blocks, not full lists per operator: 60k lines through

@@ -71,6 +71,29 @@ class TestWarmResubmission:
         assert type(outputs[0]) is list
 
 
+    def test_a_one_stage_plan_offers_an_output_read_twice(self, ctx):
+        """A filter read by both sides of a self-join and by a second
+        join ends a chain, so it is materialized: a one-stage plan offers
+        it, besides its last output, and a resubmission reuses it."""
+        offered = []
+        offer = ctx.result_store.offer
+        ctx.result_store.offer = lambda key, channel, recompute_s: (
+            offered.append(key), offer(key, channel, recompute_s))[1]
+        kept = ctx.load_collection([(i % 5, i) for i in range(40)],
+                                   sim_factor=1e4).filter(
+            lambda r: r[1] % 3 != 0)
+        joined = kept.join(kept, lambda r: r[0], lambda r: r[0]).join(
+            kept, lambda p: p[0][0], lambda r: r[0])
+        first = joined.execute(allowed_platforms={"pystreams"})
+        assert first.stage_count == 1
+        assert len(offered) == 2
+        assert ctx.result_store.stats["admissions"] >= 1
+        second = joined.execute(allowed_platforms={"pystreams"})
+        assert ctx.result_store.stats["hits"] >= 1
+        assert second.output == first.output
+        assert second.runtime < first.runtime
+
+
 class TestInvalidationAndBypass:
     def test_publishing_cost_params_flushes_the_store(self, ctx):
         _run(ctx)

@@ -11,8 +11,8 @@ attempt leaves nothing behind except its critical-path charge.
 import pytest
 
 from repro import RheemContext
-from repro.core.executor import Sniffer
-from repro.core.faults import FaultInjector
+from repro.core.executor import Executor, Sniffer
+from repro.core.faults import FaultInjector, PlatformFailure
 from conftest import wordcount
 
 
@@ -118,6 +118,40 @@ class TestBufferedCommit:
             stage_breaks={clean_flatmap_id})
         assert ([o.stage_id for o in result.monitor.stage_observations]
                 == [o.stage_id for o in clean.monitor.stage_observations])
+
+    def test_a_crashed_loop_body_attempt_leaves_no_state(self, monkeypatch):
+        """A body stage that converts its input crashes past its retries:
+        the state it was handed — the iteration's env and conversion
+        cache, the driver attempt's completed ids — is as before it ran."""
+        ctx = RheemContext()
+        looped = ctx.load_collection([0, 1, 2], sim_factor=1000.0).repeat(
+            2, lambda s: s.map(lambda v: v + 1)
+            .with_target_platform("flinklite").map(lambda v: v * 2)
+            .with_target_platform("pystreams"))
+        plan, estimates = ctx.optimize(looped.to_plan())
+        clean = ctx.executor().execute(plan, estimates)
+        (target,) = [r.stage_id for r in clean.tracker.records
+                     if ".it0." in r.stage_id and any(
+                         e.label.startswith("convert:")
+                         for e in r.meter.events)]
+        handed = {}
+        run_stage = Executor._run_stage
+
+        def spying(executor, job, stage, label, start, env, cache,
+                   completed, epoch):
+            if label == target:
+                handed["state"] = env, cache, completed
+                handed["before"] = dict(env), dict(cache), set(completed)
+            return run_stage(executor, job, stage, label, start, env, cache,
+                             completed, epoch)
+
+        monkeypatch.setattr(Executor, "_run_stage", spying)
+        with pytest.raises(PlatformFailure):
+            ctx.executor().execute(
+                plan, estimates, max_stage_retries=0,
+                fault_injector=FaultInjector(failures={target: 1}))
+        env, cache, completed = handed["state"]
+        assert (dict(env), dict(cache), set(completed)) == handed["before"]
 
     def test_loop_driver_retry_does_not_duplicate_observations(self):
         """Retrying the driver stage that hosts a loop re-runs the whole
