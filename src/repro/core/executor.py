@@ -116,6 +116,9 @@ class _Job:
     attempts: int = 0
 
 
+#: Stands in for a span while the tracer is off (no name is formatted).
+_UNTRACED = nullcontext()
+
 #: How a prepared task is dispatched.
 _SOURCE, _LOOP, _OPERATOR = range(3)
 
@@ -293,8 +296,8 @@ class Executor:
                 if count:
                     self.metrics.counter(name).inc(count)
             self.metrics.histogram("monitor.stage_sim_seconds").observe_all(
-                [r.meter.total for r in ledger.records[first:committed]
-                 if r.survived])
+                r.duration for r in ledger.records[first:committed]
+                if r.survived)
 
         return ExecutionResult(
             outputs=[env[t.id].payload for t in plan.sink_tasks],
@@ -409,13 +412,11 @@ class Executor:
         then ``commit(index, stage, record)``; returns the last end."""
         ends: list[float] = []
         for index, stage in enumerate(stages):
-            start = floor
-            for dep in stage.deps:
-                if ends[dep] > start:
-                    start = ends[dep]
-            record = self._run_stage(job, stage, prefix + stage.stage.id,
-                                     start, env, cache, completed, epoch)
-            ends.append(record.start + record.meter.total)
+            record = self._run_stage(
+                job, stage, prefix + stage.stage.id,
+                max([floor, *map(ends.__getitem__, stage.deps)]),
+                env, cache, completed, epoch)
+            ends.append(record.end)
             if commit is not None:
                 commit(index, stage, record)
         return ends[-1] if ends else floor
@@ -450,11 +451,10 @@ class Executor:
         profile = stage.profile
         ctx = stage.ctx
         ctx.epoch = epoch
-        tracer = self.tracer if self.tracer.enabled else None
-        stage_span = tracer and tracer.open(f"stage:{label}",
-                                            {"platform": platform})
+        traced = self.tracer.enabled
         attempt = 0
-        try:
+        with (self.tracer.span(f"stage:{label}", platform=platform)
+              if traced else _UNTRACED) as stage_span:
             while True:
                 mark = len(ledger.records)
                 ctx.meter = meter = CostMeter()
@@ -463,9 +463,8 @@ class Executor:
                     else (env, cache, completed))
                 pending_sniffs: list[tuple[list[Sniffer], Any, Channel]] = []
                 observations: list[OperatorObservation] = []
-                span = tracer and tracer.open(f"attempt{attempt}", {})
-                failed = True
-                try:
+                with (self.tracer.span(f"attempt{attempt}") if traced
+                      else _UNTRACED) as attempt_span:
                     if profile is not None:
                         if platform not in job.started:
                             meter.charge(profile.startup_s,
@@ -484,10 +483,9 @@ class Executor:
                             attempt_completed.add(task.logical_id)
                     failed = retry and job.injector.should_fail(label,
                                                                 attempt)
-                finally:
-                    if span:
-                        tracer.close(span, failed=failed,
-                                     sim_seconds=meter.total)
+                    if traced:
+                        attempt_span.set("failed", failed)
+                        attempt_span.set("sim_seconds", meter.total)
                 job.attempts += 1
                 begin = (ledger.records[-1].end if len(ledger.records) > mark
                          else start)
@@ -503,9 +501,6 @@ class Executor:
                 for wasted in ledger.records[mark:]:
                     wasted.survived = False
                 attempt += 1
-        finally:
-            if stage_span:
-                tracer.close(stage_span)
         # Commit the surviving attempt.  Within-stage outputs are pipelined:
         # only data materialized at a stage boundary occupies memory.
         for task in stage.tasks:
@@ -528,9 +523,9 @@ class Executor:
                     meter.charge(sniff_profile.cpu_seconds(
                         out.sim_cardinality, sniffer.cost_factor),
                         f"sniffer[{op.name}]", category="cpu")
-        if stage_span:
-            stage_span.attributes.update(attempts=attempt + 1,
-                                         sim_seconds=meter.total)
+        if traced:
+            stage_span.set("attempts", attempt + 1)
+            stage_span.set("sim_seconds", meter.total)
         job.stages += 1
         return ledger.record(label, attempt, platform, begin, meter,
                              observations)
@@ -596,7 +591,7 @@ class Executor:
                 current = cache[key]
             else:
                 with (self.tracer.span(f"convert:{step.name}")
-                      if self.tracer.enabled else nullcontext()):
+                      if self.tracer.enabled else _UNTRACED):
                     current = step.apply(current, ctx)
                 self.metrics.counter("executor.conversions").inc()
                 cache[key] = current
@@ -613,6 +608,10 @@ class Executor:
         body = self._prepare(impl.body_plan, frozenset(), {}, job.sniffers)
         primed = [(task.id, k) for k, task in enumerate(impl.body_input_tasks)
                   if task is not None]
+        sources = {t.task.id: t.task for stage in body for t in stage.tasks
+                   if t.kind == _SOURCE}
+        for task_id in sources.keys() - {task_id for task_id, __ in primed}:
+            raise RuntimeError(f"loop input {sources[task_id]} was never primed")
         # The first iteration chains after the driver attempt's start,
         # every later one after the previous iteration's last stage.
         chain = start

@@ -228,11 +228,10 @@ class DataflowOperator(ExecutionOperator):
                 ctx) -> Channel:
         # UDFs take their broadcast values as plain lists, also where the
         # broadcast channel is the engine's own dataset (graphlite).
-        dataset = self.engine.dataset
         return self._run(inputs, [
             _record_list(self.engine.parts(b.payload))
-            if b.descriptor is dataset or b.descriptor == dataset
-            else records_of(b.payload) for b in broadcasts], ctx)
+            if b.descriptor == self.engine.dataset else records_of(b.payload)
+            for b in broadcasts], ctx)
 
     def _run(self, inputs: Sequence[Channel], bvals: list[Any], ctx) -> Channel:
         raise NotImplementedError
@@ -310,8 +309,7 @@ class DFCollectionSource(DataflowOperator):
 
 class DFNarrow(DataflowOperator):
     """A record-wise operator, its ``kernel`` run over a partition or a
-    block; alone, it runs whole partitions as a chain of one would
-    (:meth:`run_chain`)."""
+    block; alone, it is a chain of one (:meth:`run_chain`)."""
 
     def chain_link(self):
         logical = self.logical
@@ -319,13 +317,10 @@ class DFNarrow(DataflowOperator):
             logical, "column", None) is not None) else "member"
 
     def _run(self, inputs, bvals, ctx):
-        channel = inputs[0]
-        parts = [self.kernel(part, bvals) for part in self._parts(channel)]
-        return self._emit(
-            channel, parts, ctx, channel.sim_cardinality,
-            bytes_per_record=getattr(self.logical, "bytes_per_record", None))
+        return self.run_chain([], inputs[0], ctx, bvals)[-1]
 
-    def run_chain(self, rest: list, channel: Channel, ctx) -> list[Channel]:
+    def run_chain(self, rest: list, channel: Channel, ctx,
+                  bvals: Sequence[Any] = ()) -> list[Channel]:
         """Run ``self``, the narrow operators of ``rest`` and the
         ``DFReduceBy`` that may end them as one pass per partition: whole
         alone, else :data:`BLOCK` records at a time into the partition's
@@ -342,7 +337,7 @@ class DFNarrow(DataflowOperator):
             out: Any = [] if fold is None else {}
             for block in _blocks(part) if rest else (part,):
                 for j, member in enumerate(members):
-                    block = member.kernel(block, ())
+                    block = member.kernel(block, bvals)
                     counts[j] += len(block)
                 if fold is not None:
                     fold_into(out, key, reducer, block)

@@ -136,4 +136,4 @@ class StageLedger:
     @property
     def makespan(self) -> float:
         """Simulated end-to-end runtime of everything recorded so far."""
-        return max([r.end for r in self.records], default=0.0)
+        return max((r.end for r in self.records), default=0.0)

@@ -95,18 +95,18 @@ class Histogram:
 
     def observe_all(self, values: Iterable[float]) -> None:
         """Record samples in order, under one lock acquisition."""
-        values = [float(value) for value in values]
         with _METRICS_LOCK:
-            seen, total = self.count, self.total
-            for value in values:  # added one by one, as ``observe`` does
-                total += value
-            self.count, self.total = seen + len(values), total
-            self.min = min([self.min, *values])
-            self.max = max([self.max, *values])
-            room = self.reservoir_size - len(self.samples)
-            self.samples += values[:room]
-            for i in range(room, len(values)):  # ring: overwrite the oldest
-                self.samples[(seen + i) % self.reservoir_size] = values[i]
+            for value in values:
+                value = float(value)
+                self.count += 1
+                self.total += value
+                self.min = min(self.min, value)
+                self.max = max(self.max, value)
+                if len(self.samples) < self.reservoir_size:
+                    self.samples.append(value)
+                else:  # ring-buffer the reservoir: overwrite the oldest
+                    self.samples[(self.count - 1) % self.reservoir_size] = (
+                        value)
 
     @property
     def mean(self) -> float:

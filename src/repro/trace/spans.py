@@ -90,12 +90,12 @@ class _SpanHandle:
         self._span: Span | None = None
 
     def __enter__(self) -> Span:
-        self._span = self._tracer.open(self._name, self._attributes)
+        self._span = self._tracer._open(self._name, self._attributes)
         return self._span
 
     def __exit__(self, *exc_info: Any) -> None:
         assert self._span is not None
-        self._tracer.close(self._span)
+        self._tracer._close(self._span)
 
 
 class Tracer:
@@ -126,8 +126,7 @@ class Tracer:
         """Open a child span of the current span for a ``with`` block."""
         return _SpanHandle(self, name, attributes)
 
-    def open(self, name: str, attributes: dict[str, Any]) -> Span:
-        """Open a child span of the current span (:meth:`span`'s half)."""
+    def _open(self, name: str, attributes: dict[str, Any]) -> Span:
         stack = self._stack
         parent = stack[-1] if stack else None
         span = Span(name, next(self._ids),
@@ -137,9 +136,7 @@ class Tracer:
         stack.append(span)
         return span
 
-    def close(self, span: Span, **attributes: Any) -> None:
-        """Set ``attributes`` on ``span`` and close it."""
-        span.attributes.update(attributes)
+    def _close(self, span: Span) -> None:
         span.end = self._now()
         stack = self._stack
         while stack and stack[-1] is not span:

@@ -155,6 +155,23 @@ class TestLoopsAtRuntime:
         assert out.collect() == [3]
         assert seen == [0, 1, 2]
 
+    def test_an_unprimed_loop_input_fails_before_the_first_iteration(
+            self, ctx):
+        """The body's loop inputs are checked once per loop run, by name,
+        not met later as a bare ``KeyError`` in a downstream stage."""
+        from repro.core.execution import LoopImplementation
+        body_runs = []
+        seed = ctx.load_collection([0])
+        out = seed.repeat(3, lambda s: s.map(
+            lambda v: (body_runs.append(v), v + 1)[1]))
+        plan, estimates = ctx.optimize(out.to_plan())
+        (impl,) = [t.operator for t in plan.tasks
+                   if isinstance(t.operator, LoopImplementation)]
+        impl.body_input_tasks = [None] * len(impl.body_input_tasks)
+        with pytest.raises(RuntimeError, match="never primed"):
+            ctx.executor().execute(plan, estimates)
+        assert body_runs == []
+
 
 class TestSniffers:
     def test_sniffer_sees_data_and_costs_time(self, ctx):

@@ -70,7 +70,6 @@ class TestWarmResubmission:
         assert outputs[0] == outputs[1]
         assert type(outputs[0]) is list
 
-
     def test_a_one_stage_plan_offers_an_output_read_twice(self, ctx):
         """A filter read by both sides of a self-join and by a second
         join ends a chain, so it is materialized: a one-stage plan offers
