@@ -40,7 +40,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .kernels import (bind, filter_records, flat_map_records, fold_by_key,
-                      hash_join, map_records)
+                      hash_join, intersect_records, map_records)
 
 
 def _make_column(values: list[Any], text: bool = True):
@@ -447,6 +447,8 @@ def batch_keys(batch: RecordBatch, key_col: Any, key_fn: Any) -> list[Any]:
 #   always runs the columnar kernel and emits a batch;
 # * an implicit one (a range filter's ``column``, a join's ``*_key_column``)
 #   runs it only when the input already is a batch;
+# * an intersect of two batches of one int64 layout intersects their rows'
+#   int keys, undeclared, and emits a list;
 # * everything else runs the record kernel and emits a list.
 #
 # The record kernels are the parity reference: the same plan with its
@@ -486,7 +488,7 @@ def run_map(logical: Any, payload: Payload, bvals: Sequence[Any] = ()
             ) -> Payload:
     batch_udf = logical.batch_udf
     if batch_udf is None:
-        return map_records(bind(logical.udf, bvals), payload)
+        return map_records(bind(logical.udf), payload, bvals)
     return _rowwise(
         lambda b: RecordBatch.from_records(batch_udf(b, *bvals)), payload)
 
@@ -495,7 +497,7 @@ def run_flat_map(logical: Any, payload: Payload, bvals: Sequence[Any] = ()
                  ) -> Payload:
     batch_udf = logical.batch_udf
     if batch_udf is None:
-        return flat_map_records(bind(logical.udf, bvals), payload)
+        return flat_map_records(bind(logical.udf), payload, bvals)
     return _rowwise(
         lambda b: RecordBatch.from_records(batch_udf(b, *bvals)), payload)
 
@@ -514,7 +516,7 @@ def run_filter(logical: Any, payload: Payload, bvals: Sequence[Any] = ()
         keep = range_mask(payload, logical.column, logical.low, logical.high)
         if keep is not None:
             return payload.mask(keep)
-    return filter_records(bind(logical.udf, bvals), payload)
+    return filter_records(bind(logical.udf), payload, bvals)
 
 
 def run_join(logical: Any, left: Payload, right: Payload) -> Payload:
@@ -536,6 +538,54 @@ def run_join(logical: Any, left: Payload, right: Payload) -> Payload:
             return RecordBatch.pair(lb.take(li), rb.take(ri))
     return hash_join(bind(logical.left_key), bind(logical.right_key),
                      left, right)
+
+
+#: Two int64 columns whose values all lie in ``[0, _PACK)`` pack into one
+#: int key: ``first * _PACK + second``.
+_PACK = 1 << 31
+
+
+def _int_keys(payload: Payload) -> tuple[int, list[int]] | None:
+    """One plain-int key per row of a batch of int64 columns, and the
+    batch's width (0 for a scalar batch): the value itself, a one-column
+    tuple's value, or a two-column tuple's values packed.  None for any
+    other payload, or for two columns that do not pack."""
+    if not isinstance(payload, RecordBatch) or payload.kind not in (
+            "scalar", "tuple") or len(payload._columns) > 2:
+        return None
+    columns = payload._columns
+    if not all(isinstance(c, np.ndarray) and c.dtype == np.int64
+               for c in columns):
+        return None
+    if len(columns) == 1:
+        return (0 if payload.kind == "scalar" else 1), columns[0].tolist()
+    first, second = columns
+    if min(first.min(), second.min()) < 0 or max(first.max(),
+                                                 second.max()) >= _PACK:
+        return None
+    return 2, (first * _PACK + second).tolist()
+
+
+def run_intersect(left: Payload, right: Payload) -> list[Any]:
+    """``left``'s distinct records that ``right`` holds, in
+    first-occurrence order, as a list: an intersect declares no batch.
+
+    Two batches of one int64 layout (``_int_keys``) are intersected on
+    their rows' int keys, and only the surviving rows become records;
+    anything else runs the record kernel.
+    """
+    if not (len(left) and len(right)):
+        return []
+    lk, rk = _int_keys(left), _int_keys(right)
+    if lk is None or rk is None or lk[0] != rk[0]:
+        return intersect_records(left, right)
+    width, keys = lk
+    kept = intersect_records(keys, rk[1])
+    if width == 0:
+        return kept
+    if width == 1:
+        return [(k,) for k in kept]
+    return [divmod(k, _PACK) for k in kept]
 
 
 def run_reduce(logical: Any, payload: Payload) -> Payload:

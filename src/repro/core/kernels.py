@@ -3,10 +3,13 @@
 An execution operator *binds* its UDFs once per run (:func:`bind`) and hands
 the plain callables to the loops below; no engine applies a
 :class:`~repro.core.udf.Udf` — a wrapper frame, an argument splat and a
-kwargs dict — per record.  Every engine (pystreams, the dataflow engines
-per partition, pgres) runs these same functions wherever the plan declares
-no columnar kernel (``core.batch.run_*``), so output order is decided here: first-occurrence key
-order for distinct / group / fold, left-major ``(l, r)`` pairs for the join.
+kwargs dict — per record.  The map, flat-map and filter loops take the
+run's broadcast values and pass them after the record in the
+comprehension itself, not through a wrapping closure.  Every engine
+(pystreams, the dataflow engines per partition, pgres) runs these same
+functions wherever no columnar kernel (``core.batch.run_*``) applies, so
+output order is decided here: first-occurrence key order for distinct /
+intersect / group / fold, left-major ``(l, r)`` pairs for the join.
 
 Bind on the call's stack, never on an operator instance: instances are
 re-executed across loop iterations, retries and — through cached plans —
@@ -35,25 +38,16 @@ Reducer = Callable[[Any, Any], Any]
 
 
 @overload
-def bind(udf: None, bvals: Sequence[Any] = ()) -> None: ...
+def bind(udf: None) -> None: ...
 @overload
-def bind(udf: Udf | Callable[..., Any],
-         bvals: Sequence[Any] = ()) -> Callable[..., Any]: ...
+def bind(udf: Udf | Callable[..., Any]) -> Callable[..., Any]: ...
 
 
-def bind(udf: Udf | Callable[..., Any] | None,
-         bvals: Sequence[Any] = ()) -> Callable[..., Any] | None:
-    """The plain callable a kernel applies per record.
-
-    ``udf.fn`` for a :class:`Udf`, the object itself otherwise (``None``
-    stays ``None``); with broadcast values, a one-argument closure passing
-    them after the record.
-    """
-    fn = udf.fn if isinstance(udf, Udf) else udf
-    if fn is None or not bvals:
-        return fn
-    extra = tuple(bvals)
-    return lambda x: fn(x, *extra)
+def bind(udf: Udf | Callable[..., Any] | None
+         ) -> Callable[..., Any] | None:
+    """The plain callable a kernel applies per record: ``udf.fn`` for a
+    :class:`Udf`, the object itself otherwise (``None`` stays ``None``)."""
+    return udf.fn if isinstance(udf, Udf) else udf
 
 
 def identity(record: Any) -> Any:
@@ -64,17 +58,26 @@ def identity(record: Any) -> Any:
     return record
 
 
-def map_records(fn: Fn, records: Iterable[Any]) -> list[Any]:
+def map_records(fn: Fn, records: Iterable[Any],
+                bvals: Sequence[Any] = ()) -> list[Any]:
+    if bvals:
+        return [fn(x, *bvals) for x in records]
     return [fn(x) for x in records]
 
 
-def flat_map_records(fn: Fn, records: Iterable[Any]) -> list[Any]:
+def flat_map_records(fn: Fn, records: Iterable[Any],
+                     bvals: Sequence[Any] = ()) -> list[Any]:
     """``fn`` may return any iterable."""
+    if bvals:
+        return [y for x in records for y in fn(x, *bvals)]
     return [y for x in records for y in fn(x)]
 
 
-def filter_records(fn: Fn, records: Iterable[Any]) -> list[Any]:
+def filter_records(fn: Fn, records: Iterable[Any],
+                   bvals: Sequence[Any] = ()) -> list[Any]:
     """Keeps the records ``fn`` finds truthy."""
+    if bvals:
+        return [x for x in records if fn(x, *bvals)]
     return [x for x in records if fn(x)]
 
 

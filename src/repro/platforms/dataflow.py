@@ -30,17 +30,19 @@ observable — and charge shuffle time per simulated MB on top of CPU time
 A partition is a list of records or a
 :class:`~repro.core.batch.RecordBatch`; both have a length and iterate as
 records.  The operators with a columnar kernel (map, flatmap, filter, sort,
-reduce-by, join) pick it per partition through ``core.batch.run_*``, and a
-shuffle of batches places rows exactly where ``shuffle_by_key`` places
-records; the others read records and emit lists.
+reduce-by, join, intersect) pick it per partition through
+``core.batch.run_*``, and a shuffle of batches places rows exactly where
+``shuffle_by_key`` places records; the others read records and emit
+lists.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain, islice
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -49,12 +51,12 @@ from ..algorithms.iejoin import ie_join
 from ..algorithms.pagerank import pagerank_edges
 from ..core import operators as ops
 from ..core.batch import (RecordBatch, batch_keys, records_of, run_filter,
-                          run_flat_map, run_join, run_map, run_reduce,
-                          run_sort)
+                          run_flat_map, run_intersect, run_join, run_map,
+                          run_reduce, run_sort)
 from ..core.channels import (Channel, ChannelDescriptor, HDFS_FILE,
                              PY_COLLECTION)
 from ..core.kernels import (bind, distinct_records, fold_into, fold_records,
-                            group_by_key, identity, intersect_records)
+                            group_by_key, identity)
 from ..core.mappings import OperatorMapping
 from ..simulation.vfs import HDFS_SCHEME, LOCAL_SCHEME
 from .base import (ExecutionOperator, _cin, _group_factor, _sample_seed,
@@ -432,17 +434,26 @@ class DFSample(DataflowOperator):
         return 1.0
 
     def _run(self, inputs, bvals, ctx):
-        data = _record_list(self._parts(inputs[0]))
+        # Index ``i`` of the partitions laid end to end is record
+        # ``i - starts[p]`` of the last partition ``p`` starting at or
+        # before it; no partition is copied into one list.
+        parts = [records_of(p) for p in self._parts(inputs[0])]
+        starts = [0, *accumulate(map(len, parts))]
+        total = starts.pop()
         logical = self.logical
         if logical.size is not None:
-            k = min(logical.size, len(data))
+            k = min(logical.size, total)
         else:
-            k = int(len(data) * logical.fraction)
+            k = int(total * logical.fraction)
         if logical.method == "first":
-            sample = data[:k]
+            sample = list(islice(chain.from_iterable(parts), k))
         else:
             rng = random.Random(_sample_seed(ctx, logical))
-            sample = [data[rng.randrange(len(data))] for __ in range(k)] if data else []
+            sample = []
+            for __ in range(k):
+                i = rng.randrange(total)
+                p = bisect_right(starts, i) - 1
+                sample.append(parts[p][i - starts[p]])
         return self._emit(inputs[0], [sample], ctx, _cin(inputs),
                           sim_factor=1.0)
 
@@ -590,7 +601,7 @@ class DFIntersect(DataflowOperator):
         self._charge_net(ctx, b.sim_mb)
         sa = _shuffle(self._parts(a), n, identity)
         sb = _shuffle(self._parts(b), n, identity)
-        parts = [intersect_records(pa, pb) for pa, pb in zip(sa, sb)]
+        parts = [run_intersect(pa, pb) for pa, pb in zip(sa, sb)]
         return self._emit(a, parts, ctx, _cin(inputs))
 
 
@@ -688,7 +699,7 @@ class DFPageRank(DataflowOperator):
         """The ranked vertices, dealt over the engine's partitions."""
         ranks = pagerank_edges(_records(self._parts(edges)),
                                self.logical.iterations, self.logical.damping)
-        return self.engine.split(sorted(ranks.items()), ctx)
+        return self.engine.split(list(ranks.items()), ctx)
 
     def _run(self, inputs, bvals, ctx):
         parts = self._ranks(inputs[0], ctx)

@@ -370,6 +370,33 @@ class TestCountGuards:
         assert len(built) == sum(kept) + roots + 1
         assert optimizer.last_enumeration_size == sum(kept) + roots
 
+    def test_crocopr_rebuilds_records_only_in_its_parse_maps(
+            self, monkeypatch):
+        # Its parse maps read their blocks of lines as records; the
+        # intersect keys the parsed edge columns by int and builds records
+        # only for the edges it keeps.
+        from repro.apps import xdb
+        from repro.core.batch import RecordBatch
+
+        parsing, calls = [], []
+        to_records, parse_edges = RecordBatch.to_records, xdb.parse_edges
+
+        def recording(batch):
+            calls.append(bool(parsing))
+            return to_records(batch)
+
+        def parse(batch):
+            parsing.append(batch)
+            try:
+                return parse_edges(batch)
+            finally:
+                parsing.pop()
+
+        monkeypatch.setattr(RecordBatch, "to_records", recording)
+        monkeypatch.setattr(xdb, "parse_edges", parse)
+        assert _crocopr(RheemContext()).execute().output
+        assert calls == [True, True]
+
     def test_a_failed_estimate_still_raises_from_pick_best(self, ctx):
         class Boom(ops.Map):
             def estimate_cardinality(self, inputs, ctx):

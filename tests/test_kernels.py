@@ -16,8 +16,10 @@ Shuffle placement follows ``hash()``: CI runs this module under
 
 import operator
 import os
+import random
 import subprocess
 import sys
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -26,14 +28,19 @@ from hypothesis import given, strategies as st
 from repro import RheemContext
 from repro.core import kernels
 from repro.core import operators as ops
-from repro.core.batch import RecordBatch, fold_by_key_columns
+from repro.core.batch import RecordBatch, fold_by_key_columns, run_intersect
+from repro.core.channels import Channel
 from repro.core.execution import ExecutionContext
 from repro.core.executor import Sniffer
 from repro.core.monitor import OperatorObservation
 from repro.core.progressive import PausedJob
 from repro.core.udf import Udf
 from repro.platforms import builtin_platforms
-from repro.platforms.dataflow import DFNarrow
+from repro.platforms.base import _sample_seed
+from repro.platforms.dataflow import DFNarrow, DFSample
+from repro.platforms.flinklite import FLINK
+from repro.platforms.pystreams import PYSTREAMS
+from repro.platforms.sparklite import SPARK
 from repro.simulation.clock import CostMeter
 from conftest import stripped
 from test_extensibility import TOYFLOW
@@ -68,14 +75,13 @@ class TestBind:
         assert kernels.bind(Udf(fn)) is fn
         assert kernels.bind(fn) is fn
         assert kernels.bind(None) is None
-        assert kernels.bind(None, [1]) is None
-        assert kernels.bind(Udf(fn), []) is fn
 
     @given(record_lists, broadcasts)
     def test_broadcasts_follow_the_record(self, records, bvals):
         udf = Udf(lambda x, *b: (x, b))
-        fn = kernels.bind(udf, bvals)
-        assert [fn(x) for x in records] == [udf(x, *bvals) for x in records]
+        fn = kernels.bind(udf)
+        assert kernels.map_records(fn, records, bvals) == [
+            udf(x, *bvals) for x in records]
 
 
 class TestKernelsMatchSpecification:
@@ -84,8 +90,8 @@ class TestKernelsMatchSpecification:
         expected = []
         for x in records:
             expected.append((bucket(x, *bvals), x))
-        fn = kernels.bind(Udf(lambda x, *b: (bucket(x, *b), x)), bvals)
-        assert kernels.map_records(fn, records) == expected
+        fn = kernels.bind(Udf(lambda x, *b: (bucket(x, *b), x)))
+        assert kernels.map_records(fn, records, bvals) == expected
 
     @given(record_lists, broadcasts)
     def test_flat_map_accepts_any_iterable(self, records, bvals):
@@ -98,8 +104,8 @@ class TestKernelsMatchSpecification:
         expected = []
         for x in records:
             expected.extend([x] * bucket(x, *bvals))
-        fn = kernels.bind(explode, bvals)
-        assert kernels.flat_map_records(fn, records) == expected
+        fn = kernels.bind(explode)
+        assert kernels.flat_map_records(fn, records, bvals) == expected
 
     @given(record_lists, broadcasts)
     def test_filter_keeps_the_truthy(self, records, bvals):
@@ -108,8 +114,8 @@ class TestKernelsMatchSpecification:
             if bucket(x, *bvals) != 0:
                 expected.append(x)
         # The predicate answers 0 / 1 / 2, not a bool.
-        fn = kernels.bind(Udf(bucket), bvals)
-        assert kernels.filter_records(fn, records) == expected
+        fn = kernels.bind(Udf(bucket))
+        assert kernels.filter_records(fn, records, bvals) == expected
 
     @given(record_lists)
     def test_distinct_by_identity(self, records):
@@ -181,6 +187,70 @@ class TestKernelsMatchSpecification:
         assert kernels.hash_join(bucket, bucket, left, right) == expected
 
 
+class TestIntersectOverBatches:
+    """``run_intersect`` keys batches of int64 columns by their rows' ints
+    and answers what ``intersect_records`` answers over the records."""
+
+    #: Values that pack (``[0, 2**31)``), and values that make a batch fall
+    #: back: negative, at or past ``2**31``, past int64, float.
+    PACKED = st.integers(0, 4) | st.just(2**31 - 1)
+    FALLBACK = st.sampled_from((-1, 2**31, 2**40, 2**64, 1.0, 2.5))
+
+    @staticmethod
+    def sides(width, values):
+        record = values if width == 0 else st.tuples(*[values] * width)
+        return st.lists(record, max_size=12)
+
+    @given(st.data(), st.sampled_from((0, 1, 2, 3)), st.booleans())
+    def test_the_batch_path_answers_like_the_record_kernel(
+            self, data, width, odd):
+        values = self.PACKED | self.FALLBACK if odd else self.PACKED
+        left = data.draw(self.sides(width, values), label="left")
+        right = data.draw(self.sides(width, values), label="right")
+        expected = kernels.intersect_records(left, right)
+        lb, rb = RecordBatch.from_records(left), RecordBatch.from_records(
+            right)
+        for pair in ((lb, rb), (lb, right), (left, rb)):
+            out = run_intersect(*pair)
+            assert type(out) is list and out == expected
+            assert list(map(type, out)) == list(map(type, expected))
+
+    def test_duplicates_and_an_empty_side(self):
+        left = [(1, 2), (0, 0), (1, 2), (3, 1), (0, 0)]
+        right = [(0, 0), (1, 2), (1, 2), (5, 5)]
+        lb, rb = RecordBatch.from_records(left), RecordBatch.from_records(
+            right)
+        assert run_intersect(lb, rb) == [(1, 2), (0, 0)]
+        for empty in (RecordBatch.from_records([]),
+                      lb.mask(np.zeros(len(lb), dtype=bool))):
+            assert run_intersect(lb, empty) == run_intersect(empty, rb) == []
+        scalars = RecordBatch.from_records([3, 1, 3, 2])
+        assert run_intersect(scalars, RecordBatch.from_records([2, 3])) \
+            == [3, 2]
+
+    @pytest.mark.parametrize("left, right, rebuilt", [
+        ([(1, 2), (2**31 - 1, 0)], [(2**31 - 1, 0)], False),
+        ([(1,), (4,), (1,)], [(4,), (1,)], False),
+        ([7, 8, 7], [8, 7], False),
+        ([(1, 2), (-1, 0)], [(-1, 0)], True),
+        ([(1, 2), (2**31, 0)], [(2**31, 0)], True),
+        ([(1.0, 2.0)], [(1.0, 2.0)], True),
+        ([(1, 2, 3)], [(1, 2, 3)], True),
+        ([(1, 2)], [(1,)], True),
+    ])
+    def test_only_int_layouts_skip_the_records(self, monkeypatch, left,
+                                               right, rebuilt):
+        lb, rb = RecordBatch.from_records(left), RecordBatch.from_records(
+            right)
+        expected = kernels.intersect_records(left, right)
+        calls = []
+        to_records = RecordBatch.to_records
+        monkeypatch.setattr(RecordBatch, "to_records",
+                            lambda b: calls.append(b) or to_records(b))
+        assert run_intersect(lb, rb) == expected
+        assert bool(calls) == rebuilt
+
+
 # ------------------------- (ii) engines agree; declared equals stripped
 # One engine per payload layout: pystreams' one partition, sparklite's 40
 # hash-placed partitions, pgres' relations.  flinklite is sparklite's
@@ -190,6 +260,7 @@ PARTITIONED = ("sparklite",)
 
 PAIRS = [(i % 7, f"w{i % 5}") for i in range(40)]
 OTHER = [(i % 9, f"v{i % 4}") for i in range(30)]
+INT_PAIRS = [(i % 7, i % 5) for i in range(40)]
 ROWS = [{"k": i % 7, "v": i % 3} for i in range(40)]
 OTHER_ROWS = [{"k": i % 5, "v": i % 3} for i in range(25)]
 
@@ -259,6 +330,9 @@ OPERATORS = {
         ENGINES, by_repr),
     "intersect": (lambda c, pin: pin(src(c, pin, PAIRS).intersect(
         src(c, pin, [(i % 3, f"w{i % 5}") for i in range(30)]))),
+        ENGINES, by_repr),
+    "intersect_ints": (lambda c, pin: pin(src(c, pin, INT_PAIRS).intersect(
+        src(c, pin, [(i % 3, i % 4) for i in range(30)]))),
         ENGINES, by_repr),
     "intersect_rows": (lambda c, pin: pin(src(c, pin, ROWS).intersect(
         src(c, pin, OTHER_ROWS))), ENGINES, by_repr),
@@ -625,3 +699,38 @@ def test_a_replan_after_a_chained_stage_resumes_from_payloads(monkeypatch,
     plain = RheemContext()
     assert sorted(report.result.output) == sorted(
         plain.execute(_lookup_join_plan(plain, 0.0001)).output)
+
+
+def _flat_sample(parts, logical, ectx):
+    """A sample drawn from the partitions copied into one list."""
+    data = list(chain.from_iterable(parts))
+    k = (min(logical.size, len(data)) if logical.size is not None
+         else int(len(data) * logical.fraction))
+    if logical.method == "first":
+        return data[:k]
+    rng = random.Random(_sample_seed(ectx, logical))
+    return [data[rng.randrange(len(data))] for __ in range(k)]
+
+
+@pytest.mark.parametrize("method", ["random", "first"])
+@pytest.mark.parametrize("size, fraction", [
+    (0, None), (3, None), (9, None), (10, None), (25, None), (None, 0.5),
+    (None, 1.0)])
+@pytest.mark.parametrize("engine", [SPARK, FLINK, PYSTREAMS])
+def test_a_sample_draws_as_from_the_partitions_end_to_end(engine, size,
+                                                           fraction, method):
+    # Ten records over partitions that start and end empty, one of them
+    # a batch; sizes below, at and above the input's.
+    parts = [[], [0, 1, 2], [], RecordBatch.from_records([3]),
+             [4, 5, 6, 7], [8, 9], []]
+    logical = ops.Sample(size=size, fraction=fraction, method=method,
+                         seed=5, name="draw")
+    ctx = RheemContext()
+    ectx = ExecutionContext(ctx.cluster, CostMeter(), ctx.pgres, epoch=3)
+    payload = engine.payload(parts)
+    channel = Channel(engine.dataset, payload, 1.0, 8.0, 10)
+    out = DFSample(logical, engine).execute([channel], [], ectx)
+    sample = list(chain.from_iterable(engine.parts(out.payload)))
+    assert sample == _flat_sample(engine.parts(payload), logical, ectx)
+    assert len(sample) == min(size if size is not None else 10 * fraction,
+                              10)

@@ -6,7 +6,8 @@ lists) or, where partitioning decides the output, the cold run.  Each
 merge shape's example set must draw every merge kind and a narrow operator
 read twice, once by a narrow link (:func:`narrow_read_twice`), and the
 intersect shape's an intersect whose left input repeats a record the
-right one holds (:func:`tally`).  CI runs it under two hash seeds:
+right one holds and one of int pairs from a declared map
+(:func:`tally`).  CI runs it under two hash seeds:
 shuffles place records by ``hash(key) % n``.
 """
 
@@ -15,12 +16,13 @@ import json
 import os
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import RheemContext
 from repro.apps import ML4all, crocopr_quanta, q5_quanta, sgd_hinge
-from repro.core.batch import records_of
+from repro.core.batch import RecordBatch, records_of
 from repro.core.executor import Sniffer
 from repro.core.faults import FaultInjector
 from repro.core.optimizer import OptimizationError
@@ -48,6 +50,17 @@ REDUCERS = {"int": "a + b", "str": "max(a, b)",
             "pair": "(min(a[0], b[0]), a[1] + b[1])"}
 GROW = ("abs(x) * 2 + 1", "abs(x) + 7")  # loop bodies over ints
 CONTINUE = "len(x) > 0 and max(x) < 50"  # the do-while condition
+
+#: An int -> int-pair map declared with a columnar twin: two int64 columns,
+#: negative wherever ``x`` is.
+PAIRS = "(x % 3, x)"
+#: Map expressions that declare a columnar twin: the identity behind every
+#: source, and :data:`PAIRS`.
+BATCH_TWINS = {
+    "x": lambda b: b,
+    PAIRS: lambda b: RecordBatch.from_tuple_columns(
+        (np.asarray(b.col(0)) % 3, np.asarray(b.col(0)))),
+}
 
 
 def udf(params, expr):
@@ -119,8 +132,9 @@ def plans(draw, shape):
         node = ("loop", (iterations, body), convert(node, rtype, "int"))
         rtype = "int"
     elif shape != "pipeline":
-        for kind in [shape] + draw(st.lists(st.sampled_from(SHAPES[2:]),
-                                            max_size=2)):
+        merges = [shape] + draw(st.lists(st.sampled_from(SHAPES[2:]),
+                                         max_size=2))
+        for i, kind in enumerate(merges):
             left = convert(node, rtype, "int")
             shared = draw(st.sampled_from(("source", "narrow", "source",
                                            None)))
@@ -130,8 +144,11 @@ def plans(draw, shape):
             else:
                 branch = first if shared else draw(source())
             other = convert(*draw(steps(*branch, most=2)), "int")
-            node = (kind, None, left, other)
             rtype = "pair" if kind == "join" else "int"
+            if i == 0 and shape == "intersect":  # it intersects int pairs
+                left, other = ("map", PAIRS, left), ("map", PAIRS, other)
+                rtype = "pair"
+            node = (kind, None, left, other)
     node, rtype = draw(steps(node, rtype, most=2))
     tail = draw(st.sampled_from((None, None, "sample", "zip", "group_by")))
     if tail is not None:
@@ -173,7 +190,7 @@ def looped_reference(xs, arg):
 #: document fields — None where documents have no such operator).
 READINGS = {
     "map": (lambda dq, a: dq.map(udf("x, *bc", a), broadcasts=[],
-                                 batch_udf=(lambda b: b) if a == "x" else None),
+                                 batch_udf=BATCH_TWINS.get(a)),
             lambda xs, a: [udf("x", a)(x) for x in xs],
             lambda a: {"expr": a}),
     "flat_map": (lambda dq, a: dq.flat_map(udf("x, *bc", a), broadcasts=[]),
@@ -422,6 +439,10 @@ def tally(node, drawn):
         left, right = map(interpret, children)
         drawn["held duplicate"] += any(
             left.count(x) > 1 and x in right for x in left)
+        if children[0][:2] == ("map", PAIRS):
+            drawn["int pairs"] += 1
+            drawn["packed pairs"] += bool(left and right) and all(
+                0 <= v < 2**31 for pair in left + right for v in pair)
 
 
 def narrow_read_twice(node) -> bool:
@@ -463,7 +484,8 @@ def test_generated_plans_agree_under_every_strategy(shape, batches, servers):
         assert all(drawn[kind] for kind in SHAPES[2:]), drawn
         assert drawn["narrow read twice"], drawn
     if shape == "intersect":
-        assert drawn["held duplicate"], drawn
+        assert drawn["held duplicate"] and drawn["packed pairs"], drawn
+        assert drawn["int pairs"] < drawn["intersect"], drawn
 
 
 PATHS = ("hdfs://oracle/a.txt", "hdfs://oracle/b.txt")
